@@ -2,15 +2,13 @@
 
 All results are deterministic functions of the configuration seed: trials
 use spawned seed sequences and reductions happen in trial order, so repeated
-runs produce byte-identical CSV artifacts regardless of the thread count
-(capped by the GSDOF_THREADS environment variable).
+runs produce byte-identical CSV artifacts regardless of how the trials are
+chunked for batched MI evaluation.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,18 +43,15 @@ LEAK_CANARY_MIN = 0.5
 
 _FMT = ".12g"
 
+# Trials whose schemes run_sweep builds and evaluates as one stacked batch
+# (trials x SNRs).  Larger chunks amortise more per-call overhead of the
+# linear-algebra kernels but raise peak memory; the output does not depend
+# on it.
+SWEEP_CHUNK = 8
+
 
 def _f(x) -> str:
     return format(float(x), _FMT)
-
-
-def _pmap(fn, items):
-    workers = int(os.environ.get("GSDOF_THREADS", "1") or "1")
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def rho_from_db(db) -> np.ndarray:
@@ -115,33 +110,53 @@ class RateReport:
         return ledger
 
 
+def _sweep_chunk(config: SweepConfig, seqs, rho_lin):
+    """Build one chunk of trials and evaluate reliability and leakage for
+    all of them over the SNR grid: (first scheme, rel, leak), where rel and
+    leak map group -> (trials, SNRs) bits."""
+    schemes = [build_scheme(config.scheme, config.alpha, seq) for seq in seqs]
+    rel = reliability_bits(schemes, rho_lin)
+    leak = {}
+    for owner in (1, 2):
+        if schemes[0].decode_order.get(owner):
+            leak.update(leakage_bits(schemes, rho_lin, owner))
+    return schemes[0], rel, leak
+
+
 def run_sweep(config: SweepConfig) -> RateReport:
     """Average scheme reliability and leakage over fresh realizations, then
-    fit per-slot slopes against log2 rho."""
+    fit per-slot slopes against log2 rho.
+
+    Trials run in chunks of ``SWEEP_CHUNK``.  If a chunk fails, its trials
+    are rerun one at a time so the error names the lowest failing trial."""
     rho_lin = rho_from_db(config.rho_db)
     seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
-
-    def one_trial(args):
-        idx, seq = args
+    rel_parts, leak_parts = [], []
+    for start in range(0, config.trials, SWEEP_CHUNK):
+        idxs = range(start, min(start + SWEEP_CHUNK, config.trials))
         try:
-            scheme = build_scheme(config.scheme, config.alpha, seq)
-            per_rho = []
-            for rho in rho_lin:
-                rel = reliability_bits(scheme, float(rho))
-                leak = {}
-                for owner in (1, 2):
-                    if scheme.decode_order.get(owner):
-                        leak.update(leakage_bits(scheme, float(rho), owner))
-                per_rho.append((rel, leak))
-            owners = {g.name: g.owner for g in scheme.groups}
-            return per_rho, scheme_block_length(scheme), owners
-        except Exception as exc:  # attach the trial index for reproducibility
-            raise RuntimeError(f"trial {idx} failed: {exc}") from exc
+            scheme, rel, leak = _sweep_chunk(config, [seeds[i] for i in idxs], rho_lin)
+        except Exception:
+            for idx in idxs:
+                try:
+                    _sweep_chunk(config, [seeds[idx]], rho_lin)
+                except Exception as exc:  # attach the trial index for reproducibility
+                    raise RuntimeError(f"trial {idx} failed: {exc}") from exc
+            raise
+        if start == 0:
+            first = scheme
+        rel_parts.append(rel)
+        leak_parts.append(leak)
+    n_slots = scheme_block_length(first)
+    owners = {g.name: g.owner for g in first.groups}
+    group_names = list(rel_parts[0])
+    no_leak = [[0.0] * len(rho_lin)] * config.trials
 
-    results = _pmap(one_trial, list(enumerate(seeds)))
-    n_slots = results[0][1]
-    owners = results[0][2]
-    group_names = list(results[0][0][0][0].keys())
+    def joined(parts, g):
+        return np.concatenate([p[g] for p in parts]).tolist() if g in parts[0] else no_leak
+
+    mi = {g: joined(rel_parts, g) for g in group_names}
+    leak = {g: joined(leak_parts, g) for g in group_names}
 
     k = max(2, math.ceil(len(config.rho_db) / 2))
     report = RateReport(
@@ -156,14 +171,14 @@ def run_sweep(config: SweepConfig) -> RateReport:
     lines = ["scheme,alpha,rho_db,trial,symbol_group,mi_bits,leak_bits"]
     sums_mi = {(db, g): 0.0 for db in config.rho_db for g in group_names}
     sums_leak = dict(sums_mi)
-    for trial, (per_rho, _, _) in enumerate(results):
-        for db, (rel, leak) in zip(config.rho_db, per_rho):
+    for trial in range(config.trials):
+        for j, db in enumerate(config.rho_db):
             for g in group_names:
-                sums_mi[(db, g)] += rel[g]
-                sums_leak[(db, g)] += leak.get(g, 0.0)
+                m, lk = mi[g][trial][j], leak[g][trial][j]
+                sums_mi[(db, g)] += m
+                sums_leak[(db, g)] += lk
                 lines.append(
-                    f"{config.scheme},{_f(config.alpha)},{_f(db)},{trial},{g},"
-                    f"{_f(rel[g])},{_f(leak.get(g, 0.0))}"
+                    f"{config.scheme},{_f(config.alpha)},{_f(db)},{trial},{g},{_f(m)},{_f(lk)}"
                 )
     for key, total in sums_mi.items():
         report.mean_mi[key] = total / config.trials

@@ -16,15 +16,11 @@ import numpy as np
 from .topology import TopologyProfile, draw_channels, state_sequence
 
 __all__ = [
-    "LinearGaussianModel",
     "EntropyLedger",
     "diff_entropy",
-    "mutual_info",
     "conditional_mi",
     "fit_slope",
     "lemma1_margins",
-    "lemma1_slope_check",
-    "leakage_slope",
     "LEMMA1_IDS",
 ]
 
@@ -52,25 +48,26 @@ def diff_entropy(cov: np.ndarray) -> float:
     return cov.shape[0] * LOG2_PI_E + float(logdet) / math.log(2.0)
 
 
-def _logdet2(mat: np.ndarray) -> float:
+def _logdet2(mat: np.ndarray):
+    """log2 det of a Hermitian positive-definite matrix, or of each matrix in
+    a stack (leading axes are batch axes)."""
     sign, logdet = np.linalg.slogdet(mat)
-    if sign.real <= 0:
+    if np.any(sign.real <= 0):
         raise ValueError("singular conditional covariance")
-    return float(logdet) / math.log(2.0)
+    return logdet / math.log(2.0)
 
 
-def _entropy_given_keys(a: np.ndarray, k: np.ndarray) -> float:
+def _entropy_given_keys(a: np.ndarray, k: np.ndarray):
     """log2-det part of h(A s + n | K s) for s ~ CN(0, I), unit noise.
 
     Conditioning on the noiseless functionals K s projects the symbol space
     onto the orthogonal complement of the key rows (Schur complement of the
     joint Gaussian), which keeps the determinant well conditioned at large
-    SNR."""
-    m = a.shape[0]
-    if k.shape[0]:
-        proj = np.eye(k.shape[1]) - np.linalg.pinv(k) @ k
+    SNR.  Leading axes of ``a`` and ``k`` are batch axes and broadcast."""
+    if k.shape[-2]:
+        proj = np.eye(k.shape[-1]) - np.linalg.pinv(k) @ k
         a = a @ proj
-    return _logdet2(a @ a.conj().T + np.eye(m))
+    return _logdet2(a @ a.conj().swapaxes(-1, -2) + np.eye(a.shape[-2]))
 
 
 def conditional_mi(
@@ -78,7 +75,7 @@ def conditional_mi(
     keys: np.ndarray,
     target: np.ndarray,
     given: np.ndarray,
-) -> float:
+):
     """I(s_target ; obs | s_given, keys) in bits.
 
     ``obs`` is the (m, k) column matrix of observations ``obs = A s + n``
@@ -87,89 +84,16 @@ def conditional_mi(
     the receiver is deemed to know exactly.  ``target`` and ``given`` are
     boolean column masks; conditioning on a symbol subset removes its
     columns (symbols are independent).
+
+    ``obs`` and ``keys`` may carry leading batch axes (for example trials x
+    SNRs); the result then has the broadcast batch shape, and each entry is
+    bit-for-bit the value of the unbatched call on that slice.
     """
     keep1 = ~given
     keep2 = keep1 & ~target
-    h1 = _entropy_given_keys(obs[:, keep1], keys[:, keep1])
-    h2 = _entropy_given_keys(obs[:, keep2], keys[:, keep2])
-    return max(h1 - h2, 0.0)
-
-
-@dataclass(frozen=True)
-class LinearGaussianModel:
-    """Outputs = map_secret @ s + map_noise @ u + map_other @ o.
-
-    All sources are independent zero-mean complex Gaussian with the stated
-    per-symbol variances.  ``map_noise`` carries both artificial noise and
-    receiver noise; the receiver-noise contribution must give variance >= 1
-    on every output coordinate so the output covariance stays positive
-    definite.
-    """
-
-    map_secret: np.ndarray
-    map_noise: np.ndarray
-    map_other: np.ndarray
-    secret_powers: np.ndarray
-    noise_powers: np.ndarray
-    other_powers: np.ndarray
-    secret_labels: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        ms = np.atleast_2d(np.asarray(self.map_secret, dtype=np.complex128))
-        mn = np.atleast_2d(np.asarray(self.map_noise, dtype=np.complex128))
-        mo = np.atleast_2d(np.asarray(self.map_other, dtype=np.complex128))
-        object.__setattr__(self, "map_secret", ms)
-        object.__setattr__(self, "map_noise", mn)
-        object.__setattr__(self, "map_other", mo)
-        object.__setattr__(self, "secret_powers", np.asarray(self.secret_powers, dtype=float))
-        object.__setattr__(self, "noise_powers", np.asarray(self.noise_powers, dtype=float))
-        object.__setattr__(self, "other_powers", np.asarray(self.other_powers, dtype=float))
-        if not self.secret_labels:
-            object.__setattr__(
-                self, "secret_labels", tuple(f"s{i}" for i in range(ms.shape[1]))
-            )
-        if len(self.secret_labels) != ms.shape[1]:
-            raise ValueError("secret_labels must match map_secret columns")
-        noise_cov = mn @ np.diag(self.noise_powers) @ mn.conj().T
-        if np.any(np.real(np.diag(noise_cov)) < 1.0 - 1e-9):
-            raise ValueError("receiver noise must give variance >= 1 per output")
-
-    def _scaled(self, mat: np.ndarray, powers: np.ndarray) -> np.ndarray:
-        return mat * np.sqrt(powers)[None, :]
-
-    def output_cov(self, drop_secret=(), drop_other_all: bool = False) -> np.ndarray:
-        s = self._scaled(self.map_secret, self.secret_powers)
-        keep = [i for i, lab in enumerate(self.secret_labels) if lab not in drop_secret]
-        cov = self._scaled(self.map_noise, self.noise_powers)
-        cov = cov @ cov.conj().T
-        if keep:
-            sk = s[:, keep]
-            cov = cov + sk @ sk.conj().T
-        if not drop_other_all and self.map_other.shape[1]:
-            o = self._scaled(self.map_other, self.other_powers)
-            cov = cov + o @ o.conj().T
-        return cov
-
-
-def mutual_info(model: LinearGaussianModel, secret_labels=None, given=()) -> float:
-    """I(selected secrets ; outputs | other messages, given secrets) in bits.
-
-    ``other`` symbols are always conditioned away (their columns removed);
-    ``given`` names secret columns additionally conditioned on.  Closed form
-    for jointly Gaussian sources: the difference of two conditional-output
-    entropies.
-    """
-    labels = model.secret_labels
-    if secret_labels is None:
-        secret_labels = labels
-    sel = set(secret_labels)
-    unknown = sel - set(labels)
-    if unknown:
-        raise ValueError(f"unknown secret labels: {sorted(unknown)}")
-    given = set(given)
-    cov1 = model.output_cov(drop_secret=given, drop_other_all=True)
-    cov2 = model.output_cov(drop_secret=given | sel, drop_other_all=True)
-    return max(_logdet2(cov1) - _logdet2(cov2), 0.0)
+    h1 = _entropy_given_keys(obs[..., keep1], keys[..., keep1])
+    h2 = _entropy_given_keys(obs[..., keep2], keys[..., keep2])
+    return np.maximum(h1 - h2, 0.0)
 
 
 @dataclass
@@ -283,48 +207,3 @@ def lemma1_margins(
     lhs_slope, _ = fit_slope(x, lhs_vals)
     rhs_slope, _ = fit_slope(x, rhs_vals)
     return lhs_slope, rhs_slope
-
-
-def lemma1_slope_check(
-    profile: TopologyProfile,
-    alpha: float,
-    inequality_id: str,
-    rho_grid,
-    seed: int,
-    n: int = 12,
-    tol: float = SLOPE_TOL,
-) -> bool:
-    """True iff slope(lhs) <= slope(rhs) + tol for the chosen inequality."""
-    lhs, rhs = lemma1_margins(profile, alpha, inequality_id, rho_grid, seed, n=n)
-    return lhs <= rhs + tol
-
-
-def leakage_slope(
-    scheme_kind: str,
-    alpha: float,
-    rho_grid,
-    trials: int,
-    seed: int,
-    secret_owner: int = 1,
-) -> float:
-    """Fitted per-slot slope of the secret-to-unintended-receiver information.
-
-    Averages, over fresh channel realizations, the joint mutual information
-    between one receiver's confidential symbols and the other receiver's
-    observations (conditioned on that receiver's own messages), then fits the
-    slope against log2(rho).
-    """
-    from .schemes import build_scheme, joint_leakage_bits, scheme_block_length
-
-    rho_grid = np.asarray(rho_grid, dtype=float)
-    totals = np.zeros(rho_grid.size)
-    seeds = np.random.SeedSequence(seed).spawn(trials)
-    n_slots = None
-    for ss in seeds:
-        scheme = build_scheme(scheme_kind, alpha, seed=ss)
-        n_slots = scheme_block_length(scheme)
-        for i, rho in enumerate(rho_grid):
-            totals[i] += joint_leakage_bits(scheme, float(rho), secret_owner)
-    means = totals / trials / n_slots
-    slope, _ = fit_slope(np.log2(rho_grid), means)
-    return slope

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 __all__ = [
     "HalfSpace",
@@ -53,12 +52,21 @@ _AXIS_D1 = HalfSpace(-1, 0, 0)  # d1 >= 0
 _AXIS_D2 = HalfSpace(0, -1, 0)  # d2 >= 0
 
 
-def _intersect(c1: HalfSpace, c2: HalfSpace):
+def _intersect(c1: HalfSpace, c2: HalfSpace, exact: bool = False):
+    """Crossing point of the two constraint lines, or None if parallel.
+
+    With ``exact``, an integer determinant divides as a ``Fraction``, so an
+    integer-only line pair (such as the two axes) gives an exact point
+    instead of true-division floats."""
     det = c1.a1 * c2.a2 - c1.a2 * c2.a1
     if det == 0 or abs(float(det)) <= 1e-15:
         return None
-    d1 = (c1.b * c2.a2 - c2.b * c1.a2) / det
-    d2 = (c1.a1 * c2.b - c2.a1 * c1.b) / det
+    n1 = c1.b * c2.a2 - c2.b * c1.a2
+    n2 = c1.a1 * c2.b - c2.a1 * c1.b
+    if exact and isinstance(det, int):
+        return Fraction(n1, det), Fraction(n2, det)
+    d1 = n1 / det
+    d2 = n2 / det
     if isinstance(d1, float):
         d1 += 0.0  # normalize -0.0
     if isinstance(d2, float):
@@ -135,24 +143,26 @@ class DofRegion:
     constraints: tuple[HalfSpace, ...]
 
     def __post_init__(self) -> None:
-        # validates bounded and nonempty; cached_property reads __dict__
+        # validates bounded and nonempty (frozen: write __dict__ directly)
         self.__dict__["_vertex_cache"] = self._enumerate()
-
-    @cached_property
-    def _vertex_cache(self):
-        return self._enumerate()
 
     def _enumerate(self):
         cons = list(self.constraints)
         if not _is_bounded(cons):
             raise ValueError("region is unbounded: vertex enumeration impossible")
+        exact = any(isinstance(x, Fraction) for c in cons for x in (c.a1, c.a2, c.b))
         lines = cons + [_AXIS_D1, _AXIS_D2]
         cands = []
+        # An integer-only line pair (such as the two axes) crosses at int/int
+        # floats; screen with those and redo the surviving ones exactly.
+        int_pairs = {}
         for i in range(len(lines)):
             for j in range(i + 1, len(lines)):
                 p = _intersect(lines[i], lines[j])
                 if p is not None:
                     cands.append(p)
+                    if exact and type(p[0]) is float:
+                        int_pairs.setdefault(p, (lines[i], lines[j]))
         feas = [
             p
             for p in cands
@@ -162,7 +172,13 @@ class DofRegion:
         ]
         if not feas:
             raise ValueError("region is empty: no feasible vertex")
-        return tuple(_sort_ccw(_dedup(feas, TOL)))
+        verts = _sort_ccw(_dedup(feas, TOL))
+        if exact:
+            verts = [
+                _intersect(*int_pairs[p], exact=True) if type(p[0]) is float else p
+                for p in verts
+            ]
+        return tuple(verts)
 
 
 def vertices(region: DofRegion) -> list[tuple[float, float]]:

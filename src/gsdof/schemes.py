@@ -212,9 +212,12 @@ class _ReceiverStructure:
                     mask |= self.masks[g.name]
             self.owner_masks[owner] = mask
 
-    def scaled(self, rho: float) -> tuple[np.ndarray, np.ndarray]:
-        a = self.coef * rho ** ((self.row_exp[:, None] + self.col_exp[None, :]) / 2.0)
-        k = self.key_coef * rho ** (self.col_exp[None, :] / 2.0)
+    def scaled(self, rho) -> tuple[np.ndarray, np.ndarray]:
+        """Observation and key matrices at SNR ``rho``, a scalar or an array
+        whose shape becomes the leading batch shape of both."""
+        r = np.asarray(rho, dtype=float)[..., None, None]
+        a = self.coef * r ** ((self.row_exp[:, None] + self.col_exp[None, :]) / 2.0)
+        k = self.key_coef * r ** (self.col_exp[None, :] / 2.0)
         return a, k
 
 
@@ -229,47 +232,67 @@ def _own_owner(receiver: int) -> str:
     return "rx1" if receiver == 1 else "rx2"
 
 
-def reliability_bits(scheme: LinearScheme, rho: float) -> dict:
-    """Per-group decodable information in bits at one SNR.
+def _first(schemes) -> LinearScheme:
+    return schemes if isinstance(schemes, LinearScheme) else schemes[0]
 
-    Chain accounting in declared decode order: each receiver conditions on
-    the other receiver's message groups, the common layer, its granted noise
-    functionals, and its own already-decoded groups.
-    """
-    out = {}
-    for receiver in (1, 2):
-        order = scheme.decode_order.get(receiver, ())
-        if not order:
-            continue
-        st = receiver_structure(scheme, receiver)
+
+def _chain_bits(schemes, rho, receiver: int, order, known_owner: str) -> dict:
+    """Chain-rule MI of the groups in ``order`` at ``receiver``, which knows
+    the ``known_owner`` messages, the common layer and its granted keys.
+
+    A sequence of schemes stacks the receiver matrices over schemes x SNRs,
+    so every group costs one batched MI evaluation."""
+    if isinstance(schemes, LinearScheme):
+        st = receiver_structure(schemes, receiver)
         a, k = st.scaled(rho)
-        other = _own_owner(2 if receiver == 1 else 1)
-        given = st.owner_masks[other] | st.owner_masks["common"]
-        for name in order:
-            out[name] = conditional_mi(a, k, st.masks[name], given)
-            given = given | st.masks[name]
-    return out
-
-
-def leakage_bits(scheme: LinearScheme, rho: float, owner: int) -> dict:
-    """Per-group information leaked to the unintended receiver, in bits.
-
-    The eavesdropping receiver is conditioned on its own messages, the
-    common layer, and its granted noise functionals (conservative: granting
-    side knowledge can only increase the measured leakage).
-    """
-    other = 2 if owner == 1 else 1
-    order = scheme.decode_order.get(owner, ())
-    if not order:
-        return {}
-    st = receiver_structure(scheme, other)
-    a, k = st.scaled(rho)
-    given = st.owner_masks[_own_owner(other)] | st.owner_masks["common"]
+    else:
+        structures = [receiver_structure(s, receiver) for s in schemes]
+        pairs = [s.scaled(rho) for s in structures]
+        st = structures[0]
+        a = np.stack([p[0] for p in pairs])
+        k = np.stack([p[1] for p in pairs])
+    given = st.owner_masks[known_owner] | st.owner_masks["common"]
     out = {}
     for name in order:
         out[name] = conditional_mi(a, k, st.masks[name], given)
         given = given | st.masks[name]
     return out
+
+
+def reliability_bits(schemes, rho) -> dict:
+    """Per-group decodable information in bits.
+
+    Chain accounting in declared decode order: each receiver conditions on
+    the other receiver's message groups, the common layer, its granted noise
+    functionals, and its own already-decoded groups.
+
+    ``schemes`` is one scheme or a sequence of schemes of one kind and
+    alpha; ``rho`` is one SNR or an array of SNRs.  Values have shape
+    (schemes,) + shape of ``rho``: floats for one scheme at one SNR,
+    (schemes, SNRs) arrays for a sequence over an SNR grid.
+    """
+    out = {}
+    for receiver in (1, 2):
+        order = _first(schemes).decode_order.get(receiver, ())
+        if order:
+            other = _own_owner(2 if receiver == 1 else 1)
+            out.update(_chain_bits(schemes, rho, receiver, order, other))
+    return out
+
+
+def leakage_bits(schemes, rho, owner: int) -> dict:
+    """Per-group information leaked to the unintended receiver, in bits.
+
+    The eavesdropping receiver is conditioned on its own messages, the
+    common layer, and its granted noise functionals (conservative: granting
+    side knowledge can only increase the measured leakage).  Batching is as
+    in ``reliability_bits``.
+    """
+    other = 2 if owner == 1 else 1
+    order = _first(schemes).decode_order.get(owner, ())
+    if not order:
+        return {}
+    return _chain_bits(schemes, rho, other, order, _own_owner(other))
 
 
 def joint_leakage_bits(scheme: LinearScheme, rho: float, owner: int) -> float:

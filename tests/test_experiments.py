@@ -45,13 +45,43 @@ def test_run_sweep_reproducible_bytes(tmp_path):
     assert header == "scheme,alpha,rho_db,trial,symbol_group,mi_bits,leak_bits"
 
 
-def test_run_sweep_thread_invariant(tmp_path, monkeypatch):
-    out1 = tmp_path / "seq.csv"
-    out2 = tmp_path / "par.csv"
-    run_sweep(SweepConfig("sym-alt", 0.5, GRID, trials=12, seed=3, out=str(out1)))
-    monkeypatch.setenv("GSDOF_THREADS", "4")
-    run_sweep(SweepConfig("sym-alt", 0.5, GRID, trials=12, seed=3, out=str(out2)))
-    assert out1.read_bytes() == out2.read_bytes()
+def test_run_sweep_chunk_invariant(tmp_path, monkeypatch):
+    # 12 trials run as chunks of 8 + 4 by default; one trial per chunk and
+    # all trials in one chunk must give the same bytes.
+    cfg = dict(scheme="sym-alt", alpha=0.5, rho_db=GRID, trials=12, seed=3)
+    ref = tmp_path / "default.csv"
+    run_sweep(SweepConfig(**cfg, out=str(ref)))
+    for chunk in (1, 12):
+        out = tmp_path / f"chunk{chunk}.csv"
+        monkeypatch.setattr(experiments, "SWEEP_CHUNK", chunk)
+        run_sweep(SweepConfig(**cfg, out=str(out)))
+        assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["wiretap-gaussian-a1", "yang"])
+def test_run_sweep_names_the_failing_trial(kind):
+    # Past about 160 dB the conditional covariance is numerically singular.
+    cfg = SweepConfig(kind, 0.5, (60, 80, 100, 120, 140, 160, 170), trials=10, seed=0)
+    with pytest.raises(RuntimeError) as err:
+        run_sweep(cfg)
+    assert str(err.value) == "trial 0 failed: singular conditional covariance"
+
+
+def test_run_sweep_reports_the_lowest_failing_trial(monkeypatch):
+    # Builds fail for trials 9 and 11 of 12: the second chunk fails, and the
+    # lowest failing trial is named.
+    seeds = np.random.SeedSequence(4).spawn(12)
+    bad = {tuple(seeds[i].spawn_key) for i in (9, 11)}
+    build = experiments.build_scheme
+
+    def flaky(kind, alpha, seq):
+        if tuple(seq.spawn_key) in bad:
+            raise ValueError("no realization")
+        return build(kind, alpha, seq)
+
+    monkeypatch.setattr(experiments, "build_scheme", flaky)
+    with pytest.raises(RuntimeError, match=r"^trial 9 failed: no realization$"):
+        run_sweep(SweepConfig("yang", 0.5, GRID, trials=12, seed=4))
 
 
 def test_run_sweep_monotone_receiver2_rate_in_alpha():

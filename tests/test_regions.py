@@ -139,6 +139,24 @@ def test_prop2_exact_fractions():
     assert (Fraction(2, 3), Fraction(0, 1)) in verts
 
 
+def test_fraction_regions_have_fraction_vertices():
+    # The origin comes from the two integer axis lines; it must stay exact.
+    a = Fraction(1, 2)
+    for reg in (
+        prop2_inner(a),
+        yang_inner(a),
+        sym_alt_inner(a),
+        integer_sym_alt_inner(a),
+        gdof_fixed(a),
+        bc_outer(TopologyProfile(a, 0, 1, 0, 0)),
+    ):
+        verts = vertices(reg)
+        assert (0, 0) in verts
+        assert all(type(x) is Fraction for v in verts for x in v), verts
+    assert vertices(prop2_inner(a))[-1] == (Fraction(0), Fraction(0))
+    assert all(type(x) is float for v in vertices(prop2_inner(0.5)) for x in v)
+
+
 def test_sym_alt_vertices():
     for a in [0.0, 0.25, 0.5, 0.75, 1.0]:
         reg = sym_alt_inner(a)

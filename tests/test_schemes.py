@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from gsdof import schemes
+from gsdof.experiments import SCHEME_TARGETS
 from gsdof.gaussian_mi import fit_slope
 from gsdof.schemes import (
     SCHEME_KINDS,
@@ -141,6 +143,40 @@ def test_chain_rule_consistency_of_group_accounting():
     given = st.owner_masks["rx2"] | st.owner_masks["common"]
     joint = conditional_mi(a, k, st.owner_masks["rx1"], given)
     assert abs(joint - rel["v"] - rel["v_low"]) < 1e-6
+
+
+STACK_RHOS = 10.0 ** np.array([6.0, 8.5, 12.0])
+
+
+def _doubled_keys(sch):
+    # Every key row twice: the same knowledge as a rank-deficient key matrix.
+    keys = {r: {g: np.vstack([m, m]) for g, m in km.items()} for r, km in sch.keys.items()}
+    meta = {k: v for k, v in sch.meta.items() if k != "_structures"}
+    return dataclasses.replace(sch, keys=keys, meta=meta)
+
+
+def _stacked_vs_scalar(batch):
+    # Stacked (schemes x SNRs) accounting against per-scheme, per-rho calls;
+    # owner 0 stands for reliability.
+    stacked = {0: reliability_bits(batch, STACK_RHOS)}
+    for owner in (1, 2):
+        stacked[owner] = leakage_bits(batch, STACK_RHOS, owner)
+    for t, sch in enumerate(batch):
+        for j, rho in enumerate(STACK_RHOS):
+            for owner, got in stacked.items():
+                want = reliability_bits(sch, rho) if owner == 0 else leakage_bits(sch, rho, owner)
+                assert list(got) == list(want)
+                for g, bits in want.items():
+                    assert got[g].shape == (len(batch), len(STACK_RHOS))
+                    assert got[g][t, j] == bits, (owner, g, t, j)
+
+
+@pytest.mark.parametrize("kind", [*SCHEME_TARGETS, "wiretap-nonoise"])
+def test_stacked_accounting_equals_scalar_calls(kind):
+    batch = [build_scheme(kind, 0.5, np.random.SeedSequence(i)) for i in range(3)]
+    _stacked_vs_scalar(batch)
+    if any(sch.keys for sch in batch):
+        _stacked_vs_scalar([_doubled_keys(sch) for sch in batch])
 
 
 def test_common_layer_rate_certified():
