@@ -14,7 +14,7 @@ from . import experiments
 from .schemes import SCHEME_KINDS
 from .topology import STATE_BY_LABEL, TopologyProfile
 
-BOUND_NAMES = ("outer", "yang", "prop2", "sym-alt", "int-sym-alt", "gdof")
+BOUND_NAMES = ("outer", *experiments.REGION_BUILDERS)
 
 _PROFILE_HELP = (
     "named state profile (11, 1a, a1, aa, sym) or four comma-separated "
@@ -24,13 +24,11 @@ _PROFILE_HELP = (
 
 def _parse_profile(text: str, alpha: float) -> TopologyProfile:
     text = text.strip()
-    if text == "sym":
-        return TopologyProfile.symmetric_alternating(alpha)
-    if text in STATE_BY_LABEL:
-        return TopologyProfile.fixed(text, alpha)
+    if text == "sym" or text in STATE_BY_LABEL:
+        return TopologyProfile.named(text, alpha)
     parts = [p for p in text.split(",") if p]
     if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"cannot parse profile {text!r}: {_PROFILE_HELP}")
+        raise ValueError(f"cannot parse profile {text!r}: {_PROFILE_HELP}")
     vals = [float(p) for p in parts]
     return TopologyProfile(alpha, *vals)
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import regions
 from .gaussian_mi import SLOPE_TOL, EntropyLedger, fit_slope, lemma1_margins
 from .schemes import (
-    SCHEME_KINDS,
+    SCHEMES,
     SECURE_SCHEMES,
     build_scheme,
     leakage_bits,
@@ -68,8 +68,9 @@ class SweepConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEME_KINDS:
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        SCHEMES[self.scheme].domain(self.alpha)
         grid = tuple(float(x) for x in self.rho_db)
         object.__setattr__(self, "rho_db", grid)
         if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -214,24 +215,9 @@ class CheckResult:
 
 
 # Target per-slot (d1, d2) slopes per scheme as functions of alpha.
-SCHEME_TARGETS = {
-    "wiretap-gaussian": lambda a: (2.0 / 3.0, 0.0),
-    "wiretap-gaussian-a1": lambda a: (2.0 * a / 3.0, 0.0),
-    "yang": lambda a: (0.5, a / 2.0),
-    "bc-fixed": lambda a: (2.0 / (3.0 + a), a * (1.0 + a) / (3.0 + a)),
-    "sym-alt": lambda a: ((1.0 + a) / 4.0, 0.5),
-    "wiretap-lattice": lambda a: (1.0 - a / 3.0, 0.0),
-    "int-sym-alt": lambda a: (0.5, 0.5),
-    "gdof": lambda a: (1.0 - a / 3.0, 2.0 * a / 3.0),
-}
+SCHEME_TARGETS = {kind: spec.target for kind, spec in SCHEMES.items() if spec.target}
 
 _LEMMA1_PROFILES = ("11", "1a", "a1", "aa", "sym")
-
-
-def _profile(label: str, alpha: float) -> TopologyProfile:
-    if label == "sym":
-        return TopologyProfile.symmetric_alternating(alpha)
-    return TopologyProfile.fixed(label, alpha)
 
 
 def _region_checks(alpha_grid) -> list[CheckResult]:
@@ -274,7 +260,7 @@ def _lemma1_checks(alphas, rho_db, seed) -> list[CheckResult]:
     rho = rho_from_db(rho_db)
     for label in _LEMMA1_PROFILES:
         for a in alphas:
-            prof = _profile(label, a)
+            prof = TopologyProfile.named(label, a)
             for ineq in ("4a", "4b", "4c", "4d"):
                 lhs, rhs = lemma1_margins(prof, a, ineq, rho, seed)
                 margin = rhs - lhs
@@ -434,11 +420,12 @@ def region_csv(names, alpha: float, profile: TopologyProfile | None = None) -> t
     return "\n".join(vrows) + "\n", "\n".join(srows) + "\n"
 
 
+# Figure id -> (topology profile label of its outer bound, bound names).
 _FIGURES = {
-    3: ("outer", "yang", "prop2"),
-    4: ("outer-sym", "sym-alt"),
-    6: ("outer-sym", "int-sym-alt"),
-    7: ("gdof", "prop2"),
+    3: ("1a", ("outer", "yang", "prop2")),
+    4: ("sym", ("outer", "sym-alt")),
+    6: ("sym", ("outer", "int-sym-alt")),
+    7: ("1a", ("gdof", "prop2")),
 }
 
 
@@ -472,17 +459,11 @@ def figure_data(figure_id: int, alpha: float | None = None, alpha_grid=None) -> 
         raise ValueError(f"unknown figure id {figure_id}; choose from 3, 4, 6, 7, 8")
     if alpha is None:
         raise ValueError("figures 3, 4, 6 and 7 need an alpha")
+    label, names = _FIGURES[figure_id]
+    profile = TopologyProfile.named(label, alpha)
     vrows = ["bound_name,alpha,vertex_index,d1,d2"]
-    for name in _FIGURES[figure_id]:
-        if name == "outer-sym":
-            reg = regions.bc_outer(TopologyProfile.symmetric_alternating(alpha))
-            label = "outer"
-        elif name == "outer":
-            reg = regions.bc_outer(TopologyProfile.fixed("1a", alpha))
-            label = "outer"
-        else:
-            reg = REGION_BUILDERS[name](alpha)
-            label = name
+    for name in names:
+        reg = named_region(name, alpha, profile)
         for i, (d1, d2) in enumerate(regions.vertices(reg)):
-            vrows.append(f"{label},{_f(alpha)},{i},{_f(d1)},{_f(d2)}")
+            vrows.append(f"{name},{_f(alpha)},{i},{_f(d1)},{_f(d2)}")
     return "\n".join(vrows) + "\n"

@@ -152,33 +152,30 @@ class DofRegion:
             raise ValueError("region is unbounded: vertex enumeration impossible")
         exact = any(isinstance(x, Fraction) for c in cons for x in (c.a1, c.a2, c.b))
         lines = cons + [_AXIS_D1, _AXIS_D2]
-        cands = []
-        # An integer-only line pair (such as the two axes) crosses at int/int
-        # floats; screen with those and redo the surviving ones exactly.
-        int_pairs = {}
+        # Screen every crossing in floats; an exact region then redoes only
+        # the surviving vertices in exact arithmetic.
+        flines = lines
+        if exact:
+            flines = [HalfSpace(float(c.a1), float(c.a2), float(c.b)) for c in lines]
+        pairs = {}
         for i in range(len(lines)):
             for j in range(i + 1, len(lines)):
-                p = _intersect(lines[i], lines[j])
+                p = _intersect(flines[i], flines[j])
                 if p is not None:
-                    cands.append(p)
-                    if exact and type(p[0]) is float:
-                        int_pairs.setdefault(p, (lines[i], lines[j]))
+                    pairs.setdefault(p, (lines[i], lines[j]))
         feas = [
             p
-            for p in cands
-            if float(p[0]) >= -TOL
-            and float(p[1]) >= -TOL
-            and all(float(c.violation(*p)) <= TOL for c in cons)
+            for p in pairs
+            if p[0] >= -TOL
+            and p[1] >= -TOL
+            and all(c.violation(*p) <= TOL for c in flines[: len(cons)])
         ]
         if not feas:
             raise ValueError("region is empty: no feasible vertex")
-        verts = _sort_ccw(_dedup(feas, TOL))
+        verts = _dedup(feas, TOL)
         if exact:
-            verts = [
-                _intersect(*int_pairs[p], exact=True) if type(p[0]) is float else p
-                for p in verts
-            ]
-        return tuple(verts)
+            verts = [_intersect(*pairs[p], exact=True) for p in verts]
+        return tuple(_sort_ccw(verts))
 
 
 def vertices(region: DofRegion) -> list[tuple[float, float]]:

@@ -42,6 +42,8 @@ __all__ = [
     "SymbolGroup",
     "SideChannel",
     "LinearScheme",
+    "SchemeSpec",
+    "SCHEMES",
     "SCHEME_KINDS",
     "SECURE_SCHEMES",
     "build_wiretap_gaussian",
@@ -51,7 +53,6 @@ __all__ = [
     "build_gdof_no_secrecy",
     "build_no_noise_canary",
     "build_scheme",
-    "scheme_requirements",
     "smallest_t1",
     "reliability_bits",
     "leakage_bits",
@@ -673,7 +674,10 @@ def smallest_t1(alpha: float, limit: int = 20) -> int:
         t2 = alpha * t1
         if t2 > 0.5 and abs(t2 - round(t2)) < 1e-9:
             return t1
-    raise ValueError(f"no T1 <= {limit} makes alpha*T1 a positive integer (alpha={alpha})")
+    raise ValueError(
+        f"alpha must be k/T1 for integers k >= 1 and T1 <= {limit}, so that alpha*T1 "
+        f"is a positive integer; got alpha={alpha}"
+    )
 
 
 def build_bc_fixed(
@@ -1153,7 +1157,8 @@ def audit_causality(kind: str, alpha: float, seed: int = 0) -> bool:
     scheme is rebuilt; the maps for slots 0..t must be unchanged.
     """
     base_real = _draw_for(kind, alpha, seed=seed)
-    base = _dispatch(kind, alpha, base_real)
+    build = SCHEMES[kind].build
+    base = build(base_real, alpha)
     n = base_real.n
     for t in range(n):
         alt = _draw_for(kind, alpha, seed=seed + 7919)
@@ -1164,7 +1169,7 @@ def audit_causality(kind: str, alpha: float, seed: int = 0) -> bool:
         mutated = ChannelRealization(
             n=n, h=h, g=g, states=base_real.states, rho=base_real.rho, mode=base_real.mode
         )
-        rebuilt = _dispatch(kind, alpha, mutated)
+        rebuilt = build(mutated, alpha)
         for s in range(t + 1):
             b, r = base.slot_maps[s], rebuilt.slot_maps[s]
             if set(b) != set(r):
@@ -1179,89 +1184,177 @@ def audit_causality(kind: str, alpha: float, seed: int = 0) -> bool:
 # Registry.
 # ---------------------------------------------------------------------------
 
-SCHEME_KINDS = (
-    "wiretap-gaussian",
-    "wiretap-gaussian-a1",
-    "yang",
-    "bc-fixed",
-    "sym-alt",
-    "wiretap-lattice",
-    "int-sym-alt",
-    "gdof",
-    "wiretap-nonoise",
-)
 
-# Schemes whose confidential symbols must not leak to the unintended receiver.
-SECURE_SCHEMES = (
-    "wiretap-gaussian",
-    "wiretap-gaussian-a1",
-    "yang",
-    "bc-fixed",
-    "sym-alt",
-    "wiretap-lattice",
-    "int-sym-alt",
-)
+@dataclass(frozen=True)
+class SchemeSpec:
+    """Everything the package knows about one scheme kind."""
+
+    build: Callable  # (realization, alpha) -> LinearScheme
+    states: Callable  # alpha -> per-slot TopologyState tuple
+    mode: str  # channel draw mode, "complex" or "integer"
+    secure: bool  # confidential symbols must not leak
+    target: Callable | None  # alpha -> per-slot (d1, d2) in alpha's type; None: canary
+    inner: str | None  # experiments.REGION_BUILDERS key; target is one of its vertices
+    profile: str  # TopologyProfile.named label; a secure target lies in its bc_outer
+    domain: Callable  # alpha -> None; raises ValueError naming the valid alphas
 
 
-def scheme_requirements(kind: str, alpha: float) -> tuple[int, tuple, str]:
-    """(slot count, states, channel mode) needed to build the scheme."""
-    sym_states = (STATE_1A, STATE_1A, STATE_A1, STATE_A1)
-    if kind == "wiretap-gaussian":
-        return 3, (STATE_1A,) * 3, "complex"
-    if kind == "wiretap-nonoise":
-        return 1, (STATE_1A,), "complex"
-    if kind == "wiretap-gaussian-a1":
-        return 3, (STATE_A1,) * 3, "complex"
-    if kind == "yang":
-        return 4, (STATE_1A,) * 4, "complex"
-    if kind == "bc-fixed":
-        t1 = smallest_t1(alpha)
-        n = 3 * t1 + int(round(alpha * t1))
-        return n, (STATE_1A,) * n, "complex"
-    if kind == "sym-alt":
-        return 4, sym_states, "complex"
-    if kind == "wiretap-lattice":
-        return 3, (STATE_1A,) * 3, "integer"
-    if kind == "int-sym-alt":
-        return 4, sym_states, "integer"
-    if kind == "gdof":
-        return 3, (STATE_1A,) * 3, "integer"
-    raise ValueError(f"unknown scheme kind {kind!r}")
+def _ratio(alpha, num: int, den: int):
+    """num/den in alpha's number type (exact for a Fraction alpha)."""
+    return alpha**0 * num / den
+
+
+def _lattice():
+    """The lattice module, looked up at call time: it imports this one."""
+    from . import lattice
+
+    return lattice
+
+
+def _unit_interval(alpha) -> None:
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
+def _t1_domain(alpha) -> None:
+    _unit_interval(alpha)
+    smallest_t1(alpha)
+
+
+def _lattice_domain(alpha) -> None:
+    """Alphas whose lattice decode SNR is a finite float; the limit is found
+    by bisecting ``_lattice_decode_rho`` itself."""
+    _unit_interval(alpha)
+    config = _lattice().LatticeConfig()
+
+    def finite(a) -> bool:
+        try:
+            return math.isfinite(_lattice_decode_rho(1e8, a, config))
+        except OverflowError:
+            return False
+
+    if not finite(alpha):
+        lo, hi = 0.0, 1.0
+        for _ in range(50):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if finite(mid) else (mid, hi)
+        raise ValueError(
+            f"alpha must exceed {lo:.4g} for a finite lattice decode SNR, got {alpha}"
+        )
+
+
+def _bc_fixed_states(alpha) -> tuple:
+    t1 = smallest_t1(alpha)
+    return (STATE_1A,) * (3 * t1 + int(round(alpha * t1)))
+
+
+_SYM_STATES = (STATE_1A, STATE_1A, STATE_A1, STATE_A1)
+
+SCHEMES = {
+    "wiretap-gaussian": SchemeSpec(
+        build=build_wiretap_gaussian,
+        states=lambda a: (STATE_1A,) * 3,
+        mode="complex",
+        secure=True,
+        target=lambda a: (_ratio(a, 2, 3), 0 * a),
+        inner="yang",
+        profile="1a",
+        domain=_unit_interval,
+    ),
+    "wiretap-gaussian-a1": SchemeSpec(
+        build=lambda r, a: build_wiretap_gaussian(r, a, state=STATE_A1),
+        states=lambda a: (STATE_A1,) * 3,
+        mode="complex",
+        secure=True,
+        target=lambda a: (2 * a / 3, 0 * a),
+        inner=None,
+        profile="a1",
+        domain=_unit_interval,
+    ),
+    "yang": SchemeSpec(
+        build=build_yang_baseline,
+        states=lambda a: (STATE_1A,) * 4,
+        mode="complex",
+        secure=True,
+        target=lambda a: (_ratio(a, 1, 2), a / 2),
+        inner="yang",
+        profile="1a",
+        domain=_unit_interval,
+    ),
+    "bc-fixed": SchemeSpec(
+        build=lambda r, a: build_bc_fixed(smallest_t1(a), r, a),
+        states=_bc_fixed_states,
+        mode="complex",
+        secure=True,
+        target=lambda a: (2 / (3 + a), a * (1 + a) / (3 + a)),
+        inner="prop2",
+        profile="1a",
+        domain=_t1_domain,
+    ),
+    "sym-alt": SchemeSpec(
+        build=build_sym_alt,
+        states=lambda a: _SYM_STATES,
+        mode="complex",
+        secure=True,
+        target=lambda a: ((1 + a) / 4, _ratio(a, 1, 2)),
+        inner="sym-alt",
+        profile="sym",
+        domain=_unit_interval,
+    ),
+    "wiretap-lattice": SchemeSpec(
+        build=lambda r, a: _lattice().build_wiretap_lattice(r, a),
+        states=lambda a: (STATE_1A,) * 3,
+        mode="integer",
+        secure=True,
+        target=lambda a: (1 - a / 3, 0 * a),
+        inner=None,
+        profile="1a",
+        domain=_lattice_domain,
+    ),
+    "int-sym-alt": SchemeSpec(
+        build=lambda r, a: _lattice().build_int_sym_alt(r, a),
+        states=lambda a: _SYM_STATES,
+        mode="integer",
+        secure=True,
+        target=lambda a: (_ratio(a, 1, 2), _ratio(a, 1, 2)),
+        inner="int-sym-alt",
+        profile="sym",
+        domain=_lattice_domain,
+    ),
+    "gdof": SchemeSpec(
+        build=build_gdof_no_secrecy,
+        states=lambda a: (STATE_1A,) * 3,
+        mode="integer",
+        secure=False,
+        target=lambda a: (1 - a / 3, 2 * a / 3),
+        inner="gdof",
+        profile="1a",
+        domain=_lattice_domain,
+    ),
+    "wiretap-nonoise": SchemeSpec(
+        build=build_no_noise_canary,
+        states=lambda a: (STATE_1A,),
+        mode="complex",
+        secure=False,
+        target=None,
+        inner=None,
+        profile="1a",
+        domain=_unit_interval,
+    ),
+}
+
+SCHEME_KINDS = tuple(SCHEMES)
+SECURE_SCHEMES = tuple(kind for kind, spec in SCHEMES.items() if spec.secure)
 
 
 def _draw_for(kind: str, alpha: float, seed) -> ChannelRealization:
-    n, states, mode = scheme_requirements(kind, alpha)
+    spec = SCHEMES[kind]
+    states = spec.states(alpha)
     if isinstance(seed, np.random.SeedSequence):
         seed = int(seed.generate_state(1)[0])
-    return draw_channels(n, states, rho=1e8, seed=seed, mode=mode)
-
-
-def _dispatch(kind: str, alpha: float, realization: ChannelRealization) -> LinearScheme:
-    if kind == "wiretap-gaussian":
-        return build_wiretap_gaussian(realization, alpha)
-    if kind == "wiretap-nonoise":
-        return build_no_noise_canary(realization, alpha)
-    if kind == "wiretap-gaussian-a1":
-        return build_wiretap_gaussian(realization, alpha, state=STATE_A1)
-    if kind == "yang":
-        return build_yang_baseline(realization, alpha)
-    if kind == "bc-fixed":
-        return build_bc_fixed(smallest_t1(alpha), realization, alpha)
-    if kind == "sym-alt":
-        return build_sym_alt(realization, alpha)
-    if kind == "gdof":
-        return build_gdof_no_secrecy(realization, alpha)
-    if kind == "wiretap-lattice":
-        from .lattice import build_wiretap_lattice
-
-        return build_wiretap_lattice(realization, alpha)
-    if kind == "int-sym-alt":
-        from .lattice import build_int_sym_alt
-
-        return build_int_sym_alt(realization, alpha)
-    raise ValueError(f"unknown scheme kind {kind!r}")
+    return draw_channels(len(states), states, rho=1e8, seed=seed, mode=spec.mode)
 
 
 def build_scheme(kind: str, alpha: float, seed) -> LinearScheme:
     """Draw a fresh realization matching the scheme's needs and build it."""
-    return _dispatch(kind, alpha, _draw_for(kind, alpha, seed))
+    return SCHEMES[kind].build(_draw_for(kind, alpha, seed), alpha)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -74,13 +75,15 @@ class TopologyProfile:
     """Time fractions of the four topology states plus the weak exponent.
 
     The four fractions must be nonnegative and sum to one (tolerance 1e-12).
+    Defaults and the named constructors use integers and ``Fraction(1, 2)``,
+    so the outer bounds keep alpha's number type.
     """
 
     alpha: float
-    lambda_11: float = 0.0
-    lambda_1a: float = 0.0
-    lambda_a1: float = 0.0
-    lambda_aa: float = 0.0
+    lambda_11: float = 0
+    lambda_1a: float = 0
+    lambda_a1: float = 0
+    lambda_aa: float = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= float(self.alpha) <= 1.0:
@@ -100,14 +103,19 @@ class TopologyProfile:
         """Profile spending all time in one named state ('11','1a','a1','aa')."""
         if label not in STATE_BY_LABEL:
             raise ValueError(f"unknown state label {label!r}")
-        kwargs = {"lambda_11": 0.0, "lambda_1a": 0.0, "lambda_a1": 0.0, "lambda_aa": 0.0}
-        kwargs[f"lambda_{label}"] = 1.0
-        return cls(alpha=alpha, **kwargs)
+        return cls(alpha, **{f"lambda_{label}": 1})
 
     @classmethod
     def symmetric_alternating(cls, alpha: float) -> "TopologyProfile":
         """Half the time in (1, alpha), half in (alpha, 1)."""
-        return cls(alpha=alpha, lambda_1a=0.5, lambda_a1=0.5)
+        return cls(alpha, lambda_1a=Fraction(1, 2), lambda_a1=Fraction(1, 2))
+
+    @classmethod
+    def named(cls, label: str, alpha: float) -> "TopologyProfile":
+        """'sym' for the symmetric alternating profile, else a state label."""
+        if label == "sym":
+            return cls.symmetric_alternating(alpha)
+        return cls.fixed(label, alpha)
 
 
 @dataclass(frozen=True)

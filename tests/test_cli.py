@@ -52,10 +52,27 @@ def test_region_rejects_unknown_bound(tmp_path):
     assert rc == 2
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path):
     assert parse_and_dispatch(["simulate", "--scheme", "bogus"]) == 2
     assert parse_and_dispatch(["simulate", "--scheme", "yang", "--alpha", "2"]) == 2
     assert parse_and_dispatch([]) == 2
+    out = str(tmp_path / "r.csv")
+    assert parse_and_dispatch(["region", "--profile", "xx", "--out", out]) == 2
+
+
+@pytest.mark.parametrize(
+    "kind, alpha, domain",
+    [
+        ("gdof", "0", "exceed 0.01"),
+        ("bc-fixed", "0.37", "alpha*T1"),
+        ("wiretap-lattice", "0.01", "exceed 0.01"),
+    ],
+)
+def test_simulate_refuses_alpha_outside_the_scheme_domain(kind, alpha, domain, capsys):
+    rc = parse_and_dispatch(["simulate", "--scheme", kind, "--alpha", alpha, "--trials", "10"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha must ") and domain in err
 
 
 def test_simulate_non_integral_t1_is_clear_error(capsys):

@@ -12,6 +12,7 @@ from gsdof.experiments import (
     run_sweep,
     verify_all,
 )
+from gsdof.schemes import SCHEME_KINDS, build_scheme, smallest_t1
 
 GRID = tuple(range(60, 121, 10))
 
@@ -25,6 +26,33 @@ def test_sweep_config_validation():
         SweepConfig("wiretap-gaussian", 0.5, GRID, trials=5)
     with pytest.raises(ValueError):
         SweepConfig("no-such-scheme", 0.5, GRID)
+    for alpha in (-0.2, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\]"):
+            SweepConfig("yang", alpha, GRID)
+
+
+def test_sweep_config_refuses_alphas_it_cannot_build():
+    # Every alpha SweepConfig accepts builds; it refuses only the alphas with
+    # no T1 <= 20 for the four-phase scheme and the lattice schemes' alphas
+    # below about 0.0163, where the decode SNR overflows.
+    refused = set()
+    for kind in SCHEME_KINDS:
+        for k in range(101):
+            try:
+                SweepConfig(kind, k / 100, GRID)
+            except ValueError:
+                refused.add((kind, k))
+                continue
+            build_scheme(kind, k / 100, np.random.SeedSequence(k))
+    lattice = {(kind, k) for kind in ("wiretap-lattice", "int-sym-alt", "gdof") for k in (0, 1)}
+    assert {r for r in refused if r[0] != "bc-fixed"} == lattice
+    for k in range(101):
+        try:
+            smallest_t1(k / 100)
+        except ValueError:
+            assert ("bc-fixed", k) in refused
+        else:
+            assert ("bc-fixed", k) not in refused
 
 
 def test_run_sweep_wiretap_example():

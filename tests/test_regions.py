@@ -62,6 +62,9 @@ def test_wiretap_upper_values():
     assert abs(wiretap_upper(TopologyProfile.fixed("1a", 0.5)) - (1 - 0.5 / 3)) < 1e-12
     assert abs(wiretap_upper(TopologyProfile.fixed("11", 0.3)) - 2 / 3) < 1e-12
     assert wiretap_upper(TopologyProfile.fixed("aa", 0.0)) == 0.0
+    # Named profiles keep alpha's number type: exact for a Fraction.
+    assert wiretap_upper(TopologyProfile.fixed("1a", Fraction(1, 4))) == Fraction(11, 12)
+    assert wiretap_upper(TopologyProfile.named("sym", Fraction(1, 4))) == Fraction(2, 3)
 
 
 def test_bc_outer_fixed_corner():

@@ -1,14 +1,16 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gsdof import schemes
-from gsdof.experiments import SCHEME_TARGETS
+from gsdof import regions, schemes
+from gsdof.experiments import REGION_BUILDERS, SCHEME_TARGETS
 from gsdof.gaussian_mi import fit_slope
 from gsdof.schemes import (
     SCHEME_KINDS,
+    SCHEMES,
     SECURE_SCHEMES,
     UniformQuantizer,
     audit_causality,
@@ -22,12 +24,17 @@ from gsdof.schemes import (
     quantizer_for_power,
     reliability_bits,
     scheme_block_length,
-    scheme_requirements,
     simulate_noiseless,
     smallest_t1,
     xor_bits,
 )
-from gsdof.topology import STATE_1A, ChannelRealization, draw_channels
+from gsdof.topology import (
+    STATE_1A,
+    ChannelRealization,
+    TopologyProfile,
+    draw_channels,
+    state_sequence,
+)
 
 RHOS = 10.0 ** np.arange(7, 12.1, 1.0)
 
@@ -207,13 +214,53 @@ def test_bc_fixed_rejects_non_integral_t2():
         schemes.build_bc_fixed(2, real, 0.3)
 
 
-def test_scheme_requirements_slot_counts():
-    n, states, mode = scheme_requirements("bc-fixed", 0.5)
-    assert n == 7 and mode == "complex"
-    n, states, mode = scheme_requirements("int-sym-alt", 0.5)
-    assert n == 4 and mode == "integer"
-    with pytest.raises(ValueError):
-        scheme_requirements("nope", 0.5)
+def test_scheme_table_slot_counts():
+    spec = SCHEMES["bc-fixed"]
+    assert len(spec.states(0.5)) == 7 and spec.mode == "complex"
+    spec = SCHEMES["int-sym-alt"]
+    assert len(spec.states(0.5)) == 4 and spec.mode == "integer"
+    with pytest.raises(KeyError):
+        build_scheme("nope", 0.5, seed=0)
+
+
+CROSS_ALPHAS = [Fraction(k, d) for k, d in ((1, 10), (1, 4), (1, 2), (3, 4), (9, 10), (1, 1))]
+
+
+def _in_domain(spec, alpha) -> bool:
+    try:
+        spec.domain(alpha)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_scheme_target_meets_its_bounds(kind):
+    # Exact rational check of the table: each target is a vertex of its
+    # inner bound and secure targets lie in the outer bound of their profile.
+    spec = SCHEMES[kind]
+    alphas = [a for a in CROSS_ALPHAS if _in_domain(spec, a)]
+    assert alphas
+    for a in alphas:
+        profile = TopologyProfile.named(spec.profile, a)
+        states = spec.states(a)
+        assert state_sequence(profile, len(states)) == states
+        if spec.target is None:
+            continue
+        d1, d2 = spec.target(a)
+        assert type(d1) is Fraction and type(d2) is Fraction
+        assert all(type(x) is float for x in spec.target(float(a)))
+        if spec.inner:
+            assert (d1, d2) in regions.vertices(REGION_BUILDERS[spec.inner](a)), a
+        outer = regions.bc_outer(profile)
+        inside = min(d1, d2) >= 0 and all(c.violation(d1, d2) <= 0 for c in outer.constraints)
+        if spec.secure:
+            assert inside, a
+        if kind == "gdof":
+            assert not inside, a  # without secrecy it beats the secure outer bound
+        if spec.secure and d2 == 0:
+            upper = regions.wiretap_upper(profile)
+            assert d1 == upper if kind == "wiretap-lattice" else d1 <= upper, a
 
 
 def test_builders_validate_realization():

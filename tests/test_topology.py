@@ -26,6 +26,13 @@ def test_profile_sum_invariant_enforced():
         TopologyProfile(alpha=0.5, lambda_11=1.2, lambda_1a=-0.2)
 
 
+def test_named_profiles():
+    assert TopologyProfile.named("sym", 0.5) == TopologyProfile.symmetric_alternating(0.5)
+    assert TopologyProfile.named("a1", 0.5) == TopologyProfile.fixed("a1", 0.5)
+    with pytest.raises(ValueError):
+        TopologyProfile.named("xx", 0.5)
+
+
 def test_state_sequence_single_state():
     prof = TopologyProfile.fixed("1a", alpha=0.3)
     assert state_sequence(prof, 3) == (STATE_1A, STATE_1A, STATE_1A)
