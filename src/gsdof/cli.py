@@ -8,6 +8,7 @@ long flag; explicit flags override config values.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import experiments
@@ -39,8 +40,8 @@ def _parse_range(text: str) -> list[float]:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}") from exc
-    if step <= 0 or stop < start:
-        raise argparse.ArgumentTypeError("need step > 0 and stop >= start")
+    if not (-math.inf < start <= stop < math.inf and 0 < step < math.inf):
+        raise argparse.ArgumentTypeError("need finite values, step > 0 and stop >= start")
     count = int(round((stop - start) / step))
     grid = [round(start + k * step, 12) for k in range(count + 1)]
     if grid[-1] > stop + 1e-12:
@@ -53,6 +54,13 @@ def _alpha(text: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError("alpha must lie in [0, 1]")
     return value
+
+
+def _alpha_grid(text: str) -> list[float]:
+    grid = _parse_range(text)
+    if not all(0.0 <= value <= 1.0 for value in grid):
+        raise argparse.ArgumentTypeError("alpha must lie in [0, 1]")
+    return grid
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--scheme", required=True, choices=SCHEME_KINDS)
     p_sim.add_argument("--alpha", type=_alpha, default=0.5)
-    p_sim.add_argument("--rho-db", default="60:120:10", help="start:stop:step grid in dB")
+    p_sim.add_argument(
+        "--rho-db", type=_parse_range, default="60:120:10", help="start:stop:step grid in dB"
+    )
     p_sim.add_argument("--trials", type=int, default=100)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", default=None, help="per-trial CSV path")
@@ -102,7 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
             "decode checks, and figure endpoints."
         ),
     )
-    p_verify.add_argument("--alpha-grid", default="0:1:0.05", help="start:stop:step")
+    p_verify.add_argument(
+        "--alpha-grid", type=_alpha_grid, default="0:1:0.05", help="start:stop:step"
+    )
     p_verify.add_argument("--trials", type=int, default=20)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", default=None, help="check-result CSV path")
@@ -114,7 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fig.add_argument("--figure", type=int, required=True, choices=(3, 4, 6, 7, 8))
     p_fig.add_argument("--alpha", type=_alpha, default=None)
-    p_fig.add_argument("--alpha-grid", default="0:1:0.05", help="start:stop:step (figure 8)")
+    p_fig.add_argument(
+        "--alpha-grid", type=_alpha_grid, default="0:1:0.05", help="start:stop:step (figure 8)"
+    )
     p_fig.add_argument("--out", required=True)
     return parser
 
@@ -193,11 +207,10 @@ def parse_and_dispatch(argv) -> int:
             return 0
 
         if args.command == "simulate":
-            grid = _parse_range(args.rho_db)
             config = experiments.SweepConfig(
                 scheme=args.scheme,
                 alpha=args.alpha,
-                rho_db=tuple(grid),
+                rho_db=tuple(args.rho_db),
                 trials=args.trials,
                 seed=args.seed,
                 out=args.out,
@@ -211,8 +224,7 @@ def parse_and_dispatch(argv) -> int:
             return 0
 
         if args.command == "verify":
-            grid = _parse_range(args.alpha_grid)
-            checks = experiments.verify_all(grid, seed=args.seed, trials=args.trials)
+            checks = experiments.verify_all(args.alpha_grid, seed=args.seed, trials=args.trials)
             for c in checks:
                 status = "pass" if c.passed else "FAIL"
                 print(f"[{status}] {c.name} margin={c.margin:+.4f} {c.detail}")
@@ -225,7 +237,7 @@ def parse_and_dispatch(argv) -> int:
 
         if args.command == "figure":
             if args.figure == 8:
-                text = experiments.figure_data(8, alpha_grid=_parse_range(args.alpha_grid))
+                text = experiments.figure_data(8, alpha_grid=args.alpha_grid)
             else:
                 if args.alpha is None:
                     print("error: figures 3, 4, 6 and 7 need --alpha", file=sys.stderr)

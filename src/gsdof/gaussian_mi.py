@@ -1,9 +1,18 @@
 """Exact differential entropy and mutual information for linear-Gaussian models.
 
-Everything here is closed-form log-determinant arithmetic on covariances, so
-rate and leakage slopes can be evaluated at SNRs up to 1e12 with no estimator
-noise.  Slopes are fitted by ordinary least squares on the top half of the
-SNR grid to suppress additive O(1) offsets.
+Everything here is closed-form log-determinant arithmetic on covariances,
+with no estimator noise.  The scheme sweeps and checks are tested on SNR
+grids of 60-120 dB.  Known limits of the key conditioning at high SNR:
+
+* precision falls as SNR grows: repeating every key row, which adds no
+  knowledge, moves ``wiretap-gaussian-a1`` values by up to 2.1e-4 bits at
+  120 dB (3 seeds, alpha = 0.5);
+* ``conditional_mi`` raises ``singular conditional covariance`` on some
+  realizations above 150 dB (at alpha = 0.5, ``wiretap-gaussian-a1``: 1 of
+  20 seeds at 155 dB and 2 at 160 dB; ``yang``: 4 of 20 at 165 dB).
+
+Slopes are fitted by ordinary least squares on the top half of the SNR grid
+to suppress additive O(1) offsets.
 """
 
 from __future__ import annotations

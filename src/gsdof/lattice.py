@@ -12,23 +12,20 @@ omitted: it does not affect DoF slopes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .schemes import (
-    DecodeError,
     LinearScheme,
-    SideChannel,
     SymbolGroup,
-    _antenna1,
     _check_lattice_margin,
     _lattice_decode_rho,
     _normalize,
-    _require,
-    _row,
+    build_sym_alt,
+    build_wiretap_gaussian,
 )
-from .topology import STATE_1A, STATE_A1, ChannelRealization
+from .topology import ChannelRealization
 
 __all__ = [
     "LatticeConfig",
@@ -63,7 +60,6 @@ class LatticeConfig:
 
     p: int = 31
     scale: float = 2.0 / 30.0
-    a: tuple[int, int] = (1, 1)
 
     def __post_init__(self) -> None:
         if not _is_prime(self.p):
@@ -156,171 +152,67 @@ def cf_decode(received: complex, config: LatticeConfig, integer_coeffs) -> tuple
 # ---------------------------------------------------------------------------
 
 
-def build_wiretap_lattice(realization: ChannelRealization, alpha: float) -> LinearScheme:
-    """Three-slot integer-channel confidential scheme meeting the upper bound.
+def _with_structured_noise(base: LinearScheme, name: str) -> LinearScheme:
+    """Integer-channel variant of a Gaussian noise-injection scheme.
 
-    Slot 1 sends structured (lattice) noise from both antennas plus a fresh
-    confidential symbol at power offset rho**(-alpha) on antenna 1; slots 2
-    and 3 follow the Gaussian wiretap construction.  Receiver 1 first
-    recovers the noise combination h1.u exactly by nearest-point decoding,
-    treating the low-power layer as bounded interference, then peels that
-    layer and inverts the remaining system.
+    The artificial noise becomes lattice codewords, which frees a fresh
+    receiver-1 layer ``v_low`` at power offset rho**(-alpha) under the noise
+    on antenna 1 of slot 1.  Each decoding receiver recovers its slot-1
+    noise combination exactly by nearest-point decoding, treating the
+    low-power layer as bounded interference; receiver 1 then peels that
+    layer, and the Gaussian decode plan runs on the exact noise keys.
     """
-    _require(realization, 3, [STATE_1A] * 3)
-    if realization.mode != "integer":
-        raise ValueError("the lattice wiretap scheme requires an integer realization")
-    h1, g1 = realization.h[0], realization.g[0]
-    h2, g2 = realization.h[1], realization.g[1]
-    g21 = realization.g[1][0]
-
+    real, alpha = base.realization, base.alpha
+    if real.mode != "integer":
+        raise ValueError(f"the {name} scheme requires an integer realization")
     config = LatticeConfig()
-    groups = (
-        SymbolGroup("v_low", 1, -alpha, "rx1"),
-        SymbolGroup("v", 2, 0.0, "rx1"),
-        SymbolGroup("u", 2, 0.0, "noise", lattice=True),
+    low = np.zeros((2, 1), dtype=np.complex128)
+    low[0, 0] = 1.0
+    slot_maps = ({**base.slot_maps[0], "v_low": low}, *base.slot_maps[1:])
+    groups = (SymbolGroup("v_low", 1, -alpha, "rx1"),) + tuple(
+        replace(g, lattice=True) if g.owner == "noise" else g for g in base.groups
     )
-    one = np.zeros((2, 1), dtype=np.complex128)
-    one[0, 0] = 1.0
-    slot_maps = (
-        {"u": np.eye(2, dtype=np.complex128), "v_low": one},
-        {"v": np.eye(2, dtype=np.complex128), "u": _antenna1(h1, 2)},
-        {"v": _antenna1(g2, 2), "u": _antenna1(g21 * h1, 2)},
-    )
-    norms = _normalize(slot_maps)
+    gains = real.states[0].exponents(alpha)
 
     def decoder(scheme, y, z, side, layers, rho):
-        real = scheme.realization
-        nrm = scheme.slot_norms
-        sr = math.sqrt(rho)
         off = rho ** (-alpha / 2.0)
         _check_lattice_margin(off, config)
-        y0 = y[0] / sr * nrm[0]
-        key = nearest_point(y0, config)  # h1.u recovered exactly
-        v1 = (y0 - key) / h1[0] / off
-        eq_h = y[1] / sr * nrm[1] - h2[0] * key
-        h31 = real.h[2][0]
-        if abs(h31) < 1e-12:
-            raise DecodeError("side-information slot lost: h31 = 0")
-        eq_g = y[2] / sr * nrm[2] / h31 - g21 * key
-        m = np.vstack([h2, g2])
-        if abs(np.linalg.det(m)) < 1e-9:
-            raise DecodeError("decode matrix [h2; g2] is singular")
-        v = np.linalg.solve(m, np.array([eq_h, eq_g]))
-        return {"v": v, "v_low": np.array([v1])}
+        outputs = {1: np.array(y), 2: np.array(z)}
+        for receiver in base.decode_order:
+            gain = math.sqrt(rho ** gains[receiver - 1])
+            out0 = outputs[receiver][0] / gain * scheme.slot_norms[0]
+            key = nearest_point(out0, config)  # h1.u or g1.u, exact
+            if receiver == 1:
+                v_low = (out0 - key) / real.h[0][0] / off
+            # The Gaussian plan reads its key from the slot-1 output.
+            outputs[receiver][0] = key * gain / base.slot_norms[0]
+        decoded = base.decoder(base, outputs[1], outputs[2], side, layers, rho)
+        return {"v_low": np.array([v_low]), **decoded}
 
-    return LinearScheme(
-        name="wiretap-lattice",
-        alpha=alpha,
-        realization=realization,
+    return replace(
+        base,
+        name=name,
         groups=groups,
         slot_maps=slot_maps,
-        slot_norms=norms,
-        keys={1: {"u": _row(h1, 2)}, 2: {"u": _row(g1, 2)}},
-        decode_order={1: ("v_low", "v")},
-        ledger={"v_low": 1.0 - alpha, "v": 2.0},
+        slot_norms=(*_normalize(slot_maps[:1]), *base.slot_norms[1:]),
+        decode_order={**base.decode_order, 1: ("v_low", *base.decode_order[1])},
+        ledger={"v_low": 1.0 - alpha, **base.ledger},
         decoder=decoder,
         meta={
-            "decode_rho": _lattice_decode_rho(realization.rho, alpha, config),
+            **base.meta,
+            "decode_rho": _lattice_decode_rho(real.rho, alpha, config),
             "lattice": config,
         },
     )
+
+
+def build_wiretap_lattice(realization: ChannelRealization, alpha: float) -> LinearScheme:
+    """Three-slot integer-channel confidential scheme meeting the upper bound:
+    ``wiretap-gaussian`` with structured noise."""
+    return _with_structured_noise(build_wiretap_gaussian(realization, alpha), "wiretap-lattice")
 
 
 def build_int_sym_alt(realization: ChannelRealization, alpha: float) -> LinearScheme:
-    """Four-slot integer-channel scheme on the symmetric alternating topology.
-
-    Slot 1 sends structured noise plus a low-power receiver-1 layer; slot 2
-    sends the receiver-1 pair with the learned h1.u on antenna 1; slot 3
-    (receiver-2 link now strong) sends the receiver-2 pair with g1.u; slot 4
-    multicasts the quantized sum of the overheard side information plus a
-    low-power receiver-2 layer.  Both receivers decode their noise
-    combinations exactly from the lattice, which makes the slot-3
-    interference cancellation at receiver 2 exact at full link strength.
-    """
-    _require(realization, 4, [STATE_1A, STATE_1A, STATE_A1, STATE_A1])
-    if realization.mode != "integer":
-        raise ValueError("the integer alternating scheme requires an integer realization")
-    h1, g1 = realization.h[0], realization.g[0]
-    h2, g2 = realization.h[1], realization.g[1]
-    h3, g3 = realization.h[2], realization.g[2]
-
-    config = LatticeConfig()
-    groups = (
-        SymbolGroup("v_low", 1, -alpha, "rx1"),
-        SymbolGroup("v", 2, 0.0, "rx1"),
-        SymbolGroup("w", 2, 0.0, "rx2"),
-        SymbolGroup("w_low", 1, -alpha, "rx2"),
-        SymbolGroup("u", 2, 0.0, "noise", lattice=True),
-        SymbolGroup("c", 1, 0.0, "common"),
-    )
-    one = np.zeros((2, 1), dtype=np.complex128)
-    one[0, 0] = 1.0
-    slot_maps = (
-        {"u": np.eye(2, dtype=np.complex128), "v_low": one.copy()},
-        {"v": np.eye(2, dtype=np.complex128), "u": _antenna1(h1, 2)},
-        {"w": np.eye(2, dtype=np.complex128), "u": _antenna1(g1, 2)},
-        {"c": one.copy(), "w_low": one.copy()},
-    )
-    norms = _normalize(slot_maps)
-
-    z2_v = (g2 @ slot_maps[1]["v"]) / norms[1]
-    z2_u = (g2 @ slot_maps[1]["u"]) / norms[1]
-    y3_w = (h3 @ slot_maps[2]["w"]) / norms[2]
-    y3_u = (h3 @ slot_maps[2]["u"]) / norms[2]
-    side_channels = (
-        SideChannel(1, "z2_hat", alpha, {"v": z2_v[None, :], "u": z2_u[None, :]}),
-        SideChannel(2, "y3_hat", alpha, {"w": y3_w[None, :], "u": y3_u[None, :]}),
-    )
-
-    def decoder(scheme, y, z, side, layers, rho):
-        real = scheme.realization
-        nrm = scheme.slot_norms
-        sr, sra = math.sqrt(rho), math.sqrt(rho**alpha)
-        off = rho ** (-alpha / 2.0)
-        _check_lattice_margin(off, config)
-        # Receiver 1: exact noise key, low layer, then the 2x2 inversion.
-        y0 = y[0] / sr * nrm[0]
-        k1 = nearest_point(y0, config)  # h1.u
-        v1 = (y0 - k1) / h1[0] / off
-        eq_h = y[1] / sr * nrm[1] - h2[0] * k1
-        eq_g = side["z2_hat"][0] * nrm[1] - g2[0] * k1
-        m1 = np.vstack([h2, g2])
-        # Receiver 2: exact noise key makes the slot-3 cancellation exact.
-        z0 = z[0] / sra * nrm[0]
-        k2 = nearest_point(z0, config)  # g1.u
-        eq_g2 = z[2] / sr * nrm[2] - g3[0] * k2
-        eq_h2 = side["y3_hat"][0] * nrm[2] - h3[0] * k2
-        m2 = np.vstack([g3, h3])
-        if abs(np.linalg.det(m1)) < 1e-9 or abs(np.linalg.det(m2)) < 1e-9:
-            raise DecodeError("singular decode matrix")
-        v = np.linalg.solve(m1, np.array([eq_h, eq_g]))
-        w = np.linalg.solve(m2, np.array([eq_g2, eq_h2]))
-        g41 = real.g[3][0]
-        if abs(g41) < 1e-12:
-            raise DecodeError("slot-4 antenna path lost at receiver 2")
-        w3 = (z[3] / sr * nrm[3] / g41 - layers["c"][0]) / off
-        return {"v_low": np.array([v1]), "v": v, "w": w, "w_low": np.array([w3])}
-
-    return LinearScheme(
-        name="int-sym-alt",
-        alpha=alpha,
-        realization=realization,
-        groups=groups,
-        slot_maps=slot_maps,
-        slot_norms=norms,
-        side_channels=side_channels,
-        keys={1: {"u": _row(h1, 2)}, 2: {"u": _row(g1, 2)}},
-        decode_order={1: ("v_low", "v"), 2: ("w", "w_low")},
-        ledger={
-            "v_low": 1.0 - alpha,
-            "v": 1.0 + alpha,
-            "w": 1.0 + alpha,
-            "w_low": 1.0 - alpha,
-        },
-        decoder=decoder,
-        meta={
-            "decode_rho": _lattice_decode_rho(realization.rho, alpha, config),
-            "lattice": config,
-            "granted_layers": ("c",),
-        },
-    )
+    """Four-slot integer-channel scheme on the symmetric alternating
+    topology: ``sym-alt`` with structured noise."""
+    return _with_structured_noise(build_sym_alt(realization, alpha), "int-sym-alt")

@@ -94,16 +94,20 @@ class SymbolGroup:
 
 @dataclass(frozen=True)
 class SideChannel:
-    """Digitized side information delivered to one receiver.
+    """Digitized side information delivered to one receiver: what the other
+    receiver overheard in the listed slots.
 
-    Observation model: rho**(gain_exponent/2) * content + unit noise, where
-    the unit noise stands for the bounded quantization distortion.
+    The content of slot ``t`` is the other receiver's noiseless slot output
+    with its link gain stripped (its channel row applied to the normalized
+    slot input).  Observation model: rho**(gain_exponent/2) * content + unit
+    noise, where the unit noise stands for the bounded quantization
+    distortion.
     """
 
-    receiver: int
+    receiver: int  # the receiver the side information is delivered to
     label: str
     gain_exponent: float
-    coeffs: dict  # group name -> (k, size) array
+    slots: tuple[int, ...]  # slots whose other-receiver outputs are delivered
 
 
 @dataclass(frozen=True)
@@ -168,30 +172,20 @@ class _ReceiverStructure:
             mask[off : off + size] = True
             self.masks[g.name] = mask
 
-        rows = []
-        row_exp = []
-        for t in range(real.n):
-            row_vec = real.h[t] if receiver == 1 else real.g[t]
-            a1, a2 = real.states[t].exponents(alpha)
-            gain = a1 if receiver == 1 else a2
-            coef = np.zeros(pos, dtype=np.complex128)
+        # One row per own slot output, then one per overheard slot output
+        # delivered as side information: (channel row, slot) pairs.
+        own, other = (real.h, real.g) if receiver == 1 else (real.g, real.h)
+        rows = [(own[t], t) for t in range(real.n)]
+        row_exp = [real.states[t].exponents(alpha)[receiver - 1] for t in range(real.n)]
+        for ch in scheme.side_channels:
+            if ch.receiver == receiver:
+                rows += [(other[t], t) for t in ch.slots]
+                row_exp += [ch.gain_exponent] * len(ch.slots)
+        self.coef = np.zeros((len(rows), pos), dtype=np.complex128)
+        for i, (row_vec, t) in enumerate(rows):
             for name, m in scheme.slot_maps[t].items():
                 off, size = offsets[name]
-                coef[off : off + size] = (row_vec @ m) / scheme.slot_norms[t]
-            rows.append(coef)
-            row_exp.append(gain)
-        for ch in scheme.side_channels:
-            if ch.receiver != receiver:
-                continue
-            k = next(iter(ch.coeffs.values())).shape[0]
-            block = np.zeros((k, pos), dtype=np.complex128)
-            for name, m in ch.coeffs.items():
-                off, size = offsets[name]
-                block[:, off : off + size] = m
-            for r in range(k):
-                rows.append(block[r])
-                row_exp.append(ch.gain_exponent)
-        self.coef = np.vstack(rows)
+                self.coef[i, off : off + size] = (row_vec @ m) / scheme.slot_norms[t]
         self.row_exp = np.asarray(row_exp, dtype=float)
 
         key_map = scheme.keys.get(receiver, {})
@@ -766,25 +760,11 @@ def build_bc_fixed(
     slot_maps = tuple(slot_maps)
     norms = _normalize(slot_maps)
 
-    # Overheard side information as symbol rows (normalized slot signals).
-    z2_v = np.zeros((t1, 2 * t1), dtype=np.complex128)
-    z2_u = np.zeros((t1, 2 * t1), dtype=np.complex128)
-    for t in range(t1):
-        g = realization.g[t1 + t]
-        sm = slot_maps[t1 + t]
-        z2_v[t] = (g @ sm["v"]) / norms[t1 + t]
-        z2_u[t] = (g @ sm["u"]) / norms[t1 + t]
-    y3_w = np.zeros((t2, 2 * t2), dtype=np.complex128)
-    y3_u = np.zeros((t2, 2 * t1), dtype=np.complex128)
-    for t in range(t2):
-        h = realization.h[2 * t1 + t]
-        sm = slot_maps[2 * t1 + t]
-        y3_w[t] = (h @ sm["w"]) / norms[2 * t1 + t]
-        y3_u[t] = (h @ sm["u"]) / norms[2 * t1 + t]
-
+    # Overheard side information: receiver 2's phase-2 outputs go to
+    # receiver 1, receiver 1's phase-3 outputs go to receiver 2.
     side_channels = (
-        SideChannel(1, "z2_hat", alpha, {"v": z2_v, "u": z2_u}),
-        SideChannel(2, "y3_hat", 1.0, {"w": y3_w, "u": y3_u}),
+        SideChannel(1, "z2_hat", alpha, tuple(range(t1, 2 * t1))),
+        SideChannel(2, "y3_hat", 1.0, tuple(range(2 * t1, 2 * t1 + t2))),
     )
 
     # Per-slot decode systems must be invertible.
@@ -895,13 +875,9 @@ def build_sym_alt(realization: ChannelRealization, alpha: float) -> LinearScheme
     )
     norms = _normalize(slot_maps)
 
-    z2_v = (g2 @ slot_maps[1]["v"]) / norms[1]
-    z2_u = (g2 @ slot_maps[1]["u"]) / norms[1]
-    y3_w = (h3 @ slot_maps[2]["w"]) / norms[2]
-    y3_u = (h3 @ slot_maps[2]["u"]) / norms[2]
     side_channels = (
-        SideChannel(1, "z2_hat", alpha, {"v": z2_v[None, :], "u": z2_u[None, :]}),
-        SideChannel(2, "y3_hat", alpha, {"w": y3_w[None, :], "u": y3_u[None, :]}),
+        SideChannel(1, "z2_hat", alpha, (1,)),
+        SideChannel(2, "y3_hat", alpha, (2,)),
     )
 
     def decoder(scheme, y, z, side, layers, rho):
@@ -1085,7 +1061,8 @@ def simulate_noiseless(scheme: LinearScheme, rho: float, seed: int = 0):
     """Draw symbols and run the block through the channel with noise zeroed.
 
     Returns (symbols, y, z, side_values) where side_values holds the exact
-    (unquantized) side-information content per channel label.
+    (unquantized) side-information content per channel label: the other
+    receiver's normalized outputs in the channel's slots.
     """
     rng = np.random.default_rng(seed)
     symbols = _draw_symbols(scheme, rng)
@@ -1096,20 +1073,20 @@ def simulate_noiseless(scheme: LinearScheme, rho: float, seed: int = 0):
     }
     y = np.zeros(real.n, dtype=np.complex128)
     z = np.zeros(real.n, dtype=np.complex128)
+    xs = []
     for t in range(real.n):
         x = np.zeros(2, dtype=np.complex128)
         for name, m in scheme.slot_maps[t].items():
             x += m @ phys[name]
         x /= scheme.slot_norms[t]
+        xs.append(x)
         a1, a2 = real.states[t].exponents(scheme.alpha)
         y[t] = math.sqrt(rho**a1) * (real.h[t] @ x)
         z[t] = math.sqrt(rho**a2) * (real.g[t] @ x)
     side = {}
     for ch in scheme.side_channels:
-        val = np.zeros(next(iter(ch.coeffs.values())).shape[0], dtype=np.complex128)
-        for name, m in ch.coeffs.items():
-            val = val + m @ phys[name]
-        side[ch.label] = val
+        other = real.g if ch.receiver == 1 else real.h
+        side[ch.label] = np.array([other[t] @ xs[t] for t in ch.slots])
     return symbols, y, z, side
 
 

@@ -52,12 +52,25 @@ def test_region_rejects_unknown_bound(tmp_path):
     assert rc == 2
 
 
-def test_usage_error_exit_code(tmp_path):
+def test_usage_error_exit_code(tmp_path, capsys):
     assert parse_and_dispatch(["simulate", "--scheme", "bogus"]) == 2
     assert parse_and_dispatch(["simulate", "--scheme", "yang", "--alpha", "2"]) == 2
     assert parse_and_dispatch([]) == 2
     out = str(tmp_path / "r.csv")
     assert parse_and_dispatch(["region", "--profile", "xx", "--out", out]) == 2
+    assert parse_and_dispatch(["simulate", "--scheme", "yang", "--rho-db", "abc"]) == 2
+    assert parse_and_dispatch(["verify", "--alpha-grid", "0:inf:1"]) == 2
+    # alpha grids are checked against [0, 1] while the arguments are parsed
+    fig = tmp_path / "f.csv"
+    for argv in (
+        ["figure", "--figure", "8", "--alpha-grid", "0.5:2:0.5", "--out", str(fig)],
+        ["verify", "--alpha-grid", "0.5:2:0.5"],
+        ["verify", "--alpha-grid=-0.5:0.5:0.5"],
+    ):
+        capsys.readouterr()
+        assert parse_and_dispatch(argv) == 2
+        assert "alpha must lie in [0, 1]" in capsys.readouterr().err
+    assert not fig.exists()
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from gsdof.gaussian_mi import fit_slope
 from gsdof.lattice import (
     LatticeConfig,
+    build_int_sym_alt,
     build_wiretap_lattice,
     cf_decode,
     cf_encode,
@@ -13,8 +14,8 @@ from gsdof.lattice import (
     nearest_point,
     wiretap_computation_rate,
 )
-from gsdof.schemes import DecodeError, build_scheme, noiseless_decode_check
-from gsdof.topology import STATE_1A, draw_channels
+from gsdof.schemes import DecodeError, build_scheme, noiseless_decode_check, simulate_noiseless
+from gsdof.topology import STATE_1A, STATE_A1, draw_channels
 
 
 def test_lattice_config_validation():
@@ -169,13 +170,19 @@ def test_wiretap_lattice_ledger_meets_upper_bound():
         )
 
 
-def test_lattice_margin_enforced_and_reported():
-    real = draw_channels(3, (STATE_1A,) * 3, rho=1e8, seed=1, mode="integer")
-    sch = build_wiretap_lattice(real, alpha=0.25)
+@pytest.mark.parametrize(
+    "build, states",
+    [
+        (build_wiretap_lattice, (STATE_1A,) * 3),
+        (build_int_sym_alt, (STATE_1A, STATE_1A, STATE_A1, STATE_A1)),
+    ],
+    ids=["wiretap-lattice", "int-sym-alt"],
+)
+def test_lattice_margin_enforced_and_reported(build, states):
+    real = draw_channels(len(states), states, rho=1e8, seed=1, mode="integer")
+    sch = build(real, alpha=0.25)
     # at rho = 1e4 the low-power layer exceeds half the lattice spacing
-    symbols, y, z, side = __import__("gsdof.schemes", fromlist=["simulate_noiseless"]).simulate_noiseless(
-        sch, rho=1e4, seed=0
-    )
+    symbols, y, z, side = simulate_noiseless(sch, rho=1e4, seed=0)
     with pytest.raises(DecodeError):
         sch.decoder(sch, y, z, side, {}, 1e4)
     # at the builder-selected decode SNR the margin holds

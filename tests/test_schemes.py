@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gsdof import regions, schemes
+from gsdof import lattice, regions, schemes
 from gsdof.experiments import REGION_BUILDERS, SCHEME_TARGETS
 from gsdof.gaussian_mi import fit_slope
 from gsdof.schemes import (
@@ -22,6 +22,7 @@ from gsdof.schemes import (
     max_slot_power,
     noiseless_decode_check,
     quantizer_for_power,
+    receiver_structure,
     reliability_bits,
     scheme_block_length,
     simulate_noiseless,
@@ -263,12 +264,42 @@ def test_scheme_target_meets_its_bounds(kind):
             assert d1 == upper if kind == "wiretap-lattice" else d1 <= upper, a
 
 
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_observation_model_matches_simulation(kind):
+    # The two views of a scheme agree: each receiver's observation rows,
+    # applied to the simulated symbols, reproduce its noiseless outputs and
+    # (with the side-channel gain divided out) its side information.
+    rho = 1e8
+    for seed in range(3):
+        sch = build_scheme(kind, 0.5, seed=seed)
+        symbols, y, z, side = simulate_noiseless(sch, rho, seed=seed)
+        stripped = np.concatenate(
+            [np.asarray(symbols[g.name], dtype=np.complex128) for g in sch.groups]
+        )
+        for receiver, outputs in ((1, y), (2, z)):
+            a = receiver_structure(sch, receiver).scaled(rho)[0]
+            model = a @ stripped
+            expected = [outputs]
+            pos = sch.realization.n
+            for ch in sch.side_channels:
+                if ch.receiver == receiver:
+                    model[pos : pos + len(ch.slots)] /= rho ** (ch.gain_exponent / 2.0)
+                    pos += len(ch.slots)
+                    expected.append(side[ch.label])
+            expected = np.concatenate(expected)
+            assert model.shape == expected.shape  # every row accounted for
+            err = np.max(np.abs(model - expected)) / np.max(np.abs(expected))
+            assert err <= 1e-12, (kind, seed, receiver, err)
+
+
 def test_builders_validate_realization():
     real = draw_channels(3, (STATE_1A,) * 3, rho=1e8, seed=0)
     with pytest.raises(ValueError):
         schemes.build_yang_baseline(real, 0.5)  # wrong slot count
     with pytest.raises(ValueError):
         schemes.build_gdof_no_secrecy(real, 0.5)  # complex, needs integer
+    with pytest.raises(ValueError):
+        lattice.build_wiretap_lattice(real, 0.5)  # complex, needs integer
 
 
 def test_simulation_normalizes_power():
