@@ -30,6 +30,7 @@ __all__ = [
     "conditional_mi",
     "fit_slope",
     "lemma1_margins",
+    "lemma1_slopes",
     "LEMMA1_IDS",
 ]
 
@@ -95,14 +96,31 @@ def conditional_mi(
     columns (symbols are independent).
 
     ``obs`` and ``keys`` may carry leading batch axes (for example trials x
-    SNRs); the result then has the broadcast batch shape, and each entry is
-    bit-for-bit the value of the unbatched call on that slice.
+    SNRs, or trials x 1 for keys that do not depend on the SNR); the result
+    then has the broadcast batch shape, and each entry is bit-for-bit the
+    value of the unbatched call on that slice.
+
+    ``target`` and ``given`` may also be (pairs, k) stacks of masks, as
+    for every chain-rule step one receiver needs.  The result then has a
+    leading pair axis, and entry ``p`` equals the call on ``target[p]`` and
+    ``given[p]`` bit for bit.  Each distinct set of kept columns costs one
+    log-det evaluation per call, so a chain of n steps costs n + 1.
     """
-    keep1 = ~given
-    keep2 = keep1 & ~target
-    h1 = _entropy_given_keys(obs[..., keep1], keys[..., keep1])
-    h2 = _entropy_given_keys(obs[..., keep2], keys[..., keep2])
-    return np.maximum(h1 - h2, 0.0)
+    keep1 = ~np.asarray(given, dtype=bool)
+    keep1, keep2 = np.broadcast_arrays(keep1, keep1 & ~np.asarray(target, dtype=bool))
+    entropies = {}
+
+    def entropy(keep):
+        key = keep.tobytes()
+        if key not in entropies:
+            entropies[key] = _entropy_given_keys(obs[..., keep], keys[..., keep])
+        return entropies[key]
+
+    if keep1.ndim == 1:
+        return np.maximum(entropy(keep1) - entropy(keep2), 0.0)
+    return np.stack(
+        [np.maximum(entropy(k1) - entropy(k2), 0.0) for k1, k2 in zip(keep1, keep2)]
+    )
 
 
 @dataclass
@@ -175,6 +193,48 @@ def _block_entropies(realization, alpha: float, rho: float) -> tuple[float, floa
     return hy, hz, hyz
 
 
+def lemma1_slopes(
+    profile: TopologyProfile,
+    alpha: float,
+    rho_grid,
+    seed: int,
+    n: int = 12,
+) -> dict:
+    """Per-slot fitted slopes {inequality id: (lhs, rhs)} of all four
+    entropy-order inequalities, from one channel draw and one series of
+    block entropies.
+
+    The right-hand sides carry the topology surcharge lambda * (1 - alpha) *
+    log2(rho) per slot exactly once.
+    """
+    rho_grid = np.asarray(rho_grid, dtype=float)
+    if rho_grid.size < 3:
+        raise ValueError("rho_grid must have at least 3 points")
+    states = state_sequence(profile, n)
+    realization = draw_channels(n, states, float(rho_grid[0]), seed, mode="complex")
+    l1a = float(profile.lambda_1a)
+    la1 = float(profile.lambda_a1)
+    series = {ineq: ([], []) for ineq in LEMMA1_IDS}
+    for rho in rho_grid:
+        hy, hz, hyz = _block_entropies(realization, alpha, float(rho))
+        surcharge_1a = n * l1a * (1 - alpha) * math.log2(rho)
+        surcharge_a1 = n * la1 * (1 - alpha) * math.log2(rho)
+        sides = {
+            "4a": (hyz, 2 * hz + surcharge_1a),
+            "4b": (hyz, 2 * hy + surcharge_a1),
+            "4c": (hy, 2 * hz + surcharge_1a),
+            "4d": (hz, 2 * hy + surcharge_a1),
+        }
+        for ineq, (lhs, rhs) in sides.items():
+            series[ineq][0].append(lhs / n)
+            series[ineq][1].append(rhs / n)
+    x = np.log2(rho_grid)
+    return {
+        ineq: (fit_slope(x, lhs)[0], fit_slope(x, rhs)[0])
+        for ineq, (lhs, rhs) in series.items()
+    }
+
+
 def lemma1_margins(
     profile: TopologyProfile,
     alpha: float,
@@ -183,36 +243,8 @@ def lemma1_margins(
     seed: int,
     n: int = 12,
 ) -> tuple[float, float]:
-    """Per-slot fitted slopes (lhs, rhs) of one entropy-order inequality.
-
-    The right-hand sides carry the topology surcharge lambda * (1 - alpha) *
-    log2(rho) per slot exactly once.
-    """
+    """Per-slot fitted slopes (lhs, rhs) of one entropy-order inequality;
+    see ``lemma1_slopes``."""
     if inequality_id not in LEMMA1_IDS:
         raise ValueError(f"inequality_id must be one of {LEMMA1_IDS}")
-    rho_grid = np.asarray(rho_grid, dtype=float)
-    if rho_grid.size < 3:
-        raise ValueError("rho_grid must have at least 3 points")
-    states = state_sequence(profile, n)
-    realization = draw_channels(n, states, float(rho_grid[0]), seed, mode="complex")
-    l1a = float(profile.lambda_1a)
-    la1 = float(profile.lambda_a1)
-    lhs_vals, rhs_vals = [], []
-    for rho in rho_grid:
-        hy, hz, hyz = _block_entropies(realization, alpha, float(rho))
-        surcharge_1a = n * l1a * (1 - alpha) * math.log2(rho)
-        surcharge_a1 = n * la1 * (1 - alpha) * math.log2(rho)
-        if inequality_id == "4a":
-            lhs, rhs = hyz, 2 * hz + surcharge_1a
-        elif inequality_id == "4b":
-            lhs, rhs = hyz, 2 * hy + surcharge_a1
-        elif inequality_id == "4c":
-            lhs, rhs = hy, 2 * hz + surcharge_1a
-        else:
-            lhs, rhs = hz, 2 * hy + surcharge_a1
-        lhs_vals.append(lhs / n)
-        rhs_vals.append(rhs / n)
-    x = np.log2(rho_grid)
-    lhs_slope, _ = fit_slope(x, lhs_vals)
-    rhs_slope, _ = fit_slope(x, rhs_vals)
-    return lhs_slope, rhs_slope
+    return lemma1_slopes(profile, alpha, rho_grid, seed, n)[inequality_id]

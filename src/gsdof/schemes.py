@@ -56,6 +56,7 @@ __all__ = [
     "smallest_t1",
     "reliability_bits",
     "leakage_bits",
+    "accounting_bits",
     "joint_leakage_bits",
     "common_layer_bits",
     "scheme_block_length",
@@ -188,11 +189,19 @@ class _ReceiverStructure:
                 self.coef[i, off : off + size] = (row_vec @ m) / scheme.slot_norms[t]
         self.row_exp = np.asarray(row_exp, dtype=float)
 
+        # Keys must not depend on the SNR, so they may only sit on unit-power
+        # groups; scaled() then needs no SNR axis for them.
         key_map = scheme.keys.get(receiver, {})
         if key_map:
             k = next(iter(key_map.values())).shape[0]
             kc = np.zeros((k, pos), dtype=np.complex128)
             for name, m in key_map.items():
+                exponent = scheme.group(name).exponent
+                if exponent != 0:
+                    raise ValueError(
+                        f"key on group {name!r} with power exponent {exponent}: "
+                        "keys must sit on unit-power groups"
+                    )
                 off, size = offsets[name]
                 kc[:, off : off + size] = m
             self.key_coef = kc
@@ -209,11 +218,14 @@ class _ReceiverStructure:
 
     def scaled(self, rho) -> tuple[np.ndarray, np.ndarray]:
         """Observation and key matrices at SNR ``rho``, a scalar or an array
-        whose shape becomes the leading batch shape of both."""
-        r = np.asarray(rho, dtype=float)[..., None, None]
-        a = self.coef * r ** ((self.row_exp[:, None] + self.col_exp[None, :]) / 2.0)
-        k = self.key_coef * r ** (self.col_exp[None, :] / 2.0)
-        return a, k
+        whose shape becomes the leading batch shape of the observations.
+        The keys do not depend on the SNR: they get one size-1 axis per SNR
+        axis, which broadcasts."""
+        r = np.asarray(rho, dtype=float)
+        a = self.coef * r[..., None, None] ** (
+            (self.row_exp[:, None] + self.col_exp[None, :]) / 2.0
+        )
+        return a, self.key_coef.reshape((1,) * r.ndim + self.key_coef.shape)
 
 
 def receiver_structure(scheme: LinearScheme, receiver: int) -> _ReceiverStructure:
@@ -227,16 +239,35 @@ def _own_owner(receiver: int) -> str:
     return "rx1" if receiver == 1 else "rx2"
 
 
+def _other(receiver: int) -> int:
+    return 2 if receiver == 1 else 1
+
+
 def _first(schemes) -> LinearScheme:
     return schemes if isinstance(schemes, LinearScheme) else schemes[0]
 
 
-def _chain_bits(schemes, rho, receiver: int, order, known_owner: str) -> dict:
-    """Chain-rule MI of the groups in ``order`` at ``receiver``, which knows
-    the ``known_owner`` messages, the common layer and its granted keys.
+def _reliability_chain(scheme: LinearScheme, receiver: int):
+    """(order, known owner) of ``receiver``'s own groups."""
+    return scheme.decode_order.get(receiver, ()), _own_owner(_other(receiver))
 
-    A sequence of schemes stacks the receiver matrices over schemes x SNRs,
-    so every group costs one batched MI evaluation."""
+
+def _leakage_chain(scheme: LinearScheme, receiver: int):
+    """(order, known owner) of the other receiver's groups, as overheard at
+    ``receiver``."""
+    return scheme.decode_order.get(_other(receiver), ()), _own_owner(receiver)
+
+
+def _receiver_bits(schemes, rho, receiver: int, chains) -> list[dict]:
+    """Chain-rule MI at ``receiver`` for each (order, known owner) chain: the
+    groups in ``order``, each given the known owner's messages, the common
+    layer, the granted keys and the chain's earlier groups.
+
+    All chains share one stacked (obs, keys) pair and one ``conditional_mi``
+    call, which evaluates every distinct conditioning set once.  A sequence
+    of schemes stacks the receiver matrices over schemes x SNRs."""
+    if not any(order for order, _ in chains):
+        return [{} for _ in chains]
     if isinstance(schemes, LinearScheme):
         st = receiver_structure(schemes, receiver)
         a, k = st.scaled(rho)
@@ -246,12 +277,15 @@ def _chain_bits(schemes, rho, receiver: int, order, known_owner: str) -> dict:
         st = structures[0]
         a = np.stack([p[0] for p in pairs])
         k = np.stack([p[1] for p in pairs])
-    given = st.owner_masks[known_owner] | st.owner_masks["common"]
-    out = {}
-    for name in order:
-        out[name] = conditional_mi(a, k, st.masks[name], given)
-        given = given | st.masks[name]
-    return out
+    targets, givens = [], []
+    for order, known_owner in chains:
+        given = st.owner_masks[known_owner] | st.owner_masks["common"]
+        for name in order:
+            targets.append(st.masks[name])
+            givens.append(given)
+            given = given | st.masks[name]
+    bits = iter(conditional_mi(a, k, np.array(targets), np.array(givens)))
+    return [{name: next(bits) for name in order} for order, _ in chains]
 
 
 def reliability_bits(schemes, rho) -> dict:
@@ -268,10 +302,8 @@ def reliability_bits(schemes, rho) -> dict:
     """
     out = {}
     for receiver in (1, 2):
-        order = _first(schemes).decode_order.get(receiver, ())
-        if order:
-            other = _own_owner(2 if receiver == 1 else 1)
-            out.update(_chain_bits(schemes, rho, receiver, order, other))
+        chain = _reliability_chain(_first(schemes), receiver)
+        out.update(_receiver_bits(schemes, rho, receiver, [chain])[0])
     return out
 
 
@@ -283,11 +315,28 @@ def leakage_bits(schemes, rho, owner: int) -> dict:
     side knowledge can only increase the measured leakage).  Batching is as
     in ``reliability_bits``.
     """
-    other = 2 if owner == 1 else 1
-    order = _first(schemes).decode_order.get(owner, ())
-    if not order:
-        return {}
-    return _chain_bits(schemes, rho, other, order, _own_owner(other))
+    receiver = _other(owner)
+    chain = _leakage_chain(_first(schemes), receiver)
+    return _receiver_bits(schemes, rho, receiver, [chain])[0]
+
+
+def accounting_bits(schemes, rho) -> tuple[dict, dict]:
+    """(reliability, leakage) per group: ``reliability_bits`` and the union
+    of ``leakage_bits`` for both owners, with the same values.
+
+    Each receiver's reliability and leakage chains share one observation
+    stack and one ``conditional_mi`` call, so a conditioning set they have
+    in common (such as the noise-only set both chains end on) is evaluated
+    once.  Batching is as in ``reliability_bits``.
+    """
+    first = _first(schemes)
+    rel, leak = {}, {}
+    for receiver in (1, 2):
+        chains = [_reliability_chain(first, receiver), _leakage_chain(first, receiver)]
+        own, overheard = _receiver_bits(schemes, rho, receiver, chains)
+        rel.update(own)
+        leak.update(overheard)
+    return rel, leak
 
 
 def joint_leakage_bits(scheme: LinearScheme, rho: float, owner: int) -> float:

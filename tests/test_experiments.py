@@ -73,10 +73,11 @@ def test_run_sweep_reproducible_bytes(tmp_path):
     assert header == "scheme,alpha,rho_db,trial,symbol_group,mi_bits,leak_bits"
 
 
-def test_run_sweep_chunk_invariant(tmp_path, monkeypatch):
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_run_sweep_chunk_invariant(tmp_path, monkeypatch, kind):
     # 12 trials run as chunks of 8 + 4 by default; one trial per chunk and
     # all trials in one chunk must give the same bytes.
-    cfg = dict(scheme="sym-alt", alpha=0.5, rho_db=GRID, trials=12, seed=3)
+    cfg = dict(scheme=kind, alpha=0.5, rho_db=GRID, trials=12, seed=3)
     ref = tmp_path / "default.csv"
     run_sweep(SweepConfig(**cfg, out=str(ref)))
     for chunk in (1, 12):
@@ -173,6 +174,12 @@ def test_figure_data_validation():
         figure_data(5, alpha=0.5)
     with pytest.raises(ValueError):
         figure_data(3)
+
+
+@pytest.mark.parametrize("grid", [[1.5, 2.0], [0.5, -0.1], [0.5, float("nan")]])
+def test_figure8_refuses_alphas_outside_the_unit_interval(grid):
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\]"):
+        figure_data(8, alpha_grid=grid)
 
 
 def test_region_csv_contents():

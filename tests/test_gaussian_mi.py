@@ -215,6 +215,29 @@ def test_conditional_mi_batch_equals_slices():
     )
 
 
+def test_conditional_mi_pairs_equal_one_dimensional_calls():
+    # A leading pair axis on the masks gives, per pair, exactly the 1-D call,
+    # with a repeated pair, empty and rank-deficient keys, and batch axes.
+    rng = np.random.default_rng(12)
+    shape = (2, 3)
+    obs = rng.standard_normal((*shape, 4, 6)) + 1j * rng.standard_normal((*shape, 4, 6))
+    row = rng.standard_normal((2, 1, 1, 6)) + 1j * rng.standard_normal((2, 1, 1, 6))
+    deficient = np.concatenate([row, 2 * row, np.zeros_like(row)], axis=-2)  # rank 1 of 3
+    pairs = [([0, 1], [5]), ([2], [0, 1, 5]), ([0, 1], [5]), ([3, 4], []), ([5], [5])]
+    target = np.array([_mask(6, t) for t, _ in pairs])
+    given = np.array([_mask(6, g) for _, g in pairs])
+    for keys in (np.zeros((*shape, 0, 6)), deficient):
+        stacked = conditional_mi(obs, keys, target, given)
+        assert stacked.shape == (len(pairs), *shape)
+        for p in range(len(pairs)):
+            assert np.array_equal(stacked[p], conditional_mi(obs, keys, target[p], given[p]))
+        assert np.array_equal(stacked[0], stacked[2])
+        assert not stacked[4].any()
+    one = conditional_mi(obs[0, 0], deficient[0, 0], target, given)
+    assert one.shape == (len(pairs),)
+    assert list(one) == [conditional_mi(obs[0, 0], deficient[0, 0], t, g) for t, g in zip(target, given)]
+
+
 def test_fit_slope_recovers_line():
     x = np.array([10.0, 20.0, 30.0, 40.0])
     y = 0.75 * x + 3.0

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gsdof import lattice, regions, schemes
+from gsdof import gaussian_mi, lattice, regions, schemes
 from gsdof.experiments import REGION_BUILDERS, SCHEME_TARGETS
 from gsdof.gaussian_mi import fit_slope
 from gsdof.schemes import (
@@ -13,6 +13,7 @@ from gsdof.schemes import (
     SCHEMES,
     SECURE_SCHEMES,
     UniformQuantizer,
+    accounting_bits,
     audit_causality,
     build_scheme,
     build_wiretap_gaussian,
@@ -165,10 +166,16 @@ def _doubled_keys(sch):
 
 def _stacked_vs_scalar(batch):
     # Stacked (schemes x SNRs) accounting against per-scheme, per-rho calls;
-    # owner 0 stands for reliability.
+    # owner 0 stands for reliability.  The per-receiver pass must give the
+    # same arrays as the separate reliability and leakage calls.
     stacked = {0: reliability_bits(batch, STACK_RHOS)}
     for owner in (1, 2):
         stacked[owner] = leakage_bits(batch, STACK_RHOS, owner)
+    rel, leak = accounting_bits(batch, STACK_RHOS)
+    for got, want in ((rel, stacked[0]), (leak, {**stacked[1], **stacked[2]})):
+        assert sorted(got) == sorted(want)
+        for g, bits in want.items():
+            assert np.array_equal(got[g], bits), g
     for t, sch in enumerate(batch):
         for j, rho in enumerate(STACK_RHOS):
             for owner, got in stacked.items():
@@ -185,6 +192,80 @@ def test_stacked_accounting_equals_scalar_calls(kind):
     _stacked_vs_scalar(batch)
     if any(sch.keys for sch in batch):
         _stacked_vs_scalar([_doubled_keys(sch) for sch in batch])
+
+
+def _distinct_conditioning_sets(sch):
+    # Sets of conditioned-on groups over both chains at each receiver,
+    # counted from the decode orders alone.
+    owned = {o: {g.name for g in sch.groups if g.owner == o} for o in ("rx1", "rx2", "common")}
+    total = 0
+    for receiver, other in ((1, 2), (2, 1)):
+        sets = set()
+        for order, known in (
+            (sch.decode_order.get(receiver, ()), f"rx{other}"),
+            (sch.decode_order.get(other, ()), f"rx{receiver}"),
+        ):
+            given = owned[known] | owned["common"]
+            for i in range(len(order) + 1 if order else 0):
+                sets.add(frozenset(given | set(order[:i])))
+        total += len(sets)
+    return total
+
+
+# Log-det evaluations per chunk of trials: one per distinct conditioning set.
+LOGDETS_PER_CHUNK = {
+    "wiretap-gaussian": 4,
+    "wiretap-gaussian-a1": 4,
+    "yang": 6,
+    "bc-fixed": 8,
+    "sym-alt": 8,
+    "wiretap-lattice": 6,
+    "int-sym-alt": 10,
+    "gdof": 8,
+    "wiretap-nonoise": 4,
+}
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_accounting_evaluates_each_conditioning_set_once(kind, monkeypatch):
+    calls = []
+    entropy = gaussian_mi._entropy_given_keys
+
+    def counted(a, k):
+        calls.append(a.shape)
+        return entropy(a, k)
+
+    monkeypatch.setattr(gaussian_mi, "_entropy_given_keys", counted)
+    batch = [build_scheme(kind, 0.5, np.random.SeedSequence(i)) for i in range(3)]
+    accounting_bits(batch, STACK_RHOS)
+    assert len(calls) == LOGDETS_PER_CHUNK[kind] == _distinct_conditioning_sets(batch[0])
+    assert all(shape[:2] == (3, len(STACK_RHOS)) for shape in calls)
+
+
+def test_logdets_per_chunk_total():
+    assert sorted(LOGDETS_PER_CHUNK) == sorted(SCHEMES)
+    assert sum(LOGDETS_PER_CHUNK.values()) == 58
+
+
+def test_keys_carry_no_snr_axis():
+    st = receiver_structure(build_scheme("bc-fixed", 0.5, seed=2), 1)
+    rhos = 10.0 ** np.array([[6.0, 8.0, 10.0], [7.0, 9.0, 11.0]])
+    a, k = st.scaled(rhos)
+    assert a.shape == (2, 3, *st.coef.shape)
+    assert k.shape == (1, 1, *st.key_coef.shape)
+    assert np.array_equal(k[0, 0], st.key_coef)
+    a1, k1 = st.scaled(1e9)
+    assert a1.shape == st.coef.shape
+    assert np.array_equal(k1, st.key_coef)
+
+
+def test_receiver_structure_refuses_key_on_scaled_group():
+    sch = build_scheme("bc-fixed", 0.5, seed=2)
+    size = sch.group("v_low").size
+    keys = {1: {"v_low": np.ones((1, size), dtype=np.complex128)}}
+    sch = dataclasses.replace(sch, keys=keys, meta={})
+    with pytest.raises(ValueError, match="'v_low'"):
+        receiver_structure(sch, 1)
 
 
 def test_common_layer_rate_certified():
