@@ -9,6 +9,7 @@ chunked for batched MI evaluation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,10 +80,12 @@ class SweepConfig:
         SCHEMES[self.scheme].domain(self.alpha)
         grid = tuple(float(x) for x in self.rho_db)
         object.__setattr__(self, "rho_db", grid)
+        if not all(math.isfinite(x) for x in grid):
+            raise ValueError(f"rho_db must hold finite dB values, got {grid}")
         if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("rho grid must be strictly increasing with >= 4 points")
-        if self.trials < 10:
-            raise ValueError("need at least 10 trials")
+        if not isinstance(self.trials, numbers.Integral) or self.trials < 10:
+            raise ValueError(f"trials must be an integer of at least 10, got {self.trials!r}")
 
 
 @dataclass
@@ -153,10 +156,10 @@ def run_sweep(config: SweepConfig) -> RateReport:
     n_slots = scheme_block_length(first)
     owners = {g.name: g.owner for g in first.groups}
     group_names = list(rel_parts[0])
-    no_leak = [[0.0] * len(rho_lin)] * config.trials
+    no_leak = np.zeros((config.trials, len(rho_lin)))
 
     def joined(parts, g):
-        return np.concatenate([p[g] for p in parts]).tolist() if g in parts[0] else no_leak
+        return np.concatenate([p[g] for p in parts]) if g in parts[0] else no_leak
 
     mi = {g: joined(rel_parts, g) for g in group_names}
     leak = {g: joined(leak_parts, g) for g in group_names}
@@ -171,22 +174,28 @@ def run_sweep(config: SweepConfig) -> RateReport:
         group_owner={g: owners[g] for g in group_names},
     )
 
+    def trial_mean(vals):
+        # Summed in trial order from 0.0, so the means keep their bits.
+        total = np.zeros(len(rho_lin))
+        for row in vals:
+            total += row
+        return (total / config.trials).tolist()
+
+    means = {g: (trial_mean(mi[g]), trial_mean(leak[g])) for g in group_names}
+    for j, db in enumerate(config.rho_db):
+        for g in group_names:
+            report.mean_mi[(db, g)], report.mean_leak[(db, g)] = means[g][0][j], means[g][1][j]
+
+    # Rows are trial-major; each SNR's "scheme,alpha,rho_db," prefix is
+    # formatted once, and per row only the trial, the group and the two
+    # values (as _f formats them).
+    values = {g: (mi[g].tolist(), leak[g].tolist()) for g in group_names}
+    prefixes = [f"{config.scheme},{_f(config.alpha)},{_f(db)}," for db in config.rho_db]
     lines = ["scheme,alpha,rho_db,trial,symbol_group,mi_bits,leak_bits"]
-    sums_mi = {(db, g): 0.0 for db in config.rho_db for g in group_names}
-    sums_leak = dict(sums_mi)
     for trial in range(config.trials):
-        for j, db in enumerate(config.rho_db):
-            for g in group_names:
-                m, lk = mi[g][trial][j], leak[g][trial][j]
-                sums_mi[(db, g)] += m
-                sums_leak[(db, g)] += lk
-                lines.append(
-                    f"{config.scheme},{_f(config.alpha)},{_f(db)},{trial},{g},{_f(m)},{_f(lk)}"
-                )
-    for key, total in sums_mi.items():
-        report.mean_mi[key] = total / config.trials
-    for key, total in sums_leak.items():
-        report.mean_leak[key] = total / config.trials
+        for j, prefix in enumerate(prefixes):
+            for g, (m, lk) in values.items():
+                lines.append(f"{prefix}{trial},{g},{m[trial][j]:.12g},{lk[trial][j]:.12g}")
 
     x = np.log2(rho_lin)
     for g in group_names:

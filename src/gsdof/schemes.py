@@ -136,7 +136,7 @@ class LinearScheme:
 def _normalize(slot_maps) -> tuple[float, ...]:
     norms = []
     for maps in slot_maps:
-        total = sum(float(np.sum(np.abs(m) ** 2)) for m in maps.values())
+        total = sum(float((np.abs(m) ** 2).sum()) for m in maps.values())
         norms.append(math.sqrt(total) if total > 0 else 1.0)
     return tuple(norms)
 
@@ -150,89 +150,130 @@ def scheme_block_length(scheme: LinearScheme) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _ReceiverStructure:
-    """Pre-assembled stripped coefficients for one receiver's observations."""
+def _layout_signature(scheme: LinearScheme) -> tuple:
+    """What a receiver's layout is built from: schemes with equal signatures
+    share offsets, masks, exponents, the row plan and the key placement."""
+    key_shapes = tuple(
+        (receiver, tuple((name, m.shape) for name, m in key_map.items()))
+        for receiver, key_map in scheme.keys.items()
+    )
+    return (
+        scheme.name,
+        scheme.alpha,
+        scheme.realization.states,
+        scheme.groups,
+        scheme.side_channels,
+        key_shapes,
+    )
 
-    def __init__(self, scheme: LinearScheme, receiver: int):
-        real = scheme.realization
-        alpha = scheme.alpha
+
+class _ReceiverStructure:
+    """Stripped coefficients of one receiver's observations, for one scheme
+    or a chunk of schemes of one kind and alpha.
+
+    The layout comes from the first scheme: column offsets, group and owner
+    masks, row and column exponents, the row plan (each row's slot and
+    channel: the receiver's own, or the other receiver's for a delivered
+    side channel) and the key placement.  ``coef`` (B, rows, cols) and
+    ``key_coef`` (B, keys, cols) hold each scheme's coefficients; each
+    (slot, group) cell is filled for all rows and schemes with one stacked
+    ``(B, 1, 2) @ (B, 2, size)`` matmul per row.  For a single scheme the
+    leading axis is dropped."""
+
+    def __init__(self, schemes, receiver: int):
+        single = isinstance(schemes, LinearScheme)
+        schemes = [schemes] if single else list(schemes)
+        first = schemes[0]
+        signature = _layout_signature(first)
+        for i, s in enumerate(schemes[1:], 1):
+            if _layout_signature(s) != signature:
+                raise ValueError(
+                    f"scheme {i} of the chunk differs from scheme 0 in its kind, "
+                    "alpha, states, groups, side channels or key shapes"
+                )
+        real, alpha = first.realization, first.alpha
         offsets = {}
         pos = 0
-        for g in scheme.groups:
+        for g in first.groups:
             offsets[g.name] = (pos, g.size)
             pos += g.size
         self.total = pos
         self.col_exp = np.zeros(pos)
-        for g in scheme.groups:
+        self.masks = {}
+        for g in first.groups:
             off, size = offsets[g.name]
             self.col_exp[off : off + size] = g.exponent
-        self.masks = {}
-        for g in scheme.groups:
             mask = np.zeros(pos, dtype=bool)
-            off, size = offsets[g.name]
             mask[off : off + size] = True
             self.masks[g.name] = mask
-
-        # One row per own slot output, then one per overheard slot output
-        # delivered as side information: (channel row, slot) pairs.
-        own, other = (real.h, real.g) if receiver == 1 else (real.g, real.h)
-        rows = [(own[t], t) for t in range(real.n)]
-        row_exp = [real.states[t].exponents(alpha)[receiver - 1] for t in range(real.n)]
-        for ch in scheme.side_channels:
-            if ch.receiver == receiver:
-                rows += [(other[t], t) for t in ch.slots]
-                row_exp += [ch.gain_exponent] * len(ch.slots)
-        self.coef = np.zeros((len(rows), pos), dtype=np.complex128)
-        for i, (row_vec, t) in enumerate(rows):
-            for name, m in scheme.slot_maps[t].items():
-                off, size = offsets[name]
-                self.coef[i, off : off + size] = (row_vec @ m) / scheme.slot_norms[t]
-        self.row_exp = np.asarray(row_exp, dtype=float)
-
-        # Keys must not depend on the SNR, so they may only sit on unit-power
-        # groups; scaled() then needs no SNR axis for them.
-        key_map = scheme.keys.get(receiver, {})
-        if key_map:
-            k = next(iter(key_map.values())).shape[0]
-            kc = np.zeros((k, pos), dtype=np.complex128)
-            for name, m in key_map.items():
-                exponent = scheme.group(name).exponent
-                if exponent != 0:
-                    raise ValueError(
-                        f"key on group {name!r} with power exponent {exponent}: "
-                        "keys must sit on unit-power groups"
-                    )
-                off, size = offsets[name]
-                kc[:, off : off + size] = m
-            self.key_coef = kc
-        else:
-            self.key_coef = np.zeros((0, pos), dtype=np.complex128)
-
         self.owner_masks = {}
         for owner in ("rx1", "rx2", "noise", "common"):
             mask = np.zeros(pos, dtype=bool)
-            for g in scheme.groups:
+            for g in first.groups:
                 if g.owner == owner:
                     mask |= self.masks[g.name]
             self.owner_masks[owner] = mask
 
+        # Row plan: one row per own slot output, then one per overheard slot
+        # output delivered as side information, each as (slot, channel).
+        own, other = ("h", "g") if receiver == 1 else ("g", "h")
+        plan = [(t, own) for t in range(real.n)]
+        row_exp = [real.states[t].exponents(alpha)[receiver - 1] for t in range(real.n)]
+        for ch in first.side_channels:
+            if ch.receiver == receiver:
+                plan += [(t, other) for t in ch.slots]
+                row_exp += [ch.gain_exponent] * len(ch.slots)
+        self.row_exp = np.asarray(row_exp, dtype=float)
+
+        channels = {
+            "h": np.array([s.realization.h for s in schemes])[:, :, None, :],
+            "g": np.array([s.realization.g for s in schemes])[:, :, None, :],
+        }
+        norms = np.array([s.slot_norms for s in schemes])[:, :, None, None]
+        coef = np.zeros((len(schemes), len(plan), pos), dtype=np.complex128)
+        for t, maps in enumerate(first.slot_maps):
+            rows = [(i, channels[c][:, t]) for i, (slot, c) in enumerate(plan) if slot == t]
+            for name in maps:
+                off, size = offsets[name]
+                m = np.array([s.slot_maps[t][name] for s in schemes])
+                # One row per product: a product over several rows may round
+                # differently, and the sweep CSVs are pinned bit for bit.
+                for i, vec in rows:
+                    coef[:, i : i + 1, off : off + size] = (vec @ m) / norms[:, t]
+
+        # Keys must not depend on the SNR, so they may only sit on unit-power
+        # groups; scaled() then needs no SNR axis for them.
+        key_map = first.keys.get(receiver, {})
+        k = next(iter(key_map.values())).shape[0] if key_map else 0
+        key_coef = np.zeros((len(schemes), k, pos), dtype=np.complex128)
+        for name in key_map:
+            exponent = first.group(name).exponent
+            if exponent != 0:
+                raise ValueError(
+                    f"key on group {name!r} with power exponent {exponent}: "
+                    "keys must sit on unit-power groups"
+                )
+            off, size = offsets[name]
+            key_coef[:, :, off : off + size] = np.array([s.keys[receiver][name] for s in schemes])
+        self.coef, self.key_coef = (coef[0], key_coef[0]) if single else (coef, key_coef)
+
     def scaled(self, rho) -> tuple[np.ndarray, np.ndarray]:
         """Observation and key matrices at SNR ``rho``, a scalar or an array
-        whose shape becomes the leading batch shape of the observations.
-        The keys do not depend on the SNR: they get one size-1 axis per SNR
-        axis, which broadcasts."""
+        whose shape becomes the batch shape of the observations, after the
+        chunk axis if there is one.  The keys do not depend on the SNR: they
+        get one size-1 axis per SNR axis, which broadcasts."""
         r = np.asarray(rho, dtype=float)
-        a = self.coef * r[..., None, None] ** (
+        lead = self.coef.shape[:-2] + (1,) * r.ndim
+        a = self.coef.reshape(lead + self.coef.shape[-2:]) * r[..., None, None] ** (
             (self.row_exp[:, None] + self.col_exp[None, :]) / 2.0
         )
-        return a, self.key_coef.reshape((1,) * r.ndim + self.key_coef.shape)
+        return a, self.key_coef.reshape(lead + self.key_coef.shape[-2:])
 
 
-def receiver_structure(scheme: LinearScheme, receiver: int) -> _ReceiverStructure:
-    cache = scheme.meta.setdefault("_structures", {})
-    if receiver not in cache:
-        cache[receiver] = _ReceiverStructure(scheme, receiver)
-    return cache[receiver]
+def receiver_structure(schemes, receiver: int) -> _ReceiverStructure:
+    """``receiver``'s observation structure for one scheme, or for a chunk
+    of schemes of one kind and alpha (refused with a ValueError otherwise)."""
+    return _ReceiverStructure(schemes, receiver)
 
 
 def _own_owner(receiver: int) -> str:
@@ -268,15 +309,8 @@ def _receiver_bits(schemes, rho, receiver: int, chains) -> list[dict]:
     of schemes stacks the receiver matrices over schemes x SNRs."""
     if not any(order for order, _ in chains):
         return [{} for _ in chains]
-    if isinstance(schemes, LinearScheme):
-        st = receiver_structure(schemes, receiver)
-        a, k = st.scaled(rho)
-    else:
-        structures = [receiver_structure(s, receiver) for s in schemes]
-        pairs = [s.scaled(rho) for s in structures]
-        st = structures[0]
-        a = np.stack([p[0] for p in pairs])
-        k = np.stack([p[1] for p in pairs])
+    st = receiver_structure(schemes, receiver)
+    a, k = st.scaled(rho)
     targets, givens = [], []
     for order, known_owner in chains:
         given = st.owner_masks[known_owner] | st.owner_masks["common"]

@@ -180,19 +180,25 @@ def state_sequence(profile: TopologyProfile, n: int) -> tuple[TopologyState, ...
     return tuple(out)
 
 
-def _draw_slot(rng: np.random.Generator, mode: str) -> tuple[np.ndarray, np.ndarray]:
+def _draw_slots(rng: np.random.Generator, mode: str, shape: tuple) -> np.ndarray:
+    """Channel matrices [h_t; g_t] of shape ``shape + (2, 2)``, drawn in one
+    generator call.  Generator streams are sequential, so one call over n
+    slots draws exactly what n one-slot calls draw."""
     if mode == "complex":
-        # Circularly-symmetric standard complex Gaussian entries.
-        raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        m = raw / np.sqrt(2.0)
-    elif mode == "integer":
+        # Circularly-symmetric standard complex Gaussian entries: per slot,
+        # four real parts, then four imaginary parts.
+        raw = rng.standard_normal(shape + (2, 2, 2))
+        return (raw[..., 0, :, :] + 1j * raw[..., 1, :, :]) / np.sqrt(2.0)
+    if mode == "integer":
         # Nonzero integers only: a zero coefficient on a reused antenna path
         # breaks decodability and noise cover with constant probability.
         vals = np.array([-3, -2, -1, 1, 2, 3])
-        m = rng.choice(vals, size=(2, 2)).astype(np.complex128)
-    else:
-        raise ValueError(f"unknown channel mode {mode!r}")
-    return m[0], m[1]
+        return rng.choice(vals, size=shape + (2, 2)).astype(np.complex128)
+    raise ValueError(f"unknown channel mode {mode!r}")
+
+
+def _full_rank(m: np.ndarray):
+    return np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]) > RANK_TOL
 
 
 def draw_channels(
@@ -207,23 +213,28 @@ def draw_channels(
     Identical seeds give bitwise-identical realizations.  Complex mode draws
     i.i.d. CN(0, 1) coefficients; integer mode draws uniformly from the
     nonzero integers -3..3.
+
+    All n slots come from one generator call.  If any slot fails the rank
+    test, the generator is re-seeded and the slots are drawn one at a time,
+    each redrawn until it passes, so the realization is the same as from
+    the slot loop alone.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     states = tuple(states)
     if len(states) != n:
         raise ValueError("states length must equal n")
-    rng = np.random.default_rng(seed)
-    h = np.zeros((n, 2), dtype=np.complex128)
-    g = np.zeros((n, 2), dtype=np.complex128)
-    for t in range(n):
-        for attempt in range(_MAX_REDRAWS):
-            ht, gt = _draw_slot(rng, mode)
-            if abs(ht[0] * gt[1] - ht[1] * gt[0]) > RANK_TOL:
-                h[t], g[t] = ht, gt
-                break
-        else:
-            raise RuntimeError(f"slot {t}: no full-rank draw in {_MAX_REDRAWS} tries")
+    m = _draw_slots(np.random.default_rng(seed), mode, (n,))
+    if not _full_rank(m).all():
+        rng = np.random.default_rng(seed)
+        for t in range(n):
+            for attempt in range(_MAX_REDRAWS):
+                m[t] = _draw_slots(rng, mode, ())
+                if _full_rank(m[t]):
+                    break
+            else:
+                raise RuntimeError(f"slot {t}: no full-rank draw in {_MAX_REDRAWS} tries")
+    h, g = m[:, 0].copy(), m[:, 1].copy()
     return ChannelRealization(n=n, h=h, g=g, states=states, rho=float(rho), mode=mode)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,24 @@ def test_sweep_config_validation():
     for alpha in (-0.2, 1.5, float("nan")):
         with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\]"):
             SweepConfig("yang", alpha, GRID)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_sweep_config_refuses_non_finite_snrs(bad):
+    with pytest.raises(ValueError, match="^rho_db must hold finite dB values"):
+        SweepConfig("yang", 0.5, (60, 70, 80, bad), trials=10)
+    with pytest.raises(ValueError, match="^rho_db must hold finite dB values"):
+        SweepConfig("yang", 0.5, (bad, 70, 80, 90), trials=10)
+
+
+@pytest.mark.parametrize("trials", [12.0, 10.5, "12", None, 9, True])
+def test_sweep_config_refuses_trials_that_are_not_an_integer_of_at_least_10(trials):
+    with pytest.raises(ValueError, match="^trials must be an integer of at least 10"):
+        SweepConfig("yang", 0.5, GRID, trials=trials)
+
+
+def test_sweep_config_accepts_numpy_integer_trials():
+    assert SweepConfig("yang", 0.5, GRID, trials=np.int64(10)).trials == 10
 
 
 def test_sweep_config_refuses_alphas_it_cannot_build():
@@ -85,6 +105,29 @@ def test_run_sweep_chunk_invariant(tmp_path, monkeypatch, kind):
         monkeypatch.setattr(experiments, "SWEEP_CHUNK", chunk)
         run_sweep(SweepConfig(**cfg, out=str(out)))
         assert out.read_bytes() == ref.read_bytes()
+
+
+# sha256 of the run_sweep CSV at alpha 0.5, GRID, 12 trials, seed 3, for
+# every kind: refactors of the build, accounting and CSV layers must keep
+# these bytes.  Generated with numpy 2.4.6 on x86-64; a different numpy or
+# BLAS build may round the log-dets differently.
+SWEEP_DIGESTS = {
+    "wiretap-gaussian": "45beccc2781bc35d5462e92e6e632f06da0a9178720814d59a0aadcfb7c59e40",
+    "wiretap-gaussian-a1": "38c13add2969075674f732fe348df8503b9ad26725ec2247cc5713e466ac1424",
+    "yang": "a90f553f243bccf77bc9c73530466f493260bdb44fa9944e5de85a46c5379e69",
+    "bc-fixed": "5808dba23efca785aea35ed3493756fcfcd8d8cd0224d083e904bedc65a7bf74",
+    "sym-alt": "f0079d65532a875049fdf659ec2df7a3916be23cd120c822da6edc7dc6963c90",
+    "wiretap-lattice": "d2a14c0f4bd3f9ac19d32b876e3d1394ff1663c457d03c1dee10cd3efcea7e78",
+    "int-sym-alt": "294d6da221f0a0d0892c930c7b5a1c72c841847af66c03e3680750c075356258",
+    "gdof": "12b904dfa22f26a069ab3638198f85760437993be8dd9c6eb66ecebe7238d0c0",
+    "wiretap-nonoise": "8bb7addedbf2ee20a5a57d8b4cdd5626025d44f06010195fd04b88f6638e3cad",
+}
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_run_sweep_csv_digest(kind):
+    rep = run_sweep(SweepConfig(kind, 0.5, GRID, trials=12, seed=3))
+    assert hashlib.sha256(rep.csv_text.encode("utf-8")).hexdigest() == SWEEP_DIGESTS[kind]
 
 
 @pytest.mark.parametrize("kind", ["wiretap-gaussian-a1", "yang"])

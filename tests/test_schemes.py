@@ -32,6 +32,7 @@ from gsdof.schemes import (
 )
 from gsdof.topology import (
     STATE_1A,
+    STATE_A1,
     ChannelRealization,
     TopologyProfile,
     draw_channels,
@@ -160,8 +161,7 @@ STACK_RHOS = 10.0 ** np.array([6.0, 8.5, 12.0])
 def _doubled_keys(sch):
     # Every key row twice: the same knowledge as a rank-deficient key matrix.
     keys = {r: {g: np.vstack([m, m]) for g, m in km.items()} for r, km in sch.keys.items()}
-    meta = {k: v for k, v in sch.meta.items() if k != "_structures"}
-    return dataclasses.replace(sch, keys=keys, meta=meta)
+    return dataclasses.replace(sch, keys=keys)
 
 
 def _stacked_vs_scalar(batch):
@@ -263,9 +263,86 @@ def test_receiver_structure_refuses_key_on_scaled_group():
     sch = build_scheme("bc-fixed", 0.5, seed=2)
     size = sch.group("v_low").size
     keys = {1: {"v_low": np.ones((1, size), dtype=np.complex128)}}
-    sch = dataclasses.replace(sch, keys=keys, meta={})
+    sch = dataclasses.replace(sch, keys=keys)
     with pytest.raises(ValueError, match="'v_low'"):
         receiver_structure(sch, 1)
+
+
+def _same_bytes(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _row_by_row_coef(sch, receiver):
+    # Reference fill: each observation row (own slot outputs, then the
+    # overheard outputs delivered to this receiver) times each slot map.
+    real = sch.realization
+    own, other = (real.h, real.g) if receiver == 1 else (real.g, real.h)
+    rows = [(own[t], t) for t in range(real.n)]
+    for ch in sch.side_channels:
+        if ch.receiver == receiver:
+            rows += [(other[t], t) for t in ch.slots]
+    offsets = np.cumsum([0] + [g.size for g in sch.groups])
+    cols = {g.name: offsets[i] for i, g in enumerate(sch.groups)}
+    coef = np.zeros((len(rows), offsets[-1]), dtype=np.complex128)
+    for i, (vec, t) in enumerate(rows):
+        for name, m in sch.slot_maps[t].items():
+            coef[i, cols[name] : cols[name] + m.shape[1]] = (vec @ m) / sch.slot_norms[t]
+    return coef
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_chunk_structure_equals_one_scheme_structures(kind):
+    # A chunk of B schemes gives exactly the coefficients, keys, exponents
+    # and masks of B one-scheme structures, side-information rows included,
+    # and the coefficients of a row-by-row fill.
+    batch = [build_scheme(kind, 0.5, np.random.SeedSequence(i)) for i in range(8)]
+    for receiver in (1, 2):
+        chunk = receiver_structure(batch, receiver)
+        assert chunk.coef.shape[0] == chunk.key_coef.shape[0] == len(batch)
+        a, k = chunk.scaled(STACK_RHOS)
+        for b, sch in enumerate(batch):
+            one = receiver_structure(sch, receiver)
+            assert chunk.total == one.total
+            assert _same_bytes(chunk.coef[b], one.coef)
+            assert _same_bytes(one.coef, _row_by_row_coef(sch, receiver))
+            assert _same_bytes(chunk.key_coef[b], one.key_coef)
+            assert _same_bytes(chunk.row_exp, one.row_exp)
+            assert _same_bytes(chunk.col_exp, one.col_exp)
+            for masks, ref in ((chunk.masks, one.masks), (chunk.owner_masks, one.owner_masks)):
+                assert list(masks) == list(ref)
+                assert all(_same_bytes(masks[name], ref[name]) for name in ref)
+            a1, k1 = one.scaled(STACK_RHOS)
+            assert _same_bytes(a[b], a1) and _same_bytes(k[b], k1)
+        if any(ch.receiver == receiver for ch in batch[0].side_channels):
+            assert chunk.coef.shape[1] > batch[0].realization.n
+
+
+def _other_states(sch):
+    real = sch.realization
+    flipped = tuple(STATE_A1 if s == STATE_1A else STATE_1A for s in real.states)
+    return dataclasses.replace(sch, realization=dataclasses.replace(real, states=flipped))
+
+
+CHUNK_MISMATCHES = {
+    "name": lambda sch: dataclasses.replace(sch, name="other"),
+    "alpha": lambda sch: dataclasses.replace(sch, alpha=0.25),
+    "states": _other_states,
+    "groups": lambda sch: dataclasses.replace(sch, groups=sch.groups[::-1]),
+    "side channels": lambda sch: dataclasses.replace(sch, side_channels=sch.side_channels[:1]),
+    "key shapes": _doubled_keys,
+}
+
+
+@pytest.mark.parametrize("field", CHUNK_MISMATCHES)
+def test_receiver_structure_refuses_mixed_chunks(field):
+    # The chunk's layout and exponents come from its first scheme, so a
+    # scheme that would need another layout is refused, not mis-scaled.
+    batch = [build_scheme("sym-alt", 0.5, np.random.SeedSequence(i)) for i in range(3)]
+    batch[2] = CHUNK_MISMATCHES[field](batch[2])
+    for receiver in (1, 2):
+        with pytest.raises(ValueError, match="^scheme 2 of the chunk differs from scheme 0"):
+            receiver_structure(batch, receiver)
 
 
 def test_common_layer_rate_certified():

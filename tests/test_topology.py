@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gsdof import topology
 from gsdof.topology import (
     STATE_11,
     STATE_1A,
@@ -71,6 +72,54 @@ def test_draw_channels_deterministic():
     r2 = draw_channels(5, states, rho=1e6, seed=1234, mode="complex")
     assert np.array_equal(r1.h, r2.h)
     assert np.array_equal(r1.g, r2.g)
+
+
+def _slot_loop_draw(n, seed, mode):
+    # Reference: one slot at a time, each redrawn until its 2x2 channel
+    # matrix has |det| > 1e-9.
+    rng = np.random.default_rng(seed)
+    h = np.zeros((n, 2), dtype=np.complex128)
+    g = np.zeros((n, 2), dtype=np.complex128)
+    for t in range(n):
+        while True:
+            if mode == "complex":
+                raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                m = raw / np.sqrt(2.0)
+            else:
+                m = rng.choice(np.array([-3, -2, -1, 1, 2, 3]), size=(2, 2)).astype(np.complex128)
+            if abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) > 1e-9:
+                break
+        h[t], g[t] = m[0], m[1]
+    return h, g
+
+
+@pytest.mark.parametrize("mode, seeds", [("complex", range(200)), ("integer", range(300))])
+def test_draw_channels_equals_slot_loop(monkeypatch, mode, seeds):
+    # One generator call for all slots, with the slot loop as the fallback
+    # when a slot fails the rank test: bit for bit the slot loop's draws.
+    slot_calls = []
+    draw = topology._draw_slots
+
+    def spy(rng, mode, shape):
+        if shape == ():
+            slot_calls.append(1)
+        return draw(rng, mode, shape)
+
+    monkeypatch.setattr(topology, "_draw_slots", spy)
+    n = 12
+    fallbacks = 0
+    for seed in seeds:
+        before = len(slot_calls)
+        real = draw_channels(n, (STATE_1A,) * n, rho=1e8, seed=seed, mode=mode)
+        fallbacks += len(slot_calls) > before
+        h, g = _slot_loop_draw(n, seed, mode)
+        assert real.h.tobytes() == h.tobytes() and real.g.tobytes() == g.tobytes(), seed
+    if mode == "integer":
+        # Integer slots are singular often enough that some seeds take the
+        # fallback and some do not.
+        assert 0 < fallbacks < len(seeds)
+    else:
+        assert fallbacks == 0
 
 
 def test_draw_channels_integer_exhaustive_scan():
