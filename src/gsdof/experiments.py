@@ -50,10 +50,10 @@ LEAK_CANARY_MIN = 0.5
 
 _FMT = ".12g"
 
-# Trials whose schemes run_sweep builds and evaluates as one stacked batch
-# (trials x SNRs).  Larger chunks amortise more per-call overhead of the
-# linear-algebra kernels but raise peak memory; the output does not depend
-# on it.
+# Trials that run_sweep builds as one trial-batched scheme and evaluates as
+# one stacked batch (trials x SNRs).  Larger chunks amortise more per-call
+# overhead of the builders and linear-algebra kernels but raise peak memory;
+# the output does not depend on it.
 SWEEP_CHUNK = 8
 
 
@@ -63,6 +63,14 @@ def _f(x) -> str:
 
 def rho_from_db(db) -> np.ndarray:
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
+
+
+def _check_trials_and_seed(trials, seed) -> None:
+    """Refuse a trial count or seed that would fail only inside trial 0."""
+    if not isinstance(trials, numbers.Integral) or trials < 10:
+        raise ValueError(f"trials must be an integer of at least 10, got {trials!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +92,7 @@ class SweepConfig:
             raise ValueError(f"rho_db must hold finite dB values, got {grid}")
         if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("rho grid must be strictly increasing with >= 4 points")
-        if not isinstance(self.trials, numbers.Integral) or self.trials < 10:
-            raise ValueError(f"trials must be an integer of at least 10, got {self.trials!r}")
+        _check_trials_and_seed(self.trials, self.seed)
 
 
 @dataclass
@@ -121,12 +128,12 @@ class RateReport:
 
 
 def _sweep_chunk(config: SweepConfig, seqs, rho_lin):
-    """Build one chunk of trials and evaluate reliability and leakage for
-    all of them over the SNR grid: (first scheme, rel, leak), where rel and
-    leak map group -> (trials, SNRs) bits."""
-    schemes = [build_scheme(config.scheme, config.alpha, seq) for seq in seqs]
-    rel, leak = accounting_bits(schemes, rho_lin)
-    return schemes[0], rel, leak
+    """Build one chunk of trials as one trial-batched scheme and evaluate
+    reliability and leakage for all of them over the SNR grid: (scheme,
+    rel, leak), where rel and leak map group -> (trials, SNRs) bits."""
+    scheme = build_scheme(config.scheme, config.alpha, seqs)
+    rel, leak = accounting_bits(scheme, rho_lin)
+    return scheme, rel, leak
 
 
 def run_sweep(config: SweepConfig) -> RateReport:
@@ -373,8 +380,10 @@ def verify_all(
     """Run the full cross-validation suite; every entry must pass.
 
     ``alpha_grid`` drives region checks; scheme slope, leakage and decode
-    checks run at ``scheme_alphas``.
+    checks run at ``scheme_alphas``.  ``trials`` and ``seed`` are checked
+    before any check runs.
     """
+    _check_trials_and_seed(trials, seed)
     checks = []
     checks += _region_checks(alpha_grid)
     checks += _lemma1_checks(scheme_alphas, rho_db, seed)

@@ -160,7 +160,8 @@ def _with_structured_noise(base: LinearScheme, name: str) -> LinearScheme:
     on antenna 1 of slot 1.  Each decoding receiver recovers its slot-1
     noise combination exactly by nearest-point decoding, treating the
     low-power layer as bounded interference; receiver 1 then peels that
-    layer, and the Gaussian decode plan runs on the exact noise keys.
+    layer, and the Gaussian decode plan runs on the exact noise keys.  A
+    trial-batched base gives a trial-batched variant.
     """
     real, alpha = base.realization, base.alpha
     if real.mode != "integer":
@@ -194,7 +195,7 @@ def _with_structured_noise(base: LinearScheme, name: str) -> LinearScheme:
         name=name,
         groups=groups,
         slot_maps=slot_maps,
-        slot_norms=(*_normalize(slot_maps[:1]), *base.slot_norms[1:]),
+        slot_norms=(*_normalize(slot_maps[:1], real), *base.slot_norms[1:]),
         decode_order={**base.decode_order, 1: ("v_low", *base.decode_order[1])},
         ledger={"v_low": 1.0 - alpha, **base.ledger},
         decoder=decoder,

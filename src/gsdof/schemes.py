@@ -24,7 +24,7 @@ certified separately by their own mutual information.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -117,10 +117,10 @@ class LinearScheme:
     alpha: float
     realization: ChannelRealization
     groups: tuple[SymbolGroup, ...]
-    slot_maps: tuple  # per slot: dict group name -> (2, size) array
-    slot_norms: tuple[float, ...]
+    slot_maps: tuple  # per slot: dict group name -> ([trials,] 2, size) array
+    slot_norms: tuple  # per slot: a float, or a (trials,) array for a batch
     side_channels: tuple[SideChannel, ...] = ()
-    keys: dict = field(default_factory=dict)  # receiver -> {group: (k, size)}
+    keys: dict = field(default_factory=dict)  # receiver -> {group: ([trials,] k, size)}
     decode_order: dict = field(default_factory=dict)  # receiver -> own groups
     ledger: dict = field(default_factory=dict)  # group -> log2(rho) multiple per block
     decoder: Callable = None
@@ -133,12 +133,29 @@ class LinearScheme:
         raise KeyError(name)
 
 
-def _normalize(slot_maps) -> tuple[float, ...]:
+def _normalize(slot_maps, realization: ChannelRealization) -> tuple:
+    """Per-slot Frobenius norms of the slot maps (1.0 for an empty slot):
+    floats for one trial, (trials,) arrays for a batched realization.  Each
+    map is summed over its last two axes flattened, so a batched trial sums
+    exactly as its one-trial build does."""
+    lead = realization.h.shape[:-2]
     norms = []
     for maps in slot_maps:
-        total = sum(float((np.abs(m) ** 2).sum()) for m in maps.values())
-        norms.append(math.sqrt(total) if total > 0 else 1.0)
+        total = np.zeros(lead)
+        for m in maps.values():
+            total = total + (np.abs(m) ** 2).reshape(m.shape[:-2] + (-1,)).sum(-1)
+        norm = np.where(total > 0, np.sqrt(total), 1.0)
+        norms.append(norm if lead else float(norm))
     return tuple(norms)
+
+
+def _one_trial(scheme: LinearScheme, what: str) -> None:
+    lead = scheme.realization.h.shape[:-2]
+    if lead:
+        raise ValueError(
+            f"{what} takes a one-trial scheme, got one with a trials axis of "
+            f"{lead[0]} trials; build it from one seed"
+        )
 
 
 def scheme_block_length(scheme: LinearScheme) -> int:
@@ -150,57 +167,29 @@ def scheme_block_length(scheme: LinearScheme) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _layout_signature(scheme: LinearScheme) -> tuple:
-    """What a receiver's layout is built from: schemes with equal signatures
-    share offsets, masks, exponents, the row plan and the key placement."""
-    key_shapes = tuple(
-        (receiver, tuple((name, m.shape) for name, m in key_map.items()))
-        for receiver, key_map in scheme.keys.items()
-    )
-    return (
-        scheme.name,
-        scheme.alpha,
-        scheme.realization.states,
-        scheme.groups,
-        scheme.side_channels,
-        key_shapes,
-    )
-
-
 class _ReceiverStructure:
-    """Stripped coefficients of one receiver's observations, for one scheme
-    or a chunk of schemes of one kind and alpha.
+    """Stripped coefficients of one receiver's observations for one scheme,
+    of one trial or trial-batched.
 
-    The layout comes from the first scheme: column offsets, group and owner
-    masks, row and column exponents, the row plan (each row's slot and
-    channel: the receiver's own, or the other receiver's for a delivered
-    side channel) and the key placement.  ``coef`` (B, rows, cols) and
-    ``key_coef`` (B, keys, cols) hold each scheme's coefficients; each
-    (slot, group) cell is filled for all rows and schemes with one stacked
-    ``(B, 1, 2) @ (B, 2, size)`` matmul per row.  For a single scheme the
-    leading axis is dropped."""
+    The layout is built once: column offsets, group and owner masks, row and
+    column exponents, the row plan (each row's slot and channel: the
+    receiver's own, or the other receiver's for a delivered side channel)
+    and the key placement.  ``coef`` (rows, cols) and ``key_coef`` (keys,
+    cols) hold the coefficients, with the scheme's trials axis leading for a
+    batch; each (slot, group) cell is filled for all trials with one
+    ``(..., 1, 2) @ (..., 2, size)`` matmul per row."""
 
-    def __init__(self, schemes, receiver: int):
-        single = isinstance(schemes, LinearScheme)
-        schemes = [schemes] if single else list(schemes)
-        first = schemes[0]
-        signature = _layout_signature(first)
-        for i, s in enumerate(schemes[1:], 1):
-            if _layout_signature(s) != signature:
-                raise ValueError(
-                    f"scheme {i} of the chunk differs from scheme 0 in its kind, "
-                    "alpha, states, groups, side channels or key shapes"
-                )
-        real, alpha = first.realization, first.alpha
+    def __init__(self, scheme: LinearScheme, receiver: int):
+        real, alpha = scheme.realization, scheme.alpha
         offsets = {}
         pos = 0
-        for g in first.groups:
+        for g in scheme.groups:
             offsets[g.name] = (pos, g.size)
             pos += g.size
         self.total = pos
         self.col_exp = np.zeros(pos)
         self.masks = {}
-        for g in first.groups:
+        for g in scheme.groups:
             off, size = offsets[g.name]
             self.col_exp[off : off + size] = g.exponent
             mask = np.zeros(pos, dtype=bool)
@@ -209,7 +198,7 @@ class _ReceiverStructure:
         self.owner_masks = {}
         for owner in ("rx1", "rx2", "noise", "common"):
             mask = np.zeros(pos, dtype=bool)
-            for g in first.groups:
+            for g in scheme.groups:
                 if g.owner == owner:
                     mask |= self.masks[g.name]
             self.owner_masks[owner] = mask
@@ -219,48 +208,45 @@ class _ReceiverStructure:
         own, other = ("h", "g") if receiver == 1 else ("g", "h")
         plan = [(t, own) for t in range(real.n)]
         row_exp = [real.states[t].exponents(alpha)[receiver - 1] for t in range(real.n)]
-        for ch in first.side_channels:
+        for ch in scheme.side_channels:
             if ch.receiver == receiver:
                 plan += [(t, other) for t in ch.slots]
                 row_exp += [ch.gain_exponent] * len(ch.slots)
         self.row_exp = np.asarray(row_exp, dtype=float)
 
-        channels = {
-            "h": np.array([s.realization.h for s in schemes])[:, :, None, :],
-            "g": np.array([s.realization.g for s in schemes])[:, :, None, :],
-        }
-        norms = np.array([s.slot_norms for s in schemes])[:, :, None, None]
-        coef = np.zeros((len(schemes), len(plan), pos), dtype=np.complex128)
-        for t, maps in enumerate(first.slot_maps):
-            rows = [(i, channels[c][:, t]) for i, (slot, c) in enumerate(plan) if slot == t]
-            for name in maps:
+        lead = real.h.shape[:-2]
+        channels = {"h": real.h[..., None, :], "g": real.g[..., None, :]}
+        coef = np.zeros(lead + (len(plan), pos), dtype=np.complex128)
+        for t, maps in enumerate(scheme.slot_maps):
+            rows = [(i, channels[c][..., t, :, :]) for i, (s, c) in enumerate(plan) if s == t]
+            norm = np.asarray(scheme.slot_norms[t])[..., None, None]
+            for name, m in maps.items():
                 off, size = offsets[name]
-                m = np.array([s.slot_maps[t][name] for s in schemes])
                 # One row per product: a product over several rows may round
                 # differently, and the sweep CSVs are pinned bit for bit.
                 for i, vec in rows:
-                    coef[:, i : i + 1, off : off + size] = (vec @ m) / norms[:, t]
+                    coef[..., i : i + 1, off : off + size] = (vec @ m) / norm
 
         # Keys must not depend on the SNR, so they may only sit on unit-power
         # groups; scaled() then needs no SNR axis for them.
-        key_map = first.keys.get(receiver, {})
-        k = next(iter(key_map.values())).shape[0] if key_map else 0
-        key_coef = np.zeros((len(schemes), k, pos), dtype=np.complex128)
-        for name in key_map:
-            exponent = first.group(name).exponent
+        key_map = scheme.keys.get(receiver, {})
+        k = next(iter(key_map.values())).shape[-2] if key_map else 0
+        key_coef = np.zeros(lead + (k, pos), dtype=np.complex128)
+        for name, m in key_map.items():
+            exponent = scheme.group(name).exponent
             if exponent != 0:
                 raise ValueError(
                     f"key on group {name!r} with power exponent {exponent}: "
                     "keys must sit on unit-power groups"
                 )
             off, size = offsets[name]
-            key_coef[:, :, off : off + size] = np.array([s.keys[receiver][name] for s in schemes])
-        self.coef, self.key_coef = (coef[0], key_coef[0]) if single else (coef, key_coef)
+            key_coef[..., off : off + size] = m
+        self.coef, self.key_coef = coef, key_coef
 
     def scaled(self, rho) -> tuple[np.ndarray, np.ndarray]:
         """Observation and key matrices at SNR ``rho``, a scalar or an array
         whose shape becomes the batch shape of the observations, after the
-        chunk axis if there is one.  The keys do not depend on the SNR: they
+        trials axis if there is one.  The keys do not depend on the SNR: they
         get one size-1 axis per SNR axis, which broadcasts."""
         r = np.asarray(rho, dtype=float)
         lead = self.coef.shape[:-2] + (1,) * r.ndim
@@ -270,10 +256,10 @@ class _ReceiverStructure:
         return a, self.key_coef.reshape(lead + self.key_coef.shape[-2:])
 
 
-def receiver_structure(schemes, receiver: int) -> _ReceiverStructure:
-    """``receiver``'s observation structure for one scheme, or for a chunk
-    of schemes of one kind and alpha (refused with a ValueError otherwise)."""
-    return _ReceiverStructure(schemes, receiver)
+def receiver_structure(scheme: LinearScheme, receiver: int) -> _ReceiverStructure:
+    """``receiver``'s observation structure for one scheme, of one trial or
+    trial-batched."""
+    return _ReceiverStructure(scheme, receiver)
 
 
 def _own_owner(receiver: int) -> str:
@@ -282,10 +268,6 @@ def _own_owner(receiver: int) -> str:
 
 def _other(receiver: int) -> int:
     return 2 if receiver == 1 else 1
-
-
-def _first(schemes) -> LinearScheme:
-    return schemes if isinstance(schemes, LinearScheme) else schemes[0]
 
 
 def _reliability_chain(scheme: LinearScheme, receiver: int):
@@ -299,17 +281,17 @@ def _leakage_chain(scheme: LinearScheme, receiver: int):
     return scheme.decode_order.get(_other(receiver), ()), _own_owner(receiver)
 
 
-def _receiver_bits(schemes, rho, receiver: int, chains) -> list[dict]:
+def _receiver_bits(scheme: LinearScheme, rho, receiver: int, chains) -> list[dict]:
     """Chain-rule MI at ``receiver`` for each (order, known owner) chain: the
     groups in ``order``, each given the known owner's messages, the common
     layer, the granted keys and the chain's earlier groups.
 
     All chains share one stacked (obs, keys) pair and one ``conditional_mi``
-    call, which evaluates every distinct conditioning set once.  A sequence
-    of schemes stacks the receiver matrices over schemes x SNRs."""
+    call, which evaluates every distinct conditioning set once.  A batched
+    scheme stacks the receiver matrices over trials x SNRs."""
     if not any(order for order, _ in chains):
         return [{} for _ in chains]
-    st = receiver_structure(schemes, receiver)
+    st = receiver_structure(scheme, receiver)
     a, k = st.scaled(rho)
     targets, givens = [], []
     for order, known_owner in chains:
@@ -322,26 +304,26 @@ def _receiver_bits(schemes, rho, receiver: int, chains) -> list[dict]:
     return [{name: next(bits) for name in order} for order, _ in chains]
 
 
-def reliability_bits(schemes, rho) -> dict:
+def reliability_bits(scheme: LinearScheme, rho) -> dict:
     """Per-group decodable information in bits.
 
     Chain accounting in declared decode order: each receiver conditions on
     the other receiver's message groups, the common layer, its granted noise
     functionals, and its own already-decoded groups.
 
-    ``schemes`` is one scheme or a sequence of schemes of one kind and
-    alpha; ``rho`` is one SNR or an array of SNRs.  Values have shape
-    (schemes,) + shape of ``rho``: floats for one scheme at one SNR,
-    (schemes, SNRs) arrays for a sequence over an SNR grid.
+    ``scheme`` is of one trial or trial-batched; ``rho`` is one SNR or an
+    array of SNRs.  Values have the scheme's trials axis, if any, followed
+    by the shape of ``rho``: floats for one trial at one SNR, (trials, SNRs)
+    arrays for a batched scheme over an SNR grid.
     """
     out = {}
     for receiver in (1, 2):
-        chain = _reliability_chain(_first(schemes), receiver)
-        out.update(_receiver_bits(schemes, rho, receiver, [chain])[0])
+        chain = _reliability_chain(scheme, receiver)
+        out.update(_receiver_bits(scheme, rho, receiver, [chain])[0])
     return out
 
 
-def leakage_bits(schemes, rho, owner: int) -> dict:
+def leakage_bits(scheme: LinearScheme, rho, owner: int) -> dict:
     """Per-group information leaked to the unintended receiver, in bits.
 
     The eavesdropping receiver is conditioned on its own messages, the
@@ -350,11 +332,11 @@ def leakage_bits(schemes, rho, owner: int) -> dict:
     in ``reliability_bits``.
     """
     receiver = _other(owner)
-    chain = _leakage_chain(_first(schemes), receiver)
-    return _receiver_bits(schemes, rho, receiver, [chain])[0]
+    chain = _leakage_chain(scheme, receiver)
+    return _receiver_bits(scheme, rho, receiver, [chain])[0]
 
 
-def accounting_bits(schemes, rho) -> tuple[dict, dict]:
+def accounting_bits(scheme: LinearScheme, rho) -> tuple[dict, dict]:
     """(reliability, leakage) per group: ``reliability_bits`` and the union
     of ``leakage_bits`` for both owners, with the same values.
 
@@ -363,11 +345,10 @@ def accounting_bits(schemes, rho) -> tuple[dict, dict]:
     in common (such as the noise-only set both chains end on) is evaluated
     once.  Batching is as in ``reliability_bits``.
     """
-    first = _first(schemes)
     rel, leak = {}, {}
     for receiver in (1, 2):
-        chains = [_reliability_chain(first, receiver), _leakage_chain(first, receiver)]
-        own, overheard = _receiver_bits(schemes, rho, receiver, chains)
+        chains = [_reliability_chain(scheme, receiver), _leakage_chain(scheme, receiver)]
+        own, overheard = _receiver_bits(scheme, rho, receiver, chains)
         rel.update(own)
         leak.update(overheard)
     return rel, leak
@@ -387,6 +368,7 @@ def common_layer_bits(scheme: LinearScheme, rho: float, receiver: int) -> float:
 
 def max_slot_power(scheme: LinearScheme, rhos=(1e6, 1e12)) -> float:
     """Largest per-slot expected input power with all variances instantiated."""
+    _one_trial(scheme, "max_slot_power")
     worst = 0.0
     for maps, norm in zip(scheme.slot_maps, scheme.slot_norms):
         for rho in rhos:
@@ -546,6 +528,11 @@ def digitized_side_info_roundtrip(scheme: LinearScheme, rho: float, seed: int = 
 
 # ---------------------------------------------------------------------------
 # Builders: Gaussian-noise schemes.
+#
+# A builder takes a realization of one trial or a trial-batched one and runs
+# the same code for both: channels are indexed as [..., t, :], maps built
+# from them carry the trials axis, and channel-free maps stay unbatched and
+# broadcast.  Decode plans run on one-trial schemes only.
 # ---------------------------------------------------------------------------
 
 
@@ -558,16 +545,16 @@ def _require(realization: ChannelRealization, n: int, states) -> None:
 
 
 def _row(vec, size: int, offset: int = 0) -> np.ndarray:
-    """(1, size) row with ``vec`` placed at ``offset``."""
-    out = np.zeros((1, size), dtype=np.complex128)
-    out[0, offset : offset + len(vec)] = vec
+    """(..., 1, size) row with ``vec`` (..., k) placed at ``offset``."""
+    out = np.zeros(vec.shape[:-1] + (1, size), dtype=np.complex128)
+    out[..., 0, offset : offset + vec.shape[-1]] = vec
     return out
 
 
 def _antenna1(vec, size: int, offset: int = 0) -> np.ndarray:
-    """(2, size) map sending ``vec @ symbols`` on antenna 1 only."""
-    out = np.zeros((2, size), dtype=np.complex128)
-    out[0, offset : offset + len(vec)] = vec
+    """(..., 2, size) map sending ``vec @ symbols`` on antenna 1 only."""
+    out = np.zeros(vec.shape[:-1] + (2, size), dtype=np.complex128)
+    out[..., 0, offset : offset + vec.shape[-1]] = vec
     return out
 
 
@@ -586,9 +573,9 @@ def build_wiretap_gaussian(
     log2(rho).
     """
     _require(realization, 3, [state] * 3)
-    h1, g1 = realization.h[0], realization.g[0]
-    h2, g2 = realization.h[1], realization.g[1]
-    g21 = realization.g[1][0]
+    h1, g1 = realization.h[..., 0, :], realization.g[..., 0, :]
+    h2, g2 = realization.h[..., 1, :], realization.g[..., 1, :]
+    g21 = realization.g[..., 1, 0]
 
     groups = [
         SymbolGroup("v", 2, 0.0, "rx1"),
@@ -596,9 +583,9 @@ def build_wiretap_gaussian(
     ]
     slot0 = {"u": np.eye(2, dtype=np.complex128)}
     slot1 = {"v": np.eye(2, dtype=np.complex128), "u": _antenna1(h1, 2)}
-    slot2 = {"v": _antenna1(g2, 2), "u": _antenna1(g21 * h1, 2)}
+    slot2 = {"v": _antenna1(g2, 2), "u": _antenna1(g21[..., None] * h1, 2)}
     slot_maps = (slot0, slot1, slot2)
-    norms = _normalize(slot_maps)
+    norms = _normalize(slot_maps, realization)
 
     per_symbol = 1.0 if state == STATE_1A else alpha
     keys = {1: {"u": _row(h1, 2)}, 2: {"u": _row(g1, 2)}}
@@ -648,7 +635,7 @@ def build_no_noise_canary(realization: ChannelRealization, alpha: float) -> Line
     one = np.zeros((2, 1), dtype=np.complex128)
     one[0, 0] = 1.0
     slot_maps = ({"v": one},)
-    norms = _normalize(slot_maps)
+    norms = _normalize(slot_maps, realization)
 
     def decoder(scheme, y, z, side, layers, rho):
         h11 = scheme.realization.h[0][0]
@@ -679,11 +666,11 @@ def build_yang_baseline(realization: ChannelRealization, alpha: float) -> Linear
     side-information forms, retransmitted on antenna 1.
     """
     _require(realization, 4, [STATE_1A] * 4)
-    h1, g1 = realization.h[0], realization.g[0]
-    h2, g2 = realization.h[1], realization.g[1]
-    h3, g3 = realization.h[2], realization.g[2]
-    g21 = realization.g[1][0]
-    h31 = realization.h[2][0]
+    h1, g1 = realization.h[..., 0, :], realization.g[..., 0, :]
+    h2, g2 = realization.h[..., 1, :], realization.g[..., 1, :]
+    h3, g3 = realization.h[..., 2, :], realization.g[..., 2, :]
+    g21 = realization.g[..., 1, 0]
+    h31 = realization.h[..., 2, 0]
 
     groups = (
         SymbolGroup("v", 2, 0.0, "rx1"),
@@ -697,10 +684,10 @@ def build_yang_baseline(realization: ChannelRealization, alpha: float) -> Linear
         {
             "v": _antenna1(g2, 2),
             "w": _antenna1(h3, 2),
-            "u": _antenna1(h31 * g1 + g21 * h1, 2),
+            "u": _antenna1(h31[..., None] * g1 + g21[..., None] * h1, 2),
         },
     )
-    norms = _normalize(slot_maps)
+    norms = _normalize(slot_maps, realization)
 
     def decoder(scheme, y, z, side, layers, rho):
         sr = math.sqrt(rho)
@@ -813,11 +800,12 @@ def build_bc_fixed(
     )
 
     # Phase-1 receiver observations as coefficient rows over u.
-    y1_rows = np.zeros((t1, 2 * t1), dtype=np.complex128)
-    z1_rows = np.zeros((t1, 2 * t1), dtype=np.complex128)
+    lead = realization.h.shape[:-2]
+    y1_rows = np.zeros(lead + (t1, 2 * t1), dtype=np.complex128)
+    z1_rows = np.zeros(lead + (t1, 2 * t1), dtype=np.complex128)
     for t in range(t1):
-        y1_rows[t, 2 * t : 2 * t + 2] = realization.h[t]
-        z1_rows[t, 2 * t : 2 * t + 2] = realization.g[t]
+        y1_rows[..., t, 2 * t : 2 * t + 2] = realization.h[..., t, :]
+        z1_rows[..., t, 2 * t : 2 * t + 2] = realization.g[..., t, :]
 
     slot_maps = []
     for t in range(t1):  # phase 1
@@ -828,12 +816,12 @@ def build_bc_fixed(
     for t in range(t1):  # phase 2
         mv = np.zeros((2, 2 * t1), dtype=np.complex128)
         mv[:, 2 * t : 2 * t + 2] = np.eye(2)
-        slot_maps.append({"v": mv, "u": theta1_y1[2 * t : 2 * t + 2, :]})
+        slot_maps.append({"v": mv, "u": theta1_y1[..., 2 * t : 2 * t + 2, :]})
     theta2_z1 = theta2 @ z1_rows  # (2*T2, 2*T1) over u
     for t in range(t2):  # phase 3
         mw = np.zeros((2, 2 * t2), dtype=np.complex128)
         mw[:, 2 * t : 2 * t + 2] = np.eye(2)
-        slot_maps.append({"w": mw, "u": theta2_z1[2 * t : 2 * t + 2, :]})
+        slot_maps.append({"w": mw, "u": theta2_z1[..., 2 * t : 2 * t + 2, :]})
     for t in range(t1):  # phase 4
         mc = np.zeros((2, t1), dtype=np.complex128)
         mc[0, t] = 1.0
@@ -841,7 +829,7 @@ def build_bc_fixed(
         ml[0, t] = 1.0
         slot_maps.append({"c": mc, "v_low": ml})
     slot_maps = tuple(slot_maps)
-    norms = _normalize(slot_maps)
+    norms = _normalize(slot_maps, realization)
 
     # Overheard side information: receiver 2's phase-2 outputs go to
     # receiver 1, receiver 1's phase-3 outputs go to receiver 2.
@@ -850,14 +838,15 @@ def build_bc_fixed(
         SideChannel(2, "y3_hat", 1.0, tuple(range(2 * t1, 2 * t1 + t2))),
     )
 
-    # Per-slot decode systems must be invertible.
+    # Per-slot decode systems must be invertible, in every trial of a batch.
+    h, g = realization.h, realization.g
     for t in range(t1):
-        m = np.vstack([realization.h[t1 + t], realization.g[t1 + t]])
-        if abs(np.linalg.det(m)) < 1e-9:
+        m = np.stack([h[..., t1 + t, :], g[..., t1 + t, :]], axis=-2)
+        if (np.abs(np.linalg.det(m)) < 1e-9).any():
             raise ValueError(f"phase-2 slot {t}: decode matrix is singular")
     for t in range(t2):
-        m = np.vstack([realization.g[2 * t1 + t], realization.h[2 * t1 + t]])
-        if abs(np.linalg.det(m)) < 1e-9:
+        m = np.stack([g[..., 2 * t1 + t, :], h[..., 2 * t1 + t, :]], axis=-2)
+        if (np.abs(np.linalg.det(m)) < 1e-9).any():
             raise ValueError(f"phase-3 slot {t}: decode matrix is singular")
 
     def decoder(scheme, y, z, side, layers, rho):
@@ -937,9 +926,9 @@ def build_sym_alt(realization: ChannelRealization, alpha: float) -> LinearScheme
     with a fresh receiver-2 layer at power offset rho**(-alpha).
     """
     _require(realization, 4, [STATE_1A, STATE_1A, STATE_A1, STATE_A1])
-    h1, g1 = realization.h[0], realization.g[0]
-    h2, g2 = realization.h[1], realization.g[1]
-    h3, g3 = realization.h[2], realization.g[2]
+    h1, g1 = realization.h[..., 0, :], realization.g[..., 0, :]
+    h2, g2 = realization.h[..., 1, :], realization.g[..., 1, :]
+    h3, g3 = realization.h[..., 2, :], realization.g[..., 2, :]
 
     groups = (
         SymbolGroup("v", 2, 0.0, "rx1"),
@@ -956,7 +945,7 @@ def build_sym_alt(realization: ChannelRealization, alpha: float) -> LinearScheme
         {"w": np.eye(2, dtype=np.complex128), "u": _antenna1(g1, 2)},
         {"c": one.copy(), "w_low": one.copy()},
     )
-    norms = _normalize(slot_maps)
+    norms = _normalize(slot_maps, realization)
 
     side_channels = (
         SideChannel(1, "z2_hat", alpha, (1,)),
@@ -1018,8 +1007,8 @@ def build_gdof_no_secrecy(realization: ChannelRealization, alpha: float) -> Line
     _require(realization, 3, [STATE_1A] * 3)
     if realization.mode != "integer":
         raise ValueError("the no-secrecy scheme requires an integer realization")
-    h1, g1 = realization.h[0], realization.g[0]
-    h2, g2 = realization.h[1], realization.g[1]
+    h1, g1 = realization.h[..., 0, :], realization.g[..., 0, :]
+    h2, g2 = realization.h[..., 1, :], realization.g[..., 1, :]
 
     config = LatticeConfig()
     groups = (
@@ -1038,7 +1027,7 @@ def build_gdof_no_secrecy(realization: ChannelRealization, alpha: float) -> Line
         {"w": np.eye(2, dtype=np.complex128), "v_low": _low(1)},
         {"v": _antenna1(g1, 2), "w": _antenna1(h2, 2), "v_low": _low(2)},
     )
-    norms = _normalize(slot_maps)
+    norms = _normalize(slot_maps, realization)
 
     def decoder(scheme, y, z, side, layers, rho):
         from .lattice import nearest_point
@@ -1145,8 +1134,10 @@ def simulate_noiseless(scheme: LinearScheme, rho: float, seed: int = 0):
 
     Returns (symbols, y, z, side_values) where side_values holds the exact
     (unquantized) side-information content per channel label: the other
-    receiver's normalized outputs in the channel's slots.
+    receiver's normalized outputs in the channel's slots.  The scheme must
+    be of one trial.
     """
+    _one_trial(scheme, "simulate_noiseless")
     rng = np.random.default_rng(seed)
     symbols = _draw_symbols(scheme, rng)
     real = scheme.realization
@@ -1416,5 +1407,20 @@ def _draw_for(kind: str, alpha: float, seed) -> ChannelRealization:
 
 
 def build_scheme(kind: str, alpha: float, seed) -> LinearScheme:
-    """Draw a fresh realization matching the scheme's needs and build it."""
-    return SCHEMES[kind].build(_draw_for(kind, alpha, seed), alpha)
+    """Draw a fresh realization matching the scheme's needs and build it.
+
+    ``seed`` is one seed (an int or a SeedSequence), or a list or tuple of
+    seeds for a trial-batched scheme: each trial is drawn from its own
+    generator as a one-seed build draws it, the draws are stacked along a
+    leading trials axis, and the builder runs once for the whole batch.
+    Trial ``b`` of the batched realization, slot maps, slot norms and keys
+    equals the one-seed build from ``seed[b]`` bit for bit.
+    """
+    if isinstance(seed, (list, tuple)):
+        draws = [_draw_for(kind, alpha, s) for s in seed]
+        real = replace(
+            draws[0], h=np.stack([r.h for r in draws]), g=np.stack([r.g for r in draws])
+        )
+    else:
+        real = _draw_for(kind, alpha, seed)
+    return SCHEMES[kind].build(real, alpha)

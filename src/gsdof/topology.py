@@ -122,7 +122,9 @@ class TopologyProfile:
 class ChannelRealization:
     """Per-slot channel rows for both receivers over an ``n``-slot block.
 
-    ``h`` and ``g`` are (n, 2) complex arrays (receiver-1 and receiver-2 rows).
+    ``h`` and ``g`` are (n, 2) complex arrays (receiver-1 and receiver-2 rows)
+    for one trial, or (trials, n, 2) arrays for a batch of trials that share
+    ``n``, the states, ``rho`` and the mode; slot ``t`` is ``h[..., t, :]``.
     Realizations produced by :func:`draw_channels` satisfy |det [h_t; g_t]| >
     1e-9 in every slot.  ``rho`` records the SNR parameter the realization was
     drawn for; evaluation functions take an explicit rho and may reuse one
@@ -139,19 +141,23 @@ class ChannelRealization:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("slot count must be >= 1")
-        if self.h.shape != (self.n, 2) or self.g.shape != (self.n, 2):
-            raise ValueError("channel arrays must have shape (n, 2)")
+        if self.h.shape != self.g.shape or self.h.shape[-2:] != (self.n, 2):
+            raise ValueError(
+                "channel arrays must have equal shapes ending in (n, 2), got "
+                f"{self.h.shape} and {self.g.shape} for n={self.n}"
+            )
         if len(self.states) != self.n:
             raise ValueError("states length must equal n")
         if not float(self.rho) > 1.0:
             raise ValueError("rho must exceed 1")
 
     def state_matrix(self, t: int) -> np.ndarray:
-        """Stacked 2x2 channel matrix [h_t; g_t]."""
-        return np.vstack([self.h[t], self.g[t]])
+        """Stacked 2x2 channel matrix [h_t; g_t], per trial for a batch."""
+        return np.stack([self.h[..., t, :], self.g[..., t, :]], axis=-2)
 
     def min_abs_det(self) -> float:
-        return min(abs(np.linalg.det(self.state_matrix(t))) for t in range(self.n))
+        """Smallest |det [h_t; g_t]| over the slots (and trials)."""
+        return float(np.abs(np.linalg.det(np.stack([self.h, self.g], axis=-2))).min())
 
 
 def state_sequence(profile: TopologyProfile, n: int) -> tuple[TopologyState, ...]:
@@ -214,26 +220,32 @@ def draw_channels(
     i.i.d. CN(0, 1) coefficients; integer mode draws uniformly from the
     nonzero integers -3..3.
 
-    All n slots come from one generator call.  If any slot fails the rank
-    test, the generator is re-seeded and the slots are drawn one at a time,
-    each redrawn until it passes, so the realization is the same as from
-    the slot loop alone.
+    The realization is the first n full-rank 2x2 candidates of the
+    generator's stream, the same as a slot loop that redraws each slot until
+    it passes.  All n slots come from one generator call; if some fail the
+    rank test, the passing ones are kept in order and only the shortfall is
+    drawn, one candidate at a time from the same generator.  One trial per
+    call: a batch stacks the realizations of its trials.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     states = tuple(states)
     if len(states) != n:
         raise ValueError("states length must equal n")
-    m = _draw_slots(np.random.default_rng(seed), mode, (n,))
-    if not _full_rank(m).all():
-        rng = np.random.default_rng(seed)
-        for t in range(n):
-            for attempt in range(_MAX_REDRAWS):
-                m[t] = _draw_slots(rng, mode, ())
-                if _full_rank(m[t]):
+    rng = np.random.default_rng(seed)
+    m = _draw_slots(rng, mode, (n,))
+    ok = _full_rank(m)
+    if not ok.all():
+        kept = list(m[ok])
+        while len(kept) < n:
+            for _ in range(_MAX_REDRAWS):
+                slot = _draw_slots(rng, mode, ())
+                if _full_rank(slot):
                     break
             else:
-                raise RuntimeError(f"slot {t}: no full-rank draw in {_MAX_REDRAWS} tries")
+                raise RuntimeError(f"slot {len(kept)}: no full-rank draw in {_MAX_REDRAWS} tries")
+            kept.append(slot)
+        m = np.array(kept)
     h, g = m[:, 0].copy(), m[:, 1].copy()
     return ChannelRealization(n=n, h=h, g=g, states=states, rho=float(rho), mode=mode)
 

@@ -60,6 +60,11 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert parse_and_dispatch(["region", "--profile", "xx", "--out", out]) == 2
     assert parse_and_dispatch(["simulate", "--scheme", "yang", "--rho-db", "abc"]) == 2
     assert parse_and_dispatch(["verify", "--alpha-grid", "0:inf:1"]) == 2
+    # seeds are checked before the first trial (and before any verify check)
+    for argv in (["simulate", "--scheme", "yang", "--seed", "-1"], ["verify", "--seed", "-1"]):
+        capsys.readouterr()
+        assert parse_and_dispatch(argv) == 2
+        assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
     # alpha grids are checked against [0, 1] while the arguments are parsed
     fig = tmp_path / "f.csv"
     for argv in (

@@ -51,6 +51,23 @@ def test_sweep_config_accepts_numpy_integer_trials():
     assert SweepConfig("yang", 0.5, GRID, trials=np.int64(10)).trials == 10
 
 
+@pytest.mark.parametrize("seed", [-1, 1.0, "3", None, np.int64(-2)])
+def test_sweep_config_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got "):
+        SweepConfig("yang", 0.5, GRID, trials=10, seed=seed)
+    assert SweepConfig("yang", 0.5, GRID, trials=10, seed=np.uint32(3)).seed == 3
+
+
+def test_verify_all_checks_trials_and_seed_before_any_check(monkeypatch):
+    def region_checks(alpha_grid):
+        raise AssertionError("region checks ran")
+
+    monkeypatch.setattr(experiments, "_region_checks", region_checks)
+    for kwargs, message in (({"seed": -1}, "^seed must"), ({"trials": 5}, "^trials must")):
+        with pytest.raises(ValueError, match=message):
+            verify_all([0.5], **kwargs)
+
+
 def test_sweep_config_refuses_alphas_it_cannot_build():
     # Every alpha SweepConfig accepts builds; it refuses only the alphas with
     # no T1 <= 20 for the four-phase scheme and the lattice schemes' alphas
@@ -146,10 +163,10 @@ def test_run_sweep_reports_the_lowest_failing_trial(monkeypatch):
     bad = {tuple(seeds[i].spawn_key) for i in (9, 11)}
     build = experiments.build_scheme
 
-    def flaky(kind, alpha, seq):
-        if tuple(seq.spawn_key) in bad:
+    def flaky(kind, alpha, seqs):
+        if any(tuple(seq.spawn_key) in bad for seq in seqs):
             raise ValueError("no realization")
-        return build(kind, alpha, seq)
+        return build(kind, alpha, seqs)
 
     monkeypatch.setattr(experiments, "build_scheme", flaky)
     with pytest.raises(RuntimeError, match=r"^trial 9 failed: no realization$"):

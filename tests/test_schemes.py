@@ -32,7 +32,6 @@ from gsdof.schemes import (
 )
 from gsdof.topology import (
     STATE_1A,
-    STATE_A1,
     ChannelRealization,
     TopologyProfile,
     draw_channels,
@@ -160,14 +159,24 @@ STACK_RHOS = 10.0 ** np.array([6.0, 8.5, 12.0])
 
 def _doubled_keys(sch):
     # Every key row twice: the same knowledge as a rank-deficient key matrix.
-    keys = {r: {g: np.vstack([m, m]) for g, m in km.items()} for r, km in sch.keys.items()}
+    keys = {
+        r: {g: np.concatenate([m, m], axis=-2) for g, m in km.items()}
+        for r, km in sch.keys.items()
+    }
     return dataclasses.replace(sch, keys=keys)
 
 
-def _stacked_vs_scalar(batch):
-    # Stacked (schemes x SNRs) accounting against per-scheme, per-rho calls;
-    # owner 0 stands for reliability.  The per-receiver pass must give the
-    # same arrays as the separate reliability and leakage calls.
+def _batch_and_singles(kind, alpha, trials):
+    # One trial-batched scheme and the one-seed builds of its trials.
+    seeds = [np.random.SeedSequence(i) for i in range(trials)]
+    return build_scheme(kind, alpha, seeds), [build_scheme(kind, alpha, s) for s in seeds]
+
+
+def _stacked_vs_scalar(batch, singles):
+    # Stacked (trials x SNRs) accounting of a batched scheme against
+    # per-trial, per-rho calls on one-seed schemes; owner 0 stands for
+    # reliability.  The per-receiver pass must give the same arrays as the
+    # separate reliability and leakage calls.
     stacked = {0: reliability_bits(batch, STACK_RHOS)}
     for owner in (1, 2):
         stacked[owner] = leakage_bits(batch, STACK_RHOS, owner)
@@ -176,22 +185,22 @@ def _stacked_vs_scalar(batch):
         assert sorted(got) == sorted(want)
         for g, bits in want.items():
             assert np.array_equal(got[g], bits), g
-    for t, sch in enumerate(batch):
+    for t, sch in enumerate(singles):
         for j, rho in enumerate(STACK_RHOS):
             for owner, got in stacked.items():
                 want = reliability_bits(sch, rho) if owner == 0 else leakage_bits(sch, rho, owner)
                 assert list(got) == list(want)
                 for g, bits in want.items():
-                    assert got[g].shape == (len(batch), len(STACK_RHOS))
+                    assert got[g].shape == (len(singles), len(STACK_RHOS))
                     assert got[g][t, j] == bits, (owner, g, t, j)
 
 
 @pytest.mark.parametrize("kind", [*SCHEME_TARGETS, "wiretap-nonoise"])
 def test_stacked_accounting_equals_scalar_calls(kind):
-    batch = [build_scheme(kind, 0.5, np.random.SeedSequence(i)) for i in range(3)]
-    _stacked_vs_scalar(batch)
-    if any(sch.keys for sch in batch):
-        _stacked_vs_scalar([_doubled_keys(sch) for sch in batch])
+    batch, singles = _batch_and_singles(kind, 0.5, 3)
+    _stacked_vs_scalar(batch, singles)
+    if batch.keys:
+        _stacked_vs_scalar(_doubled_keys(batch), [_doubled_keys(sch) for sch in singles])
 
 
 def _distinct_conditioning_sets(sch):
@@ -236,9 +245,9 @@ def test_accounting_evaluates_each_conditioning_set_once(kind, monkeypatch):
         return entropy(a, k)
 
     monkeypatch.setattr(gaussian_mi, "_entropy_given_keys", counted)
-    batch = [build_scheme(kind, 0.5, np.random.SeedSequence(i)) for i in range(3)]
+    batch = build_scheme(kind, 0.5, [np.random.SeedSequence(i) for i in range(3)])
     accounting_bits(batch, STACK_RHOS)
-    assert len(calls) == LOGDETS_PER_CHUNK[kind] == _distinct_conditioning_sets(batch[0])
+    assert len(calls) == LOGDETS_PER_CHUNK[kind] == _distinct_conditioning_sets(batch)
     assert all(shape[:2] == (3, len(STACK_RHOS)) for shape in calls)
 
 
@@ -293,15 +302,16 @@ def _row_by_row_coef(sch, receiver):
 
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_chunk_structure_equals_one_scheme_structures(kind):
-    # A chunk of B schemes gives exactly the coefficients, keys, exponents
-    # and masks of B one-scheme structures, side-information rows included,
-    # and the coefficients of a row-by-row fill.
-    batch = [build_scheme(kind, 0.5, np.random.SeedSequence(i)) for i in range(8)]
+    # The structure of a batched scheme of B trials gives exactly the
+    # coefficients, keys, exponents and masks of B one-trial structures,
+    # side-information rows included, and the coefficients of a row-by-row
+    # fill.
+    batch, singles = _batch_and_singles(kind, 0.5, 8)
     for receiver in (1, 2):
         chunk = receiver_structure(batch, receiver)
-        assert chunk.coef.shape[0] == chunk.key_coef.shape[0] == len(batch)
+        assert chunk.coef.shape[0] == chunk.key_coef.shape[0] == len(singles)
         a, k = chunk.scaled(STACK_RHOS)
-        for b, sch in enumerate(batch):
+        for b, sch in enumerate(singles):
             one = receiver_structure(sch, receiver)
             assert chunk.total == one.total
             assert _same_bytes(chunk.coef[b], one.coef)
@@ -314,35 +324,53 @@ def test_chunk_structure_equals_one_scheme_structures(kind):
                 assert all(_same_bytes(masks[name], ref[name]) for name in ref)
             a1, k1 = one.scaled(STACK_RHOS)
             assert _same_bytes(a[b], a1) and _same_bytes(k[b], k1)
-        if any(ch.receiver == receiver for ch in batch[0].side_channels):
-            assert chunk.coef.shape[1] > batch[0].realization.n
+        if any(ch.receiver == receiver for ch in batch.side_channels):
+            assert chunk.coef.shape[1] > batch.realization.n
 
 
-def _other_states(sch):
-    real = sch.realization
-    flipped = tuple(STATE_A1 if s == STATE_1A else STATE_1A for s in real.states)
-    return dataclasses.replace(sch, realization=dataclasses.replace(real, states=flipped))
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_batched_build_equals_one_trial_builds(kind):
+    # Trial b of a build from 8 seeds is the one-seed build from seed b,
+    # byte for byte: realization, slot maps, slot norms and keys.
+    spec = SCHEMES[kind]
+    for alpha in [a for a in (0.25, 0.5, 0.75) if _in_domain(spec, a)]:
+        batch, singles = _batch_and_singles(kind, alpha, 8)
+        real = batch.realization
+        assert real.h.shape == real.g.shape == (8, real.n, 2)
+        for b, sch in enumerate(singles):
+            one = sch.realization
+            assert (real.n, real.states, real.rho, real.mode) == (
+                one.n, one.states, one.rho, one.mode
+            )
+            assert _same_bytes(real.h[b], one.h) and _same_bytes(real.g[b], one.g)
+            assert len(batch.slot_maps) == len(sch.slot_maps) == len(batch.slot_norms)
+            for t, (maps, ref) in enumerate(zip(batch.slot_maps, sch.slot_maps)):
+                assert list(maps) == list(ref)
+                for name, m in ref.items():
+                    # A channel-free map stays unbatched and serves every trial.
+                    got = maps[name][b] if maps[name].ndim > m.ndim else maps[name]
+                    assert _same_bytes(got, m), (alpha, b, t, name)
+                norm = batch.slot_norms[t]
+                assert type(sch.slot_norms[t]) is float and norm.shape == (8,)
+                assert norm[b].tobytes() == np.float64(sch.slot_norms[t]).tobytes()
+            assert [list(km) for km in batch.keys.values()] == [
+                list(km) for km in sch.keys.values()
+            ]
+            for receiver, key_map in sch.keys.items():
+                for name, m in key_map.items():
+                    assert _same_bytes(batch.keys[receiver][name][b], m)
 
 
-CHUNK_MISMATCHES = {
-    "name": lambda sch: dataclasses.replace(sch, name="other"),
-    "alpha": lambda sch: dataclasses.replace(sch, alpha=0.25),
-    "states": _other_states,
-    "groups": lambda sch: dataclasses.replace(sch, groups=sch.groups[::-1]),
-    "side channels": lambda sch: dataclasses.replace(sch, side_channels=sch.side_channels[:1]),
-    "key shapes": _doubled_keys,
-}
-
-
-@pytest.mark.parametrize("field", CHUNK_MISMATCHES)
-def test_receiver_structure_refuses_mixed_chunks(field):
-    # The chunk's layout and exponents come from its first scheme, so a
-    # scheme that would need another layout is refused, not mis-scaled.
-    batch = [build_scheme("sym-alt", 0.5, np.random.SeedSequence(i)) for i in range(3)]
-    batch[2] = CHUNK_MISMATCHES[field](batch[2])
-    for receiver in (1, 2):
-        with pytest.raises(ValueError, match="^scheme 2 of the chunk differs from scheme 0"):
-            receiver_structure(batch, receiver)
+def test_one_trial_functions_refuse_a_batched_scheme():
+    batch = build_scheme("sym-alt", 0.5, [0, 1, 2])
+    for call in (
+        lambda: simulate_noiseless(batch, 1e8),
+        lambda: max_slot_power(batch),
+        lambda: noiseless_decode_check(batch),
+        lambda: schemes.digitized_side_info_roundtrip(batch, 1e8),
+    ):
+        with pytest.raises(ValueError, match="trials axis of 3 trials"):
+            call()
 
 
 def test_common_layer_rate_certified():
@@ -543,6 +571,14 @@ def test_digitized_side_info_roundtrip_bounded_over_rho():
             assert sat_rate < 1e-3
             errors.append(err)
         assert max(errors) < 20.0  # bounded distortion across three decades
+
+
+def test_bc_fixed_rank_checks_cover_every_trial_of_a_batch():
+    real = build_scheme("bc-fixed", 0.5, [0, 1, 2]).realization
+    g = real.g.copy()
+    g[2, 2] = real.h[2, 2]  # trial 2, first phase-2 slot (T1 = 2)
+    with pytest.raises(ValueError, match="^phase-2 slot 0: decode matrix is singular$"):
+        schemes.build_bc_fixed(2, dataclasses.replace(real, g=g), 0.5)
 
 
 def test_bc_fixed_accepts_mixing_matrix_overrides():

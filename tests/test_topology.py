@@ -122,6 +122,56 @@ def test_draw_channels_equals_slot_loop(monkeypatch, mode, seeds):
         assert fallbacks == 0
 
 
+def test_draw_channels_tops_up_only_the_shortfall(monkeypatch):
+    # Seed 92's one-call draw of 3 integer slots fails the rank test in two
+    # of them; the shortfall takes three one-candidate draws (pass, fail,
+    # pass) from the same generator, and the realization is still the slot
+    # loop's.
+    shapes = []
+    draw = topology._draw_slots
+
+    def spy(rng, mode, shape):
+        shapes.append(shape)
+        return draw(rng, mode, shape)
+
+    monkeypatch.setattr(topology, "_draw_slots", spy)
+    real = draw_channels(3, (STATE_1A,) * 3, rho=1e8, seed=92, mode="integer")
+    assert shapes == [(3,), (), (), ()]
+    h, g = _slot_loop_draw(3, 92, "integer")
+    assert real.h.tobytes() == h.tobytes() and real.g.tobytes() == g.tobytes()
+
+
+def test_draw_channels_gives_up_after_max_redraws(monkeypatch):
+    calls = []
+
+    def singular(rng, mode, shape):
+        calls.append(shape)
+        return np.zeros(shape + (2, 2), dtype=np.complex128)
+
+    monkeypatch.setattr(topology, "_draw_slots", singular)
+    with pytest.raises(RuntimeError, match="^slot 0: no full-rank draw in 1000 tries$"):
+        draw_channels(2, (STATE_1A,) * 2, rho=1e8, seed=0)
+    assert len(calls) == 1 + topology._MAX_REDRAWS
+
+
+def test_realization_channel_shapes_are_checked():
+    # One trial is (n, 2); a batch of trials is (trials, n, 2) in h and g alike.
+    ok = np.ones((3, 2), dtype=np.complex128)
+    states = (STATE_1A,) * 3
+    stacked = np.ones((4, 3, 2), dtype=np.complex128)
+    batch = ChannelRealization(n=3, h=stacked, g=stacked, states=states, rho=1e8)
+    assert batch.state_matrix(1).shape == (4, 2, 2) and batch.min_abs_det() == 0.0
+    for h, g in (
+        (ok, np.ones((4, 3, 2))),  # one trial of h, a batch of g
+        (np.ones((4, 3, 2)), np.ones((5, 3, 2))),  # batches of different sizes
+        (np.ones((3, 3)), np.ones((3, 3))),  # three antennas
+        (np.ones((2, 2)), np.ones((2, 2))),  # two slots for n = 3
+        (np.ones(6), np.ones(6)),  # flat
+    ):
+        with pytest.raises(ValueError, match="^channel arrays must have equal shapes ending in"):
+            ChannelRealization(n=3, h=h, g=g, states=states, rho=1e8)
+
+
 def test_draw_channels_integer_exhaustive_scan():
     states = (STATE_1A,) * 100
     real = draw_channels(100, states, rho=1e6, seed=5, mode="integer")
