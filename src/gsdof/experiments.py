@@ -23,6 +23,7 @@ from .schemes import (
     accounting_bits,
     build_scheme,
     noiseless_decode_check,
+    receiver_layout,
     scheme_block_length,
 )
 
@@ -50,11 +51,20 @@ LEAK_CANARY_MIN = 0.5
 
 _FMT = ".12g"
 
-# Trials that run_sweep builds as one trial-batched scheme and evaluates as
-# one stacked batch (trials x SNRs).  Larger chunks amortise more per-call
-# overhead of the builders and linear-algebra kernels but raise peak memory;
-# the output does not depend on it.
+# run_sweep builds each chunk of trials as one trial-batched scheme and
+# evaluates it as one stacked batch (trials x SNRs).  The first chunk holds
+# SWEEP_CHUNK trials; every later one as many as fit SWEEP_ELEMENTS complex
+# entries in the larger receiver's (trials, SNRs, rows, cols) observation
+# stack, and at least SWEEP_CHUNK.  Larger chunks amortise the per-call
+# overhead of the draw, the builders and the linear-algebra kernels, until
+# the working set outgrows the cache: on the acceptance sweep set the MI
+# time per (trial, SNR) matrix is lowest at 32768 entries (0.5 MB) and 12%
+# higher at 65536, where peak traced memory doubles (CHANGES.md has the
+# curve).  32768 is about the stack of eight trials of the largest layout,
+# bc-fixed at alpha 0.75 (19 x 30 at 7 SNRs: 31920 entries).  The output
+# does not depend on either constant.
 SWEEP_CHUNK = 8
+SWEEP_ELEMENTS = 32768
 
 
 def _f(x) -> str:
@@ -136,17 +146,27 @@ def _sweep_chunk(config: SweepConfig, seqs, rho_lin):
     return scheme, rel, leak
 
 
+def _chunk_trials(scheme, n_rho: int) -> int:
+    """Trials per sweep chunk after the first, sized from the first chunk's
+    receiver layouts (see ``SWEEP_ELEMENTS``)."""
+    entries = max(math.prod(receiver_layout(scheme, r)) for r in (1, 2))
+    return max(SWEEP_CHUNK, SWEEP_ELEMENTS // (n_rho * entries))
+
+
 def run_sweep(config: SweepConfig) -> RateReport:
     """Average scheme reliability and leakage over fresh realizations, then
     fit per-slot slopes against log2 rho.
 
-    Trials run in chunks of ``SWEEP_CHUNK``.  If a chunk fails, its trials
-    are rerun one at a time so the error names the lowest failing trial."""
+    Trials run in chunks: ``SWEEP_CHUNK`` first, then as many per chunk as
+    the first chunk's receiver layouts fit in ``SWEEP_ELEMENTS``.  If a
+    chunk fails, its trials are rerun one at a time so the error names the
+    lowest failing trial."""
     rho_lin = rho_from_db(config.rho_db)
     seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
     rel_parts, leak_parts = [], []
-    for start in range(0, config.trials, SWEEP_CHUNK):
-        idxs = range(start, min(start + SWEEP_CHUNK, config.trials))
+    start, size = 0, SWEEP_CHUNK
+    while start < config.trials:
+        idxs = range(start, min(start + size, config.trials))
         try:
             scheme, rel, leak = _sweep_chunk(config, [seeds[i] for i in idxs], rho_lin)
         except Exception:
@@ -158,8 +178,10 @@ def run_sweep(config: SweepConfig) -> RateReport:
             raise
         if start == 0:
             first = scheme
+            size = _chunk_trials(first, len(rho_lin))
         rel_parts.append(rel)
         leak_parts.append(leak)
+        start = idxs.stop
     n_slots = scheme_block_length(first)
     owners = {g.name: g.owner for g in first.groups}
     group_names = list(rel_parts[0])
@@ -168,8 +190,9 @@ def run_sweep(config: SweepConfig) -> RateReport:
     def joined(parts, g):
         return np.concatenate([p[g] for p in parts]) if g in parts[0] else no_leak
 
-    mi = {g: joined(rel_parts, g) for g in group_names}
-    leak = {g: joined(leak_parts, g) for g in group_names}
+    # (trials, SNRs, groups) stacks, in CSV row order.
+    mi = np.stack([joined(rel_parts, g) for g in group_names], axis=-1)
+    leak = np.stack([joined(leak_parts, g) for g in group_names], axis=-1)
 
     k = max(2, math.ceil(len(config.rho_db) / 2))
     report = RateReport(
@@ -183,26 +206,28 @@ def run_sweep(config: SweepConfig) -> RateReport:
 
     def trial_mean(vals):
         # Summed in trial order from 0.0, so the means keep their bits.
-        total = np.zeros(len(rho_lin))
+        total = np.zeros(vals.shape[1:])
         for row in vals:
             total += row
         return (total / config.trials).tolist()
 
-    means = {g: (trial_mean(mi[g]), trial_mean(leak[g])) for g in group_names}
+    mean_mi, mean_leak = trial_mean(mi), trial_mean(leak)
     for j, db in enumerate(config.rho_db):
-        for g in group_names:
-            report.mean_mi[(db, g)], report.mean_leak[(db, g)] = means[g][0][j], means[g][1][j]
+        for i, g in enumerate(group_names):
+            report.mean_mi[(db, g)], report.mean_leak[(db, g)] = mean_mi[j][i], mean_leak[j][i]
 
-    # Rows are trial-major; each SNR's "scheme,alpha,rho_db," prefix is
-    # formatted once, and per row only the trial, the group and the two
-    # values (as _f formats them).
-    values = {g: (mi[g].tolist(), leak[g].tolist()) for g in group_names}
+    # Rows are trial-major: one "scheme,alpha,rho_db,trial,group," head per
+    # row, then the two values as _f formats them.  The heads are generated
+    # as the rows are, so they never all sit in memory beside the rows.
     prefixes = [f"{config.scheme},{_f(config.alpha)},{_f(db)}," for db in config.rho_db]
-    lines = ["scheme,alpha,rho_db,trial,symbol_group,mi_bits,leak_bits"]
-    for trial in range(config.trials):
-        for j, prefix in enumerate(prefixes):
-            for g, (m, lk) in values.items():
-                lines.append(f"{prefix}{trial},{g},{m[trial][j]:.12g},{lk[trial][j]:.12g}")
+    heads = (
+        f"{prefix}{trial},{g},"
+        for trial in range(config.trials)
+        for prefix in prefixes
+        for g in group_names
+    )
+    rows = map("{}{:.12g},{:.12g}".format, heads, mi.ravel().tolist(), leak.ravel().tolist())
+    lines = ["scheme,alpha,rho_db,trial,symbol_group,mi_bits,leak_bits", *rows]
 
     x = np.log2(rho_lin)
     for g in group_names:

@@ -24,7 +24,7 @@ certified separately by their own mutual information.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -60,6 +60,7 @@ __all__ = [
     "joint_leakage_bits",
     "common_layer_bits",
     "scheme_block_length",
+    "receiver_layout",
     "simulate_noiseless",
     "noiseless_decode_check",
     "audit_causality",
@@ -167,20 +168,42 @@ def scheme_block_length(scheme: LinearScheme) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _row_plan(scheme: LinearScheme, receiver: int) -> list:
+    """``receiver``'s observation rows as (slot, channel, exponent): one per
+    own slot output (channel "h" at receiver 1, "g" at receiver 2), then one
+    per overheard slot output delivered to it as side information."""
+    real = scheme.realization
+    own, other = ("h", "g") if receiver == 1 else ("g", "h")
+    plan = [
+        (t, own, state.exponents(scheme.alpha)[receiver - 1])
+        for t, state in enumerate(real.states)
+    ]
+    for ch in scheme.side_channels:
+        if ch.receiver == receiver:
+            plan += [(t, other, ch.gain_exponent) for t in ch.slots]
+    return plan
+
+
+def receiver_layout(scheme: LinearScheme, receiver: int) -> tuple[int, int]:
+    """(rows, cols) of ``receiver``'s observation matrix, the trailing shape
+    of ``receiver_structure(scheme, receiver).coef``, without building it."""
+    return len(_row_plan(scheme, receiver)), sum(g.size for g in scheme.groups)
+
+
 class _ReceiverStructure:
     """Stripped coefficients of one receiver's observations for one scheme,
     of one trial or trial-batched.
 
     The layout is built once: column offsets, group and owner masks, row and
-    column exponents, the row plan (each row's slot and channel: the
-    receiver's own, or the other receiver's for a delivered side channel)
-    and the key placement.  ``coef`` (rows, cols) and ``key_coef`` (keys,
-    cols) hold the coefficients, with the scheme's trials axis leading for a
-    batch; each (slot, group) cell is filled for all trials with one
+    column exponents, the row plan (``_row_plan``: each row's slot and
+    channel, the receiver's own or the other receiver's for a delivered side
+    channel) and the key placement.  ``coef`` (rows, cols) and ``key_coef``
+    (keys, cols) hold the coefficients, with the scheme's trials axis leading
+    for a batch; each (slot, group) cell is filled for all trials with one
     ``(..., 1, 2) @ (..., 2, size)`` matmul per row."""
 
     def __init__(self, scheme: LinearScheme, receiver: int):
-        real, alpha = scheme.realization, scheme.alpha
+        real = scheme.realization
         offsets = {}
         pos = 0
         for g in scheme.groups:
@@ -203,22 +226,14 @@ class _ReceiverStructure:
                     mask |= self.masks[g.name]
             self.owner_masks[owner] = mask
 
-        # Row plan: one row per own slot output, then one per overheard slot
-        # output delivered as side information, each as (slot, channel).
-        own, other = ("h", "g") if receiver == 1 else ("g", "h")
-        plan = [(t, own) for t in range(real.n)]
-        row_exp = [real.states[t].exponents(alpha)[receiver - 1] for t in range(real.n)]
-        for ch in scheme.side_channels:
-            if ch.receiver == receiver:
-                plan += [(t, other) for t in ch.slots]
-                row_exp += [ch.gain_exponent] * len(ch.slots)
-        self.row_exp = np.asarray(row_exp, dtype=float)
+        plan = _row_plan(scheme, receiver)
+        self.row_exp = np.asarray([e for _, _, e in plan], dtype=float)
 
         lead = real.h.shape[:-2]
         channels = {"h": real.h[..., None, :], "g": real.g[..., None, :]}
         coef = np.zeros(lead + (len(plan), pos), dtype=np.complex128)
         for t, maps in enumerate(scheme.slot_maps):
-            rows = [(i, channels[c][..., t, :, :]) for i, (s, c) in enumerate(plan) if s == t]
+            rows = [(i, channels[c][..., t, :, :]) for i, (s, c, _) in enumerate(plan) if s == t]
             norm = np.asarray(scheme.slot_norms[t])[..., None, None]
             for name, m in maps.items():
                 off, size = offsets[name]
@@ -1399,10 +1414,17 @@ SECURE_SCHEMES = tuple(kind for kind, spec in SCHEMES.items() if spec.secure)
 
 
 def _draw_for(kind: str, alpha: float, seed) -> ChannelRealization:
+    """The kind's realization for one seed (an int or a SeedSequence), or a
+    trial-batched one for a list or tuple of seeds, in one ``draw_channels``
+    call.  A SeedSequence is mapped to the int seed its first state word
+    gives."""
     spec = SCHEMES[kind]
     states = spec.states(alpha)
-    if isinstance(seed, np.random.SeedSequence):
-        seed = int(seed.generate_state(1)[0])
+
+    def as_int(s):
+        return int(s.generate_state(1)[0]) if isinstance(s, np.random.SeedSequence) else s
+
+    seed = [as_int(s) for s in seed] if isinstance(seed, (list, tuple)) else as_int(seed)
     return draw_channels(len(states), states, rho=1e8, seed=seed, mode=spec.mode)
 
 
@@ -1410,17 +1432,10 @@ def build_scheme(kind: str, alpha: float, seed) -> LinearScheme:
     """Draw a fresh realization matching the scheme's needs and build it.
 
     ``seed`` is one seed (an int or a SeedSequence), or a list or tuple of
-    seeds for a trial-batched scheme: each trial is drawn from its own
-    generator as a one-seed build draws it, the draws are stacked along a
+    seeds for a trial-batched scheme: one ``draw_channels`` call draws each
+    trial from its own generator as a one-seed build draws it, along a
     leading trials axis, and the builder runs once for the whole batch.
     Trial ``b`` of the batched realization, slot maps, slot norms and keys
     equals the one-seed build from ``seed[b]`` bit for bit.
     """
-    if isinstance(seed, (list, tuple)):
-        draws = [_draw_for(kind, alpha, s) for s in seed]
-        real = replace(
-            draws[0], h=np.stack([r.h for r in draws]), g=np.stack([r.g for r in draws])
-        )
-    else:
-        real = _draw_for(kind, alpha, seed)
-    return SCHEMES[kind].build(real, alpha)
+    return SCHEMES[kind].build(_draw_for(kind, alpha, seed), alpha)

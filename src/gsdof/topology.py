@@ -207,11 +207,26 @@ def _full_rank(m: np.ndarray):
     return np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]) > RANK_TOL
 
 
+def _top_up(rng: np.random.Generator, mode: str, m: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Keep the full-rank slots of ``m`` in order and draw the shortfall one
+    candidate at a time from ``rng``."""
+    kept = list(m[ok])
+    while len(kept) < len(m):
+        for _ in range(_MAX_REDRAWS):
+            slot = _draw_slots(rng, mode, ())
+            if _full_rank(slot):
+                break
+        else:
+            raise RuntimeError(f"slot {len(kept)}: no full-rank draw in {_MAX_REDRAWS} tries")
+        kept.append(slot)
+    return np.array(kept)
+
+
 def draw_channels(
     n: int,
     states,
     rho: float,
-    seed: int,
+    seed,
     mode: str = "complex",
 ) -> ChannelRealization:
     """Draw an ``n``-slot realization; redraws any slot with |det| <= 1e-9.
@@ -224,29 +239,30 @@ def draw_channels(
     generator's stream, the same as a slot loop that redraws each slot until
     it passes.  All n slots come from one generator call; if some fail the
     rank test, the passing ones are kept in order and only the shortfall is
-    drawn, one candidate at a time from the same generator.  One trial per
-    call: a batch stacks the realizations of its trials.
+    drawn, one candidate at a time from the same generator.
+
+    ``seed`` is one seed, or a list or tuple of seeds for a batch of trials:
+    each trial gets its own generator and its own one-call draw, the rank
+    test runs once on the stack, and only the trials with a failing slot
+    are topped up.  ``h`` and ``g`` are then (trials, n, 2), and trial ``b``
+    equals the one-seed draw from ``seed[b]`` bit for bit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     states = tuple(states)
     if len(states) != n:
         raise ValueError("states length must equal n")
-    rng = np.random.default_rng(seed)
-    m = _draw_slots(rng, mode, (n,))
+    batched = isinstance(seed, (list, tuple))
+    if batched and not seed:
+        raise ValueError("a batch needs at least one seed")
+    rngs = [np.random.default_rng(s) for s in (seed if batched else (seed,))]
+    m = np.stack([_draw_slots(rng, mode, (n,)) for rng in rngs])
     ok = _full_rank(m)
-    if not ok.all():
-        kept = list(m[ok])
-        while len(kept) < n:
-            for _ in range(_MAX_REDRAWS):
-                slot = _draw_slots(rng, mode, ())
-                if _full_rank(slot):
-                    break
-            else:
-                raise RuntimeError(f"slot {len(kept)}: no full-rank draw in {_MAX_REDRAWS} tries")
-            kept.append(slot)
-        m = np.array(kept)
-    h, g = m[:, 0].copy(), m[:, 1].copy()
+    for b in np.flatnonzero(~ok.all(axis=-1)):
+        m[b] = _top_up(rngs[b], mode, m[b], ok[b])
+    if not batched:
+        m = m[0]
+    h, g = m[..., 0, :].copy(), m[..., 1, :].copy()
     return ChannelRealization(n=n, h=h, g=g, states=states, rho=float(rho), mode=mode)
 
 

@@ -113,15 +113,40 @@ def test_run_sweep_reproducible_bytes(tmp_path):
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_run_sweep_chunk_invariant(tmp_path, monkeypatch, kind):
     # 12 trials run as chunks of 8 + 4 by default; one trial per chunk and
-    # all trials in one chunk must give the same bytes.
+    # all trials in one chunk must give the same bytes.  A zero element
+    # budget leaves every chunk at SWEEP_CHUNK trials; a huge one puts all
+    # trials after the first chunk into one.
     cfg = dict(scheme=kind, alpha=0.5, rho_db=GRID, trials=12, seed=3)
     ref = tmp_path / "default.csv"
     run_sweep(SweepConfig(**cfg, out=str(ref)))
-    for chunk in (1, 12):
-        out = tmp_path / f"chunk{chunk}.csv"
+    for chunk, elements in ((1, 0), (12, 10**9), (1, 10**9)):
+        out = tmp_path / f"chunk{chunk}-{elements}.csv"
         monkeypatch.setattr(experiments, "SWEEP_CHUNK", chunk)
+        monkeypatch.setattr(experiments, "SWEEP_ELEMENTS", elements)
         run_sweep(SweepConfig(**cfg, out=str(out)))
         assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kind, alpha, sizes",
+    [("sym-alt", 0.5, [8, 92]), ("bc-fixed", 0.75, [8] * 12 + [4])],
+)
+def test_run_sweep_chunk_schedule(monkeypatch, kind, alpha, sizes):
+    # After a first chunk of SWEEP_CHUNK trials, chunks fill SWEEP_ELEMENTS
+    # complex entries of the larger receiver's observation stack, and never
+    # hold fewer than SWEEP_CHUNK trials: sym-alt takes the other 92 trials
+    # at once, while bc-fixed at alpha 0.75 (19 x 30 at receiver 1, 7 SNRs)
+    # already fills the budget with 8.
+    counts = []
+    build = experiments.build_scheme
+
+    def spy(kind, alpha, seqs):
+        counts.append(len(seqs))
+        return build(kind, alpha, seqs)
+
+    monkeypatch.setattr(experiments, "build_scheme", spy)
+    run_sweep(SweepConfig(kind, alpha, GRID, trials=100, seed=0))
+    assert counts == sizes
 
 
 # sha256 of the run_sweep CSV at alpha 0.5, GRID, 12 trials, seed 3, for

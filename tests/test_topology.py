@@ -141,6 +141,35 @@ def test_draw_channels_tops_up_only_the_shortfall(monkeypatch):
     assert real.h.tobytes() == h.tobytes() and real.g.tobytes() == g.tobytes()
 
 
+@pytest.mark.parametrize("mode, n", [("complex", 5), ("integer", 3)])
+def test_batched_draw_equals_per_seed_draws(monkeypatch, mode, n):
+    # A batch gives each trial its own generator and one-call draw; trial b
+    # is the one-seed draw from seeds[b] bit for bit.  Integer seed 92 fails
+    # the rank test in two of three slots, so only its trial is topped up.
+    seeds = [90, 92, 91]
+    singles = [draw_channels(n, (STATE_1A,) * n, rho=1e8, seed=s, mode=mode) for s in seeds]
+    shapes = []
+    draw = topology._draw_slots
+
+    def spy(rng, mode, shape):
+        shapes.append(shape)
+        return draw(rng, mode, shape)
+
+    monkeypatch.setattr(topology, "_draw_slots", spy)
+    for batch_seeds in (seeds, tuple(seeds)):
+        shapes.clear()
+        real = draw_channels(n, (STATE_1A,) * n, rho=1e8, seed=batch_seeds, mode=mode)
+        top_up = [(), (), ()] if mode == "integer" else []
+        assert shapes == [(n,)] * len(seeds) + top_up
+        assert real.h.shape == real.g.shape == (len(seeds), n, 2)
+        assert (real.n, real.rho, real.mode) == (n, 1e8, mode)
+        for b, one in enumerate(singles):
+            assert real.h[b].tobytes() == one.h.tobytes()
+            assert real.g[b].tobytes() == one.g.tobytes()
+    with pytest.raises(ValueError, match="at least one seed"):
+        draw_channels(n, (STATE_1A,) * n, rho=1e8, seed=[], mode=mode)
+
+
 def test_draw_channels_gives_up_after_max_redraws(monkeypatch):
     calls = []
 
@@ -152,6 +181,11 @@ def test_draw_channels_gives_up_after_max_redraws(monkeypatch):
     with pytest.raises(RuntimeError, match="^slot 0: no full-rank draw in 1000 tries$"):
         draw_channels(2, (STATE_1A,) * 2, rho=1e8, seed=0)
     assert len(calls) == 1 + topology._MAX_REDRAWS
+    # A batch draws every trial once, then gives up on the first one's top-up.
+    calls.clear()
+    with pytest.raises(RuntimeError, match="^slot 0: no full-rank draw in 1000 tries$"):
+        draw_channels(2, (STATE_1A,) * 2, rho=1e8, seed=[0, 1])
+    assert len(calls) == 2 + topology._MAX_REDRAWS
 
 
 def test_realization_channel_shapes_are_checked():
