@@ -1,10 +1,14 @@
 """Degrees-of-freedom regions as half-space intersections in the (d1, d2) plane.
 
 Every region here is an intersection of a handful of half-spaces together
-with the implicit nonnegativity of d1 and d2.  Vertex enumeration is done by
-exact pairwise intersection (the constraint count never exceeds six), so the
-whole module works with plain floats or with ``fractions.Fraction`` inputs
-for exact rational evaluation.
+with the implicit nonnegativity of d1 and d2.  Vertices are the feasible
+pairwise crossings of the constraint and axis lines (the constraint count
+never exceeds six).  A region with plain float (or int) coefficients is
+enumerated in floats: crossings are screened for feasibility and merged
+within ``TOL`` = 1e-9.  A region with any ``fractions.Fraction`` coefficient
+is decided exactly, in integer arithmetic with no tolerance, and its
+vertices are ``Fraction``s; so two vertices closer than ``TOL`` stay apart
+and a crossing that violates a constraint by less than ``TOL`` is dropped.
 """
 
 from __future__ import annotations
@@ -52,19 +56,13 @@ _AXIS_D1 = HalfSpace(-1, 0, 0)  # d1 >= 0
 _AXIS_D2 = HalfSpace(0, -1, 0)  # d2 >= 0
 
 
-def _intersect(c1: HalfSpace, c2: HalfSpace, exact: bool = False):
-    """Crossing point of the two constraint lines, or None if parallel.
-
-    With ``exact``, an integer determinant divides as a ``Fraction``, so an
-    integer-only line pair (such as the two axes) gives an exact point
-    instead of true-division floats."""
+def _intersect(c1: HalfSpace, c2: HalfSpace):
+    """Crossing point of the two constraint lines, or None if parallel."""
     det = c1.a1 * c2.a2 - c1.a2 * c2.a1
     if det == 0 or abs(float(det)) <= 1e-15:
         return None
     n1 = c1.b * c2.a2 - c2.b * c1.a2
     n2 = c1.a1 * c2.b - c2.a1 * c1.b
-    if exact and isinstance(det, int):
-        return Fraction(n1, det), Fraction(n2, det)
     d1 = n1 / det
     d2 = n2 / det
     if isinstance(d1, float):
@@ -101,19 +99,20 @@ def _dedup(points, tol):
     return out
 
 
-def _sort_ccw(points):
-    """Counterclockwise vertex order, starting from the largest-d1 vertex.
+def _ccw_order(fx):
+    """Indices of the float points ``fx`` in counterclockwise order, starting
+    from the largest-d1 point.
 
-    Collinear sets (degenerate regions) are sorted along the common line.
+    Collinear sets (degenerate regions) are ordered along the common line.
     """
-    if len(points) <= 2:
-        return sorted(points, key=lambda p: (float(p[0]), float(p[1])))
-    fx = [(float(p[0]), float(p[1])) for p in points]
-    cx = sum(p[0] for p in fx) / len(fx)
-    cy = sum(p[1] for p in fx) / len(fx)
+    n = len(fx)
+    if n <= 2:
+        return sorted(range(n), key=fx.__getitem__)
+    cx = sum(p[0] for p in fx) / n
+    cy = sum(p[1] for p in fx) / n
     spread = max(abs(p[0] - cx) + abs(p[1] - cy) for p in fx)
     collinear = True
-    for i in range(1, len(fx) - 1):
+    for i in range(1, n - 1):
         cross = (fx[i][0] - fx[0][0]) * (fx[i + 1][1] - fx[0][1]) - (
             fx[i][1] - fx[0][1]
         ) * (fx[i + 1][0] - fx[0][0])
@@ -121,15 +120,71 @@ def _sort_ccw(points):
             collinear = False
             break
     if collinear:
-        return sorted(points, key=lambda p: (float(p[0]), float(p[1])))
-    order = sorted(
-        range(len(points)),
-        key=lambda i: math.atan2(fx[i][1] - cy, fx[i][0] - cx),
-    )
+        return sorted(range(n), key=fx.__getitem__)
+    order = sorted(range(n), key=lambda i: math.atan2(fx[i][1] - cy, fx[i][0] - cx))
     # Rotate so the vertex with maximum d1 (ties: minimum d2) comes first.
     start = min(order, key=lambda i: (-fx[i][0], fx[i][1]))
     k = order.index(start)
-    return [points[i] for i in order[k:] + order[:k]]
+    return order[k:] + order[:k]
+
+
+def _int_row(c: HalfSpace):
+    """The constraint scaled by the lcm of its denominators: an integer row
+    (a1, a2, b) for the same half-plane.  An int is its own numerator; a
+    float converts exactly, as ``Fraction(x)``."""
+    a1, a2, b = (Fraction(x) if isinstance(x, float) else x for x in (c.a1, c.a2, c.b))
+    m = math.lcm(a1.denominator, a2.denominator, b.denominator)
+    return (
+        a1.numerator * (m // a1.denominator),
+        a2.numerator * (m // a2.denominator),
+        b.numerator * (m // b.denominator),
+    )
+
+
+_AXIS_ROWS = [_int_row(_AXIS_D1), _int_row(_AXIS_D2)]
+
+
+def _exact_vertices(constraints):
+    """Vertex enumeration of a rational region in integer arithmetic.
+
+    Each crossing is kept as (n1, n2, det) with det > 0, the point
+    (n1/det, n2/det); it is feasible iff n1, n2 >= 0 and a.n <= b*det on
+    every row, and distinct crossings are told apart by their gcd-reduced
+    triples.  No tolerance enters, and a ``Fraction`` is built only for the
+    kept vertices.  Int true division is correctly rounded, so n/det equals
+    ``float(Fraction(n, det))`` and the float order is that of the exact
+    points' projections.
+    """
+    rows = [_int_row(c) for c in constraints]
+    # Bounded iff no direction r >= 0, r != 0 has a.r <= 0 on every row; the
+    # candidates are the quadrant edges and each row's line directions.
+    dirs = [(1, 0), (0, 1)]
+    for a1, a2, _ in rows:
+        if (a1, a2) != (0, 0):
+            dirs += [r for r in ((-a2, a1), (a2, -a1)) if r[0] >= 0 and r[1] >= 0]
+    if any(all(a1 * r1 + a2 * r2 <= 0 for a1, a2, _ in rows) for r1, r2 in dirs):
+        raise ValueError("region is unbounded: vertex enumeration impossible")
+    lines = rows + _AXIS_ROWS
+    found = {}
+    for i, (p1, p2, pb) in enumerate(lines):
+        for q1, q2, qb in lines[i + 1 :]:
+            det = p1 * q2 - p2 * q1
+            if not det:
+                continue
+            n1 = pb * q2 - qb * p2
+            n2 = p1 * qb - q1 * pb
+            if det < 0:
+                det, n1, n2 = -det, -n1, -n2
+            if n1 >= 0 and n2 >= 0 and all(a1 * n1 + a2 * n2 <= b * det for a1, a2, b in rows):
+                g = math.gcd(n1, n2, det)
+                found[n1 // g, n2 // g, det // g] = None
+    if not found:
+        raise ValueError("region is empty: no feasible vertex")
+    points = list(found)
+    order = _ccw_order([(n1 / det, n2 / det) for n1, n2, det in points])
+    return tuple(
+        (Fraction(n1, det), Fraction(n2, det)) for n1, n2, det in map(points.__getitem__, order)
+    )
 
 
 @dataclass(frozen=True)
@@ -137,7 +192,10 @@ class DofRegion:
     """Bounded, nonempty intersection of half-spaces with d1, d2 >= 0.
 
     Boundedness and nonemptiness are checked at construction by running the
-    vertex enumeration.
+    vertex enumeration.  Coefficients are floats, ints or ``Fraction``s.  If
+    any coefficient is a ``Fraction`` the region is exact: every float
+    coefficient in it is taken at its exact binary value, ``Fraction(x)``,
+    and the vertices are ``Fraction``s.  Otherwise the vertices are floats.
     """
 
     constraints: tuple[HalfSpace, ...]
@@ -147,35 +205,29 @@ class DofRegion:
         self.__dict__["_vertex_cache"] = self._enumerate()
 
     def _enumerate(self):
+        if any(isinstance(x, Fraction) for c in self.constraints for x in (c.a1, c.a2, c.b)):
+            return _exact_vertices(self.constraints)
         cons = list(self.constraints)
         if not _is_bounded(cons):
             raise ValueError("region is unbounded: vertex enumeration impossible")
-        exact = any(isinstance(x, Fraction) for c in cons for x in (c.a1, c.a2, c.b))
         lines = cons + [_AXIS_D1, _AXIS_D2]
-        # Screen every crossing in floats; an exact region then redoes only
-        # the surviving vertices in exact arithmetic.
-        flines = lines
-        if exact:
-            flines = [HalfSpace(float(c.a1), float(c.a2), float(c.b)) for c in lines]
-        pairs = {}
+        # Distinct float crossings in first-seen order, then the feasibility
+        # screen and the merge of near-coincident points, both within TOL.
+        points = {}
         for i in range(len(lines)):
             for j in range(i + 1, len(lines)):
-                p = _intersect(flines[i], flines[j])
+                p = _intersect(lines[i], lines[j])
                 if p is not None:
-                    pairs.setdefault(p, (lines[i], lines[j]))
+                    points[p] = None
         feas = [
             p
-            for p in pairs
-            if p[0] >= -TOL
-            and p[1] >= -TOL
-            and all(c.violation(*p) <= TOL for c in flines[: len(cons)])
+            for p in points
+            if p[0] >= -TOL and p[1] >= -TOL and all(c.violation(*p) <= TOL for c in cons)
         ]
         if not feas:
             raise ValueError("region is empty: no feasible vertex")
         verts = _dedup(feas, TOL)
-        if exact:
-            verts = [_intersect(*pairs[p], exact=True) for p in verts]
-        return tuple(_sort_ccw(verts))
+        return tuple(verts[i] for i in _ccw_order(verts))
 
 
 def vertices(region: DofRegion) -> list[tuple[float, float]]:

@@ -1,9 +1,10 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gsdof import experiments
+from gsdof import cli, experiments
 from gsdof.experiments import (
     CheckResult,
     SweepConfig,
@@ -15,6 +16,7 @@ from gsdof.experiments import (
     verify_all,
 )
 from gsdof.schemes import SCHEME_KINDS, build_scheme, smallest_t1
+from gsdof.topology import TopologyProfile
 
 GRID = tuple(range(60, 121, 10))
 
@@ -170,6 +172,45 @@ SWEEP_DIGESTS = {
 def test_run_sweep_csv_digest(kind):
     rep = run_sweep(SweepConfig(kind, 0.5, GRID, trials=12, seed=3))
     assert hashlib.sha256(rep.csv_text.encode("utf-8")).hexdigest() == SWEEP_DIGESTS[kind]
+
+
+# Exact alphas for the geometry digests: grid points k/200 with the ends, the
+# midpoint where sym-alt's d1 coefficient vanishes, and 1/3, where yang's sum
+# maximum switches corners.
+GEOMETRY_ALPHAS = [Fraction(k, 200) for k in (0, 1, 50, 100, 150, 199, 200)] + [Fraction(1, 3)]
+
+# sha256 of the exact-Fraction region and figure CSVs: region_csv for every
+# bound under the 1a and sym profiles and figures 3/4/6/7, each over
+# GEOMETRY_ALPHAS, and figure 8 on the grid j/1000.  Rewrites of the region
+# enumeration must keep these bytes.
+GEOMETRY_DIGESTS = {
+    "region-1a": "42905653fb5d2bd67d0f436db59e24837544386d358d7c7c682de2d22e346f51",
+    "region-sym": "2192f0c8e9a9164018cce993aeb7e011022c2222d8ad75949fa94fbe7f2f6bf9",
+    "figure3": "6193393f2cab40cb055fbcc3e77d0e48e06490058c71fa10c328772ddb8fed7e",
+    "figure4": "33950b0a9f01ac3b5b958f45b96a590ace7e5fbf93508e638348ba43de25f93a",
+    "figure6": "87e5885a83f42b220e404a537719a08d53c67fde96e3c488376fac18a465ade6",
+    "figure7": "38229148e0447bc79b03c84a045e155426a94ac6289ebe4438042260b771d69f",
+    "figure8": "cda5f5a5e2c4f1412d766fe6a503fbefe83a0a628d4500b0169052dfc9f981e6",
+}
+
+
+def _geometry_text(name):
+    if name == "figure8":
+        return figure_data(8, alpha_grid=[Fraction(j, 1000) for j in range(1001)])
+    if name.startswith("region-"):
+        label = name[len("region-") :]
+        return "".join(
+            text
+            for a in GEOMETRY_ALPHAS
+            for text in region_csv(cli.BOUND_NAMES, a, TopologyProfile.named(label, a))
+        )
+    return "".join(figure_data(int(name[len("figure") :]), alpha=a) for a in GEOMETRY_ALPHAS)
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRY_DIGESTS))
+def test_exact_geometry_csv_digest(name):
+    text = _geometry_text(name)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GEOMETRY_DIGESTS[name]
 
 
 @pytest.mark.parametrize("kind", ["wiretap-gaussian-a1", "yang"])

@@ -49,6 +49,31 @@ def oracle_vertices(region):
     return out
 
 
+def exact_oracle_vertices(region):
+    """Brute-force exact enumeration: every pair of constraint/axis lines
+    solved in ``Fraction`` arithmetic, kept when exactly feasible; the set
+    dedups exactly."""
+    rows = [tuple(Fraction(x) for x in (c.a1, c.a2, c.b)) for c in region.constraints]
+    rows += [(Fraction(-1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(-1), Fraction(0))]
+    pts = set()
+    for (a1, a2, b1), (c1, c2, b2) in itertools.combinations(rows, 2):
+        det = a1 * c2 - a2 * c1
+        if det == 0:
+            continue
+        p = ((b1 * c2 - b2 * a2) / det, (a1 * b2 - c1 * b1) / det)
+        if all(x * p[0] + y * p[1] <= b for x, y, b in rows):
+            pts.add(p)
+    return pts
+
+
+def assert_exact_vertices(region):
+    verts = vertices(region)
+    assert all(type(x) is Fraction for v in verts for x in v), verts
+    assert len(set(verts)) == len(verts)
+    assert set(verts) == exact_oracle_vertices(region)
+    return verts
+
+
 def same_point_sets(a, b, tol=1e-9):
     if len(a) != len(b):
         return False
@@ -160,6 +185,52 @@ def test_fraction_regions_have_fraction_vertices():
     assert all(type(x) is float for v in vertices(prop2_inner(0.5)) for x in v)
 
 
+def test_exact_vertices_match_exact_oracle_on_alpha_grid():
+    for k in range(201):
+        a = Fraction(k, 200)
+        for reg in (
+            bc_outer(TopologyProfile.named("1a", a)),
+            bc_outer(TopologyProfile.named("sym", a)),
+            yang_inner(a),
+            prop2_inner(a),
+            sym_alt_inner(a),
+            integer_sym_alt_inner(a),
+            gdof_fixed(a),
+        ):
+            assert_exact_vertices(reg)
+
+
+def test_exact_sum_max_matches_exact_oracle_on_fine_grid():
+    for j in range(1001):
+        a = Fraction(j, 1000)
+        for build in (prop2_inner, sym_alt_inner, integer_sym_alt_inner, gdof_fixed):
+            reg = build(a)
+            verts = assert_exact_vertices(reg)
+            best = sum_max(reg)
+            assert type(best) is Fraction
+            assert best == max(x + y for x, y in verts)
+
+
+def test_exact_region_keeps_sub_tolerance_vertices_apart():
+    # The two corners below lie 1e-12 apart, inside TOL: the exact path keeps
+    # both, and drops the crossing (1, 1) that violates the third constraint.
+    eps = Fraction(1, 10**12)
+    reg = DofRegion((HalfSpace(1, 0, Fraction(1)), HalfSpace(0, 1, 1), HalfSpace(1, 1, 2 - eps)))
+    verts = assert_exact_vertices(reg)
+    assert verts == [(1, 0), (1, 1 - eps), (1 - eps, 1), (0, 1), (0, 0)]
+    assert all(c.violation(*v) <= 0 for c in reg.constraints for v in verts)
+
+
+def test_mixed_float_and_fraction_region_is_exact():
+    # One Fraction makes the whole region exact; a float coefficient enters
+    # at its exact binary value, which is not the decimal it prints as.
+    reg = DofRegion((HalfSpace(1, 0, 0.1), HalfSpace(0, 1, Fraction(1, 3))))
+    tenth = Fraction(0.1)
+    assert tenth != Fraction(1, 10)
+    verts = assert_exact_vertices(reg)
+    assert set(verts) == {(0, 0), (tenth, 0), (tenth, Fraction(1, 3)), (0, Fraction(1, 3))}
+
+
 def test_sym_alt_vertices():
     for a in [0.0, 0.25, 0.5, 0.75, 1.0]:
         reg = sym_alt_inner(a)
@@ -210,15 +281,25 @@ def test_unit_square_vertices():
 
 
 def test_unbounded_region_rejected():
-    with pytest.raises(ValueError):
+    msg = "^region is unbounded: vertex enumeration impossible$"
+    with pytest.raises(ValueError, match=msg):
         DofRegion(())
-    with pytest.raises(ValueError):
-        DofRegion((HalfSpace(1, 0, 1),))  # d2 unbounded
+    for one in (1, Fraction(1)):  # float path, then exact path
+        with pytest.raises(ValueError, match=msg):
+            DofRegion((HalfSpace(one, 0, one),))  # d2 unbounded
+        with pytest.raises(ValueError, match=msg):
+            DofRegion((HalfSpace(one, -1, 0),))  # d1 <= d2: the ray (1, 1)
+        with pytest.raises(ValueError, match=msg):
+            DofRegion((HalfSpace(0, 0, one), HalfSpace(0, one, one)))  # d1 unbounded
 
 
 def test_empty_region_rejected():
-    with pytest.raises(ValueError):
-        DofRegion((HalfSpace(1, 0, -1), HalfSpace(0, 1, 1)))
+    msg = "^region is empty: no feasible vertex$"
+    for one in (1, Fraction(1)):  # float path, then exact path
+        with pytest.raises(ValueError, match=msg):
+            DofRegion((HalfSpace(one, 0, -1), HalfSpace(0, 1, 1)))
+        with pytest.raises(ValueError, match=msg):
+            DofRegion((HalfSpace(one, 0, 1), HalfSpace(0, 1, 1), HalfSpace(0, 0, -one)))
 
 
 def test_inclusions_on_alpha_grid():
