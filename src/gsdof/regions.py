@@ -3,19 +3,22 @@
 Every region here is an intersection of a handful of half-spaces together
 with the implicit nonnegativity of d1 and d2.  Vertices are the feasible
 pairwise crossings of the constraint and axis lines (the constraint count
-never exceeds six).  A region with plain float (or int) coefficients is
-enumerated in floats: crossings are screened for feasibility and merged
-within ``TOL`` = 1e-9.  A region with any ``fractions.Fraction`` coefficient
-is decided exactly, in integer arithmetic with no tolerance, and its
-vertices are ``Fraction``s; so two vertices closer than ``TOL`` stay apart
-and a crossing that violates a constraint by less than ``TOL`` is dropped.
+never exceeds six).  Every region is enumerated exactly, in integer
+arithmetic with no tolerance, each coefficient taken at its exact value (a
+float at its binary value): a crossing that violates a constraint by any
+amount is dropped, and the vertex order is decided exactly.  A region with
+any ``fractions.Fraction`` coefficient returns ``Fraction`` vertices.  Any
+other region returns its exact vertices rounded to floats, with vertices
+that lie within ``TOL`` = 1e-9 of an earlier one merged into it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 __all__ = [
     "HalfSpace",
@@ -51,109 +54,73 @@ class HalfSpace:
         return self.a1 * d1 + self.a2 * d2 - self.b
 
 
-# Implicit quadrant faces, used as constraint lines during enumeration.
-_AXIS_D1 = HalfSpace(-1, 0, 0)  # d1 >= 0
-_AXIS_D2 = HalfSpace(0, -1, 0)  # d2 >= 0
-
-
-def _intersect(c1: HalfSpace, c2: HalfSpace):
-    """Crossing point of the two constraint lines, or None if parallel."""
-    det = c1.a1 * c2.a2 - c1.a2 * c2.a1
-    if det == 0 or abs(float(det)) <= 1e-15:
-        return None
-    n1 = c1.b * c2.a2 - c2.b * c1.a2
-    n2 = c1.a1 * c2.b - c2.a1 * c1.b
-    d1 = n1 / det
-    d2 = n2 / det
-    if isinstance(d1, float):
-        d1 += 0.0  # normalize -0.0
-    if isinstance(d2, float):
-        d2 += 0.0
-    return d1, d2
-
-
-def _is_bounded(constraints) -> bool:
-    """Recession-cone test: bounded iff no direction r >= 0, r != 0 satisfies
-    a.r <= 0 for every constraint.  Candidate directions are the quadrant
-    edges and each constraint line's directions, clamped to the quadrant."""
-    cands = [(1.0, 0.0), (0.0, 1.0)]
-    for c in constraints:
-        a1, a2 = float(c.a1), float(c.a2)
-        for r in ((-a2, a1), (a2, -a1)):
-            norm = math.hypot(*r)
-            if norm > 0 and r[0] >= -1e-12 * norm and r[1] >= -1e-12 * norm:
-                cands.append((max(r[0], 0.0) / norm, max(r[1], 0.0) / norm))
-    for r in cands:
-        if all(float(c.a1) * r[0] + float(c.a2) * r[1] <= 1e-12 for c in constraints):
-            return False
-    return True
+# Implicit quadrant faces d1 >= 0 and d2 >= 0, as integer rows (a1, a2, b).
+_AXIS_ROWS = [(-1, 0, 0), (0, -1, 0)]
 
 
 def _dedup(points, tol):
     out = []
     for p in points:
-        if not any(
-            abs(float(p[0] - q[0])) <= tol and abs(float(p[1] - q[1])) <= tol for q in out
-        ):
+        if not any(abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol for q in out):
             out.append(p)
     return out
 
 
-def _ccw_order(fx):
-    """Indices of the float points ``fx`` in counterclockwise order, starting
-    from the largest-d1 point.
+def _orient(p, q, r):
+    """Orientation of three crossings (n1, n2, det), each with det > 0: the
+    determinant of the 3x3 matrix of the triples, a positive multiple of
+    (q - p) x (r - p).  Positive iff p, q, r turn counterclockwise."""
+    (p1, p2, p0), (q1, q2, q0), (r1, r2, r0) = p, q, r
+    return p1 * (q2 * r0 - q0 * r2) - p2 * (q1 * r0 - q0 * r1) + p0 * (q1 * r2 - q2 * r1)
 
-    Collinear sets (degenerate regions) are ordered along the common line.
+
+def _ccw_order(points):
+    """The distinct crossings ``points``, triples (n1, n2, det) with det > 0,
+    in counterclockwise order from the largest-d1 point (ties: smallest d2).
+
+    A collinear set (a degenerate region) is ordered along the common line,
+    by ascending (d1, d2).  Every comparison is exact.
     """
-    n = len(fx)
-    if n <= 2:
-        return sorted(range(n), key=fx.__getitem__)
-    cx = sum(p[0] for p in fx) / n
-    cy = sum(p[1] for p in fx) / n
-    spread = max(abs(p[0] - cx) + abs(p[1] - cy) for p in fx)
-    collinear = True
-    for i in range(1, n - 1):
-        cross = (fx[i][0] - fx[0][0]) * (fx[i + 1][1] - fx[0][1]) - (
-            fx[i][1] - fx[0][1]
-        ) * (fx[i + 1][0] - fx[0][0])
-        if abs(cross) > 1e-12 * max(spread, 1.0) ** 2:
-            collinear = False
-            break
-    if collinear:
-        return sorted(range(n), key=fx.__getitem__)
-    order = sorted(range(n), key=lambda i: math.atan2(fx[i][1] - cy, fx[i][0] - cx))
-    # Rotate so the vertex with maximum d1 (ties: minimum d2) comes first.
-    start = min(order, key=lambda i: (-fx[i][0], fx[i][1]))
-    k = order.index(start)
-    return order[k:] + order[:k]
+    if all(_orient(points[0], points[1], r) == 0 for r in points[2:]):
+        return sorted(points, key=lambda p: (Fraction(p[0], p[2]), Fraction(p[1], p[2])))
+    start = points[0]
+    for p in points[1:]:
+        gain = p[0] * start[2] - start[0] * p[2]
+        if gain > 0 or (gain == 0 and p[1] * start[2] < start[1] * p[2]):
+            start = p
+    # Seen from the start, the other vertices of the convex polygon span less
+    # than a half-turn, so the orientation sign is a total order on them.
+    rest = [p for p in points if p is not start]
+    rest.sort(key=cmp_to_key(lambda p, q: -_orient(start, p, q)))
+    return [start] + rest
+
+
+def _ratio(x):
+    """Exact (numerator, denominator) of an int, float, ``Fraction`` or numpy scalar."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:  # numpy integers have no as_integer_ratio
+        return operator.index(x), 1
 
 
 def _int_row(c: HalfSpace):
     """The constraint scaled by the lcm of its denominators: an integer row
-    (a1, a2, b) for the same half-plane.  An int is its own numerator; a
-    float converts exactly, as ``Fraction(x)``."""
-    a1, a2, b = (Fraction(x) if isinstance(x, float) else x for x in (c.a1, c.a2, c.b))
-    m = math.lcm(a1.denominator, a2.denominator, b.denominator)
-    return (
-        a1.numerator * (m // a1.denominator),
-        a2.numerator * (m // a2.denominator),
-        b.numerator * (m // b.denominator),
-    )
-
-
-_AXIS_ROWS = [_int_row(_AXIS_D1), _int_row(_AXIS_D2)]
+    (a1, a2, b) for the same half-plane."""
+    try:
+        ratios = [_ratio(x) for x in (c.a1, c.a2, c.b)]
+    except (OverflowError, ValueError):  # inf and nan have no ratio
+        raise ValueError(f"region constraint {c} has a non-finite coefficient") from None
+    m = math.lcm(*(d for _, d in ratios))
+    return tuple(n * (m // d) for n, d in ratios)
 
 
 def _exact_vertices(constraints):
-    """Vertex enumeration of a rational region in integer arithmetic.
+    """Vertex enumeration in integer arithmetic, as triples (n1, n2, det)
+    with det > 0, the points (n1/det, n2/det), in counterclockwise order.
 
-    Each crossing is kept as (n1, n2, det) with det > 0, the point
-    (n1/det, n2/det); it is feasible iff n1, n2 >= 0 and a.n <= b*det on
-    every row, and distinct crossings are told apart by their gcd-reduced
-    triples.  No tolerance enters, and a ``Fraction`` is built only for the
-    kept vertices.  Int true division is correctly rounded, so n/det equals
-    ``float(Fraction(n, det))`` and the float order is that of the exact
-    points' projections.
+    A crossing is feasible iff n1, n2 >= 0 and a.n <= b*det on every row,
+    and distinct crossings are told apart by their gcd-reduced triples.  No
+    tolerance enters.
     """
     rows = [_int_row(c) for c in constraints]
     # Bounded iff no direction r >= 0, r != 0 has a.r <= 0 on every row; the
@@ -180,11 +147,7 @@ def _exact_vertices(constraints):
                 found[n1 // g, n2 // g, det // g] = None
     if not found:
         raise ValueError("region is empty: no feasible vertex")
-    points = list(found)
-    order = _ccw_order([(n1 / det, n2 / det) for n1, n2, det in points])
-    return tuple(
-        (Fraction(n1, det), Fraction(n2, det)) for n1, n2, det in map(points.__getitem__, order)
-    )
+    return _ccw_order(list(found))
 
 
 @dataclass(frozen=True)
@@ -192,10 +155,12 @@ class DofRegion:
     """Bounded, nonempty intersection of half-spaces with d1, d2 >= 0.
 
     Boundedness and nonemptiness are checked at construction by running the
-    vertex enumeration.  Coefficients are floats, ints or ``Fraction``s.  If
-    any coefficient is a ``Fraction`` the region is exact: every float
-    coefficient in it is taken at its exact binary value, ``Fraction(x)``,
-    and the vertices are ``Fraction``s.  Otherwise the vertices are floats.
+    exact vertex enumeration; a non-finite coefficient is refused.
+    Coefficients are ints, floats or ``Fraction``s, and each enters at its
+    exact value, a float as ``Fraction(x)``.  If any coefficient is a
+    ``Fraction`` the vertices are ``Fraction``s.  Otherwise they are the
+    exact vertices rounded to floats, and a vertex within ``TOL`` of an
+    earlier one in the counterclockwise order is merged into it.
     """
 
     constraints: tuple[HalfSpace, ...]
@@ -205,29 +170,12 @@ class DofRegion:
         self.__dict__["_vertex_cache"] = self._enumerate()
 
     def _enumerate(self):
+        points = _exact_vertices(self.constraints)
         if any(isinstance(x, Fraction) for c in self.constraints for x in (c.a1, c.a2, c.b)):
-            return _exact_vertices(self.constraints)
-        cons = list(self.constraints)
-        if not _is_bounded(cons):
-            raise ValueError("region is unbounded: vertex enumeration impossible")
-        lines = cons + [_AXIS_D1, _AXIS_D2]
-        # Distinct float crossings in first-seen order, then the feasibility
-        # screen and the merge of near-coincident points, both within TOL.
-        points = {}
-        for i in range(len(lines)):
-            for j in range(i + 1, len(lines)):
-                p = _intersect(lines[i], lines[j])
-                if p is not None:
-                    points[p] = None
-        feas = [
-            p
-            for p in points
-            if p[0] >= -TOL and p[1] >= -TOL and all(c.violation(*p) <= TOL for c in cons)
-        ]
-        if not feas:
-            raise ValueError("region is empty: no feasible vertex")
-        verts = _dedup(feas, TOL)
-        return tuple(verts[i] for i in _ccw_order(verts))
+            return tuple((Fraction(n1, det), Fraction(n2, det)) for n1, n2, det in points)
+        # Int true division is correctly rounded, and an on-axis vertex
+        # comes out as an exact 0.0.
+        return tuple(_dedup([(n1 / det, n2 / det) for n1, n2, det in points], TOL))
 
 
 def vertices(region: DofRegion) -> list[tuple[float, float]]:
@@ -255,15 +203,10 @@ def sum_max(region: DofRegion):
 
 def axis_max(region: DofRegion, axis: int):
     """Largest coordinate value on the given axis (0 -> d1, 1 -> d2) with the
-    other coordinate zero."""
-    best = None
-    for v in vertices(region):
-        if abs(float(v[1 - axis])) <= TOL:
-            if best is None or float(v[axis]) > float(best):
-                best = v[axis]
-    if best is None:
-        return 0.0
-    return best
+    other coordinate zero; 0.0 if no vertex lies on that axis.  Every vertex
+    is an exact crossing, so an on-axis vertex has an exact zero."""
+    on_axis = [v[axis] for v in vertices(region) if v[1 - axis] == 0]
+    return max(on_axis) if on_axis else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +265,7 @@ def yang_corner_sum(alpha):
     single-user corner (2/3, 0) instead, so this corner sum is tracked
     separately from :func:`sum_max`.
     """
-    if float(alpha) <= 0:
-        return 0.5
-    corner = _intersect(
-        HalfSpace(3 * alpha, 1, 2 * alpha), HalfSpace(alpha, 3, 2 * alpha)
-    )
-    return corner[0] + corner[1]
+    return (1 + alpha) / 2
 
 
 def prop2_inner(alpha) -> DofRegion:

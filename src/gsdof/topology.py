@@ -89,8 +89,10 @@ class TopologyProfile:
         if not 0.0 <= float(self.alpha) <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         fracs = self.fractions()
-        if any(float(f) < 0.0 for f in fracs):
-            raise ValueError("state fractions must be nonnegative")
+        if not all(float(f) >= 0.0 for f in fracs):  # NaN fails too
+            raise ValueError(
+                "state fractions must be nonnegative numbers, got " + ", ".join(map(str, fracs))
+            )
         if abs(float(sum(fracs)) - 1.0) > 1e-12:
             raise ValueError(f"state fractions must sum to 1, got {float(sum(fracs))!r}")
 

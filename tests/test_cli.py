@@ -58,6 +58,10 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert parse_and_dispatch([]) == 2
     out = str(tmp_path / "r.csv")
     assert parse_and_dispatch(["region", "--profile", "xx", "--out", out]) == 2
+    capsys.readouterr()
+    assert parse_and_dispatch(["region", "--profile", "nan,0,1,0", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: state fractions must be nonnegative numbers, got nan, 0.0, 1.0, 0.0\n"
     assert parse_and_dispatch(["simulate", "--scheme", "yang", "--rho-db", "abc"]) == 2
     assert parse_and_dispatch(["verify", "--alpha-grid", "0:inf:1"]) == 2
     # seeds are checked before the first trial (and before any verify check)

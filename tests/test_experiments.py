@@ -213,6 +213,48 @@ def test_exact_geometry_csv_digest(name):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GEOMETRY_DIGESTS[name]
 
 
+# sha256 of the same CSVs for float alphas: region_csv for every bound under
+# the named profiles 11, 1a, a1, aa and sym (11 and sym give the same outer
+# bound) and figures 3/4/6/7, each over the float grid k/200, and figure 8 on
+# its default grid and on the float grid j/1000.  Generated before float
+# regions were enumerated exactly; the rounded exact vertices keep the bytes.
+FLOAT_GEOMETRY_ALPHAS = [k / 200 for k in range(201)]
+FLOAT_GEOMETRY_DIGESTS = {
+    "region-11": "9e89b559dc6eaa75fd9c8e1387b7717ef13b55d9ff78ec5c472b95f09b12ec1e",
+    "region-1a": "524ea09bb25f49c0798913a6de9fb351928a54ce552260793620c4dc112e264f",
+    "region-a1": "e82879855c1f9fa035fe8ab8c8f8b2c87c6b736e400ff05cbeeb51278137b2ba",
+    "region-aa": "08af6026222e262c502a5fc989478ebe9487206cb686c488291e688c4d07ac8f",
+    "region-sym": "9e89b559dc6eaa75fd9c8e1387b7717ef13b55d9ff78ec5c472b95f09b12ec1e",
+    "figure3": "41615b614f8d264cfa2aea6a51d5d8ffc0980c6144d1f174cf706d9907457323",
+    "figure4": "0cc53fd3ecc4613a40a11281d192a7f2a9ad1a965b0f18f0613bc59aa4681bed",
+    "figure6": "7b3cf3c688730d638844d95310e6e137a1bc88c11a60812cbca38a8e9635d9ab",
+    "figure7": "2801c6a82b6bf3f92495d5b51012626bea4e8b240f16346547c44d9496e56375",
+    "figure8": "b0fb4d604c8633a0f2cf086ed53d7509751a772f936adafac1211abeab70f0f0",
+    "figure8-fine": "cda5f5a5e2c4f1412d766fe6a503fbefe83a0a628d4500b0169052dfc9f981e6",
+}
+
+
+def _float_geometry_text(name):
+    if name == "figure8":
+        return figure_data(8)
+    if name == "figure8-fine":
+        return figure_data(8, alpha_grid=[j / 1000 for j in range(1001)])
+    if name.startswith("region-"):
+        label = name[len("region-") :]
+        return "".join(
+            text
+            for a in FLOAT_GEOMETRY_ALPHAS
+            for text in region_csv(cli.BOUND_NAMES, a, TopologyProfile.named(label, a))
+        )
+    return "".join(figure_data(int(name[len("figure") :]), alpha=a) for a in FLOAT_GEOMETRY_ALPHAS)
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_GEOMETRY_DIGESTS))
+def test_float_geometry_csv_digest(name):
+    text = _float_geometry_text(name)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FLOAT_GEOMETRY_DIGESTS[name]
+
+
 @pytest.mark.parametrize("kind", ["wiretap-gaussian-a1", "yang"])
 def test_run_sweep_names_the_failing_trial(kind):
     # Past about 160 dB the conditional covariance is numerically singular.

@@ -1,4 +1,6 @@
 import itertools
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -231,6 +233,89 @@ def test_mixed_float_and_fraction_region_is_exact():
     assert set(verts) == {(0, 0), (tenth, 0), (tenth, Fraction(1, 3)), (0, Fraction(1, 3))}
 
 
+def test_axis_max_counts_only_exact_on_axis_vertices():
+    # (1, 1e-12) lies 1e-12 above the d1 axis, inside TOL; the largest
+    # on-axis d1 is the exact vertex (1/2, 0).
+    e = 1e-12
+    reg = DofRegion((HalfSpace(1, 0, Fraction(1)), HalfSpace(0, 1, 1), HalfSpace(2 * e, -1, e)))
+    assert axis_max(reg, 0) == Fraction(1, 2)
+    assert axis_max(reg, 1) == 1
+
+
+def test_thin_exact_triangle_is_ordered_counterclockwise():
+    # A triangle 1e-13 high is not a segment: it starts at its largest-d1 vertex.
+    tiny = Fraction(1, 10**13)
+    reg = DofRegion((HalfSpace(1, 0, Fraction(1)), HalfSpace(-tiny, 1, 0)))
+    assert vertices(reg) == [(1, 0), (1, tiny), (0, 0)]
+
+
+def test_float_region_starts_at_exact_largest_d1_vertex():
+    # Two vertices share the exact d1 = 1/3; the on-axis one comes first,
+    # whatever float rounding would have made of the other's d1.
+    reg = DofRegion(
+        (
+            HalfSpace(-0.71, 4.62, 1.34),
+            HalfSpace(1.34, -1.884940390686305, 1.7),
+            HalfSpace(6, 0, 2),
+            HalfSpace(5, 5, 6),
+        )
+    )
+    assert vertices(reg)[0] == (1 / 3, 0.0)
+
+
+def test_float_region_vertices_are_rounded_exact_crossings():
+    verts = vertices(DofRegion((HalfSpace(5, 2, 1), HalfSpace(1.4, 3.05, 0.28))))
+    assert verts[0] == (0.2, 0.0)
+    assert math.copysign(1, verts[0][1]) == 1 and verts[-1] == (0.0, 0.0)
+
+
+def _fraction_twin(region):
+    return DofRegion(
+        tuple(HalfSpace(Fraction(c.a1), Fraction(c.a2), Fraction(c.b)) for c in region.constraints)
+    )
+
+
+def test_float_vertices_round_exact_vertices_on_alpha_grid():
+    # No two exact vertices of a constructor lie within TOL, so nothing is
+    # merged: the float vertices are the exact ones, rounded, in order.
+    for k in range(201):
+        a = k / 200
+        for reg in (
+            *(bc_outer(TopologyProfile.named(lab, a)) for lab in ("11", "1a", "a1", "aa", "sym")),
+            yang_inner(a),
+            prop2_inner(a),
+            sym_alt_inner(a),
+            integer_sym_alt_inner(a),
+            gdof_fixed(a),
+        ):
+            exact = vertices(_fraction_twin(reg))
+            assert vertices(reg) == [(float(x), float(y)) for x, y in exact]
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.float64, np.float32, bool])
+def test_numpy_and_bool_coefficients_build(kind):
+    reg = DofRegion((HalfSpace(kind(1), kind(0), kind(1)), HalfSpace(kind(0), kind(1), kind(1))))
+    verts = vertices(reg)
+    assert verts == [(1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]
+    assert all(type(x) is float for v in verts for x in v)
+    # A float32 coefficient enters at its exact binary value.
+    tenth = np.float32(0.1)
+    reg = DofRegion((HalfSpace(1, 0, tenth), HalfSpace(0, 1, 1)))
+    assert vertices(reg)[0] == (float(tenth), 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_non_finite_coefficient_rejected(bad, where):
+    for one in (1, Fraction(1)):
+        coefs = [one, one, one]
+        coefs[where] = bad
+        bad_row = HalfSpace(*coefs)
+        msg = f"^region constraint {re.escape(str(bad_row))} has a non-finite coefficient$"
+        with pytest.raises(ValueError, match=msg):
+            DofRegion((HalfSpace(one, 0, one), bad_row))
+
+
 def test_sym_alt_vertices():
     for a in [0.0, 0.25, 0.5, 0.75, 1.0]:
         reg = sym_alt_inner(a)
@@ -284,7 +369,7 @@ def test_unbounded_region_rejected():
     msg = "^region is unbounded: vertex enumeration impossible$"
     with pytest.raises(ValueError, match=msg):
         DofRegion(())
-    for one in (1, Fraction(1)):  # float path, then exact path
+    for one in (1, Fraction(1)):
         with pytest.raises(ValueError, match=msg):
             DofRegion((HalfSpace(one, 0, one),))  # d2 unbounded
         with pytest.raises(ValueError, match=msg):
@@ -295,7 +380,7 @@ def test_unbounded_region_rejected():
 
 def test_empty_region_rejected():
     msg = "^region is empty: no feasible vertex$"
-    for one in (1, Fraction(1)):  # float path, then exact path
+    for one in (1, Fraction(1)):
         with pytest.raises(ValueError, match=msg):
             DofRegion((HalfSpace(one, 0, -1), HalfSpace(0, 1, 1)))
         with pytest.raises(ValueError, match=msg):

@@ -27,6 +27,14 @@ def test_profile_sum_invariant_enforced():
         TopologyProfile(alpha=0.5, lambda_11=1.2, lambda_1a=-0.2)
 
 
+@pytest.mark.parametrize("where", range(4))
+def test_profile_refuses_nan_state_fractions(where):
+    fracs = [0, 0, 1, 0] if where != 2 else [0, 1, 0, 0]
+    fracs[where] = math.nan
+    with pytest.raises(ValueError, match="^state fractions must be nonnegative numbers, got "):
+        TopologyProfile(0.5, *fracs)
+
+
 def test_named_profiles():
     assert TopologyProfile.named("sym", 0.5) == TopologyProfile.symmetric_alternating(0.5)
     assert TopologyProfile.named("a1", 0.5) == TopologyProfile.fixed("a1", 0.5)
