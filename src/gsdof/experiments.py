@@ -56,13 +56,14 @@ _FMT = ".12g"
 # SWEEP_CHUNK trials; every later one as many as fit SWEEP_ELEMENTS complex
 # entries in the larger receiver's (trials, SNRs, rows, cols) observation
 # stack, and at least SWEEP_CHUNK.  Larger chunks amortise the per-call
-# overhead of the draw, the builders and the linear-algebra kernels, until
-# the working set outgrows the cache: on the acceptance sweep set the MI
-# time per (trial, SNR) matrix is lowest at 32768 entries (0.5 MB) and 12%
-# higher at 65536, where peak traced memory doubles (CHANGES.md has the
-# curve).  32768 is about the stack of eight trials of the largest layout,
-# bc-fixed at alpha 0.75 (19 x 30 at 7 SNRs: 31920 entries).  The output
-# does not depend on either constant.
+# overhead of the draw, the builders and the linear-algebra kernels.  Since
+# conditional_mi evaluates each receiver block by block, the kernels work
+# on small blocks whatever the chunk: on the acceptance sweep set the MI
+# time per (trial, SNR) matrix at 32768 entries (0.5 MB) is 3% below that
+# at 16384 and 6% above that at 65536, where peak traced memory grows by a
+# quarter (CHANGES.md has the curve).  32768 is about the stack of eight
+# trials of the largest layout, bc-fixed at alpha 0.75 (19 x 30 at 7 SNRs:
+# 31920 entries).  The output does not depend on either constant.
 SWEEP_CHUNK = 8
 SWEEP_ELEMENTS = 32768
 

@@ -10,6 +10,8 @@ amount is dropped, and the vertex order is decided exactly.  A region with
 any ``fractions.Fraction`` coefficient returns ``Fraction`` vertices.  Any
 other region returns its exact vertices rounded to floats, with vertices
 that lie within ``TOL`` = 1e-9 of an earlier one merged into it.
+Inclusion (``contains``, ``is_subset``) follows the same split: exact for a
+``Fraction`` region, within ``TOL`` for any other.
 """
 
 from __future__ import annotations
@@ -171,11 +173,17 @@ class DofRegion:
 
     def _enumerate(self):
         points = _exact_vertices(self.constraints)
-        if any(isinstance(x, Fraction) for c in self.constraints for x in (c.a1, c.a2, c.b)):
+        if _is_exact(self):
             return tuple((Fraction(n1, det), Fraction(n2, det)) for n1, n2, det in points)
         # Int true division is correctly rounded, and an on-axis vertex
         # comes out as an exact 0.0.
         return tuple(_dedup([(n1 / det, n2 / det) for n1, n2, det in points], TOL))
+
+
+def _is_exact(region: DofRegion) -> bool:
+    """Whether any coefficient is a ``Fraction``: such a region is decided
+    exactly, with no tolerance."""
+    return any(isinstance(x, Fraction) for c in region.constraints for x in (c.a1, c.a2, c.b))
 
 
 def vertices(region: DofRegion) -> list[tuple[float, float]]:
@@ -185,6 +193,22 @@ def vertices(region: DofRegion) -> list[tuple[float, float]]:
 
 
 def contains(region: DofRegion, point, tol: float = TOL) -> bool:
+    """Whether ``point`` lies in the region.
+
+    An exact region (any ``Fraction`` coefficient) decides on the integer
+    rows of its constraints at the point's exact value, a float at its
+    binary value, with no tolerance; a non-finite point lies outside.  A
+    float region lets each constraint and axis be violated by up to
+    ``tol``."""
+    if _is_exact(region):
+        try:
+            (n1, m1), (n2, m2) = (_ratio(x) for x in point)
+        except (OverflowError, ValueError):  # inf and nan have no ratio
+            return False
+        # d1 = n1/m1 and d2 = n2/m2 with m1, m2 > 0: scale each row by m1*m2.
+        rows = [_int_row(c) for c in region.constraints]
+        inside = all(a1 * n1 * m2 + a2 * n2 * m1 <= b * m1 * m2 for a1, a2, b in rows)
+        return n1 >= 0 and n2 >= 0 and inside
     d1, d2 = point
     if float(d1) < -tol or float(d2) < -tol:
         return False
@@ -192,7 +216,9 @@ def contains(region: DofRegion, point, tol: float = TOL) -> bool:
 
 
 def is_subset(inner: DofRegion, outer: DofRegion, tol: float = TOL) -> bool:
-    """Vertex test: valid because both regions are convex."""
+    """Vertex test: valid because both regions are convex.  Each vertex of
+    ``inner`` is tested by ``contains``, so an exact ``outer`` decides with
+    no tolerance."""
     return all(contains(outer, v, tol) for v in vertices(inner))
 
 

@@ -302,7 +302,8 @@ def _receiver_bits(scheme: LinearScheme, rho, receiver: int, chains) -> list[dic
     layer, the granted keys and the chain's earlier groups.
 
     All chains share one stacked (obs, keys) pair and one ``conditional_mi``
-    call, which evaluates every distinct conditioning set once.  A batched
+    call, which splits the receiver into its independent blocks and
+    evaluates each distinct (block, kept columns) pair once.  A batched
     scheme stacks the receiver matrices over trials x SNRs."""
     if not any(order for order, _ in chains):
         return [{} for _ in chains]
@@ -356,9 +357,9 @@ def accounting_bits(scheme: LinearScheme, rho) -> tuple[dict, dict]:
     of ``leakage_bits`` for both owners, with the same values.
 
     Each receiver's reliability and leakage chains share one observation
-    stack and one ``conditional_mi`` call, so a conditioning set they have
-    in common (such as the noise-only set both chains end on) is evaluated
-    once.  Batching is as in ``reliability_bits``.
+    stack and one ``conditional_mi`` call, so a (block, kept columns) pair
+    they have in common, such as a block that neither chain's groups touch,
+    is evaluated once.  Batching is as in ``reliability_bits``.
     """
     rel, leak = {}, {}
     for receiver in (1, 2):

@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +131,31 @@ def test_run_sweep_chunk_invariant(tmp_path, monkeypatch, kind):
         monkeypatch.setattr(experiments, "SWEEP_ELEMENTS", elements)
         run_sweep(SweepConfig(**cfg, out=str(out)))
         assert out.read_bytes() == ref.read_bytes()
+
+
+def test_sweep_imports_no_scipy():
+    # scipy is a test-only dependency: a fresh interpreter that imports the
+    # package and runs a short sweep of every kind must not load it.
+    code = (
+        "import sys\n"
+        "import gsdof.cli\n"
+        "from gsdof.experiments import SweepConfig, run_sweep\n"
+        "from gsdof.schemes import SCHEME_KINDS\n"
+        "for kind in SCHEME_KINDS:\n"
+        "    run_sweep(SweepConfig(kind, 0.5, (60, 70, 80, 90), trials=10))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

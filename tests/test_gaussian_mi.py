@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gsdof import gaussian_mi
 from gsdof.experiments import SweepConfig, run_sweep
 from gsdof.gaussian_mi import (
     LOG2_PI_E,
@@ -236,6 +237,45 @@ def test_conditional_mi_pairs_equal_one_dimensional_calls():
     one = conditional_mi(obs[0, 0], deficient[0, 0], target, given)
     assert one.shape == (len(pairs),)
     assert list(one) == [conditional_mi(obs[0, 0], deficient[0, 0], t, g) for t, g in zip(target, given)]
+
+
+def test_conditional_mi_blocks_match_dense_evaluation():
+    # Columns 0-1 and 2-3 are two observation blocks that a key row on
+    # columns 1 and 2 joins into one; columns 4-5 form a second block, row 3
+    # is all zero, a key row touches only column 6, which no observation
+    # row sees, and key row 2 is zero.  Every chain step matches the dense
+    # log-det of the whole masked matrix.
+    rng = np.random.default_rng(13)
+    obs = rng.standard_normal((2, 5, 7)) + 1j * rng.standard_normal((2, 5, 7))
+    obs *= np.array(
+        [
+            [1, 1, 0, 0, 0, 0, 0],
+            [0, 0, 1, 1, 0, 0, 0],
+            [0, 0, 0, 0, 1, 1, 0],
+            [0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 1, 0],
+        ]
+    )
+    keys = np.zeros((2, 3, 7), dtype=complex)
+    keys[:, 0, 1:3] = rng.standard_normal((2, 2))
+    keys[:, 1, 6] = 1.0
+    support = (obs != 0).any(axis=0), (keys != 0).any(axis=0)
+    blocks = gaussian_mi._blocks(np.concatenate(support), 5)
+    assert [tuple(map(list, b)) for b in blocks] == [
+        ([0, 1], [0], [0, 1, 2, 3]),
+        ([2, 4], [], [4, 5]),
+    ]
+    pairs = [([0], []), ([2, 3], [0]), ([4], [1]), ([1, 5], [0, 2, 3, 6]), ([6], [])]
+    target = np.array([_mask(7, t) for t, _ in pairs])
+    given = np.array([_mask(7, g) for _, g in pairs])
+
+    def dense(keep):
+        return gaussian_mi._entropy_given_keys(obs[..., keep], keys[..., keep])
+
+    got = conditional_mi(obs, keys, target, given)
+    for p, (t, g) in enumerate(zip(target, given)):
+        want = np.maximum(dense(~g) - dense(~g & ~t), 0.0)
+        assert np.max(np.abs(got[p] - want)) <= 1e-9, p
 
 
 def test_fit_slope_recovers_line():

@@ -242,6 +242,23 @@ def test_axis_max_counts_only_exact_on_axis_vertices():
     assert axis_max(reg, 1) == 1
 
 
+def test_exact_region_inclusion_has_no_tolerance():
+    # (1, 0) violates the third constraint by 1e-12, inside TOL: an exact
+    # region refuses it, the same region in floats keeps TOL.
+    e = 1e-12
+    cons = (HalfSpace(1, 0, Fraction(1)), HalfSpace(0, 1, 1), HalfSpace(2 * e, -1, e))
+    reg = DofRegion(cons)
+    assert not contains(reg, (1, 0))
+    assert contains(reg, (Fraction(1, 2), 0)) and contains(reg, (1, e))
+    assert not contains(reg, (0, Fraction(-1, 10**30)))
+    assert not contains(reg, (float("nan"), 0)) and not contains(reg, (float("inf"), 0))
+    assert contains(DofRegion((HalfSpace(1, 0, 1.0), *cons[1:])), (1, 0))
+    # A vertex 1e-12 outside the exact outer region fails the inclusion.
+    inner = DofRegion((HalfSpace(1, 0, Fraction(1)), HalfSpace(0, 1, 0)))
+    assert not is_subset(inner, reg)
+    assert is_subset(DofRegion((HalfSpace(1, 0, Fraction(1, 2)), HalfSpace(0, 1, 0))), reg)
+
+
 def test_thin_exact_triangle_is_ordered_counterclockwise():
     # A triangle 1e-13 high is not a segment: it starts at its largest-d1 vertex.
     tiny = Fraction(1, 10**13)

@@ -204,25 +204,75 @@ def test_stacked_accounting_equals_scalar_calls(kind):
         _stacked_vs_scalar(_doubled_keys(batch), [_doubled_keys(sch) for sch in singles])
 
 
-def _distinct_conditioning_sets(sch):
-    # Sets of conditioned-on groups over both chains at each receiver,
+def _conditioning_sets(sch, receiver):
+    # Sets of conditioned-on groups over both chains at one receiver,
     # counted from the decode orders alone.
+    other = 3 - receiver
     owned = {o: {g.name for g in sch.groups if g.owner == o} for o in ("rx1", "rx2", "common")}
-    total = 0
-    for receiver, other in ((1, 2), (2, 1)):
-        sets = set()
-        for order, known in (
-            (sch.decode_order.get(receiver, ()), f"rx{other}"),
-            (sch.decode_order.get(other, ()), f"rx{receiver}"),
-        ):
-            given = owned[known] | owned["common"]
-            for i in range(len(order) + 1 if order else 0):
-                sets.add(frozenset(given | set(order[:i])))
-        total += len(sets)
-    return total
+    sets = set()
+    for order, known in (
+        (sch.decode_order.get(receiver, ()), f"rx{other}"),
+        (sch.decode_order.get(other, ()), f"rx{receiver}"),
+    ):
+        given = owned[known] | owned["common"]
+        for i in range(len(order) + 1 if order else 0):
+            sets.add(frozenset(given | set(order[:i])))
+    return sets
 
 
-# Log-det evaluations per chunk of trials: one per distinct conditioning set.
+def _distinct_conditioning_sets(sch):
+    return sum(len(_conditioning_sets(sch, receiver)) for receiver in (1, 2))
+
+
+def _block_layout(st):
+    # Connected components of the rows, key rows and columns that a nonzero
+    # in any trial of the chunk links, found by union-find: (rows, key rows,
+    # columns) of each component that holds an observation row.
+    obs, keys = ((x != 0).any(axis=0) for x in (st.coef, st.key_coef))
+    parent = {}
+
+    def root(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for kind, support in (("r", obs), ("k", keys)):
+        for i, j in zip(*np.nonzero(support)):
+            parent[root((kind, int(i)))] = root(("c", int(j)))
+    comps = {}
+    for node in list(parent):
+        comps.setdefault(root(node), []).append(node)
+    layout = []
+    for nodes in comps.values():
+        part = {kind: sorted(i for k, i in nodes if k == kind) for kind in "rkc"}
+        if part["r"]:
+            layout.append((part["r"], part["k"], part["c"]))
+    return layout
+
+
+def _expected_stacks(sch, receiver):
+    # (rows, key rows, kept columns, pairs) per stacked log-det call: each
+    # distinct (block, kept columns) pair over the receiver's conditioning
+    # sets, grouped by shape.
+    st = receiver_structure(sch, receiver)
+    pairs = set()
+    for given in _conditioning_sets(sch, receiver):
+        known = np.zeros(st.total, dtype=bool)
+        for name in given:
+            known |= st.masks[name]
+        for b, (rows, key_rows, cols) in enumerate(_block_layout(st)):
+            kept = tuple(c for c in cols if not known[c])
+            if kept:
+                pairs.add((b, len(rows), len(key_rows), kept))
+    shapes = {}
+    for _, rows, key_rows, kept in pairs:
+        shape = (rows, key_rows, len(kept))
+        shapes[shape] = shapes.get(shape, 0) + 1
+    return [(*shape, count) for shape, count in shapes.items()]
+
+
+# Distinct conditioning sets per chunk of trials: the log-det evaluations
+# of a dense evaluation, one per set.
 LOGDETS_PER_CHUNK = {
     "wiretap-gaussian": 4,
     "wiretap-gaussian-a1": 4,
@@ -238,18 +288,83 @@ LOGDETS_PER_CHUNK = {
 
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_accounting_evaluates_each_conditioning_set_once(kind, monkeypatch):
+    # Each distinct (block, kept columns) pair is evaluated once, and each
+    # receiver makes one stacked call per distinct pair shape.
     calls = []
     entropy = gaussian_mi._entropy_given_keys
 
     def counted(a, k):
-        calls.append(a.shape)
+        calls.append((a.shape, k.shape[-2]))
         return entropy(a, k)
 
     monkeypatch.setattr(gaussian_mi, "_entropy_given_keys", counted)
     batch = build_scheme(kind, 0.5, [np.random.SeedSequence(i) for i in range(3)])
     accounting_bits(batch, STACK_RHOS)
-    assert len(calls) == LOGDETS_PER_CHUNK[kind] == _distinct_conditioning_sets(batch)
-    assert all(shape[:2] == (3, len(STACK_RHOS)) for shape in calls)
+    assert _distinct_conditioning_sets(batch) == LOGDETS_PER_CHUNK[kind]
+    # (rows, key rows, kept columns, stacked pairs) of each call, receiver 1's first.
+    got = [(shape[3], keys, shape[4], shape[2]) for shape, keys in calls]
+    want1, want2 = _expected_stacks(batch, 1), _expected_stacks(batch, 2)
+    assert len(got) == len(want1) + len(want2)
+    assert sorted(got[: len(want1)]) == sorted(want1)
+    assert sorted(got[len(want1) :]) == sorted(want2)
+    assert all(shape[:2] == (3, len(STACK_RHOS)) for shape, _ in calls)
+
+
+def _in_domain(spec, alpha) -> bool:
+    try:
+        spec.domain(alpha)
+    except ValueError:
+        return False
+    return True
+
+
+def _dense_accounting(sch, rhos):
+    # Reference accounting that ignores the blocks: both entropies of every
+    # chain step from _entropy_given_keys on the whole masked receiver matrix.
+    rel, leak = {}, {}
+    for receiver, other in ((1, 2), (2, 1)):
+        st = receiver_structure(sch, receiver)
+        a, k = st.scaled(rhos)
+
+        def h(keep):
+            return gaussian_mi._entropy_given_keys(a[..., keep], k[..., keep])
+
+        for out, owner, known in ((rel, receiver, other), (leak, other, receiver)):
+            given = st.owner_masks[f"rx{known}"] | st.owner_masks["common"]
+            for name in sch.decode_order.get(owner, ()):
+                after = given | st.masks[name]
+                out[name] = np.maximum(h(~given) - h(~after), 0.0)
+                given = after
+    return rel, leak
+
+
+@pytest.mark.parametrize(
+    "kind, alpha",
+    [(kind, a) for kind in SCHEME_KINDS for a in (0.05, 0.35, 0.5) if _in_domain(SCHEMES[kind], a)],
+)
+def test_block_accounting_matches_dense_reference(kind, alpha):
+    rhos = 10.0 ** (np.arange(60, 121, 10) / 10)
+    batch = build_scheme(kind, alpha, [np.random.SeedSequence(i) for i in range(3)])
+    got, want = accounting_bits(batch, rhos), _dense_accounting(batch, rhos)
+    for g_part, w_part in zip(got, want):
+        assert sorted(g_part) == sorted(w_part)
+        for name, bits in w_part.items():
+            assert np.max(np.abs(g_part[name] - bits)) <= 1e-9, name
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_trial_support_equals_chunk_support(kind):
+    # conditional_mi splits a batch into blocks by the support of the whole
+    # batch, so batched and one-trial values agree bit for bit only if every
+    # trial of a chunk has the chunk's nonzero pattern.
+    seeds = [np.random.SeedSequence(i) for i in range(16)]
+    for alpha in [k / 20 for k in range(21) if _in_domain(SCHEMES[kind], k / 20)]:
+        batch = build_scheme(kind, alpha, seeds)
+        for receiver in (1, 2):
+            st = receiver_structure(batch, receiver)
+            for coef in (st.coef, st.key_coef):
+                support = coef != 0
+                assert (support == support.any(axis=0)).all(), (alpha, receiver)
 
 
 def test_logdets_per_chunk_total():
@@ -425,14 +540,6 @@ def test_scheme_table_slot_counts():
 
 
 CROSS_ALPHAS = [Fraction(k, d) for k, d in ((1, 10), (1, 4), (1, 2), (3, 4), (9, 10), (1, 1))]
-
-
-def _in_domain(spec, alpha) -> bool:
-    try:
-        spec.domain(alpha)
-    except ValueError:
-        return False
-    return True
 
 
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
