@@ -264,18 +264,25 @@ SCHEME_TARGETS = {kind: spec.target for kind, spec in SCHEMES.items() if spec.ta
 _LEMMA1_PROFILES = ("11", "1a", "a1", "aa", "sym")
 
 
+# (inner bound, outer-bound profile) of each secure scheme that declares an
+# inner bound, in table order without repeats: verify checks each inclusion.
+_REGION_PAIRS = tuple(
+    dict.fromkeys(
+        (spec.inner, spec.profile) for spec in SCHEMES.values() if spec.secure and spec.inner
+    )
+)
+
+
 def _region_checks(alpha_grid) -> list[CheckResult]:
     out = []
     for a in alpha_grid:
         outer_1a = regions.bc_outer(TopologyProfile.fixed("1a", a))
         outer_sym = regions.bc_outer(TopologyProfile.symmetric_alternating(a))
-        pairs = [
-            ("prop2-in-outer", regions.prop2_inner(a), outer_1a),
-            ("yang-in-outer", regions.yang_inner(a), outer_1a),
-            ("sym-alt-in-outer", regions.sym_alt_inner(a), outer_sym),
-            ("int-sym-alt-in-outer", regions.integer_sym_alt_inner(a), outer_sym),
-            ("prop2-in-gdof", regions.prop2_inner(a), regions.gdof_fixed(a)),
-        ]
+        pairs = []
+        for inner, label in _REGION_PAIRS:
+            outer = regions.bc_outer(TopologyProfile.named(label, a))
+            pairs.append((f"{inner}-in-outer", named_region(inner, a), outer))
+        pairs.append(("prop2-in-gdof", regions.prop2_inner(a), regions.gdof_fixed(a)))
         for name, inner, outer in pairs:
             ok = regions.is_subset(inner, outer)
             out.append(CheckResult(f"region/{name}/alpha={a:g}", ok, 0.0))
@@ -450,14 +457,22 @@ def named_region(name: str, alpha: float, profile: TopologyProfile | None = None
     raise ValueError(f"unknown bound name {name!r}")
 
 
+_VERTEX_HEADER = "bound_name,alpha,vertex_index,d1,d2"
+
+
+def _vertex_rows(name: str, alpha, region) -> list[str]:
+    """One vertex CSV row per vertex of ``region``, in vertex order."""
+    vertices = regions.vertices(region)
+    return [f"{name},{_f(alpha)},{i},{_f(d1)},{_f(d2)}" for i, (d1, d2) in enumerate(vertices)]
+
+
 def region_csv(names, alpha: float, profile: TopologyProfile | None = None) -> tuple[str, str]:
     """(vertex CSV, summary CSV) for the named bounds at one alpha."""
-    vrows = ["bound_name,alpha,vertex_index,d1,d2"]
+    vrows = [_VERTEX_HEADER]
     srows = ["bound_name,alpha,sum_max,d1_axis_max,d2_axis_max"]
     for name in names:
         reg = named_region(name, alpha, profile)
-        for i, (d1, d2) in enumerate(regions.vertices(reg)):
-            vrows.append(f"{name},{_f(alpha)},{i},{_f(d1)},{_f(d2)}")
+        vrows += _vertex_rows(name, alpha, reg)
         srows.append(
             f"{name},{_f(alpha)},{_f(regions.sum_max(reg))},"
             f"{_f(regions.axis_max(reg, 0))},{_f(regions.axis_max(reg, 1))}"
@@ -508,9 +523,7 @@ def figure_data(figure_id: int, alpha: float | None = None, alpha_grid=None) -> 
         raise ValueError("figures 3, 4, 6 and 7 need an alpha")
     label, names = _FIGURES[figure_id]
     profile = TopologyProfile.named(label, alpha)
-    vrows = ["bound_name,alpha,vertex_index,d1,d2"]
+    vrows = [_VERTEX_HEADER]
     for name in names:
-        reg = named_region(name, alpha, profile)
-        for i, (d1, d2) in enumerate(regions.vertices(reg)):
-            vrows.append(f"{name},{_f(alpha)},{i},{_f(d1)},{_f(d2)}")
+        vrows += _vertex_rows(name, alpha, named_region(name, alpha, profile))
     return "\n".join(vrows) + "\n"

@@ -11,7 +11,10 @@ any ``fractions.Fraction`` coefficient returns ``Fraction`` vertices.  Any
 other region returns its exact vertices rounded to floats, with vertices
 that lie within ``TOL`` = 1e-9 of an earlier one merged into it.
 Inclusion (``contains``, ``is_subset``) follows the same split: exact for a
-``Fraction`` region, within ``TOL`` for any other.
+``Fraction`` region, within ``TOL`` for any other.  Time sharing
+(``time_share``) is the exact convex hull of the input regions' vertices,
+found in the same integer arithmetic: exact inputs give a ``Fraction``
+region, float inputs a float one.
 """
 
 from __future__ import annotations
@@ -103,6 +106,15 @@ def _ratio(x):
         return x.as_integer_ratio()
     except AttributeError:  # numpy integers have no as_integer_ratio
         return operator.index(x), 1
+
+
+def _triple(point):
+    """The point (d1, d2) at its exact value, as a gcd-reduced triple
+    (n1, n2, det) with det > 0."""
+    (n1, m1), (n2, m2) = (_ratio(x) for x in point)
+    n1, n2, det = n1 * m2, n2 * m1, m1 * m2
+    g = math.gcd(n1, n2, det)
+    return n1 // g, n2 // g, det // g
 
 
 def _int_row(c: HalfSpace):
@@ -202,12 +214,11 @@ def contains(region: DofRegion, point, tol: float = TOL) -> bool:
     ``tol``."""
     if _is_exact(region):
         try:
-            (n1, m1), (n2, m2) = (_ratio(x) for x in point)
+            n1, n2, det = _triple(point)
         except (OverflowError, ValueError):  # inf and nan have no ratio
             return False
-        # d1 = n1/m1 and d2 = n2/m2 with m1, m2 > 0: scale each row by m1*m2.
         rows = [_int_row(c) for c in region.constraints]
-        inside = all(a1 * n1 * m2 + a2 * n2 * m1 <= b * m1 * m2 for a1, a2, b in rows)
+        inside = all(a1 * n1 + a2 * n2 <= b * det for a1, a2, b in rows)
         return n1 >= 0 and n2 >= 0 and inside
     d1, d2 = point
     if float(d1) < -tol or float(d2) < -tol:
@@ -341,64 +352,53 @@ def gdof_fixed(alpha) -> DofRegion:
 # ---------------------------------------------------------------------------
 
 
-def _hull(points):
-    """Andrew's monotone chain on float projections; returns CCW hull."""
-    pts = sorted(set((float(p[0]), float(p[1])) for p in points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 1e-15:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 1e-15:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
 def time_share(regions) -> DofRegion:
-    """Convex hull of the union of the regions' vertex sets, as half-spaces.
+    """Exact convex hull of the union of the regions' vertex sets, as
+    half-spaces.
 
     Realizes the operating points reachable by splitting the block between
-    strategies.
+    strategies.  The hull is not down-closed: the hull of (1, 0) and (0, 1)
+    is the segment between them, without the origin.  Every vertex enters
+    at its exact value and every face is found in integer arithmetic.  If
+    any input region is exact (a ``Fraction`` coefficient) the half-spaces
+    are ``Fraction``s and the hull's vertices are exactly input vertices.
+    Otherwise the half-spaces are the exact faces with each coefficient
+    rounded to a float, and the vertices are floats.
     """
-    points = []
-    for r in regions:
-        points.extend(vertices(r))
-    hull = _hull(points)
-    if len(hull) == 1:
-        (x, y) = hull[0]
-        cons = [HalfSpace(1, 0, x), HalfSpace(-1, 0, -x), HalfSpace(0, 1, y), HalfSpace(0, -1, -y)]
-        return DofRegion(tuple(cons))
-    if len(hull) == 2:
-        (x0, y0), (x1, y1) = hull
-        nx, ny = y1 - y0, x0 - x1  # normal to the segment
-        c = nx * x0 + ny * y0
-        tx, ty = x1 - x0, y1 - y0  # direction along the segment
-        lo = min(tx * x0 + ty * y0, tx * x1 + ty * y1)
-        hi = max(tx * x0 + ty * y0, tx * x1 + ty * y1)
-        cons = [
-            HalfSpace(nx, ny, c),
-            HalfSpace(-nx, -ny, -c),
-            HalfSpace(tx, ty, hi),
-            HalfSpace(-tx, -ty, -lo),
-        ]
-        return DofRegion(tuple(cons))
+    regions = list(regions)
+    if not regions:
+        raise ValueError("time_share needs at least one region")
+    points = list(dict.fromkeys(_triple(v) for r in regions for v in vertices(r)))
+    rows = {}
+
+    def add(row):
+        g = math.gcd(*row)
+        rows[tuple(c // g for c in row)] = None
+
+    # The line through p and q is a face iff no point lies strictly on its
+    # right; its row is the cross product of the triples, since
+    # _orient(p, q, r) = r . (p x q).
+    for p in points:
+        for q in points:
+            if p != q and all(_orient(p, q, r) >= 0 for r in points):
+                (p1, p2, p0), (q1, q2, q0) = p, q
+                add((p0 * q2 - p2 * q0, p1 * q0 - p0 * q1, p1 * q2 - p2 * q1))
+    # A point has no face and a segment two, one on each side of its line:
+    # the bounding box closes them.  A polygon does without it, because its
+    # float faces, rounded, could cross a box side beside a corner.
+    if len(rows) < 3:
+        for sign in (1, -1):
+            x = max(points, key=lambda p: sign * Fraction(p[0], p[2]))
+            y = max(points, key=lambda p: sign * Fraction(p[1], p[2]))
+            add((sign * x[2], 0, sign * x[0]))
+            add((0, sign * y[2], sign * y[1]))
+    if any(_is_exact(r) for r in regions):
+        return DofRegion(tuple(HalfSpace(*map(Fraction, row)) for row in rows))
+    # Each row is scaled by a power of two to below 1, so that ``TOL`` means
+    # what it does for any float region; the int division rounds each
+    # coefficient once, and not at all when it fits a float's mantissa.
     cons = []
-    m = len(hull)
-    for i in range(m):
-        px, py = hull[i]
-        qx, qy = hull[(i + 1) % m]
-        # Outward normal of a CCW edge.
-        nx, ny = qy - py, px - qx
-        if nx <= 1e-12 and ny <= 1e-12:
-            continue  # implied by the quadrant faces
-        cons.append(HalfSpace(nx, ny, nx * px + ny * py))
+    for row in rows:
+        scale = 1 << max(abs(c).bit_length() for c in row)
+        cons.append(HalfSpace(*(c / scale for c in row)))
     return DofRegion(tuple(cons))

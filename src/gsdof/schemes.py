@@ -766,7 +766,6 @@ def build_bc_fixed(
     alpha: float,
     theta1: np.ndarray | None = None,
     theta2: np.ndarray | None = None,
-    psi1: np.ndarray | None = None,
 ) -> LinearScheme:
     """Four-phase broadcast scheme on the fixed (strong, weak) topology.
 
@@ -777,9 +776,9 @@ def build_bc_fixed(
     carrying the XOR of the two quantized overheard side-information
     streams, with a fresh receiver-1 layer at power offset rho**(-alpha).
 
-    The mixing matrices theta1 (2*T1, T1), theta2 (2*T2, T1) and psi1
-    (T1, T2) are known at all nodes; identity-padded defaults are used when
-    not supplied, and decode rank is validated at build time.
+    The mixing matrices theta1 (2*T1, T1) and theta2 (2*T2, T1) are known
+    at all nodes; identity-padded defaults are used when not supplied, and
+    decode rank is validated at build time.
     """
     t2f = alpha * t1
     t2 = int(round(t2f))
@@ -796,16 +795,10 @@ def build_bc_fixed(
         theta2 = np.zeros((2 * t2, t1), dtype=np.complex128)
         for t in range(t2):
             theta2[2 * t, t] = 1.0
-    if psi1 is None:
-        psi1 = np.zeros((t1, t2), dtype=np.complex128)
-        psi1[:t2, :t2] = np.eye(t2)
     theta1 = np.asarray(theta1, dtype=np.complex128)
     theta2 = np.asarray(theta2, dtype=np.complex128)
-    psi1 = np.asarray(psi1, dtype=np.complex128)
     if theta1.shape != (2 * t1, t1) or theta2.shape != (2 * t2, t1):
         raise ValueError("theta matrix dimensions do not match the phase lengths")
-    if psi1.shape != (t1, t2) or np.linalg.matrix_rank(psi1) < t2:
-        raise ValueError("psi1 must be (T1, T2) with full column rank")
 
     groups = (
         SymbolGroup("v", 2 * t1, 0.0, "rx1"),
@@ -922,11 +915,6 @@ def build_bc_fixed(
         decoder=decoder,
         meta={
             "decode_rho": max(realization.rho, 1e8),
-            "t1": t1,
-            "t2": t2,
-            "theta1": theta1,
-            "theta2": theta2,
-            "psi1": psi1,
             "granted_layers": ("c",),
         },
     )

@@ -391,6 +391,21 @@ def test_region_csv_contents():
     assert float(sline[3]) == pytest.approx(2 / 3, abs=1e-9)
 
 
+def test_region_inclusion_rows_come_from_the_scheme_table():
+    # One row per distinct (inner, profile) of the secure schemes, in table
+    # order (wiretap-gaussian and yang share yang's), then the one extra
+    # inclusion in the no-secrecy region.
+    checks = experiments._region_checks([0.5])
+    assert [c.name for c in checks if "-in-" in c.name] == [
+        "region/yang-in-outer/alpha=0.5",
+        "region/prop2-in-outer/alpha=0.5",
+        "region/sym-alt-in-outer/alpha=0.5",
+        "region/int-sym-alt-in-outer/alpha=0.5",
+        "region/prop2-in-gdof/alpha=0.5",
+    ]
+    assert all(c.passed for c in checks)
+
+
 def test_checks_to_csv_shape():
     text = checks_to_csv([CheckResult("x", True, 0.5, "d")])
     assert text.splitlines()[0] == "check,passed,margin,detail"

@@ -455,6 +455,54 @@ def test_time_share_contains_inputs():
     assert is_subset(prop2_inner(a), mix)
 
 
+def _point(x, y):
+    """The region holding only the point (x, y)."""
+    return DofRegion(
+        (HalfSpace(1, 0, x), HalfSpace(-1, 0, -x), HalfSpace(0, 1, y), HalfSpace(0, -1, -y))
+    )
+
+
+def test_time_share_of_an_exact_region_is_exact():
+    hull = time_share([prop2_inner(Fraction(1, 2))])
+    verts = vertices(hull)
+    assert (Fraction(4, 7), Fraction(3, 14)) in verts
+    assert all(type(x) is Fraction for v in verts for x in v)
+    assert all(type(x) is Fraction for c in hull.constraints for x in (c.a1, c.a2, c.b))
+
+
+def test_time_share_is_not_down_closed():
+    # The face from (1, 0) to (0, 1) has outward normal (-1, -1); it must be
+    # kept, so the hull does not reach the origin.
+    for one in (1.0, Fraction(1)):
+        hull = time_share([_point(one, 0 * one), _point(0 * one, one), _point(one, one)])
+        assert not contains(hull, (0, 0))
+        assert not contains(hull, (0.25, 0.25))
+        assert contains(hull, (0.75, 0.75))
+        assert len(vertices(hull)) == 3
+
+
+def test_time_share_of_one_point_is_that_point():
+    for x, y in ((0.5, 0.25), (Fraction(1, 3), Fraction(2, 7)), (0.0, 0.0)):
+        assert vertices(time_share([_point(x, y)])) == [(x, y)]
+
+
+def test_time_share_needs_a_region():
+    with pytest.raises(ValueError, match="^time_share needs at least one region$"):
+        time_share([])
+
+
+def test_exact_time_share_keeps_input_vertices_and_inputs():
+    builders = [yang_inner, prop2_inner, sym_alt_inner, integer_sym_alt_inner, gdof_fixed]
+    for a in map(Fraction, ("0", "1/7", "1/3", "1/2", "5/6", "1")):
+        library = [b(a) for b in builders]
+        library.append(bc_outer(TopologyProfile.fixed("1a", a)))
+        for pair in itertools.combinations(library, 2):
+            hull = time_share(pair)
+            inputs = {v for r in pair for v in vertices(r)}
+            assert set(vertices(hull)) <= inputs
+            assert all(is_subset(r, hull) for r in pair)
+
+
 def test_region_rebuild_roundtrip():
     # Rebuilding a region from its vertex hull reproduces containment
     # decisions on a grid.

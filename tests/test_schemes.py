@@ -711,16 +711,13 @@ def test_bc_fixed_accepts_mixing_matrix_overrides():
     real = draw_channels(7, (STATE_1A,) * 7, rho=1e8, seed=4)
     theta1 = rng.standard_normal((2 * t1, t1)) + 1j * rng.standard_normal((2 * t1, t1))
     theta2 = rng.standard_normal((2 * t2, t1)) + 1j * rng.standard_normal((2 * t2, t1))
-    psi1 = rng.standard_normal((t1, t2)) + 1j * rng.standard_normal((t1, t2))
-    sch = schemes.build_bc_fixed(t1, real, alpha, theta1=theta1, theta2=theta2, psi1=psi1)
+    sch = schemes.build_bc_fixed(t1, real, alpha, theta1=theta1, theta2=theta2)
     assert noiseless_decode_check(sch, seed=2)
     rel1 = reliability_bits(sch, 1e9)
     rel2 = reliability_bits(sch, 1e12)
     for g, claim in sch.ledger.items():
         slope = (rel2[g] - rel1[g]) / (np.log2(1e12) - np.log2(1e9))
         assert abs(slope - claim) < 0.21  # per-block claim, coarse two-point fit
-    with pytest.raises(ValueError):
-        schemes.build_bc_fixed(t1, real, alpha, psi1=np.zeros((t1, t2)))
     with pytest.raises(ValueError):
         schemes.build_bc_fixed(t1, real, alpha, theta1=np.zeros((3, 3)))
 
