@@ -12,9 +12,10 @@ other region returns its exact vertices rounded to floats, with vertices
 that lie within ``TOL`` = 1e-9 of an earlier one merged into it.
 Inclusion (``contains``, ``is_subset``) follows the same split: exact for a
 ``Fraction`` region, within ``TOL`` for any other.  Time sharing
-(``time_share``) is the exact convex hull of the input regions' vertices,
-found in the same integer arithmetic: exact inputs give a ``Fraction``
-region, float inputs a float one.
+(``time_share``) picks the hull vertices among the input regions' vertices
+by exact orientation tests: exact inputs give the exact hull as a
+``Fraction`` region, float inputs float faces through the hull vertices,
+after merging vertices within ``TOL`` of each other or of a hull edge.
 """
 
 from __future__ import annotations
@@ -352,53 +353,66 @@ def gdof_fixed(alpha) -> DofRegion:
 # ---------------------------------------------------------------------------
 
 
+def _sliver(p, r, q) -> bool:
+    """Whether r lies within ``TOL`` of the segment pq, beside its interior.
+    Decided exactly on the points' values."""
+    (p1, p2), (r1, r2), (q1, q2) = (tuple(map(Fraction, v)) for v in (p, r, q))
+    u1, u2, w1, w2 = q1 - p1, q2 - p2, r1 - p1, r2 - p2
+    span, along = u1 * u1 + u2 * u2, u1 * w1 + u2 * w2
+    return 0 < along < span and (u1 * w2 - u2 * w1) ** 2 <= Fraction(TOL) ** 2 * span
+
+
 def time_share(regions) -> DofRegion:
-    """Exact convex hull of the union of the regions' vertex sets, as
-    half-spaces.
+    """Convex hull of the union of the regions' vertex sets, as half-spaces.
 
     Realizes the operating points reachable by splitting the block between
     strategies.  The hull is not down-closed: the hull of (1, 0) and (0, 1)
-    is the segment between them, without the origin.  Every vertex enters
-    at its exact value and every face is found in integer arithmetic.  If
-    any input region is exact (a ``Fraction`` coefficient) the half-spaces
-    are ``Fraction``s and the hull's vertices are exactly input vertices.
-    Otherwise the half-spaces are the exact faces with each coefficient
-    rounded to a float, and the vertices are floats.
+    is the segment between them, without the origin.  The hull vertices are
+    picked among the input vertices by the exact sign of ``_orient``; each
+    face is the line through two consecutive hull vertices, and a point or
+    a segment is closed by its bounding box.  If any input region is exact
+    (a ``Fraction`` coefficient), the half-spaces are ``Fraction``s and the
+    result is the exact hull, whose vertices are input vertices.  Otherwise
+    the faces are computed in floats, as ``DofRegion`` rounds: input
+    vertices within ``TOL`` of each other are merged, and a hull vertex
+    within ``TOL`` of the segment between its neighbours is dropped, since
+    two nearly parallel float faces can meet far from the hull.
     """
     regions = list(regions)
     if not regions:
         raise ValueError("time_share needs at least one region")
-    points = list(dict.fromkeys(_triple(v) for r in regions for v in vertices(r)))
-    rows = {}
+    exact = any(_is_exact(r) for r in regions)
+    points = [v for r in regions for v in vertices(r)]
+    points = [tuple(map(Fraction, v)) for v in points] if exact else _dedup(points, TOL)
+    points = sorted(set(points))
+    triples = {p: _triple(p) for p in points}
 
-    def add(row):
-        g = math.gcd(*row)
-        rows[tuple(c // g for c in row)] = None
+    def chain(seq):
+        # Andrew's monotone chain with the exact turn test: keep only left turns.
+        out = []
+        for r in seq:
+            while len(out) >= 2 and _orient(*(triples[v] for v in (out[-2], out[-1], r))) <= 0:
+                out.pop()
+            out.append(r)
+        return out[:-1]
 
-    # The line through p and q is a face iff no point lies strictly on its
-    # right; its row is the cross product of the triples, since
-    # _orient(p, q, r) = r . (p x q).
-    for p in points:
-        for q in points:
-            if p != q and all(_orient(p, q, r) >= 0 for r in points):
-                (p1, p2, p0), (q1, q2, q0) = p, q
-                add((p0 * q2 - p2 * q0, p1 * q0 - p0 * q1, p1 * q2 - p2 * q1))
-    # A point has no face and a segment two, one on each side of its line:
-    # the bounding box closes them.  A polygon does without it, because its
-    # float faces, rounded, could cross a box side beside a corner.
-    if len(rows) < 3:
-        for sign in (1, -1):
-            x = max(points, key=lambda p: sign * Fraction(p[0], p[2]))
-            y = max(points, key=lambda p: sign * Fraction(p[1], p[2]))
-            add((sign * x[2], 0, sign * x[0]))
-            add((0, sign * y[2], sign * y[1]))
-    if any(_is_exact(r) for r in regions):
-        return DofRegion(tuple(HalfSpace(*map(Fraction, row)) for row in rows))
-    # Each row is scaled by a power of two to below 1, so that ``TOL`` means
-    # what it does for any float region; the int division rounds each
-    # coefficient once, and not at all when it fits a float's mantissa.
+    hull = chain(points) + chain(points[::-1]) or points
+    while not exact and len(hull) > 2:
+        m = len(hull)
+        near = [i for i in range(m) if _sliver(hull[i - 1], hull[i], hull[(i + 1) % m])]
+        if not near:
+            break
+        del hull[near[0]]
+    edges = zip(hull, hull[1:] + hull[:1]) if len(hull) > 2 else zip(hull, hull[1:])
     cons = []
-    for row in rows:
-        scale = 1 << max(abs(c).bit_length() for c in row)
-        cons.append(HalfSpace(*(c / scale for c in row)))
+    for (p1, p2), (q1, q2) in edges:
+        n1, n2 = q2 - p2, p1 - q1  # outward normal of the counterclockwise edge
+        cons.append(HalfSpace(n1, n2, n1 * p1 + n2 * p2))
+    if len(hull) < 3:
+        # A segment's other side is its face negated, so that float rounding
+        # cannot leave an empty strip between two separately computed faces.
+        cons += [HalfSpace(-c.a1, -c.a2, -c.b) for c in cons]
+        for axis, (a1, a2) in enumerate(((1, 0), (0, 1))):
+            lo, hi = min(p[axis] for p in hull), max(p[axis] for p in hull)
+            cons += [HalfSpace(a1, a2, hi), HalfSpace(-a1, -a2, -lo)]
     return DofRegion(tuple(cons))

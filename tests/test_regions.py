@@ -503,6 +503,41 @@ def test_exact_time_share_keeps_input_vertices_and_inputs():
             assert all(is_subset(r, hull) for r in pair)
 
 
+def test_float_time_share_drops_a_vertex_within_tol_of_a_hull_edge():
+    # 3 * 0.1 != 0.3 in floats: (0.3, 0.1) lies about 1e-17 off the segment
+    # from the origin to (3, 1).  Float faces through it would be nearly
+    # parallel to that segment and meet far from the hull.
+    pts = [(0.0, 0.0), (3.0, 1.0), (0.3, 0.1)]
+    hull = time_share([_point(x, y) for x, y in pts])
+    assert sum_max(hull) == 4.0
+    assert (3.0, 1.0) in vertices(hull)
+    assert all(contains(hull, p) for p in pts)
+    # The exact hull of the same points keeps the thin triangle.
+    exact = time_share([_point(Fraction(x), Fraction(y)) for x, y in pts])
+    assert set(vertices(exact)) == {tuple(map(Fraction, p)) for p in pts}
+
+
+def test_float_time_share_of_two_points_is_their_segment():
+    # Faces computed separately from each end would not meet here: from
+    # (0.5, 0.45) the line's offset rounds to 0.1025, from (0.65, 0.79) to
+    # 0.10250000000000001.  The reverse face is the negated face instead.
+    p, q = (0.5, 0.45), (0.65, 0.79)
+    seg = time_share([_point(*p), _point(*q)])
+    assert contains(seg, p) and contains(seg, q)
+    assert same_point_sets(vertices(seg), [p, q], tol=1e-15)
+
+
+def test_float_time_share_is_near_the_exact_hull_of_its_vertices():
+    builders = [yang_inner, prop2_inner, sym_alt_inner, integer_sym_alt_inner, gdof_fixed]
+    for k in range(29):
+        a = k / 28
+        library = [b(a) for b in builders] + [bc_outer(TopologyProfile.fixed("1a", a))]
+        for pair in itertools.combinations(library, 2):
+            points = [v for r in pair for v in vertices(r)]
+            exact = time_share([_point(*map(Fraction, v)) for v in points])
+            assert same_point_sets(vertices(time_share(pair)), vertices(exact), tol=1e-13)
+
+
 def test_region_rebuild_roundtrip():
     # Rebuilding a region from its vertex hull reproduces containment
     # decisions on a grid.
