@@ -24,6 +24,7 @@ from .schemes import (
     _normalize,
     build_sym_alt,
     build_wiretap_gaussian,
+    linear_decode,
 )
 from .topology import ChannelRealization
 
@@ -160,8 +161,8 @@ def _with_structured_noise(base: LinearScheme, name: str) -> LinearScheme:
     on antenna 1 of slot 1.  Each decoding receiver recovers its slot-1
     noise combination exactly by nearest-point decoding, treating the
     low-power layer as bounded interference; receiver 1 then peels that
-    layer, and the Gaussian decode plan runs on the exact noise keys.  A
-    trial-batched base gives a trial-batched variant.
+    layer, and ``linear_decode`` decodes the base scheme from the exact
+    noise keys.  A trial-batched base gives a trial-batched variant.
     """
     real, alpha = base.realization, base.alpha
     if real.mode != "integer":
@@ -185,9 +186,9 @@ def _with_structured_noise(base: LinearScheme, name: str) -> LinearScheme:
             key = nearest_point(out0, config)  # h1.u or g1.u, exact
             if receiver == 1:
                 v_low = (out0 - key) / real.h[0][0] / off
-            # The Gaussian plan reads its key from the slot-1 output.
+            # The base scheme's slot-1 output carries the key alone.
             outputs[receiver][0] = key * gain / base.slot_norms[0]
-        decoded = base.decoder(base, outputs[1], outputs[2], side, layers, rho)
+        decoded = linear_decode(base, outputs[1], outputs[2], side, layers, rho)
         return {"v_low": np.array([v_low]), **decoded}
 
     return replace(

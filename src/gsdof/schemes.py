@@ -6,13 +6,14 @@ a power exponent: its variance scales as rho**exponent relative to the unit
 slot budget.  Per-slot inputs are normalized by an SNR-independent constant
 so the expected transmit power never exceeds one.
 
-Two views of every scheme coexist:
-
-* a closed-form linear-Gaussian observation model per receiver (physical
-  slot outputs plus digitized side channels with unit-variance quantization
-  noise), used for exact rate and leakage accounting; and
-* a declared decode plan, run on simulated noiseless transmissions with
-  exact side information to verify algebraic decodability by inversion.
+One linear observation model per receiver (physical slot outputs plus
+digitized side channels with unit-variance quantization noise) serves both
+exact rate and leakage accounting, as a linear-Gaussian channel, and
+decoding: ``linear_decode`` reads each receiver's linear system off it and
+inverts for the receiver's own groups, and ``noiseless_decode_check`` runs
+it on simulated noiseless transmissions with exact side information.  Only
+the lattice schemes carry a ``decoder`` of their own, for their nonlinear
+nearest-point steps.
 
 Reliability accounting conditions each receiver on its decoded noise
 functionals (for example h1.u from the first slot) and on the common
@@ -62,6 +63,7 @@ __all__ = [
     "scheme_block_length",
     "receiver_layout",
     "simulate_noiseless",
+    "linear_decode",
     "noiseless_decode_check",
     "audit_causality",
     "max_slot_power",
@@ -73,10 +75,11 @@ __all__ = [
 ]
 
 GAUSS_CLIP = 3.5  # truncation radius for symbol draws in decode simulations
+DECODE_RANK_TOL = 1e-9  # relative singular-value floor of linear_decode's rank tests
 
 
 class DecodeError(RuntimeError):
-    """Raised when a declared decode plan cannot run (rank or margin failure)."""
+    """Raised when a scheme cannot be decoded (rank or margin failure)."""
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,7 @@ class LinearScheme:
     keys: dict = field(default_factory=dict)  # receiver -> {group: ([trials,] k, size)}
     decode_order: dict = field(default_factory=dict)  # receiver -> own groups
     ledger: dict = field(default_factory=dict)  # group -> log2(rho) multiple per block
-    decoder: Callable = None
+    decoder: Callable = None  # a nonlinear decoder; None: linear_decode
     meta: dict = field(default_factory=dict)
 
     def group(self, name: str) -> SymbolGroup:
@@ -548,7 +551,7 @@ def digitized_side_info_roundtrip(scheme: LinearScheme, rho: float, seed: int = 
 # A builder takes a realization of one trial or a trial-batched one and runs
 # the same code for both: channels are indexed as [..., t, :], maps built
 # from them carry the trials axis, and channel-free maps stay unbatched and
-# broadcast.  Decode plans run on one-trial schemes only.
+# broadcast.  Decoding runs on one-trial schemes only.
 # ---------------------------------------------------------------------------
 
 
@@ -590,8 +593,7 @@ def build_wiretap_gaussian(
     """
     _require(realization, 3, [state] * 3)
     h1, g1 = realization.h[..., 0, :], realization.g[..., 0, :]
-    h2, g2 = realization.h[..., 1, :], realization.g[..., 1, :]
-    g21 = realization.g[..., 1, 0]
+    g2, g21 = realization.g[..., 1, :], realization.g[..., 1, 0]
 
     groups = [
         SymbolGroup("v", 2, 0.0, "rx1"),
@@ -606,22 +608,6 @@ def build_wiretap_gaussian(
     per_symbol = 1.0 if state == STATE_1A else alpha
     keys = {1: {"u": _row(h1, 2)}, 2: {"u": _row(g1, 2)}}
 
-    def decoder(scheme, y, z, side, layers, rho):
-        real = scheme.realization
-        a = [real.states[t].exponents(alpha)[0] for t in range(3)]
-        ys = [y[t] / math.sqrt(rho ** a[t]) * scheme.slot_norms[t] for t in range(3)]
-        k1 = complex(ys[0])  # h1.u
-        eq1 = ys[1] - h2[0] * k1  # h2.v
-        h31 = real.h[2][0]
-        if abs(h31) < 1e-12:
-            raise DecodeError("side-information slot lost: h31 = 0")
-        eq2 = ys[2] / h31 - g21 * k1  # g2.v
-        m = np.vstack([h2, g2])
-        if abs(np.linalg.det(m)) < 1e-9:
-            raise DecodeError("decode matrix [h2; g2] is singular")
-        v = np.linalg.solve(m, np.array([eq1, eq2]))
-        return {"v": v}
-
     return LinearScheme(
         name="wiretap-gaussian" if state == STATE_1A else "wiretap-gaussian-a1",
         alpha=alpha,
@@ -632,8 +618,6 @@ def build_wiretap_gaussian(
         keys=keys,
         decode_order={1: ("v",)},
         ledger={"v": 2.0 * per_symbol},
-        decoder=decoder,
-        meta={"decode_rho": max(realization.rho, 1e8)},
     )
 
 
@@ -653,12 +637,6 @@ def build_no_noise_canary(realization: ChannelRealization, alpha: float) -> Line
     slot_maps = ({"v": one},)
     norms = _normalize(slot_maps, realization)
 
-    def decoder(scheme, y, z, side, layers, rho):
-        h11 = scheme.realization.h[0][0]
-        if abs(h11) < 1e-12:
-            raise DecodeError("antenna path lost")
-        return {"v": np.array([y[0] / math.sqrt(rho) * scheme.slot_norms[0] / h11])}
-
     return LinearScheme(
         name="wiretap-nonoise",
         alpha=alpha,
@@ -668,8 +646,6 @@ def build_no_noise_canary(realization: ChannelRealization, alpha: float) -> Line
         slot_norms=norms,
         decode_order={1: ("v",)},
         ledger={"v": 1.0},
-        decoder=decoder,
-        meta={"decode_rho": max(realization.rho, 1e8)},
     )
 
 
@@ -683,10 +659,8 @@ def build_yang_baseline(realization: ChannelRealization, alpha: float) -> Linear
     """
     _require(realization, 4, [STATE_1A] * 4)
     h1, g1 = realization.h[..., 0, :], realization.g[..., 0, :]
-    h2, g2 = realization.h[..., 1, :], realization.g[..., 1, :]
-    h3, g3 = realization.h[..., 2, :], realization.g[..., 2, :]
-    g21 = realization.g[..., 1, 0]
-    h31 = realization.h[..., 2, 0]
+    g2, g21 = realization.g[..., 1, :], realization.g[..., 1, 0]
+    h3, h31 = realization.h[..., 2, :], realization.h[..., 2, 0]
 
     groups = (
         SymbolGroup("v", 2, 0.0, "rx1"),
@@ -705,34 +679,6 @@ def build_yang_baseline(realization: ChannelRealization, alpha: float) -> Linear
     )
     norms = _normalize(slot_maps, realization)
 
-    def decoder(scheme, y, z, side, layers, rho):
-        sr = math.sqrt(rho)
-        sra = math.sqrt(rho**alpha)
-        nrm = scheme.slot_norms
-        ys = [y[t] / sr * nrm[t] for t in range(4)]
-        zs = [z[t] / sra * nrm[t] for t in range(4)]
-        k1 = complex(ys[0])  # h1.u
-        k2 = complex(zs[0])  # g1.u
-        # Receiver 1: remove own slot-3 observation from slot 4, then invert.
-        y3_form = complex(ys[2])  # h3.w + h31*g1.u
-        h41 = scheme.realization.h[3][0]
-        if abs(h41) < 1e-12:
-            raise DecodeError("slot-4 antenna path lost at receiver 1")
-        z2_form = ys[3] / h41 - y3_form  # g2.v + g21*h1.u
-        eqs = np.array([ys[1] - h2[0] * k1, z2_form - g21 * k1])
-        m1 = np.vstack([h2, g2])
-        # Receiver 2: remove own slot-2 observation from slot 4, then invert.
-        z2_own = complex(zs[1])
-        g41 = scheme.realization.g[3][0]
-        if abs(g41) < 1e-12:
-            raise DecodeError("slot-4 antenna path lost at receiver 2")
-        y3_est = zs[3] / g41 - z2_own  # h3.w + h31*g1.u
-        eqs2 = np.array([zs[2] - g3[0] * k2, y3_est - h31 * k2])
-        m2 = np.vstack([g3, h3])
-        if abs(np.linalg.det(m1)) < 1e-9 or abs(np.linalg.det(m2)) < 1e-9:
-            raise DecodeError("singular decode matrix")
-        return {"v": np.linalg.solve(m1, eqs), "w": np.linalg.solve(m2, eqs2)}
-
     return LinearScheme(
         name="yang",
         alpha=alpha,
@@ -743,8 +689,6 @@ def build_yang_baseline(realization: ChannelRealization, alpha: float) -> Linear
         keys={1: {"u": _row(h1, 2)}, 2: {"u": _row(g1, 2)}},
         decode_order={1: ("v",), 2: ("w",)},
         ledger={"v": 2.0, "w": 2.0 * alpha},
-        decoder=decoder,
-        meta={"decode_rho": max(realization.rho, 1e8)},
     )
 
 
@@ -858,45 +802,6 @@ def build_bc_fixed(
         if (np.abs(np.linalg.det(m)) < 1e-9).any():
             raise ValueError(f"phase-3 slot {t}: decode matrix is singular")
 
-    def decoder(scheme, y, z, side, layers, rho):
-        real = scheme.realization
-        nrm = scheme.slot_norms
-        sr, sra = math.sqrt(rho), math.sqrt(rho**alpha)
-        # Receiver 1.
-        y1 = np.array([y[t] / sr * nrm[t] for t in range(t1)])  # h_t.u_t
-        c_true = layers["c"]
-        v = np.zeros(2 * t1, dtype=np.complex128)
-        z2_hat = side["z2_hat"]  # exact side information
-        mix = theta1 @ y1
-        for t in range(t1):
-            hrow = real.h[t1 + t]
-            grow = real.g[t1 + t]
-            eq_h = y[t1 + t] / sr * nrm[t1 + t] - hrow @ mix[2 * t : 2 * t + 2]
-            eq_g = z2_hat[t] * nrm[t1 + t] - grow @ mix[2 * t : 2 * t + 2]
-            sol = np.linalg.solve(np.vstack([hrow, grow]), np.array([eq_h, eq_g]))
-            v[2 * t : 2 * t + 2] = sol
-        v_low = np.zeros(t1, dtype=np.complex128)
-        for t in range(t1):
-            slot = 2 * t1 + t2 + t
-            h41 = real.h[slot][0]
-            if abs(h41) < 1e-12:
-                raise DecodeError("phase-4 antenna path lost at receiver 1")
-            resid = y[slot] / sr * nrm[slot] / h41 - c_true[t]
-            v_low[t] = resid * math.sqrt(rho**alpha)
-        # Receiver 2.
-        z1 = np.array([z[t] / sra * nrm[t] for t in range(t1)])  # g_t.u_t
-        w = np.zeros(2 * t2, dtype=np.complex128)
-        y3_hat = side["y3_hat"]
-        mix2 = theta2 @ z1
-        for t in range(t2):
-            grow = real.g[2 * t1 + t]
-            hrow = real.h[2 * t1 + t]
-            eq_g = z[2 * t1 + t] / sra * nrm[2 * t1 + t] - grow @ mix2[2 * t : 2 * t + 2]
-            eq_h = y3_hat[t] * nrm[2 * t1 + t] - hrow @ mix2[2 * t : 2 * t + 2]
-            sol = np.linalg.solve(np.vstack([grow, hrow]), np.array([eq_g, eq_h]))
-            w[2 * t : 2 * t + 2] = sol
-        return {"v": v, "v_low": v_low, "w": w}
-
     return LinearScheme(
         name="bc-fixed",
         alpha=alpha,
@@ -912,11 +817,7 @@ def build_bc_fixed(
             "v_low": (1 - alpha) * t1,
             "w": (1 + alpha) * t2,
         },
-        decoder=decoder,
-        meta={
-            "decode_rho": max(realization.rho, 1e8),
-            "granted_layers": ("c",),
-        },
+        meta={"granted_layers": ("c",)},
     )
 
 
@@ -931,8 +832,6 @@ def build_sym_alt(realization: ChannelRealization, alpha: float) -> LinearScheme
     """
     _require(realization, 4, [STATE_1A, STATE_1A, STATE_A1, STATE_A1])
     h1, g1 = realization.h[..., 0, :], realization.g[..., 0, :]
-    h2, g2 = realization.h[..., 1, :], realization.g[..., 1, :]
-    h3, g3 = realization.h[..., 2, :], realization.g[..., 2, :]
 
     groups = (
         SymbolGroup("v", 2, 0.0, "rx1"),
@@ -956,30 +855,6 @@ def build_sym_alt(realization: ChannelRealization, alpha: float) -> LinearScheme
         SideChannel(2, "y3_hat", alpha, (2,)),
     )
 
-    def decoder(scheme, y, z, side, layers, rho):
-        real = scheme.realization
-        nrm = scheme.slot_norms
-        sr, sra = math.sqrt(rho), math.sqrt(rho**alpha)
-        k1 = y[0] / sr * nrm[0]  # h1.u
-        k2 = z[0] / sra * nrm[0]  # g1.u
-        # Receiver 1: slot-2 equation plus exact digitized side information.
-        eq_h = y[1] / sr * nrm[1] - h2[0] * k1
-        eq_g = side["z2_hat"][0] * nrm[1] - g2[0] * k1
-        m1 = np.vstack([h2, g2])
-        # Receiver 2: slot-3 equation plus the mirrored side information.
-        eq_g2 = z[2] / sr * nrm[2] - g3[0] * k2
-        eq_h2 = side["y3_hat"][0] * nrm[2] - h3[0] * k2
-        m2 = np.vstack([g3, h3])
-        if abs(np.linalg.det(m1)) < 1e-9 or abs(np.linalg.det(m2)) < 1e-9:
-            raise DecodeError("singular decode matrix")
-        v = np.linalg.solve(m1, np.array([eq_h, eq_g]))
-        w = np.linalg.solve(m2, np.array([eq_g2, eq_h2]))
-        g41 = real.g[3][0]
-        if abs(g41) < 1e-12:
-            raise DecodeError("slot-4 antenna path lost at receiver 2")
-        w_low = (z[3] / sr * nrm[3] / g41 - layers["c"][0]) * sra
-        return {"v": v, "w": w, "w_low": np.array([w_low])}
-
     return LinearScheme(
         name="sym-alt",
         alpha=alpha,
@@ -991,8 +866,7 @@ def build_sym_alt(realization: ChannelRealization, alpha: float) -> LinearScheme
         keys={1: {"u": _row(h1, 2)}, 2: {"u": _row(g1, 2)}},
         decode_order={1: ("v",), 2: ("w", "w_low")},
         ledger={"v": 1.0 + alpha, "w": 1.0 + alpha, "w_low": 1.0 - alpha},
-        decoder=decoder,
-        meta={"decode_rho": max(realization.rho, 1e8), "granted_layers": ("c",)},
+        meta={"granted_layers": ("c",)},
     )
 
 
@@ -1168,20 +1042,71 @@ def simulate_noiseless(scheme: LinearScheme, rho: float, seed: int = 0):
     return symbols, y, z, side
 
 
-def noiseless_decode_check(scheme: LinearScheme, seed: int = 0, rel_tol: float = 1e-6) -> bool:
-    """Run the declared decode plan with zero receiver noise and exact side
-    information; True iff every intended symbol is recovered.
+def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
+    """Decode every receiver in ``decode_order`` from its observation model
+    (``receiver_structure``), given ``simulate_noiseless``'s outputs ``y``,
+    ``z`` and ``side`` and the granted ``layers``; returns the decoded
+    groups' symbols by name.
 
-    Gaussian symbols must match to ``rel_tol`` relative error; lattice
-    symbols must match exactly.
+    A receiver stacks its slot outputs, stripped of their link gains, over
+    its delivered side information (``_row_plan`` order) and subtracts the
+    granted layers.  It projects out the span of every column that is
+    neither its own nor granted (the noise, whose functional it learned in
+    slot 1, and the other receiver's symbols) and solves for its own groups.
+    The unknowns are the symbols at their received powers, so the rank test
+    does not depend on ``rho``: a singular value of the projected own
+    columns at or below ``DECODE_RANK_TOL`` times the largest raises
+    ``DecodeError``."""
+    _one_trial(scheme, "linear_decode")
+    outputs = {1: y, 2: z}
+    n = scheme.realization.n
+    out = {}
+    for receiver, order in scheme.decode_order.items():
+        st = receiver_structure(scheme, receiver)
+        obs = np.concatenate(
+            [np.asarray(outputs[receiver], dtype=np.complex128) / rho ** (st.row_exp[:n] / 2)]
+            + [side[ch.label] for ch in scheme.side_channels if ch.receiver == receiver]
+        )
+        gain = rho ** (st.col_exp / 2)
+        own = np.zeros(st.total, dtype=bool)
+        for name in order:
+            own |= st.masks[name]
+        granted = np.zeros(st.total, dtype=bool)
+        known = np.zeros(st.total, dtype=np.complex128)
+        for name, values in layers.items():
+            granted |= st.masks[name]
+            known[st.masks[name]] = values
+        obs = obs - st.coef @ (known * gain)
+        q, s, _ = np.linalg.svd(st.coef[:, ~(own | granted)], full_matrices=False)
+        q = q[:, s > DECODE_RANK_TOL * s.max(initial=0.0)]
+        a = st.coef[:, own] - q @ (q.conj().T @ st.coef[:, own])
+        b = obs - q @ (q.conj().T @ obs)
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        if not s.size or s.min() <= DECODE_RANK_TOL * s.max():
+            raise DecodeError(f"receiver {receiver} cannot separate its groups {order}")
+        solved = np.zeros(st.total, dtype=np.complex128)
+        solved[own] = vh.conj().T @ ((u.conj().T @ b) / s) / gain[own]
+        out.update({name: solved[st.masks[name]] for name in order})
+    return out
+
+
+def noiseless_decode_check(scheme: LinearScheme, seed: int = 0, rel_tol: float = 1e-6) -> bool:
+    """Decode a noiseless simulated block with exact side information; True
+    iff every intended symbol is recovered.
+
+    The scheme's ``decoder`` runs if it has one (the nonlinear lattice
+    decoders), ``linear_decode`` otherwise, at ``meta["decode_rho"]`` if set
+    and at the realization's SNR, but no less than 1e8, if not.  Gaussian
+    symbols must match to ``rel_tol`` relative error; lattice symbols must
+    match exactly.
     """
-    rho = float(scheme.meta.get("decode_rho", scheme.realization.rho))
+    rho = float(scheme.meta.get("decode_rho", max(scheme.realization.rho, 1e8)))
     symbols, y, z, side = simulate_noiseless(scheme, rho, seed)
     layers = {}
     for name in scheme.meta.get("granted_layers", ()):
         layers[name] = np.asarray(symbols[name], dtype=np.complex128)
     try:
-        recovered = scheme.decoder(scheme, y, z, side, layers, rho)
+        recovered = (scheme.decoder or linear_decode)(scheme, y, z, side, layers, rho)
     except (DecodeError, np.linalg.LinAlgError):
         return False
     for name, rec in recovered.items():

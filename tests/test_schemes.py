@@ -12,6 +12,7 @@ from gsdof.schemes import (
     SCHEME_KINDS,
     SCHEMES,
     SECURE_SCHEMES,
+    DecodeError,
     UniformQuantizer,
     accounting_bits,
     audit_causality,
@@ -20,6 +21,7 @@ from gsdof.schemes import (
     common_layer_bits,
     joint_leakage_bits,
     leakage_bits,
+    linear_decode,
     max_slot_power,
     noiseless_decode_check,
     quantizer_for_power,
@@ -102,8 +104,75 @@ def test_decode_fails_on_engineered_rank_deficiency():
 
 
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_noiseless_decode_at_every_alpha_of_the_domain(kind):
+    # bc-fixed's T1 = 20 layouts (alpha = 0.05, 0.15, ...) are decoded here
+    # and nowhere else.
+    spec = SCHEMES[kind]
+    alphas = []
+    for k in range(21):
+        try:
+            spec.domain(k / 20)
+        except ValueError:
+            continue
+        alphas.append(k / 20)
+    assert alphas
+    for alpha in alphas:
+        for seed in range(3):
+            sch = build_scheme(kind, alpha, seed=seed)
+            assert noiseless_decode_check(sch, seed=seed), (kind, alpha, seed)
+
+
+def _without_slot_4(sch):
+    slot_maps = (*sch.slot_maps[:3], {})
+    return dataclasses.replace(
+        sch, slot_maps=slot_maps, slot_norms=schemes._normalize(slot_maps, sch.realization)
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, plant",
+    [
+        ("sym-alt", lambda sch: dataclasses.replace(sch, side_channels=())),
+        ("bc-fixed", lambda sch: dataclasses.replace(sch, side_channels=())),
+        ("yang", _without_slot_4),
+    ],
+    ids=["sym-alt-no-side-info", "bc-fixed-no-side-info", "yang-no-slot-4"],
+)
+def test_decode_refuses_a_planted_undecodable_scheme(kind, plant):
+    sch = build_scheme(kind, 0.5, seed=0)
+    assert noiseless_decode_check(sch, seed=0)
+    broken = plant(sch)
+    assert not noiseless_decode_check(broken, seed=0)
+    # refused by the rank test, not by a wrong answer
+    _, y, z, side = simulate_noiseless(broken, 1e8, seed=0)
+    with pytest.raises(DecodeError, match="^receiver 1 cannot separate its groups"):
+        linear_decode(broken, y, z, side, {}, 1e8)
+
+
+def test_only_lattice_schemes_carry_their_own_decoder():
+    # Every other scheme is decoded by linear_decode from its observation model.
+    for kind in SCHEME_KINDS:
+        sch = build_scheme(kind, 0.5, seed=0)
+        assert (sch.decoder is not None) == any(g.lattice for g in sch.groups), kind
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_causality_audit(kind):
     assert audit_causality(kind, 0.5, seed=1)
+
+
+def test_causality_audit_catches_a_future_channel_read(monkeypatch):
+    spec = SCHEMES["wiretap-gaussian"]
+
+    def build(real, alpha):
+        sch = spec.build(real, alpha)
+        reads_slot_2 = np.zeros(real.h.shape[:-2] + (2, 2), dtype=np.complex128)
+        reads_slot_2[..., 0, :] = real.h[..., 2, :]
+        return dataclasses.replace(sch, slot_maps=({"u": reads_slot_2}, *sch.slot_maps[1:]))
+
+    monkeypatch.setitem(SCHEMES, "future-read", dataclasses.replace(spec, build=build))
+    assert audit_causality("wiretap-gaussian", 0.5, seed=1)
+    assert not audit_causality("future-read", 0.5, seed=1)
 
 
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
@@ -496,6 +565,7 @@ def test_one_trial_functions_refuse_a_batched_scheme():
         lambda: simulate_noiseless(batch, 1e8),
         lambda: max_slot_power(batch),
         lambda: noiseless_decode_check(batch),
+        lambda: linear_decode(batch, None, None, {}, {}, 1e8),
         lambda: schemes.digitized_side_info_roundtrip(batch, 1e8),
     ):
         with pytest.raises(ValueError, match="trials axis of 3 trials"):
