@@ -370,14 +370,30 @@ def _canary_check(rho_db, trials, seed) -> CheckResult:
 
 
 def _decode_checks(alphas, trials, seed) -> list[CheckResult]:
+    """One noiseless decode check per scheme kind, at alpha 0.5 if it is in
+    ``alphas`` and at ``alphas[0]`` if not, over ``trials`` realizations:
+    trial ``i`` draws its channels from ``SeedSequence((seed, i))`` and its
+    symbols from seed ``i``.
+
+    A kind's trials are built as one trial-batched scheme and decoded with
+    one ``noiseless_decode_check``.  Trial ``b`` of the batch is the
+    one-seed build of its seed, so the batch passes iff every trial does.
+    If it fails, or its build raises, the trials are rebuilt and checked
+    one at a time to count the failures, as ``run_sweep`` reruns a failed
+    chunk; the margin is that count."""
     out = []
+    a = 0.5 if 0.5 in alphas else alphas[0]
+    seqs = [np.random.SeedSequence((seed, i)) for i in range(trials)]
     for kind in SCHEME_TARGETS:
-        a = 0.5 if 0.5 in alphas else alphas[0]
+        try:
+            ok = noiseless_decode_check(build_scheme(kind, a, seqs), seed=list(range(trials)))
+        except Exception:
+            ok = False
         failures = 0
-        for i in range(trials):
-            scheme = build_scheme(kind, a, np.random.SeedSequence((seed, i)))
-            if not noiseless_decode_check(scheme, seed=i):
-                failures += 1
+        if not ok:
+            for i, seq in enumerate(seqs):
+                if not noiseless_decode_check(build_scheme(kind, a, seq), seed=i):
+                    failures += 1
         out.append(
             CheckResult(
                 f"decode/{kind}/alpha={a:g}",

@@ -306,19 +306,38 @@ def fit_slope(log2_rho, bits, top_fraction: float = 0.5) -> tuple[float, float]:
 LEMMA1_IDS = ("4a", "4b", "4c", "4d")
 
 
-def _block_entropies(realization, alpha: float, rho: float) -> tuple[float, float, float]:
+def _each(fn, x) -> np.ndarray:
+    """``fn`` of each entry of ``x`` as a Python float, in ``x``'s shape.
+
+    For ``pow`` and ``math.log2``: numpy's vector kernels for them may
+    differ from the scalar C functions in the last bit, and the lemma-1
+    series keep the bits of their one-SNR evaluation."""
+    x = np.asarray(x, dtype=float)
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _block_entropies(realization, alpha: float, rho):
     """(h(y^n|S), h(z^n|S), h(y^n, z^n|S)) in bits for i.i.d. unit-power
-    Gaussian inputs, x_t ~ CN(0, I/2)."""
-    hy = hz = hyz = 0.0
+    Gaussian inputs, x_t ~ CN(0, I/2), at each SNR of ``rho`` (a scalar or
+    an array): three arrays of ``rho``'s shape.
+
+    Each slot's 2x2 covariances are built and log-det'ed as one stack over
+    the SNRs, and the slots are summed in order, so every entry has the bits
+    of a call at its SNR alone."""
+    rho = np.asarray(rho, dtype=float)
+    amplitude = {}  # exponent -> sqrt(rho**exponent), with a trailing unit axis
+    hy, hz, hyz = np.zeros(rho.shape), np.zeros(rho.shape), np.zeros(rho.shape)
     for t in range(realization.n):
         a1, a2 = realization.states[t].exponents(alpha)
-        ht, gt = realization.h[t], realization.g[t]
-        m = np.vstack(
-            [np.sqrt(rho**a1) * ht, np.sqrt(rho**a2) * gt]
+        for e in (a1, a2):
+            if e not in amplitude:
+                amplitude[e] = np.sqrt(_each(lambda r: r**e, rho))[..., None]
+        m = np.stack(
+            [amplitude[a1] * realization.h[t], amplitude[a2] * realization.g[t]], axis=-2
         )
-        cov = m @ (0.5 * np.eye(2)) @ m.conj().T + np.eye(2)
-        hy += LOG2_PI_E + math.log2(float(np.real(cov[0, 0])))
-        hz += LOG2_PI_E + math.log2(float(np.real(cov[1, 1])))
+        cov = m @ (0.5 * np.eye(2)) @ m.conj().swapaxes(-1, -2) + np.eye(2)
+        hy += LOG2_PI_E + _each(math.log2, cov[..., 0, 0].real)
+        hz += LOG2_PI_E + _each(math.log2, cov[..., 1, 1].real)
         hyz += 2 * LOG2_PI_E + _logdet2(cov)
     return hy, hz, hyz
 
@@ -332,7 +351,7 @@ def lemma1_slopes(
 ) -> dict:
     """Per-slot fitted slopes {inequality id: (lhs, rhs)} of all four
     entropy-order inequalities, from one channel draw and one series of
-    block entropies.
+    block entropies over the whole grid.
 
     The right-hand sides carry the topology surcharge lambda * (1 - alpha) *
     log2(rho) per slot exactly once.
@@ -344,24 +363,20 @@ def lemma1_slopes(
     realization = draw_channels(n, states, float(rho_grid[0]), seed, mode="complex")
     l1a = float(profile.lambda_1a)
     la1 = float(profile.lambda_a1)
-    series = {ineq: ([], []) for ineq in LEMMA1_IDS}
-    for rho in rho_grid:
-        hy, hz, hyz = _block_entropies(realization, alpha, float(rho))
-        surcharge_1a = n * l1a * (1 - alpha) * math.log2(rho)
-        surcharge_a1 = n * la1 * (1 - alpha) * math.log2(rho)
-        sides = {
-            "4a": (hyz, 2 * hz + surcharge_1a),
-            "4b": (hyz, 2 * hy + surcharge_a1),
-            "4c": (hy, 2 * hz + surcharge_1a),
-            "4d": (hz, 2 * hy + surcharge_a1),
-        }
-        for ineq, (lhs, rhs) in sides.items():
-            series[ineq][0].append(lhs / n)
-            series[ineq][1].append(rhs / n)
+    hy, hz, hyz = _block_entropies(realization, alpha, rho_grid)
+    log2_rho = _each(math.log2, rho_grid)
+    surcharge_1a = n * l1a * (1 - alpha) * log2_rho
+    surcharge_a1 = n * la1 * (1 - alpha) * log2_rho
+    sides = {
+        "4a": (hyz, 2 * hz + surcharge_1a),
+        "4b": (hyz, 2 * hy + surcharge_a1),
+        "4c": (hy, 2 * hz + surcharge_1a),
+        "4d": (hz, 2 * hy + surcharge_a1),
+    }
     x = np.log2(rho_grid)
     return {
-        ineq: (fit_slope(x, lhs)[0], fit_slope(x, rhs)[0])
-        for ineq, (lhs, rhs) in series.items()
+        ineq: (fit_slope(x, lhs / n)[0], fit_slope(x, rhs / n)[0])
+        for ineq, (lhs, rhs) in sides.items()
     }
 
 

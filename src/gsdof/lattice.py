@@ -122,9 +122,10 @@ def cf_encode(symbols, config: LatticeConfig) -> np.ndarray:
     return config.scale * (symbols - config.centered_range).astype(float)
 
 
-def nearest_point(value: complex, config: LatticeConfig) -> float:
-    """Nearest scaled-integer lattice point to the real part of ``value``."""
-    return config.scale * round(float(np.real(value)) / config.scale)
+def nearest_point(value, config: LatticeConfig):
+    """Nearest scaled-integer lattice point to the real part of ``value``,
+    elementwise for an array (ties round to even, as ``round`` does)."""
+    return config.scale * np.round(np.real(value) / config.scale)
 
 
 def cf_decode(received: complex, config: LatticeConfig, integer_coeffs) -> tuple[int, float]:
@@ -162,7 +163,9 @@ def _with_structured_noise(base: LinearScheme, name: str) -> LinearScheme:
     noise combination exactly by nearest-point decoding, treating the
     low-power layer as bounded interference; receiver 1 then peels that
     layer, and ``linear_decode`` decodes the base scheme from the exact
-    noise keys.  A trial-batched base gives a trial-batched variant.
+    noise keys.  A trial-batched base gives a trial-batched variant, whose
+    decoder decodes every trial in one call, with one ``nearest_point`` per
+    receiver over the trials axis.
     """
     real, alpha = base.realization, base.alpha
     if real.mode != "integer":
@@ -182,14 +185,14 @@ def _with_structured_noise(base: LinearScheme, name: str) -> LinearScheme:
         outputs = {1: np.array(y), 2: np.array(z)}
         for receiver in base.decode_order:
             gain = math.sqrt(rho ** gains[receiver - 1])
-            out0 = outputs[receiver][0] / gain * scheme.slot_norms[0]
+            out0 = outputs[receiver][..., 0] / gain * scheme.slot_norms[0]
             key = nearest_point(out0, config)  # h1.u or g1.u, exact
             if receiver == 1:
-                v_low = (out0 - key) / real.h[0][0] / off
+                v_low = (out0 - key) / real.h[..., 0, 0] / off
             # The base scheme's slot-1 output carries the key alone.
-            outputs[receiver][0] = key * gain / base.slot_norms[0]
+            outputs[receiver][..., 0] = key * gain / base.slot_norms[0]
         decoded = linear_decode(base, outputs[1], outputs[2], side, layers, rho)
-        return {"v_low": np.array([v_low]), **decoded}
+        return {"v_low": v_low[..., None], **decoded}
 
     return replace(
         base,

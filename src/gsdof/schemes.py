@@ -15,6 +15,10 @@ it on simulated noiseless transmissions with exact side information.  Only
 the lattice schemes carry a ``decoder`` of their own, for their nonlinear
 nearest-point steps.
 
+Accounting, simulation and decoding take a scheme of one trial or a
+trial-batched one (``build_scheme`` with a list of seeds) and run the same
+code for both; a batch is decoded in one call, with one symbol seed per trial.
+
 Reliability accounting conditions each receiver on its decoded noise
 functionals (for example h1.u from the first slot) and on the common
 digitized layer.  The integer-channel variants realize those functionals
@@ -234,9 +238,11 @@ class _ReceiverStructure:
 
         lead = real.h.shape[:-2]
         channels = {"h": real.h[..., None, :], "g": real.g[..., None, :]}
+        slot_rows = [[] for _ in scheme.slot_maps]  # per slot: (row, channel vector)
+        for i, (t, c, _) in enumerate(plan):
+            slot_rows[t].append((i, channels[c][..., t, :, :]))
         coef = np.zeros(lead + (len(plan), pos), dtype=np.complex128)
-        for t, maps in enumerate(scheme.slot_maps):
-            rows = [(i, channels[c][..., t, :, :]) for i, (s, c, _) in enumerate(plan) if s == t]
+        for t, (maps, rows) in enumerate(zip(scheme.slot_maps, slot_rows)):
             norm = np.asarray(scheme.slot_norms[t])[..., None, None]
             for name, m in maps.items():
                 off, size = offsets[name]
@@ -494,6 +500,7 @@ def digitized_side_info_roundtrip(scheme: LinearScheme, rho: float, seed: int = 
     receiver-2 stream from the common message and its own operand.  Returns
     (max reconstruction error, quantizer error bound, saturation rate).
     """
+    _one_trial(scheme, "digitized_side_info_roundtrip")
     if not scheme.side_channels:
         raise ValueError("scheme has no digitized side information")
     alpha = scheme.alpha
@@ -551,7 +558,8 @@ def digitized_side_info_roundtrip(scheme: LinearScheme, rho: float, seed: int = 
 # A builder takes a realization of one trial or a trial-batched one and runs
 # the same code for both: channels are indexed as [..., t, :], maps built
 # from them carry the trials axis, and channel-free maps stay unbatched and
-# broadcast.  Decoding runs on one-trial schemes only.
+# broadcast.  Decoders index outputs and channels the same way, so one
+# decoder call decodes a whole batch.
 # ---------------------------------------------------------------------------
 
 
@@ -911,39 +919,43 @@ def build_gdof_no_secrecy(realization: ChannelRealization, alpha: float) -> Line
         from .lattice import nearest_point
 
         real = scheme.realization
-        nrm = scheme.slot_norms
+        nrm = [np.asarray(norm) for norm in scheme.slot_norms]
         sr, sra = math.sqrt(rho), math.sqrt(rho**alpha)
         off = rho ** (-alpha / 2.0)
         _check_lattice_margin(off, config)
-        # Receiver 1: three nearest-point decodes, peel the fresh layers.
-        y0 = y[0] / sr * nrm[0]
-        k_h1v = nearest_point(y0, config)
-        v3 = (y0 - k_h1v) / h1[0] / off
-        y1 = y[1] / sr * nrm[1]
-        k_h2w = nearest_point(y1, config)
-        v4 = (y1 - k_h2w) / h2[0] / off
-        h31 = real.h[2][0]
-        g31 = real.g[2][0]
-        if abs(h31) < 1e-12 or abs(g31) < 1e-12:
+        h31, g31 = real.h[..., 2, 0], real.g[..., 2, 0]
+        if (np.abs(h31) < 1e-12).any() or (np.abs(g31) < 1e-12).any():
             raise DecodeError("slot-3 antenna path lost")
-        y2 = y[2] / sr * nrm[2] / h31
+
+        def solve(row1, row2, k1, k2):
+            rows = np.stack([row1, row2], axis=-2)
+            return np.linalg.solve(rows, np.stack([k1, k2], axis=-1)[..., None])[..., 0]
+
+        # Receiver 1: three nearest-point decodes, peel the fresh layers.
+        y0 = y[..., 0] / sr * nrm[0]
+        k_h1v = nearest_point(y0, config)
+        v3 = (y0 - k_h1v) / h1[..., 0] / off
+        y1 = y[..., 1] / sr * nrm[1]
+        k_h2w = nearest_point(y1, config)
+        v4 = (y1 - k_h2w) / h2[..., 0] / off
+        y2 = y[..., 2] / sr * nrm[2] / h31
         k_comb = nearest_point(y2, config)
         v5 = (y2 - k_comb) / off
         k_g1v = k_comb - k_h2w
-        v = np.linalg.solve(np.vstack([h1, g1]), np.array([k_h1v, k_g1v])) / config.scale
+        v = solve(h1, g1, k_h1v, k_g1v) / config.scale
         # Receiver 2: mirrored decode of the other lattice pair.
-        z0 = z[0] / sra * nrm[0]
+        z0 = z[..., 0] / sra * nrm[0]
         k_g1v2 = nearest_point(z0, config)
-        z1 = z[1] / sra * nrm[1]
+        z1 = z[..., 1] / sra * nrm[1]
         k_g2w = nearest_point(z1, config)
-        z2 = z[2] / sra * nrm[2] / g31
+        z2 = z[..., 2] / sra * nrm[2] / g31
         k_comb2 = nearest_point(z2, config)
         k_h2w2 = k_comb2 - k_g1v2
-        w = np.linalg.solve(np.vstack([g2, h2]), np.array([k_g2w, k_h2w2])) / config.scale
+        w = solve(g2, h2, k_g2w, k_h2w2) / config.scale
         return {
             "v": np.round(np.real(v)).astype(int),
             "w": np.round(np.real(w)).astype(int),
-            "v_low": np.array([v3, v4, v5]),
+            "v_low": np.stack([v3, v4, v5], axis=-1),
         }
 
     return LinearScheme(
@@ -1007,38 +1019,48 @@ def _draw_symbols(scheme: LinearScheme, rng: np.random.Generator) -> dict:
     return out
 
 
-def simulate_noiseless(scheme: LinearScheme, rho: float, seed: int = 0):
+def simulate_noiseless(scheme: LinearScheme, rho: float, seed=0):
     """Draw symbols and run the block through the channel with noise zeroed.
 
     Returns (symbols, y, z, side_values) where side_values holds the exact
     (unquantized) side-information content per channel label: the other
-    receiver's normalized outputs in the channel's slots.  The scheme must
-    be of one trial.
+    receiver's normalized outputs in the channel's slots.  A trial-batched
+    scheme takes one symbol seed per trial: trial ``b``'s symbols are drawn
+    from ``default_rng(seed[b])`` exactly as a one-trial scheme draws them,
+    and every returned array has the trials axis first.
     """
-    _one_trial(scheme, "simulate_noiseless")
-    rng = np.random.default_rng(seed)
-    symbols = _draw_symbols(scheme, rng)
     real = scheme.realization
+    lead = real.h.shape[:-2]
+    if not lead:
+        symbols = _draw_symbols(scheme, np.random.default_rng(seed))
+    elif np.ndim(seed) != 1 or len(seed) != lead[0]:
+        raise ValueError(
+            f"a scheme with a trials axis of {lead[0]} trials takes one symbol "
+            f"seed per trial, got {seed!r}"
+        )
+    else:
+        draws = [_draw_symbols(scheme, np.random.default_rng(s)) for s in seed]
+        symbols = {name: np.stack([d[name] for d in draws]) for name in draws[0]}
     phys = {
         g.name: np.asarray(symbols[g.name], dtype=np.complex128) * rho ** (g.exponent / 2.0)
         for g in scheme.groups
     }
-    y = np.zeros(real.n, dtype=np.complex128)
-    z = np.zeros(real.n, dtype=np.complex128)
+    y = np.zeros(lead + (real.n,), dtype=np.complex128)
+    z = np.zeros(lead + (real.n,), dtype=np.complex128)
     xs = []
     for t in range(real.n):
-        x = np.zeros(2, dtype=np.complex128)
+        x = np.zeros(lead + (2,), dtype=np.complex128)
         for name, m in scheme.slot_maps[t].items():
-            x += m @ phys[name]
-        x /= scheme.slot_norms[t]
+            x += (m @ phys[name][..., None])[..., 0]
+        x /= np.asarray(scheme.slot_norms[t])[..., None]
         xs.append(x)
         a1, a2 = real.states[t].exponents(scheme.alpha)
-        y[t] = math.sqrt(rho**a1) * (real.h[t] @ x)
-        z[t] = math.sqrt(rho**a2) * (real.g[t] @ x)
+        y[..., t] = math.sqrt(rho**a1) * (real.h[..., t, :] * x).sum(-1)
+        z[..., t] = math.sqrt(rho**a2) * (real.g[..., t, :] * x).sum(-1)
     side = {}
     for ch in scheme.side_channels:
         other = real.g if ch.receiver == 1 else real.h
-        side[ch.label] = np.array([other[t] @ xs[t] for t in ch.slots])
+        side[ch.label] = np.stack([(other[..., t, :] * xs[t]).sum(-1) for t in ch.slots], -1)
     return symbols, y, z, side
 
 
@@ -1056,41 +1078,49 @@ def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
     The unknowns are the symbols at their received powers, so the rank test
     does not depend on ``rho``: a singular value of the projected own
     columns at or below ``DECODE_RANK_TOL`` times the largest raises
-    ``DecodeError``."""
-    _one_trial(scheme, "linear_decode")
+    ``DecodeError``.
+
+    A trial-batched scheme's arrays carry its trials axis first.  Its SVDs
+    run on the stacked (trials, rows, cols) coefficients, nuisance
+    directions at or below the floor are masked per trial, and the rank
+    test raises if any trial fails it."""
     outputs = {1: y, 2: z}
+    lead = scheme.realization.h.shape[:-2]
     n = scheme.realization.n
     out = {}
     for receiver, order in scheme.decode_order.items():
         st = receiver_structure(scheme, receiver)
         obs = np.concatenate(
             [np.asarray(outputs[receiver], dtype=np.complex128) / rho ** (st.row_exp[:n] / 2)]
-            + [side[ch.label] for ch in scheme.side_channels if ch.receiver == receiver]
+            + [side[ch.label] for ch in scheme.side_channels if ch.receiver == receiver],
+            axis=-1,
         )
         gain = rho ** (st.col_exp / 2)
         own = np.zeros(st.total, dtype=bool)
         for name in order:
             own |= st.masks[name]
         granted = np.zeros(st.total, dtype=bool)
-        known = np.zeros(st.total, dtype=np.complex128)
+        known = np.zeros(lead + (st.total,), dtype=np.complex128)
         for name, values in layers.items():
             granted |= st.masks[name]
-            known[st.masks[name]] = values
-        obs = obs - st.coef @ (known * gain)
-        q, s, _ = np.linalg.svd(st.coef[:, ~(own | granted)], full_matrices=False)
-        q = q[:, s > DECODE_RANK_TOL * s.max(initial=0.0)]
-        a = st.coef[:, own] - q @ (q.conj().T @ st.coef[:, own])
-        b = obs - q @ (q.conj().T @ obs)
+            known[..., st.masks[name]] = values
+        obs = obs - (st.coef @ (known * gain)[..., None])[..., 0]
+        q, s, _ = np.linalg.svd(st.coef[..., ~(own | granted)], full_matrices=False)
+        q = q * (s > DECODE_RANK_TOL * s.max(-1, initial=0.0, keepdims=True))[..., None, :]
+        qh = q.conj().swapaxes(-1, -2)
+        a = st.coef[..., own] - q @ (qh @ st.coef[..., own])
+        b = obs[..., None] - q @ (qh @ obs[..., None])
         u, s, vh = np.linalg.svd(a, full_matrices=False)
-        if not s.size or s.min() <= DECODE_RANK_TOL * s.max():
+        if not s.shape[-1] or (s.min(-1) <= DECODE_RANK_TOL * s.max(-1)).any():
             raise DecodeError(f"receiver {receiver} cannot separate its groups {order}")
-        solved = np.zeros(st.total, dtype=np.complex128)
-        solved[own] = vh.conj().T @ ((u.conj().T @ b) / s) / gain[own]
-        out.update({name: solved[st.masks[name]] for name in order})
+        x = vh.conj().swapaxes(-1, -2) @ ((u.conj().swapaxes(-1, -2) @ b) / s[..., None])
+        solved = np.zeros(lead + (st.total,), dtype=np.complex128)
+        solved[..., own] = x[..., 0] / gain[own]
+        out.update({name: solved[..., st.masks[name]] for name in order})
     return out
 
 
-def noiseless_decode_check(scheme: LinearScheme, seed: int = 0, rel_tol: float = 1e-6) -> bool:
+def noiseless_decode_check(scheme: LinearScheme, seed=0, rel_tol: float = 1e-6) -> bool:
     """Decode a noiseless simulated block with exact side information; True
     iff every intended symbol is recovered.
 
@@ -1099,6 +1129,10 @@ def noiseless_decode_check(scheme: LinearScheme, seed: int = 0, rel_tol: float =
     and at the realization's SNR, but no less than 1e8, if not.  Gaussian
     symbols must match to ``rel_tol`` relative error; lattice symbols must
     match exactly.
+
+    A trial-batched scheme takes one symbol seed per trial (see
+    ``simulate_noiseless``) and is decoded in one decoder call; the result
+    is still one bool, True iff every trial decoded.
     """
     rho = float(scheme.meta.get("decode_rho", max(scheme.realization.rho, 1e8)))
     symbols, y, z, side = simulate_noiseless(scheme, rho, seed)
@@ -1118,8 +1152,9 @@ def noiseless_decode_check(scheme: LinearScheme, seed: int = 0, rel_tol: float =
         else:
             truth = np.asarray(symbols[name], dtype=np.complex128)
             rec = np.asarray(rec, dtype=np.complex128)
-            scale = max(float(np.max(np.abs(truth))), 1e-12)
-            if float(np.max(np.abs(rec - truth))) > rel_tol * scale:
+            # Per trial: the worst symbol error against the largest symbol.
+            scale = np.maximum(np.abs(truth).max(-1), 1e-12)
+            if (np.abs(rec - truth).max(-1) > rel_tol * scale).any():
                 return False
     return True
 

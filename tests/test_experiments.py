@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gsdof import cli, experiments
+from gsdof import cli, experiments, schemes
 from gsdof.experiments import (
     CheckResult,
     SweepConfig,
@@ -19,7 +20,13 @@ from gsdof.experiments import (
     run_sweep,
     verify_all,
 )
-from gsdof.schemes import SCHEME_KINDS, build_scheme, smallest_t1
+from gsdof.schemes import (
+    SCHEME_KINDS,
+    SCHEMES,
+    build_scheme,
+    noiseless_decode_check,
+    smallest_t1,
+)
 from gsdof.topology import TopologyProfile
 
 GRID = tuple(range(60, 121, 10))
@@ -425,6 +432,67 @@ def test_verify_all_small_grid_passes():
     assert any(name.startswith("lemma1/") for name in names)
     assert any(name.startswith("slopes/") for name in names)
     assert "leakage/canary-no-noise" in names
+
+
+# sha256 of the default `gsdof verify` CSV (alpha grid 0:1:0.05, 20 trials)
+# at seeds 0 and 1.  Every check row is pinned: margins, details and order.
+# Generated with numpy 2.4.6 on x86-64, like SWEEP_DIGESTS.
+VERIFY_DIGESTS = {
+    0: "4eb8e5db36527e8cc1c92517c33a4dd67be986f58d634ffaa8bdc1fc9561463b",
+    1: "5db4308708b4286a1738cbc2b7d9effcd42a676452e80b2fa6ed2f50e8d17096",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_DIGESTS))
+def test_default_verify_csv_digest(tmp_path, seed):
+    out = tmp_path / "checks.csv"
+    assert cli.parse_and_dispatch(["verify", "--seed", str(seed), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_DIGESTS[seed]
+
+
+def test_decode_checks_count_planted_failures(monkeypatch):
+    # Realizations that cannot be decoded are planted in known trials: slot 2
+    # of wiretap-gaussian gets g = h (the 2x2 decode system is singular) and
+    # slot 3 of gdof loses its antenna-1 path.  Each kind's batch then fails,
+    # and the one-trial reruns count exactly the planted trials.
+    planted = {"wiretap-gaussian": {2, 5, 11}, "gdof": {4}, "yang": set()}
+    draw_for = schemes._draw_for
+    batch_sizes = []
+
+    def planting_draw(kind, alpha, seed):
+        real = draw_for(kind, alpha, seed)
+        seqs = seed if isinstance(seed, list) else [seed]
+        if isinstance(seed, list):
+            batch_sizes.append(len(seed))
+        h, g = real.h.reshape(-1, real.n, 2).copy(), real.g.reshape(-1, real.n, 2).copy()
+        for b, seq in enumerate(seqs):
+            if seq.entropy[1] in planted[kind]:
+                if kind == "gdof":
+                    h[b, 2, 0] = 0
+                else:
+                    g[b, 1] = h[b, 1]
+        shape = real.h.shape
+        return dataclasses.replace(real, h=h.reshape(shape), g=g.reshape(shape))
+
+    monkeypatch.setattr(schemes, "_draw_for", planting_draw)
+    monkeypatch.setattr(
+        experiments, "SCHEME_TARGETS", {kind: SCHEMES[kind].target for kind in planted}
+    )
+    checks = experiments._decode_checks((0.25, 0.5), 20, 0)
+    assert batch_sizes == [20, 20, 20]
+    assert [c.name for c in checks] == [f"decode/{kind}/alpha=0.5" for kind in planted]
+    for check, (kind, trials) in zip(checks, planted.items()):
+        # The count a loop of one-trial builds and checks gives.
+        failures = sum(
+            not noiseless_decode_check(
+                build_scheme(kind, 0.5, np.random.SeedSequence((0, i))), seed=i
+            )
+            for i in range(20)
+        )
+        assert failures == len(trials)
+        assert check.passed is (not trials)
+        assert check.margin == float(failures)
+        assert check.detail == f"{20 - failures}/20 decoded"
 
 
 def test_rate_report_entropy_ledger():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gsdof import gaussian_mi
-from gsdof.experiments import SweepConfig, run_sweep
+from gsdof.experiments import _LEMMA1_PROFILES, SweepConfig, rho_from_db, run_sweep
 from gsdof.gaussian_mi import (
     LOG2_PI_E,
     SLOPE_TOL,
@@ -14,7 +14,7 @@ from gsdof.gaussian_mi import (
     fit_slope,
     lemma1_margins,
 )
-from gsdof.topology import TopologyProfile
+from gsdof.topology import TopologyProfile, draw_channels, state_sequence
 
 
 def cofactor_det(m):
@@ -314,6 +314,38 @@ def test_lemma1_a1_surcharge_once():
     assert abs(lhs - 1.0) < 0.02
     assert abs(rhs - (2 * alpha + (1 - alpha))) < 0.02
     assert lhs <= rhs + SLOPE_TOL
+
+
+def _scalar_block_entropies(realization, alpha, rho):
+    # One SNR at a time, in Python scalars: the reference the lemma-1 series
+    # must keep bit for bit.
+    hy = hz = hyz = 0.0
+    for t in range(realization.n):
+        a1, a2 = realization.states[t].exponents(alpha)
+        m = np.vstack(
+            [np.sqrt(rho**a1) * realization.h[t], np.sqrt(rho**a2) * realization.g[t]]
+        )
+        cov = m @ (0.5 * np.eye(2)) @ m.conj().T + np.eye(2)
+        hy += LOG2_PI_E + math.log2(float(np.real(cov[0, 0])))
+        hz += LOG2_PI_E + math.log2(float(np.real(cov[1, 1])))
+        hyz += 2 * LOG2_PI_E + float(np.linalg.slogdet(cov)[1]) / math.log(2.0)
+    return hy, hz, hyz
+
+
+@pytest.mark.parametrize("label", _LEMMA1_PROFILES)
+def test_block_entropies_over_the_grid_equal_scalar_calls(label):
+    rho_grid = rho_from_db((60, 70, 80, 90, 100, 110, 120))
+    for alpha in (0.25, 0.5, 0.75):
+        prof = TopologyProfile.named(label, alpha)
+        real = draw_channels(12, state_sequence(prof, 12), float(rho_grid[0]), 0)
+        grid = gaussian_mi._block_entropies(real, alpha, rho_grid)
+        assert all(x.shape == rho_grid.shape for x in grid)
+        for j, rho in enumerate(rho_grid.tolist()):
+            one = gaussian_mi._block_entropies(real, alpha, rho)
+            ref = _scalar_block_entropies(real, alpha, rho)
+            for x, y, r in zip(grid, one, ref):
+                assert np.float64(x[j]).tobytes() == np.float64(y).tobytes()
+                assert np.float64(x[j]).tobytes() == np.float64(r).tobytes(), (label, alpha, j)
 
 
 def test_lemma1_rejects_short_grid():

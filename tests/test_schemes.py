@@ -562,14 +562,75 @@ def test_batched_build_equals_one_trial_builds(kind):
 def test_one_trial_functions_refuse_a_batched_scheme():
     batch = build_scheme("sym-alt", 0.5, [0, 1, 2])
     for call in (
-        lambda: simulate_noiseless(batch, 1e8),
         lambda: max_slot_power(batch),
-        lambda: noiseless_decode_check(batch),
-        lambda: linear_decode(batch, None, None, {}, {}, 1e8),
         lambda: schemes.digitized_side_info_roundtrip(batch, 1e8),
     ):
         with pytest.raises(ValueError, match="trials axis of 3 trials"):
             call()
+
+
+def _decode_once(sch, seed):
+    # noiseless_decode_check's steps, returning the symbols and the decoded
+    # groups instead of the verdict.
+    rho = float(sch.meta.get("decode_rho", max(sch.realization.rho, 1e8)))
+    symbols, y, z, side = simulate_noiseless(sch, rho, seed)
+    layers = {name: symbols[name] for name in sch.meta.get("granted_layers", ())}
+    return symbols, (sch.decoder or linear_decode)(sch, y, z, side, layers, rho)
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_batched_decode_equals_one_trial_decodes(kind):
+    # A batch of seeds [0, 1, 2] draws each trial's symbols as the one-trial
+    # call on its seed does, decodes each trial to the one-trial decode, and
+    # passes iff all three one-trial checks pass.
+    spec = SCHEMES[kind]
+    alphas = [k / 20 for k in range(21) if _in_domain(spec, k / 20)]
+    assert alphas
+    seeds = [0, 1, 2]
+    for alpha in alphas:
+        batch = build_scheme(kind, alpha, seeds)
+        singles = [build_scheme(kind, alpha, s) for s in seeds]
+        verdicts = [noiseless_decode_check(sch, seed=s) for sch, s in zip(singles, seeds)]
+        assert noiseless_decode_check(batch, seed=seeds) is all(verdicts), (kind, alpha)
+        symbols, decoded = _decode_once(batch, seeds)
+        for b, (sch, s) in enumerate(zip(singles, seeds)):
+            ref_symbols, ref_decoded = _decode_once(sch, s)
+            for name, ref in ref_symbols.items():
+                assert _same_bytes(symbols[name][b], ref), (kind, alpha, b, name)
+            assert list(decoded) == list(ref_decoded)
+            for name, ref in ref_decoded.items():
+                got, ref = np.asarray(decoded[name][b]), np.asarray(ref)
+                if sch.group(name).lattice:
+                    assert np.array_equal(got, ref), (kind, alpha, b, name)
+                else:
+                    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref)), (
+                        kind, alpha, b, name
+                    )
+
+
+def test_batched_decode_fails_iff_a_trial_fails():
+    # Trial 1 of three gets the rank-deficient slot-2 channels of
+    # test_decode_fails_on_engineered_rank_deficiency.
+    batch = build_scheme("wiretap-gaussian", 0.5, [0, 1, 2])
+    real = batch.realization
+    g = real.g.copy()
+    g[1, 1] = real.h[1, 1]
+    broken = build_wiretap_gaussian(dataclasses.replace(real, g=g), 0.5)
+    singles = [
+        build_wiretap_gaussian(dataclasses.replace(real, h=real.h[b], g=g[b]), 0.5)
+        for b in range(3)
+    ]
+    verdicts = [noiseless_decode_check(sch, seed=b) for b, sch in enumerate(singles)]
+    assert verdicts == [True, False, True]
+    assert noiseless_decode_check(broken, seed=[0, 1, 2]) is False
+    assert noiseless_decode_check(batch, seed=[0, 1, 2]) is True
+
+
+def test_batched_simulation_takes_one_symbol_seed_per_trial():
+    batch = build_scheme("sym-alt", 0.5, [0, 1, 2])
+    for seed in (0, [0, 1], [[0, 1, 2]]):
+        with pytest.raises(ValueError, match="trials axis of 3 trials takes one symbol seed"):
+            simulate_noiseless(batch, 1e8, seed=seed)
 
 
 def test_common_layer_rate_certified():
