@@ -111,7 +111,9 @@ class RateReport:
     """Per-SNR mutual-information ledger with fitted DoF and leakage slopes.
 
     Slopes are per slot and fitted on the top half of the SNR grid; the
-    subrange used is recorded in ``fit_rho_db``.
+    subrange used is recorded in ``fit_rho_db``.  ``ledger`` is the scheme's
+    claimed rate per group (log2(rho) multiples per block), read off the
+    first chunk's scheme: it depends on alpha only.
     """
 
     scheme: str
@@ -120,6 +122,7 @@ class RateReport:
     rho_db: tuple
     fit_rho_db: tuple
     group_owner: dict
+    ledger: dict = field(default_factory=dict)
     mean_mi: dict = field(default_factory=dict)  # (rho_db, group) -> bits
     mean_leak: dict = field(default_factory=dict)
     slopes: dict = field(default_factory=dict)  # group -> (slope, stderr)
@@ -203,6 +206,7 @@ def run_sweep(config: SweepConfig) -> RateReport:
         rho_db=config.rho_db,
         fit_rho_db=config.rho_db[-k:],
         group_owner={g: owners[g] for g in group_names},
+        ledger=dict(first.ledger),
     )
 
     def trial_mean(vals):
@@ -273,25 +277,28 @@ _REGION_PAIRS = tuple(
 )
 
 
+# Outer-bound profiles and inner bounds that _region_checks builds once per
+# alpha and shares between the inclusion, sum and wiretap rows.
+_OUTER_LABELS = tuple(dict.fromkeys(("1a", "sym", *(label for _, label in _REGION_PAIRS))))
+_INNER_NAMES = tuple(dict.fromkeys(("prop2", "int-sym-alt", *(n for n, _ in _REGION_PAIRS))))
+
+
 def _region_checks(alpha_grid) -> list[CheckResult]:
     out = []
     for a in alpha_grid:
-        outer_1a = regions.bc_outer(TopologyProfile.fixed("1a", a))
-        outer_sym = regions.bc_outer(TopologyProfile.symmetric_alternating(a))
-        pairs = []
-        for inner, label in _REGION_PAIRS:
-            outer = regions.bc_outer(TopologyProfile.named(label, a))
-            pairs.append((f"{inner}-in-outer", named_region(inner, a), outer))
-        pairs.append(("prop2-in-gdof", regions.prop2_inner(a), regions.gdof_fixed(a)))
-        for name, inner, outer in pairs:
-            ok = regions.is_subset(inner, outer)
+        outer = {lab: regions.bc_outer(TopologyProfile.named(lab, a)) for lab in _OUTER_LABELS}
+        inner = {name: named_region(name, a) for name in _INNER_NAMES}
+        pairs = [(f"{n}-in-outer", inner[n], outer[lab]) for n, lab in _REGION_PAIRS]
+        pairs.append(("prop2-in-gdof", inner["prop2"], regions.gdof_fixed(a)))
+        for name, small, big in pairs:
+            ok = regions.is_subset(small, big)
             out.append(CheckResult(f"region/{name}/alpha={a:g}", ok, 0.0))
-        sum_gap = regions.sum_max(regions.prop2_inner(a)) - regions.yang_corner_sum(a)
+        sum_gap = regions.sum_max(inner["prop2"]) - regions.yang_corner_sum(a)
         want_strict = a < 1.0 - 1e-12
         ok = sum_gap > 1e-12 if want_strict else abs(sum_gap) <= 1e-9
         out.append(CheckResult(f"region/sum-gain/alpha={a:g}", ok, float(sum_gap)))
-        int_sum = regions.sum_max(regions.integer_sym_alt_inner(a))
-        outer_sum = regions.sum_max(outer_sym)
+        int_sum = regions.sum_max(inner["int-sym-alt"])
+        outer_sum = regions.sum_max(outer["sym"])
         ok = abs(int_sum - 1.0) <= 1e-9 and abs(outer_sum - 1.0) <= 1e-9
         out.append(
             CheckResult(
@@ -300,7 +307,7 @@ def _region_checks(alpha_grid) -> list[CheckResult]:
         )
         wt = regions.wiretap_upper(TopologyProfile.fixed("1a", a))
         gap = float(wt - (1.0 - a / 3.0))
-        gap2 = float(wt - regions.axis_max(outer_1a, 0))
+        gap2 = float(wt - regions.axis_max(outer["1a"], 0))
         ok = abs(gap) <= 1e-9 and abs(gap2) <= 1e-9
         out.append(CheckResult(f"region/wiretap-upper/alpha={a:g}", ok, max(abs(gap), abs(gap2))))
     return out
@@ -341,9 +348,8 @@ def _scheme_checks(alphas, rho_db, trials, seed) -> list[CheckResult]:
                 )
             )
             # Per-group agreement between the claimed ledger and fitted MI.
-            scheme = build_scheme(kind, a, np.random.SeedSequence(seed))
             ledger_gap = 0.0
-            for g, claim in scheme.ledger.items():
+            for g, claim in rep.ledger.items():
                 ledger_gap = max(
                     ledger_gap, abs(rep.slopes[g][0] - claim / rep.n_slots)
                 )
@@ -478,8 +484,9 @@ _VERTEX_HEADER = "bound_name,alpha,vertex_index,d1,d2"
 
 def _vertex_rows(name: str, alpha, region) -> list[str]:
     """One vertex CSV row per vertex of ``region``, in vertex order."""
-    vertices = regions.vertices(region)
-    return [f"{name},{_f(alpha)},{i},{_f(d1)},{_f(d2)}" for i, (d1, d2) in enumerate(vertices)]
+    head = f"{name},{_f(alpha)},"
+    vertices = regions.float_vertices(region)
+    return [f"{head}{i},{d1:{_FMT}},{d2:{_FMT}}" for i, (d1, d2) in enumerate(vertices)]
 
 
 def region_csv(names, alpha: float, profile: TopologyProfile | None = None) -> tuple[str, str]:

@@ -6,8 +6,13 @@ pairwise crossings of the constraint and axis lines (the constraint count
 never exceeds six).  Every region is enumerated exactly, in integer
 arithmetic with no tolerance, each coefficient taken at its exact value (a
 float at its binary value): a crossing that violates a constraint by any
-amount is dropped, and the vertex order is decided exactly.  A region with
-any ``fractions.Fraction`` coefficient returns ``Fraction`` vertices.  Any
+amount is dropped, and the vertex order is decided exactly.  A region
+keeps what the enumeration works in: its constraints as integer rows and
+its vertices as gcd-reduced integer triples (n1, n2, det).  A region with
+any ``fractions.Fraction`` coefficient is exact: ``vertices`` returns
+``Fraction`` vertices, built from the triples on first call, while
+``sum_max``, ``axis_max``, ``contains``, ``is_subset`` and
+``float_vertices`` read the triples and rows in integer arithmetic.  Any
 other region returns its exact vertices rounded to floats, with vertices
 that lie within ``TOL`` = 1e-9 of an earlier one merged into it.
 Inclusion (``contains``, ``is_subset``) follows the same split: exact for a
@@ -38,6 +43,7 @@ __all__ = [
     "integer_sym_alt_inner",
     "gdof_fixed",
     "vertices",
+    "float_vertices",
     "contains",
     "is_subset",
     "sum_max",
@@ -129,23 +135,27 @@ def _int_row(c: HalfSpace):
     return tuple(n * (m // d) for n, d in ratios)
 
 
-def _exact_vertices(constraints):
-    """Vertex enumeration in integer arithmetic, as triples (n1, n2, det)
-    with det > 0, the points (n1/det, n2/det), in counterclockwise order.
+def _exact_vertices(rows):
+    """Vertex enumeration in integer arithmetic over the integer ``rows``
+    (a1, a2, b), as triples (n1, n2, det) with det > 0, the points
+    (n1/det, n2/det), in counterclockwise order.
 
     A crossing is feasible iff n1, n2 >= 0 and a.n <= b*det on every row,
     and distinct crossings are told apart by their gcd-reduced triples.  No
     tolerance enters.
     """
-    rows = [_int_row(c) for c in constraints]
     # Bounded iff no direction r >= 0, r != 0 has a.r <= 0 on every row; the
     # candidates are the quadrant edges and each row's line directions.
     dirs = [(1, 0), (0, 1)]
     for a1, a2, _ in rows:
         if (a1, a2) != (0, 0):
             dirs += [r for r in ((-a2, a1), (a2, -a1)) if r[0] >= 0 and r[1] >= 0]
-    if any(all(a1 * r1 + a2 * r2 <= 0 for a1, a2, _ in rows) for r1, r2 in dirs):
-        raise ValueError("region is unbounded: vertex enumeration impossible")
+    for r1, r2 in dirs:
+        for a1, a2, _ in rows:
+            if a1 * r1 + a2 * r2 > 0:
+                break
+        else:
+            raise ValueError("region is unbounded: vertex enumeration impossible")
     lines = rows + _AXIS_ROWS
     found = {}
     for i, (p1, p2, pb) in enumerate(lines):
@@ -157,7 +167,12 @@ def _exact_vertices(constraints):
             n2 = p1 * qb - q1 * pb
             if det < 0:
                 det, n1, n2 = -det, -n1, -n2
-            if n1 >= 0 and n2 >= 0 and all(a1 * n1 + a2 * n2 <= b * det for a1, a2, b in rows):
+            if n1 < 0 or n2 < 0:
+                continue
+            for a1, a2, b in rows:
+                if a1 * n1 + a2 * n2 > b * det:
+                    break
+            else:
                 g = math.gcd(n1, n2, det)
                 found[n1 // g, n2 // g, det // g] = None
     if not found:
@@ -172,36 +187,55 @@ class DofRegion:
     Boundedness and nonemptiness are checked at construction by running the
     exact vertex enumeration; a non-finite coefficient is refused.
     Coefficients are ints, floats or ``Fraction``s, and each enters at its
-    exact value, a float as ``Fraction(x)``.  If any coefficient is a
-    ``Fraction`` the vertices are ``Fraction``s.  Otherwise they are the
-    exact vertices rounded to floats, and a vertex within ``TOL`` of an
-    earlier one in the counterclockwise order is merged into it.
+    exact value, a float as ``Fraction(x)``.  Construction keeps the
+    constraints' integer rows and the exact vertices as gcd-reduced integer
+    triples (n1, n2, det) in counterclockwise order.  If any coefficient is
+    a ``Fraction`` the region is exact: its vertices are ``Fraction``s,
+    built from the triples on the first call to ``vertices`` and kept.
+    Otherwise they are the exact vertices rounded to floats, and a vertex
+    within ``TOL`` of an earlier one in the counterclockwise order is
+    merged into it.
     """
 
     constraints: tuple[HalfSpace, ...]
 
     def __post_init__(self) -> None:
-        # validates bounded and nonempty (frozen: write __dict__ directly)
-        self.__dict__["_vertex_cache"] = self._enumerate()
-
-    def _enumerate(self):
-        points = _exact_vertices(self.constraints)
-        if _is_exact(self):
-            return tuple((Fraction(n1, det), Fraction(n2, det)) for n1, n2, det in points)
-        # Int true division is correctly rounded, and an on-axis vertex
-        # comes out as an exact 0.0.
-        return tuple(_dedup([(n1 / det, n2 / det) for n1, n2, det in points], TOL))
+        # frozen: the derived state goes into __dict__ directly
+        state = self.__dict__
+        state["_rows"] = rows = [_int_row(c) for c in self.constraints]
+        state["_triples"] = points = _exact_vertices(rows)
+        state["_exact"] = exact = any(
+            isinstance(x, Fraction) for c in self.constraints for x in (c.a1, c.a2, c.b)
+        )
+        if not exact:
+            # Int true division is correctly rounded, and an on-axis vertex
+            # comes out as an exact 0.0.
+            floats = [(n1 / det, n2 / det) for n1, n2, det in points]
+            state["_vertex_cache"] = tuple(_dedup(floats, TOL))
 
 
 def _is_exact(region: DofRegion) -> bool:
     """Whether any coefficient is a ``Fraction``: such a region is decided
     exactly, with no tolerance."""
-    return any(isinstance(x, Fraction) for c in region.constraints for x in (c.a1, c.a2, c.b))
+    return region._exact
 
 
 def vertices(region: DofRegion) -> list[tuple[float, float]]:
     """All feasible pairwise constraint/axis intersections, deduplicated and
     sorted counterclockwise."""
+    cache = region.__dict__.get("_vertex_cache")
+    if cache is None:
+        cache = tuple((Fraction(n1, det), Fraction(n2, det)) for n1, n2, det in region._triples)
+        region.__dict__["_vertex_cache"] = cache
+    return list(cache)
+
+
+def float_vertices(region: DofRegion) -> list[tuple[float, float]]:
+    """``vertices`` as floats, in the same order: an exact region's
+    vertices rounded, read straight off its triples (int true division is
+    correctly rounded, so each equals ``float`` of the ``Fraction``)."""
+    if _is_exact(region):
+        return [(n1 / det, n2 / det) for n1, n2, det in region._triples]
     return list(region._vertex_cache)
 
 
@@ -215,35 +249,56 @@ def contains(region: DofRegion, point, tol: float = TOL) -> bool:
     ``tol``."""
     if _is_exact(region):
         try:
-            n1, n2, det = _triple(point)
+            point = _triple(point)
         except (OverflowError, ValueError):  # inf and nan have no ratio
             return False
-        rows = [_int_row(c) for c in region.constraints]
-        inside = all(a1 * n1 + a2 * n2 <= b * det for a1, a2, b in rows)
-        return n1 >= 0 and n2 >= 0 and inside
+        return _inside(region._rows, point)
     d1, d2 = point
     if float(d1) < -tol or float(d2) < -tol:
         return False
     return all(float(c.violation(d1, d2)) <= tol for c in region.constraints)
 
 
+def _inside(rows, point) -> bool:
+    """Whether the triple ``point`` (n1, n2, det) meets every integer row
+    and both axes exactly."""
+    n1, n2, det = point
+    if n1 < 0 or n2 < 0:
+        return False
+    for a1, a2, b in rows:
+        if a1 * n1 + a2 * n2 > b * det:
+            return False
+    return True
+
+
 def is_subset(inner: DofRegion, outer: DofRegion, tol: float = TOL) -> bool:
     """Vertex test: valid because both regions are convex.  Each vertex of
-    ``inner`` is tested by ``contains``, so an exact ``outer`` decides with
-    no tolerance."""
+    ``inner`` is tested as ``contains`` tests it, so an exact ``outer``
+    decides with no tolerance."""
+    if _is_exact(inner) and _is_exact(outer):
+        return all(_inside(outer._rows, t) for t in inner._triples)
     return all(contains(outer, v, tol) for v in vertices(inner))
 
 
 def sum_max(region: DofRegion):
     """Maximum of d1 + d2 over the region (attained at a vertex)."""
-    return max(v[0] + v[1] for v in vertices(region))
+    if not _is_exact(region):
+        return max(v[0] + v[1] for v in vertices(region))
+    best, best_det = 0, 1  # every vertex has d1 + d2 >= 0
+    for n1, n2, det in region._triples:
+        if (n1 + n2) * best_det > best * det:
+            best, best_det = n1 + n2, det
+    return Fraction(best, best_det)
 
 
 def axis_max(region: DofRegion, axis: int):
     """Largest coordinate value on the given axis (0 -> d1, 1 -> d2) with the
     other coordinate zero; 0.0 if no vertex lies on that axis.  Every vertex
     is an exact crossing, so an on-axis vertex has an exact zero."""
-    on_axis = [v[axis] for v in vertices(region) if v[1 - axis] == 0]
+    if _is_exact(region):
+        on_axis = [Fraction(t[axis], t[2]) for t in region._triples if t[1 - axis] == 0]
+    else:
+        on_axis = [v[axis] for v in vertices(region) if v[1 - axis] == 0]
     return max(on_axis) if on_axis else 0.0
 
 

@@ -2,9 +2,12 @@
 rename on a traced path must fail here, not only when the benchmark runs."""
 
 import importlib
+from fractions import Fraction
 from pathlib import Path
 
-from gsdof import experiments
+import pytest
+
+from gsdof import cli, experiments
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -41,3 +44,28 @@ def test_traced_decode_and_lemma1_checks_run(monkeypatch):
     calls = recorder.totals()["schemes.noiseless_decode_check"][0]
     assert calls == len(decode)
     assert recorder.decode_failures == 0
+
+
+@pytest.mark.parametrize("alpha", [Fraction(3, 10), 0.3])
+def test_traced_geometry_calls_record_every_builder(monkeypatch, alpha):
+    # The recorder rebinds the region builders, vertices, is_subset and
+    # sum_max by name; a traced region CSV and figure-8 run must record one
+    # span per builder and sum_max call and give the untraced output.
+    spans = _spans(monkeypatch)
+    names = cli.BOUND_NAMES
+    grid = [Fraction(j, 7) for j in range(8)] if isinstance(alpha, Fraction) else [0.0, 0.5, 1.0]
+
+    def run():
+        return experiments.region_csv(names, alpha), experiments.figure_data(8, alpha_grid=grid)
+
+    want = run()
+    with spans.SpanRecorder() as recorder:
+        got = run()
+    assert got == want
+    totals = recorder.totals()
+    # figure 8 builds and sums four regions per alpha; yang's is a formula.
+    assert totals["regions.build"][0] == len(names) + 4 * len(grid)
+    assert totals["regions.sum_max"][0] == len(names) + 4 * len(grid)
+    assert totals["experiments.csv"][0] == 2
+    roots = [i for i, parent in enumerate(recorder.parent) if parent < 0]
+    assert [recorder.labels[recorder.label[i]] for i in roots] == ["experiments.csv"] * 2

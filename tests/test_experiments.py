@@ -413,6 +413,50 @@ def test_region_inclusion_rows_come_from_the_scheme_table():
     assert all(c.passed for c in checks)
 
 
+def test_region_checks_build_each_outer_bound_once_per_alpha(monkeypatch):
+    # The 1a and sym outer bounds serve the inclusion, sum and wiretap rows.
+    calls = []
+    bc_outer = experiments.regions.bc_outer
+
+    def counting(profile):
+        calls.append(profile)
+        return bc_outer(profile)
+
+    monkeypatch.setattr(experiments.regions, "bc_outer", counting)
+    grid = [0.0, 0.25, 0.5, 1.0]
+    checks = experiments._region_checks(grid)
+    assert len(calls) == 2 * len(grid)
+    assert all(c.passed for c in checks)
+
+
+def test_scheme_checks_build_one_scheme_per_sweep_chunk(monkeypatch):
+    # The ledger rows read the sweep's first-chunk scheme: no build of
+    # their own.
+    chunks, builds = [], []
+    sweep_chunk, build = experiments._sweep_chunk, experiments.build_scheme
+
+    def counting_chunk(config, seqs, rho_lin):
+        chunks.append(len(seqs))
+        return sweep_chunk(config, seqs, rho_lin)
+
+    def counting_build(kind, alpha, seed):
+        builds.append(kind)
+        return build(kind, alpha, seed)
+
+    monkeypatch.setattr(experiments, "_sweep_chunk", counting_chunk)
+    monkeypatch.setattr(experiments, "build_scheme", counting_build)
+    checks = experiments._scheme_checks((0.5,), GRID, 10, 0)
+    assert len(builds) == len(chunks) == 2 * len(experiments.SCHEME_TARGETS)
+    assert all(c.passed for c in checks)
+
+
+def test_rate_report_ledger_is_the_one_seed_build_ledger():
+    for kind in experiments.SCHEME_TARGETS:
+        for a in (0.25, 0.5, 0.75):
+            rep = run_sweep(SweepConfig(kind, a, GRID, trials=10, seed=4))
+            assert rep.ledger == build_scheme(kind, a, np.random.SeedSequence(4)).ledger
+
+
 def test_checks_to_csv_shape():
     text = checks_to_csv([CheckResult("x", True, 0.5, "d")])
     assert text.splitlines()[0] == "check,passed,margin,detail"

@@ -213,6 +213,53 @@ def test_exact_sum_max_matches_exact_oracle_on_fine_grid():
             assert best == max(x + y for x, y in verts)
 
 
+def library_regions(a):
+    """Every bound constructor at ``a``, the outer bound under each profile."""
+    outers = (bc_outer(TopologyProfile.named(lab, a)) for lab in ("11", "1a", "a1", "aa", "sym"))
+    builders = (yang_inner, prop2_inner, sym_alt_inner, integer_sym_alt_inner, gdof_fixed)
+    return [*outers, *(build(a) for build in builders)]
+
+
+def fraction_contains(region, point):
+    """``contains`` for an exact region, in ``Fraction`` arithmetic on the
+    constraints as given."""
+    d1, d2 = map(Fraction, point)
+    return d1 >= 0 and d2 >= 0 and all(c.violation(d1, d2) <= 0 for c in region.constraints)
+
+
+def test_exact_queries_match_the_fraction_formulas_on_alpha_grid():
+    # The queries read the integer vertex triples and rows; the oracle is
+    # the Fraction formulas on vertices().
+    step = Fraction(1, 10**9)
+    for a in [Fraction(k, 200) for k in range(201)] + [Fraction(1, 3)]:
+        library = library_regions(a)
+        for reg in library:
+            verts = vertices(reg)
+            assert all(type(x) is Fraction for v in verts for x in v), verts
+            assert vertices(reg) == verts
+            assert regions.float_vertices(reg) == [(float(x), float(y)) for x, y in verts]
+            best = sum_max(reg)
+            assert type(best) is Fraction and best == max(x + y for x, y in verts)
+            for axis in (0, 1):
+                on_axis = [v[axis] for v in verts if v[1 - axis] == 0]
+                want = max(on_axis) if on_axis else 0.0
+                got = axis_max(reg, axis)
+                assert type(got) is type(want) and got == want, (a, reg, axis)
+            assert all(contains(reg, v) for v in verts)
+            # Just beyond each face of the counterclockwise boundary: out.
+            for p, q in zip(verts, verts[1:] + verts[:1]):
+                mid = ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
+                out = (mid[0] + step * (q[1] - p[1]), mid[1] + step * (p[0] - q[0]))
+                assert contains(reg, mid) and fraction_contains(reg, mid)
+                assert contains(reg, out) == fraction_contains(reg, out)
+                if len(verts) > 2:
+                    assert not contains(reg, out)
+        for inner in library:
+            for outer in library:
+                want = all(fraction_contains(outer, v) for v in vertices(inner))
+                assert is_subset(inner, outer) == want
+
+
 def test_exact_region_keeps_sub_tolerance_vertices_apart():
     # The two corners below lie 1e-12 apart, inside TOL: the exact path keeps
     # both, and drops the crossing (1, 1) that violates the third constraint.
@@ -296,17 +343,11 @@ def test_float_vertices_round_exact_vertices_on_alpha_grid():
     # No two exact vertices of a constructor lie within TOL, so nothing is
     # merged: the float vertices are the exact ones, rounded, in order.
     for k in range(201):
-        a = k / 200
-        for reg in (
-            *(bc_outer(TopologyProfile.named(lab, a)) for lab in ("11", "1a", "a1", "aa", "sym")),
-            yang_inner(a),
-            prop2_inner(a),
-            sym_alt_inner(a),
-            integer_sym_alt_inner(a),
-            gdof_fixed(a),
-        ):
-            exact = vertices(_fraction_twin(reg))
+        for reg in library_regions(k / 200):
+            twin = _fraction_twin(reg)
+            exact = vertices(twin)
             assert vertices(reg) == [(float(x), float(y)) for x, y in exact]
+            assert regions.float_vertices(reg) == vertices(reg) == regions.float_vertices(twin)
 
 
 @pytest.mark.parametrize("kind", [np.int64, np.float64, np.float32, bool])
