@@ -52,24 +52,31 @@ LEAK_CANARY_MIN = 0.5
 _FMT = ".12g"
 
 # run_sweep builds each chunk of trials as one trial-batched scheme and
-# evaluates it as one stacked batch (trials x SNRs).  The first chunk holds
-# SWEEP_CHUNK trials; every later one as many as fit SWEEP_ELEMENTS complex
-# entries in the larger receiver's (trials, SNRs, rows, cols) observation
-# stack, and at least SWEEP_CHUNK.  Larger chunks amortise the per-call
-# overhead of the draw, the builders and the linear-algebra kernels.  Since
-# conditional_mi evaluates each receiver block by block, the kernels work
-# on small blocks whatever the chunk: on the acceptance sweep set the MI
-# time per (trial, SNR) matrix at 32768 entries (0.5 MB) is 3% below that
-# at 16384 and 6% above that at 65536, where peak traced memory grows by a
-# quarter (CHANGES.md has the curve).  32768 is about the stack of eight
-# trials of the largest layout, bc-fixed at alpha 0.75 (19 x 30 at 7 SNRs:
-# 31920 entries).  The output does not depend on either constant.
+# evaluates it as one stacked batch (trials x SNRs).  A one-trial build of
+# trial 0, the layout probe, sizes every chunk, the first included: each
+# holds as many trials as fit SWEEP_ELEMENTS complex entries in the larger
+# receiver's (trials, SNRs, rows, cols) observation stack, and at least
+# SWEEP_CHUNK.  Larger chunks amortise the per-call overhead of the draw,
+# the builders and the linear-algebra kernels.  Since conditional_mi
+# evaluates each receiver block by block, the kernels work on small blocks
+# whatever the chunk: on the acceptance sweep set the MI time per (trial,
+# SNR) matrix at 32768 entries (0.5 MB) is 3% below that at 16384 and 6%
+# above that at 65536, where peak traced memory grows by a quarter
+# (CHANGES.md has the curve).  32768 is about the stack of eight trials of
+# the largest layout, bc-fixed at alpha 0.75 (19 x 30 at 7 SNRs: 31920
+# entries).  The output does not depend on either constant.
 SWEEP_CHUNK = 8
 SWEEP_ELEMENTS = 32768
 
 
 def _f(x) -> str:
     return format(float(x), _FMT)
+
+
+def _alpha_tag(alpha) -> str:
+    """The "alpha=..." part of a check name; a Fraction alpha gives the
+    name its float gives."""
+    return f"alpha={float(alpha):g}"
 
 
 def rho_from_db(db) -> np.ndarray:
@@ -113,7 +120,7 @@ class RateReport:
     Slopes are per slot and fitted on the top half of the SNR grid; the
     subrange used is recorded in ``fit_rho_db``.  ``ledger`` is the scheme's
     claimed rate per group (log2(rho) multiples per block), read off the
-    first chunk's scheme: it depends on alpha only.
+    sweep's one-trial layout probe: it depends on alpha only.
     """
 
     scheme: str
@@ -143,16 +150,14 @@ class RateReport:
 
 def _sweep_chunk(config: SweepConfig, seqs, rho_lin):
     """Build one chunk of trials as one trial-batched scheme and evaluate
-    reliability and leakage for all of them over the SNR grid: (scheme,
-    rel, leak), where rel and leak map group -> (trials, SNRs) bits."""
-    scheme = build_scheme(config.scheme, config.alpha, seqs)
-    rel, leak = accounting_bits(scheme, rho_lin)
-    return scheme, rel, leak
+    reliability and leakage for all of them over the SNR grid: (rel, leak),
+    each mapping group -> (trials, SNRs) bits."""
+    return accounting_bits(build_scheme(config.scheme, config.alpha, seqs), rho_lin)
 
 
 def _chunk_trials(scheme, n_rho: int) -> int:
-    """Trials per sweep chunk after the first, sized from the first chunk's
-    receiver layouts (see ``SWEEP_ELEMENTS``)."""
+    """Trials per sweep chunk, sized from the receiver layouts of the
+    one-trial layout probe (see ``SWEEP_ELEMENTS``)."""
     entries = max(math.prod(receiver_layout(scheme, r)) for r in (1, 2))
     return max(SWEEP_CHUNK, SWEEP_ELEMENTS // (n_rho * entries))
 
@@ -161,33 +166,35 @@ def run_sweep(config: SweepConfig) -> RateReport:
     """Average scheme reliability and leakage over fresh realizations, then
     fit per-slot slopes against log2 rho.
 
-    Trials run in chunks: ``SWEEP_CHUNK`` first, then as many per chunk as
-    the first chunk's receiver layouts fit in ``SWEEP_ELEMENTS``.  If a
+    A one-trial build of trial 0, the layout probe, gives the block length,
+    the group owners, the ledger and one chunk size for every chunk: as
+    many trials as its receiver layouts fit in ``SWEEP_ELEMENTS``, and at
+    least ``SWEEP_CHUNK``.  If the probe fails, trial 0 is named; if a
     chunk fails, its trials are rerun one at a time so the error names the
     lowest failing trial."""
     rho_lin = rho_from_db(config.rho_db)
     seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
+    try:
+        probe = build_scheme(config.scheme, config.alpha, seeds[:1])
+    except Exception as exc:
+        raise RuntimeError(f"trial 0 failed: {exc}") from exc
+    size = _chunk_trials(probe, len(rho_lin))
     rel_parts, leak_parts = [], []
-    start, size = 0, SWEEP_CHUNK
-    while start < config.trials:
-        idxs = range(start, min(start + size, config.trials))
+    for start in range(0, config.trials, size):
+        seqs = seeds[start : start + size]
         try:
-            scheme, rel, leak = _sweep_chunk(config, [seeds[i] for i in idxs], rho_lin)
+            rel, leak = _sweep_chunk(config, seqs, rho_lin)
         except Exception:
-            for idx in idxs:
+            for idx, seq in enumerate(seqs, start):
                 try:
-                    _sweep_chunk(config, [seeds[idx]], rho_lin)
+                    _sweep_chunk(config, [seq], rho_lin)
                 except Exception as exc:  # attach the trial index for reproducibility
                     raise RuntimeError(f"trial {idx} failed: {exc}") from exc
             raise
-        if start == 0:
-            first = scheme
-            size = _chunk_trials(first, len(rho_lin))
         rel_parts.append(rel)
         leak_parts.append(leak)
-        start = idxs.stop
-    n_slots = scheme_block_length(first)
-    owners = {g.name: g.owner for g in first.groups}
+    n_slots = scheme_block_length(probe)
+    owners = {g.name: g.owner for g in probe.groups}
     group_names = list(rel_parts[0])
     no_leak = np.zeros((config.trials, len(rho_lin)))
 
@@ -206,7 +213,7 @@ def run_sweep(config: SweepConfig) -> RateReport:
         rho_db=config.rho_db,
         fit_rho_db=config.rho_db[-k:],
         group_owner={g: owners[g] for g in group_names},
-        ledger=dict(first.ledger),
+        ledger=dict(probe.ledger),
     )
 
     def trial_mean(vals):
@@ -286,30 +293,31 @@ _INNER_NAMES = tuple(dict.fromkeys(("prop2", "int-sym-alt", *(n for n, _ in _REG
 def _region_checks(alpha_grid) -> list[CheckResult]:
     out = []
     for a in alpha_grid:
+        at = _alpha_tag(a)
         outer = {lab: regions.bc_outer(TopologyProfile.named(lab, a)) for lab in _OUTER_LABELS}
         inner = {name: named_region(name, a) for name in _INNER_NAMES}
         pairs = [(f"{n}-in-outer", inner[n], outer[lab]) for n, lab in _REGION_PAIRS]
         pairs.append(("prop2-in-gdof", inner["prop2"], regions.gdof_fixed(a)))
         for name, small, big in pairs:
             ok = regions.is_subset(small, big)
-            out.append(CheckResult(f"region/{name}/alpha={a:g}", ok, 0.0))
+            out.append(CheckResult(f"region/{name}/{at}", ok, 0.0))
         sum_gap = regions.sum_max(inner["prop2"]) - regions.yang_corner_sum(a)
         want_strict = a < 1.0 - 1e-12
         ok = sum_gap > 1e-12 if want_strict else abs(sum_gap) <= 1e-9
-        out.append(CheckResult(f"region/sum-gain/alpha={a:g}", ok, float(sum_gap)))
+        out.append(CheckResult(f"region/sum-gain/{at}", ok, float(sum_gap)))
         int_sum = regions.sum_max(inner["int-sym-alt"])
         outer_sum = regions.sum_max(outer["sym"])
         ok = abs(int_sum - 1.0) <= 1e-9 and abs(outer_sum - 1.0) <= 1e-9
         out.append(
             CheckResult(
-                f"region/int-sum-meets-outer/alpha={a:g}", ok, float(int_sum - outer_sum)
+                f"region/int-sum-meets-outer/{at}", ok, float(int_sum - outer_sum)
             )
         )
         wt = regions.wiretap_upper(TopologyProfile.fixed("1a", a))
         gap = float(wt - (1.0 - a / 3.0))
         gap2 = float(wt - regions.axis_max(outer["1a"], 0))
         ok = abs(gap) <= 1e-9 and abs(gap2) <= 1e-9
-        out.append(CheckResult(f"region/wiretap-upper/alpha={a:g}", ok, max(abs(gap), abs(gap2))))
+        out.append(CheckResult(f"region/wiretap-upper/{at}", ok, max(abs(gap), abs(gap2))))
     return out
 
 
@@ -318,12 +326,13 @@ def _lemma1_checks(alphas, rho_db, seed) -> list[CheckResult]:
     rho = rho_from_db(rho_db)
     for label in _LEMMA1_PROFILES:
         for a in alphas:
+            at = _alpha_tag(a)
             prof = TopologyProfile.named(label, a)
             for ineq, (lhs, rhs) in lemma1_slopes(prof, a, rho, seed).items():
                 margin = rhs - lhs
                 out.append(
                     CheckResult(
-                        f"lemma1/{ineq}/{label}/alpha={a:g}",
+                        f"lemma1/{ineq}/{label}/{at}",
                         margin >= -SLOPE_TOL,
                         float(margin),
                     )
@@ -335,13 +344,14 @@ def _scheme_checks(alphas, rho_db, trials, seed) -> list[CheckResult]:
     out = []
     for kind in SCHEME_TARGETS:
         for a in alphas:
+            at = _alpha_tag(a)
             cfg = SweepConfig(kind, a, tuple(rho_db), trials=trials, seed=seed)
             rep = run_sweep(cfg)
-            d1_t, d2_t = SCHEME_TARGETS[kind](a)
+            d1_t, d2_t = map(float, SCHEME_TARGETS[kind](a))
             gap = max(abs(rep.d1 - d1_t), abs(rep.d2 - d2_t))
             out.append(
                 CheckResult(
-                    f"slopes/{kind}/alpha={a:g}",
+                    f"slopes/{kind}/{at}",
                     gap <= LEDGER_TOL,
                     float(gap),
                     detail=f"d=({rep.d1:.4f},{rep.d2:.4f}) target=({d1_t:.4f},{d2_t:.4f})",
@@ -355,14 +365,14 @@ def _scheme_checks(alphas, rho_db, trials, seed) -> list[CheckResult]:
                 )
             out.append(
                 CheckResult(
-                    f"ledger-mi/{kind}/alpha={a:g}", ledger_gap <= LEDGER_TOL, float(ledger_gap)
+                    f"ledger-mi/{kind}/{at}", ledger_gap <= LEDGER_TOL, float(ledger_gap)
                 )
             )
             if kind in SECURE_SCHEMES:
                 worst = max(rep.leak_slopes.values())
                 out.append(
                     CheckResult(
-                        f"leakage/{kind}/alpha={a:g}", worst <= SLOPE_TOL, float(worst)
+                        f"leakage/{kind}/{at}", worst <= SLOPE_TOL, float(worst)
                     )
                 )
     return out
@@ -389,6 +399,7 @@ def _decode_checks(alphas, trials, seed) -> list[CheckResult]:
     chunk; the margin is that count."""
     out = []
     a = 0.5 if 0.5 in alphas else alphas[0]
+    at = _alpha_tag(a)
     seqs = [np.random.SeedSequence((seed, i)) for i in range(trials)]
     for kind in SCHEME_TARGETS:
         try:
@@ -402,7 +413,7 @@ def _decode_checks(alphas, trials, seed) -> list[CheckResult]:
                     failures += 1
         out.append(
             CheckResult(
-                f"decode/{kind}/alpha={a:g}",
+                f"decode/{kind}/{at}",
                 failures == 0,
                 float(failures),
                 detail=f"{trials - failures}/{trials} decoded",

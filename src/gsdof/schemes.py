@@ -1168,30 +1168,36 @@ def audit_causality(kind: str, alpha: float, seed: int = 0) -> bool:
     """Check the delayed-CSIT contract functionally: the slot-t input map may
     depend only on channel rows from slots before t.
 
-    For every t, rows at slots >= t are replaced by fresh draws and the
-    scheme is rebuilt; the maps for slots 0..t must be unchanged.
+    One trial-batched build checks every t at once: trial t keeps the base
+    rows before slot t and takes fresh draws from slot t on, so the map of
+    each slot s must equal the base map in every trial t >= s.  A map
+    without a trials axis is compared as it is.
     """
     base_real = _draw_for(kind, alpha, seed=seed)
     build = SCHEMES[kind].build
     base = build(base_real, alpha)
     n = base_real.n
-    for t in range(n):
-        alt = _draw_for(kind, alpha, seed=seed + 7919)
-        h = base_real.h.copy()
-        g = base_real.g.copy()
-        h[t:] = alt.h[t:]
-        g[t:] = alt.g[t:]
-        mutated = ChannelRealization(
-            n=n, h=h, g=g, states=base_real.states, rho=base_real.rho, mode=base_real.mode
-        )
-        rebuilt = build(mutated, alpha)
-        for s in range(t + 1):
-            b, r = base.slot_maps[s], rebuilt.slot_maps[s]
-            if set(b) != set(r):
+    alt = _draw_for(kind, alpha, seed=seed + 7919)
+    # redrawn[t, s]: trial t takes slot s from the fresh draw.
+    redrawn = (np.arange(n)[None, :] >= np.arange(n)[:, None])[..., None]
+    mutated = ChannelRealization(
+        n=n,
+        h=np.where(redrawn, alt.h, base_real.h),
+        g=np.where(redrawn, alt.g, base_real.g),
+        states=base_real.states,
+        rho=base_real.rho,
+        mode=base_real.mode,
+    )
+    rebuilt = build(mutated, alpha)
+    for s, (b, r) in enumerate(zip(base.slot_maps, rebuilt.slot_maps)):
+        if set(b) != set(r):
+            return False
+        for name in b:
+            batch = np.asarray(r[name])
+            if batch.ndim > np.ndim(b[name]):
+                batch = batch[s:]
+            if not np.allclose(b[name], batch, atol=1e-12):
                 return False
-            for name in b:
-                if not np.allclose(b[name], r[name], atol=1e-12):
-                    return False
     return True
 
 

@@ -125,10 +125,10 @@ def test_run_sweep_reproducible_bytes(tmp_path):
 
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_run_sweep_chunk_invariant(tmp_path, monkeypatch, kind):
-    # 12 trials run as chunks of 8 + 4 by default; one trial per chunk and
-    # all trials in one chunk must give the same bytes.  A zero element
-    # budget leaves every chunk at SWEEP_CHUNK trials; a huge one puts all
-    # trials after the first chunk into one.
+    # 12 trials run as one chunk by default; one trial per chunk and all
+    # trials in one chunk must give the same bytes.  A zero element budget
+    # leaves every chunk at SWEEP_CHUNK trials; a huge one puts all trials
+    # into one chunk, whatever SWEEP_CHUNK is.
     cfg = dict(scheme=kind, alpha=0.5, rho_db=GRID, trials=12, seed=3)
     ref = tmp_path / "default.csv"
     run_sweep(SweepConfig(**cfg, out=str(ref)))
@@ -167,14 +167,20 @@ def test_sweep_imports_no_scipy():
 
 @pytest.mark.parametrize(
     "kind, alpha, sizes",
-    [("sym-alt", 0.5, [8, 92]), ("bc-fixed", 0.75, [8] * 12 + [4])],
+    [
+        ("sym-alt", 0.5, [1, 100]),
+        ("bc-fixed", 0.75, [1] + [8] * 12 + [4]),
+        ("bc-fixed", 19 / 20, [1, 8, 8, 4]),
+    ],
 )
 def test_run_sweep_chunk_schedule(monkeypatch, kind, alpha, sizes):
-    # After a first chunk of SWEEP_CHUNK trials, chunks fill SWEEP_ELEMENTS
+    # A one-trial layout probe sizes every chunk: chunks fill SWEEP_ELEMENTS
     # complex entries of the larger receiver's observation stack, and never
-    # hold fewer than SWEEP_CHUNK trials: sym-alt takes the other 92 trials
-    # at once, while bc-fixed at alpha 0.75 (19 x 30 at receiver 1, 7 SNRs)
-    # already fills the budget with 8.
+    # hold fewer than SWEEP_CHUNK trials.  sym-alt takes all 100 trials at
+    # once; bc-fixed at alpha 0.75 (19 x 30 at receiver 1, 7 SNRs) already
+    # fills the budget with 8, and at alpha 19/20 (99 x 158) overruns it
+    # with one, so the floor holds it to 8.  The sweep runs sum(sizes) - 1
+    # trials: the probe builds trial 0 once more.
     counts = []
     build = experiments.build_scheme
 
@@ -183,8 +189,12 @@ def test_run_sweep_chunk_schedule(monkeypatch, kind, alpha, sizes):
         return build(kind, alpha, seqs)
 
     monkeypatch.setattr(experiments, "build_scheme", spy)
-    run_sweep(SweepConfig(kind, alpha, GRID, trials=100, seed=0))
+    run_sweep(SweepConfig(kind, alpha, GRID, trials=sum(sizes) - 1, seed=0))
     assert counts == sizes
+    probe = build(kind, alpha, 0)
+    entries = max(np.prod(schemes.receiver_layout(probe, r)) for r in (1, 2))
+    cap = max(experiments.SWEEP_CHUNK, experiments.SWEEP_ELEMENTS // (len(GRID) * entries))
+    assert max(counts) <= cap
 
 
 # sha256 of the run_sweep CSV at alpha 0.5, GRID, 12 trials, seed 3, for
@@ -317,6 +327,20 @@ def test_run_sweep_reports_the_lowest_failing_trial(monkeypatch):
         run_sweep(SweepConfig("yang", 0.5, GRID, trials=12, seed=4))
 
 
+def test_run_sweep_names_trial_0_when_the_layout_probe_fails(monkeypatch):
+    # The one-trial probe build of trial 0 fails before any chunk runs.
+    calls = []
+
+    def failing(kind, alpha, seqs):
+        calls.append(len(seqs))
+        raise ValueError("no realization")
+
+    monkeypatch.setattr(experiments, "build_scheme", failing)
+    with pytest.raises(RuntimeError, match=r"^trial 0 failed: no realization$"):
+        run_sweep(SweepConfig("yang", 0.5, GRID, trials=12, seed=4))
+    assert calls == [1]
+
+
 def test_run_sweep_monotone_receiver2_rate_in_alpha():
     # fixed topology: the weak receiver's fitted rate is nonincreasing as
     # alpha decreases
@@ -430,8 +454,8 @@ def test_region_checks_build_each_outer_bound_once_per_alpha(monkeypatch):
 
 
 def test_scheme_checks_build_one_scheme_per_sweep_chunk(monkeypatch):
-    # The ledger rows read the sweep's first-chunk scheme: no build of
-    # their own.
+    # Each sweep builds its one-trial layout probe and one scheme per
+    # chunk.  The ledger rows read the probe: no build of their own.
     chunks, builds = [], []
     sweep_chunk, build = experiments._sweep_chunk, experiments.build_scheme
 
@@ -446,7 +470,9 @@ def test_scheme_checks_build_one_scheme_per_sweep_chunk(monkeypatch):
     monkeypatch.setattr(experiments, "_sweep_chunk", counting_chunk)
     monkeypatch.setattr(experiments, "build_scheme", counting_build)
     checks = experiments._scheme_checks((0.5,), GRID, 10, 0)
-    assert len(builds) == len(chunks) == 2 * len(experiments.SCHEME_TARGETS)
+    sweeps = len(experiments.SCHEME_TARGETS)
+    assert len(chunks) == sweeps
+    assert len(builds) == len(chunks) + sweeps
     assert all(c.passed for c in checks)
 
 
@@ -476,6 +502,21 @@ def test_verify_all_small_grid_passes():
     assert any(name.startswith("lemma1/") for name in names)
     assert any(name.startswith("slopes/") for name in names)
     assert "leakage/canary-no-noise" in names
+
+
+def test_verify_all_accepts_fraction_alphas():
+    # Exact alphas name every check as their floats do and pass the same
+    # checks; margins agree to rounding (exact arithmetic zeroes some
+    # 1.1e-16 region margins).
+    grid = [k / 20 for k in range(21)]
+    exact = [Fraction(k, 20) for k in range(21)]
+    want = verify_all(grid)
+    got = verify_all(exact, scheme_alphas=(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)))
+    assert all(c.passed for c in got)
+    assert [(c.name, c.passed, c.detail) for c in got] == [
+        (c.name, c.passed, c.detail) for c in want
+    ]
+    assert np.allclose([c.margin for c in got], [c.margin for c in want], rtol=0, atol=1e-12)
 
 
 # sha256 of the default `gsdof verify` CSV (alpha grid 0:1:0.05, 20 trials)

@@ -175,6 +175,59 @@ def test_causality_audit_catches_a_future_channel_read(monkeypatch):
     assert not audit_causality("future-read", 0.5, seed=1)
 
 
+def _per_slot_causality(kind, alpha, seed):
+    # The audit as one rebuild per slot t, with the rows at slots >= t
+    # redrawn: the reference for the batched audit.
+    build = SCHEMES[kind].build
+    base_real = schemes._draw_for(kind, alpha, seed=seed)
+    alt = schemes._draw_for(kind, alpha, seed=seed + 7919)
+    base = build(base_real, alpha)
+    for t in range(base_real.n):
+        h, g = base_real.h.copy(), base_real.g.copy()
+        h[t:], g[t:] = alt.h[t:], alt.g[t:]
+        rebuilt = build(dataclasses.replace(base_real, h=h, g=g), alpha)
+        for b, r in zip(base.slot_maps[: t + 1], rebuilt.slot_maps):
+            if set(b) != set(r) or not all(np.allclose(b[k], r[k], atol=1e-12) for k in b):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("slot, read", [(0, 2), (0, 0), (1, 1), (1, 0), (2, 0), (2, 1)])
+def test_causality_audit_matches_the_per_slot_rebuilds(monkeypatch, slot, read):
+    # Slot `slot`'s map of u is planted to read the receiver-1 row of slot
+    # `read`: causal iff read < slot, by both audits.
+    spec = SCHEMES["wiretap-gaussian"]
+
+    def build(real, alpha):
+        sch = spec.build(real, alpha)
+        maps = [dict(m) for m in sch.slot_maps]
+        planted = np.zeros(real.h.shape[:-2] + (2, 2), dtype=np.complex128)
+        planted[..., 0, :] = real.h[..., read, :]
+        maps[slot]["u"] = planted
+        return dataclasses.replace(sch, slot_maps=tuple(maps))
+
+    monkeypatch.setitem(SCHEMES, "planted", dataclasses.replace(spec, build=build))
+    for seed in range(3):
+        want = read < slot
+        assert _per_slot_causality("planted", 0.5, seed) is want
+        assert audit_causality("planted", 0.5, seed=seed) is want
+
+
+def test_causality_audit_over_the_alpha_grid():
+    # Every kind at every in-domain alpha = k/20, seeds 0-2.
+    cases = 0
+    for kind, spec in SCHEMES.items():
+        for k in range(21):
+            try:
+                spec.domain(k / 20)
+            except ValueError:
+                continue
+            for seed in range(3):
+                assert audit_causality(kind, k / 20, seed=seed), (kind, k, seed)
+                cases += 1
+    assert cases == 555
+
+
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_power_budget(kind):
     for alpha in (0.25, 0.75):
