@@ -314,7 +314,7 @@ def _region_checks(alpha_grid) -> list[CheckResult]:
             )
         )
         wt = regions.wiretap_upper(TopologyProfile.fixed("1a", a))
-        gap = float(wt - (1.0 - a / 3.0))
+        gap = float(wt - (1 - a / 3))
         gap2 = float(wt - regions.axis_max(outer["1a"], 0))
         ok = abs(gap) <= 1e-9 and abs(gap2) <= 1e-9
         out.append(CheckResult(f"region/wiretap-upper/{at}", ok, max(abs(gap), abs(gap2))))

@@ -8,8 +8,12 @@ arithmetic with no tolerance, each coefficient taken at its exact value (a
 float at its binary value): a crossing that violates a constraint by any
 amount is dropped, and the vertex order is decided exactly.  A region
 keeps what the enumeration works in: its constraints as integer rows and
-its vertices as gcd-reduced integer triples (n1, n2, det).  A region with
-any ``fractions.Fraction`` coefficient is exact: ``vertices`` returns
+its vertices as gcd-reduced integer triples (n1, n2, det).  The bound
+constructors form those rows straight from alpha's exact ratio p/q (and a
+profile's time fractions) in int arithmetic, so a float alpha counts at
+its binary value; they are exact when a ``fractions.Fraction`` went in and
+no float did.  A region built from constraints is exact when any
+coefficient is a ``Fraction``.  An exact region's ``vertices`` are
 ``Fraction`` vertices, built from the triples on first call, while
 ``sum_max``, ``axis_max``, ``contains``, ``is_subset`` and
 ``float_vertices`` read the triples and rows in integer arithmetic.  Any
@@ -26,10 +30,11 @@ after merging vertices within ``TOL`` of each other or of a hull edge.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 __all__ = [
     "HalfSpace",
@@ -180,43 +185,81 @@ def _exact_vertices(rows):
     return _ccw_order(list(found))
 
 
-@dataclass(frozen=True)
 class DofRegion:
     """Bounded, nonempty intersection of half-spaces with d1, d2 >= 0.
 
     Boundedness and nonemptiness are checked at construction by running the
     exact vertex enumeration; a non-finite coefficient is refused.
     Coefficients are ints, floats or ``Fraction``s, and each enters at its
-    exact value, a float as ``Fraction(x)``.  Construction keeps the
-    constraints' integer rows and the exact vertices as gcd-reduced integer
+    exact value, a float as ``Fraction(x)``.  A region keeps its
+    constraints' integer rows and its exact vertices as gcd-reduced integer
     triples (n1, n2, det) in counterclockwise order.  If any coefficient is
     a ``Fraction`` the region is exact: its vertices are ``Fraction``s,
     built from the triples on the first call to ``vertices`` and kept.
     Otherwise they are the exact vertices rounded to floats, and a vertex
     within ``TOL`` of an earlier one in the counterclockwise order is
     merged into it.
+
+    The bound constructors build their regions from integer rows directly
+    (``_from_rows``), with no constraints stored: ``constraints`` is derived
+    from the rows on first read, in ``Fraction``s for an exact region and
+    as correctly rounded floats otherwise.  Regions compare and hash by
+    ``constraints`` and are immutable.
     """
 
-    constraints: tuple[HalfSpace, ...]
+    def __init__(self, constraints) -> None:
+        constraints = tuple(constraints)
+        exact = any(isinstance(x, Fraction) for c in constraints for x in (c.a1, c.a2, c.b))
+        self.__dict__["constraints"] = constraints
+        self._enumerate([_int_row(c) for c in constraints], exact)
 
-    def __post_init__(self) -> None:
-        # frozen: the derived state goes into __dict__ directly
+    @classmethod
+    def _from_rows(cls, rows, scales, exact: bool) -> "DofRegion":
+        """The region of the integer ``rows`` (a1, a2, b), row i standing for
+        the constraint (a1, a2, b) / ``scales[i]`` with ``scales[i]`` > 0;
+        exact or not as ``exact`` says."""
+        region = cls.__new__(cls)
+        region.__dict__["_scales"] = scales
+        region._enumerate(rows, exact)
+        return region
+
+    def _enumerate(self, rows, exact: bool) -> None:
         state = self.__dict__
-        state["_rows"] = rows = [_int_row(c) for c in self.constraints]
+        state["_rows"] = rows
         state["_triples"] = points = _exact_vertices(rows)
-        state["_exact"] = exact = any(
-            isinstance(x, Fraction) for c in self.constraints for x in (c.a1, c.a2, c.b)
-        )
+        state["_exact"] = exact
         if not exact:
             # Int true division is correctly rounded, and an on-axis vertex
             # comes out as an exact 0.0.
             floats = [(n1 / det, n2 / det) for n1, n2, det in points]
             state["_vertex_cache"] = tuple(_dedup(floats, TOL))
 
+    @cached_property
+    def constraints(self) -> tuple[HalfSpace, ...]:
+        div = Fraction if self._exact else operator.truediv
+        return tuple(
+            HalfSpace(div(a1, s), div(a2, s), div(b, s))
+            for (a1, a2, b), s in zip(self._rows, self._scales)
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a DofRegion")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.constraints == other.constraints
+
+    def __hash__(self) -> int:
+        return hash(self.constraints)
+
+    def __repr__(self) -> str:
+        return f"DofRegion(constraints={self.constraints!r})"
+
 
 def _is_exact(region: DofRegion) -> bool:
-    """Whether any coefficient is a ``Fraction``: such a region is decided
-    exactly, with no tolerance."""
+    """Whether the region is exact (see ``DofRegion``): such a region is
+    decided exactly, with no tolerance."""
     return region._exact
 
 
@@ -293,61 +336,87 @@ def sum_max(region: DofRegion):
 
 def axis_max(region: DofRegion, axis: int):
     """Largest coordinate value on the given axis (0 -> d1, 1 -> d2) with the
-    other coordinate zero; 0.0 if no vertex lies on that axis.  Every vertex
-    is an exact crossing, so an on-axis vertex has an exact zero."""
+    other coordinate zero; zero if no vertex lies on that axis, ``Fraction(0)``
+    for an exact region and 0.0 otherwise.  Every vertex is an exact
+    crossing, so an on-axis vertex has an exact zero."""
     if _is_exact(region):
         on_axis = [Fraction(t[axis], t[2]) for t in region._triples if t[1 - axis] == 0]
-    else:
-        on_axis = [v[axis] for v in vertices(region) if v[1 - axis] == 0]
-    return max(on_axis) if on_axis else 0.0
+        return max(on_axis, default=Fraction(0))
+    return max((v[axis] for v in vertices(region) if v[1 - axis] == 0), default=0.0)
 
 
 # ---------------------------------------------------------------------------
-# Bound constructors.  ``alpha`` may be a float or a fractions.Fraction; all
-# arithmetic below stays in the input's number type.
+# Bound constructors.  Each takes alpha = p/q at its exact ratio, a float at
+# its binary value, and forms its integer rows from p and q in int
+# arithmetic: every coefficient is a polynomial in alpha of degree at most
+# two, so a row is the constraint times q, q**2 or another positive int.
+# The region is exact iff a ``Fraction`` entered and no float did, as if
+# the coefficients had been computed in the inputs' number type.
 # ---------------------------------------------------------------------------
 
 
-def _weighted_bound(profile, swap: bool = False):
-    a = profile.alpha
-    l11, l1a, la1, laa = profile.fractions()
-    if swap:
-        l1a, la1 = la1, l1a
-    return (3 - a) * l1a + 2 * (l11 + a * laa) + (1 + a) * la1
+def _inputs(*xs):
+    """The exact (numerator, denominator) of each input, a float at its
+    binary value, and whether the inputs make an exact region: some
+    ``Fraction`` and only rationals (ints, ``Fraction``s)."""
+    try:
+        ratios = [_ratio(x) for x in xs]
+    except (OverflowError, ValueError):  # inf and nan have no ratio
+        raise ValueError(f"bound inputs {xs} include a non-finite value") from None
+    exact = False
+    for x in xs:
+        if isinstance(x, Fraction):
+            exact = True
+        elif not isinstance(x, numbers.Rational):
+            return ratios, False
+    return ratios, exact
+
+
+def _budgets(profile):
+    """The profile-weighted budget of ``bc_outer``'s first row and of its
+    second (the 1a and a1 weights swapped), as integers over one common
+    denominator, and whether they are exact.
+
+    budget = (3 - alpha)*l1a + 2*(l11 + alpha*laa) + (1 + alpha)*la1; with
+    alpha = p/q and the four fractions over their lcm m, q*m*budget is an
+    integer.
+    """
+    ((p, q), *lams), exact = _inputs(profile.alpha, *profile.fractions())
+    m = math.lcm(*(d for _, d in lams))
+    l11, l1a, la1, laa = (n * (m // d) for n, d in lams)
+    common = 2 * (q * l11 + p * laa)
+    first = (3 * q - p) * l1a + common + (q + p) * la1
+    second = (3 * q - p) * la1 + common + (q + p) * l1a
+    return first, second, q * m, exact
 
 
 def wiretap_upper(profile):
-    """Upper bound on the single-confidential-message secure DoF."""
-    return _weighted_bound(profile) / 3
+    """Upper bound on the single-confidential-message secure DoF: a third of
+    the profile-weighted budget of ``bc_outer``'s first row.  A ``Fraction``
+    if the inputs are exact, else the exact value rounded to a float."""
+    budget, _, den, exact = _budgets(profile)
+    return Fraction(budget, 3 * den) if exact else budget / (3 * den)
 
 
 def bc_outer(profile) -> DofRegion:
     """Outer bound on the secure DoF region for an alternating profile:
     3*d1 + d2 and d1 + 3*d2 are each capped by the profile-weighted budget."""
-    return DofRegion(
-        (
-            HalfSpace(3, 1, _weighted_bound(profile)),
-            HalfSpace(1, 3, _weighted_bound(profile, swap=True)),
-        )
-    )
+    first, second, den, exact = _budgets(profile)
+    return DofRegion._from_rows([(3 * den, den, first), (den, 3 * den, second)], (den, den), exact)
 
 
 def yang_inner(alpha) -> DofRegion:
     """Baseline inner bound from the four-slot noise-injection scheme on the
-    fixed (strong, weak) topology.
+    fixed (strong, weak) topology: 3*alpha*d1 + d2 <= 2*alpha and
+    alpha*d1 + 3*d2 <= 2*alpha.
 
     At alpha = 0 the two constraints degenerate to parallel lines; the region
     is then built directly as its limit, the segment d2 = 0, d1 <= 2/3.
     """
-    if float(alpha) <= 0:
-        two_thirds = Fraction(2, 3) if isinstance(alpha, Fraction) else 2.0 / 3.0
-        return DofRegion((HalfSpace(0, 1, 0), HalfSpace(1, 0, two_thirds)))
-    return DofRegion(
-        (
-            HalfSpace(3 * alpha, 1, 2 * alpha),
-            HalfSpace(alpha, 3, 2 * alpha),
-        )
-    )
+    ((p, q),), exact = _inputs(alpha)
+    if p <= 0:
+        return DofRegion._from_rows([(0, 1, 0), (3, 0, 2)], (1, 3), exact)
+    return DofRegion._from_rows([(3 * p, q, 2 * p), (p, 3 * q, 2 * p)], (q, q), exact)
 
 
 def yang_corner_sum(alpha):
@@ -363,44 +432,39 @@ def yang_corner_sum(alpha):
 
 def prop2_inner(alpha) -> DofRegion:
     """Inner bound from the four-phase scheme with digitized side information
-    and an extra low-power confidential layer, fixed (strong, weak) topology."""
-    return DofRegion(
-        (
-            HalfSpace(3 * (1 + alpha), 2, 2 * (1 + alpha)),
-            HalfSpace(alpha * (3 - alpha), 6, 4 * alpha),
-        )
-    )
+    and an extra low-power confidential layer, fixed (strong, weak) topology:
+    3*(1 + alpha)*d1 + 2*d2 <= 2*(1 + alpha) and
+    alpha*(3 - alpha)*d1 + 6*d2 <= 4*alpha."""
+    ((p, q),), exact = _inputs(alpha)
+    rows = [(3 * (q + p), 2 * q, 2 * (q + p)), (p * (3 * q - p), 6 * q * q, 4 * p * q)]
+    return DofRegion._from_rows(rows, (q, q * q), exact)
 
 
 def sym_alt_inner(alpha) -> DofRegion:
     """Inner bound for the symmetric alternating topology (Gaussian noise
-    injection).  The second constraint has a negative d1 coefficient for
-    alpha < 1/2."""
-    return DofRegion(
-        (
-            HalfSpace(6, 1 + alpha, 2 * (1 + alpha)),
-            HalfSpace(2 * (2 * alpha - 1), 3 * (1 + alpha), (1 + alpha) * (1 + alpha)),
-        )
-    )
+    injection): 6*d1 + (1 + alpha)*d2 <= 2*(1 + alpha) and
+    2*(2*alpha - 1)*d1 + 3*(1 + alpha)*d2 <= (1 + alpha)**2.  The second
+    constraint has a negative d1 coefficient for alpha < 1/2."""
+    ((p, q),), exact = _inputs(alpha)
+    rows = [(6 * q, q + p, 2 * (q + p)), (2 * (2 * p - q) * q, 3 * (q + p) * q, (q + p) ** 2)]
+    return DofRegion._from_rows(rows, (q, q * q), exact)
 
 
 def integer_sym_alt_inner(alpha) -> DofRegion:
     """Inner bound for integer channels on the symmetric alternating
-    topology, achieved with structured (lattice) noise."""
-    half = (3 + alpha) / 2
-    return DofRegion((HalfSpace(3, alpha, half), HalfSpace(alpha, 3, half)))
+    topology, achieved with structured (lattice) noise: 3*d1 + alpha*d2 and
+    alpha*d1 + 3*d2 are each capped by (3 + alpha)/2."""
+    ((p, q),), exact = _inputs(alpha)
+    half = 3 * q + p
+    return DofRegion._from_rows([(6 * q, 2 * p, half), (2 * p, 6 * q, half)], (2 * q, 2 * q), exact)
 
 
 def gdof_fixed(alpha) -> DofRegion:
-    """DoF region without secrecy constraints, fixed (strong, weak) topology."""
-    return DofRegion(
-        (
-            HalfSpace(1, 0, 1),
-            HalfSpace(0, 1, alpha),
-            HalfSpace(2, 1, 2),
-            HalfSpace(1, 2, 1 + alpha),
-        )
-    )
+    """DoF region without secrecy constraints, fixed (strong, weak) topology:
+    d1 <= 1, d2 <= alpha, 2*d1 + d2 <= 2 and d1 + 2*d2 <= 1 + alpha."""
+    ((p, q),), exact = _inputs(alpha)
+    rows = [(1, 0, 1), (0, q, p), (2, 1, 2), (q, 2 * q, q + p)]
+    return DofRegion._from_rows(rows, (1, q, 1, q), exact)
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,30 @@ def test_run_sweep_reproducible_bytes(tmp_path):
     assert header == "scheme,alpha,rho_db,trial,symbol_group,mi_bits,leak_bits"
 
 
+@pytest.mark.parametrize("kind", ["bc-fixed", "wiretap-gaussian"])
+def test_run_sweep_uneven_chunk_split_keeps_bytes(tmp_path, monkeypatch, kind):
+    # A one-entry element budget leaves the SWEEP_CHUNK floor to size the
+    # chunks, so 12 trials run as 8 + 4 after the probe; a huge budget runs
+    # them as one chunk.  Both must write the same bytes.
+    cfg = dict(scheme=kind, alpha=0.5, rho_db=GRID, trials=12, seed=3)
+    build = experiments.build_scheme
+    texts = {}
+    for elements, sizes in ((10**9, [1, 12]), (1, [1, 8, 4])):
+        counts = []
+
+        def spy(kind, alpha, seqs):
+            counts.append(len(seqs))
+            return build(kind, alpha, seqs)
+
+        out = tmp_path / f"elements{elements}.csv"
+        monkeypatch.setattr(experiments, "SWEEP_ELEMENTS", elements)
+        monkeypatch.setattr(experiments, "build_scheme", spy)
+        run_sweep(SweepConfig(**cfg, out=str(out)))
+        assert counts == sizes
+        texts[elements] = out.read_bytes()
+    assert texts[1] == texts[10**9]
+
+
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_run_sweep_chunk_invariant(tmp_path, monkeypatch, kind):
     # 12 trials run as one chunk by default; one trial per chunk and all
@@ -506,8 +530,9 @@ def test_verify_all_small_grid_passes():
 
 def test_verify_all_accepts_fraction_alphas():
     # Exact alphas name every check as their floats do and pass the same
-    # checks; margins agree to rounding (exact arithmetic zeroes some
-    # 1.1e-16 region margins).
+    # checks; margins agree to rounding.  The exact region margins are
+    # exactly 0: the int and outer sum maxima meet at 1, and the wiretap
+    # bound meets 1 - alpha/3 and the outer bound's d1 intercept.
     grid = [k / 20 for k in range(21)]
     exact = [Fraction(k, 20) for k in range(21)]
     want = verify_all(grid)
@@ -517,14 +542,18 @@ def test_verify_all_accepts_fraction_alphas():
         (c.name, c.passed, c.detail) for c in want
     ]
     assert np.allclose([c.margin for c in got], [c.margin for c in want], rtol=0, atol=1e-12)
+    heads = ("region/wiretap-upper/", "region/int-sum-meets-outer/")
+    zeroed = [c for c in got if c.name.startswith(heads)]
+    assert len(zeroed) == 2 * len(exact)
+    assert all(c.margin == 0 for c in zeroed), [(c.name, c.margin) for c in zeroed if c.margin]
 
 
 # sha256 of the default `gsdof verify` CSV (alpha grid 0:1:0.05, 20 trials)
 # at seeds 0 and 1.  Every check row is pinned: margins, details and order.
 # Generated with numpy 2.4.6 on x86-64, like SWEEP_DIGESTS.
 VERIFY_DIGESTS = {
-    0: "4eb8e5db36527e8cc1c92517c33a4dd67be986f58d634ffaa8bdc1fc9561463b",
-    1: "5db4308708b4286a1738cbc2b7d9effcd42a676452e80b2fa6ed2f50e8d17096",
+    0: "3b62b9343a620e4ba9f725926acebfe2f5b5d606a451e2af1ccec0e3d14585b8",
+    1: "29d65ac591923f943d00d4b56c855d8b7820ddcb67e9b715c5c836973d6d3073",
 }
 
 

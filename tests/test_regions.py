@@ -242,7 +242,7 @@ def test_exact_queries_match_the_fraction_formulas_on_alpha_grid():
             assert type(best) is Fraction and best == max(x + y for x, y in verts)
             for axis in (0, 1):
                 on_axis = [v[axis] for v in verts if v[1 - axis] == 0]
-                want = max(on_axis) if on_axis else 0.0
+                want = max(on_axis) if on_axis else Fraction(0)
                 got = axis_max(reg, axis)
                 assert type(got) is type(want) and got == want, (a, reg, axis)
             assert all(contains(reg, v) for v in verts)
@@ -289,6 +289,18 @@ def test_axis_max_counts_only_exact_on_axis_vertices():
     assert axis_max(reg, 1) == 1
 
 
+def test_axis_max_without_on_axis_vertex_is_zero_of_the_region_type():
+    # The square [1, 2]^2 has no vertex on either axis: its exact hull
+    # answers Fraction(0), the type sum_max gives it, and its float hull 0.0.
+    exact = time_share([_point(Fraction(x), Fraction(y)) for x in (1, 2) for y in (1, 2)])
+    floats = time_share([_point(x, y) for x in (1.0, 2.0) for y in (1.0, 2.0)])
+    for axis in (0, 1):
+        got = axis_max(exact, axis)
+        assert type(got) is Fraction and got == 0
+        got = axis_max(floats, axis)
+        assert type(got) is float and got == 0.0
+
+
 def test_exact_region_inclusion_has_no_tolerance():
     # (1, 0) violates the third constraint by 1e-12, inside TOL: an exact
     # region refuses it, the same region in floats keeps TOL.
@@ -333,18 +345,14 @@ def test_float_region_vertices_are_rounded_exact_crossings():
     assert math.copysign(1, verts[0][1]) == 1 and verts[-1] == (0.0, 0.0)
 
 
-def _fraction_twin(region):
-    return DofRegion(
-        tuple(HalfSpace(Fraction(c.a1), Fraction(c.a2), Fraction(c.b)) for c in region.constraints)
-    )
-
-
 def test_float_vertices_round_exact_vertices_on_alpha_grid():
     # No two exact vertices of a constructor lie within TOL, so nothing is
-    # merged: the float vertices are the exact ones, rounded, in order.
+    # merged: the float vertices are the exact ones, rounded, in order.  A
+    # float alpha counts at its binary value, so the exact twin is the same
+    # constructor at Fraction(alpha).
     for k in range(201):
-        for reg in library_regions(k / 200):
-            twin = _fraction_twin(reg)
+        a = k / 200
+        for reg, twin in zip(library_regions(a), library_regions(Fraction(a))):
             exact = vertices(twin)
             assert vertices(reg) == [(float(x), float(y)) for x, y in exact]
             assert regions.float_vertices(reg) == vertices(reg) == regions.float_vertices(twin)
