@@ -3,8 +3,10 @@ Degrees-of-freedom regions as half-space intersections
 ======================================================
 
 Every bound is a polygon in the (d1, d2) plane.  Vertex enumeration is done
-by exact pairwise intersection, so regions can also be evaluated in exact
-rational arithmetic by passing a ``fractions.Fraction`` weak-link exponent.
+by exact pairwise intersection in integer arithmetic, so every region is
+exact: a float weak-link exponent counts at its binary value, and a
+``fractions.Fraction`` one at its rational value.  ``vertices`` gives
+``Fraction`` vertices; ``float_vertices`` gives the same vertices rounded.
 """
 
 from fractions import Fraction
@@ -20,9 +22,9 @@ outer = regions.bc_outer(TopologyProfile.fixed("1a", alpha))
 yang = regions.yang_inner(alpha)
 improved = regions.prop2_inner(alpha)
 
-print("outer vertices:   ", regions.vertices(outer))
-print("baseline vertices:", regions.vertices(yang))
-print("improved vertices:", regions.vertices(improved))
+print("outer vertices:   ", regions.float_vertices(outer))
+print("baseline vertices:", regions.float_vertices(yang))
+print("improved vertices:", regions.float_vertices(improved))
 print("baseline inside improved-for-sum?",
       regions.sum_max(improved) >= regions.yang_corner_sum(alpha))
 print("both inner bounds inside the outer bound:",

@@ -3,34 +3,27 @@
 Every region here is an intersection of a handful of half-spaces together
 with the implicit nonnegativity of d1 and d2.  Vertices are the feasible
 pairwise crossings of the constraint and axis lines (the constraint count
-never exceeds six).  Every region is enumerated exactly, in integer
+never exceeds six).  Every region is exact: it is enumerated in integer
 arithmetic with no tolerance, each coefficient taken at its exact value (a
-float at its binary value): a crossing that violates a constraint by any
-amount is dropped, and the vertex order is decided exactly.  A region
+float at its binary value), so a crossing that violates a constraint by
+any amount is dropped and the vertex order is decided exactly.  A region
 keeps what the enumeration works in: its constraints as integer rows and
 its vertices as gcd-reduced integer triples (n1, n2, det).  The bound
 constructors form those rows straight from alpha's exact ratio p/q (and a
 profile's time fractions) in int arithmetic, so a float alpha counts at
-its binary value; they are exact when a ``fractions.Fraction`` went in and
-no float did.  A region built from constraints is exact when any
-coefficient is a ``Fraction``.  An exact region's ``vertices`` are
-``Fraction`` vertices, built from the triples on first call, while
-``sum_max``, ``axis_max``, ``contains``, ``is_subset`` and
-``float_vertices`` read the triples and rows in integer arithmetic.  Any
-other region returns its exact vertices rounded to floats, with vertices
-that lie within ``TOL`` = 1e-9 of an earlier one merged into it.
-Inclusion (``contains``, ``is_subset``) follows the same split: exact for a
-``Fraction`` region, within ``TOL`` for any other.  Time sharing
-(``time_share``) picks the hull vertices among the input regions' vertices
-by exact orientation tests: exact inputs give the exact hull as a
-``Fraction`` region, float inputs float faces through the hull vertices,
-after merging vertices within ``TOL`` of each other or of a hull edge.
+its binary value and builds the same region as ``Fraction(alpha)``.
+
+``vertices`` gives ``Fraction`` vertices, built from the triples on first
+call; ``float_vertices`` rounds them for CSVs.  ``sum_max``, ``axis_max``
+and ``wiretap_upper`` give ``Fraction``s, and ``contains`` and
+``is_subset`` decide on the integer rows with no tolerance.  Time sharing
+(``time_share``) picks the hull vertices among the input regions'
+vertices by exact orientation tests and returns the exact hull.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,8 +49,6 @@ __all__ = [
     "time_share",
 ]
 
-TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class HalfSpace:
@@ -73,14 +64,6 @@ class HalfSpace:
 
 # Implicit quadrant faces d1 >= 0 and d2 >= 0, as integer rows (a1, a2, b).
 _AXIS_ROWS = [(-1, 0, 0), (0, -1, 0)]
-
-
-def _dedup(points, tol):
-    out = []
-    for p in points:
-        if not any(abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol for q in out):
-            out.append(p)
-    return out
 
 
 def _orient(p, q, r):
@@ -172,12 +155,7 @@ def _exact_vertices(rows):
             n2 = p1 * qb - q1 * pb
             if det < 0:
                 det, n1, n2 = -det, -n1, -n2
-            if n1 < 0 or n2 < 0:
-                continue
-            for a1, a2, b in rows:
-                if a1 * n1 + a2 * n2 > b * det:
-                    break
-            else:
+            if _inside(rows, (n1, n2, det)):
                 g = math.gcd(n1, n2, det)
                 found[n1 // g, n2 // g, det // g] = None
     if not found:
@@ -190,57 +168,40 @@ class DofRegion:
 
     Boundedness and nonemptiness are checked at construction by running the
     exact vertex enumeration; a non-finite coefficient is refused.
-    Coefficients are ints, floats or ``Fraction``s, and each enters at its
-    exact value, a float as ``Fraction(x)``.  A region keeps its
-    constraints' integer rows and its exact vertices as gcd-reduced integer
-    triples (n1, n2, det) in counterclockwise order.  If any coefficient is
-    a ``Fraction`` the region is exact: its vertices are ``Fraction``s,
-    built from the triples on the first call to ``vertices`` and kept.
-    Otherwise they are the exact vertices rounded to floats, and a vertex
-    within ``TOL`` of an earlier one in the counterclockwise order is
-    merged into it.
+    Coefficients are ints, floats, ``Fraction``s or numpy scalars, and each
+    enters at its exact value, a float as ``Fraction(x)``.  A region keeps
+    its constraints' integer rows and its vertices as gcd-reduced integer
+    triples (n1, n2, det) in counterclockwise order.
 
     The bound constructors build their regions from integer rows directly
     (``_from_rows``), with no constraints stored: ``constraints`` is derived
-    from the rows on first read, in ``Fraction``s for an exact region and
-    as correctly rounded floats otherwise.  Regions compare and hash by
-    ``constraints`` and are immutable.
+    from the rows on first read, in ``Fraction``s.  Regions compare and hash
+    by ``constraints`` and are immutable.
     """
 
     def __init__(self, constraints) -> None:
         constraints = tuple(constraints)
-        exact = any(isinstance(x, Fraction) for c in constraints for x in (c.a1, c.a2, c.b))
-        self.__dict__["constraints"] = constraints
-        self._enumerate([_int_row(c) for c in constraints], exact)
+        rows = [_int_row(c) for c in constraints]
+        self.__dict__.update(constraints=constraints, _rows=rows, _triples=_exact_vertices(rows))
 
     @classmethod
-    def _from_rows(cls, rows, scales, exact: bool) -> "DofRegion":
+    def _from_rows(cls, rows, scales) -> "DofRegion":
         """The region of the integer ``rows`` (a1, a2, b), row i standing for
-        the constraint (a1, a2, b) / ``scales[i]`` with ``scales[i]`` > 0;
-        exact or not as ``exact`` says."""
+        the constraint (a1, a2, b) / ``scales[i]`` with ``scales[i]`` > 0."""
         region = cls.__new__(cls)
-        region.__dict__["_scales"] = scales
-        region._enumerate(rows, exact)
+        region.__dict__.update(_rows=rows, _scales=scales, _triples=_exact_vertices(rows))
         return region
-
-    def _enumerate(self, rows, exact: bool) -> None:
-        state = self.__dict__
-        state["_rows"] = rows
-        state["_triples"] = points = _exact_vertices(rows)
-        state["_exact"] = exact
-        if not exact:
-            # Int true division is correctly rounded, and an on-axis vertex
-            # comes out as an exact 0.0.
-            floats = [(n1 / det, n2 / det) for n1, n2, det in points]
-            state["_vertex_cache"] = tuple(_dedup(floats, TOL))
 
     @cached_property
     def constraints(self) -> tuple[HalfSpace, ...]:
-        div = Fraction if self._exact else operator.truediv
         return tuple(
-            HalfSpace(div(a1, s), div(a2, s), div(b, s))
+            HalfSpace(Fraction(a1, s), Fraction(a2, s), Fraction(b, s))
             for (a1, a2, b), s in zip(self._rows, self._scales)
         )
+
+    @cached_property
+    def _vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple((Fraction(n1, det), Fraction(n2, det)) for n1, n2, det in self._triples)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a DofRegion")
@@ -257,49 +218,29 @@ class DofRegion:
         return f"DofRegion(constraints={self.constraints!r})"
 
 
-def _is_exact(region: DofRegion) -> bool:
-    """Whether the region is exact (see ``DofRegion``): such a region is
-    decided exactly, with no tolerance."""
-    return region._exact
-
-
-def vertices(region: DofRegion) -> list[tuple[float, float]]:
-    """All feasible pairwise constraint/axis intersections, deduplicated and
-    sorted counterclockwise."""
-    cache = region.__dict__.get("_vertex_cache")
-    if cache is None:
-        cache = tuple((Fraction(n1, det), Fraction(n2, det)) for n1, n2, det in region._triples)
-        region.__dict__["_vertex_cache"] = cache
-    return list(cache)
+def vertices(region: DofRegion) -> list[tuple[Fraction, Fraction]]:
+    """All feasible pairwise constraint/axis intersections as ``Fraction``
+    pairs, distinct and in counterclockwise order from the largest-d1
+    vertex (ties: smallest d2); built from the triples on first call."""
+    return list(region._vertices)
 
 
 def float_vertices(region: DofRegion) -> list[tuple[float, float]]:
-    """``vertices`` as floats, in the same order: an exact region's
-    vertices rounded, read straight off its triples (int true division is
-    correctly rounded, so each equals ``float`` of the ``Fraction``)."""
-    if _is_exact(region):
-        return [(n1 / det, n2 / det) for n1, n2, det in region._triples]
-    return list(region._vertex_cache)
+    """``vertices`` as floats, in the same order, read straight off the
+    triples (int true division is correctly rounded, so each equals
+    ``float`` of the ``Fraction``, and an on-axis vertex has an exact 0.0)."""
+    return [(n1 / det, n2 / det) for n1, n2, det in region._triples]
 
 
-def contains(region: DofRegion, point, tol: float = TOL) -> bool:
-    """Whether ``point`` lies in the region.
-
-    An exact region (any ``Fraction`` coefficient) decides on the integer
-    rows of its constraints at the point's exact value, a float at its
-    binary value, with no tolerance; a non-finite point lies outside.  A
-    float region lets each constraint and axis be violated by up to
-    ``tol``."""
-    if _is_exact(region):
-        try:
-            point = _triple(point)
-        except (OverflowError, ValueError):  # inf and nan have no ratio
-            return False
-        return _inside(region._rows, point)
-    d1, d2 = point
-    if float(d1) < -tol or float(d2) < -tol:
+def contains(region: DofRegion, point) -> bool:
+    """Whether ``point`` lies in the region, decided on the region's integer
+    rows at the point's exact value (a float at its binary value) with no
+    tolerance; a non-finite point lies outside."""
+    try:
+        point = _triple(point)
+    except (OverflowError, ValueError):  # inf and nan have no ratio
         return False
-    return all(float(c.violation(d1, d2)) <= tol for c in region.constraints)
+    return _inside(region._rows, point)
 
 
 def _inside(rows, point) -> bool:
@@ -314,19 +255,14 @@ def _inside(rows, point) -> bool:
     return True
 
 
-def is_subset(inner: DofRegion, outer: DofRegion, tol: float = TOL) -> bool:
-    """Vertex test: valid because both regions are convex.  Each vertex of
-    ``inner`` is tested as ``contains`` tests it, so an exact ``outer``
-    decides with no tolerance."""
-    if _is_exact(inner) and _is_exact(outer):
-        return all(_inside(outer._rows, t) for t in inner._triples)
-    return all(contains(outer, v, tol) for v in vertices(inner))
+def is_subset(inner: DofRegion, outer: DofRegion) -> bool:
+    """Vertex test, valid because both regions are convex: each vertex
+    triple of ``inner`` is tested on the rows of ``outer``, exactly."""
+    return all(_inside(outer._rows, t) for t in inner._triples)
 
 
-def sum_max(region: DofRegion):
+def sum_max(region: DofRegion) -> Fraction:
     """Maximum of d1 + d2 over the region (attained at a vertex)."""
-    if not _is_exact(region):
-        return max(v[0] + v[1] for v in vertices(region))
     best, best_det = 0, 1  # every vertex has d1 + d2 >= 0
     for n1, n2, det in region._triples:
         if (n1 + n2) * best_det > best * det:
@@ -334,15 +270,13 @@ def sum_max(region: DofRegion):
     return Fraction(best, best_det)
 
 
-def axis_max(region: DofRegion, axis: int):
+def axis_max(region: DofRegion, axis: int) -> Fraction:
     """Largest coordinate value on the given axis (0 -> d1, 1 -> d2) with the
-    other coordinate zero; zero if no vertex lies on that axis, ``Fraction(0)``
-    for an exact region and 0.0 otherwise.  Every vertex is an exact
-    crossing, so an on-axis vertex has an exact zero."""
-    if _is_exact(region):
-        on_axis = [Fraction(t[axis], t[2]) for t in region._triples if t[1 - axis] == 0]
-        return max(on_axis, default=Fraction(0))
-    return max((v[axis] for v in vertices(region) if v[1 - axis] == 0), default=0.0)
+    other coordinate zero; ``Fraction(0)`` if no vertex lies on that axis.
+    Every vertex is an exact crossing, so an on-axis vertex has an exact
+    zero."""
+    on_axis = [Fraction(t[axis], t[2]) for t in region._triples if t[1 - axis] == 0]
+    return max(on_axis, default=Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -350,59 +284,48 @@ def axis_max(region: DofRegion, axis: int):
 # its binary value, and forms its integer rows from p and q in int
 # arithmetic: every coefficient is a polynomial in alpha of degree at most
 # two, so a row is the constraint times q, q**2 or another positive int.
-# The region is exact iff a ``Fraction`` entered and no float did, as if
-# the coefficients had been computed in the inputs' number type.
 # ---------------------------------------------------------------------------
 
 
 def _inputs(*xs):
     """The exact (numerator, denominator) of each input, a float at its
-    binary value, and whether the inputs make an exact region: some
-    ``Fraction`` and only rationals (ints, ``Fraction``s)."""
+    binary value."""
     try:
-        ratios = [_ratio(x) for x in xs]
+        return [_ratio(x) for x in xs]
     except (OverflowError, ValueError):  # inf and nan have no ratio
         raise ValueError(f"bound inputs {xs} include a non-finite value") from None
-    exact = False
-    for x in xs:
-        if isinstance(x, Fraction):
-            exact = True
-        elif not isinstance(x, numbers.Rational):
-            return ratios, False
-    return ratios, exact
 
 
 def _budgets(profile):
     """The profile-weighted budget of ``bc_outer``'s first row and of its
     second (the 1a and a1 weights swapped), as integers over one common
-    denominator, and whether they are exact.
+    denominator.
 
     budget = (3 - alpha)*l1a + 2*(l11 + alpha*laa) + (1 + alpha)*la1; with
     alpha = p/q and the four fractions over their lcm m, q*m*budget is an
     integer.
     """
-    ((p, q), *lams), exact = _inputs(profile.alpha, *profile.fractions())
+    (p, q), *lams = _inputs(profile.alpha, *profile.fractions())
     m = math.lcm(*(d for _, d in lams))
     l11, l1a, la1, laa = (n * (m // d) for n, d in lams)
     common = 2 * (q * l11 + p * laa)
     first = (3 * q - p) * l1a + common + (q + p) * la1
     second = (3 * q - p) * la1 + common + (q + p) * l1a
-    return first, second, q * m, exact
+    return first, second, q * m
 
 
-def wiretap_upper(profile):
+def wiretap_upper(profile) -> Fraction:
     """Upper bound on the single-confidential-message secure DoF: a third of
-    the profile-weighted budget of ``bc_outer``'s first row.  A ``Fraction``
-    if the inputs are exact, else the exact value rounded to a float."""
-    budget, _, den, exact = _budgets(profile)
-    return Fraction(budget, 3 * den) if exact else budget / (3 * den)
+    the profile-weighted budget of ``bc_outer``'s first row."""
+    budget, _, den = _budgets(profile)
+    return Fraction(budget, 3 * den)
 
 
 def bc_outer(profile) -> DofRegion:
     """Outer bound on the secure DoF region for an alternating profile:
     3*d1 + d2 and d1 + 3*d2 are each capped by the profile-weighted budget."""
-    first, second, den, exact = _budgets(profile)
-    return DofRegion._from_rows([(3 * den, den, first), (den, 3 * den, second)], (den, den), exact)
+    first, second, den = _budgets(profile)
+    return DofRegion._from_rows([(3 * den, den, first), (den, 3 * den, second)], (den, den))
 
 
 def yang_inner(alpha) -> DofRegion:
@@ -413,10 +336,10 @@ def yang_inner(alpha) -> DofRegion:
     At alpha = 0 the two constraints degenerate to parallel lines; the region
     is then built directly as its limit, the segment d2 = 0, d1 <= 2/3.
     """
-    ((p, q),), exact = _inputs(alpha)
+    ((p, q),) = _inputs(alpha)
     if p <= 0:
-        return DofRegion._from_rows([(0, 1, 0), (3, 0, 2)], (1, 3), exact)
-    return DofRegion._from_rows([(3 * p, q, 2 * p), (p, 3 * q, 2 * p)], (q, q), exact)
+        return DofRegion._from_rows([(0, 1, 0), (3, 0, 2)], (1, 3))
+    return DofRegion._from_rows([(3 * p, q, 2 * p), (p, 3 * q, 2 * p)], (q, q))
 
 
 def yang_corner_sum(alpha):
@@ -435,9 +358,9 @@ def prop2_inner(alpha) -> DofRegion:
     and an extra low-power confidential layer, fixed (strong, weak) topology:
     3*(1 + alpha)*d1 + 2*d2 <= 2*(1 + alpha) and
     alpha*(3 - alpha)*d1 + 6*d2 <= 4*alpha."""
-    ((p, q),), exact = _inputs(alpha)
+    ((p, q),) = _inputs(alpha)
     rows = [(3 * (q + p), 2 * q, 2 * (q + p)), (p * (3 * q - p), 6 * q * q, 4 * p * q)]
-    return DofRegion._from_rows(rows, (q, q * q), exact)
+    return DofRegion._from_rows(rows, (q, q * q))
 
 
 def sym_alt_inner(alpha) -> DofRegion:
@@ -445,26 +368,26 @@ def sym_alt_inner(alpha) -> DofRegion:
     injection): 6*d1 + (1 + alpha)*d2 <= 2*(1 + alpha) and
     2*(2*alpha - 1)*d1 + 3*(1 + alpha)*d2 <= (1 + alpha)**2.  The second
     constraint has a negative d1 coefficient for alpha < 1/2."""
-    ((p, q),), exact = _inputs(alpha)
+    ((p, q),) = _inputs(alpha)
     rows = [(6 * q, q + p, 2 * (q + p)), (2 * (2 * p - q) * q, 3 * (q + p) * q, (q + p) ** 2)]
-    return DofRegion._from_rows(rows, (q, q * q), exact)
+    return DofRegion._from_rows(rows, (q, q * q))
 
 
 def integer_sym_alt_inner(alpha) -> DofRegion:
     """Inner bound for integer channels on the symmetric alternating
     topology, achieved with structured (lattice) noise: 3*d1 + alpha*d2 and
     alpha*d1 + 3*d2 are each capped by (3 + alpha)/2."""
-    ((p, q),), exact = _inputs(alpha)
+    ((p, q),) = _inputs(alpha)
     half = 3 * q + p
-    return DofRegion._from_rows([(6 * q, 2 * p, half), (2 * p, 6 * q, half)], (2 * q, 2 * q), exact)
+    return DofRegion._from_rows([(6 * q, 2 * p, half), (2 * p, 6 * q, half)], (2 * q, 2 * q))
 
 
 def gdof_fixed(alpha) -> DofRegion:
     """DoF region without secrecy constraints, fixed (strong, weak) topology:
     d1 <= 1, d2 <= alpha, 2*d1 + d2 <= 2 and d1 + 2*d2 <= 1 + alpha."""
-    ((p, q),), exact = _inputs(alpha)
+    ((p, q),) = _inputs(alpha)
     rows = [(1, 0, 1), (0, q, p), (2, 1, 2), (q, 2 * q, q + p)]
-    return DofRegion._from_rows(rows, (1, q, 1, q), exact)
+    return DofRegion._from_rows(rows, (1, q, 1, q))
 
 
 # ---------------------------------------------------------------------------
@@ -472,39 +395,23 @@ def gdof_fixed(alpha) -> DofRegion:
 # ---------------------------------------------------------------------------
 
 
-def _sliver(p, r, q) -> bool:
-    """Whether r lies within ``TOL`` of the segment pq, beside its interior.
-    Decided exactly on the points' values."""
-    (p1, p2), (r1, r2), (q1, q2) = (tuple(map(Fraction, v)) for v in (p, r, q))
-    u1, u2, w1, w2 = q1 - p1, q2 - p2, r1 - p1, r2 - p2
-    span, along = u1 * u1 + u2 * u2, u1 * w1 + u2 * w2
-    return 0 < along < span and (u1 * w2 - u2 * w1) ** 2 <= Fraction(TOL) ** 2 * span
-
-
 def time_share(regions) -> DofRegion:
-    """Convex hull of the union of the regions' vertex sets, as half-spaces.
+    """Convex hull of the union of the regions' vertex sets, as ``Fraction``
+    half-spaces.
 
     Realizes the operating points reachable by splitting the block between
     strategies.  The hull is not down-closed: the hull of (1, 0) and (0, 1)
     is the segment between them, without the origin.  The hull vertices are
-    picked among the input vertices by the exact sign of ``_orient``; each
-    face is the line through two consecutive hull vertices, and a point or
-    a segment is closed by its bounding box.  If any input region is exact
-    (a ``Fraction`` coefficient), the half-spaces are ``Fraction``s and the
-    result is the exact hull, whose vertices are input vertices.  Otherwise
-    the faces are computed in floats, as ``DofRegion`` rounds: input
-    vertices within ``TOL`` of each other are merged, and a hull vertex
-    within ``TOL`` of the segment between its neighbours is dropped, since
-    two nearly parallel float faces can meet far from the hull.
+    picked among the input vertices by the exact sign of ``_orient``, so the
+    hull's vertices are input vertices.  Each face is the line through two
+    consecutive hull vertices, a segment has one face each way, and a point
+    or a segment is closed by its bounding box.
     """
     regions = list(regions)
     if not regions:
         raise ValueError("time_share needs at least one region")
-    exact = any(_is_exact(r) for r in regions)
-    points = [v for r in regions for v in vertices(r)]
-    points = [tuple(map(Fraction, v)) for v in points] if exact else _dedup(points, TOL)
-    points = sorted(set(points))
-    triples = {p: _triple(p) for p in points}
+    triples = {v: t for r in regions for v, t in zip(vertices(r), r._triples)}
+    points = sorted(triples)
 
     def chain(seq):
         # Andrew's monotone chain with the exact turn test: keep only left turns.
@@ -516,21 +423,12 @@ def time_share(regions) -> DofRegion:
         return out[:-1]
 
     hull = chain(points) + chain(points[::-1]) or points
-    while not exact and len(hull) > 2:
-        m = len(hull)
-        near = [i for i in range(m) if _sliver(hull[i - 1], hull[i], hull[(i + 1) % m])]
-        if not near:
-            break
-        del hull[near[0]]
-    edges = zip(hull, hull[1:] + hull[:1]) if len(hull) > 2 else zip(hull, hull[1:])
     cons = []
-    for (p1, p2), (q1, q2) in edges:
+    for (p1, p2), (q1, q2) in zip(hull, hull[1:] + hull[:1]):
         n1, n2 = q2 - p2, p1 - q1  # outward normal of the counterclockwise edge
-        cons.append(HalfSpace(n1, n2, n1 * p1 + n2 * p2))
+        if n1 or n2:
+            cons.append(HalfSpace(n1, n2, n1 * p1 + n2 * p2))
     if len(hull) < 3:
-        # A segment's other side is its face negated, so that float rounding
-        # cannot leave an empty strip between two separately computed faces.
-        cons += [HalfSpace(-c.a1, -c.a2, -c.b) for c in cons]
         for axis, (a1, a2) in enumerate(((1, 0), (0, 1))):
             lo, hi = min(p[axis] for p in hull), max(p[axis] for p in hull)
             cons += [HalfSpace(a1, a2, hi), HalfSpace(-a1, -a2, -lo)]

@@ -57,7 +57,7 @@ def _same_sets(a, b):
 
 
 def _on_boundary(region, point):
-    if not regions.contains(region, point, GEOM_TOL):
+    if not regions.contains(region, point):
         return False
     margins = [abs(float(c.violation(*point))) for c in region.constraints]
     margins += [abs(float(point[0])), abs(float(point[1]))]

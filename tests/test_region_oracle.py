@@ -77,19 +77,16 @@ def primitive(row):
     return tuple(n // g for n in ints)
 
 
-def check_region(region, coefs, alpha):
-    """``region`` against the oracle coefficients ``coefs`` at ``alpha``."""
-    exact = isinstance(alpha, Fraction)
+def check_region(region, coefs):
+    """``region`` against the oracle coefficients ``coefs``."""
     oracle = DofRegion(tuple(HalfSpace(*map(Fraction, c)) for c in coefs))
     assert region._triples == oracle._triples
     assert [primitive(r) for r in region._rows] == [primitive(c) for c in coefs]
     want = regions.vertices(oracle)
-    if exact:
-        assert regions.vertices(region) == want
-        assert region.constraints == tuple(HalfSpace(*c) for c in coefs)
-        assert all(type(x) is Fraction for c in region.constraints for x in (c.a1, c.a2, c.b))
-    else:
-        assert regions.vertices(region) == [(float(x), float(y)) for x, y in want]
+    assert regions.vertices(region) == want
+    assert regions.float_vertices(region) == [(float(x), float(y)) for x, y in want]
+    assert region.constraints == tuple(HalfSpace(*c) for c in coefs)
+    assert all(type(x) is Fraction for c in region.constraints for x in (c.a1, c.a2, c.b))
 
 
 def profiles(alpha, lambdas):
@@ -100,14 +97,11 @@ def profiles(alpha, lambdas):
 def check_all(alpha, lambdas):
     exact_alpha = Fraction(alpha)
     for build, formulas in ALPHA_BOUNDS:
-        check_region(build(alpha), formulas(exact_alpha), alpha)
+        check_region(build(alpha), formulas(exact_alpha))
     for profile, exact in zip(profiles(alpha, lambdas), profiles(exact_alpha, lambdas)):
-        check_region(regions.bc_outer(profile), oracle_bc_outer(exact), alpha)
+        check_region(regions.bc_outer(profile), oracle_bc_outer(exact))
         got, want = regions.wiretap_upper(profile), oracle_wiretap_upper(exact)
-        if isinstance(alpha, Fraction):
-            assert type(got) is Fraction and got == want
-        else:
-            assert type(got) is float and got == float(want)
+        assert type(got) is Fraction and got == want
 
 
 lambda_weights = st.lists(st.integers(0, 10**6), min_size=4, max_size=4).filter(any)

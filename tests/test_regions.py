@@ -76,11 +76,11 @@ def assert_exact_vertices(region):
     return verts
 
 
-def same_point_sets(a, b, tol=1e-9):
+def same_point_sets(a, b):
     if len(a) != len(b):
         return False
     return all(
-        any(abs(float(p[0]) - q[0]) <= tol and abs(float(p[1]) - q[1]) <= tol for q in b)
+        any(abs(float(p[0]) - q[0]) <= 1e-9 and abs(float(p[1]) - q[1]) <= 1e-9 for q in b)
         for p in a
     )
 
@@ -95,14 +95,12 @@ def test_wiretap_upper_values():
 
 
 def test_bc_outer_fixed_corner():
+    # A float alpha counts at its binary value, so the corner is exact there.
     for a in ALPHA_GRID:
         reg = bc_outer(TopologyProfile.fixed("1a", a))
-        corner = (1 - a / 2, a / 2)
+        corner = (1 - Fraction(a) / 2, Fraction(a) / 2)
         assert contains(reg, corner)
-        assert any(
-            abs(v[0] - corner[0]) < 1e-9 and abs(v[1] - corner[1]) < 1e-9
-            for v in vertices(reg)
-        )
+        assert corner in vertices(reg)
 
 
 def test_bc_outer_symmetric():
@@ -184,7 +182,8 @@ def test_fraction_regions_have_fraction_vertices():
         assert (0, 0) in verts
         assert all(type(x) is Fraction for v in verts for x in v), verts
     assert vertices(prop2_inner(a))[-1] == (Fraction(0), Fraction(0))
-    assert all(type(x) is float for v in vertices(prop2_inner(0.5)) for x in v)
+    assert all(type(x) is Fraction for v in vertices(prop2_inner(0.5)) for x in v)
+    assert all(type(x) is float for v in regions.float_vertices(prop2_inner(0.5)) for x in v)
 
 
 def test_exact_vertices_match_exact_oracle_on_alpha_grid():
@@ -221,17 +220,32 @@ def library_regions(a):
 
 
 def fraction_contains(region, point):
-    """``contains`` for an exact region, in ``Fraction`` arithmetic on the
-    constraints as given."""
+    """``contains`` in ``Fraction`` arithmetic on the constraints as given."""
     d1, d2 = map(Fraction, point)
     return d1 >= 0 and d2 >= 0 and all(c.violation(d1, d2) <= 0 for c in region.constraints)
 
 
+def test_one_region_for_a_float_alpha_and_its_fraction_twin():
+    # A float alpha counts at its binary value: every constructor builds the
+    # region of Fraction(alpha), equal and with the same hash.
+    for k in range(201):
+        a = k / 200
+        for reg, twin in zip(library_regions(a), library_regions(Fraction(a))):
+            assert reg == twin and hash(reg) == hash(twin), (a, reg, twin)
+            assert reg.constraints == twin.constraints
+        for label in ("11", "1a", "a1", "aa", "sym"):
+            got = wiretap_upper(TopologyProfile.named(label, a))
+            assert type(got) is Fraction
+            assert got == wiretap_upper(TopologyProfile.named(label, Fraction(a)))
+
+
 def test_exact_queries_match_the_fraction_formulas_on_alpha_grid():
     # The queries read the integer vertex triples and rows; the oracle is
-    # the Fraction formulas on vertices().
+    # the Fraction formulas on vertices().  A float alpha is one more input:
+    # its regions are as exact as its Fraction twin's.
     step = Fraction(1, 10**9)
-    for a in [Fraction(k, 200) for k in range(201)] + [Fraction(1, 3)]:
+    grid = [Fraction(k, 200) for k in range(201)] + [Fraction(1, 3)]
+    for a in grid + [float(x) for x in grid]:
         library = library_regions(a)
         for reg in library:
             verts = vertices(reg)
@@ -261,8 +275,8 @@ def test_exact_queries_match_the_fraction_formulas_on_alpha_grid():
 
 
 def test_exact_region_keeps_sub_tolerance_vertices_apart():
-    # The two corners below lie 1e-12 apart, inside TOL: the exact path keeps
-    # both, and drops the crossing (1, 1) that violates the third constraint.
+    # The two corners below lie 1e-12 apart: both are kept, and the
+    # crossing (1, 1) that violates the third constraint is dropped.
     eps = Fraction(1, 10**12)
     reg = DofRegion((HalfSpace(1, 0, Fraction(1)), HalfSpace(0, 1, 1), HalfSpace(1, 1, 2 - eps)))
     verts = assert_exact_vertices(reg)
@@ -271,8 +285,8 @@ def test_exact_region_keeps_sub_tolerance_vertices_apart():
 
 
 def test_mixed_float_and_fraction_region_is_exact():
-    # One Fraction makes the whole region exact; a float coefficient enters
-    # at its exact binary value, which is not the decimal it prints as.
+    # A float coefficient enters at its exact binary value, which is not the
+    # decimal it prints as.
     reg = DofRegion((HalfSpace(1, 0, 0.1), HalfSpace(0, 1, Fraction(1, 3))))
     tenth = Fraction(0.1)
     assert tenth != Fraction(1, 10)
@@ -281,8 +295,8 @@ def test_mixed_float_and_fraction_region_is_exact():
 
 
 def test_axis_max_counts_only_exact_on_axis_vertices():
-    # (1, 1e-12) lies 1e-12 above the d1 axis, inside TOL; the largest
-    # on-axis d1 is the exact vertex (1/2, 0).
+    # (1, 1e-12) lies 1e-12 above the d1 axis, so it is not on the axis;
+    # the largest on-axis d1 is the exact vertex (1/2, 0).
     e = 1e-12
     reg = DofRegion((HalfSpace(1, 0, Fraction(1)), HalfSpace(0, 1, 1), HalfSpace(2 * e, -1, e)))
     assert axis_max(reg, 0) == Fraction(1, 2)
@@ -290,20 +304,16 @@ def test_axis_max_counts_only_exact_on_axis_vertices():
 
 
 def test_axis_max_without_on_axis_vertex_is_zero_of_the_region_type():
-    # The square [1, 2]^2 has no vertex on either axis: its exact hull
-    # answers Fraction(0), the type sum_max gives it, and its float hull 0.0.
-    exact = time_share([_point(Fraction(x), Fraction(y)) for x in (1, 2) for y in (1, 2)])
-    floats = time_share([_point(x, y) for x in (1.0, 2.0) for y in (1.0, 2.0)])
+    # The square [1, 2]^2 has no vertex on either axis: its hull answers
+    # Fraction(0), the type sum_max gives it.
+    square = time_share([_point(Fraction(x), Fraction(y)) for x in (1, 2) for y in (1, 2)])
     for axis in (0, 1):
-        got = axis_max(exact, axis)
+        got = axis_max(square, axis)
         assert type(got) is Fraction and got == 0
-        got = axis_max(floats, axis)
-        assert type(got) is float and got == 0.0
 
 
 def test_exact_region_inclusion_has_no_tolerance():
-    # (1, 0) violates the third constraint by 1e-12, inside TOL: an exact
-    # region refuses it, the same region in floats keeps TOL.
+    # (1, 0) violates the third constraint by 1e-12: the region refuses it.
     e = 1e-12
     cons = (HalfSpace(1, 0, Fraction(1)), HalfSpace(0, 1, 1), HalfSpace(2 * e, -1, e))
     reg = DofRegion(cons)
@@ -311,7 +321,6 @@ def test_exact_region_inclusion_has_no_tolerance():
     assert contains(reg, (Fraction(1, 2), 0)) and contains(reg, (1, e))
     assert not contains(reg, (0, Fraction(-1, 10**30)))
     assert not contains(reg, (float("nan"), 0)) and not contains(reg, (float("inf"), 0))
-    assert contains(DofRegion((HalfSpace(1, 0, 1.0), *cons[1:])), (1, 0))
     # A vertex 1e-12 outside the exact outer region fails the inclusion.
     inner = DofRegion((HalfSpace(1, 0, Fraction(1)), HalfSpace(0, 1, 0)))
     assert not is_subset(inner, reg)
@@ -336,38 +345,40 @@ def test_float_region_starts_at_exact_largest_d1_vertex():
             HalfSpace(5, 5, 6),
         )
     )
-    assert vertices(reg)[0] == (1 / 3, 0.0)
+    assert vertices(reg)[0] == (Fraction(1, 3), 0)
+    assert regions.float_vertices(reg)[0] == (1 / 3, 0.0)
 
 
 def test_float_region_vertices_are_rounded_exact_crossings():
-    verts = vertices(DofRegion((HalfSpace(5, 2, 1), HalfSpace(1.4, 3.05, 0.28))))
+    verts = regions.float_vertices(DofRegion((HalfSpace(5, 2, 1), HalfSpace(1.4, 3.05, 0.28))))
     assert verts[0] == (0.2, 0.0)
     assert math.copysign(1, verts[0][1]) == 1 and verts[-1] == (0.0, 0.0)
 
 
 def test_float_vertices_round_exact_vertices_on_alpha_grid():
-    # No two exact vertices of a constructor lie within TOL, so nothing is
-    # merged: the float vertices are the exact ones, rounded, in order.  A
-    # float alpha counts at its binary value, so the exact twin is the same
+    # The float vertices are the exact ones, rounded, in order.  A float
+    # alpha counts at its binary value, so the exact twin is the same
     # constructor at Fraction(alpha).
     for k in range(201):
         a = k / 200
         for reg, twin in zip(library_regions(a), library_regions(Fraction(a))):
             exact = vertices(twin)
-            assert vertices(reg) == [(float(x), float(y)) for x, y in exact]
-            assert regions.float_vertices(reg) == vertices(reg) == regions.float_vertices(twin)
+            assert vertices(reg) == exact
+            assert regions.float_vertices(reg) == [(float(x), float(y)) for x, y in exact]
+            assert regions.float_vertices(reg) == regions.float_vertices(twin)
 
 
 @pytest.mark.parametrize("kind", [np.int64, np.float64, np.float32, bool])
 def test_numpy_and_bool_coefficients_build(kind):
     reg = DofRegion((HalfSpace(kind(1), kind(0), kind(1)), HalfSpace(kind(0), kind(1), kind(1))))
     verts = vertices(reg)
-    assert verts == [(1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]
-    assert all(type(x) is float for v in verts for x in v)
+    assert verts == [(1, 0), (1, 1), (0, 1), (0, 0)]
+    assert all(type(x) is Fraction for v in verts for x in v)
+    assert regions.float_vertices(reg) == [(1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]
     # A float32 coefficient enters at its exact binary value.
     tenth = np.float32(0.1)
     reg = DofRegion((HalfSpace(1, 0, tenth), HalfSpace(0, 1, 1)))
-    assert vertices(reg)[0] == (float(tenth), 0.0)
+    assert vertices(reg)[0] == (Fraction(float(tenth)), 0)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -552,39 +563,44 @@ def test_exact_time_share_keeps_input_vertices_and_inputs():
             assert all(is_subset(r, hull) for r in pair)
 
 
-def test_float_time_share_drops_a_vertex_within_tol_of_a_hull_edge():
+def test_float_time_share_keeps_a_vertex_just_off_a_hull_edge():
     # 3 * 0.1 != 0.3 in floats: (0.3, 0.1) lies about 1e-17 off the segment
-    # from the origin to (3, 1).  Float faces through it would be nearly
-    # parallel to that segment and meet far from the hull.
+    # from the origin to (3, 1).  The hull keeps the thin triangle, exactly
+    # as the hull of the points' Fraction twins does.
     pts = [(0.0, 0.0), (3.0, 1.0), (0.3, 0.1)]
     hull = time_share([_point(x, y) for x, y in pts])
-    assert sum_max(hull) == 4.0
-    assert (3.0, 1.0) in vertices(hull)
-    assert all(contains(hull, p) for p in pts)
-    # The exact hull of the same points keeps the thin triangle.
     exact = time_share([_point(Fraction(x), Fraction(y)) for x, y in pts])
-    assert set(vertices(exact)) == {tuple(map(Fraction, p)) for p in pts}
+    assert hull == exact and vertices(hull) == vertices(exact)
+    assert set(vertices(hull)) == {tuple(map(Fraction, p)) for p in pts}
+    assert sum_max(hull) == 4
+    assert all(contains(hull, p) for p in pts)
 
 
 def test_float_time_share_of_two_points_is_their_segment():
-    # Faces computed separately from each end would not meet here: from
-    # (0.5, 0.45) the line's offset rounds to 0.1025, from (0.65, 0.79) to
-    # 0.10250000000000001.  The reverse face is the negated face instead.
+    # Float offsets of the line would differ by its two ends: from
+    # (0.5, 0.45) it rounds to 0.1025, from (0.65, 0.79) to
+    # 0.10250000000000001.  The exact faces meet at both ends.
     p, q = (0.5, 0.45), (0.65, 0.79)
     seg = time_share([_point(*p), _point(*q)])
+    exact = time_share([_point(*map(Fraction, p)), _point(*map(Fraction, q))])
+    assert seg == exact and vertices(seg) == vertices(exact)
     assert contains(seg, p) and contains(seg, q)
-    assert same_point_sets(vertices(seg), [p, q], tol=1e-15)
+    assert set(vertices(seg)) == {tuple(map(Fraction, p)), tuple(map(Fraction, q))}
 
 
 def test_float_time_share_is_near_the_exact_hull_of_its_vertices():
     builders = [yang_inner, prop2_inner, sym_alt_inner, integer_sym_alt_inner, gdof_fixed]
     for k in range(29):
         a = k / 28
-        library = [b(a) for b in builders] + [bc_outer(TopologyProfile.fixed("1a", a))]
-        for pair in itertools.combinations(library, 2):
-            points = [v for r in pair for v in vertices(r)]
-            exact = time_share([_point(*map(Fraction, v)) for v in points])
-            assert same_point_sets(vertices(time_share(pair)), vertices(exact), tol=1e-13)
+        pairs = [
+            itertools.combinations([b(x) for b in builders] + [bc_outer(TopologyProfile.fixed("1a", x))], 2)
+            for x in (a, Fraction(a))
+        ]
+        for pair, twins in zip(*pairs):
+            hull = time_share(pair)
+            assert hull == time_share(twins)
+            exact = time_share([_point(*v) for r in pair for v in vertices(r)])
+            assert hull == exact and vertices(hull) == vertices(exact)
 
 
 def test_region_rebuild_roundtrip():
