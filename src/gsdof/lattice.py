@@ -19,12 +19,10 @@ import numpy as np
 from .schemes import (
     LinearScheme,
     SymbolGroup,
-    _check_lattice_margin,
     _lattice_decode_rho,
     _normalize,
     build_sym_alt,
     build_wiretap_gaussian,
-    linear_decode,
 )
 from .topology import ChannelRealization
 
@@ -159,13 +157,12 @@ def _with_structured_noise(base: LinearScheme, name: str) -> LinearScheme:
 
     The artificial noise becomes lattice codewords, which frees a fresh
     receiver-1 layer ``v_low`` at power offset rho**(-alpha) under the noise
-    on antenna 1 of slot 1.  Each decoding receiver recovers its slot-1
-    noise combination exactly by nearest-point decoding, treating the
-    low-power layer as bounded interference; receiver 1 then peels that
-    layer, and ``linear_decode`` decodes the base scheme from the exact
-    noise keys.  A trial-batched base gives a trial-batched variant, whose
-    decoder decodes every trial in one call, with one ``nearest_point`` per
-    receiver over the trials axis.
+    on antenna 1 of slot 1.  ``linear_decode`` decodes it as it decodes
+    every scheme: each receiver's slot-1 row touches no unit-power group but
+    the noise, so it is peeled, recovering the noise combination exactly by
+    nearest-point decoding with the low-power layer as bounded
+    interference, and leaving that layer as a row of its own.  A
+    trial-batched base gives a trial-batched variant.
     """
     real, alpha = base.realization, base.alpha
     if real.mode != "integer":
@@ -177,22 +174,6 @@ def _with_structured_noise(base: LinearScheme, name: str) -> LinearScheme:
     groups = (SymbolGroup("v_low", 1, -alpha, "rx1"),) + tuple(
         replace(g, lattice=True) if g.owner == "noise" else g for g in base.groups
     )
-    gains = real.states[0].exponents(alpha)
-
-    def decoder(scheme, y, z, side, layers, rho):
-        off = rho ** (-alpha / 2.0)
-        _check_lattice_margin(off, config)
-        outputs = {1: np.array(y), 2: np.array(z)}
-        for receiver in base.decode_order:
-            gain = math.sqrt(rho ** gains[receiver - 1])
-            out0 = outputs[receiver][..., 0] / gain * scheme.slot_norms[0]
-            key = nearest_point(out0, config)  # h1.u or g1.u, exact
-            if receiver == 1:
-                v_low = (out0 - key) / real.h[..., 0, 0] / off
-            # The base scheme's slot-1 output carries the key alone.
-            outputs[receiver][..., 0] = key * gain / base.slot_norms[0]
-        decoded = linear_decode(base, outputs[1], outputs[2], side, layers, rho)
-        return {"v_low": v_low[..., None], **decoded}
 
     return replace(
         base,
@@ -202,7 +183,6 @@ def _with_structured_noise(base: LinearScheme, name: str) -> LinearScheme:
         slot_norms=(*_normalize(slot_maps[:1], real), *base.slot_norms[1:]),
         decode_order={**base.decode_order, 1: ("v_low", *base.decode_order[1])},
         ledger={"v_low": 1.0 - alpha, **base.ledger},
-        decoder=decoder,
         meta={
             **base.meta,
             "decode_rho": _lattice_decode_rho(real.rho, alpha, config),

@@ -11,9 +11,10 @@ digitized side channels with unit-variance quantization noise) serves both
 exact rate and leakage accounting, as a linear-Gaussian channel, and
 decoding: ``linear_decode`` reads each receiver's linear system off it and
 inverts for the receiver's own groups, and ``noiseless_decode_check`` runs
-it on simulated noiseless transmissions with exact side information.  Only
-the lattice schemes carry a ``decoder`` of their own, for their nonlinear
-nearest-point steps.
+it on simulated noiseless transmissions with exact side information.  It is
+the one decoder of every scheme: for the lattice schemes it first peels,
+by nearest-point decoding, the rows whose unit-power content is a lattice
+point, after which what is left is linear.
 
 Accounting, simulation and decoding take a scheme of one trial or a
 trial-batched one (``build_scheme`` with a list of seeds) and run the same
@@ -131,7 +132,6 @@ class LinearScheme:
     keys: dict = field(default_factory=dict)  # receiver -> {group: ([trials,] k, size)}
     decode_order: dict = field(default_factory=dict)  # receiver -> own groups
     ledger: dict = field(default_factory=dict)  # group -> log2(rho) multiple per block
-    decoder: Callable = None  # a nonlinear decoder; None: linear_decode
     meta: dict = field(default_factory=dict)
 
     def group(self, name: str) -> SymbolGroup:
@@ -233,7 +233,7 @@ class _ReceiverStructure:
                     mask |= self.masks[g.name]
             self.owner_masks[owner] = mask
 
-        plan = _row_plan(scheme, receiver)
+        self.plan = plan = _row_plan(scheme, receiver)
         self.row_exp = np.asarray([e for _, _, e in plan], dtype=float)
 
         lead = real.h.shape[:-2]
@@ -558,8 +558,8 @@ def digitized_side_info_roundtrip(scheme: LinearScheme, rho: float, seed: int = 
 # A builder takes a realization of one trial or a trial-batched one and runs
 # the same code for both: channels are indexed as [..., t, :], maps built
 # from them carry the trials axis, and channel-free maps stay unbatched and
-# broadcast.  Decoders index outputs and channels the same way, so one
-# decoder call decodes a whole batch.
+# broadcast.  ``linear_decode`` indexes outputs and channels the same way,
+# so one call decodes a whole batch.
 # ---------------------------------------------------------------------------
 
 
@@ -884,19 +884,16 @@ def build_gdof_no_secrecy(realization: ChannelRealization, alpha: float) -> Line
     Slot 1: a lattice pair for receiver 1 plus a fresh layer at power offset
     rho**(-alpha); slot 2: a lattice pair for receiver 2 plus another fresh
     layer; slot 3: the combination g1.v + h2.w (itself a lattice point on
-    integer channels) plus a third fresh layer.  Each receiver reconstructs
-    its visible lattice combinations by nearest-point decoding, peels the
-    low-power layers, and inverts a 2x2 integer system.
+    integer channels) plus a third fresh layer.  ``linear_decode`` peels
+    each receiver's visible lattice combinations by nearest-point decoding,
+    which leaves the low-power layers, and solves for the lattice pairs.
     """
-    from .lattice import LatticeConfig
-
     _require(realization, 3, [STATE_1A] * 3)
     if realization.mode != "integer":
         raise ValueError("the no-secrecy scheme requires an integer realization")
-    h1, g1 = realization.h[..., 0, :], realization.g[..., 0, :]
-    h2, g2 = realization.h[..., 1, :], realization.g[..., 1, :]
+    g1, h2 = realization.g[..., 0, :], realization.h[..., 1, :]
 
-    config = LatticeConfig()
+    config = _lattice().LatticeConfig()
     groups = (
         SymbolGroup("v", 2, 0.0, "rx1", lattice=True),
         SymbolGroup("w", 2, 0.0, "rx2", lattice=True),
@@ -915,49 +912,6 @@ def build_gdof_no_secrecy(realization: ChannelRealization, alpha: float) -> Line
     )
     norms = _normalize(slot_maps, realization)
 
-    def decoder(scheme, y, z, side, layers, rho):
-        from .lattice import nearest_point
-
-        real = scheme.realization
-        nrm = [np.asarray(norm) for norm in scheme.slot_norms]
-        sr, sra = math.sqrt(rho), math.sqrt(rho**alpha)
-        off = rho ** (-alpha / 2.0)
-        _check_lattice_margin(off, config)
-        h31, g31 = real.h[..., 2, 0], real.g[..., 2, 0]
-        if (np.abs(h31) < 1e-12).any() or (np.abs(g31) < 1e-12).any():
-            raise DecodeError("slot-3 antenna path lost")
-
-        def solve(row1, row2, k1, k2):
-            rows = np.stack([row1, row2], axis=-2)
-            return np.linalg.solve(rows, np.stack([k1, k2], axis=-1)[..., None])[..., 0]
-
-        # Receiver 1: three nearest-point decodes, peel the fresh layers.
-        y0 = y[..., 0] / sr * nrm[0]
-        k_h1v = nearest_point(y0, config)
-        v3 = (y0 - k_h1v) / h1[..., 0] / off
-        y1 = y[..., 1] / sr * nrm[1]
-        k_h2w = nearest_point(y1, config)
-        v4 = (y1 - k_h2w) / h2[..., 0] / off
-        y2 = y[..., 2] / sr * nrm[2] / h31
-        k_comb = nearest_point(y2, config)
-        v5 = (y2 - k_comb) / off
-        k_g1v = k_comb - k_h2w
-        v = solve(h1, g1, k_h1v, k_g1v) / config.scale
-        # Receiver 2: mirrored decode of the other lattice pair.
-        z0 = z[..., 0] / sra * nrm[0]
-        k_g1v2 = nearest_point(z0, config)
-        z1 = z[..., 1] / sra * nrm[1]
-        k_g2w = nearest_point(z1, config)
-        z2 = z[..., 2] / sra * nrm[2] / g31
-        k_comb2 = nearest_point(z2, config)
-        k_h2w2 = k_comb2 - k_g1v2
-        w = solve(g2, h2, k_g2w, k_h2w2) / config.scale
-        return {
-            "v": np.round(np.real(v)).astype(int),
-            "w": np.round(np.real(w)).astype(int),
-            "v_low": np.stack([v3, v4, v5], axis=-1),
-        }
-
     return LinearScheme(
         name="gdof",
         alpha=alpha,
@@ -967,7 +921,6 @@ def build_gdof_no_secrecy(realization: ChannelRealization, alpha: float) -> Line
         slot_norms=norms,
         decode_order={1: ("v", "v_low"), 2: ("w",)},
         ledger={"v": 2.0 * alpha, "v_low": 3.0 * (1 - alpha), "w": 2.0 * alpha},
-        decoder=decoder,
         meta={
             "decode_rho": _lattice_decode_rho(realization.rho, alpha, config),
             "lattice": config,
@@ -1064,6 +1017,26 @@ def simulate_noiseless(scheme: LinearScheme, rho: float, seed=0):
     return symbols, y, z, side
 
 
+def _peel_lattice_rows(scheme: LinearScheme, st, obs, config):
+    """(coef, obs) of a receiver with each lattice row split in two: the
+    row's lattice part on the lattice columns and the remainder on the
+    others (the lattice step of ``linear_decode``)."""
+    lat = np.zeros(st.total, dtype=bool)
+    for g in scheme.groups:
+        if g.lattice:
+            lat |= st.masks[g.name]
+    touched = (st.coef != 0).reshape((-1,) + st.coef.shape[-2:]).any(0)
+    peel = ~(touched & (st.col_exp == 0) & ~lat).any(-1)
+    norm = np.stack([np.asarray(scheme.slot_norms[t]) for t, _, _ in st.plan], -1)[..., peel]
+    part = _lattice().nearest_point(obs[..., peel] * norm, config) / norm
+    rest = obs.copy()
+    rest[..., peel] -= part
+    coef = np.concatenate(
+        [np.where(peel[:, None] & lat, 0, st.coef), st.coef[..., peel, :] * lat], axis=-2
+    )
+    return coef, np.concatenate([rest, part], axis=-1)
+
+
 def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
     """Decode every receiver in ``decode_order`` from its observation model
     (``receiver_structure``), given ``simulate_noiseless``'s outputs ``y``,
@@ -1080,6 +1053,16 @@ def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
     columns at or below ``DECODE_RANK_TOL`` times the largest raises
     ``DecodeError``.
 
+    A lattice scheme (``meta["lattice"]``) first checks that its low-power
+    layers stay below half the lattice spacing at ``rho``.  Before the
+    projection, each receiver peels every row whose unit-power columns all
+    belong to lattice groups: the row times its slot norm is a lattice
+    point plus those layers, so ``nearest_point`` of it, divided by the norm
+    again, is the row's lattice part exactly.  The row is split into that
+    part on the lattice columns and the remainder on the other columns, and
+    the projection, rank test and solve run on the split rows.  Lattice
+    groups come back as the integers ``round(real(x) / scale)``.
+
     A trial-batched scheme's arrays carry its trials axis first.  Its SVDs
     run on the stacked (trials, rows, cols) coefficients, nuisance
     directions at or below the floor are masked per trial, and the rank
@@ -1087,6 +1070,9 @@ def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
     outputs = {1: y, 2: z}
     lead = scheme.realization.h.shape[:-2]
     n = scheme.realization.n
+    config = scheme.meta.get("lattice")
+    if config is not None:
+        _check_lattice_margin(rho ** (-scheme.alpha / 2), config)
     out = {}
     for receiver, order in scheme.decode_order.items():
         st = receiver_structure(scheme, receiver)
@@ -1105,10 +1091,13 @@ def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
             granted |= st.masks[name]
             known[..., st.masks[name]] = values
         obs = obs - (st.coef @ (known * gain)[..., None])[..., 0]
-        q, s, _ = np.linalg.svd(st.coef[..., ~(own | granted)], full_matrices=False)
+        coef = st.coef
+        if config is not None:
+            coef, obs = _peel_lattice_rows(scheme, st, obs, config)
+        q, s, _ = np.linalg.svd(coef[..., ~(own | granted)], full_matrices=False)
         q = q * (s > DECODE_RANK_TOL * s.max(-1, initial=0.0, keepdims=True))[..., None, :]
         qh = q.conj().swapaxes(-1, -2)
-        a = st.coef[..., own] - q @ (qh @ st.coef[..., own])
+        a = coef[..., own] - q @ (qh @ coef[..., own])
         b = obs[..., None] - q @ (qh @ obs[..., None])
         u, s, vh = np.linalg.svd(a, full_matrices=False)
         if not s.shape[-1] or (s.min(-1) <= DECODE_RANK_TOL * s.max(-1)).any():
@@ -1116,7 +1105,10 @@ def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
         x = vh.conj().swapaxes(-1, -2) @ ((u.conj().swapaxes(-1, -2) @ b) / s[..., None])
         solved = np.zeros(lead + (st.total,), dtype=np.complex128)
         solved[..., own] = x[..., 0] / gain[own]
-        out.update({name: solved[..., st.masks[name]] for name in order})
+        for name in order:
+            out[name] = solved[..., st.masks[name]]
+            if scheme.group(name).lattice:
+                out[name] = np.round(np.real(out[name]) / config.scale).astype(int)
     return out
 
 
@@ -1124,15 +1116,14 @@ def noiseless_decode_check(scheme: LinearScheme, seed=0, rel_tol: float = 1e-6) 
     """Decode a noiseless simulated block with exact side information; True
     iff every intended symbol is recovered.
 
-    The scheme's ``decoder`` runs if it has one (the nonlinear lattice
-    decoders), ``linear_decode`` otherwise, at ``meta["decode_rho"]`` if set
-    and at the realization's SNR, but no less than 1e8, if not.  Gaussian
-    symbols must match to ``rel_tol`` relative error; lattice symbols must
-    match exactly.
+    ``linear_decode`` decodes every kind, the lattice schemes included, at
+    ``meta["decode_rho"]`` if set and at the realization's SNR, but no less
+    than 1e8, if not.  Gaussian symbols must match to ``rel_tol`` relative
+    error; lattice symbols must match exactly.
 
     A trial-batched scheme takes one symbol seed per trial (see
-    ``simulate_noiseless``) and is decoded in one decoder call; the result
-    is still one bool, True iff every trial decoded.
+    ``simulate_noiseless``) and is decoded in one ``linear_decode`` call;
+    the result is still one bool, True iff every trial decoded.
     """
     rho = float(scheme.meta.get("decode_rho", max(scheme.realization.rho, 1e8)))
     symbols, y, z, side = simulate_noiseless(scheme, rho, seed)
@@ -1140,7 +1131,7 @@ def noiseless_decode_check(scheme: LinearScheme, seed=0, rel_tol: float = 1e-6) 
     for name in scheme.meta.get("granted_layers", ()):
         layers[name] = np.asarray(symbols[name], dtype=np.complex128)
     try:
-        recovered = (scheme.decoder or linear_decode)(scheme, y, z, side, layers, rho)
+        recovered = linear_decode(scheme, y, z, side, layers, rho)
     except (DecodeError, np.linalg.LinAlgError):
         return False
     for name, rec in recovered.items():

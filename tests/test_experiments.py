@@ -149,14 +149,14 @@ def test_run_sweep_uneven_chunk_split_keeps_bytes(tmp_path, monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_run_sweep_chunk_invariant(tmp_path, monkeypatch, kind):
-    # 12 trials run as one chunk by default; one trial per chunk and all
-    # trials in one chunk must give the same bytes.  A zero element budget
-    # leaves every chunk at SWEEP_CHUNK trials; a huge one puts all trials
-    # into one chunk, whatever SWEEP_CHUNK is.
+    # 12 trials run as one chunk by default; one trial per chunk, an uneven
+    # 8 + 4 split and all trials in one chunk must give the same bytes.  A
+    # zero element budget leaves every chunk at SWEEP_CHUNK trials; a huge
+    # one puts all trials into one chunk, whatever SWEEP_CHUNK is.
     cfg = dict(scheme=kind, alpha=0.5, rho_db=GRID, trials=12, seed=3)
     ref = tmp_path / "default.csv"
     run_sweep(SweepConfig(**cfg, out=str(ref)))
-    for chunk, elements in ((1, 0), (12, 10**9), (1, 10**9)):
+    for chunk, elements in ((1, 0), (8, 0), (12, 10**9), (1, 10**9)):
         out = tmp_path / f"chunk{chunk}-{elements}.csv"
         monkeypatch.setattr(experiments, "SWEEP_CHUNK", chunk)
         monkeypatch.setattr(experiments, "SWEEP_ELEMENTS", elements)

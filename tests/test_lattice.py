@@ -14,7 +14,13 @@ from gsdof.lattice import (
     nearest_point,
     wiretap_computation_rate,
 )
-from gsdof.schemes import DecodeError, build_scheme, noiseless_decode_check, simulate_noiseless
+from gsdof.schemes import (
+    DecodeError,
+    build_scheme,
+    linear_decode,
+    noiseless_decode_check,
+    simulate_noiseless,
+)
 from gsdof.topology import STATE_1A, STATE_A1, draw_channels
 
 
@@ -184,7 +190,7 @@ def test_lattice_margin_enforced_and_reported(build, states):
     # at rho = 1e4 the low-power layer exceeds half the lattice spacing
     symbols, y, z, side = simulate_noiseless(sch, rho=1e4, seed=0)
     with pytest.raises(DecodeError):
-        sch.decoder(sch, y, z, side, {}, 1e4)
+        linear_decode(sch, y, z, side, {}, 1e4)
     # at the builder-selected decode SNR the margin holds
     assert noiseless_decode_check(sch, seed=0)
 

@@ -122,11 +122,14 @@ def test_noiseless_decode_at_every_alpha_of_the_domain(kind):
             assert noiseless_decode_check(sch, seed=seed), (kind, alpha, seed)
 
 
-def _without_slot_4(sch):
-    slot_maps = (*sch.slot_maps[:3], {})
-    return dataclasses.replace(
-        sch, slot_maps=slot_maps, slot_norms=schemes._normalize(slot_maps, sch.realization)
-    )
+def _without_slot(slot):
+    def plant(sch):
+        slot_maps = tuple({} if t == slot else m for t, m in enumerate(sch.slot_maps))
+        return dataclasses.replace(
+            sch, slot_maps=slot_maps, slot_norms=schemes._normalize(slot_maps, sch.realization)
+        )
+
+    return plant
 
 
 @pytest.mark.parametrize(
@@ -134,26 +137,30 @@ def _without_slot_4(sch):
     [
         ("sym-alt", lambda sch: dataclasses.replace(sch, side_channels=())),
         ("bc-fixed", lambda sch: dataclasses.replace(sch, side_channels=())),
-        ("yang", _without_slot_4),
+        ("yang", _without_slot(3)),
+        ("gdof", _without_slot(2)),
+        ("wiretap-lattice", _without_slot(1)),
+        ("int-sym-alt", _without_slot(1)),
     ],
-    ids=["sym-alt-no-side-info", "bc-fixed-no-side-info", "yang-no-slot-4"],
+    ids=[
+        "sym-alt-no-side-info",
+        "bc-fixed-no-side-info",
+        "yang-no-slot-4",
+        "gdof-no-slot-3",
+        "wiretap-lattice-no-slot-2",
+        "int-sym-alt-no-slot-2",
+    ],
 )
 def test_decode_refuses_a_planted_undecodable_scheme(kind, plant):
     sch = build_scheme(kind, 0.5, seed=0)
     assert noiseless_decode_check(sch, seed=0)
     broken = plant(sch)
     assert not noiseless_decode_check(broken, seed=0)
-    # refused by the rank test, not by a wrong answer
-    _, y, z, side = simulate_noiseless(broken, 1e8, seed=0)
+    # refused by linear_decode's rank test, not by a wrong answer: the same
+    # call decodes the intact scheme
+    _decode_once(sch, seed=0)
     with pytest.raises(DecodeError, match="^receiver 1 cannot separate its groups"):
-        linear_decode(broken, y, z, side, {}, 1e8)
-
-
-def test_only_lattice_schemes_carry_their_own_decoder():
-    # Every other scheme is decoded by linear_decode from its observation model.
-    for kind in SCHEME_KINDS:
-        sch = build_scheme(kind, 0.5, seed=0)
-        assert (sch.decoder is not None) == any(g.lattice for g in sch.groups), kind
+        _decode_once(broken, seed=0)
 
 
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
@@ -230,9 +237,13 @@ def test_causality_audit_over_the_alpha_grid():
 
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_power_budget(kind):
-    for alpha in (0.25, 0.75):
-        sch = build_scheme(kind, alpha, seed=2)
-        assert max_slot_power(sch, rhos=(1e6, 1e12)) <= 1.0 + 1e-9
+    # Every in-domain alpha = k/20, seeds 0-2.
+    alphas = [k / 20 for k in range(21) if _in_domain(SCHEMES[kind], k / 20)]
+    assert alphas
+    for alpha in alphas:
+        for seed in range(3):
+            sch = build_scheme(kind, alpha, seed=seed)
+            assert max_slot_power(sch, rhos=(1e6, 1e12)) <= 1.0 + 1e-9, (alpha, seed)
 
 
 @pytest.mark.parametrize("kind", SECURE_SCHEMES)
@@ -628,7 +639,7 @@ def _decode_once(sch, seed):
     rho = float(sch.meta.get("decode_rho", max(sch.realization.rho, 1e8)))
     symbols, y, z, side = simulate_noiseless(sch, rho, seed)
     layers = {name: symbols[name] for name in sch.meta.get("granted_layers", ())}
-    return symbols, (sch.decoder or linear_decode)(sch, y, z, side, layers, rho)
+    return symbols, linear_decode(sch, y, z, side, layers, rho)
 
 
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
