@@ -15,7 +15,7 @@ import numpy as np
 from gsdof.gaussian_mi import fit_slope
 from gsdof.schemes import (
     build_scheme,
-    joint_leakage_bits,
+    leakage_bits,
     noiseless_decode_check,
     reliability_bits,
 )
@@ -28,7 +28,7 @@ print("slots:", scheme.realization.n, "| states:",
 # Reliability and leakage across an SNR grid (values in bits per block).
 rhos = 10.0 ** np.arange(6, 12.1, 1.0)
 rel = np.array([reliability_bits(scheme, float(r))["v"] for r in rhos])
-leak = np.array([joint_leakage_bits(scheme, float(r), 1) for r in rhos])
+leak = np.array([sum(leakage_bits(scheme, float(r), 1).values()) for r in rhos])
 for r, m, l in zip(rhos, rel, leak):
     print(f"  rho=1e{int(np.log10(r)):2d}: I(v; own obs)={m:7.2f} bits, "
           f"I(v; eavesdropper obs)={l:.3f} bits")
@@ -44,5 +44,5 @@ print("noiseless decode:", noiseless_decode_check(scheme, seed=0))
 # The broken variant without noise injection leaks at the eavesdropper's
 # full link exponent.
 canary = build_scheme("wiretap-nonoise", 0.75, seed=1)
-leak_c = np.array([joint_leakage_bits(canary, float(r), 1) for r in rhos])
+leak_c = np.array([sum(leakage_bits(canary, float(r), 1).values()) for r in rhos])
 print("canary leakage slope:", round(fit_slope(np.log2(rhos), leak_c)[0], 3))

@@ -8,6 +8,8 @@ chunked for batched MI evaluation.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import regions
-from .gaussian_mi import SLOPE_TOL, EntropyLedger, fit_slope, lemma1_slopes
+from .gaussian_mi import SLOPE_TOL, EntropyLedger, fit_slope, fit_window, lemma1_slopes
 from .schemes import (
     SCHEMES,
     SECURE_SCHEMES,
@@ -44,10 +46,12 @@ __all__ = [
     "rho_from_db",
     "LEDGER_TOL",
     "LEAK_CANARY_MIN",
+    "VERIFY_RHO_DB",
 ]
 
 LEDGER_TOL = 0.03  # slope tolerance for scheme-rate checks
 LEAK_CANARY_MIN = 0.5
+VERIFY_RHO_DB = (60, 70, 80, 90, 100, 110, 120)  # SNR grid of verify's fitted checks
 
 _FMT = ".12g"
 
@@ -205,13 +209,12 @@ def run_sweep(config: SweepConfig) -> RateReport:
     mi = np.stack([joined(rel_parts, g) for g in group_names], axis=-1)
     leak = np.stack([joined(leak_parts, g) for g in group_names], axis=-1)
 
-    k = max(2, math.ceil(len(config.rho_db) / 2))
     report = RateReport(
         scheme=config.scheme,
         alpha=config.alpha,
         n_slots=n_slots,
         rho_db=config.rho_db,
-        fit_rho_db=config.rho_db[-k:],
+        fit_rho_db=config.rho_db[-fit_window(len(config.rho_db)) :],
         group_owner={g: owners[g] for g in group_names},
         ledger=dict(probe.ledger),
     )
@@ -440,31 +443,34 @@ def verify_all(
     alpha_grid,
     seed: int = 0,
     trials: int = 20,
-    rho_db=(60, 70, 80, 90, 100, 110, 120),
     scheme_alphas=(0.25, 0.5, 0.75),
 ) -> list[CheckResult]:
     """Run the full cross-validation suite; every entry must pass.
 
     ``alpha_grid`` drives region checks; scheme slope, leakage and decode
-    checks run at ``scheme_alphas``.  ``trials`` and ``seed`` are checked
-    before any check runs.
+    checks run at ``scheme_alphas``, and the fitted checks over the SNR grid
+    ``VERIFY_RHO_DB``.  ``trials`` and ``seed`` are checked before any check
+    runs.
     """
     _check_trials_and_seed(trials, seed)
     checks = []
     checks += _region_checks(alpha_grid)
-    checks += _lemma1_checks(scheme_alphas, rho_db, seed)
-    checks += _scheme_checks(scheme_alphas, rho_db, trials, seed)
-    checks.append(_canary_check(rho_db, trials, seed))
+    checks += _lemma1_checks(scheme_alphas, VERIFY_RHO_DB, seed)
+    checks += _scheme_checks(scheme_alphas, VERIFY_RHO_DB, trials, seed)
+    checks.append(_canary_check(VERIFY_RHO_DB, trials, seed))
     checks += _decode_checks(scheme_alphas, trials, seed)
     checks.append(_figure8_check())
     return checks
 
 
 def checks_to_csv(checks) -> str:
-    lines = ["check,passed,margin,detail"]
-    for c in checks:
-        lines.append(f"{c.name},{int(c.passed)},{_f(c.margin)},{c.detail}")
-    return "\n".join(lines) + "\n"
+    """One row per check; a field that holds a comma, such as a slope
+    detail, is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["check", "passed", "margin", "detail"])
+    writer.writerows([c.name, int(c.passed), _f(c.margin), c.detail] for c in checks)
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ __all__ = [
     "diff_entropy",
     "conditional_mi",
     "fit_slope",
+    "fit_window",
     "lemma1_margins",
     "lemma1_slopes",
     "LEMMA1_IDS",
@@ -40,6 +41,13 @@ LOG2_PI_E = math.log2(math.pi * math.e)
 # Slope tolerance operationalizing the o(log rho) allowance in the
 # exponential-order inequalities and secrecy conditions.
 SLOPE_TOL = 0.02
+LEMMA1_SLOTS = 12  # block length of the entropy-order inequality checks
+
+
+def fit_window(n: int) -> int:
+    """How many of an n-point SNR grid's top points a slope is fitted on:
+    the top half, and at least two."""
+    return max(2, math.ceil(n / 2))
 
 
 def diff_entropy(cov: np.ndarray) -> float:
@@ -280,13 +288,13 @@ class EntropyLedger:
         return "\n".join(lines) + "\n"
 
 
-def fit_slope(log2_rho, bits, top_fraction: float = 0.5) -> tuple[float, float]:
-    """OLS slope and its standard error over the top fraction of the grid."""
+def fit_slope(log2_rho, bits) -> tuple[float, float]:
+    """OLS slope and its standard error over the grid's ``fit_window``."""
     x = np.asarray(log2_rho, dtype=float)
     y = np.asarray(bits, dtype=float)
     if x.size < 2:
         raise ValueError("need at least two grid points to fit a slope")
-    k = max(2, int(math.ceil(x.size * top_fraction)))
+    k = fit_window(x.size)
     x, y = x[-k:], y[-k:]
     xm, ym = x.mean(), y.mean()
     sxx = float(np.sum((x - xm) ** 2))
@@ -347,11 +355,10 @@ def lemma1_slopes(
     alpha: float,
     rho_grid,
     seed: int,
-    n: int = 12,
 ) -> dict:
     """Per-slot fitted slopes {inequality id: (lhs, rhs)} of all four
-    entropy-order inequalities, from one channel draw and one series of
-    block entropies over the whole grid.
+    entropy-order inequalities, from one channel draw of ``LEMMA1_SLOTS``
+    slots and one series of block entropies over the whole grid.
 
     The right-hand sides carry the topology surcharge lambda * (1 - alpha) *
     log2(rho) per slot exactly once.
@@ -359,6 +366,7 @@ def lemma1_slopes(
     rho_grid = np.asarray(rho_grid, dtype=float)
     if rho_grid.size < 3:
         raise ValueError("rho_grid must have at least 3 points")
+    n = LEMMA1_SLOTS
     states = state_sequence(profile, n)
     realization = draw_channels(n, states, float(rho_grid[0]), seed, mode="complex")
     l1a = float(profile.lambda_1a)
@@ -386,10 +394,9 @@ def lemma1_margins(
     inequality_id: str,
     rho_grid,
     seed: int,
-    n: int = 12,
 ) -> tuple[float, float]:
     """Per-slot fitted slopes (lhs, rhs) of one entropy-order inequality;
     see ``lemma1_slopes``."""
     if inequality_id not in LEMMA1_IDS:
         raise ValueError(f"inequality_id must be one of {LEMMA1_IDS}")
-    return lemma1_slopes(profile, alpha, rho_grid, seed, n)[inequality_id]
+    return lemma1_slopes(profile, alpha, rho_grid, seed)[inequality_id]

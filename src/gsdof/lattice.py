@@ -16,14 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .schemes import (
-    LinearScheme,
-    SymbolGroup,
-    _lattice_decode_rho,
-    _normalize,
-    build_sym_alt,
-    build_wiretap_gaussian,
-)
+from .schemes import LinearScheme, SymbolGroup, build_sym_alt, build_wiretap_gaussian
 from .topology import ChannelRealization
 
 __all__ = [
@@ -164,10 +157,9 @@ def _with_structured_noise(base: LinearScheme, name: str) -> LinearScheme:
     interference, and leaving that layer as a row of its own.  A
     trial-batched base gives a trial-batched variant.
     """
-    real, alpha = base.realization, base.alpha
-    if real.mode != "integer":
+    alpha = base.alpha
+    if base.realization.mode != "integer":
         raise ValueError(f"the {name} scheme requires an integer realization")
-    config = LatticeConfig()
     low = np.zeros((2, 1), dtype=np.complex128)
     low[0, 0] = 1.0
     slot_maps = ({**base.slot_maps[0], "v_low": low}, *base.slot_maps[1:])
@@ -175,20 +167,8 @@ def _with_structured_noise(base: LinearScheme, name: str) -> LinearScheme:
         replace(g, lattice=True) if g.owner == "noise" else g for g in base.groups
     )
 
-    return replace(
-        base,
-        name=name,
-        groups=groups,
-        slot_maps=slot_maps,
-        slot_norms=(*_normalize(slot_maps[:1], real), *base.slot_norms[1:]),
-        decode_order={**base.decode_order, 1: ("v_low", *base.decode_order[1])},
-        ledger={"v_low": 1.0 - alpha, **base.ledger},
-        meta={
-            **base.meta,
-            "decode_rho": _lattice_decode_rho(real.rho, alpha, config),
-            "lattice": config,
-        },
-    )
+    ledger = {"v_low": 1.0 - alpha, **base.ledger}
+    return replace(base, groups=groups, slot_maps=slot_maps, ledger=ledger)
 
 
 def build_wiretap_lattice(realization: ChannelRealization, alpha: float) -> LinearScheme:

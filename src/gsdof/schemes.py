@@ -6,6 +6,12 @@ a power exponent: its variance scales as rho**exponent relative to the unit
 slot budget.  Per-slot inputs are normalized by an SNR-independent constant
 so the expected transmit power never exceeds one.
 
+A builder chooses only the symbol groups, slot maps, side information, keys
+and rate ledger.  ``LinearScheme`` derives the rest from them, once per
+scheme: the slot norms, each receiver's decode order (its own groups), the
+common layers that decoding is granted, and, when a group is a lattice
+group, the lattice and the SNR at which its decode clears the spacing.
+
 One linear observation model per receiver (physical slot outputs plus
 digitized side channels with unit-variance quantization noise) serves both
 exact rate and leakage accounting, as a linear-Gaussian channel, and
@@ -29,6 +35,7 @@ certified separately by their own mutual information.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -63,7 +70,6 @@ __all__ = [
     "reliability_bits",
     "leakage_bits",
     "accounting_bits",
-    "joint_leakage_bits",
     "common_layer_bits",
     "scheme_block_length",
     "receiver_layout",
@@ -81,6 +87,8 @@ __all__ = [
 
 GAUSS_CLIP = 3.5  # truncation radius for symbol draws in decode simulations
 DECODE_RANK_TOL = 1e-9  # relative singular-value floor of linear_decode's rank tests
+DECODE_REL_TOL = 1e-6  # largest relative Gaussian symbol error of a passing decode
+POWER_AUDIT_RHOS = (1e6, 1e12)  # SNRs at which max_slot_power instantiates the variances
 
 
 class DecodeError(RuntimeError):
@@ -122,17 +130,44 @@ class SideChannel:
 
 @dataclass(frozen=True)
 class LinearScheme:
-    name: str
+    """A scheme as its builder chooses it: symbol groups, per-slot maps,
+    delivered side information, keys and the claimed rate ledger.
+
+    Everything else follows from those and is derived once, in
+    ``__post_init__`` (so ``dataclasses.replace`` derives it again):
+    ``slot_norms``, the per-slot Frobenius norms of the maps;
+    ``decode_order``, each receiver's own groups in declaration order, for
+    the receivers that have any; ``granted_layers``, the common groups,
+    which decoding is given; ``lattice``, a ``LatticeConfig`` if any group
+    is a lattice group and None if not; and ``decode_rho``, the SNR of the
+    noiseless decode check."""
+
     alpha: float
     realization: ChannelRealization
     groups: tuple[SymbolGroup, ...]
     slot_maps: tuple  # per slot: dict group name -> ([trials,] 2, size) array
-    slot_norms: tuple  # per slot: a float, or a (trials,) array for a batch
     side_channels: tuple[SideChannel, ...] = ()
     keys: dict = field(default_factory=dict)  # receiver -> {group: ([trials,] k, size)}
-    decode_order: dict = field(default_factory=dict)  # receiver -> own groups
     ledger: dict = field(default_factory=dict)  # group -> log2(rho) multiple per block
-    meta: dict = field(default_factory=dict)
+    slot_norms: tuple = field(init=False)  # per slot: a float, or a (trials,) array
+    decode_order: dict = field(init=False)  # receiver -> own groups
+    granted_layers: tuple = field(init=False)
+    lattice: object = field(init=False)  # a LatticeConfig, or None
+    decode_rho: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        derive = functools.partial(object.__setattr__, self)
+        real, groups = self.realization, self.groups
+        derive("slot_norms", _normalize(self.slot_maps, real))
+        owned = {r: tuple(g.name for g in groups if g.owner == _own_owner(r)) for r in (1, 2)}
+        derive("decode_order", {r: names for r, names in owned.items() if names})
+        derive("granted_layers", tuple(g.name for g in groups if g.owner == "common"))
+        config = _lattice().LatticeConfig() if any(g.lattice for g in groups) else None
+        derive("lattice", config)
+        if config is None:
+            derive("decode_rho", float(max(real.rho, 1e8)))
+        else:
+            derive("decode_rho", float(_lattice_decode_rho(real.rho, self.alpha, config)))
 
     def group(self, name: str) -> SymbolGroup:
         for g in self.groups:
@@ -332,8 +367,9 @@ def _receiver_bits(scheme: LinearScheme, rho, receiver: int, chains) -> list[dic
 def reliability_bits(scheme: LinearScheme, rho) -> dict:
     """Per-group decodable information in bits.
 
-    Chain accounting in declared decode order: each receiver conditions on
-    the other receiver's message groups, the common layer, its granted noise
+    Chain accounting in ``decode_order``, each receiver's own groups in the
+    order the builder declares them: each receiver conditions on the other
+    receiver's message groups, the common layer, its granted noise
     functionals, and its own already-decoded groups.
 
     ``scheme`` is of one trial or trial-batched; ``rho`` is one SNR or an
@@ -379,10 +415,6 @@ def accounting_bits(scheme: LinearScheme, rho) -> tuple[dict, dict]:
     return rel, leak
 
 
-def joint_leakage_bits(scheme: LinearScheme, rho: float, owner: int) -> float:
-    return sum(leakage_bits(scheme, rho, owner).values())
-
-
 def common_layer_bits(scheme: LinearScheme, rho: float, receiver: int) -> float:
     """I(common layer ; receiver's observations), the layered-decode budget."""
     st = receiver_structure(scheme, receiver)
@@ -391,12 +423,13 @@ def common_layer_bits(scheme: LinearScheme, rho: float, receiver: int) -> float:
     return conditional_mi(a, k, st.owner_masks["common"], none)
 
 
-def max_slot_power(scheme: LinearScheme, rhos=(1e6, 1e12)) -> float:
-    """Largest per-slot expected input power with all variances instantiated."""
+def max_slot_power(scheme: LinearScheme) -> float:
+    """Largest per-slot expected input power with all variances instantiated
+    at each SNR of ``POWER_AUDIT_RHOS``."""
     _one_trial(scheme, "max_slot_power")
     worst = 0.0
     for maps, norm in zip(scheme.slot_maps, scheme.slot_norms):
-        for rho in rhos:
+        for rho in POWER_AUDIT_RHOS:
             p = 0.0
             for name, m in maps.items():
                 g = scheme.group(name)
@@ -611,20 +644,16 @@ def build_wiretap_gaussian(
     slot1 = {"v": np.eye(2, dtype=np.complex128), "u": _antenna1(h1, 2)}
     slot2 = {"v": _antenna1(g2, 2), "u": _antenna1(g21[..., None] * h1, 2)}
     slot_maps = (slot0, slot1, slot2)
-    norms = _normalize(slot_maps, realization)
 
     per_symbol = 1.0 if state == STATE_1A else alpha
     keys = {1: {"u": _row(h1, 2)}, 2: {"u": _row(g1, 2)}}
 
     return LinearScheme(
-        name="wiretap-gaussian" if state == STATE_1A else "wiretap-gaussian-a1",
         alpha=alpha,
         realization=realization,
         groups=tuple(groups),
         slot_maps=slot_maps,
-        slot_norms=norms,
         keys=keys,
-        decode_order={1: ("v",)},
         ledger={"v": 2.0 * per_symbol},
     )
 
@@ -643,16 +672,12 @@ def build_no_noise_canary(realization: ChannelRealization, alpha: float) -> Line
     one = np.zeros((2, 1), dtype=np.complex128)
     one[0, 0] = 1.0
     slot_maps = ({"v": one},)
-    norms = _normalize(slot_maps, realization)
 
     return LinearScheme(
-        name="wiretap-nonoise",
         alpha=alpha,
         realization=realization,
         groups=groups,
         slot_maps=slot_maps,
-        slot_norms=norms,
-        decode_order={1: ("v",)},
         ledger={"v": 1.0},
     )
 
@@ -685,17 +710,13 @@ def build_yang_baseline(realization: ChannelRealization, alpha: float) -> Linear
             "u": _antenna1(h31[..., None] * g1 + g21[..., None] * h1, 2),
         },
     )
-    norms = _normalize(slot_maps, realization)
 
     return LinearScheme(
-        name="yang",
         alpha=alpha,
         realization=realization,
         groups=groups,
         slot_maps=slot_maps,
-        slot_norms=norms,
         keys={1: {"u": _row(h1, 2)}, 2: {"u": _row(g1, 2)}},
-        decode_order={1: ("v",), 2: ("w",)},
         ledger={"v": 2.0, "w": 2.0 * alpha},
     )
 
@@ -790,7 +811,6 @@ def build_bc_fixed(
         ml[0, t] = 1.0
         slot_maps.append({"c": mc, "v_low": ml})
     slot_maps = tuple(slot_maps)
-    norms = _normalize(slot_maps, realization)
 
     # Overheard side information: receiver 2's phase-2 outputs go to
     # receiver 1, receiver 1's phase-3 outputs go to receiver 2.
@@ -811,21 +831,17 @@ def build_bc_fixed(
             raise ValueError(f"phase-3 slot {t}: decode matrix is singular")
 
     return LinearScheme(
-        name="bc-fixed",
         alpha=alpha,
         realization=realization,
         groups=groups,
         slot_maps=slot_maps,
-        slot_norms=norms,
         side_channels=side_channels,
         keys={1: {"u": y1_rows}, 2: {"u": z1_rows}},
-        decode_order={1: ("v", "v_low"), 2: ("w",)},
         ledger={
             "v": (1 + alpha) * t1,
             "v_low": (1 - alpha) * t1,
             "w": (1 + alpha) * t2,
         },
-        meta={"granted_layers": ("c",)},
     )
 
 
@@ -856,7 +872,6 @@ def build_sym_alt(realization: ChannelRealization, alpha: float) -> LinearScheme
         {"w": np.eye(2, dtype=np.complex128), "u": _antenna1(g1, 2)},
         {"c": one.copy(), "w_low": one.copy()},
     )
-    norms = _normalize(slot_maps, realization)
 
     side_channels = (
         SideChannel(1, "z2_hat", alpha, (1,)),
@@ -864,17 +879,13 @@ def build_sym_alt(realization: ChannelRealization, alpha: float) -> LinearScheme
     )
 
     return LinearScheme(
-        name="sym-alt",
         alpha=alpha,
         realization=realization,
         groups=groups,
         slot_maps=slot_maps,
-        slot_norms=norms,
         side_channels=side_channels,
         keys={1: {"u": _row(h1, 2)}, 2: {"u": _row(g1, 2)}},
-        decode_order={1: ("v",), 2: ("w", "w_low")},
         ledger={"v": 1.0 + alpha, "w": 1.0 + alpha, "w_low": 1.0 - alpha},
-        meta={"granted_layers": ("c",)},
     )
 
 
@@ -893,7 +904,6 @@ def build_gdof_no_secrecy(realization: ChannelRealization, alpha: float) -> Line
         raise ValueError("the no-secrecy scheme requires an integer realization")
     g1, h2 = realization.g[..., 0, :], realization.h[..., 1, :]
 
-    config = _lattice().LatticeConfig()
     groups = (
         SymbolGroup("v", 2, 0.0, "rx1", lattice=True),
         SymbolGroup("w", 2, 0.0, "rx2", lattice=True),
@@ -910,21 +920,13 @@ def build_gdof_no_secrecy(realization: ChannelRealization, alpha: float) -> Line
         {"w": np.eye(2, dtype=np.complex128), "v_low": _low(1)},
         {"v": _antenna1(g1, 2), "w": _antenna1(h2, 2), "v_low": _low(2)},
     )
-    norms = _normalize(slot_maps, realization)
 
     return LinearScheme(
-        name="gdof",
         alpha=alpha,
         realization=realization,
         groups=groups,
         slot_maps=slot_maps,
-        slot_norms=norms,
-        decode_order={1: ("v", "v_low"), 2: ("w",)},
         ledger={"v": 2.0 * alpha, "v_low": 3.0 * (1 - alpha), "w": 2.0 * alpha},
-        meta={
-            "decode_rho": _lattice_decode_rho(realization.rho, alpha, config),
-            "lattice": config,
-        },
     )
 
 
@@ -956,7 +958,7 @@ def _draw_symbols(scheme: LinearScheme, rng: np.random.Generator) -> dict:
     out = {}
     for g in scheme.groups:
         if g.lattice:
-            config = scheme.meta["lattice"]
+            config = scheme.lattice
             ints = rng.integers(0, config.p, size=g.size)
             out[g.name] = config.scale * (ints - (config.p - 1) // 2).astype(float)
             out[f"{g.name}_ints"] = (ints - (config.p - 1) // 2).astype(int)
@@ -1017,7 +1019,7 @@ def simulate_noiseless(scheme: LinearScheme, rho: float, seed=0):
     return symbols, y, z, side
 
 
-def _peel_lattice_rows(scheme: LinearScheme, st, obs, config):
+def _peel_lattice_rows(scheme: LinearScheme, st, obs):
     """(coef, obs) of a receiver with each lattice row split in two: the
     row's lattice part on the lattice columns and the remainder on the
     others (the lattice step of ``linear_decode``)."""
@@ -1028,7 +1030,7 @@ def _peel_lattice_rows(scheme: LinearScheme, st, obs, config):
     touched = (st.coef != 0).reshape((-1,) + st.coef.shape[-2:]).any(0)
     peel = ~(touched & (st.col_exp == 0) & ~lat).any(-1)
     norm = np.stack([np.asarray(scheme.slot_norms[t]) for t, _, _ in st.plan], -1)[..., peel]
-    part = _lattice().nearest_point(obs[..., peel] * norm, config) / norm
+    part = _lattice().nearest_point(obs[..., peel] * norm, scheme.lattice) / norm
     rest = obs.copy()
     rest[..., peel] -= part
     coef = np.concatenate(
@@ -1053,7 +1055,7 @@ def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
     columns at or below ``DECODE_RANK_TOL`` times the largest raises
     ``DecodeError``.
 
-    A lattice scheme (``meta["lattice"]``) first checks that its low-power
+    A lattice scheme (``scheme.lattice`` set) first checks that its low-power
     layers stay below half the lattice spacing at ``rho``.  Before the
     projection, each receiver peels every row whose unit-power columns all
     belong to lattice groups: the row times its slot norm is a lattice
@@ -1070,7 +1072,7 @@ def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
     outputs = {1: y, 2: z}
     lead = scheme.realization.h.shape[:-2]
     n = scheme.realization.n
-    config = scheme.meta.get("lattice")
+    config = scheme.lattice
     if config is not None:
         _check_lattice_margin(rho ** (-scheme.alpha / 2), config)
     out = {}
@@ -1093,7 +1095,7 @@ def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
         obs = obs - (st.coef @ (known * gain)[..., None])[..., 0]
         coef = st.coef
         if config is not None:
-            coef, obs = _peel_lattice_rows(scheme, st, obs, config)
+            coef, obs = _peel_lattice_rows(scheme, st, obs)
         q, s, _ = np.linalg.svd(coef[..., ~(own | granted)], full_matrices=False)
         q = q * (s > DECODE_RANK_TOL * s.max(-1, initial=0.0, keepdims=True))[..., None, :]
         qh = q.conj().swapaxes(-1, -2)
@@ -1112,23 +1114,23 @@ def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
     return out
 
 
-def noiseless_decode_check(scheme: LinearScheme, seed=0, rel_tol: float = 1e-6) -> bool:
+def noiseless_decode_check(scheme: LinearScheme, seed=0) -> bool:
     """Decode a noiseless simulated block with exact side information; True
     iff every intended symbol is recovered.
 
     ``linear_decode`` decodes every kind, the lattice schemes included, at
-    ``meta["decode_rho"]`` if set and at the realization's SNR, but no less
-    than 1e8, if not.  Gaussian symbols must match to ``rel_tol`` relative
-    error; lattice symbols must match exactly.
+    ``scheme.decode_rho``, given the ``granted_layers``.  Gaussian symbols
+    must match to ``DECODE_REL_TOL`` relative error; lattice symbols must
+    match exactly.
 
     A trial-batched scheme takes one symbol seed per trial (see
     ``simulate_noiseless``) and is decoded in one ``linear_decode`` call;
     the result is still one bool, True iff every trial decoded.
     """
-    rho = float(scheme.meta.get("decode_rho", max(scheme.realization.rho, 1e8)))
+    rho = scheme.decode_rho
     symbols, y, z, side = simulate_noiseless(scheme, rho, seed)
     layers = {}
-    for name in scheme.meta.get("granted_layers", ()):
+    for name in scheme.granted_layers:
         layers[name] = np.asarray(symbols[name], dtype=np.complex128)
     try:
         recovered = linear_decode(scheme, y, z, side, layers, rho)
@@ -1145,7 +1147,7 @@ def noiseless_decode_check(scheme: LinearScheme, seed=0, rel_tol: float = 1e-6) 
             rec = np.asarray(rec, dtype=np.complex128)
             # Per trial: the worst symbol error against the largest symbol.
             scale = np.maximum(np.abs(truth).max(-1), 1e-12)
-            if (np.abs(rec - truth).max(-1) > rel_tol * scale).any():
+            if (np.abs(rec - truth).max(-1) > DECODE_REL_TOL * scale).any():
                 return False
     return True
 

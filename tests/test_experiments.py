@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -508,9 +510,17 @@ def test_rate_report_ledger_is_the_one_seed_build_ledger():
 
 
 def test_checks_to_csv_shape():
-    text = checks_to_csv([CheckResult("x", True, 0.5, "d")])
+    text = checks_to_csv(
+        [CheckResult("x", True, 0.5, "d"), CheckResult("y", False, -1, "a=(1,2)")]
+    )
     assert text.splitlines()[0] == "check,passed,margin,detail"
     assert text.splitlines()[1].startswith("x,1,0.5")
+    # A detail that holds commas is quoted, so the row still has 4 fields.
+    assert text.splitlines()[2] == 'y,0,-1,"a=(1,2)"'
+    assert list(csv.reader(io.StringIO(text)))[1:] == [
+        ["x", "1", "0.5", "d"],
+        ["y", "0", "-1", "a=(1,2)"],
+    ]
 
 
 def test_verify_all_small_grid_passes():
@@ -552,8 +562,8 @@ def test_verify_all_accepts_fraction_alphas():
 # at seeds 0 and 1.  Every check row is pinned: margins, details and order.
 # Generated with numpy 2.4.6 on x86-64, like SWEEP_DIGESTS.
 VERIFY_DIGESTS = {
-    0: "3b62b9343a620e4ba9f725926acebfe2f5b5d606a451e2af1ccec0e3d14585b8",
-    1: "29d65ac591923f943d00d4b56c855d8b7820ddcb67e9b715c5c836973d6d3073",
+    0: "4058b0f14d43852a755e4222d3933c79529ad53fd6c3d76e50c758ebcc5a8be4",
+    1: "fb08e07e2b4ab1d89337e8b8ba9e9011b8fbd7c7b2ed5a88bc805737c98c200f",
 }
 
 
@@ -562,6 +572,8 @@ def test_default_verify_csv_digest(tmp_path, seed):
     out = tmp_path / "checks.csv"
     assert cli.parse_and_dispatch(["verify", "--seed", str(seed), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_DIGESTS[seed]
+    rows = list(csv.reader(io.StringIO(out.read_text(encoding="utf-8"))))
+    assert len(rows) == 308 and {len(row) for row in rows} == {4}
 
 
 def test_decode_checks_count_planted_failures(monkeypatch):

@@ -19,7 +19,6 @@ from gsdof.schemes import (
     build_scheme,
     build_wiretap_gaussian,
     common_layer_bits,
-    joint_leakage_bits,
     leakage_bits,
     linear_decode,
     max_slot_power,
@@ -125,9 +124,7 @@ def test_noiseless_decode_at_every_alpha_of_the_domain(kind):
 def _without_slot(slot):
     def plant(sch):
         slot_maps = tuple({} if t == slot else m for t, m in enumerate(sch.slot_maps))
-        return dataclasses.replace(
-            sch, slot_maps=slot_maps, slot_norms=schemes._normalize(slot_maps, sch.realization)
-        )
+        return dataclasses.replace(sch, slot_maps=slot_maps)
 
     return plant
 
@@ -243,7 +240,53 @@ def test_power_budget(kind):
     for alpha in alphas:
         for seed in range(3):
             sch = build_scheme(kind, alpha, seed=seed)
-            assert max_slot_power(sch, rhos=(1e6, 1e12)) <= 1.0 + 1e-9, (alpha, seed)
+            assert max_slot_power(sch) <= 1.0 + 1e-9, (alpha, seed)
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_replaced_slot_maps_are_renormalized(kind):
+    # Slot 1's maps, planted three times larger: the replaced scheme's norms
+    # are those of its own maps, so the power budget still holds.
+    sch = build_scheme(kind, 0.5, seed=0)
+    planted = ({name: 3 * m for name, m in sch.slot_maps[0].items()}, *sch.slot_maps[1:])
+    grown = dataclasses.replace(sch, slot_maps=planted)
+    assert grown.slot_norms == schemes._normalize(planted, sch.realization)
+    assert math.isclose(grown.slot_norms[0], 3 * sch.slot_norms[0], rel_tol=1e-15)
+    assert max_slot_power(grown) <= 1.0 + 1e-9
+
+
+# Each kind's decode order, granted layers and lattice flag, as its builder
+# declared them before LinearScheme derived them from the symbol groups.
+DECLARED_DECODE = {
+    "wiretap-gaussian": ({1: ("v",)}, (), False),
+    "wiretap-gaussian-a1": ({1: ("v",)}, (), False),
+    "yang": ({1: ("v",), 2: ("w",)}, (), False),
+    "bc-fixed": ({1: ("v", "v_low"), 2: ("w",)}, ("c",), False),
+    "sym-alt": ({1: ("v",), 2: ("w", "w_low")}, ("c",), False),
+    "wiretap-lattice": ({1: ("v_low", "v")}, (), True),
+    "int-sym-alt": ({1: ("v_low", "v"), 2: ("w", "w_low")}, ("c",), True),
+    "gdof": ({1: ("v", "v_low"), 2: ("w",)}, (), True),
+    "wiretap-nonoise": ({1: ("v",)}, (), False),
+}
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_derived_decode_settings_match_the_declared_ones(kind):
+    # Every in-domain alpha = k/20, seeds 0-2, one-seed and batched builds.
+    # A lattice scheme decodes at the SNR where its low-power layers clear
+    # half the spacing, every other one at the draw SNR of 1e8.
+    order, granted, is_lattice = DECLARED_DECODE[kind]
+    config = lattice.LatticeConfig() if is_lattice else None
+    alphas = [k / 20 for k in range(21) if _in_domain(SCHEMES[kind], k / 20)]
+    assert alphas
+    for alpha in alphas:
+        rho = schemes._lattice_decode_rho(1e8, alpha, config) if is_lattice else 1e8
+        for seed in (0, 1, 2, [0, 1, 2]):
+            sch = build_scheme(kind, alpha, seed)
+            assert list(sch.decode_order.items()) == list(order.items()), (alpha, seed)
+            assert sch.granted_layers == granted
+            assert sch.lattice == config
+            assert sch.decode_rho == rho and type(sch.decode_rho) is float
 
 
 @pytest.mark.parametrize("kind", SECURE_SCHEMES)
@@ -259,7 +302,7 @@ def test_leakage_slopes_secure(kind):
             total = 0.0
             for owner in (1, 2):
                 if sch.decode_order.get(owner):
-                    total += joint_leakage_bits(sch, float(rho), owner)
+                    total += sum(leakage_bits(sch, float(rho), owner).values())
             vals.append(total)
         sums = np.array(vals) if sums is None else sums + np.array(vals)
     slope = fit_slope(np.log2(RHOS), sums / 4 / n)[0]
@@ -268,7 +311,7 @@ def test_leakage_slopes_secure(kind):
 
 def test_canary_leaks():
     sch = build_scheme("wiretap-nonoise", 0.75, seed=0)
-    vals = [joint_leakage_bits(sch, float(r), 1) for r in RHOS]
+    vals = [sum(leakage_bits(sch, float(r), 1).values()) for r in RHOS]
     slope = fit_slope(np.log2(RHOS), np.array(vals))[0]
     assert slope > 0.5
 
@@ -636,10 +679,9 @@ def test_one_trial_functions_refuse_a_batched_scheme():
 def _decode_once(sch, seed):
     # noiseless_decode_check's steps, returning the symbols and the decoded
     # groups instead of the verdict.
-    rho = float(sch.meta.get("decode_rho", max(sch.realization.rho, 1e8)))
-    symbols, y, z, side = simulate_noiseless(sch, rho, seed)
-    layers = {name: symbols[name] for name in sch.meta.get("granted_layers", ())}
-    return symbols, linear_decode(sch, y, z, side, layers, rho)
+    symbols, y, z, side = simulate_noiseless(sch, sch.decode_rho, seed)
+    layers = {name: symbols[name] for name in sch.granted_layers}
+    return symbols, linear_decode(sch, y, z, side, layers, sch.decode_rho)
 
 
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
