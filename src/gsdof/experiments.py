@@ -13,11 +13,13 @@ import io
 import math
 import numbers
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import regions
-from .gaussian_mi import SLOPE_TOL, EntropyLedger, fit_slope, fit_window, lemma1_slopes
+from .gaussian_mi import SLOPE_TOL, fit_slope, fit_window, lemma1_slopes
 from .schemes import (
     SCHEMES,
     SECURE_SCHEMES,
@@ -74,6 +76,10 @@ SWEEP_ELEMENTS = 32768
 
 
 def _f(x) -> str:
+    # Int true division is correctly rounded, so a Fraction gives float(x)
+    # without the pure-Python numbers.Rational.__float__.
+    if isinstance(x, Fraction):
+        x = x.numerator / x.denominator
     return format(float(x), _FMT)
 
 
@@ -125,6 +131,11 @@ class RateReport:
     subrange used is recorded in ``fit_rho_db``.  ``ledger`` is the scheme's
     claimed rate per group (log2(rho) multiples per block), read off the
     sweep's one-trial layout probe: it depends on alpha only.
+    ``csv_text``, one row per (trial, SNR, group), is formatted on first
+    read from ``_trial_bits``, the per-trial (MI, leakage) stacks of shape
+    (trials, SNRs, groups), groups in ``group_owner`` order; the stacks are
+    dropped once formatted, so a caller that keeps many reports holds each
+    sweep's bits once.
     """
 
     scheme: str
@@ -133,6 +144,7 @@ class RateReport:
     rho_db: tuple
     fit_rho_db: tuple
     group_owner: dict
+    _trial_bits: tuple | None = field(compare=False, repr=False)
     ledger: dict = field(default_factory=dict)
     mean_mi: dict = field(default_factory=dict)  # (rho_db, group) -> bits
     mean_leak: dict = field(default_factory=dict)
@@ -140,16 +152,25 @@ class RateReport:
     leak_slopes: dict = field(default_factory=dict)
     d1: float = 0.0
     d2: float = 0.0
-    csv_text: str = ""
 
-    def entropy_ledger(self) -> EntropyLedger:
-        """Mean per-group mutual informations as a serializable ledger."""
-        ledger = EntropyLedger()
-        for (db, group), bits in sorted(self.mean_mi.items()):
-            ledger.add(f"I({group})", float(rho_from_db(db)), bits)
-        for (db, group), bits in sorted(self.mean_leak.items()):
-            ledger.add(f"leak({group})", float(rho_from_db(db)), bits)
-        return ledger
+    @cached_property
+    def csv_text(self) -> str:
+        mi, leak = self._trial_bits
+        self._trial_bits = None
+        # Rows are trial-major: one "scheme,alpha,rho_db,trial,group," head
+        # per row, then the two values as _f formats them.  The heads are
+        # generated as the rows are, so they never all sit in memory beside
+        # the rows.
+        prefixes = [f"{self.scheme},{_f(self.alpha)},{_f(db)}," for db in self.rho_db]
+        heads = (
+            f"{prefix}{trial},{g},"
+            for trial in range(len(mi))
+            for prefix in prefixes
+            for g in self.group_owner
+        )
+        rows = map("{}{:.12g},{:.12g}".format, heads, mi.ravel().tolist(), leak.ravel().tolist())
+        header = "scheme,alpha,rho_db,trial,symbol_group,mi_bits,leak_bits"
+        return "\n".join([header, *rows]) + "\n"
 
 
 def _sweep_chunk(config: SweepConfig, seqs, rho_lin):
@@ -216,6 +237,7 @@ def run_sweep(config: SweepConfig) -> RateReport:
         rho_db=config.rho_db,
         fit_rho_db=config.rho_db[-fit_window(len(config.rho_db)) :],
         group_owner={g: owners[g] for g in group_names},
+        _trial_bits=(mi, leak),
         ledger=dict(probe.ledger),
     )
 
@@ -231,19 +253,6 @@ def run_sweep(config: SweepConfig) -> RateReport:
         for i, g in enumerate(group_names):
             report.mean_mi[(db, g)], report.mean_leak[(db, g)] = mean_mi[j][i], mean_leak[j][i]
 
-    # Rows are trial-major: one "scheme,alpha,rho_db,trial,group," head per
-    # row, then the two values as _f formats them.  The heads are generated
-    # as the rows are, so they never all sit in memory beside the rows.
-    prefixes = [f"{config.scheme},{_f(config.alpha)},{_f(db)}," for db in config.rho_db]
-    heads = (
-        f"{prefix}{trial},{g},"
-        for trial in range(config.trials)
-        for prefix in prefixes
-        for g in group_names
-    )
-    rows = map("{}{:.12g},{:.12g}".format, heads, mi.ravel().tolist(), leak.ravel().tolist())
-    lines = ["scheme,alpha,rho_db,trial,symbol_group,mi_bits,leak_bits", *rows]
-
     x = np.log2(rho_lin)
     for g in group_names:
         y_mi = [report.mean_mi[(db, g)] / n_slots for db in config.rho_db]
@@ -252,7 +261,6 @@ def run_sweep(config: SweepConfig) -> RateReport:
         report.leak_slopes[g] = fit_slope(x, y_leak)[0]
     report.d1 = sum(s for g, (s, _) in report.slopes.items() if owners[g] == "rx1")
     report.d2 = sum(s for g, (s, _) in report.slopes.items() if owners[g] == "rx2")
-    report.csv_text = "\n".join(lines) + "\n"
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(report.csv_text)

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .topology import TopologyProfile, draw_channels, state_sequence
 
 __all__ = [
-    "EntropyLedger",
     "diff_entropy",
     "conditional_mi",
     "fit_slope",
@@ -259,33 +257,6 @@ def conditional_mi(
     if keep1.ndim == 1:
         return mi(keep1, keep2)
     return np.stack([mi(k1, k2) for k1, k2 in zip(keep1, keep2)])
-
-
-@dataclass
-class EntropyLedger:
-    """Labelled entropy/MI bookkeeping: (label, rho) -> bits, all finite."""
-
-    entries: dict = field(default_factory=dict)
-
-    def add(self, label: str, rho: float, bits: float) -> None:
-        if not math.isfinite(bits):
-            raise ValueError(f"non-finite ledger entry for {label!r} at rho={rho}")
-        self.entries[(label, float(rho))] = float(bits)
-
-    def get(self, label: str, rho: float) -> float:
-        return self.entries[(label, float(rho))]
-
-    def series(self, label: str) -> tuple[np.ndarray, np.ndarray]:
-        items = sorted((r, b) for (lab, r), b in self.entries.items() if lab == label)
-        rhos = np.array([r for r, _ in items])
-        bits = np.array([b for _, b in items])
-        return rhos, bits
-
-    def to_csv(self) -> str:
-        lines = ["label,rho,bits"]
-        for (label, rho), bits in sorted(self.entries.items()):
-            lines.append(f"{label},{format(rho, '.12g')},{format(bits, '.12g')}")
-        return "\n".join(lines) + "\n"
 
 
 def fit_slope(log2_rho, bits) -> tuple[float, float]:

@@ -1,24 +1,28 @@
 """Degrees-of-freedom regions as half-space intersections in the (d1, d2) plane.
 
 Every region here is an intersection of a handful of half-spaces together
-with the implicit nonnegativity of d1 and d2.  Vertices are the feasible
-pairwise crossings of the constraint and axis lines (the constraint count
-never exceeds six).  Every region is exact: it is enumerated in integer
-arithmetic with no tolerance, each coefficient taken at its exact value (a
-float at its binary value), so a crossing that violates a constraint by
-any amount is dropped and the vertex order is decided exactly.  A region
-keeps what the enumeration works in: its constraints as integer rows and
-its vertices as gcd-reduced integer triples (n1, n2, det).  The bound
-constructors form those rows straight from alpha's exact ratio p/q (and a
-profile's time fractions) in int arithmetic, so a float alpha counts at
-its binary value and builds the same region as ``Fraction(alpha)``.
+with the implicit nonnegativity of d1 and d2.  Vertex candidates are the
+origin, each constraint line's two axis intercepts and each pair of
+constraint lines' crossing (the constraint count never exceeds six), and
+the vertices are the feasible candidates.  Every region is exact: it is
+enumerated in integer arithmetic with no tolerance, each coefficient taken
+at its exact value (a float at its binary value), so a candidate that
+violates a constraint by any amount is dropped and the vertex order is
+decided exactly.  A region keeps what the enumeration works in: its
+constraints as integer rows and its vertices as gcd-reduced integer triples
+(n1, n2, det), unordered; the counterclockwise order is built on first
+read.  The bound constructors form those rows straight from alpha's exact
+ratio p/q (and a profile's time fractions) in int arithmetic, so a float
+alpha counts at its binary value and builds the same region as
+``Fraction(alpha)``.
 
-``vertices`` gives ``Fraction`` vertices, built from the triples on first
-call; ``float_vertices`` rounds them for CSVs.  ``sum_max``, ``axis_max``
-and ``wiretap_upper`` give ``Fraction``s, and ``contains`` and
-``is_subset`` decide on the integer rows with no tolerance.  Time sharing
-(``time_share``) picks the hull vertices among the input regions'
-vertices by exact orientation tests and returns the exact hull.
+``vertices`` gives ``Fraction`` vertices, built from the ordered triples on
+first call; ``float_vertices`` rounds them for CSVs.  ``sum_max``,
+``axis_max`` and ``wiretap_upper`` give ``Fraction``s, and ``contains`` and
+``is_subset`` decide on the integer rows with no tolerance; none of these
+orders the vertices.  Time sharing (``time_share``) picks the hull vertices
+among the input regions' vertices by exact orientation tests and returns
+the exact hull.
 """
 
 from __future__ import annotations
@@ -60,10 +64,6 @@ class HalfSpace:
 
     def violation(self, d1, d2):
         return self.a1 * d1 + self.a2 * d2 - self.b
-
-
-# Implicit quadrant faces d1 >= 0 and d2 >= 0, as integer rows (a1, a2, b).
-_AXIS_ROWS = [(-1, 0, 0), (0, -1, 0)]
 
 
 def _orient(p, q, r):
@@ -125,12 +125,13 @@ def _int_row(c: HalfSpace):
 
 def _exact_vertices(rows):
     """Vertex enumeration in integer arithmetic over the integer ``rows``
-    (a1, a2, b), as triples (n1, n2, det) with det > 0, the points
-    (n1/det, n2/det), in counterclockwise order.
+    (a1, a2, b): the distinct feasible candidates as gcd-reduced triples
+    (n1, n2, det) with det > 0, the points (n1/det, n2/det), unordered.
 
-    A crossing is feasible iff n1, n2 >= 0 and a.n <= b*det on every row,
-    and distinct crossings are told apart by their gcd-reduced triples.  No
-    tolerance enters.
+    The candidates are the origin, each row's intercepts with the d1 axis,
+    (b, 0, a1), and with the d2 axis, (0, b, a2), and each pair of rows'
+    crossing.  A candidate is feasible iff n1, n2 >= 0 and a.n <= b*det on
+    every row.  No tolerance enters.
     """
     # Bounded iff no direction r >= 0, r != 0 has a.r <= 0 on every row; the
     # candidates are the quadrant edges and each row's line directions.
@@ -144,23 +145,23 @@ def _exact_vertices(rows):
                 break
         else:
             raise ValueError("region is unbounded: vertex enumeration impossible")
-    lines = rows + _AXIS_ROWS
+    candidates = [(0, 0, 1)]
+    for i, (p1, p2, pb) in enumerate(rows):
+        candidates += [(pb, 0, p1), (0, pb, p2)]
+        for q1, q2, qb in rows[i + 1 :]:
+            candidates.append((pb * q2 - qb * p2, p1 * qb - q1 * pb, p1 * q2 - p2 * q1))
     found = {}
-    for i, (p1, p2, pb) in enumerate(lines):
-        for q1, q2, qb in lines[i + 1 :]:
-            det = p1 * q2 - p2 * q1
-            if not det:
-                continue
-            n1 = pb * q2 - qb * p2
-            n2 = p1 * qb - q1 * pb
-            if det < 0:
-                det, n1, n2 = -det, -n1, -n2
-            if _inside(rows, (n1, n2, det)):
-                g = math.gcd(n1, n2, det)
-                found[n1 // g, n2 // g, det // g] = None
+    for n1, n2, det in candidates:
+        if not det:
+            continue
+        if det < 0:
+            n1, n2, det = -n1, -n2, -det
+        if _inside(rows, (n1, n2, det)):
+            g = math.gcd(n1, n2, det)
+            found[n1 // g, n2 // g, det // g] = None
     if not found:
         raise ValueError("region is empty: no feasible vertex")
-    return _ccw_order(list(found))
+    return tuple(found)
 
 
 class DofRegion:
@@ -170,8 +171,11 @@ class DofRegion:
     exact vertex enumeration; a non-finite coefficient is refused.
     Coefficients are ints, floats, ``Fraction``s or numpy scalars, and each
     enters at its exact value, a float as ``Fraction(x)``.  A region keeps
-    its constraints' integer rows and its vertices as gcd-reduced integer
-    triples (n1, n2, det) in counterclockwise order.
+    its constraints' integer rows and its vertices as an unordered set of
+    gcd-reduced integer triples (n1, n2, det), ``_crossings``, which
+    ``sum_max``, ``axis_max``, ``contains`` and ``is_subset`` read; the
+    counterclockwise order ``_triples``, read by ``vertices``,
+    ``float_vertices`` and ``time_share``, is built on first read.
 
     The bound constructors build their regions from integer rows directly
     (``_from_rows``), with no constraints stored: ``constraints`` is derived
@@ -182,14 +186,14 @@ class DofRegion:
     def __init__(self, constraints) -> None:
         constraints = tuple(constraints)
         rows = [_int_row(c) for c in constraints]
-        self.__dict__.update(constraints=constraints, _rows=rows, _triples=_exact_vertices(rows))
+        self.__dict__.update(constraints=constraints, _rows=rows, _crossings=_exact_vertices(rows))
 
     @classmethod
     def _from_rows(cls, rows, scales) -> "DofRegion":
         """The region of the integer ``rows`` (a1, a2, b), row i standing for
         the constraint (a1, a2, b) / ``scales[i]`` with ``scales[i]`` > 0."""
         region = cls.__new__(cls)
-        region.__dict__.update(_rows=rows, _scales=scales, _triples=_exact_vertices(rows))
+        region.__dict__.update(_rows=rows, _scales=scales, _crossings=_exact_vertices(rows))
         return region
 
     @cached_property
@@ -198,6 +202,10 @@ class DofRegion:
             HalfSpace(Fraction(a1, s), Fraction(a2, s), Fraction(b, s))
             for (a1, a2, b), s in zip(self._rows, self._scales)
         )
+
+    @cached_property
+    def _triples(self) -> list[tuple[int, int, int]]:
+        return _ccw_order(self._crossings)
 
     @cached_property
     def _vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -219,9 +227,9 @@ class DofRegion:
 
 
 def vertices(region: DofRegion) -> list[tuple[Fraction, Fraction]]:
-    """All feasible pairwise constraint/axis intersections as ``Fraction``
-    pairs, distinct and in counterclockwise order from the largest-d1
-    vertex (ties: smallest d2); built from the triples on first call."""
+    """The region's vertices as ``Fraction`` pairs, distinct and in
+    counterclockwise order from the largest-d1 vertex (ties: smallest d2);
+    built from the ordered triples on first call."""
     return list(region._vertices)
 
 
@@ -258,13 +266,13 @@ def _inside(rows, point) -> bool:
 def is_subset(inner: DofRegion, outer: DofRegion) -> bool:
     """Vertex test, valid because both regions are convex: each vertex
     triple of ``inner`` is tested on the rows of ``outer``, exactly."""
-    return all(_inside(outer._rows, t) for t in inner._triples)
+    return all(_inside(outer._rows, t) for t in inner._crossings)
 
 
 def sum_max(region: DofRegion) -> Fraction:
     """Maximum of d1 + d2 over the region (attained at a vertex)."""
     best, best_det = 0, 1  # every vertex has d1 + d2 >= 0
-    for n1, n2, det in region._triples:
+    for n1, n2, det in region._crossings:
         if (n1 + n2) * best_det > best * det:
             best, best_det = n1 + n2, det
     return Fraction(best, best_det)
@@ -275,8 +283,13 @@ def axis_max(region: DofRegion, axis: int) -> Fraction:
     other coordinate zero; ``Fraction(0)`` if no vertex lies on that axis.
     Every vertex is an exact crossing, so an on-axis vertex has an exact
     zero."""
-    on_axis = [Fraction(t[axis], t[2]) for t in region._triples if t[1 - axis] == 0]
-    return max(on_axis, default=Fraction(0))
+    if axis not in (0, 1):
+        raise ValueError(f"axis must be 0 (d1) or 1 (d2), got {axis!r}")
+    best, best_det = 0, 1  # every vertex has nonnegative coordinates
+    for t in region._crossings:
+        if t[1 - axis] == 0 and t[axis] * best_det > best * t[2]:
+            best, best_det = t[axis], t[2]
+    return Fraction(best, best_det)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,22 @@ def test_run_sweep_reproducible_bytes(tmp_path):
     assert header == "scheme,alpha,rho_db,trial,symbol_group,mi_bits,leak_bits"
 
 
+def test_rate_report_formats_its_csv_on_first_read(tmp_path):
+    cfg = SweepConfig("yang", 0.5, GRID, trials=12, seed=7)
+    rep = run_sweep(cfg)
+    assert "csv_text" not in vars(rep)
+    # The per-trial stacks stay out of __eq__ (numpy would raise) and repr.
+    assert rep == run_sweep(cfg)
+    assert "_trial_bits" not in repr(rep)
+    mi, leak = rep._trial_bits
+    assert mi.shape == leak.shape == (12, len(GRID), len(rep.group_owner))
+    out = tmp_path / "a.csv"
+    run_sweep(dataclasses.replace(cfg, out=str(out)))
+    assert rep.csv_text == out.read_text(encoding="utf-8")
+    assert vars(rep)["csv_text"] is rep.csv_text
+    assert rep._trial_bits is None
+
+
 @pytest.mark.parametrize("kind", ["bc-fixed", "wiretap-gaussian"])
 def test_run_sweep_uneven_chunk_split_keeps_bytes(tmp_path, monkeypatch, kind):
     # A one-entry element budget leaves the SWEEP_CHUNK floor to size the
@@ -619,12 +635,3 @@ def test_decode_checks_count_planted_failures(monkeypatch):
         assert check.passed is (not trials)
         assert check.margin == float(failures)
         assert check.detail == f"{20 - failures}/20 decoded"
-
-
-def test_rate_report_entropy_ledger():
-    rep = run_sweep(SweepConfig("wiretap-gaussian", 0.5, GRID, trials=10, seed=2))
-    ledger = rep.entropy_ledger()
-    text = ledger.to_csv()
-    assert text.startswith("label,rho,bits\n")
-    assert "I(v)," in text and "leak(v)," in text
-    assert ledger.get("I(v)", 1e6) == rep.mean_mi[(60.0, "v")]

@@ -8,7 +8,6 @@ from gsdof.experiments import _LEMMA1_PROFILES, SweepConfig, rho_from_db, run_sw
 from gsdof.gaussian_mi import (
     LOG2_PI_E,
     SLOPE_TOL,
-    EntropyLedger,
     conditional_mi,
     diff_entropy,
     fit_slope,
@@ -369,16 +368,3 @@ def test_leakage_slope_secure_and_canary():
     assert secure <= 0.02
     broken = _owner_leak_slope("wiretap-nonoise", 0.75)
     assert broken >= 0.5
-
-
-def test_entropy_ledger():
-    ledger = EntropyLedger()
-    ledger.add("h_y", 1e6, 12.5)
-    ledger.add("h_y", 1e8, 19.0)
-    with pytest.raises(ValueError):
-        ledger.add("bad", 1e6, float("inf"))
-    rhos, bits = ledger.series("h_y")
-    assert list(rhos) == [1e6, 1e8]
-    text = ledger.to_csv()
-    assert text.startswith("label,rho,bits\n")
-    assert "h_y,1000000,12.5" in text

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsdof import regions
 from gsdof.regions import (
@@ -52,10 +54,14 @@ def oracle_vertices(region):
 
 
 def exact_oracle_vertices(region):
-    """Brute-force exact enumeration: every pair of constraint/axis lines
-    solved in ``Fraction`` arithmetic, kept when exactly feasible; the set
-    dedups exactly."""
-    rows = [tuple(Fraction(x) for x in (c.a1, c.a2, c.b)) for c in region.constraints]
+    return exact_oracle_points([(c.a1, c.a2, c.b) for c in region.constraints])
+
+
+def exact_oracle_points(rows):
+    """Brute-force exact enumeration over the rows (a1, a2, b): every pair
+    of constraint/axis lines solved in ``Fraction`` arithmetic, kept when
+    exactly feasible; the set dedups exactly."""
+    rows = [tuple(Fraction(x) for x in row) for row in rows]
     rows += [(Fraction(-1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(-1), Fraction(0))]
     pts = set()
     for (a1, a2, b1), (c1, c2, b2) in itertools.combinations(rows, 2):
@@ -310,6 +316,74 @@ def test_axis_max_without_on_axis_vertex_is_zero_of_the_region_type():
     for axis in (0, 1):
         got = axis_max(square, axis)
         assert type(got) is Fraction and got == 0
+
+
+@pytest.mark.parametrize("axis", [2, -1])
+def test_axis_max_refuses_an_axis_other_than_0_or_1(axis):
+    with pytest.raises(ValueError, match=r"axis must be 0 \(d1\) or 1 \(d2\)"):
+        axis_max(gdof_fixed(Fraction(1, 2)), axis)
+
+
+def _oracle_outcome(rows):
+    """The oracle's answer for the rows: "unbounded" when some direction
+    r >= 0 with r1 + r2 = 1 has a.r <= 0 on every row (a vertex of that
+    cone's slice, found by the same exact brute force), "empty" when no
+    crossing is feasible, and the vertex set otherwise."""
+    cone = exact_oracle_points([(a1, a2, 0) for a1, a2, _ in rows] + [(1, 1, 1)])
+    if any(x + y == 1 for x, y in cone):
+        return "unbounded"
+    return exact_oracle_points(rows) or "empty"
+
+
+_REFUSALS = {
+    "unbounded": "^region is unbounded: vertex enumeration impossible$",
+    "empty": "^region is empty: no feasible vertex$",
+}
+
+
+def _turn(p, q, r):
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-6, 6)] * 3), min_size=1, max_size=6))
+def test_enumeration_matches_all_pairs_oracle_on_random_rows(rows):
+    want = _oracle_outcome(rows)
+    cons = [HalfSpace(*row) for row in rows]
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=_REFUSALS[want]):
+            DofRegion(cons)
+        return
+    reg = DofRegion(cons)
+    crossings = {(Fraction(n1, det), Fraction(n2, det)) for n1, n2, det in reg._crossings}
+    assert len(crossings) == len(reg._crossings)
+    assert crossings == want
+    verts = vertices(reg)
+    assert set(verts) == want and len(verts) == len(want)
+    turns = [_turn(*(verts[(i + k) % len(verts)] for k in range(3))) for i in range(len(verts))]
+    if len(verts) < 3 or not any(turns):
+        assert verts == sorted(verts)
+    else:
+        assert all(t > 0 for t in turns)
+        assert verts[0] == max(verts, key=lambda v: (v[0], -v[1]))
+
+
+def test_queries_do_not_order_the_vertices(monkeypatch):
+    calls = []
+    ccw_order = regions._ccw_order
+    monkeypatch.setattr(regions, "_ccw_order", lambda points: calls.append(1) or ccw_order(points))
+    reg = prop2_inner(Fraction(1, 2))
+    sum_max(reg)
+    axis_max(reg, 0)
+    axis_max(reg, 1)
+    assert is_subset(reg, gdof_fixed(Fraction(1, 2)))
+    assert contains(reg, (0, 0))
+    assert calls == []
+    first = vertices(reg)
+    assert calls == [1]
+    assert vertices(reg) == first
+    regions.float_vertices(reg)
+    assert calls == [1]
 
 
 def test_exact_region_inclusion_has_no_tolerance():
