@@ -28,7 +28,6 @@ from .schemes import (
     build_scheme,
     noiseless_decode_check,
     receiver_layout,
-    scheme_block_length,
 )
 
 # Not called here: run_sweep evaluates whole receivers and verify_all whole
@@ -218,7 +217,7 @@ def run_sweep(config: SweepConfig) -> RateReport:
             raise
         rel_parts.append(rel)
         leak_parts.append(leak)
-    n_slots = scheme_block_length(probe)
+    n_slots = probe.realization.n
     owners = {g.name: g.owner for g in probe.groups}
     group_names = list(rel_parts[0])
     no_leak = np.zeros((config.trials, len(rho_lin)))
@@ -457,10 +456,13 @@ def verify_all(
 
     ``alpha_grid`` drives region checks; scheme slope, leakage and decode
     checks run at ``scheme_alphas``, and the fitted checks over the SNR grid
-    ``VERIFY_RHO_DB``.  ``trials`` and ``seed`` are checked before any check
-    runs.
+    ``VERIFY_RHO_DB``.  ``trials``, ``seed`` and every scheme alpha, against
+    each kind's domain, are checked before any check runs.
     """
     _check_trials_and_seed(trials, seed)
+    for kind in SCHEME_TARGETS:
+        for a in scheme_alphas:
+            SCHEMES[kind].domain(a)
     checks = []
     checks += _region_checks(alpha_grid)
     checks += _lemma1_checks(scheme_alphas, VERIFY_RHO_DB, seed)

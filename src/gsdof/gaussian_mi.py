@@ -1,8 +1,9 @@
-"""Exact differential entropy and mutual information for linear-Gaussian models.
+"""Exact mutual information for linear-Gaussian models.
 
-Everything here is closed-form log-determinant arithmetic on covariances,
-with no estimator noise.  The scheme sweeps and checks are tested on SNR
-grids of 60-120 dB.  Known limits of the key conditioning at high SNR:
+``conditional_mi`` is the one MI engine: every scheme rate and leakage is
+a difference of closed-form log-determinants of covariances, with no
+estimator noise.  The scheme sweeps and checks are tested on SNR grids of
+60-120 dB.  Known limits of the key conditioning at high SNR:
 
 * precision falls as SNR grows: repeating every key row, which adds no
   knowledge, moves ``wiretap-gaussian-a1`` values by up to 2.1e-4 bits at
@@ -25,7 +26,6 @@ import numpy as np
 from .topology import TopologyProfile, draw_channels, state_sequence
 
 __all__ = [
-    "diff_entropy",
     "conditional_mi",
     "fit_slope",
     "fit_window",
@@ -46,23 +46,6 @@ def fit_window(n: int) -> int:
     """How many of an n-point SNR grid's top points a slope is fitted on:
     the top half, and at least two."""
     return max(2, math.ceil(n / 2))
-
-
-def diff_entropy(cov: np.ndarray) -> float:
-    """Differential entropy in bits of a circularly-symmetric complex
-    Gaussian vector with the given Hermitian positive-definite covariance."""
-    cov = np.asarray(cov, dtype=np.complex128)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError("covariance must be square")
-    herm_gap = float(np.max(np.abs(cov - cov.conj().T)))
-    if herm_gap > 1e-8 * max(1.0, float(np.max(np.abs(cov)))):
-        raise ValueError("covariance must be Hermitian")
-    try:
-        np.linalg.cholesky((cov + cov.conj().T) / 2)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance must be positive definite") from exc
-    _, logdet = np.linalg.slogdet(cov)
-    return cov.shape[0] * LOG2_PI_E + float(logdet) / math.log(2.0)
 
 
 def _logdet2(mat: np.ndarray):
@@ -174,10 +157,10 @@ def _stack_plan(support: bytes, support_shape: tuple, m: int, keeps: tuple) -> t
     return tuple(gathers), tuple(map(tuple, parts))
 
 
-def _entropies_by_block(obs: np.ndarray, keys: np.ndarray, keeps: list) -> list:
+def _entropies_by_block(obs: np.ndarray, keys: np.ndarray, keeps) -> list:
     """``_entropy_given_keys`` of the observations restricted to each kept
-    column mask in ``keeps``, evaluated per block and summed over blocks,
-    with one call per stack of ``_stack_plan``.
+    column mask in ``keeps`` (the rows of a bool array), evaluated per block
+    and summed over blocks, with one call per stack of ``_stack_plan``.
 
     The blocks come from the nonzeros of ``obs`` and ``keys`` united over
     all batch axes.  Each stack is gathered with one take on the flattened
@@ -246,17 +229,10 @@ def conditional_mi(
     """
     keep1 = ~np.asarray(given, dtype=bool)
     keep1, keep2 = np.broadcast_arrays(keep1, keep1 & ~np.asarray(target, dtype=bool))
-    index = {}
-    for keep in (*keep1.reshape(-1, keep1.shape[-1]), *keep2.reshape(-1, keep2.shape[-1])):
-        index.setdefault(keep.tobytes(), keep)
-    entropies = dict(zip(index, _entropies_by_block(obs, keys, list(index.values()))))
-
-    def mi(k1, k2):
-        return np.maximum(entropies[k1.tobytes()] - entropies[k2.tobytes()], 0.0)
-
-    if keep1.ndim == 1:
-        return mi(keep1, keep2)
-    return np.stack([mi(k1, k2) for k1, k2 in zip(keep1, keep2)])
+    keeps = np.stack([keep1, keep2]).reshape(-1, keep1.shape[-1])
+    h = np.stack(_entropies_by_block(obs, keys, keeps))
+    mi = np.maximum(h[: len(h) // 2] - h[len(h) // 2 :], 0.0)
+    return mi[0] if keep1.ndim == 1 else mi
 
 
 def fit_slope(log2_rho, bits) -> tuple[float, float]:

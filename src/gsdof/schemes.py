@@ -70,8 +70,6 @@ __all__ = [
     "reliability_bits",
     "leakage_bits",
     "accounting_bits",
-    "common_layer_bits",
-    "scheme_block_length",
     "receiver_layout",
     "simulate_noiseless",
     "linear_decode",
@@ -201,10 +199,6 @@ def _one_trial(scheme: LinearScheme, what: str) -> None:
         )
 
 
-def scheme_block_length(scheme: LinearScheme) -> int:
-    return scheme.realization.n
-
-
 # ---------------------------------------------------------------------------
 # Observation model assembly.
 # ---------------------------------------------------------------------------
@@ -329,28 +323,22 @@ def _other(receiver: int) -> int:
     return 2 if receiver == 1 else 1
 
 
-def _reliability_chain(scheme: LinearScheme, receiver: int):
-    """(order, known owner) of ``receiver``'s own groups."""
-    return scheme.decode_order.get(receiver, ()), _own_owner(_other(receiver))
+def _receiver_bits(scheme: LinearScheme, rho, receiver: int) -> tuple[dict, dict]:
+    """(own, overheard) chain-rule MI at ``receiver``: its own groups, each
+    given the other receiver's messages, and the other receiver's groups,
+    each given its own messages.  Both chains run in ``decode_order``, and
+    each step is also given the common layer, the granted keys and the
+    chain's earlier groups.
 
-
-def _leakage_chain(scheme: LinearScheme, receiver: int):
-    """(order, known owner) of the other receiver's groups, as overheard at
-    ``receiver``."""
-    return scheme.decode_order.get(_other(receiver), ()), _own_owner(receiver)
-
-
-def _receiver_bits(scheme: LinearScheme, rho, receiver: int, chains) -> list[dict]:
-    """Chain-rule MI at ``receiver`` for each (order, known owner) chain: the
-    groups in ``order``, each given the known owner's messages, the common
-    layer, the granted keys and the chain's earlier groups.
-
-    All chains share one stacked (obs, keys) pair and one ``conditional_mi``
+    Both chains share one stacked (obs, keys) pair and one ``conditional_mi``
     call, which splits the receiver into its independent blocks and
-    evaluates each distinct (block, kept columns) pair once.  A batched
-    scheme stacks the receiver matrices over trials x SNRs."""
-    if not any(order for order, _ in chains):
-        return [{} for _ in chains]
+    evaluates each distinct (block, kept columns) pair once, such as a block
+    that neither chain's groups touch.  A batched scheme stacks the receiver
+    matrices over trials x SNRs."""
+    chains = (
+        (scheme.decode_order.get(receiver, ()), _own_owner(_other(receiver))),
+        (scheme.decode_order.get(_other(receiver), ()), _own_owner(receiver)),
+    )
     st = receiver_structure(scheme, receiver)
     a, k = st.scaled(rho)
     targets, givens = [], []
@@ -361,66 +349,48 @@ def _receiver_bits(scheme: LinearScheme, rho, receiver: int, chains) -> list[dic
             givens.append(given)
             given = given | st.masks[name]
     bits = iter(conditional_mi(a, k, np.array(targets), np.array(givens)))
-    return [{name: next(bits) for name in order} for order, _ in chains]
+    return tuple({name: next(bits) for name in order} for order, _ in chains)
 
 
-def reliability_bits(scheme: LinearScheme, rho) -> dict:
-    """Per-group decodable information in bits.
+def accounting_bits(scheme: LinearScheme, rho) -> tuple[dict, dict]:
+    """(reliability, leakage) per group, from one ``conditional_mi`` call per
+    receiver (see ``_receiver_bits``).
 
-    Chain accounting in ``decode_order``, each receiver's own groups in the
-    order the builder declares them: each receiver conditions on the other
-    receiver's message groups, the common layer, its granted noise
-    functionals, and its own already-decoded groups.
+    Reliability is what each receiver decodes of its own groups, in
+    ``decode_order``, given the other receiver's message groups, the common
+    layer, its granted noise functionals and its own already-decoded
+    groups.  Leakage is what the unintended receiver learns of each group,
+    given its own messages, the common layer and its granted noise
+    functionals (conservative: granting side knowledge can only increase
+    the measured leakage).
 
     ``scheme`` is of one trial or trial-batched; ``rho`` is one SNR or an
     array of SNRs.  Values have the scheme's trials axis, if any, followed
     by the shape of ``rho``: floats for one trial at one SNR, (trials, SNRs)
     arrays for a batched scheme over an SNR grid.
     """
-    out = {}
-    for receiver in (1, 2):
-        chain = _reliability_chain(scheme, receiver)
-        out.update(_receiver_bits(scheme, rho, receiver, [chain])[0])
-    return out
-
-
-def leakage_bits(scheme: LinearScheme, rho, owner: int) -> dict:
-    """Per-group information leaked to the unintended receiver, in bits.
-
-    The eavesdropping receiver is conditioned on its own messages, the
-    common layer, and its granted noise functionals (conservative: granting
-    side knowledge can only increase the measured leakage).  Batching is as
-    in ``reliability_bits``.
-    """
-    receiver = _other(owner)
-    chain = _leakage_chain(scheme, receiver)
-    return _receiver_bits(scheme, rho, receiver, [chain])[0]
-
-
-def accounting_bits(scheme: LinearScheme, rho) -> tuple[dict, dict]:
-    """(reliability, leakage) per group: ``reliability_bits`` and the union
-    of ``leakage_bits`` for both owners, with the same values.
-
-    Each receiver's reliability and leakage chains share one observation
-    stack and one ``conditional_mi`` call, so a (block, kept columns) pair
-    they have in common, such as a block that neither chain's groups touch,
-    is evaluated once.  Batching is as in ``reliability_bits``.
-    """
     rel, leak = {}, {}
     for receiver in (1, 2):
-        chains = [_reliability_chain(scheme, receiver), _leakage_chain(scheme, receiver)]
-        own, overheard = _receiver_bits(scheme, rho, receiver, chains)
+        own, overheard = _receiver_bits(scheme, rho, receiver)
         rel.update(own)
         leak.update(overheard)
     return rel, leak
 
 
-def common_layer_bits(scheme: LinearScheme, rho: float, receiver: int) -> float:
-    """I(common layer ; receiver's observations), the layered-decode budget."""
-    st = receiver_structure(scheme, receiver)
-    a, k = st.scaled(rho)
-    none = np.zeros(st.total, dtype=bool)
-    return conditional_mi(a, k, st.owner_masks["common"], none)
+def reliability_bits(scheme: LinearScheme, rho) -> dict:
+    """Per-group decodable information in bits: ``accounting_bits``'s
+    reliability, receiver 1's groups first."""
+    return accounting_bits(scheme, rho)[0]
+
+
+def leakage_bits(scheme: LinearScheme, rho, owner: int) -> dict:
+    """Per-group information leaked to the unintended receiver, in bits:
+    ``accounting_bits``'s leakage of ``owner``'s groups, in decode order."""
+    return {
+        name: bits
+        for name, bits in accounting_bits(scheme, rho)[1].items()
+        if name in scheme.decode_order.get(owner, ())
+    }
 
 
 def max_slot_power(scheme: LinearScheme) -> float:

@@ -83,6 +83,20 @@ def test_verify_all_checks_trials_and_seed_before_any_check(monkeypatch):
             verify_all([0.5], **kwargs)
 
 
+def test_verify_all_checks_scheme_alphas_before_any_check(monkeypatch):
+    # 0.37 is in every kind's domain but bc-fixed's (no T1 <= 20), and the
+    # refusal is bc-fixed's own.
+    ran = []
+    monkeypatch.setattr(experiments, "_region_checks", lambda alpha_grid: ran.append("regions"))
+    monkeypatch.setattr(experiments, "run_sweep", lambda config: ran.append(config.scheme))
+    with pytest.raises(ValueError) as own:
+        SCHEMES["bc-fixed"].domain(0.37)
+    with pytest.raises(ValueError) as refused:
+        verify_all([0.5], trials=10, scheme_alphas=(0.37,))
+    assert str(refused.value) == str(own.value)
+    assert ran == []
+
+
 def test_sweep_config_refuses_alphas_it_cannot_build():
     # Every alpha SweepConfig accepts builds; it refuses only the alphas with
     # no T1 <= 20 for the four-phase scheme and the lattice schemes' alphas

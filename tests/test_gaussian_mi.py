@@ -9,7 +9,6 @@ from gsdof.gaussian_mi import (
     LOG2_PI_E,
     SLOPE_TOL,
     conditional_mi,
-    diff_entropy,
     fit_slope,
     lemma1_margins,
 )
@@ -28,43 +27,55 @@ def cofactor_det(m):
     return total
 
 
-def random_spd(rng, n):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return a @ a.conj().T + n * np.eye(n)
+def random_matrix(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _logdet_mi(a, keys=None):
+    """conditional_mi of every column of ``a`` given none: the log2 det(I +
+    A P Aᴴ) that the engine runs, with P the projection off the key rows."""
+    cols = a.shape[1]
+    keys = _no_keys(cols) if keys is None else keys
+    return conditional_mi(a, keys, _mask(cols, range(cols)), _mask(cols, []))
 
 
 def test_diff_entropy_scalar_unit():
-    assert abs(diff_entropy(np.array([[1.0]])) - LOG2_PI_E) < 1e-12
     assert abs(LOG2_PI_E - 3.0947) < 1e-3
 
 
-def test_diff_entropy_identity_additive():
-    assert abs(diff_entropy(np.eye(2)) - 2 * LOG2_PI_E) < 1e-12
-
-
 def test_diff_entropy_vs_cofactor_oracle():
+    from scipy.linalg import null_space
+
     rng = np.random.default_rng(7)
+    key_rng = np.random.default_rng(17)
     for _ in range(5):
-        cov = random_spd(rng, 3)
-        expect = 3 * LOG2_PI_E + math.log2(abs(cofactor_det(cov)))
-        assert abs(diff_entropy(cov) - expect) < 1e-9
+        a = random_matrix(rng, 3)
+        expect = math.log2(abs(cofactor_det(np.eye(3) + a @ a.conj().T)))
+        assert abs(_logdet_mi(a) - expect) < 1e-9
+        # A noiseless key row leaves the part of the symbols orthogonal to it.
+        key = key_rng.standard_normal((1, 3)) + 1j * key_rng.standard_normal((1, 3))
+        an = a @ null_space(key)
+        expect = math.log2(abs(cofactor_det(np.eye(3) + an @ an.conj().T)))
+        assert abs(_logdet_mi(a, key) - expect) < 1e-9
 
 
 def test_diff_entropy_block_diagonal_sum():
+    # conditional_mi splits a block-diagonal A into its blocks, and the sum
+    # of their log-dets is the log-det of the whole.
     rng = np.random.default_rng(8)
-    a = random_spd(rng, 2)
-    b = random_spd(rng, 3)
+    a = random_matrix(rng, 2)
+    b = random_matrix(rng, 3)
     block = np.zeros((5, 5), dtype=complex)
     block[:2, :2] = a
     block[2:, 2:] = b
-    assert abs(diff_entropy(block) - diff_entropy(a) - diff_entropy(b)) < 1e-9
-
-
-def test_diff_entropy_rejects_non_pd():
-    with pytest.raises(ValueError):
-        diff_entropy(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalue -1
-    with pytest.raises(ValueError):
-        diff_entropy(np.array([[1.0, 0.5], [0.0, 1.0]]))  # not Hermitian
+    blocks = gaussian_mi._blocks(block != 0, 5)
+    assert [tuple(map(list, x)) for x in blocks] == [
+        ([0, 1], [], [0, 1]),
+        ([2, 3, 4], [], [2, 3, 4]),
+    ]
+    whole = math.log2(abs(cofactor_det(np.eye(5) + block @ block.conj().T)))
+    assert abs(_logdet_mi(block) - whole) < 1e-9
+    assert abs(_logdet_mi(block) - _logdet_mi(a) - _logdet_mi(b)) < 1e-9
 
 
 def _no_keys(cols):

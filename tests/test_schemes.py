@@ -7,7 +7,7 @@ import pytest
 
 from gsdof import gaussian_mi, lattice, regions, schemes
 from gsdof.experiments import REGION_BUILDERS, SCHEME_TARGETS
-from gsdof.gaussian_mi import fit_slope
+from gsdof.gaussian_mi import conditional_mi, fit_slope
 from gsdof.schemes import (
     SCHEME_KINDS,
     SCHEMES,
@@ -18,7 +18,6 @@ from gsdof.schemes import (
     audit_causality,
     build_scheme,
     build_wiretap_gaussian,
-    common_layer_bits,
     leakage_bits,
     linear_decode,
     max_slot_power,
@@ -27,7 +26,6 @@ from gsdof.schemes import (
     receiver_layout,
     receiver_structure,
     reliability_bits,
-    scheme_block_length,
     simulate_noiseless,
     smallest_t1,
     xor_bits,
@@ -50,7 +48,7 @@ def fitted_group_slopes(kind, alpha, seed=0, trials=4):
     n = None
     for trial in range(trials):
         sch = build_scheme(kind, alpha, seed=seed + 1000 * trial)
-        n = scheme_block_length(sch)
+        n = sch.realization.n
         vals = {g: [] for g in sch.ledger}
         for rho in RHOS:
             rel = reliability_bits(sch, float(rho))
@@ -296,7 +294,7 @@ def test_leakage_slopes_secure(kind):
     sums = None
     for trial in range(4):
         sch = build_scheme(kind, alpha, seed=trial)
-        n = scheme_block_length(sch)
+        n = sch.realization.n
         vals = []
         for rho in RHOS:
             total = 0.0
@@ -370,6 +368,23 @@ def _stacked_vs_scalar(batch, singles):
                 for g, bits in want.items():
                     assert got[g].shape == (len(singles), len(STACK_RHOS))
                     assert got[g][t, j] == bits, (owner, g, t, j)
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_reliability_and_leakage_are_views_of_accounting(kind):
+    # reliability_bits is accounting_bits' reliability, both receivers'
+    # groups in decode order; leakage_bits keeps the leakage of the owner's
+    # groups only, so it is {} for an owner without groups, such as
+    # wiretap-gaussian's receiver 2.
+    sch = build_scheme(kind, 0.5, seed=0)
+    order = sch.decode_order
+    rel, leak = accounting_bits(sch, 1e8)
+    assert list(reliability_bits(sch, 1e8)) == [*order.get(1, ()), *order.get(2, ())]
+    assert reliability_bits(sch, 1e8) == rel
+    for owner in (1, 2):
+        got = leakage_bits(sch, 1e8, owner)
+        assert list(got) == list(order.get(owner, ()))
+        assert got == {g: leak[g] for g in got}
 
 
 @pytest.mark.parametrize("kind", [*SCHEME_TARGETS, "wiretap-nonoise"])
@@ -747,7 +762,11 @@ def test_common_layer_rate_certified():
         sch = build_scheme(kind, alpha, seed=0)
         c_size = sch.group("c").size
         for receiver in (1, 2):
-            vals = [common_layer_bits(sch, float(r), receiver) for r in RHOS]
+            st = receiver_structure(sch, receiver)
+            none = np.zeros(st.total, dtype=bool)
+            vals = [
+                conditional_mi(*st.scaled(float(r)), st.owner_masks["common"], none) for r in RHOS
+            ]
             slope = fit_slope(np.log2(RHOS), np.array(vals))[0]
             assert slope >= alpha * c_size - 0.03, (kind, receiver, slope)
 
