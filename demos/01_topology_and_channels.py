@@ -30,13 +30,15 @@ sym = TopologyProfile.symmetric_alternating(0.5)
 print("symmetric sequence:", [s.label for s in state_sequence(sym, 4)])
 
 # Channel draws are seeded and reject any slot whose 2x2 state matrix is
-# rank deficient.  Integer mode draws nonzero integers in -3..3 for the
-# structured-coding schemes.
-real = draw_channels(4, state_sequence(sym, 4), rho=1e8, seed=7)
+# rank deficient.  A realization is its states, its draw and its mode: it
+# does not depend on the SNR, which enters only through the state exponents.
+# Integer mode draws nonzero integers in -3..3 for the structured-coding
+# schemes.
+real = draw_channels(state_sequence(sym, 4), seed=7)
 print("min |det S_t| over the block:", f"{real.min_abs_det():.3f}")
 
-int_real = draw_channels(3, state_sequence(TopologyProfile.fixed("1a", 0.5), 3),
-                         rho=1e8, seed=7, mode="integer")
+int_real = draw_channels(state_sequence(TopologyProfile.fixed("1a", 0.5), 3),
+                         seed=7, mode="integer")
 print("integer rows:", np.real(int_real.h).astype(int).tolist())
 
 # One use of the channel law: a unit-power input, explicit noise.

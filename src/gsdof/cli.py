@@ -42,7 +42,12 @@ def _parse_range(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}") from exc
     if not (-math.inf < start <= stop < math.inf and 0 < step < math.inf):
         raise argparse.ArgumentTypeError("need finite values, step > 0 and stop >= start")
-    count = int(round((stop - start) / step))
+    points = (stop - start) / step
+    if not math.isfinite(points):
+        raise argparse.ArgumentTypeError(
+            f"too many grid points: (stop - start) / step overflows in {text!r}"
+        )
+    count = int(round(points))
     grid = [round(start + k * step, 12) for k in range(count + 1)]
     if grid[-1] > stop + 1e-12:
         grid.pop()

@@ -315,7 +315,7 @@ def lemma1_slopes(
         raise ValueError("rho_grid must have at least 3 points")
     n = LEMMA1_SLOTS
     states = state_sequence(profile, n)
-    realization = draw_channels(n, states, float(rho_grid[0]), seed, mode="complex")
+    realization = draw_channels(states, seed, mode="complex")
     l1a = float(profile.lambda_1a)
     la1 = float(profile.lambda_a1)
     hy, hz, hyz = _block_entropies(realization, alpha, rho_grid)

@@ -36,8 +36,9 @@ certified separately by their own mutual information.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -87,10 +88,15 @@ GAUSS_CLIP = 3.5  # truncation radius for symbol draws in decode simulations
 DECODE_RANK_TOL = 1e-9  # relative singular-value floor of linear_decode's rank tests
 DECODE_REL_TOL = 1e-6  # largest relative Gaussian symbol error of a passing decode
 POWER_AUDIT_RHOS = (1e6, 1e12)  # SNRs at which max_slot_power instantiates the variances
+T1_MAX = 20  # longest phase length T1 that smallest_t1 tries
+DECODE_RHO = 1e8  # SNR of a Gaussian scheme's decode check; a lattice scheme's floor
 
 
 class DecodeError(RuntimeError):
     """Raised when a scheme cannot be decoded (rank or margin failure)."""
+
+
+_OWNERS = ("rx1", "rx2", "noise", "common")
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,7 @@ class SymbolGroup:
     def __post_init__(self) -> None:
         if self.exponent > 1e-12:
             raise ValueError("symbol power exponents must be <= 0")
-        if self.owner not in ("rx1", "rx2", "noise", "common"):
+        if self.owner not in _OWNERS:
             raise ValueError(f"unknown owner {self.owner!r}")
 
 
@@ -137,8 +143,14 @@ class LinearScheme:
     ``decode_order``, each receiver's own groups in declaration order, for
     the receivers that have any; ``granted_layers``, the common groups,
     which decoding is given; ``lattice``, a ``LatticeConfig`` if any group
-    is a lattice group and None if not; and ``decode_rho``, the SNR of the
-    noiseless decode check."""
+    is a lattice group and None if not; ``decode_rho``, the SNR of the
+    noiseless decode check (``DECODE_RHO`` for a Gaussian scheme,
+    ``_lattice_decode_rho`` for a lattice one); and the column layout that
+    every receiver's observation matrix shares: ``columns``, each group's
+    column slice in declaration order; ``col_exp``, each column's power
+    exponent; ``masks``, each group's columns as a boolean mask;
+    ``owner_masks``, the columns of each owner; and ``lattice_mask``, the
+    columns of the lattice groups."""
 
     alpha: float
     realization: ChannelRealization
@@ -152,20 +164,35 @@ class LinearScheme:
     granted_layers: tuple = field(init=False)
     lattice: object = field(init=False)  # a LatticeConfig, or None
     decode_rho: float = field(init=False)
+    columns: dict = field(init=False)  # group name -> column slice
+    col_exp: np.ndarray = field(init=False)  # per column: its group's power exponent
+    masks: dict = field(init=False)  # group name -> column mask
+    owner_masks: dict = field(init=False)  # owner -> column mask
+    lattice_mask: np.ndarray = field(init=False)  # columns of the lattice groups
 
     def __post_init__(self) -> None:
         derive = functools.partial(object.__setattr__, self)
-        real, groups = self.realization, self.groups
-        derive("slot_norms", _normalize(self.slot_maps, real))
+        groups = self.groups
+        derive("slot_norms", _normalize(self.slot_maps, self.realization))
         owned = {r: tuple(g.name for g in groups if g.owner == _own_owner(r)) for r in (1, 2)}
         derive("decode_order", {r: names for r, names in owned.items() if names})
         derive("granted_layers", tuple(g.name for g in groups if g.owner == "common"))
         config = _lattice().LatticeConfig() if any(g.lattice for g in groups) else None
         derive("lattice", config)
-        if config is None:
-            derive("decode_rho", float(max(real.rho, 1e8)))
-        else:
-            derive("decode_rho", float(_lattice_decode_rho(real.rho, self.alpha, config)))
+        rho = DECODE_RHO if config is None else _lattice_decode_rho(self.alpha, config)
+        derive("decode_rho", float(rho))
+        sizes = [g.size for g in groups]
+        ids = np.repeat(np.arange(len(groups)), sizes)  # each column's group
+        ends = itertools.accumulate(sizes)
+        derive("columns", {g.name: slice(e - g.size, e) for g, e in zip(groups, ends)})
+        derive("col_exp", np.array([float(g.exponent) for g in groups])[ids])
+
+        def mask(keep) -> np.ndarray:
+            return np.array([bool(keep(g)) for g in groups])[ids]
+
+        derive("masks", {g.name: ids == i for i, g in enumerate(groups)})
+        derive("owner_masks", {o: mask(lambda g: g.owner == o) for o in _OWNERS})
+        derive("lattice_mask", mask(lambda g: g.lattice))
 
     def group(self, name: str) -> SymbolGroup:
         for g in self.groups:
@@ -223,45 +250,28 @@ def _row_plan(scheme: LinearScheme, receiver: int) -> list:
 def receiver_layout(scheme: LinearScheme, receiver: int) -> tuple[int, int]:
     """(rows, cols) of ``receiver``'s observation matrix, the trailing shape
     of ``receiver_structure(scheme, receiver).coef``, without building it."""
-    return len(_row_plan(scheme, receiver)), sum(g.size for g in scheme.groups)
+    return len(_row_plan(scheme, receiver)), scheme.col_exp.size
 
 
 class _ReceiverStructure:
     """Stripped coefficients of one receiver's observations for one scheme,
     of one trial or trial-batched.
 
-    The layout is built once: column offsets, group and owner masks, row and
-    column exponents, the row plan (``_row_plan``: each row's slot and
-    channel, the receiver's own or the other receiver's for a delivered side
-    channel) and the key placement.  ``coef`` (rows, cols) and ``key_coef``
-    (keys, cols) hold the coefficients, with the scheme's trials axis leading
-    for a batch; each (slot, group) cell is filled for all trials with one
+    The columns are the scheme's: ``total``, ``col_exp``, ``masks`` and
+    ``owner_masks`` are its layout, shared, not copied.  The rows follow
+    the row plan (``_row_plan``: each row's slot, its channel, the
+    receiver's own or the other receiver's for a delivered side channel,
+    and its exponent).
+    ``coef`` (rows, cols) and ``key_coef`` (keys, cols) hold the
+    coefficients, with the scheme's trials axis leading for a batch; each
+    (slot, group) cell is filled for all trials with one
     ``(..., 1, 2) @ (..., 2, size)`` matmul per row."""
 
     def __init__(self, scheme: LinearScheme, receiver: int):
-        real = scheme.realization
-        offsets = {}
-        pos = 0
-        for g in scheme.groups:
-            offsets[g.name] = (pos, g.size)
-            pos += g.size
-        self.total = pos
-        self.col_exp = np.zeros(pos)
-        self.masks = {}
-        for g in scheme.groups:
-            off, size = offsets[g.name]
-            self.col_exp[off : off + size] = g.exponent
-            mask = np.zeros(pos, dtype=bool)
-            mask[off : off + size] = True
-            self.masks[g.name] = mask
-        self.owner_masks = {}
-        for owner in ("rx1", "rx2", "noise", "common"):
-            mask = np.zeros(pos, dtype=bool)
-            for g in scheme.groups:
-                if g.owner == owner:
-                    mask |= self.masks[g.name]
-            self.owner_masks[owner] = mask
-
+        real, columns = scheme.realization, scheme.columns
+        self.col_exp, self.masks = scheme.col_exp, scheme.masks
+        self.owner_masks = scheme.owner_masks
+        self.total = pos = scheme.col_exp.size
         self.plan = plan = _row_plan(scheme, receiver)
         self.row_exp = np.asarray([e for _, _, e in plan], dtype=float)
 
@@ -274,11 +284,10 @@ class _ReceiverStructure:
         for t, (maps, rows) in enumerate(zip(scheme.slot_maps, slot_rows)):
             norm = np.asarray(scheme.slot_norms[t])[..., None, None]
             for name, m in maps.items():
-                off, size = offsets[name]
                 # One row per product: a product over several rows may round
                 # differently, and the sweep CSVs are pinned bit for bit.
                 for i, vec in rows:
-                    coef[..., i : i + 1, off : off + size] = (vec @ m) / norm
+                    coef[..., i : i + 1, columns[name]] = (vec @ m) / norm
 
         # Keys must not depend on the SNR, so they may only sit on unit-power
         # groups; scaled() then needs no SNR axis for them.
@@ -292,8 +301,7 @@ class _ReceiverStructure:
                     f"key on group {name!r} with power exponent {exponent}: "
                     "keys must sit on unit-power groups"
                 )
-            off, size = offsets[name]
-            key_coef[..., off : off + size] = m
+            key_coef[..., columns[name]] = m
         self.coef, self.key_coef = coef, key_coef
 
     def scaled(self, rho) -> tuple[np.ndarray, np.ndarray]:
@@ -566,9 +574,9 @@ def digitized_side_info_roundtrip(scheme: LinearScheme, rho: float, seed: int = 
 # ---------------------------------------------------------------------------
 
 
-def _require(realization: ChannelRealization, n: int, states) -> None:
-    if realization.n != n:
-        raise ValueError(f"scheme needs {n} slots, realization has {realization.n}")
+def _require(realization: ChannelRealization, states) -> None:
+    if realization.n != len(states):
+        raise ValueError(f"scheme needs {len(states)} slots, realization has {realization.n}")
     for t, s in enumerate(states):
         if realization.states[t] != s:
             raise ValueError(f"slot {t} must be in state {s.label}")
@@ -602,7 +610,7 @@ def build_wiretap_gaussian(
     weak-legitimate-link topology, where each symbol carries alpha bits per
     log2(rho).
     """
-    _require(realization, 3, [state] * 3)
+    _require(realization, [state] * 3)
     h1, g1 = realization.h[..., 0, :], realization.g[..., 0, :]
     g2, g21 = realization.g[..., 1, :], realization.g[..., 1, 0]
 
@@ -636,7 +644,7 @@ def build_no_noise_canary(realization: ChannelRealization, alpha: float) -> Line
     eavesdropper's link exponent.  Used as a regression canary for the
     leakage engine.
     """
-    _require(realization, 1, [STATE_1A])
+    _require(realization, [STATE_1A])
 
     groups = (SymbolGroup("v", 1, 0.0, "rx1"),)
     one = np.zeros((2, 1), dtype=np.complex128)
@@ -660,7 +668,7 @@ def build_yang_baseline(realization: ChannelRealization, alpha: float) -> Linear
     receiver-2 noise combination; slot 4: the sum of the two overheard
     side-information forms, retransmitted on antenna 1.
     """
-    _require(realization, 4, [STATE_1A] * 4)
+    _require(realization, [STATE_1A] * 4)
     h1, g1 = realization.h[..., 0, :], realization.g[..., 0, :]
     g2, g21 = realization.g[..., 1, :], realization.g[..., 1, 0]
     h3, h31 = realization.h[..., 2, :], realization.h[..., 2, 0]
@@ -691,14 +699,14 @@ def build_yang_baseline(realization: ChannelRealization, alpha: float) -> Linear
     )
 
 
-def smallest_t1(alpha: float, limit: int = 20) -> int:
-    """Smallest phase length T1 <= limit making alpha*T1 a positive integer."""
-    for t1 in range(1, limit + 1):
+def smallest_t1(alpha: float) -> int:
+    """Smallest phase length T1 <= ``T1_MAX`` making alpha*T1 a positive integer."""
+    for t1 in range(1, T1_MAX + 1):
         t2 = alpha * t1
         if t2 > 0.5 and abs(t2 - round(t2)) < 1e-9:
             return t1
     raise ValueError(
-        f"alpha must be k/T1 for integers k >= 1 and T1 <= {limit}, so that alpha*T1 "
+        f"alpha must be k/T1 for integers k >= 1 and T1 <= {T1_MAX}, so that alpha*T1 "
         f"is a positive integer; got alpha={alpha}"
     )
 
@@ -728,7 +736,7 @@ def build_bc_fixed(
     if t2 < 1 or abs(t2f - t2) > 1e-9:
         raise ValueError(f"alpha*T1 must be a positive integer, got {t2f}")
     n = 3 * t1 + t2
-    _require(realization, n, [STATE_1A] * n)
+    _require(realization, [STATE_1A] * n)
 
     if theta1 is None:
         theta1 = np.zeros((2 * t1, t1), dtype=np.complex128)
@@ -824,7 +832,7 @@ def build_sym_alt(realization: ChannelRealization, alpha: float) -> LinearScheme
     quantized sum of the two overheard side-information signals together
     with a fresh receiver-2 layer at power offset rho**(-alpha).
     """
-    _require(realization, 4, [STATE_1A, STATE_1A, STATE_A1, STATE_A1])
+    _require(realization, [STATE_1A, STATE_1A, STATE_A1, STATE_A1])
     h1, g1 = realization.h[..., 0, :], realization.g[..., 0, :]
 
     groups = (
@@ -869,7 +877,7 @@ def build_gdof_no_secrecy(realization: ChannelRealization, alpha: float) -> Line
     each receiver's visible lattice combinations by nearest-point decoding,
     which leaves the low-power layers, and solves for the lattice pairs.
     """
-    _require(realization, 3, [STATE_1A] * 3)
+    _require(realization, [STATE_1A] * 3)
     if realization.mode != "integer":
         raise ValueError("the no-secrecy scheme requires an integer realization")
     g1, h2 = realization.g[..., 0, :], realization.h[..., 1, :]
@@ -910,11 +918,12 @@ def _check_lattice_margin(offset_amplitude: float, config) -> None:
         )
 
 
-def _lattice_decode_rho(rho: float, alpha: float, config) -> float:
-    """SNR at which every low-power layer sits safely below half the spacing."""
+def _lattice_decode_rho(alpha: float, config) -> float:
+    """SNR at which every low-power layer sits safely below half the spacing,
+    and at least ``DECODE_RHO``."""
     worst = 2.0 * 3.0 * GAUSS_CLIP / config.scale
     need = worst ** (2.0 / max(alpha, 1e-9))
-    return max(rho, 10.0 * need, 1e8)
+    return max(10.0 * need, DECODE_RHO)
 
 
 # ---------------------------------------------------------------------------
@@ -993,10 +1002,7 @@ def _peel_lattice_rows(scheme: LinearScheme, st, obs):
     """(coef, obs) of a receiver with each lattice row split in two: the
     row's lattice part on the lattice columns and the remainder on the
     others (the lattice step of ``linear_decode``)."""
-    lat = np.zeros(st.total, dtype=bool)
-    for g in scheme.groups:
-        if g.lattice:
-            lat |= st.masks[g.name]
+    lat = scheme.lattice_mask
     touched = (st.coef != 0).reshape((-1,) + st.coef.shape[-2:]).any(0)
     peel = ~(touched & (st.col_exp == 0) & ~lat).any(-1)
     norm = np.stack([np.asarray(scheme.slot_norms[t]) for t, _, _ in st.plan], -1)[..., peel]
@@ -1054,9 +1060,7 @@ def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
             axis=-1,
         )
         gain = rho ** (st.col_exp / 2)
-        own = np.zeros(st.total, dtype=bool)
-        for name in order:
-            own |= st.masks[name]
+        own = st.owner_masks[_own_owner(receiver)]
         granted = np.zeros(st.total, dtype=bool)
         known = np.zeros(lead + (st.total,), dtype=np.complex128)
         for name, values in layers.items():
@@ -1143,13 +1147,8 @@ def audit_causality(kind: str, alpha: float, seed: int = 0) -> bool:
     alt = _draw_for(kind, alpha, seed=seed + 7919)
     # redrawn[t, s]: trial t takes slot s from the fresh draw.
     redrawn = (np.arange(n)[None, :] >= np.arange(n)[:, None])[..., None]
-    mutated = ChannelRealization(
-        n=n,
-        h=np.where(redrawn, alt.h, base_real.h),
-        g=np.where(redrawn, alt.g, base_real.g),
-        states=base_real.states,
-        rho=base_real.rho,
-        mode=base_real.mode,
+    mutated = replace(
+        base_real, h=np.where(redrawn, alt.h, base_real.h), g=np.where(redrawn, alt.g, base_real.g)
     )
     rebuilt = build(mutated, alpha)
     for s, (b, r) in enumerate(zip(base.slot_maps, rebuilt.slot_maps)):
@@ -1213,7 +1212,7 @@ def _lattice_domain(alpha) -> None:
 
     def finite(a) -> bool:
         try:
-            return math.isfinite(_lattice_decode_rho(1e8, a, config))
+            return math.isfinite(_lattice_decode_rho(a, config))
         except OverflowError:
             return False
 
@@ -1343,7 +1342,7 @@ def _draw_for(kind: str, alpha: float, seed) -> ChannelRealization:
         return int(s.generate_state(1)[0]) if isinstance(s, np.random.SeedSequence) else s
 
     seed = [as_int(s) for s in seed] if isinstance(seed, (list, tuple)) else as_int(seed)
-    return draw_channels(len(states), states, rho=1e8, seed=seed, mode=spec.mode)
+    return draw_channels(states, seed, spec.mode)
 
 
 def build_scheme(kind: str, alpha: float, seed) -> LinearScheme:

@@ -122,22 +122,21 @@ class TopologyProfile:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Per-slot channel rows for both receivers over an ``n``-slot block.
+    """Per-slot channel rows for both receivers over a block of slots, one
+    slot per entry of ``states``.
 
     ``h`` and ``g`` are (n, 2) complex arrays (receiver-1 and receiver-2 rows)
     for one trial, or (trials, n, 2) arrays for a batch of trials that share
-    ``n``, the states, ``rho`` and the mode; slot ``t`` is ``h[..., t, :]``.
-    Realizations produced by :func:`draw_channels` satisfy |det [h_t; g_t]| >
-    1e-9 in every slot.  ``rho`` records the SNR parameter the realization was
-    drawn for; evaluation functions take an explicit rho and may reuse one
-    realization across an SNR grid.
+    the states and the mode; slot ``t`` is ``h[..., t, :]``, and ``n`` is
+    ``len(states)``.  Realizations produced by :func:`draw_channels` satisfy
+    |det [h_t; g_t]| > 1e-9 in every slot.  A realization does not depend on
+    the SNR: evaluation functions take the SNR explicitly, and one realization
+    serves a whole SNR grid.
     """
 
-    n: int
     h: np.ndarray
     g: np.ndarray
     states: tuple[TopologyState, ...]
-    rho: float
     mode: str = "complex"
 
     def __post_init__(self) -> None:
@@ -148,10 +147,11 @@ class ChannelRealization:
                 "channel arrays must have equal shapes ending in (n, 2), got "
                 f"{self.h.shape} and {self.g.shape} for n={self.n}"
             )
-        if len(self.states) != self.n:
-            raise ValueError("states length must equal n")
-        if not float(self.rho) > 1.0:
-            raise ValueError("rho must exceed 1")
+
+    @property
+    def n(self) -> int:
+        """Slot count of the block."""
+        return len(self.states)
 
     def state_matrix(self, t: int) -> np.ndarray:
         """Stacked 2x2 channel matrix [h_t; g_t], per trial for a batch."""
@@ -224,14 +224,9 @@ def _top_up(rng: np.random.Generator, mode: str, m: np.ndarray, ok: np.ndarray) 
     return np.array(kept)
 
 
-def draw_channels(
-    n: int,
-    states,
-    rho: float,
-    seed,
-    mode: str = "complex",
-) -> ChannelRealization:
-    """Draw an ``n``-slot realization; redraws any slot with |det| <= 1e-9.
+def draw_channels(states, seed, mode: str = "complex") -> ChannelRealization:
+    """Draw a realization of one slot per entry of ``states``; redraws any
+    slot with |det| <= 1e-9.  An empty ``states`` is refused.
 
     Identical seeds give bitwise-identical realizations.  Complex mode draws
     i.i.d. CN(0, 1) coefficients; integer mode draws uniformly from the
@@ -249,11 +244,8 @@ def draw_channels(
     are topped up.  ``h`` and ``g`` are then (trials, n, 2), and trial ``b``
     equals the one-seed draw from ``seed[b]`` bit for bit.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     states = tuple(states)
-    if len(states) != n:
-        raise ValueError("states length must equal n")
+    n = len(states)
     batched = isinstance(seed, (list, tuple))
     if batched and not seed:
         raise ValueError("a batch needs at least one seed")
@@ -265,7 +257,7 @@ def draw_channels(
     if not batched:
         m = m[0]
     h, g = m[..., 0, :].copy(), m[..., 1, :].copy()
-    return ChannelRealization(n=n, h=h, g=g, states=states, rho=float(rho), mode=mode)
+    return ChannelRealization(h=h, g=g, states=states, mode=mode)
 
 
 def receive(

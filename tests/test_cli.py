@@ -80,6 +80,14 @@ def test_usage_error_exit_code(tmp_path, capsys):
         assert parse_and_dispatch(argv) == 2
         assert "alpha must lie in [0, 1]" in capsys.readouterr().err
     assert not fig.exists()
+    # a grid whose point count overflows is refused by name, not by a traceback
+    for argv in (
+        ["verify", "--alpha-grid", "0:1e300:1e-300"],
+        ["simulate", "--scheme", "yang", "--rho-db", "0:1e300:1e-300"],
+    ):
+        capsys.readouterr()
+        assert parse_and_dispatch(argv) == 2
+        assert "too many grid points" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

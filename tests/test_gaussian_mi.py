@@ -347,7 +347,7 @@ def test_block_entropies_over_the_grid_equal_scalar_calls(label):
     rho_grid = rho_from_db((60, 70, 80, 90, 100, 110, 120))
     for alpha in (0.25, 0.5, 0.75):
         prof = TopologyProfile.named(label, alpha)
-        real = draw_channels(12, state_sequence(prof, 12), float(rho_grid[0]), 0)
+        real = draw_channels(state_sequence(prof, 12), 0)
         grid = gaussian_mi._block_entropies(real, alpha, rho_grid)
         assert all(x.shape == rho_grid.shape for x in grid)
         for j, rho in enumerate(rho_grid.tolist()):

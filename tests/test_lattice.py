@@ -185,7 +185,7 @@ def test_wiretap_lattice_ledger_meets_upper_bound():
     ids=["wiretap-lattice", "int-sym-alt"],
 )
 def test_lattice_margin_enforced_and_reported(build, states):
-    real = draw_channels(len(states), states, rho=1e8, seed=1, mode="integer")
+    real = draw_channels(states, seed=1, mode="integer")
     sch = build(real, alpha=0.25)
     # at rho = 1e4 the low-power layer exceeds half the lattice spacing
     symbols, y, z, side = simulate_noiseless(sch, rho=1e4, seed=0)

@@ -76,8 +76,8 @@ def test_state_sequence_pure_function():
 
 def test_draw_channels_deterministic():
     states = (STATE_1A,) * 5
-    r1 = draw_channels(5, states, rho=1e6, seed=1234, mode="complex")
-    r2 = draw_channels(5, states, rho=1e6, seed=1234, mode="complex")
+    r1 = draw_channels(states, seed=1234, mode="complex")
+    r2 = draw_channels(states, seed=1234, mode="complex")
     assert np.array_equal(r1.h, r2.h)
     assert np.array_equal(r1.g, r2.g)
 
@@ -118,7 +118,7 @@ def test_draw_channels_equals_slot_loop(monkeypatch, mode, seeds):
     fallbacks = 0
     for seed in seeds:
         before = len(slot_calls)
-        real = draw_channels(n, (STATE_1A,) * n, rho=1e8, seed=seed, mode=mode)
+        real = draw_channels((STATE_1A,) * n, seed=seed, mode=mode)
         fallbacks += len(slot_calls) > before
         h, g = _slot_loop_draw(n, seed, mode)
         assert real.h.tobytes() == h.tobytes() and real.g.tobytes() == g.tobytes(), seed
@@ -143,7 +143,7 @@ def test_draw_channels_tops_up_only_the_shortfall(monkeypatch):
         return draw(rng, mode, shape)
 
     monkeypatch.setattr(topology, "_draw_slots", spy)
-    real = draw_channels(3, (STATE_1A,) * 3, rho=1e8, seed=92, mode="integer")
+    real = draw_channels((STATE_1A,) * 3, seed=92, mode="integer")
     assert shapes == [(3,), (), (), ()]
     h, g = _slot_loop_draw(3, 92, "integer")
     assert real.h.tobytes() == h.tobytes() and real.g.tobytes() == g.tobytes()
@@ -155,7 +155,7 @@ def test_batched_draw_equals_per_seed_draws(monkeypatch, mode, n):
     # is the one-seed draw from seeds[b] bit for bit.  Integer seed 92 fails
     # the rank test in two of three slots, so only its trial is topped up.
     seeds = [90, 92, 91]
-    singles = [draw_channels(n, (STATE_1A,) * n, rho=1e8, seed=s, mode=mode) for s in seeds]
+    singles = [draw_channels((STATE_1A,) * n, seed=s, mode=mode) for s in seeds]
     shapes = []
     draw = topology._draw_slots
 
@@ -166,16 +166,16 @@ def test_batched_draw_equals_per_seed_draws(monkeypatch, mode, n):
     monkeypatch.setattr(topology, "_draw_slots", spy)
     for batch_seeds in (seeds, tuple(seeds)):
         shapes.clear()
-        real = draw_channels(n, (STATE_1A,) * n, rho=1e8, seed=batch_seeds, mode=mode)
+        real = draw_channels((STATE_1A,) * n, seed=batch_seeds, mode=mode)
         top_up = [(), (), ()] if mode == "integer" else []
         assert shapes == [(n,)] * len(seeds) + top_up
         assert real.h.shape == real.g.shape == (len(seeds), n, 2)
-        assert (real.n, real.rho, real.mode) == (n, 1e8, mode)
+        assert (real.n, real.mode) == (n, mode)
         for b, one in enumerate(singles):
             assert real.h[b].tobytes() == one.h.tobytes()
             assert real.g[b].tobytes() == one.g.tobytes()
     with pytest.raises(ValueError, match="at least one seed"):
-        draw_channels(n, (STATE_1A,) * n, rho=1e8, seed=[], mode=mode)
+        draw_channels((STATE_1A,) * n, seed=[], mode=mode)
 
 
 def test_draw_channels_gives_up_after_max_redraws(monkeypatch):
@@ -187,12 +187,12 @@ def test_draw_channels_gives_up_after_max_redraws(monkeypatch):
 
     monkeypatch.setattr(topology, "_draw_slots", singular)
     with pytest.raises(RuntimeError, match="^slot 0: no full-rank draw in 1000 tries$"):
-        draw_channels(2, (STATE_1A,) * 2, rho=1e8, seed=0)
+        draw_channels((STATE_1A,) * 2, seed=0)
     assert len(calls) == 1 + topology._MAX_REDRAWS
     # A batch draws every trial once, then gives up on the first one's top-up.
     calls.clear()
     with pytest.raises(RuntimeError, match="^slot 0: no full-rank draw in 1000 tries$"):
-        draw_channels(2, (STATE_1A,) * 2, rho=1e8, seed=[0, 1])
+        draw_channels((STATE_1A,) * 2, seed=[0, 1])
     assert len(calls) == 2 + topology._MAX_REDRAWS
 
 
@@ -201,7 +201,7 @@ def test_realization_channel_shapes_are_checked():
     ok = np.ones((3, 2), dtype=np.complex128)
     states = (STATE_1A,) * 3
     stacked = np.ones((4, 3, 2), dtype=np.complex128)
-    batch = ChannelRealization(n=3, h=stacked, g=stacked, states=states, rho=1e8)
+    batch = ChannelRealization(h=stacked, g=stacked, states=states)
     assert batch.state_matrix(1).shape == (4, 2, 2) and batch.min_abs_det() == 0.0
     for h, g in (
         (ok, np.ones((4, 3, 2))),  # one trial of h, a batch of g
@@ -211,12 +211,12 @@ def test_realization_channel_shapes_are_checked():
         (np.ones(6), np.ones(6)),  # flat
     ):
         with pytest.raises(ValueError, match="^channel arrays must have equal shapes ending in"):
-            ChannelRealization(n=3, h=h, g=g, states=states, rho=1e8)
+            ChannelRealization(h=h, g=g, states=states)
 
 
 def test_draw_channels_integer_exhaustive_scan():
     states = (STATE_1A,) * 100
-    real = draw_channels(100, states, rho=1e6, seed=5, mode="integer")
+    real = draw_channels(states, seed=5, mode="integer")
     coeffs = np.concatenate([real.h.ravel(), real.g.ravel()])
     assert np.all(np.abs(np.imag(coeffs)) == 0)
     vals = np.real(coeffs).astype(int)
@@ -227,13 +227,13 @@ def test_draw_channels_integer_exhaustive_scan():
 
 def test_draw_channels_complex_moment():
     states = (STATE_11,) * 1000
-    real = draw_channels(1000, states, rho=1e6, seed=9)
+    real = draw_channels(states, seed=9)
     assert abs(float(np.mean(np.abs(real.h[:, 0]) ** 2)) - 1.0) < 0.1
 
 
 def test_draw_channels_rank_invariant():
     for seed in range(20):
-        real = draw_channels(10, (STATE_AA,) * 10, rho=1e6, seed=seed)
+        real = draw_channels((STATE_AA,) * 10, seed=seed)
         assert real.min_abs_det() > 1e-9
 
 
@@ -297,7 +297,7 @@ def test_average_received_snr():
 
 
 def test_realization_csv_round_shape():
-    real = draw_channels(4, (STATE_1A, STATE_1A, STATE_A1, STATE_AA), rho=1e6, seed=2)
+    real = draw_channels((STATE_1A, STATE_1A, STATE_A1, STATE_AA), seed=2)
     text = realization_to_csv(real, alpha=0.5)
     lines = text.strip().split("\n")
     assert lines[0].startswith("t,A1,A2,h1_re")
@@ -308,10 +308,11 @@ def test_realization_csv_round_shape():
 
 
 def test_realization_validation():
-    states = (STATE_11,) * 2
-    h = np.zeros((2, 2), dtype=complex)
-    g = np.zeros((2, 2), dtype=complex)
-    with pytest.raises(ValueError):
-        ChannelRealization(n=2, h=h, g=g, states=states, rho=0.5)
-    with pytest.raises(ValueError):
-        ChannelRealization(n=3, h=h, g=g, states=states, rho=10.0)
+    # A realization has one slot per state, and at least one.
+    empty = np.zeros((0, 2), dtype=complex)
+    with pytest.raises(ValueError, match="^slot count must be >= 1$"):
+        ChannelRealization(h=empty, g=empty, states=())
+    for mode in ("complex", "integer"):
+        for seed in (0, [0, 1]):
+            with pytest.raises(ValueError, match="^slot count must be >= 1$"):
+                draw_channels((), seed=seed, mode=mode)
