@@ -57,18 +57,19 @@ VERIFY_RHO_DB = (60, 70, 80, 90, 100, 110, 120)  # SNR grid of verify's fitted c
 _FMT = ".12g"
 
 # run_sweep builds each chunk of trials as one trial-batched scheme and
-# evaluates it as one stacked batch (trials x SNRs).  A one-trial build of
-# trial 0, the layout probe, sizes every chunk, the first included: each
-# holds as many trials as fit SWEEP_ELEMENTS complex entries in the larger
-# receiver's (trials, SNRs, rows, cols) observation stack, and at least
-# SWEEP_CHUNK.  Larger chunks amortise the per-call overhead of the draw,
-# the builders and the linear-algebra kernels.  Since conditional_mi
-# evaluates each receiver block by block, the kernels work on small blocks
-# whatever the chunk: on the acceptance sweep set the MI time per (trial,
-# SNR) matrix at 32768 entries (0.5 MB) is 3% below that at 16384 and 6%
-# above that at 65536, where peak traced memory grows by a quarter
-# (CHANGES.md has the curve).  32768 is about the stack of eight trials of
-# the largest layout, bc-fixed at alpha 0.75 (19 x 30 at 7 SNRs: 31920
+# evaluates it over the whole SNR grid.  A one-trial build of trial 0, the
+# layout probe, sizes every chunk, the first included: each holds as many
+# trials as fit SWEEP_ELEMENTS entries of (trials, SNRs, rows, cols) for the
+# larger receiver's layout, and at least SWEEP_CHUNK.  Larger chunks
+# amortise the per-call overhead of the draw, the builders and the
+# linear-algebra kernels.  Since conditional_mi evaluates each receiver
+# block by block, the kernels work on small blocks whatever the chunk: on
+# the acceptance sweep set the MI time per (trial, SNR) matrix at 32768
+# entries is 3% below that at 16384 and 6% above that at 65536, where peak
+# traced memory grows by a quarter (CHANGES.md has the curve).  The curve
+# predates the rho-free engine, which forms no (trials, SNRs, rows, cols)
+# stack, so it needs measuring again.  32768 is about eight trials of the
+# largest layout, bc-fixed at alpha 0.75 (19 x 30 at 7 SNRs: 31920
 # entries).  The output does not depend on either constant.
 SWEEP_CHUNK = 8
 SWEEP_ELEMENTS = 32768
@@ -156,20 +157,21 @@ class RateReport:
     def csv_text(self) -> str:
         mi, leak = self._trial_bits
         self._trial_bits = None
-        # Rows are trial-major: one "scheme,alpha,rho_db,trial,group," head
-        # per row, then the two values as _f formats them.  The heads are
-        # generated as the rows are, so they never all sit in memory beside
-        # the rows.
-        prefixes = [f"{self.scheme},{_f(self.alpha)},{_f(db)}," for db in self.rho_db]
-        heads = (
-            f"{prefix}{trial},{g},"
-            for trial in range(len(mi))
-            for prefix in prefixes
+        # Rows are trial-major: "scheme,alpha,rho_db,trial,group," then the
+        # two values as _f formats them ("%.12g" gives the bytes of
+        # "{:.12g}", nan and inf included).  One template holds a trial's
+        # rows, with \0 where the trial number goes, and one % formats them.
+        heads = [
+            f"{self.scheme},{_f(self.alpha)},{_f(db)},\0,{g},".replace("%", "%%")
+            for db in self.rho_db
             for g in self.group_owner
+        ]
+        template = "".join(f"{head}%.12g,%.12g\n" for head in heads)
+        values = np.stack([mi, leak], axis=-1).reshape(len(mi), -1).tolist()
+        header = "scheme,alpha,rho_db,trial,symbol_group,mi_bits,leak_bits\n"
+        return header + "".join(
+            template.replace("\0", str(trial)) % tuple(row) for trial, row in enumerate(values)
         )
-        rows = map("{}{:.12g},{:.12g}".format, heads, mi.ravel().tolist(), leak.ravel().tolist())
-        header = "scheme,alpha,rho_db,trial,symbol_group,mi_bits,leak_bits"
-        return "\n".join([header, *rows]) + "\n"
 
 
 def _sweep_chunk(config: SweepConfig, seqs, rho_lin):

@@ -2,15 +2,24 @@
 
 ``conditional_mi`` is the one MI engine: every scheme rate and leakage is
 a difference of closed-form log-determinants of covariances, with no
-estimator noise.  The scheme sweeps and checks are tested on SNR grids of
-60-120 dB.  Known limits of the key conditioning at high SNR:
+estimator noise.  It takes the SNR-free coefficients, the row and column
+power exponents and the SNRs, so the key projection and the Gram pieces
+are formed once per trial and each SNR adds only elementwise work and a
+log-det.  The scheme sweeps and checks are tested on SNR grids of
+60-120 dB.  Known limits at high SNR (alpha = 0.5 unless stated):
 
-* precision falls as SNR grows: repeating every key row, which adds no
-  knowledge, moves ``wiretap-gaussian-a1`` values by up to 2.1e-4 bits at
-  120 dB (3 seeds, alpha = 0.5);
+* precision falls as SNR grows, about as eps * rho on receivers with
+  several full-power rows: against a 50-digit evaluation of the same
+  coefficients, entropies are off by up to 3.1e-4 bits at 120 dB
+  (``gdof`` receiver 1; 8 seeds, alphas 0.05-0.95, 100-120 dB);
+* repeating every key row, which adds no knowledge, moves
+  ``wiretap-gaussian-a1`` values by up to 7.5e-6 bits and ``yang`` values
+  by up to 9.8e-5 bits at 120 dB (3 seeds);
 * ``conditional_mi`` raises ``singular conditional covariance`` on some
-  realizations above 150 dB (at alpha = 0.5, ``wiretap-gaussian-a1``: 1 of
-  20 seeds at 155 dB and 2 at 160 dB; ``yang``: 4 of 20 at 165 dB).
+  realizations from 155 dB (20 seeds, in 5 dB steps to 240 dB):
+  ``gdof`` first at 155 dB (2 of 20; 7 at 160 dB), ``wiretap-gaussian-a1``
+  at 160 dB (1; 6 at 165 dB), ``yang`` at 160 dB (1; 7 at 165 dB); the
+  other kinds pass to 240 dB.
 
 Slopes are fitted by ordinary least squares on the top half of the SNR grid
 to suppress additive O(1) offsets.
@@ -57,17 +66,67 @@ def _logdet2(mat: np.ndarray):
     return logdet / math.log(2.0)
 
 
-def _entropy_given_keys(a: np.ndarray, k: np.ndarray):
-    """log2-det part of h(A s + n | K s) for s ~ CN(0, I), unit noise.
+_ONE_LEVEL = ((0.0, None),)  # every column at exponent 0
+
+
+def _levels(col_exp: np.ndarray) -> tuple:
+    """The distinct column exponents of ``col_exp`` (any shape), ascending,
+    each as (exponent, read-only mask of its columns); a single level has no
+    mask, since it holds every column, and no columns make one level."""
+    values = sorted(set(col_exp.ravel().tolist()))
+    if len(values) <= 1:
+        return ((values[0], None),) if values else _ONE_LEVEL
+    levels = []
+    for e in values:
+        mask = col_exp == e
+        mask.flags.writeable = False
+        levels.append((e, mask))
+    return tuple(levels)
+
+
+def _entropy_given_keys(c: np.ndarray, k: np.ndarray, row_exp=None, levels=_ONE_LEVEL, rho=None):
+    """log2-det part of h(A s + n | K s) for s ~ CN(0, I) and unit noise,
+    where A scales entry (i, j) of the rho-free ``c`` by rho^((r_i + c_j)/2):
+    row exponents ``row_exp``, column exponents given as ``levels`` (see
+    ``_levels``).
 
     Conditioning on the noiseless functionals K s projects the symbol space
-    onto the orthogonal complement of the key rows (Schur complement of the
-    joint Gaussian), which keeps the determinant well conditioned at large
-    SNR.  Leading axes of ``a`` and ``k`` are batch axes and broadcast."""
+    onto the orthogonal complement of the key rows, P = I - K⁺K (the Schur
+    complement of the joint Gaussian).  Key rows touch only exponent-0
+    columns, so P commutes with the column scaling, and
+
+        (A P Aᴴ)_ij = Σ_e rho^((r_i + r_j)/2 + e) (Q_e)_ij,   Q_e = (C P)_e (C P)_eᴴ,
+
+    where (C P)_e keeps the columns of level e.  The projection and the Gram
+    pieces are formed once, without the SNR; each SNR costs one elementwise
+    product and sum per level, and the log-det.
+
+    Leading axes of ``c`` and ``k`` are batch axes and broadcast;
+    ``row_exp`` (..., rows) and the level masks (..., cols) broadcast
+    against them.  ``rho`` is None, which evaluates ``c`` as it stands (the
+    defaults: the dense call A = ``c``), or an array of SNRs, whose axes
+    follow the batch axes in the result."""
     if k.shape[-2]:
-        proj = np.eye(k.shape[-1]) - np.linalg.pinv(k) @ k
-        a = a @ proj
-    return _logdet2(a @ a.conj().swapaxes(-1, -2) + np.eye(a.shape[-2]))
+        c = c @ (np.eye(k.shape[-1]) - np.linalg.pinv(k) @ k)
+    c_h = c.conj().swapaxes(-1, -2)
+    r = c.shape[-2]
+    if rho is not None:
+        snr_axes = (1,) * rho.ndim
+        half = (row_exp[..., :, None] + row_exp[..., None, :]) / 2.0
+        half = half.reshape(half.shape[:-2] + snr_axes + (r, r))
+        rho = rho.reshape(rho.shape + (1, 1))
+    g = None
+    for e, mask in levels:
+        q = (c if mask is None else c * mask[..., None, :]) @ c_h
+        if rho is not None:  # the piece at every SNR: times rho^((r_i + r_j)/2 + e)
+            q = q.reshape(q.shape[:-2] + snr_axes + (r, r)) * rho ** (half + e)
+        if g is None:
+            g = q
+        else:
+            g += q
+    diagonal = np.einsum("...ii->...i", g)
+    diagonal += 1.0
+    return _logdet2(g)
 
 
 def _support(x: np.ndarray) -> np.ndarray:
@@ -113,21 +172,40 @@ def _blocks(support: np.ndarray, m: int) -> list:
 
 
 @functools.lru_cache(maxsize=128)
-def _stack_plan(support: bytes, support_shape: tuple, m: int, keeps: tuple) -> tuple:
+def _stack_plan(
+    support: bytes, support_shape: tuple, m: int, keeps: tuple, row_exp: bytes, col_exp: bytes
+) -> tuple:
     """How ``_entropies_by_block`` evaluates the kept column masks ``keeps``
-    on a support matrix (see ``_blocks``), both given as bool bytes.
+    on a support matrix (see ``_blocks``), both given as bool bytes;
+    ``row_exp`` and ``col_exp`` are the float64 bytes of the exponents of
+    the ``m`` observation rows and of the columns.
 
     Each distinct (block, kept columns) pair is evaluated once, and pairs
     of equal (rows, key rows, kept columns) shape form one stack.  Returns,
     per stack shape, the flat indices of its pairs into the (rows * cols)
     observation and (key rows * cols) key matrices, shaped (pairs, rows,
-    kept) and (pairs, key rows, kept); and per mask, the (stack shape, pair)
-    of each block part.  A receiver layout repeats over chunks and sweeps,
-    and this plan costs about as much as the whole evaluation of a small
-    receiver, so it is cached; the result is immutable (tuples, read-only
-    arrays), since every caller shares it."""
+    kept) and (pairs, key rows, kept), the (pairs, rows) row exponents and
+    the stack's column levels (see ``_levels``); and per mask, the (stack
+    shape, pair) of each block part.  A receiver layout repeats over chunks
+    and sweeps, and this plan costs about as much as the whole evaluation
+    of a small receiver, so it is cached; the exponents are part of the
+    key, since they change with alpha on one support.  The result is
+    immutable (tuples, read-only arrays), since every caller shares it.
+
+    Raises ValueError if a key row touches a column whose exponent is not 0:
+    the engine's Gram pieces need the key projection to commute with the
+    column scaling."""
+    row_exp, col_exp = np.frombuffer(row_exp), np.frombuffer(col_exp)
     n = support_shape[1]
-    blocks = _blocks(np.frombuffer(support, dtype=bool).reshape(support_shape), m)
+    support = np.frombuffer(support, dtype=bool).reshape(support_shape)
+    scaled_key = support[m:] & (col_exp != 0)
+    if scaled_key.any():
+        i, j = np.argwhere(scaled_key)[0].tolist()
+        raise ValueError(
+            f"key row {i} touches column {j}, whose power exponent is {col_exp[j]}: "
+            "keys must sit on exponent-0 columns"
+        )
+    blocks = _blocks(support, m)
     stacks = {}  # stack shape -> [(rows, key rows, kept columns) index arrays]
     where = {}  # (block, kept columns) -> (stack shape, pair)
     parts = []
@@ -150,60 +228,88 @@ def _stack_plan(support: bytes, support_shape: tuple, m: int, keeps: tuple) -> t
     for shape, stack in stacks.items():
         rows, key_rows, kept = (np.array(x) for x in zip(*stack))
         cols = kept[:, None, :]
-        flat = (rows[:, :, None] * n + cols, key_rows[:, :, None] * n + cols)
-        for x in flat:
+        arrays = (rows[:, :, None] * n + cols, key_rows[:, :, None] * n + cols, row_exp[rows])
+        for x in arrays:
             x.flags.writeable = False
-        gathers.append((shape, *flat))
+        gathers.append((shape, *arrays, _levels(col_exp[kept])))
     return tuple(gathers), tuple(map(tuple, parts))
 
 
-def _entropies_by_block(obs: np.ndarray, keys: np.ndarray, keeps) -> list:
+def _entropies_by_block(coef, keys, keeps, row_exp, col_exp, rho) -> list:
     """``_entropy_given_keys`` of the observations restricted to each kept
     column mask in ``keeps`` (the rows of a bool array), evaluated per block
     and summed over blocks, with one call per stack of ``_stack_plan``.
 
-    The blocks come from the nonzeros of ``obs`` and ``keys`` united over
+    The blocks come from the nonzeros of ``coef`` and ``keys`` united over
     all batch axes.  Each stack is gathered with one take on the flattened
     matrices, a C-contiguous (..., pairs, rows, kept) array."""
-    support = np.concatenate([_support(obs), _support(keys)])
+    support = np.concatenate([_support(coef), _support(keys)])
     gathers, parts = _stack_plan(
-        support.tobytes(), support.shape, obs.shape[-2], tuple(k.tobytes() for k in keeps)
+        support.tobytes(),
+        support.shape,
+        coef.shape[-2],
+        tuple(k.tobytes() for k in keeps),
+        row_exp.tobytes(),
+        col_exp.tobytes(),
     )
-    flat_obs, flat_keys = (x.reshape(x.shape[:-2] + (-1,)) for x in (obs, keys))
+    batch = np.broadcast_shapes(coef.shape[:-2], keys.shape[:-2])
+    flat_coef, flat_keys = (x.reshape(x.shape[:-2] + (-1,)) for x in (coef, keys))
     values = {
-        shape: _entropy_given_keys(
-            np.take(flat_obs, rows, axis=-1), np.take(flat_keys, key_rows, axis=-1)
+        # The pair axis first, so that values[shape][pair] has the result's shape.
+        shape: np.moveaxis(
+            _entropy_given_keys(
+                np.take(flat_coef, rows, axis=-1),
+                np.take(flat_keys, key_rows, axis=-1),
+                exps,
+                levels,
+                rho,
+            ),
+            len(batch),
+            0,
         )
-        for shape, rows, key_rows in gathers
+        for shape, rows, key_rows, exps, levels in gathers
     }
-    lead = np.broadcast_shapes(obs.shape[:-2], keys.shape[:-2])
+    lead = batch + (() if rho is None else rho.shape)
     out = []
     for part in parts:
         total = np.zeros(lead)
         for shape, pair in part:
-            total = total + values[shape][..., pair]
+            total = total + values[shape][pair]
         out.append(total)
     return out
 
 
 def conditional_mi(
-    obs: np.ndarray,
+    coef: np.ndarray,
     keys: np.ndarray,
     target: np.ndarray,
     given: np.ndarray,
+    row_exp=None,
+    col_exp=None,
+    rho=None,
 ):
     """I(s_target ; obs | s_given, keys) in bits.
 
-    ``obs`` is the (m, k) column matrix of observations ``obs = A s + n``
-    with unit receiver noise and symbol variances already folded into the
-    columns; ``keys`` holds noiseless linear functionals of the symbols that
-    the receiver is deemed to know exactly.  ``target`` and ``given`` are
-    boolean column masks; conditioning on a symbol subset removes its
-    columns (symbols are independent).
+    The observations are ``obs = A s + n`` with unit receiver noise, where
+    entry (i, j) of A is entry (i, j) of the (m, k) matrix ``coef``, symbol
+    variances folded into its columns, scaled by rho^((row_exp[i] +
+    col_exp[j]) / 2).  ``keys`` holds noiseless linear functionals of the
+    symbols that the receiver is deemed to know exactly; they do not scale
+    with the SNR, and a key row may touch only columns of exponent 0 (a
+    ValueError names the first column that breaks this).  ``target`` and
+    ``given`` are boolean column masks; conditioning on a symbol subset
+    removes its columns (symbols are independent).
 
-    ``obs`` and ``keys`` may carry leading batch axes (for example trials x
-    SNRs, or trials x 1 for keys that do not depend on the SNR); the result
-    then has the broadcast batch shape.
+    ``row_exp`` and ``col_exp`` default to zeros, and ``rho`` to None, which
+    evaluates ``coef`` as it stands: the dense call A = ``coef``.  Given
+    ``rho``, a scalar or an array of SNRs, the result has the batch shape
+    followed by ``rho``'s shape.  The key projection and the Gram pieces
+    are formed once per trial, whatever the number of SNRs (see
+    ``_entropy_given_keys``).
+
+    ``coef`` and ``keys`` may carry leading batch axes (for example trials,
+    or trials x 1 for keys shared over a second axis); the result then has
+    the broadcast batch shape.
 
     ``target`` and ``given`` may also be (pairs, k) stacks of masks, as
     for every chain-rule step one receiver needs.  The result then has a
@@ -217,7 +323,7 @@ def conditional_mi(
     columns) shape share one stacked log-det call: a call makes one log-det
     call per distinct pair shape, whatever the number of conditioning sets.
     A receiver whose support is one block with no all-zero row gets exactly
-    the bits of a dense evaluation of the whole masked matrix; other
+    the bits of ``_entropy_given_keys`` on the whole masked matrix; other
     receivers differ from it by rounding only (about 1e-12 bits on the
     scheme sweeps).
 
@@ -225,12 +331,18 @@ def conditional_mi(
     batched call equals the unbatched call on its slice bit for bit only if
     that slice has the batch's nonzero pattern.  Every trial of a scheme
     chunk has its chunk's pattern (a tier-1 test checks each kind at every
-    alpha k/20), which keeps sweep CSVs independent of the chunking.
+    alpha k/20), which keeps sweep CSVs independent of the chunking.  Each
+    SNR of an array ``rho`` is evaluated elementwise, so an entry also
+    equals the call at its SNR alone bit for bit.
     """
+    m, n = coef.shape[-2:]
+    row_exp = np.zeros(m) if row_exp is None else np.asarray(row_exp, dtype=float)
+    col_exp = np.zeros(n) if col_exp is None else np.asarray(col_exp, dtype=float)
+    rho = None if rho is None else np.asarray(rho, dtype=float)
     keep1 = ~np.asarray(given, dtype=bool)
     keep1, keep2 = np.broadcast_arrays(keep1, keep1 & ~np.asarray(target, dtype=bool))
     keeps = np.stack([keep1, keep2]).reshape(-1, keep1.shape[-1])
-    h = np.stack(_entropies_by_block(obs, keys, keeps))
+    h = np.stack(_entropies_by_block(coef, keys, keeps, row_exp, col_exp, rho))
     mi = np.maximum(h[: len(h) // 2] - h[len(h) // 2 :], 0.0)
     return mi[0] if keep1.ndim == 1 else mi
 

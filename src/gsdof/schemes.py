@@ -290,7 +290,8 @@ class _ReceiverStructure:
                     coef[..., i : i + 1, columns[name]] = (vec @ m) / norm
 
         # Keys must not depend on the SNR, so they may only sit on unit-power
-        # groups; scaled() then needs no SNR axis for them.
+        # groups: conditional_mi needs the key projection to commute with the
+        # column scaling, and scaled() needs no SNR axis for them.
         key_map = scheme.keys.get(receiver, {})
         k = next(iter(key_map.values())).shape[-2] if key_map else 0
         key_coef = np.zeros(lead + (k, pos), dtype=np.complex128)
@@ -308,7 +309,11 @@ class _ReceiverStructure:
         """Observation and key matrices at SNR ``rho``, a scalar or an array
         whose shape becomes the batch shape of the observations, after the
         trials axis if there is one.  The keys do not depend on the SNR: they
-        get one size-1 axis per SNR axis, which broadcasts."""
+        get one size-1 axis per SNR axis, which broadcasts.
+
+        This is the dense form, a reference for tests; accounting passes
+        ``coef``, ``key_coef`` and the exponents to ``conditional_mi``,
+        which never forms it."""
         r = np.asarray(rho, dtype=float)
         lead = self.coef.shape[:-2] + (1,) * r.ndim
         a = self.coef.reshape(lead + self.coef.shape[-2:]) * r[..., None, None] ** (
@@ -338,17 +343,17 @@ def _receiver_bits(scheme: LinearScheme, rho, receiver: int) -> tuple[dict, dict
     each step is also given the common layer, the granted keys and the
     chain's earlier groups.
 
-    Both chains share one stacked (obs, keys) pair and one ``conditional_mi``
-    call, which splits the receiver into its independent blocks and
-    evaluates each distinct (block, kept columns) pair once, such as a block
-    that neither chain's groups touch.  A batched scheme stacks the receiver
-    matrices over trials x SNRs."""
+    Both chains share one ``conditional_mi`` call on the receiver's rho-free
+    coefficients, keys and exponents, which splits the receiver into its
+    independent blocks and evaluates each distinct (block, kept columns)
+    pair once, such as a block that neither chain's groups touch.  The SNR
+    enters only there, so a batched scheme is projected and its Gram pieces
+    formed once per trial, not once per (trial, SNR)."""
     chains = (
         (scheme.decode_order.get(receiver, ()), _own_owner(_other(receiver))),
         (scheme.decode_order.get(_other(receiver), ()), _own_owner(receiver)),
     )
     st = receiver_structure(scheme, receiver)
-    a, k = st.scaled(rho)
     targets, givens = [], []
     for order, known_owner in chains:
         given = st.owner_masks[known_owner] | st.owner_masks["common"]
@@ -356,7 +361,11 @@ def _receiver_bits(scheme: LinearScheme, rho, receiver: int) -> tuple[dict, dict
             targets.append(st.masks[name])
             givens.append(given)
             given = given | st.masks[name]
-    bits = iter(conditional_mi(a, k, np.array(targets), np.array(givens)))
+    bits = iter(
+        conditional_mi(
+            st.coef, st.key_coef, np.array(targets), np.array(givens), st.row_exp, st.col_exp, rho
+        )
+    )
     return tuple({name: next(bits) for name in order} for order, _ in chains)
 
 

@@ -33,6 +33,7 @@ WEAK = "weak"
 
 RANK_TOL = 1e-9
 _MAX_REDRAWS = 1000
+_CHANNEL_MODES = ("complex", "integer")  # the modes _draw_slots draws
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,8 @@ class ChannelRealization:
     mode: str = "complex"
 
     def __post_init__(self) -> None:
+        if self.mode not in _CHANNEL_MODES:
+            raise ValueError(f"unknown channel mode {self.mode!r}")
         if self.n < 1:
             raise ValueError("slot count must be >= 1")
         if self.h.shape != self.g.shape or self.h.shape[-2:] != (self.n, 2):

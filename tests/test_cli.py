@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from gsdof.cli import build_parser, parse_and_dispatch
+from gsdof.cli import GRID_POINTS_MAX, _parse_range, build_parser, parse_and_dispatch
 from gsdof.schemes import SCHEME_KINDS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -88,6 +88,21 @@ def test_usage_error_exit_code(tmp_path, capsys):
         capsys.readouterr()
         assert parse_and_dispatch(argv) == 2
         assert "too many grid points" in capsys.readouterr().err
+
+
+def test_grid_point_cap_is_a_usage_error(capsys):
+    # A finite grid of more than GRID_POINTS_MAX points is refused before
+    # its points are built, and the error names the cap.
+    for argv in (
+        ["verify", "--alpha-grid", "0:1:1e-300"],
+        ["simulate", "--scheme", "yang", "--rho-db", "0:1000:0.5"],
+    ):
+        capsys.readouterr()
+        assert parse_and_dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert f"too many grid points: {argv[-1]!r}" in err
+        assert f"at most {GRID_POINTS_MAX} are allowed" in err
+    assert len(_parse_range(f"0:1:{1 / (GRID_POINTS_MAX - 1)}")) == GRID_POINTS_MAX
 
 
 @pytest.mark.parametrize(

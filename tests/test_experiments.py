@@ -258,14 +258,14 @@ def test_run_sweep_chunk_schedule(monkeypatch, kind, alpha, sizes):
 # these bytes.  Generated with numpy 2.4.6 on x86-64; a different numpy or
 # BLAS build may round the log-dets differently.
 SWEEP_DIGESTS = {
-    "wiretap-gaussian": "45beccc2781bc35d5462e92e6e632f06da0a9178720814d59a0aadcfb7c59e40",
-    "wiretap-gaussian-a1": "38c13add2969075674f732fe348df8503b9ad26725ec2247cc5713e466ac1424",
-    "yang": "a90f553f243bccf77bc9c73530466f493260bdb44fa9944e5de85a46c5379e69",
+    "wiretap-gaussian": "c70361a785add4726710ed05deea4cf42daf59e8bb8768ab47a310fdfea04811",
+    "wiretap-gaussian-a1": "8794a801ee17febb99e9d1b9ac9427793eba147ac46dd7aea29aff3a289ac355",
+    "yang": "8edb9d86d0b0ef2cf50c65d67c6b7797f2116a063ebf12de686212e9d8a9e607",
     "bc-fixed": "5808dba23efca785aea35ed3493756fcfcd8d8cd0224d083e904bedc65a7bf74",
     "sym-alt": "f0079d65532a875049fdf659ec2df7a3916be23cd120c822da6edc7dc6963c90",
-    "wiretap-lattice": "d2a14c0f4bd3f9ac19d32b876e3d1394ff1663c457d03c1dee10cd3efcea7e78",
+    "wiretap-lattice": "f50e6eb9d95635794be03fc380eb202b280af3f615315c1cf432bb43d591b806",
     "int-sym-alt": "294d6da221f0a0d0892c930c7b5a1c72c841847af66c03e3680750c075356258",
-    "gdof": "12b904dfa22f26a069ab3638198f85760437993be8dd9c6eb66ecebe7238d0c0",
+    "gdof": "57dd37a158bd68099d87182e2df6f89cfabc26b84d80611d9f3e942ef9a0da76",
     "wiretap-nonoise": "8bb7addedbf2ee20a5a57d8b4cdd5626025d44f06010195fd04b88f6638e3cad",
 }
 
@@ -592,8 +592,8 @@ def test_verify_all_accepts_fraction_alphas():
 # at seeds 0 and 1.  Every check row is pinned: margins, details and order.
 # Generated with numpy 2.4.6 on x86-64, like SWEEP_DIGESTS.
 VERIFY_DIGESTS = {
-    0: "4058b0f14d43852a755e4222d3933c79529ad53fd6c3d76e50c758ebcc5a8be4",
-    1: "fb08e07e2b4ab1d89337e8b8ba9e9011b8fbd7c7b2ed5a88bc805737c98c200f",
+    0: "8951aa536df4ea3408b1a2c11abdf645b662442087d1af400c228c7ee4cfffc5",
+    1: "cf895d5a5d567182a28e7331c432dc52b945a5fef01182fa0b46ab86ba88b6e5",
 }
 
 

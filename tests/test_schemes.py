@@ -483,21 +483,22 @@ def test_accounting_evaluates_each_conditioning_set_once(kind, monkeypatch):
     calls = []
     entropy = gaussian_mi._entropy_given_keys
 
-    def counted(a, k):
-        calls.append((a.shape, k.shape[-2]))
-        return entropy(a, k)
+    def counted(c, k, row_exp, levels, rho):
+        calls.append((c.shape, k.shape[-2], rho.shape))
+        return entropy(c, k, row_exp, levels, rho)
 
     monkeypatch.setattr(gaussian_mi, "_entropy_given_keys", counted)
     batch = build_scheme(kind, 0.5, [np.random.SeedSequence(i) for i in range(3)])
     accounting_bits(batch, STACK_RHOS)
     assert _distinct_conditioning_sets(batch) == LOGDETS_PER_CHUNK[kind]
     # (rows, key rows, kept columns, stacked pairs) of each call, receiver 1's first.
-    got = [(shape[3], keys, shape[4], shape[2]) for shape, keys in calls]
+    got = [(shape[2], keys, shape[3], shape[1]) for shape, keys, _ in calls]
     want1, want2 = _expected_stacks(batch, 1), _expected_stacks(batch, 2)
     assert len(got) == len(want1) + len(want2)
     assert sorted(got[: len(want1)]) == sorted(want1)
     assert sorted(got[len(want1) :]) == sorted(want2)
-    assert all(shape[:2] == (3, len(STACK_RHOS)) for shape, _ in calls)
+    # The rho-free stack of 3 trials, evaluated over the SNRs inside the call.
+    assert all(shape[0] == 3 and rho == STACK_RHOS.shape for shape, _, rho in calls)
 
 
 def _in_domain(spec, alpha) -> bool:
@@ -510,14 +511,17 @@ def _in_domain(spec, alpha) -> bool:
 
 def _dense_accounting(sch, rhos):
     # Reference accounting that ignores the blocks: both entropies of every
-    # chain step from _entropy_given_keys on the whole masked receiver matrix.
+    # chain step from _entropy_given_keys on the whole masked rho-free
+    # receiver matrix.
     rel, leak = {}, {}
+    rhos = np.asarray(rhos, dtype=float)
     for receiver, other in ((1, 2), (2, 1)):
         st = receiver_structure(sch, receiver)
-        a, k = st.scaled(rhos)
 
         def h(keep):
-            return gaussian_mi._entropy_given_keys(a[..., keep], k[..., keep])
+            levels = gaussian_mi._levels(st.col_exp[keep])
+            c, k = st.coef[..., keep], st.key_coef[..., keep]
+            return gaussian_mi._entropy_given_keys(c, k, st.row_exp, levels, rhos)
 
         for out, owner, known in ((rel, receiver, other), (leak, other, receiver)):
             given = st.owner_masks[f"rx{known}"] | st.owner_masks["common"]

@@ -316,3 +316,14 @@ def test_realization_validation():
         for seed in (0, [0, 1]):
             with pytest.raises(ValueError, match="^slot count must be >= 1$"):
                 draw_channels((), seed=seed, mode=mode)
+
+
+def test_realization_refuses_an_unknown_mode():
+    # A realization's mode is one draw_channels can draw, with its message.
+    h = g = np.ones((3, 2), dtype=complex)
+    with pytest.raises(ValueError, match="^unknown channel mode 'bogus'$"):
+        ChannelRealization(h, g, (STATE_1A,) * 3, mode="bogus")
+    with pytest.raises(ValueError, match="^unknown channel mode 'bogus'$"):
+        draw_channels((STATE_1A,) * 3, seed=0, mode="bogus")
+    for mode in ("complex", "integer"):
+        assert ChannelRealization(h, g, (STATE_1A,) * 3, mode=mode).mode == mode
