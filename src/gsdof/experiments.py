@@ -1,9 +1,11 @@
 """SNR sweeps, slope fitting, cross-validation suite, and figure-data emission.
 
-All results are deterministic functions of the configuration seed: trials
-use spawned seed sequences and reductions happen in trial order, so repeated
-runs produce byte-identical CSV artifacts regardless of how the trials are
-chunked for batched MI evaluation.
+All results are deterministic functions of the configuration seed.  Sweep
+trial ``i`` draws its channels from ``default_rng(s_i)``, where ``s_i`` is
+the first state word of child ``i`` of ``SeedSequence(seed).spawn(trials)``
+(see ``topology.trial_seeds``), and reductions happen in trial order, so
+repeated runs produce byte-identical CSV artifacts regardless of how the
+trials are chunked for batched MI evaluation.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .schemes import (
 # looks all three up on this module.
 from .gaussian_mi import lemma1_margins  # noqa: F401
 from .schemes import leakage_bits, reliability_bits  # noqa: F401
-from .topology import TopologyProfile
+from .topology import TopologyProfile, trial_seeds
 
 __all__ = [
     "SweepConfig",
@@ -174,11 +176,12 @@ class RateReport:
         )
 
 
-def _sweep_chunk(config: SweepConfig, seqs, rho_lin):
-    """Build one chunk of trials as one trial-batched scheme and evaluate
-    reliability and leakage for all of them over the SNR grid: (rel, leak),
-    each mapping group -> (trials, SNRs) bits."""
-    return accounting_bits(build_scheme(config.scheme, config.alpha, seqs), rho_lin)
+def _sweep_chunk(config: SweepConfig, seeds, rho_lin):
+    """Build one chunk of trials, given by their int seeds, as one
+    trial-batched scheme and evaluate reliability and leakage for all of
+    them over the SNR grid: (rel, leak), each mapping group -> (trials,
+    SNRs) bits."""
+    return accounting_bits(build_scheme(config.scheme, config.alpha, seeds), rho_lin)
 
 
 def _chunk_trials(scheme, n_rho: int) -> int:
@@ -197,9 +200,10 @@ def run_sweep(config: SweepConfig) -> RateReport:
     many trials as its receiver layouts fit in ``SWEEP_ELEMENTS``, and at
     least ``SWEEP_CHUNK``.  If the probe fails, trial 0 is named; if a
     chunk fails, its trials are rerun one at a time so the error names the
-    lowest failing trial."""
+    lowest failing trial.  Every trial's int seed comes from one
+    ``trial_seeds`` pass; each chunk derives its own generators from them."""
     rho_lin = rho_from_db(config.rho_db)
-    seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
+    seeds = trial_seeds(config.seed, config.trials)
     try:
         probe = build_scheme(config.scheme, config.alpha, seeds[:1])
     except Exception as exc:
@@ -207,13 +211,13 @@ def run_sweep(config: SweepConfig) -> RateReport:
     size = _chunk_trials(probe, len(rho_lin))
     rel_parts, leak_parts = [], []
     for start in range(0, config.trials, size):
-        seqs = seeds[start : start + size]
+        chunk = seeds[start : start + size]
         try:
-            rel, leak = _sweep_chunk(config, seqs, rho_lin)
+            rel, leak = _sweep_chunk(config, chunk, rho_lin)
         except Exception:
-            for idx, seq in enumerate(seqs, start):
+            for idx, s in enumerate(chunk, start):
                 try:
-                    _sweep_chunk(config, [seq], rho_lin)
+                    _sweep_chunk(config, [s], rho_lin)
                 except Exception as exc:  # attach the trial index for reproducibility
                     raise RuntimeError(f"trial {idx} failed: {exc}") from exc
             raise
@@ -400,8 +404,9 @@ def _canary_check(rho_db, trials, seed) -> CheckResult:
 def _decode_checks(alphas, trials, seed) -> list[CheckResult]:
     """One noiseless decode check per scheme kind, at alpha 0.5 if it is in
     ``alphas`` and at ``alphas[0]`` if not, over ``trials`` realizations:
-    trial ``i`` draws its channels from ``SeedSequence((seed, i))`` and its
-    symbols from seed ``i``.
+    trial ``i`` draws its channels from ``default_rng`` of the first state
+    word of ``SeedSequence((seed, i))`` (``trial_seeds`` with ``spawned``
+    false) and its symbols from seed ``i``.
 
     A kind's trials are built as one trial-batched scheme and decoded with
     one ``noiseless_decode_check``.  Trial ``b`` of the batch is the
@@ -412,16 +417,16 @@ def _decode_checks(alphas, trials, seed) -> list[CheckResult]:
     out = []
     a = 0.5 if 0.5 in alphas else alphas[0]
     at = _alpha_tag(a)
-    seqs = [np.random.SeedSequence((seed, i)) for i in range(trials)]
+    seeds = trial_seeds(seed, trials, spawned=False)
     for kind in SCHEME_TARGETS:
         try:
-            ok = noiseless_decode_check(build_scheme(kind, a, seqs), seed=list(range(trials)))
+            ok = noiseless_decode_check(build_scheme(kind, a, seeds), seed=list(range(trials)))
         except Exception:
             ok = False
         failures = 0
         if not ok:
-            for i, seq in enumerate(seqs):
-                if not noiseless_decode_check(build_scheme(kind, a, seq), seed=i):
+            for i, s in enumerate(seeds):
+                if not noiseless_decode_check(build_scheme(kind, a, s), seed=i):
                     failures += 1
         out.append(
             CheckResult(

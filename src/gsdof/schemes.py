@@ -50,6 +50,7 @@ from .topology import (
     ChannelRealization,
     TopologyState,
     draw_channels,
+    seed_generators,
 )
 
 __all__ = [
@@ -968,9 +969,10 @@ def simulate_noiseless(scheme: LinearScheme, rho: float, seed=0):
     Returns (symbols, y, z, side_values) where side_values holds the exact
     (unquantized) side-information content per channel label: the other
     receiver's normalized outputs in the channel's slots.  A trial-batched
-    scheme takes one symbol seed per trial: trial ``b``'s symbols are drawn
-    from ``default_rng(seed[b])`` exactly as a one-trial scheme draws them,
-    and every returned array has the trials axis first.
+    scheme takes one non-negative int symbol seed per trial: trial ``b``'s
+    symbols are drawn from a generator equal to ``default_rng(seed[b])``
+    (``seed_generators`` derives them in one pass), exactly as a one-trial
+    scheme draws them, and every returned array has the trials axis first.
     """
     real = scheme.realization
     lead = real.h.shape[:-2]
@@ -982,7 +984,7 @@ def simulate_noiseless(scheme: LinearScheme, rho: float, seed=0):
             f"seed per trial, got {seed!r}"
         )
     else:
-        draws = [_draw_symbols(scheme, np.random.default_rng(s)) for s in seed]
+        draws = [_draw_symbols(scheme, rng) for rng in seed_generators(seed)]
         symbols = {name: np.stack([d[name] for d in draws]) for name in draws[0]}
     phys = {
         g.name: np.asarray(symbols[g.name], dtype=np.complex128) * rho ** (g.exponent / 2.0)
@@ -1340,10 +1342,10 @@ SECURE_SCHEMES = tuple(kind for kind, spec in SCHEMES.items() if spec.secure)
 
 
 def _draw_for(kind: str, alpha: float, seed) -> ChannelRealization:
-    """The kind's realization for one seed (an int or a SeedSequence), or a
-    trial-batched one for a list or tuple of seeds, in one ``draw_channels``
-    call.  A SeedSequence is mapped to the int seed its first state word
-    gives."""
+    """The kind's realization for one seed (a non-negative int or a
+    SeedSequence), or a trial-batched one for a list or tuple of seeds, in
+    one ``draw_channels`` call.  A SeedSequence is mapped to the int seed
+    its first state word gives."""
     spec = SCHEMES[kind]
     states = spec.states(alpha)
 
@@ -1357,10 +1359,14 @@ def _draw_for(kind: str, alpha: float, seed) -> ChannelRealization:
 def build_scheme(kind: str, alpha: float, seed) -> LinearScheme:
     """Draw a fresh realization matching the scheme's needs and build it.
 
-    ``seed`` is one seed (an int or a SeedSequence), or a list or tuple of
-    seeds for a trial-batched scheme: one ``draw_channels`` call draws each
-    trial from its own generator as a one-seed build draws it, along a
-    leading trials axis, and the builder runs once for the whole batch.
+    ``seed`` is one seed, or a list or tuple of seeds for a trial-batched
+    scheme.  An int seed ``s`` draws from a generator equal to
+    ``default_rng(s)``; a SeedSequence ``q`` is first mapped to the int
+    ``int(q.generate_state(1)[0])``, which is how ``run_sweep`` seeds trial
+    ``i`` from child ``i`` of ``SeedSequence(seed).spawn(trials)``.  One
+    ``draw_channels`` call draws each trial from its own generator as a
+    one-seed build draws it, along a leading trials axis, and the builder
+    runs once for the whole batch.
     Trial ``b`` of the batched realization, slot maps, slot norms and keys
     equals the one-seed build from ``seed[b]`` bit for bit.
     """

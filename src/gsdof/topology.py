@@ -7,7 +7,9 @@ profile fixes the fraction of time spent in each of the four joint states.
 
 from __future__ import annotations
 
+import functools
 import io
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +25,8 @@ __all__ = [
     "STATE_AA",
     "STATE_BY_LABEL",
     "state_sequence",
+    "trial_seeds",
+    "seed_generators",
     "draw_channels",
     "receive",
     "realization_to_csv",
@@ -34,6 +38,11 @@ WEAK = "weak"
 RANK_TOL = 1e-9
 _MAX_REDRAWS = 1000
 _CHANNEL_MODES = ("complex", "integer")  # the modes _draw_slots draws
+# Integer-mode coefficients.  Nonzero integers only: a zero coefficient on a
+# reused antenna path breaks decodability and noise cover with constant
+# probability.
+_INTEGER_VALUES = np.array([-3, -2, -1, 1, 2, 3], dtype=np.complex128)
+_INTEGER_VALUES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -191,20 +200,151 @@ def state_sequence(profile: TopologyProfile, n: int) -> tuple[TopologyState, ...
     return tuple(out)
 
 
-def _draw_slots(rng: np.random.Generator, mode: str, shape: tuple) -> np.ndarray:
-    """Channel matrices [h_t; g_t] of shape ``shape + (2, 2)``, drawn in one
-    generator call.  Generator streams are sequential, so one call over n
-    slots draws exactly what n one-slot calls draw."""
+# numpy's SeedSequence hash (numpy.random.bit_generator: mix_entropy, then
+# generate_state), copied onto uint32 arrays with one column per seed, so a
+# batch of seeds hashes in one pass.  The arithmetic stays on arrays: numpy
+# warns on uint32 overflow in scalar arithmetic but wraps arrays silently.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+# The pool words other than word i, which the mixing round updates from i.
+_OTHERS = tuple(np.array([d for d in range(_POOL_SIZE) if d != i]) for i in range(_POOL_SIZE))
+
+
+@functools.lru_cache(maxsize=32)
+def _hash_constants(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiplier) columns of the first ``steps`` hash steps: step k
+    xors with c_k and multiplies by c_(k+1), where c_0 = ``init`` and
+    c_(k+1) = c_k * ``mult`` mod 2^32."""
+    consts = [init]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & _MASK32)
+    col = np.array(consts, dtype=np.uint32)[:, None]
+    col.flags.writeable = False
+    return col[:-1], col[1:]
+
+
+def _hashed(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    v = (values ^ xor) * mult
+    return v ^ (v >> _XSHIFT)
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return v ^ (v >> _XSHIFT)
+
+
+def _pool(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence pools (4, seeds) of the entropy words (words, seeds)."""
+    extra = max(len(entropy) - _POOL_SIZE, 0)
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE**2 + _POOL_SIZE * extra)
+    head = entropy[:_POOL_SIZE]
+    if len(head) < _POOL_SIZE:  # missing words hash as zeros
+        pad = np.zeros((_POOL_SIZE - len(head), entropy.shape[1]), dtype=np.uint32)
+        head = np.concatenate([head, pad])
+    pool = _hashed(head, xor[:_POOL_SIZE], mult[:_POOL_SIZE])
+    k = _POOL_SIZE
+    for src, dst in enumerate(_OTHERS):
+        hashed = _hashed(pool[src], xor[k : k + len(dst)], mult[k : k + len(dst)])
+        pool[dst] = _mixed(pool[dst], hashed)
+        k += len(dst)
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mixed(pool, _hashed(word, xor[k : k + _POOL_SIZE], mult[k : k + _POOL_SIZE]))
+        k += _POOL_SIZE
+    return pool
+
+
+def _state(pool: np.ndarray, n_words: int) -> np.ndarray:
+    """``generate_state(n_words)`` of each pool column, as (n_words, seeds)."""
+    xor, mult = _hash_constants(_INIT_B, _MULT_B, n_words)
+    return _hashed(pool[np.arange(n_words) % _POOL_SIZE], xor, mult)
+
+
+def _words(n) -> list[int]:
+    """The uint32 entropy words numpy takes from a non-negative int, least
+    significant first; 0 is one zero word."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"seeds must be non-negative integers, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def trial_seeds(seed: int, count: int, spawned: bool = True) -> list[int]:
+    """Int seeds of ``count`` trials, from one hash pass.
+
+    Trial ``i`` gets ``int(SeedSequence(seed).spawn(count)[i].generate_state(1)[0])``,
+    or, with ``spawned`` false, ``int(SeedSequence((seed, i)).generate_state(1)[0])``:
+    the same ints numpy gives, without building a SeedSequence per trial.
+    A spawned child's entropy is its parent's words padded with zeros to
+    the pool size, then its index; the pair's is the words of ``seed``,
+    then the words of ``i``.  ``count`` is below 2^32, so ``i`` is one word.
+    """
+    words = _words(seed)
+    if spawned:
+        words += [0] * (_POOL_SIZE - len(words))
+    entropy = np.empty((len(words) + 1, count), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(count)
+    return _state(_pool(entropy), 1)[0].tolist()
+
+
+class _FixedState(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that answers PCG64's one request,
+    ``generate_state(4, np.uint64)``, with a state hashed beforehand."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.state):
+            raise ValueError(f"a fixed state has {len(self.state)} words, not {n_words}")
+        return self.state
+
+
+def seed_generators(seeds) -> list[np.random.Generator]:
+    """``np.random.default_rng(s)`` for each non-negative int ``s`` of
+    ``seeds``, bit for bit: a PCG64 seeded with
+    ``SeedSequence(s).generate_state(4, np.uint64)``.  The states of seeds
+    with the same entropy word count (4 below 2^128) hash in one pass."""
+    words = [_words(s) for s in seeds]
+    groups: dict[int, list[int]] = {}
+    for b, w in enumerate(words):
+        groups.setdefault(max(len(w), _POOL_SIZE), []).append(b)
+    states = np.empty((len(words), 8), dtype=np.uint32)
+    for length, rows in groups.items():
+        padded = [words[b] + [0] * (length - len(words[b])) for b in rows]
+        entropy = np.array(padded, dtype=np.uint32)
+        states[rows] = _state(_pool(entropy.T), 8).T
+    # generate_state(4, uint64) pairs the words little-endian first.
+    states = states.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return [np.random.Generator(np.random.PCG64(_FixedState(row))) for row in states]
+
+
+def _draw_slots(rngs, mode: str, shape: tuple) -> np.ndarray:
+    """Channel matrices [h_t; g_t] of shape ``(len(rngs),) + shape + (2, 2)``:
+    entry ``b`` comes from one call to ``rngs[b]``.  Generator streams are
+    sequential, so one call over n slots draws exactly what n one-slot calls
+    draw, and the elementwise transform gives each entry the bits it gets
+    alone."""
     if mode == "complex":
         # Circularly-symmetric standard complex Gaussian entries: per slot,
         # four real parts, then four imaginary parts.
-        raw = rng.standard_normal(shape + (2, 2, 2))
+        raw = np.empty((len(rngs),) + shape + (2, 2, 2))
+        for rng, out in zip(rngs, raw):
+            rng.standard_normal(out=out)
         return (raw[..., 0, :, :] + 1j * raw[..., 1, :, :]) / np.sqrt(2.0)
     if mode == "integer":
-        # Nonzero integers only: a zero coefficient on a reused antenna path
-        # breaks decodability and noise cover with constant probability.
-        vals = np.array([-3, -2, -1, 1, 2, 3])
-        return rng.choice(vals, size=shape + (2, 2)).astype(np.complex128)
+        # Uniform over _INTEGER_VALUES: rng.choice(values, size) draws the
+        # indices rng.integers(0, len(values), size, dtype=np.int64).
+        size = shape + (2, 2)
+        idx = [rng.integers(0, len(_INTEGER_VALUES), size, dtype=np.int64) for rng in rngs]
+        return _INTEGER_VALUES[np.array(idx)]
     raise ValueError(f"unknown channel mode {mode!r}")
 
 
@@ -218,7 +358,7 @@ def _top_up(rng: np.random.Generator, mode: str, m: np.ndarray, ok: np.ndarray) 
     kept = list(m[ok])
     while len(kept) < len(m):
         for _ in range(_MAX_REDRAWS):
-            slot = _draw_slots(rng, mode, ())
+            slot = _draw_slots([rng], mode, ())[0]
             if _full_rank(slot):
                 break
         else:
@@ -241,19 +381,22 @@ def draw_channels(states, seed, mode: str = "complex") -> ChannelRealization:
     rank test, the passing ones are kept in order and only the shortfall is
     drawn, one candidate at a time from the same generator.
 
-    ``seed`` is one seed, or a list or tuple of seeds for a batch of trials:
-    each trial gets its own generator and its own one-call draw, the rank
-    test runs once on the stack, and only the trials with a failing slot
-    are topped up.  ``h`` and ``g`` are then (trials, n, 2), and trial ``b``
-    equals the one-seed draw from ``seed[b]`` bit for bit.
+    ``seed`` is one non-negative int, or a list or tuple of them for a
+    batch of trials.  Seed ``s`` draws from a generator equal to
+    ``np.random.default_rng(s)`` bit for bit; the generators of a batch are
+    derived in one hash pass (see :func:`seed_generators`).  Each trial
+    gets its own one-call draw, the complex transform and the rank test run
+    once on the stack, and only the trials with a failing slot are topped
+    up.  ``h`` and ``g`` are then (trials, n, 2), and trial ``b`` equals the
+    one-seed draw from ``seed[b]`` bit for bit.
     """
     states = tuple(states)
     n = len(states)
     batched = isinstance(seed, (list, tuple))
     if batched and not seed:
         raise ValueError("a batch needs at least one seed")
-    rngs = [np.random.default_rng(s) for s in (seed if batched else (seed,))]
-    m = np.stack([_draw_slots(rng, mode, (n,)) for rng in rngs])
+    rngs = seed_generators(seed if batched else (seed,))
+    m = _draw_slots(rngs, mode, (n,))
     ok = _full_rank(m)
     for b in np.flatnonzero(~ok.all(axis=-1)):
         m[b] = _top_up(rngs[b], mode, m[b], ok[b])

@@ -369,14 +369,16 @@ def test_run_sweep_names_the_failing_trial(kind):
 def test_run_sweep_reports_the_lowest_failing_trial(monkeypatch):
     # Builds fail for trials 9 and 11 of 12: the second chunk fails, and the
     # lowest failing trial is named.
+    # A trial is known by its int seed: the first state word of its child
+    # of SeedSequence(4).
     seeds = np.random.SeedSequence(4).spawn(12)
-    bad = {tuple(seeds[i].spawn_key) for i in (9, 11)}
+    bad = {int(seeds[i].generate_state(1)[0]) for i in (9, 11)}
     build = experiments.build_scheme
 
-    def flaky(kind, alpha, seqs):
-        if any(tuple(seq.spawn_key) in bad for seq in seqs):
+    def flaky(kind, alpha, trial_seeds):
+        if any(s in bad for s in trial_seeds):
             raise ValueError("no realization")
-        return build(kind, alpha, seqs)
+        return build(kind, alpha, trial_seeds)
 
     monkeypatch.setattr(experiments, "build_scheme", flaky)
     with pytest.raises(RuntimeError, match=r"^trial 9 failed: no realization$"):
@@ -614,15 +616,21 @@ def test_decode_checks_count_planted_failures(monkeypatch):
     planted = {"wiretap-gaussian": {2, 5, 11}, "gdof": {4}, "yang": set()}
     draw_for = schemes._draw_for
     batch_sizes = []
+    # _decode_checks seeds trial i with the first state word of
+    # SeedSequence((0, i)); the reference loop below passes the sequence.
+    trial_of = {int(np.random.SeedSequence((0, i)).generate_state(1)[0]): i for i in range(20)}
+
+    def trial(s):
+        return s.entropy[1] if isinstance(s, np.random.SeedSequence) else trial_of[s]
 
     def planting_draw(kind, alpha, seed):
         real = draw_for(kind, alpha, seed)
-        seqs = seed if isinstance(seed, list) else [seed]
+        seeds = seed if isinstance(seed, list) else [seed]
         if isinstance(seed, list):
             batch_sizes.append(len(seed))
         h, g = real.h.reshape(-1, real.n, 2).copy(), real.g.reshape(-1, real.n, 2).copy()
-        for b, seq in enumerate(seqs):
-            if seq.entropy[1] in planted[kind]:
+        for b, s in enumerate(seeds):
+            if trial(s) in planted[kind]:
                 if kind == "gdof":
                     h[b, 2, 0] = 0
                 else:

@@ -479,3 +479,13 @@ def test_leakage_slope_secure_and_canary():
     assert secure <= 0.02
     broken = _owner_leak_slope("wiretap-nonoise", 0.75)
     assert broken >= 0.5
+
+
+@pytest.mark.parametrize("bad", [0.0, -2.0, -1e-300, -3 + 1j])
+def test_one_by_one_logdet_refuses_a_non_positive_entry(bad):
+    mat = np.full((3, 1, 1), 2.0 + 0j)
+    mat[1, 0, 0] = bad
+    # A stack of 1x1 covariances with a non-positive entry is refused, as
+    # any faster 1x1 form must keep doing.
+    with pytest.raises(ValueError, match="^singular conditional covariance$"):
+        gaussian_mi._logdet2(mat)

@@ -108,10 +108,10 @@ def test_draw_channels_equals_slot_loop(monkeypatch, mode, seeds):
     slot_calls = []
     draw = topology._draw_slots
 
-    def spy(rng, mode, shape):
+    def spy(rngs, mode, shape):
         if shape == ():
             slot_calls.append(1)
-        return draw(rng, mode, shape)
+        return draw(rngs, mode, shape)
 
     monkeypatch.setattr(topology, "_draw_slots", spy)
     n = 12
@@ -138,9 +138,9 @@ def test_draw_channels_tops_up_only_the_shortfall(monkeypatch):
     shapes = []
     draw = topology._draw_slots
 
-    def spy(rng, mode, shape):
+    def spy(rngs, mode, shape):
         shapes.append(shape)
-        return draw(rng, mode, shape)
+        return draw(rngs, mode, shape)
 
     monkeypatch.setattr(topology, "_draw_slots", spy)
     real = draw_channels((STATE_1A,) * 3, seed=92, mode="integer")
@@ -159,9 +159,10 @@ def test_batched_draw_equals_per_seed_draws(monkeypatch, mode, n):
     shapes = []
     draw = topology._draw_slots
 
-    def spy(rng, mode, shape):
-        shapes.append(shape)
-        return draw(rng, mode, shape)
+    def spy(rngs, mode, shape):
+        # One call draws every generator it is given, each in one call.
+        shapes.extend([shape] * len(rngs))
+        return draw(rngs, mode, shape)
 
     monkeypatch.setattr(topology, "_draw_slots", spy)
     for batch_seeds in (seeds, tuple(seeds)):
@@ -181,9 +182,9 @@ def test_batched_draw_equals_per_seed_draws(monkeypatch, mode, n):
 def test_draw_channels_gives_up_after_max_redraws(monkeypatch):
     calls = []
 
-    def singular(rng, mode, shape):
-        calls.append(shape)
-        return np.zeros(shape + (2, 2), dtype=np.complex128)
+    def singular(rngs, mode, shape):
+        calls.extend([shape] * len(rngs))
+        return np.zeros((len(rngs),) + shape + (2, 2), dtype=np.complex128)
 
     monkeypatch.setattr(topology, "_draw_slots", singular)
     with pytest.raises(RuntimeError, match="^slot 0: no full-rank draw in 1000 tries$"):
