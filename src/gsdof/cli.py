@@ -35,9 +35,11 @@ def _parse_profile(text: str, alpha: float) -> TopologyProfile:
 
 
 # Most points a start:stop:step grid may hold.  Every SNR of a sweep's grid
-# is evaluated in each chunk: a bc-fixed sweep at alpha 0.05, the widest
-# receiver layout, peaks at about 32 MB of traced allocations over 1001 SNRs,
-# and the peak grows linearly with the point count.
+# is evaluated in each chunk, and chunks hold fewer trials as the grid grows
+# (experiments.SWEEP_BUDGET).  Over 1001 SNRs, 100-trial sweeps peak at
+# about 20 MB of traced allocations for bc-fixed at alpha 0.05, 39 MB at
+# 19/20 (the most slots) and 38 MB for int-sym-alt; the time grows
+# linearly with the point count.
 GRID_POINTS_MAX = 1001
 
 

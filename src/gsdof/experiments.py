@@ -29,7 +29,6 @@ from .schemes import (
     accounting_bits,
     build_scheme,
     noiseless_decode_check,
-    receiver_layout,
 )
 
 # Not called here: run_sweep evaluates whole receivers and verify_all whole
@@ -59,22 +58,22 @@ VERIFY_RHO_DB = (60, 70, 80, 90, 100, 110, 120)  # SNR grid of verify's fitted c
 _FMT = ".12g"
 
 # run_sweep builds each chunk of trials as one trial-batched scheme and
-# evaluates it over the whole SNR grid.  A one-trial build of trial 0, the
-# layout probe, sizes every chunk, the first included: each holds as many
-# trials as fit SWEEP_ELEMENTS entries of (trials, SNRs, rows, cols) for the
-# larger receiver's layout, and at least SWEEP_CHUNK.  Larger chunks
-# amortise the per-call overhead of the draw, the builders and the
-# linear-algebra kernels.  Since conditional_mi evaluates each receiver
-# block by block, the kernels work on small blocks whatever the chunk: on
-# the acceptance sweep set the MI time per (trial, SNR) matrix at 32768
-# entries is 3% below that at 16384 and 6% above that at 65536, where peak
-# traced memory grows by a quarter (CHANGES.md has the curve).  The curve
-# predates the rho-free engine, which forms no (trials, SNRs, rows, cols)
-# stack, so it needs measuring again.  32768 is about eight trials of the
-# largest layout, bc-fixed at alpha 0.75 (19 x 30 at 7 SNRs: 31920
-# entries).  The output does not depend on either constant.
-SWEEP_CHUNK = 8
-SWEEP_ELEMENTS = 32768
+# evaluates it over the whole SNR grid.  Every chunk holds
+# max(1, SWEEP_BUDGET // (slots x (SNRs + slots))) trials, where slots is
+# the block length of the kind's states at alpha, known before any build.
+# Larger chunks amortise the per-call overhead of the draw, the builders
+# and the linear-algebra kernels.  conditional_mi forms no (trials, SNRs,
+# rows, cols) stack, only Gram weights per independent block, so a trial
+# holds 46-152 bytes per (SNR, slot) over every kind at every alpha k/20
+# (tracemalloc), where per entry of the larger receiver's rows x cols it
+# spreads 150-fold.  What a trial holds at any SNR count (its draw, slot
+# maps and dense coefficients) grows about as slots squared, from 1 KB at
+# one slot to 425 KB at 79, so it counts as slots more SNRs.  Measured
+# chunks peak at 38 MB or less on 1001 SNRs and at 41 MB or less on 4,
+# except the one-slot canary's 52428-trial chunks (54 MB).  At seven SNRs
+# every kind runs at least 38 trials a chunk.  The output does not depend
+# on the constant.
+SWEEP_BUDGET = 2**18
 
 
 def _f(x) -> str:
@@ -132,7 +131,7 @@ class RateReport:
     Slopes are per slot and fitted on the top half of the SNR grid; the
     subrange used is recorded in ``fit_rho_db``.  ``ledger`` is the scheme's
     claimed rate per group (log2(rho) multiples per block), read off the
-    sweep's one-trial layout probe: it depends on alpha only.
+    sweep's chunks: it depends on alpha only.
     ``csv_text``, one row per (trial, SNR, group), is formatted on first
     read from ``_trial_bits``, the per-trial (MI, leakage) stacks of shape
     (trials, SNRs, groups), groups in ``group_owner`` order; the stacks are
@@ -179,41 +178,32 @@ class RateReport:
 def _sweep_chunk(config: SweepConfig, seeds, rho_lin):
     """Build one chunk of trials, given by their int seeds, as one
     trial-batched scheme and evaluate reliability and leakage for all of
-    them over the SNR grid: (rel, leak), each mapping group -> (trials,
-    SNRs) bits."""
-    return accounting_bits(build_scheme(config.scheme, config.alpha, seeds), rho_lin)
-
-
-def _chunk_trials(scheme, n_rho: int) -> int:
-    """Trials per sweep chunk, sized from the receiver layouts of the
-    one-trial layout probe (see ``SWEEP_ELEMENTS``)."""
-    entries = max(math.prod(receiver_layout(scheme, r)) for r in (1, 2))
-    return max(SWEEP_CHUNK, SWEEP_ELEMENTS // (n_rho * entries))
+    them over the SNR grid: (groups, ledger, rel, leak), the scheme's
+    symbol groups and ledger, and rel and leak each mapping group ->
+    (trials, SNRs) bits.  The scheme itself is dropped on return."""
+    scheme = build_scheme(config.scheme, config.alpha, seeds)
+    return (scheme.groups, scheme.ledger, *accounting_bits(scheme, rho_lin))
 
 
 def run_sweep(config: SweepConfig) -> RateReport:
     """Average scheme reliability and leakage over fresh realizations, then
     fit per-slot slopes against log2 rho.
 
-    A one-trial build of trial 0, the layout probe, gives the block length,
-    the group owners, the ledger and one chunk size for every chunk: as
-    many trials as its receiver layouts fit in ``SWEEP_ELEMENTS``, and at
-    least ``SWEEP_CHUNK``.  If the probe fails, trial 0 is named; if a
-    chunk fails, its trials are rerun one at a time so the error names the
-    lowest failing trial.  Every trial's int seed comes from one
-    ``trial_seeds`` pass; each chunk derives its own generators from them."""
+    Every chunk holds as many trials as ``SWEEP_BUDGET`` allows for the
+    kind's slot count; the group owners and the ledger, which depend on
+    alpha only, are read off the chunks' schemes.  If a chunk fails, its trials are rerun one at a time so
+    the error names the lowest failing trial.  Every trial's int seed comes
+    from one ``trial_seeds`` pass; each chunk derives its own generators
+    from them."""
     rho_lin = rho_from_db(config.rho_db)
     seeds = trial_seeds(config.seed, config.trials)
-    try:
-        probe = build_scheme(config.scheme, config.alpha, seeds[:1])
-    except Exception as exc:
-        raise RuntimeError(f"trial 0 failed: {exc}") from exc
-    size = _chunk_trials(probe, len(rho_lin))
+    n_slots = len(SCHEMES[config.scheme].states(config.alpha))
+    size = max(1, SWEEP_BUDGET // (n_slots * (len(rho_lin) + n_slots)))
     rel_parts, leak_parts = [], []
     for start in range(0, config.trials, size):
         chunk = seeds[start : start + size]
         try:
-            rel, leak = _sweep_chunk(config, chunk, rho_lin)
+            groups, ledger, rel, leak = _sweep_chunk(config, chunk, rho_lin)
         except Exception:
             for idx, s in enumerate(chunk, start):
                 try:
@@ -223,8 +213,7 @@ def run_sweep(config: SweepConfig) -> RateReport:
             raise
         rel_parts.append(rel)
         leak_parts.append(leak)
-    n_slots = probe.realization.n
-    owners = {g.name: g.owner for g in probe.groups}
+    owners = {g.name: g.owner for g in groups}
     group_names = list(rel_parts[0])
     no_leak = np.zeros((config.trials, len(rho_lin)))
 
@@ -243,7 +232,7 @@ def run_sweep(config: SweepConfig) -> RateReport:
         fit_rho_db=config.rho_db[-fit_window(len(config.rho_db)) :],
         group_owner={g: owners[g] for g in group_names},
         _trial_bits=(mi, leak),
-        ledger=dict(probe.ledger),
+        ledger=dict(ledger),
     )
 
     def trial_mean(vals):

@@ -72,7 +72,6 @@ __all__ = [
     "reliability_bits",
     "leakage_bits",
     "accounting_bits",
-    "receiver_layout",
     "simulate_noiseless",
     "linear_decode",
     "noiseless_decode_check",
@@ -246,12 +245,6 @@ def _row_plan(scheme: LinearScheme, receiver: int) -> list:
         if ch.receiver == receiver:
             plan += [(t, other, ch.gain_exponent) for t in ch.slots]
     return plan
-
-
-def receiver_layout(scheme: LinearScheme, receiver: int) -> tuple[int, int]:
-    """(rows, cols) of ``receiver``'s observation matrix, the trailing shape
-    of ``receiver_structure(scheme, receiver).coef``, without building it."""
-    return len(_row_plan(scheme, receiver)), scheme.col_exp.size
 
 
 class _ReceiverStructure:
@@ -1342,10 +1335,10 @@ SECURE_SCHEMES = tuple(kind for kind, spec in SCHEMES.items() if spec.secure)
 
 
 def _draw_for(kind: str, alpha: float, seed) -> ChannelRealization:
-    """The kind's realization for one seed (a non-negative int or a
-    SeedSequence), or a trial-batched one for a list or tuple of seeds, in
-    one ``draw_channels`` call.  A SeedSequence is mapped to the int seed
-    its first state word gives."""
+    """The kind's realization for one seed (a non-negative int, such as
+    ``topology.trial_seeds`` gives, or a SeedSequence), or a trial-batched
+    one for a list or tuple of seeds, in one ``draw_channels`` call.  A
+    SeedSequence is mapped to the int seed its first state word gives."""
     spec = SCHEMES[kind]
     states = spec.states(alpha)
 
@@ -1362,8 +1355,9 @@ def build_scheme(kind: str, alpha: float, seed) -> LinearScheme:
     ``seed`` is one seed, or a list or tuple of seeds for a trial-batched
     scheme.  An int seed ``s`` draws from a generator equal to
     ``default_rng(s)``; a SeedSequence ``q`` is first mapped to the int
-    ``int(q.generate_state(1)[0])``, which is how ``run_sweep`` seeds trial
-    ``i`` from child ``i`` of ``SeedSequence(seed).spawn(trials)``.  One
+    ``int(q.generate_state(1)[0])``.  ``run_sweep`` passes the ints of
+    ``topology.trial_seeds``: trial ``i`` gets that int of child ``i`` of
+    ``SeedSequence(seed).spawn(trials)``, computed without building it.  One
     ``draw_channels`` call draws each trial from its own generator as a
     one-seed build draws it, along a leading trials axis, and the builder
     runs once for the whole batch.

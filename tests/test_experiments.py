@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -155,43 +156,48 @@ def test_rate_report_formats_its_csv_on_first_read(tmp_path):
     assert rep._trial_bits is None
 
 
+def _chunk_budget(kind, alpha, trials):
+    """A SWEEP_BUDGET that gives ``kind`` at ``alpha`` chunks of ``trials``
+    trials over GRID."""
+    slots = len(SCHEMES[kind].states(alpha))
+    return trials * slots * (len(GRID) + slots)
+
+
 @pytest.mark.parametrize("kind", ["bc-fixed", "wiretap-gaussian"])
 def test_run_sweep_uneven_chunk_split_keeps_bytes(tmp_path, monkeypatch, kind):
-    # A one-entry element budget leaves the SWEEP_CHUNK floor to size the
-    # chunks, so 12 trials run as 8 + 4 after the probe; a huge budget runs
-    # them as one chunk.  Both must write the same bytes.
+    # A budget of eight trials' slots runs 12 trials as 8 + 4; a huge budget
+    # runs them as one chunk.  Both must write the same bytes, and no build
+    # runs outside the chunks.
     cfg = dict(scheme=kind, alpha=0.5, rho_db=GRID, trials=12, seed=3)
     build = experiments.build_scheme
     texts = {}
-    for elements, sizes in ((10**9, [1, 12]), (1, [1, 8, 4])):
+    for budget, sizes in ((10**9, [12]), (_chunk_budget(kind, 0.5, 8), [8, 4])):
         counts = []
 
         def spy(kind, alpha, seqs):
             counts.append(len(seqs))
             return build(kind, alpha, seqs)
 
-        out = tmp_path / f"elements{elements}.csv"
-        monkeypatch.setattr(experiments, "SWEEP_ELEMENTS", elements)
+        out = tmp_path / f"budget{budget}.csv"
+        monkeypatch.setattr(experiments, "SWEEP_BUDGET", budget)
         monkeypatch.setattr(experiments, "build_scheme", spy)
         run_sweep(SweepConfig(**cfg, out=str(out)))
         assert counts == sizes
-        texts[elements] = out.read_bytes()
-    assert texts[1] == texts[10**9]
+        texts[budget] = out.read_bytes()
+    assert len(set(texts.values())) == 1
 
 
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_run_sweep_chunk_invariant(tmp_path, monkeypatch, kind):
-    # 12 trials run as one chunk by default; one trial per chunk, an uneven
-    # 8 + 4 split and all trials in one chunk must give the same bytes.  A
-    # zero element budget leaves every chunk at SWEEP_CHUNK trials; a huge
-    # one puts all trials into one chunk, whatever SWEEP_CHUNK is.
+    # 12 trials run as one chunk by default; one trial per chunk (a zero
+    # budget), an uneven 8 + 4 split and all trials in one chunk (a huge
+    # budget) must give the same bytes.
     cfg = dict(scheme=kind, alpha=0.5, rho_db=GRID, trials=12, seed=3)
     ref = tmp_path / "default.csv"
     run_sweep(SweepConfig(**cfg, out=str(ref)))
-    for chunk, elements in ((1, 0), (8, 0), (12, 10**9), (1, 10**9)):
-        out = tmp_path / f"chunk{chunk}-{elements}.csv"
-        monkeypatch.setattr(experiments, "SWEEP_CHUNK", chunk)
-        monkeypatch.setattr(experiments, "SWEEP_ELEMENTS", elements)
+    for budget in (0, _chunk_budget(kind, 0.5, 8), 10**9):
+        out = tmp_path / f"budget{budget}.csv"
+        monkeypatch.setattr(experiments, "SWEEP_BUDGET", budget)
         run_sweep(SweepConfig(**cfg, out=str(out)))
         assert out.read_bytes() == ref.read_bytes()
 
@@ -224,19 +230,18 @@ def test_sweep_imports_no_scipy():
 @pytest.mark.parametrize(
     "kind, alpha, sizes",
     [
-        ("sym-alt", 0.5, [1, 100]),
-        ("bc-fixed", 0.75, [1] + [8] * 12 + [4]),
-        ("bc-fixed", 19 / 20, [1, 8, 8, 4]),
+        ("sym-alt", 0.5, [60, 40]),
+        ("bc-fixed", 0.75, [8] * 12 + [4]),
+        ("bc-fixed", 19 / 20, [1] * 10),
     ],
 )
 def test_run_sweep_chunk_schedule(monkeypatch, kind, alpha, sizes):
-    # A one-trial layout probe sizes every chunk: chunks fill SWEEP_ELEMENTS
-    # complex entries of the larger receiver's observation stack, and never
-    # hold fewer than SWEEP_CHUNK trials.  sym-alt takes all 100 trials at
-    # once; bc-fixed at alpha 0.75 (19 x 30 at receiver 1, 7 SNRs) already
-    # fills the budget with 8, and at alpha 19/20 (99 x 158) overruns it
-    # with one, so the floor holds it to 8.  The sweep runs sum(sizes) - 1
-    # trials: the probe builds trial 0 once more.
+    # Every chunk holds SWEEP_BUDGET // (slots x (SNRs + slots)) trials, and
+    # at least one; slots is the kind's block length at alpha, so no build
+    # sizes the chunks.  With a budget of eight bc-fixed trials at alpha
+    # 0.75 (15 slots at 7 SNRs), sym-alt's 4 slots take 60 trials a chunk
+    # and bc-fixed's 79 slots at alpha 19/20 overrun it with one.  With the
+    # module's budget each of these sweeps runs as one chunk.
     counts = []
     build = experiments.build_scheme
 
@@ -245,12 +250,41 @@ def test_run_sweep_chunk_schedule(monkeypatch, kind, alpha, sizes):
         return build(kind, alpha, seqs)
 
     monkeypatch.setattr(experiments, "build_scheme", spy)
-    run_sweep(SweepConfig(kind, alpha, GRID, trials=sum(sizes) - 1, seed=0))
+    cfg = SweepConfig(kind, alpha, GRID, trials=sum(sizes), seed=0)
+    run_sweep(cfg)
+    assert counts == [sum(sizes)]
+    counts.clear()
+    monkeypatch.setattr(experiments, "SWEEP_BUDGET", _chunk_budget("bc-fixed", 0.75, 8))
+    run_sweep(cfg)
     assert counts == sizes
-    probe = build(kind, alpha, 0)
-    entries = max(np.prod(schemes.receiver_layout(probe, r)) for r in (1, 2))
-    cap = max(experiments.SWEEP_CHUNK, experiments.SWEEP_ELEMENTS // (len(GRID) * entries))
-    assert max(counts) <= cap
+
+
+@pytest.mark.parametrize(
+    "alpha, grid, trials",
+    [
+        (1 / 20, "0:120:0.12", 10),
+        (19 / 20, "0:120:0.12", 10),
+        (19 / 20, "60:120:20", 200),
+    ],
+)
+def test_run_sweep_peak_memory_follows_the_budget(alpha, grid, trials):
+    # bc-fixed at alpha 1/20 (61 slots) and 19/20 (79, the most of any
+    # kind).  On the largest CLI grid their chunks hold four and three
+    # trials; at 4 SNRs 19/20 holds 39, as a trial's dense coefficients
+    # (about 425 KB) count as 79 more SNRs.  No measured chunk holds more
+    # than 164 B per budget unit but the one-slot canary's, so 160 B per
+    # unit (40 MiB) bounds these sweeps, result stacks included.  As one
+    # chunk they would take about 38, 109 and 87 MiB.
+    rho_db = cli._parse_range(grid)
+    cfg = SweepConfig("bc-fixed", alpha, rho_db, trials=trials, seed=0)
+    run_sweep(dataclasses.replace(cfg, trials=10))  # import and cache outside the trace
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * experiments.SWEEP_BUDGET
 
 
 # sha256 of the run_sweep CSV at alpha 0.5, GRID, 12 trials, seed 3, for
@@ -386,7 +420,9 @@ def test_run_sweep_reports_the_lowest_failing_trial(monkeypatch):
 
 
 def test_run_sweep_names_trial_0_when_the_layout_probe_fails(monkeypatch):
-    # The one-trial probe build of trial 0 fails before any chunk runs.
+    # No build runs before the first chunk, so the first chunk's build is
+    # where a failing layout shows.  Its trials are then rerun one at a
+    # time and the first, trial 0, is named.
     calls = []
 
     def failing(kind, alpha, seqs):
@@ -396,7 +432,7 @@ def test_run_sweep_names_trial_0_when_the_layout_probe_fails(monkeypatch):
     monkeypatch.setattr(experiments, "build_scheme", failing)
     with pytest.raises(RuntimeError, match=r"^trial 0 failed: no realization$"):
         run_sweep(SweepConfig("yang", 0.5, GRID, trials=12, seed=4))
-    assert calls == [1]
+    assert calls == [12, 1]
 
 
 def test_run_sweep_monotone_receiver2_rate_in_alpha():
@@ -512,8 +548,8 @@ def test_region_checks_build_each_outer_bound_once_per_alpha(monkeypatch):
 
 
 def test_scheme_checks_build_one_scheme_per_sweep_chunk(monkeypatch):
-    # Each sweep builds its one-trial layout probe and one scheme per
-    # chunk.  The ledger rows read the probe: no build of their own.
+    # Each sweep builds one scheme per chunk and nothing else: the ledger
+    # rows read the chunks' schemes.
     chunks, builds = [], []
     sweep_chunk, build = experiments._sweep_chunk, experiments.build_scheme
 
@@ -530,7 +566,7 @@ def test_scheme_checks_build_one_scheme_per_sweep_chunk(monkeypatch):
     checks = experiments._scheme_checks((0.5,), GRID, 10, 0)
     sweeps = len(experiments.SCHEME_TARGETS)
     assert len(chunks) == sweeps
-    assert len(builds) == len(chunks) + sweeps
+    assert len(builds) == len(chunks)
     assert all(c.passed for c in checks)
 
 
