@@ -75,6 +75,16 @@ _FMT = ".12g"
 # on the constant.
 SWEEP_BUDGET = 2**18
 
+# _decode_checks builds and decodes each kind's trials in chunks of
+# max(1, DECODE_BUDGET // slots**2) trials.  A decode trial holds its
+# symbols, outputs and receiver systems, whose rows and columns both grow
+# with the slot count: 226-634 bytes per trial and slot squared over every
+# kind at alphas 0.05, 0.5 and 0.95 (tracemalloc, 400-trial batches), so a
+# chunk holds about 2.6 MB or less.  At alpha 0.5 every kind decodes at
+# least 83 trials a chunk, so a default verify decodes each kind in one
+# batch.  The output does not depend on the constant.
+DECODE_BUDGET = 2**12
+
 
 def _f(x) -> str:
     # Int true division is correctly rounded, so a Fraction gives float(x)
@@ -397,26 +407,32 @@ def _decode_checks(alphas, trials, seed) -> list[CheckResult]:
     word of ``SeedSequence((seed, i))`` (``trial_seeds`` with ``spawned``
     false) and its symbols from seed ``i``.
 
-    A kind's trials are built as one trial-batched scheme and decoded with
-    one ``noiseless_decode_check``.  Trial ``b`` of the batch is the
-    one-seed build of its seed, so the batch passes iff every trial does.
-    If it fails, or its build raises, the trials are rebuilt and checked
+    A kind's trials are built as trial-batched schemes of at most
+    ``DECODE_BUDGET`` // slots**2 trials each, and each chunk is decoded
+    with one ``noiseless_decode_check``.  Trial ``b`` of a chunk is the
+    one-seed build of its seed, so the chunk passes iff every trial does.
+    If it fails, or its build raises, its trials are rebuilt and checked
     one at a time to count the failures, as ``run_sweep`` reruns a failed
-    chunk; the margin is that count."""
+    chunk; the margin is the count over all chunks."""
     out = []
     a = 0.5 if 0.5 in alphas else alphas[0]
     at = _alpha_tag(a)
     seeds = trial_seeds(seed, trials, spawned=False)
     for kind in SCHEME_TARGETS:
-        try:
-            ok = noiseless_decode_check(build_scheme(kind, a, seeds), seed=list(range(trials)))
-        except Exception:
-            ok = False
+        size = max(1, DECODE_BUDGET // len(SCHEMES[kind].states(a)) ** 2)
         failures = 0
-        if not ok:
-            for i, s in enumerate(seeds):
-                if not noiseless_decode_check(build_scheme(kind, a, s), seed=i):
-                    failures += 1
+        for start in range(0, trials, size):
+            chunk = seeds[start : start + size]
+            try:
+                ok = noiseless_decode_check(
+                    build_scheme(kind, a, chunk), seed=list(range(start, start + len(chunk)))
+                )
+            except Exception:
+                ok = False
+            if not ok:
+                for i, s in enumerate(chunk, start):
+                    if not noiseless_decode_check(build_scheme(kind, a, s), seed=i):
+                        failures += 1
         out.append(
             CheckResult(
                 f"decode/{kind}/{at}",

@@ -5,21 +5,26 @@ a difference of closed-form log-determinants of covariances, with no
 estimator noise.  It takes the SNR-free coefficients, the row and column
 power exponents and the SNRs, so the key projection and the Gram pieces
 are formed once per trial and each SNR adds only elementwise work and a
-log-det.  The scheme sweeps and checks are tested on SNR grids of
-60-120 dB.  Known limits at high SNR (alpha = 0.5 unless stated):
+log-det.  Neither step calls LAPACK per matrix: the projection is a
+modified Gram-Schmidt of the key rows and the log-det an LDLᴴ elimination,
+both run over whole stacks in real arithmetic.  The scheme sweeps and
+checks are tested on SNR grids of 60-120 dB.  Known limits at high SNR
+(alpha = 0.5 unless stated):
 
 * precision falls as SNR grows, about as eps * rho on receivers with
   several full-power rows: against a 50-digit evaluation of the same
-  coefficients, entropies are off by up to 3.1e-4 bits at 120 dB
-  (``gdof`` receiver 1; 8 seeds, alphas 0.05-0.95, 100-120 dB);
-* repeating every key row, which adds no knowledge, moves
-  ``wiretap-gaussian-a1`` values by up to 7.5e-6 bits and ``yang`` values
-  by up to 9.8e-5 bits at 120 dB (3 seeds);
+  coefficients, entropies are off by up to 6.6e-4 bits at 120 dB
+  (``gdof`` receiver 1; 8 seeds, alphas 0.05-0.95, 100-120 dB; 2.9e-4 on
+  ``yang``, 2.2e-4 on ``wiretap-lattice``).  Rounding the Gram matrix to
+  floats alone puts that ``gdof`` entropy 5.0e-4 bits off, whatever
+  eliminates it;
+* repeating every key row, which adds no knowledge, moves no value: a
+  repeated row adds no basis row (3 seeds, every keyed kind, 120 dB);
 * ``conditional_mi`` raises ``singular conditional covariance`` on some
   realizations from 155 dB (20 seeds, in 5 dB steps to 240 dB):
-  ``gdof`` first at 155 dB (2 of 20; 7 at 160 dB), ``wiretap-gaussian-a1``
-  at 160 dB (1; 6 at 165 dB), ``yang`` at 160 dB (1; 7 at 165 dB); the
-  other kinds pass to 240 dB.
+  ``gdof`` first at 155 dB (3 of 20; 5 at 160 dB),
+  ``wiretap-gaussian-a1`` at 160 dB (3; 7 at 165 dB), ``yang`` at 160 dB
+  (1; 8 at 165 dB); the other kinds pass to 240 dB.
 
 Slopes are fitted by ordinary least squares on the top half of the SNR grid
 to suppress additive O(1) offsets.
@@ -57,13 +62,91 @@ def fit_window(n: int) -> int:
     return max(2, math.ceil(n / 2))
 
 
-def _logdet2(mat: np.ndarray):
-    """log2 det of a Hermitian positive-definite matrix, or of each matrix in
-    a stack (leading axes are batch axes)."""
-    sign, logdet = np.linalg.slogdet(mat)
-    if np.any(sign.real <= 0):
-        raise ValueError("singular conditional covariance")
-    return logdet / math.log(2.0)
+KEY_DEPENDENCE_TOL = 1e-10  # relative remainder of a key row that adds no basis row
+
+_CONJ = np.array([1.0, -1.0])  # (re, im) times this: the conjugate
+_LDL_CHUNK = 2**10  # matrices per elimination pass of _logdet2
+
+
+def _pairs(x: np.ndarray) -> np.ndarray:
+    """``x`` as (re, im) float64 pairs, with a trailing axis of 2: a view
+    if ``x`` is a C-contiguous complex128 array, else of a copy."""
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    return x.view(np.float64).reshape(x.shape + (2,))
+
+
+def _remove_component(v: np.ndarray, b: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """v - (v bᴴ) b for each row of ``v``, all as (re, im) pairs: ``v`` is
+    (..., rows, n, 2), ``b`` a unit or zero row and ``ib`` = i b, both (...,
+    1, n, 2).  Returns a new array of the broadcast shape."""
+    zr = (v * b).sum(axis=(-2, -1), keepdims=True)
+    zi = (v * ib).sum(axis=(-2, -1), keepdims=True)
+    v = v - zr * b
+    v -= zi * ib
+    return v
+
+
+def _project_off_keys(c: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """C P for each matrix of the stack ``c`` (..., rows, n): the rows of
+    ``c`` less their parts in the span of the key rows ``k`` (..., key rows,
+    n), which is C (I - K⁺K), as a new complex128 array of the broadcast
+    shape.
+
+    The key rows are made orthonormal by modified Gram-Schmidt in real
+    (re, im) arithmetic, one row at a time, and each basis row's component
+    is removed from ``c`` as soon as it is formed.  A key row whose
+    remainder, once the basis rows before it are removed, has a norm of at
+    most ``KEY_DEPENDENCE_TOL`` = 1e-10 times its own norm gives a zero
+    basis row, which removes nothing: a repeated row, a zero row or a row
+    in the span of the rows before it adds no knowledge."""
+    cv, kv = _pairs(c), _pairs(k)
+    basis = []
+    for t in range(kv.shape[-3]):
+        v = kv[..., t : t + 1, :, :]
+        own = (v * v).sum(axis=(-2, -1), keepdims=True)
+        for b, ib in basis:
+            v = _remove_component(v, b, ib)
+        norm2 = (v * v).sum(axis=(-2, -1), keepdims=True)
+        keep = norm2 > KEY_DEPENDENCE_TOL**2 * own
+        b = v * np.divide(1.0, np.sqrt(norm2), out=np.zeros(norm2.shape), where=keep)
+        ib = b[..., ::-1] * -_CONJ  # i b = (-bi, br)
+        basis.append((b, ib))
+        cv = _remove_component(cv, b, ib)
+    return cv.view(np.complex128)[..., 0]
+
+
+def _logdet2(g: np.ndarray):
+    """log2 det of each Hermitian positive-definite matrix of the stack
+    ``g`` (..., r, r), as the sum of the pivots' logs of LDLᴴ elimination
+    without pivoting.
+
+    ``_LDL_CHUNK`` matrices at a time are copied into (r, r, re/im, chunk)
+    float64 planes, so that every step runs over the whole chunk: each
+    pivot's rank-one update of the trailing block is real arithmetic, in
+    place on the planes.  The chunks bound the temporaries, and every step
+    is elementwise, so neither the chunks nor the batch shape change the
+    bits.  A pivot that is not positive raises ``singular conditional
+    covariance``."""
+    r = g.shape[-1]
+    flat = _pairs(g).reshape((-1, r, r, 2))
+    logdet = np.empty(len(flat))
+    for start in range(0, len(flat), _LDL_CHUNK):
+        part = np.moveaxis(flat[start : start + _LDL_CHUNK], 0, -1).copy()
+        for j in range(r):
+            d = part[j, j, 0]
+            if not (d > 0).all():
+                raise ValueError("singular conditional covariance")
+            if j + 1 < r:
+                # Trailing block -= w vᴴ, with v the pivot's column below it
+                # and w = v / d: entry (i, k) is wr_i conj(v_k) + wi_i (i
+                # conj(v_k)), where conj(v) = (vr, -vi) and i conj(v) = (vi, vr).
+                v = part[j + 1 :, j]
+                w = v / d
+                trailing = part[j + 1 :, j + 1 :]
+                trailing -= w[:, None, 0:1] * (v * _CONJ[:, None])
+                trailing -= w[:, None, 1:2] * v[:, ::-1]
+        logdet[start : start + _LDL_CHUNK] = np.log(part[range(r), range(r), 0]).sum(axis=0)
+    return logdet.reshape(g.shape[:-2]) / math.log(2.0)
 
 
 _ONE_LEVEL = ((0.0, None),)  # every column at exponent 0
@@ -91,15 +174,16 @@ def _entropy_given_keys(c: np.ndarray, k: np.ndarray, row_exp=None, levels=_ONE_
     ``_levels``).
 
     Conditioning on the noiseless functionals K s projects the symbol space
-    onto the orthogonal complement of the key rows, P = I - K⁺K (the Schur
-    complement of the joint Gaussian).  Key rows touch only exponent-0
-    columns, so P commutes with the column scaling, and
+    onto the orthogonal complement of the key rows (the Schur complement of
+    the joint Gaussian): C P = C - Σ_t (C b_tᴴ) b_t, one orthonormal key
+    basis row b_t at a time (``_project_off_keys``).  Key rows touch only
+    exponent-0 columns, so P commutes with the column scaling, and
 
         (A P Aᴴ)_ij = Σ_e rho^((r_i + r_j)/2 + e) (Q_e)_ij,   Q_e = (C P)_e (C P)_eᴴ,
 
     where (C P)_e keeps the columns of level e.  The projection and the Gram
     pieces are formed once, without the SNR; each SNR costs one elementwise
-    product and sum per level, and the log-det.
+    product and sum per level, and the LDLᴴ log-det of ``_logdet2``.
 
     Leading axes of ``c`` and ``k`` are batch axes and broadcast;
     ``row_exp`` (..., rows) and the level masks (..., cols) broadcast
@@ -107,7 +191,7 @@ def _entropy_given_keys(c: np.ndarray, k: np.ndarray, row_exp=None, levels=_ONE_
     defaults: the dense call A = ``c``), or an array of SNRs, whose axes
     follow the batch axes in the result."""
     if k.shape[-2]:
-        c = c @ (np.eye(k.shape[-1]) - np.linalg.pinv(k) @ k)
+        c = _project_off_keys(c, k)
     c_h = c.conj().swapaxes(-1, -2)
     r = c.shape[-2]
     if rho is not None:
@@ -405,7 +489,7 @@ def _block_entropies(realization, alpha: float, rho):
         cov = m @ (0.5 * np.eye(2)) @ m.conj().swapaxes(-1, -2) + np.eye(2)
         hy += LOG2_PI_E + _each(math.log2, cov[..., 0, 0].real)
         hz += LOG2_PI_E + _each(math.log2, cov[..., 1, 1].real)
-        hyz += 2 * LOG2_PI_E + _logdet2(cov)
+        hyz += 2 * LOG2_PI_E + np.linalg.slogdet(cov)[1] / math.log(2.0)
     return hy, hz, hyz
 
 

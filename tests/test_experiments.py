@@ -289,17 +289,19 @@ def test_run_sweep_peak_memory_follows_the_budget(alpha, grid, trials):
 
 # sha256 of the run_sweep CSV at alpha 0.5, GRID, 12 trials, seed 3, for
 # every kind: refactors of the build, accounting and CSV layers must keep
-# these bytes.  Generated with numpy 2.4.6 on x86-64; a different numpy or
-# BLAS build may round the log-dets differently.
+# these bytes.  Generated with numpy 2.4.6 on x86-64.  The log-dets no
+# longer go through LAPACK, but the Gram pieces are BLAS products and the
+# pivots' logs numpy's vector log, so a different numpy or BLAS build may
+# round them differently.
 SWEEP_DIGESTS = {
-    "wiretap-gaussian": "c70361a785add4726710ed05deea4cf42daf59e8bb8768ab47a310fdfea04811",
-    "wiretap-gaussian-a1": "8794a801ee17febb99e9d1b9ac9427793eba147ac46dd7aea29aff3a289ac355",
-    "yang": "8edb9d86d0b0ef2cf50c65d67c6b7797f2116a063ebf12de686212e9d8a9e607",
+    "wiretap-gaussian": "df5728f3b6c059f0166838de0d3ca0220c0773ced8390691af536c006d8fc7e4",
+    "wiretap-gaussian-a1": "d54dc91f3922dbc218534b505d3f6dbad5fef8ab6fe84b12bb7055ea92746b82",
+    "yang": "4f80ac71e13fbd7978f6c3ee95d56be5825f51794888ef22956a060efd98dd5a",
     "bc-fixed": "5808dba23efca785aea35ed3493756fcfcd8d8cd0224d083e904bedc65a7bf74",
     "sym-alt": "f0079d65532a875049fdf659ec2df7a3916be23cd120c822da6edc7dc6963c90",
-    "wiretap-lattice": "f50e6eb9d95635794be03fc380eb202b280af3f615315c1cf432bb43d591b806",
+    "wiretap-lattice": "1c2971a4a99e60d6aca67a44a85d76a143efa48dda33e44f5024220b94a3f113",
     "int-sym-alt": "294d6da221f0a0d0892c930c7b5a1c72c841847af66c03e3680750c075356258",
-    "gdof": "57dd37a158bd68099d87182e2df6f89cfabc26b84d80611d9f3e942ef9a0da76",
+    "gdof": "704ff685e5674359f2645c7e1123e53cc3b7fa02e0214a4d508d079e3cff4153",
     "wiretap-nonoise": "8bb7addedbf2ee20a5a57d8b4cdd5626025d44f06010195fd04b88f6638e3cad",
 }
 
@@ -630,8 +632,8 @@ def test_verify_all_accepts_fraction_alphas():
 # at seeds 0 and 1.  Every check row is pinned: margins, details and order.
 # Generated with numpy 2.4.6 on x86-64, like SWEEP_DIGESTS.
 VERIFY_DIGESTS = {
-    0: "8951aa536df4ea3408b1a2c11abdf645b662442087d1af400c228c7ee4cfffc5",
-    1: "cf895d5a5d567182a28e7331c432dc52b945a5fef01182fa0b46ab86ba88b6e5",
+    0: "cd823847824b11587b6250761bf076b5a918adccd941df045adc072cf628e1e7",
+    1: "685d6dfafdff1bf5ddf30478b17b6d1b9e366ed12ecab15575c6a0a929d387c1",
 }
 
 
@@ -693,3 +695,24 @@ def test_decode_checks_count_planted_failures(monkeypatch):
         assert check.passed is (not trials)
         assert check.margin == float(failures)
         assert check.detail == f"{20 - failures}/20 decoded"
+
+
+def test_decode_checks_peak_memory_does_not_grow_with_trials(monkeypatch):
+    # Trials are built and decoded in chunks sized from the slot count, so
+    # 2000 trials peak no higher than 500.  gdof holds the most bytes per
+    # trial and slot squared and runs 455-trial chunks at alpha 0.5; bc-fixed
+    # (7 slots) runs 83-trial chunks.  As one batch, 2000 gdof trials would
+    # peak about four times higher than 500.
+    kinds = ("gdof", "bc-fixed")
+    monkeypatch.setattr(experiments, "SCHEME_TARGETS", {k: SCHEMES[k].target for k in kinds})
+    experiments._decode_checks((0.5,), 20, 0)  # import and cache outside the trace
+    peaks = []
+    for trials in (500, 2000):
+        tracemalloc.start()
+        try:
+            checks = experiments._decode_checks((0.5,), trials, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert [c.name for c in checks] == [f"decode/{k}/alpha=0.5" for k in kinds]
+    assert peaks[1] < 1.1 * peaks[0], peaks

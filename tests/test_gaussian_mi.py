@@ -489,3 +489,81 @@ def test_one_by_one_logdet_refuses_a_non_positive_entry(bad):
     # any faster 1x1 form must keep doing.
     with pytest.raises(ValueError, match="^singular conditional covariance$"):
         gaussian_mi._logdet2(mat)
+
+
+def _hpd_stack(rng, count, r):
+    """``count`` random r x r Hermitian positive-definite matrices, I + A Aᴴ."""
+    a = rng.standard_normal((count, r, r)) + 1j * rng.standard_normal((count, r, r))
+    return np.eye(r) + a @ a.conj().swapaxes(-1, -2)
+
+
+# The LDLᴴ log-det against LAPACK's LU on well-conditioned random matrices;
+# the worst gap measured over r = 1-6 was 5.3e-15 bits.
+LOGDET_GAP = 1e-12
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_ldl_logdet_matches_slogdet_and_its_one_matrix_calls(r):
+    rng = np.random.default_rng(30 + r)
+    g = _hpd_stack(rng, 40, r).reshape(4, 10, r, r)
+    want = np.linalg.slogdet(g)[1] / math.log(2.0)
+    got = gaussian_mi._logdet2(g.copy())
+    assert got.shape == (4, 10)
+    assert np.max(np.abs(got - want)) <= LOGDET_GAP
+    for idx in np.ndindex(4, 10):
+        # A stacked call equals the one-matrix call bit for bit.
+        one = gaussian_mi._logdet2(g[idx].copy())
+        assert np.float64(one).tobytes() == np.float64(got[idx]).tobytes(), idx
+
+
+@pytest.mark.parametrize("r, j", [(r, j) for r in range(1, 7) for j in range(r)])
+@pytest.mark.parametrize("pivot", [-0.5, 0.0])
+def test_ldl_logdet_refuses_a_non_positive_pivot(r, j, pivot):
+    # G = L D Lᴴ with D_j <= 0 planted in one matrix of a positive stack.
+    # A zero pivot is planted with L = I, so that it is computed exactly; a
+    # negative one with a random unit lower-triangular L.
+    rng = np.random.default_rng(40 + 7 * r + j)
+    stack = _hpd_stack(rng, 5, r)
+    d = rng.uniform(0.5, 2.0, r)
+    d[j] = pivot
+    lower = np.eye(r, dtype=complex)
+    if pivot:
+        below = np.tril(np.ones((r, r), dtype=bool), -1)
+        lower[below] = 0.5 * (rng.standard_normal(below.sum()) + 1j * rng.standard_normal(below.sum()))
+    stack[3] = lower @ np.diag(d) @ lower.conj().T
+    with pytest.raises(ValueError, match="^singular conditional covariance$"):
+        gaussian_mi._logdet2(stack)
+
+
+# The Gram-Schmidt projection against I - K⁺K from pinv, entry by entry, on
+# unit-scale rows; the worst gap measured over these cases was 8.6e-15.
+PROJECTION_GAP = 1e-13
+
+
+def test_key_projection_equals_the_pinv_projection():
+    rng = np.random.default_rng(50)
+    c = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+    k1, k2 = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    cases = {
+        "one row": np.array([k1]),
+        "doubled rows": np.array([k1, k1, k2, k2]),
+        "zero row": np.array([k1, np.zeros(5), k2]),
+        "zero row first": np.array([np.zeros(5), k1]),
+        "row in the span of two others": np.array([k1, k2, (0.3 - 1.2j) * k1 + 2.5 * k2]),
+        "all-zero key": np.zeros((2, 5), dtype=complex),
+    }
+    for name, k in cases.items():
+        want = c @ (np.eye(5) - np.linalg.pinv(k) @ k)
+        got = gaussian_mi._project_off_keys(c, k)
+        assert got.shape == c.shape
+        assert np.max(np.abs(got - want)) <= PROJECTION_GAP, name
+        # Stacked keys, one per matrix, give each matrix's projection.
+        keys = np.stack([k, 2 * k, k[::-1]])
+        stacked = gaussian_mi._project_off_keys(c, keys)
+        for i in range(3):
+            want = c[i] @ (np.eye(5) - np.linalg.pinv(keys[i]) @ keys[i])
+            assert np.max(np.abs(stacked[i] - want)) <= PROJECTION_GAP, (name, i)
+    # A repeated row adds no basis row, so doubling every key row keeps the
+    # bits of the single rows.
+    doubled = gaussian_mi._project_off_keys(c, cases["doubled rows"])
+    assert np.array_equal(doubled, gaussian_mi._project_off_keys(c, np.array([k1, k2])))
