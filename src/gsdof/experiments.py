@@ -21,10 +21,12 @@ from functools import cached_property
 import numpy as np
 
 from . import regions
-from .gaussian_mi import SLOPE_TOL, fit_slope, fit_window, lemma1_slopes
+from .gaussian_mi import SLOPE_TOL, _lemma1_draw, _lemma1_slopes_on, fit_slope, fit_window
 from .schemes import (
     SCHEMES,
     SECURE_SCHEMES,
+    _alpha_free_parts,
+    _draw_for,
     _unit_interval,
     accounting_bits,
     build_scheme,
@@ -43,6 +45,7 @@ __all__ = [
     "RateReport",
     "CheckResult",
     "run_sweep",
+    "run_sweeps",
     "verify_all",
     "figure_data",
     "rho_from_db",
@@ -60,7 +63,9 @@ _FMT = ".12g"
 # run_sweep builds each chunk of trials as one trial-batched scheme and
 # evaluates it over the whole SNR grid.  Every chunk holds
 # max(1, SWEEP_BUDGET // (slots x (SNRs + slots))) trials, where slots is
-# the block length of the kind's states at alpha, known before any build.
+# the block length of the kind's states at alpha, known before any build;
+# a run_sweeps batch evaluates alphas x SNRs points a trial and counts
+# them in place of the SNRs.
 # Larger chunks amortise the per-call overhead of the draw, the builders
 # and the linear-algebra kernels.  conditional_mi forms no (trials, SNRs,
 # rows, cols) stack, only Gram weights per independent block, so a trial
@@ -195,25 +200,48 @@ def _sweep_chunk(config: SweepConfig, seeds, rho_lin):
     return (scheme.groups, scheme.ledger, *accounting_bits(scheme, rho_lin))
 
 
-def run_sweep(config: SweepConfig) -> RateReport:
-    """Average scheme reliability and leakage over fresh realizations, then
-    fit per-slot slopes against log2 rho.
+def _batch_chunk(configs, seeds, rho_lin) -> list:
+    """``_sweep_chunk`` of every config of one batch (see ``run_sweeps``)
+    on one draw: the chunk is drawn once and the kind's builder runs once
+    per alpha on that realization.  The schemes whose ``_alpha_free_parts``
+    equal the first one's share one ``accounting_bits`` call; any other is
+    evaluated on its own."""
+    kind = configs[0].scheme
+    realization = _draw_for(kind, configs[0].alpha, seeds)
+    built = [SCHEMES[kind].build(realization, c.alpha) for c in configs]
+    parts = _alpha_free_parts(built[0])
+    shared = [_alpha_free_parts(s) == parts for s in built]
+    together = accounting_bits(built[0], rho_lin, [s for s, ok in zip(built, shared) if ok])
+    out, j = [], 0
+    for scheme, ok in zip(built, shared):
+        if ok:
+            bits = tuple({g: v[:, j] for g, v in part.items()} for part in together)
+            j += 1
+        else:
+            bits = accounting_bits(scheme, rho_lin)
+        out.append((scheme.groups, scheme.ledger, *bits))
+    return out
 
-    Every chunk holds as many trials as ``SWEEP_BUDGET`` allows for the
-    kind's slot count; the group owners and the ledger, which depend on
-    alpha only, are read off the chunks' schemes.  If a chunk fails, its trials are rerun one at a time so
-    the error names the lowest failing trial.  Every trial's int seed comes
-    from one ``trial_seeds`` pass; each chunk derives its own generators
-    from them."""
-    rho_lin = rho_from_db(config.rho_db)
-    seeds = trial_seeds(config.seed, config.trials)
+
+def _chunking(config: SweepConfig, points: int):
+    """(slots, trial seeds, chunk size): every chunk holds as many trials as
+    ``SWEEP_BUDGET`` allows for the kind's slot count at ``points``
+    evaluation points per trial (SNRs, times alphas for a batch)."""
     n_slots = len(SCHEMES[config.scheme].states(config.alpha))
-    size = max(1, SWEEP_BUDGET // (n_slots * (len(rho_lin) + n_slots)))
-    rel_parts, leak_parts = [], []
+    size = max(1, SWEEP_BUDGET // (n_slots * (points + n_slots)))
+    return n_slots, trial_seeds(config.seed, config.trials), size
+
+
+def _sweep_one(config: SweepConfig) -> RateReport:
+    """One sweep through ``_sweep_chunk``.  If a chunk fails, its trials are
+    rerun one at a time so the error names the lowest failing trial."""
+    rho_lin = rho_from_db(config.rho_db)
+    n_slots, seeds, size = _chunking(config, len(rho_lin))
+    chunks = []
     for start in range(0, config.trials, size):
         chunk = seeds[start : start + size]
         try:
-            groups, ledger, rel, leak = _sweep_chunk(config, chunk, rho_lin)
+            chunks.append(_sweep_chunk(config, chunk, rho_lin))
         except Exception:
             for idx, s in enumerate(chunk, start):
                 try:
@@ -221,8 +249,28 @@ def run_sweep(config: SweepConfig) -> RateReport:
                 except Exception as exc:  # attach the trial index for reproducibility
                     raise RuntimeError(f"trial {idx} failed: {exc}") from exc
             raise
-        rel_parts.append(rel)
-        leak_parts.append(leak)
+    return _report(config, n_slots, rho_lin, chunks)
+
+
+def _sweep_batch(configs) -> list:
+    """The sweeps of one batch (see ``run_sweeps``) through ``_batch_chunk``,
+    with chunks sized for all of the batch's (alpha, SNR) points."""
+    rho_lin = rho_from_db(configs[0].rho_db)
+    n_slots, seeds, size = _chunking(configs[0], len(configs) * len(rho_lin))
+    chunks = [
+        _batch_chunk(configs, seeds[start : start + size], rho_lin)
+        for start in range(0, configs[0].trials, size)
+    ]
+    return [_report(c, n_slots, rho_lin, [ch[i] for ch in chunks]) for i, c in enumerate(configs)]
+
+
+def _report(config: SweepConfig, n_slots: int, rho_lin, chunks) -> RateReport:
+    """The report of one sweep from its chunks' (groups, ledger, rel, leak),
+    in trial order; the group owners and the ledger, which depend on alpha
+    only, are read off the last chunk."""
+    groups, ledger = chunks[-1][:2]
+    rel_parts = [rel for _, _, rel, _ in chunks]
+    leak_parts = [leak for _, _, _, leak in chunks]
     owners = {g.name: g.owner for g in groups}
     group_names = list(rel_parts[0])
     no_leak = np.zeros((config.trials, len(rho_lin)))
@@ -269,6 +317,56 @@ def run_sweep(config: SweepConfig) -> RateReport:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(report.csv_text)
     return report
+
+
+def run_sweeps(configs) -> list[RateReport]:
+    """``run_sweep`` of each config, in order: one ``RateReport`` per config,
+    equal to ``run_sweep(config)`` byte for byte.
+
+    Configs that share the kind, the slot states, the SNR grid, the trials
+    and the seed, each with an alpha in (0, 1], form one batch.  A batch of
+    two or more draws each chunk of trials once and builds it once per
+    alpha; the builds whose alpha-free parts (``schemes._alpha_free_parts``)
+    match share one ``accounting_bits`` call per receiver, which evaluates
+    every (alpha, SNR) point in one ``conditional_mi`` call, and a build
+    that does not match is evaluated on its own, on the same draw.  Its
+    chunks are sized for alphas x SNRs points.  Any other config, such as
+    alpha = 0 or a ``bc-fixed`` alpha (whose slot count changes with
+    alpha), runs alone, through the path of ``run_sweep``.  If a batch
+    raises, each of its configs reruns alone, in list order, so an error
+    names the lowest failing trial of the first failing config as
+    ``run_sweep`` does."""
+    configs = list(configs)
+    batches = {}  # batch key -> config indices, in list order
+    for i, c in enumerate(configs):
+        key = (c.scheme, SCHEMES[c.scheme].states(c.alpha), c.rho_db, c.trials, c.seed)
+        batches.setdefault(key if 0 < c.alpha <= 1 else i, []).append(i)
+    batch_of = {i: members for members in batches.values() for i in members}
+    reports = [None] * len(configs)
+    for i, config in enumerate(configs):
+        members = batch_of[i]
+        if len(members) > 1 and members[0] == i:
+            try:
+                for j, report in zip(members, _sweep_batch([configs[j] for j in members])):
+                    reports[j] = report
+            except Exception:
+                pass  # each member reruns alone below, at its place in the list
+        if reports[i] is None:
+            reports[i] = _sweep_one(config)
+    return reports
+
+
+def run_sweep(config: SweepConfig) -> RateReport:
+    """Average scheme reliability and leakage over fresh realizations, then
+    fit per-slot slopes against log2 rho: ``run_sweeps([config])[0]``.
+
+    Every chunk holds as many trials as ``SWEEP_BUDGET`` allows for the
+    kind's slot count; the group owners and the ledger, which depend on
+    alpha only, are read off the chunks' schemes.  If a chunk fails, its
+    trials are rerun one at a time so the error names the lowest failing
+    trial.  Every trial's int seed comes from one ``trial_seeds`` pass; each
+    chunk derives its own generators from them."""
+    return run_sweeps([config])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +435,16 @@ def _region_checks(alpha_grid) -> list[CheckResult]:
 
 
 def _lemma1_checks(alphas, rho_db, seed) -> list[CheckResult]:
+    """Lemma 1's four inequalities per (profile, alpha), all on one draw:
+    each equals ``lemma1_slopes`` of its profile, alpha and ``seed``."""
     out = []
     rho = rho_from_db(rho_db)
+    realization = _lemma1_draw(seed)
     for label in _LEMMA1_PROFILES:
         for a in alphas:
             at = _alpha_tag(a)
             prof = TopologyProfile.named(label, a)
-            for ineq, (lhs, rhs) in lemma1_slopes(prof, a, rho, seed).items():
+            for ineq, (lhs, rhs) in _lemma1_slopes_on(realization, prof, a, rho).items():
                 margin = rhs - lhs
                 out.append(
                     CheckResult(
@@ -358,10 +459,9 @@ def _lemma1_checks(alphas, rho_db, seed) -> list[CheckResult]:
 def _scheme_checks(alphas, rho_db, trials, seed) -> list[CheckResult]:
     out = []
     for kind in SCHEME_TARGETS:
-        for a in alphas:
+        configs = [SweepConfig(kind, a, tuple(rho_db), trials=trials, seed=seed) for a in alphas]
+        for a, rep in zip(alphas, run_sweeps(configs)):
             at = _alpha_tag(a)
-            cfg = SweepConfig(kind, a, tuple(rho_db), trials=trials, seed=seed)
-            rep = run_sweep(cfg)
             d1_t, d2_t = map(float, SCHEME_TARGETS[kind](a))
             gap = max(abs(rep.d1 - d1_t), abs(rep.d2 - d2_t))
             out.append(
@@ -468,8 +568,12 @@ def verify_all(
 
     ``alpha_grid`` drives region checks; scheme slope, leakage and decode
     checks run at ``scheme_alphas``, and the fitted checks over the SNR grid
-    ``VERIFY_RHO_DB``.  ``trials``, ``seed`` and every scheme alpha, against
-    each kind's domain, are checked before any check runs.
+    ``VERIFY_RHO_DB``.  Each kind's scheme sweeps are one ``run_sweeps``
+    call, so its alphas in (0, 1] share each chunk's draw and one
+    ``conditional_mi`` call per receiver wherever the kind's coefficients do
+    not change with alpha; the lemma-1 checks of every profile and alpha
+    share one channel draw.  ``trials``, ``seed`` and every scheme alpha,
+    against each kind's domain, are checked before any check runs.
     """
     _check_trials_and_seed(trials, seed)
     for kind in SCHEME_TARGETS:

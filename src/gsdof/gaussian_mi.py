@@ -32,12 +32,13 @@ to suppress additive O(1) offsets.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
 import numpy as np
 
-from .topology import TopologyProfile, draw_channels, state_sequence
+from .topology import STATE_11, TopologyProfile, draw_channels, state_sequence
 
 __all__ = [
     "conditional_mi",
@@ -152,16 +153,41 @@ def _logdet2(g: np.ndarray):
 _ONE_LEVEL = ((0.0, None),)  # every column at exponent 0
 
 
-def _levels(col_exp: np.ndarray) -> tuple:
+def _levels(col_exp: np.ndarray, cols=None) -> tuple:
     """The distinct column exponents of ``col_exp`` (any shape), ascending,
     each as (exponent, read-only mask of its columns); a single level has no
-    mask, since it holds every column, and no columns make one level."""
-    values = sorted(set(col_exp.ravel().tolist()))
-    if len(values) <= 1:
-        return ((values[0], None),) if values else _ONE_LEVEL
+    mask, since it holds every column, and no columns make one level.
+
+    Given ``cols``, the column index of each entry of ``col_exp[0]``, the
+    first axis of ``col_exp`` is an exponent batch.  A level is then each
+    distinct vector of one column's exponents across the batch, and its
+    exponent is that (batch,) vector.  Every batch entry must split the
+    columns into the same levels, in the same ascending order, or its sums
+    would not be those of its own call: a ValueError names the columns of
+    two levels that merge or swap at some entry (at alpha = 0, for example,
+    the -alpha and 0 levels merge, since -0.0 == 0.0)."""
+    if cols is None:
+        values = sorted(set(col_exp.ravel().tolist()))
+        if len(values) <= 1:
+            return ((values[0], None),) if values else _ONE_LEVEL
+        masks = [col_exp == e for e in values]
+    else:
+        vectors = col_exp.reshape(len(col_exp), -1).T  # one row per column entry
+        values = sorted(set(map(tuple, vectors.tolist())))
+        masks = [(vectors == v).all(axis=1).reshape(col_exp.shape[1:]) for v in values]
+        for i, at in enumerate(zip(*values)):
+            for j in range(len(values) - 1):
+                if not at[j] < at[j + 1]:
+                    a, b = (sorted(set(cols[mask].tolist())) for mask in masks[j : j + 2])
+                    raise ValueError(
+                        f"exponent batch entry {i} merges or reorders column levels: "
+                        f"columns {a} have exponent {at[j]} and columns {b} exponent {at[j + 1]}"
+                    )
+        values = [np.array(v) for v in values]
+        if len(values) == 1:
+            return ((values[0], None),)
     levels = []
-    for e in values:
-        mask = col_exp == e
+    for e, mask in zip(values, masks):
         mask.flags.writeable = False
         levels.append((e, mask))
     return tuple(levels)
@@ -189,13 +215,21 @@ def _entropy_given_keys(c: np.ndarray, k: np.ndarray, row_exp=None, levels=_ONE_
     ``row_exp`` (..., rows) and the level masks (..., cols) broadcast
     against them.  ``rho`` is None, which evaluates ``c`` as it stands (the
     defaults: the dense call A = ``c``), or an array of SNRs, whose axes
-    follow the batch axes in the result."""
+    follow the batch axes in the result.
+
+    Levels from ``_levels`` with an exponent batch carry (batch,) exponents;
+    ``row_exp`` is then (..., batch, rows), and the batch axis comes after
+    the batch axes of ``c`` and before the SNR axes.  The projection and the
+    Gram pieces are formed once for the whole batch, and each (batch entry,
+    SNR) point costs the elementwise sum and the log-det, with the bits of
+    its own call."""
     if k.shape[-2]:
         c = _project_off_keys(c, k)
     c_h = c.conj().swapaxes(-1, -2)
     r = c.shape[-2]
     if rho is not None:
         snr_axes = (1,) * rho.ndim
+        batch_axes = (1,) * np.ndim(levels[0][0])
         half = (row_exp[..., :, None] + row_exp[..., None, :]) / 2.0
         half = half.reshape(half.shape[:-2] + snr_axes + (r, r))
         rho = rho.reshape(rho.shape + (1, 1))
@@ -203,7 +237,9 @@ def _entropy_given_keys(c: np.ndarray, k: np.ndarray, row_exp=None, levels=_ONE_
     for e, mask in levels:
         q = (c if mask is None else c * mask[..., None, :]) @ c_h
         if rho is not None:  # the piece at every SNR: times rho^((r_i + r_j)/2 + e)
-            q = q.reshape(q.shape[:-2] + snr_axes + (r, r)) * rho ** (half + e)
+            if batch_axes:
+                e = e.reshape(e.shape + snr_axes + (1, 1))
+            q = q.reshape(q.shape[:-2] + batch_axes + snr_axes + (r, r)) * rho ** (half + e)
         if g is None:
             g = q
         else:
@@ -257,36 +293,46 @@ def _blocks(support: np.ndarray, m: int) -> list:
 
 @functools.lru_cache(maxsize=128)
 def _stack_plan(
-    support: bytes, support_shape: tuple, m: int, keeps: tuple, row_exp: bytes, col_exp: bytes
+    support: bytes,
+    support_shape: tuple,
+    m: int,
+    keeps: tuple,
+    exp_batch: tuple,
+    row_exp: bytes,
+    col_exp: bytes,
 ) -> tuple:
     """How ``_entropies_by_block`` evaluates the kept column masks ``keeps``
     on a support matrix (see ``_blocks``), both given as bool bytes;
     ``row_exp`` and ``col_exp`` are the float64 bytes of the exponents of
-    the ``m`` observation rows and of the columns.
+    the ``m`` observation rows and of the columns, each of shape
+    ``exp_batch`` + (rows or columns,): ``exp_batch`` is () or the
+    (batch,) of an exponent batch.
 
     Each distinct (block, kept columns) pair is evaluated once, and pairs
     of equal (rows, key rows, kept columns) shape form one stack.  Returns,
     per stack shape, the flat indices of its pairs into the (rows * cols)
     observation and (key rows * cols) key matrices, shaped (pairs, rows,
     kept) and (pairs, key rows, kept), the (pairs, rows) row exponents and
-    the stack's column levels (see ``_levels``); and per mask, the (stack
-    shape, pair) of each block part.  A receiver layout repeats over chunks
+    the stack's column levels (see ``_levels``), with an exponent batch
+    (pairs, batch, rows) and levels keyed across it; and per mask, the
+    (stack shape, pair) of each block part.  A receiver layout repeats over chunks
     and sweeps, and this plan costs about as much as the whole evaluation
     of a small receiver, so it is cached; the exponents are part of the
     key, since they change with alpha on one support.  The result is
     immutable (tuples, read-only arrays), since every caller shares it.
 
-    Raises ValueError if a key row touches a column whose exponent is not 0:
-    the engine's Gram pieces need the key projection to commute with the
-    column scaling."""
-    row_exp, col_exp = np.frombuffer(row_exp), np.frombuffer(col_exp)
+    Raises ValueError if a key row touches a column whose exponent is not 0
+    (at some batch entry): the engine's Gram pieces need the key projection
+    to commute with the column scaling."""
     n = support_shape[1]
+    row_exp = np.frombuffer(row_exp).reshape(exp_batch + (m,))
+    col_exp = np.frombuffer(col_exp).reshape(exp_batch + (n,))
     support = np.frombuffer(support, dtype=bool).reshape(support_shape)
-    scaled_key = support[m:] & (col_exp != 0)
+    scaled_key = support[m:] & (col_exp != 0).reshape(-1, n).any(axis=0)
     if scaled_key.any():
         i, j = np.argwhere(scaled_key)[0].tolist()
         raise ValueError(
-            f"key row {i} touches column {j}, whose power exponent is {col_exp[j]}: "
+            f"key row {i} touches column {j}, whose power exponent is {col_exp[..., j]}: "
             "keys must sit on exponent-0 columns"
         )
     blocks = _blocks(support, m)
@@ -312,10 +358,12 @@ def _stack_plan(
     for shape, stack in stacks.items():
         rows, key_rows, kept = (np.array(x) for x in zip(*stack))
         cols = kept[:, None, :]
-        arrays = (rows[:, :, None] * n + cols, key_rows[:, :, None] * n + cols, row_exp[rows])
+        exps = np.moveaxis(row_exp[:, rows], 0, -2) if exp_batch else row_exp[rows]
+        arrays = (rows[:, :, None] * n + cols, key_rows[:, :, None] * n + cols, exps)
         for x in arrays:
             x.flags.writeable = False
-        gathers.append((shape, *arrays, _levels(col_exp[kept])))
+        levels = _levels(col_exp[..., kept], kept if exp_batch else None)
+        gathers.append((shape, *arrays, levels))
     return tuple(gathers), tuple(map(tuple, parts))
 
 
@@ -328,11 +376,13 @@ def _entropies_by_block(coef, keys, keeps, row_exp, col_exp, rho) -> list:
     all batch axes.  Each stack is gathered with one take on the flattened
     matrices, a C-contiguous (..., pairs, rows, kept) array."""
     support = np.concatenate([_support(coef), _support(keys)])
+    exp_batch = col_exp.shape[:-1]
     gathers, parts = _stack_plan(
         support.tobytes(),
         support.shape,
         coef.shape[-2],
         tuple(k.tobytes() for k in keeps),
+        exp_batch,
         row_exp.tobytes(),
         col_exp.tobytes(),
     )
@@ -353,7 +403,7 @@ def _entropies_by_block(coef, keys, keeps, row_exp, col_exp, rho) -> list:
         )
         for shape, rows, key_rows, exps, levels in gathers
     }
-    lead = batch + (() if rho is None else rho.shape)
+    lead = batch + exp_batch + (() if rho is None else rho.shape)
     out = []
     for part in parts:
         total = np.zeros(lead)
@@ -391,6 +441,18 @@ def conditional_mi(
     are formed once per trial, whatever the number of SNRs (see
     ``_entropy_given_keys``).
 
+    ``row_exp`` (batch, m) and ``col_exp`` (batch, k) are an exponent
+    batch, such as one row per alpha of a scheme whose coefficients do not
+    depend on alpha; it needs ``rho``.  The key projection, the Gram pieces,
+    the support and the block plan are then formed once for the whole
+    batch, each (batch entry, SNR) point is evaluated elementwise, and the
+    result carries the batch axis after the batch axes of ``coef`` and
+    before ``rho``'s axes.  Each entry equals the call on its own exponents
+    bit for bit: columns are split into levels by their exponent vectors
+    across the batch, and a batch whose entries would split or order the
+    levels otherwise, such as alpha = 0 (whose -alpha and 0 levels merge)
+    beside an alpha > 0, is refused with a ValueError naming the columns.
+
     ``coef`` and ``keys`` may carry leading batch axes (for example trials,
     or trials x 1 for keys shared over a second axis); the result then has
     the broadcast batch shape.
@@ -423,6 +485,11 @@ def conditional_mi(
     row_exp = np.zeros(m) if row_exp is None else np.asarray(row_exp, dtype=float)
     col_exp = np.zeros(n) if col_exp is None else np.asarray(col_exp, dtype=float)
     rho = None if rho is None else np.asarray(rho, dtype=float)
+    if row_exp.ndim > 1 or col_exp.ndim > 1:
+        if row_exp.shape[:-1] != col_exp.shape[:-1] or row_exp.ndim > 2 or rho is None:
+            raise ValueError(
+                "an exponent batch is one leading axis of both exponents, and needs rho"
+            )
     keep1 = ~np.asarray(given, dtype=bool)
     keep1, keep2 = np.broadcast_arrays(keep1, keep1 & ~np.asarray(target, dtype=bool))
     keeps = np.stack([keep1, keep2]).reshape(-1, keep1.shape[-1])
@@ -472,46 +539,51 @@ def _block_entropies(realization, alpha: float, rho):
     Gaussian inputs, x_t ~ CN(0, I/2), at each SNR of ``rho`` (a scalar or
     an array): three arrays of ``rho``'s shape.
 
-    Each slot's 2x2 covariances are built and log-det'ed as one stack over
-    the SNRs, and the slots are summed in order, so every entry has the bits
-    of a call at its SNR alone."""
+    All slots' 2x2 covariances are built as one (slots, SNRs, 2, 2) stack
+    and log-det'ed in one call, and the slots are summed in slot order, so
+    every entry has the bits of a call at its SNR alone."""
     rho = np.asarray(rho, dtype=float)
-    amplitude = {}  # exponent -> sqrt(rho**exponent), with a trailing unit axis
-    hy, hz, hyz = np.zeros(rho.shape), np.zeros(rho.shape), np.zeros(rho.shape)
-    for t in range(realization.n):
-        a1, a2 = realization.states[t].exponents(alpha)
-        for e in (a1, a2):
-            if e not in amplitude:
-                amplitude[e] = np.sqrt(_each(lambda r: r**e, rho))[..., None]
-        m = np.stack(
-            [amplitude[a1] * realization.h[t], amplitude[a2] * realization.g[t]], axis=-2
-        )
-        cov = m @ (0.5 * np.eye(2)) @ m.conj().swapaxes(-1, -2) + np.eye(2)
-        hy += LOG2_PI_E + _each(math.log2, cov[..., 0, 0].real)
-        hz += LOG2_PI_E + _each(math.log2, cov[..., 1, 1].real)
-        hyz += 2 * LOG2_PI_E + np.linalg.slogdet(cov)[1] / math.log(2.0)
-    return hy, hz, hyz
+    exps = [state.exponents(alpha) for state in realization.states]
+    amplitude = {  # exponent -> sqrt(rho**exponent), with a trailing unit axis
+        e: np.sqrt(_each(lambda r: r**e, rho))[..., None] for e in set().union(*exps)
+    }
+    per_slot = (realization.n,) + (1,) * rho.ndim + (2,)
+    rows = [
+        np.stack([amplitude[pair[i]] for pair in exps]) * channel.reshape(per_slot)
+        for i, channel in enumerate((realization.h, realization.g))
+    ]
+    m = np.stack(rows, axis=-2)
+    cov = m @ (0.5 * np.eye(2)) @ m.conj().swapaxes(-1, -2) + np.eye(2)
+    terms = (
+        LOG2_PI_E + _each(math.log2, cov[..., 0, 0].real),
+        LOG2_PI_E + _each(math.log2, cov[..., 1, 1].real),
+        2 * LOG2_PI_E + np.linalg.slogdet(cov)[1] / math.log(2.0),
+    )
+    sums = []
+    for per_slot_terms in terms:
+        total = np.zeros(rho.shape)
+        for term in per_slot_terms:  # in slot order
+            total += term
+        sums.append(total)
+    return tuple(sums)
 
 
-def lemma1_slopes(
-    profile: TopologyProfile,
-    alpha: float,
-    rho_grid,
-    seed: int,
-) -> dict:
-    """Per-slot fitted slopes {inequality id: (lhs, rhs)} of all four
-    entropy-order inequalities, from one channel draw of ``LEMMA1_SLOTS``
-    slots and one series of block entropies over the whole grid.
+def _lemma1_draw(seed: int):
+    """The ``LEMMA1_SLOTS``-slot complex draw of ``seed`` behind
+    ``lemma1_slopes``.  A draw depends on the seed, the mode and the slot
+    count only, so one draw serves every profile and alpha: its states are
+    set per profile by ``_lemma1_slopes_on``."""
+    return draw_channels((STATE_11,) * LEMMA1_SLOTS, seed, mode="complex")
 
-    The right-hand sides carry the topology surcharge lambda * (1 - alpha) *
-    log2(rho) per slot exactly once.
-    """
+
+def _lemma1_slopes_on(realization, profile: TopologyProfile, alpha: float, rho_grid) -> dict:
+    """``lemma1_slopes`` on a ``_lemma1_draw`` realization, with the
+    profile's state sequence in place of its states."""
     rho_grid = np.asarray(rho_grid, dtype=float)
     if rho_grid.size < 3:
         raise ValueError("rho_grid must have at least 3 points")
     n = LEMMA1_SLOTS
-    states = state_sequence(profile, n)
-    realization = draw_channels(states, seed, mode="complex")
+    realization = dataclasses.replace(realization, states=state_sequence(profile, n))
     l1a = float(profile.lambda_1a)
     la1 = float(profile.lambda_a1)
     hy, hz, hyz = _block_entropies(realization, alpha, rho_grid)
@@ -529,6 +601,22 @@ def lemma1_slopes(
         ineq: (fit_slope(x, lhs / n)[0], fit_slope(x, rhs / n)[0])
         for ineq, (lhs, rhs) in sides.items()
     }
+
+
+def lemma1_slopes(
+    profile: TopologyProfile,
+    alpha: float,
+    rho_grid,
+    seed: int,
+) -> dict:
+    """Per-slot fitted slopes {inequality id: (lhs, rhs)} of all four
+    entropy-order inequalities, from one channel draw of ``LEMMA1_SLOTS``
+    slots and one series of block entropies over the whole grid.
+
+    The right-hand sides carry the topology surcharge lambda * (1 - alpha) *
+    log2(rho) per slot exactly once.
+    """
+    return _lemma1_slopes_on(_lemma1_draw(seed), profile, alpha, rho_grid)
 
 
 def lemma1_margins(

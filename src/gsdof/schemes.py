@@ -330,7 +330,28 @@ def _other(receiver: int) -> int:
     return 2 if receiver == 1 else 1
 
 
-def _receiver_bits(scheme: LinearScheme, rho, receiver: int) -> tuple[dict, dict]:
+def _alpha_free_parts(scheme: LinearScheme) -> tuple:
+    """What accounting reads off ``scheme`` besides its power exponents, as
+    values that compare with ``==`` bit for bit: the groups' names and
+    owners, ``columns``, ``slot_maps``, ``slot_norms``, ``keys`` and each
+    receiver's row plan without its exponents.  Schemes with equal parts
+    have equal receiver coefficients and keys, so one ``accounting_bits``
+    call can evaluate them all (its ``batch``)."""
+
+    def arrays(maps: dict) -> tuple:
+        return tuple((name, m.dtype.str, m.shape, m.tobytes()) for name, m in maps.items())
+
+    return (
+        tuple((g.name, g.owner) for g in scheme.groups),
+        scheme.columns,
+        tuple(arrays(maps) for maps in scheme.slot_maps),
+        tuple(np.asarray(norm).tobytes() for norm in scheme.slot_norms),
+        tuple((r, arrays(maps)) for r, maps in scheme.keys.items()),
+        tuple(tuple((t, c) for t, c, _ in _row_plan(scheme, r)) for r in (1, 2)),
+    )
+
+
+def _receiver_bits(scheme: LinearScheme, rho, receiver: int, batch=()) -> tuple[dict, dict]:
     """(own, overheard) chain-rule MI at ``receiver``: its own groups, each
     given the other receiver's messages, and the other receiver's groups,
     each given its own messages.  Both chains run in ``decode_order``, and
@@ -342,12 +363,18 @@ def _receiver_bits(scheme: LinearScheme, rho, receiver: int) -> tuple[dict, dict
     independent blocks and evaluates each distinct (block, kept columns)
     pair once, such as a block that neither chain's groups touch.  The SNR
     enters only there, so a batched scheme is projected and its Gram pieces
-    formed once per trial, not once per (trial, SNR)."""
+    formed once per trial, not once per (trial, SNR).  A ``batch`` of
+    schemes evaluates each one's exponents on ``scheme``'s coefficients, as
+    one exponent batch (see ``accounting_bits``)."""
     chains = (
         (scheme.decode_order.get(receiver, ()), _own_owner(_other(receiver))),
         (scheme.decode_order.get(_other(receiver), ()), _own_owner(receiver)),
     )
     st = receiver_structure(scheme, receiver)
+    row_exp, col_exp = st.row_exp, st.col_exp
+    if batch:
+        row_exp = np.array([[e for _, _, e in _row_plan(s, receiver)] for s in batch], dtype=float)
+        col_exp = np.array([s.col_exp for s in batch])
     targets, givens = [], []
     for order, known_owner in chains:
         given = st.owner_masks[known_owner] | st.owner_masks["common"]
@@ -357,13 +384,13 @@ def _receiver_bits(scheme: LinearScheme, rho, receiver: int) -> tuple[dict, dict
             given = given | st.masks[name]
     bits = iter(
         conditional_mi(
-            st.coef, st.key_coef, np.array(targets), np.array(givens), st.row_exp, st.col_exp, rho
+            st.coef, st.key_coef, np.array(targets), np.array(givens), row_exp, col_exp, rho
         )
     )
     return tuple({name: next(bits) for name in order} for order, _ in chains)
 
 
-def accounting_bits(scheme: LinearScheme, rho) -> tuple[dict, dict]:
+def accounting_bits(scheme: LinearScheme, rho, batch=()) -> tuple[dict, dict]:
     """(reliability, leakage) per group, from one ``conditional_mi`` call per
     receiver (see ``_receiver_bits``).
 
@@ -379,10 +406,18 @@ def accounting_bits(scheme: LinearScheme, rho) -> tuple[dict, dict]:
     array of SNRs.  Values have the scheme's trials axis, if any, followed
     by the shape of ``rho``: floats for one trial at one SNR, (trials, SNRs)
     arrays for a batched scheme over an SNR grid.
+
+    ``batch``, if given, holds schemes whose ``_alpha_free_parts`` equal
+    ``scheme``'s, such as builds of one realization at several alphas in
+    (0, 1].  Each receiver's coefficients are then assembled once, from
+    ``scheme``, and one ``conditional_mi`` call evaluates every batch
+    scheme's exponents: values gain a batch axis after the trials axis and
+    before the SNR axes, and entry ``j`` equals ``accounting_bits(batch[j],
+    rho)`` bit for bit.
     """
     rel, leak = {}, {}
     for receiver in (1, 2):
-        own, overheard = _receiver_bits(scheme, rho, receiver)
+        own, overheard = _receiver_bits(scheme, rho, receiver, batch)
         rel.update(own)
         leak.update(overheard)
     return rel, leak

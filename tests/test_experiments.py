@@ -437,6 +437,94 @@ def test_run_sweep_names_trial_0_when_the_layout_probe_fails(monkeypatch):
     assert calls == [12, 1]
 
 
+def _in_domain(kind, alpha) -> bool:
+    try:
+        SCHEMES[kind].domain(alpha)
+    except ValueError:
+        return False
+    return True
+
+
+def _same_reports(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.csv_text == b.csv_text, (b.scheme, b.alpha)
+        for field in ("slopes", "leak_slopes", "ledger", "mean_mi", "mean_leak", "d1", "d2"):
+            assert getattr(a, field) == getattr(b, field), (b.scheme, b.alpha, field)
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_run_sweeps_equal_run_sweep_per_config(monkeypatch, kind):
+    # Every alpha of {0, 0.05, 0.25, 0.5, 0.75, 1} in the kind's domain, as
+    # one run_sweeps call: each report equals run_sweep of its config.  The
+    # alphas in (0, 1] share one draw and one engine call per chunk, but
+    # bc-fixed's slot count changes with alpha and alpha = 0 merges column
+    # levels, so those run alone.
+    alphas = [a for a in (0, 0.05, 0.25, 0.5, 0.75, 1) if _in_domain(kind, a)]
+    configs = [SweepConfig(kind, a, GRID, trials=12, seed=3) for a in alphas]
+    want = [run_sweep(c) for c in configs]
+    alone = []
+    sweep_one = experiments._sweep_one
+
+    def spy(config):
+        alone.append(config.alpha)
+        return sweep_one(config)
+
+    monkeypatch.setattr(experiments, "_sweep_one", spy)
+    _same_reports(experiments.run_sweeps(configs), want)
+    assert alone == [a for a in alphas if kind == "bc-fixed" or a == 0]
+
+
+def test_run_sweeps_reports_the_lowest_failing_trial(monkeypatch):
+    # Draws fail for trials 9 and 11 of 12, in the batch's draw and in each
+    # config's own: the batch falls back to one sweep per config, and the
+    # first config names its lowest failing trial, as run_sweep does.
+    seeds = np.random.SeedSequence(4).spawn(12)
+    bad = {int(seeds[i].generate_state(1)[0]) for i in (9, 11)}
+    draw = schemes._draw_for
+
+    def flaky(kind, alpha, trial_seeds):
+        if any(s in bad for s in trial_seeds):
+            raise ValueError("no realization")
+        return draw(kind, alpha, trial_seeds)
+
+    monkeypatch.setattr(schemes, "_draw_for", flaky)
+    monkeypatch.setattr(experiments, "_draw_for", flaky)
+    configs = [SweepConfig("yang", a, GRID, trials=12, seed=4) for a in (0.25, 0.5, 0.75)]
+    message = r"^trial 9 failed: no realization$"
+    with pytest.raises(RuntimeError, match=message):
+        run_sweep(configs[0])
+    with pytest.raises(RuntimeError, match=message):
+        experiments.run_sweeps(configs)
+
+
+def test_run_sweeps_does_not_batch_a_slot_map_that_scales_with_alpha(monkeypatch):
+    # A planted yang builder weighs slot 1's v map by 1 + alpha, so its
+    # coefficients change with alpha.  The run-time comparison of the
+    # alpha-free parts evaluates each alpha on its own scheme, on the shared
+    # draw, and every report still equals run_sweep's.
+    spec = SCHEMES["yang"]
+
+    def planted(realization, alpha):
+        scheme = spec.build(realization, alpha)
+        maps = list(scheme.slot_maps)
+        maps[1] = {**maps[1], "v": maps[1]["v"] * (1 + alpha)}
+        return dataclasses.replace(scheme, slot_maps=tuple(maps))
+
+    monkeypatch.setitem(SCHEMES, "yang", dataclasses.replace(spec, build=planted))
+    configs = [SweepConfig("yang", a, GRID, trials=12, seed=5) for a in (0.25, 0.5, 0.75)]
+    batched = []
+    accounting = experiments.accounting_bits
+
+    def spy(scheme, rho, batch=()):
+        batched.append(len(batch))
+        return accounting(scheme, rho, batch)
+
+    want = [run_sweep(c) for c in configs]
+    monkeypatch.setattr(experiments, "accounting_bits", spy)
+    _same_reports(experiments.run_sweeps(configs), want)
+    assert batched == [1, 0, 0]
+
+
 def test_run_sweep_monotone_receiver2_rate_in_alpha():
     # fixed topology: the weak receiver's fitted rate is nonincreasing as
     # alpha decreases
@@ -550,25 +638,34 @@ def test_region_checks_build_each_outer_bound_once_per_alpha(monkeypatch):
 
 
 def test_scheme_checks_build_one_scheme_per_sweep_chunk(monkeypatch):
-    # Each sweep builds one scheme per chunk and nothing else: the ledger
-    # rows read the chunks' schemes.
-    chunks, builds = [], []
-    sweep_chunk, build = experiments._sweep_chunk, experiments.build_scheme
+    # Each kind's alphas run as one batch per slot count, and each batch
+    # draws once per chunk and builds once per alpha on that draw, and
+    # nothing else: the ledger rows read the chunks' schemes.  At 10 trials
+    # every batch is one chunk; bc-fixed's three alphas have three slot
+    # counts, so 7 kinds draw once and bc-fixed three times.
+    alphas = (0.25, 0.5, 0.75)
+    draws, builds = [], []
+    draw = schemes.draw_channels
 
-    def counting_chunk(config, seqs, rho_lin):
-        chunks.append(len(seqs))
-        return sweep_chunk(config, seqs, rho_lin)
+    def counting_draw(states, seed, mode):
+        draws.append(len(states))
+        return draw(states, seed, mode)
 
-    def counting_build(kind, alpha, seed):
-        builds.append(kind)
-        return build(kind, alpha, seed)
+    def counting(kind, spec):
+        def build(realization, alpha):
+            builds.append((kind, alpha))
+            return spec.build(realization, alpha)
 
-    monkeypatch.setattr(experiments, "_sweep_chunk", counting_chunk)
-    monkeypatch.setattr(experiments, "build_scheme", counting_build)
-    checks = experiments._scheme_checks((0.5,), GRID, 10, 0)
-    sweeps = len(experiments.SCHEME_TARGETS)
-    assert len(chunks) == sweeps
-    assert len(builds) == len(chunks)
+        return dataclasses.replace(spec, build=build)
+
+    monkeypatch.setattr(schemes, "draw_channels", counting_draw)
+    for kind in experiments.SCHEME_TARGETS:
+        monkeypatch.setitem(SCHEMES, kind, counting(kind, SCHEMES[kind]))
+    checks = experiments._scheme_checks(alphas, GRID, 10, 0)
+    kinds = experiments.SCHEME_TARGETS
+    batches = {(kind, SCHEMES[kind].states(a)) for kind in kinds for a in alphas}
+    assert len(draws) == len(batches) == len(kinds) + 2
+    assert sorted(builds) == sorted((kind, a) for kind in kinds for a in alphas)
     assert all(c.passed for c in checks)
 
 

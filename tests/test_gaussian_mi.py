@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -345,6 +346,60 @@ def test_conditional_mi_refuses_a_key_on_a_scaled_column():
     with pytest.raises(ValueError, match="key row 0 touches column 3, whose power exponent is -0.3"):
         conditional_mi(coef, planted, target, given, row_exp, col_exp, 1e6)
     assert conditional_mi(coef, keys, target, given, row_exp, col_exp, 1e6) >= 0.0
+
+
+def _exponent_batch(which, alphas):
+    """The planted receiver ``which`` (0 keyed, 1 keyless) over a batch of
+    four trials, whose coefficients and keys do not depend on alpha, with
+    one row of row and column exponents per alpha."""
+    trials = [_planted_receivers(seed)[which] for seed in range(30, 34)]
+    coef, keys = (np.stack([t[i] for t in trials]) for i in (0, 1))
+    exps = [_planted_receivers(0, a)[which] for a in alphas]
+    return coef, keys, np.array([e[2] for e in exps]), np.array([e[3] for e in exps])
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_conditional_mi_exponent_batch_equals_per_exponent_calls(which):
+    # One call over an exponent batch gives, at each batch entry, the call
+    # on that entry's exponents bit for bit: every kept column set as pair
+    # masks, a trial batch and an SNR grid.
+    rhos = 10.0 ** (np.arange(60, 121, 10) / 10)
+    alphas = (0.05, 0.3, 0.5, 0.75, 1.0)
+    coef, keys, row_exp, col_exp = _exponent_batch(which, alphas)
+    n = coef.shape[-1]
+    keeps = np.array([m for m in itertools.product([False, True], repeat=n) if any(m)])
+    target, given = keeps[:, ::-1], ~keeps
+    got = conditional_mi(coef, keys, target, given, row_exp, col_exp, rhos)
+    assert got.shape == (len(keeps), len(coef), len(alphas), len(rhos))
+    for j in range(len(alphas)):
+        one = conditional_mi(coef, keys, target, given, row_exp[j], col_exp[j], rhos)
+        assert got[:, :, j].tobytes() == one.tobytes(), alphas[j]
+
+
+def test_conditional_mi_refuses_an_exponent_batch_that_merges_levels():
+    # At alpha = 0 the -alpha and 0 column levels are one level (-0.0 ==
+    # 0.0), so a batch of alpha 0 and 0.3 would sum that entry's Gram pieces
+    # in another grouping than its own call: it is refused, naming the columns.
+    rho = np.array([1e6, 1e8])
+    merged = {
+        0: "columns [2, 3] have exponent -0.0 and columns [0, 1]",
+        1: "columns [1] have exponent -0.0 and columns [0, 2]",
+    }
+    head = "^exponent batch entry 0 merges or reorders column levels: "
+    for which in (0, 1):
+        coef, keys, row_exp, col_exp = _exponent_batch(which, (0.0, 0.3))
+        n = coef.shape[-1]
+        target, given = _mask(n, [0]), _mask(n, [])
+        with pytest.raises(ValueError, match=head + re.escape(merged[which])):
+            conditional_mi(coef, keys, target, given, row_exp, col_exp, rho)
+        # Each alpha alone, and a batch of alphas in (0, 1], is evaluated.
+        conditional_mi(coef, keys, target, given, row_exp[0], col_exp[0], rho)
+        _, _, row_exp, col_exp = _exponent_batch(which, (0.3, 1.0))
+        conditional_mi(coef, keys, target, given, row_exp, col_exp, rho)
+    # Both exponents carry the batch axis, and a batch needs SNRs.
+    for bad in ((row_exp, col_exp, None), (row_exp[0], col_exp, rho), (row_exp, col_exp[0], rho)):
+        with pytest.raises(ValueError, match="^an exponent batch is one leading axis"):
+            conditional_mi(coef, keys, target, given, *bad)
 
 
 def _mp_entropy(mpmath, coef, keys, row_exp, col_exp, keep, rho):
