@@ -60,12 +60,12 @@ VERIFY_RHO_DB = (60, 70, 80, 90, 100, 110, 120)  # SNR grid of verify's fitted c
 
 _FMT = ".12g"
 
-# run_sweep builds each chunk of trials as one trial-batched scheme and
-# evaluates it over the whole SNR grid.  Every chunk holds
-# max(1, SWEEP_BUDGET // (slots x (SNRs + slots))) trials, where slots is
-# the block length of the kind's states at alpha, known before any build;
-# a run_sweeps batch evaluates alphas x SNRs points a trial and counts
-# them in place of the SNRs.
+# Every sweep is a run_sweeps batch of one or more alphas: each chunk of
+# trials is drawn once, built once per alpha as one trial-batched scheme,
+# and evaluated over every (alpha, SNR) point.  Every chunk holds
+# max(1, SWEEP_BUDGET // (slots x (points + slots))) trials, where points
+# is alphas x SNRs and slots is the block length of the kind's states at
+# alpha, known before any build.
 # Larger chunks amortise the per-call overhead of the draw, the builders
 # and the linear-algebra kernels.  conditional_mi forms no (trials, SNRs,
 # rows, cols) stack, only Gram weights per independent block, so a trial
@@ -190,27 +190,20 @@ class RateReport:
         )
 
 
-def _sweep_chunk(config: SweepConfig, seeds, rho_lin):
-    """Build one chunk of trials, given by their int seeds, as one
-    trial-batched scheme and evaluate reliability and leakage for all of
-    them over the SNR grid: (groups, ledger, rel, leak), the scheme's
-    symbol groups and ledger, and rel and leak each mapping group ->
-    (trials, SNRs) bits.  The scheme itself is dropped on return."""
-    scheme = build_scheme(config.scheme, config.alpha, seeds)
-    return (scheme.groups, scheme.ledger, *accounting_bits(scheme, rho_lin))
-
-
 def _batch_chunk(configs, seeds, rho_lin) -> list:
-    """``_sweep_chunk`` of every config of one batch (see ``run_sweeps``)
-    on one draw: the chunk is drawn once and the kind's builder runs once
-    per alpha on that realization.  The schemes whose ``_alpha_free_parts``
-    equal the first one's share one ``accounting_bits`` call; any other is
-    evaluated on its own."""
+    """One chunk of trials, given by their int seeds, for every config of one
+    batch (see ``run_sweeps``): per config, (groups, ledger, rel, leak), the
+    scheme's symbol groups and ledger, and rel and leak each mapping group
+    -> (trials, SNRs) bits.  The chunk is drawn once and the kind's builder
+    runs once per alpha on that realization.  The schemes whose
+    ``_alpha_free_parts`` equal the first one's share one
+    ``accounting_bits`` call; any other is evaluated on its own, and a
+    batch of one compares nothing.  The schemes are dropped on return."""
     kind = configs[0].scheme
     realization = _draw_for(kind, configs[0].alpha, seeds)
     built = [SCHEMES[kind].build(realization, c.alpha) for c in configs]
-    parts = _alpha_free_parts(built[0])
-    shared = [_alpha_free_parts(s) == parts for s in built]
+    parts = built[1:] and _alpha_free_parts(built[0])
+    shared = [True] + [_alpha_free_parts(s) == parts for s in built[1:]]
     together = accounting_bits(built[0], rho_lin, [s for s, ok in zip(built, shared) if ok])
     out, j = [], 0
     for scheme, ok in zip(built, shared):
@@ -226,41 +219,31 @@ def _batch_chunk(configs, seeds, rho_lin) -> list:
 def _chunking(config: SweepConfig, points: int):
     """(slots, trial seeds, chunk size): every chunk holds as many trials as
     ``SWEEP_BUDGET`` allows for the kind's slot count at ``points``
-    evaluation points per trial (SNRs, times alphas for a batch)."""
+    evaluation points per trial (the batch's alphas x SNRs)."""
     n_slots = len(SCHEMES[config.scheme].states(config.alpha))
     size = max(1, SWEEP_BUDGET // (n_slots * (points + n_slots)))
     return n_slots, trial_seeds(config.seed, config.trials), size
 
 
-def _sweep_one(config: SweepConfig) -> RateReport:
-    """One sweep through ``_sweep_chunk``.  If a chunk fails, its trials are
-    rerun one at a time so the error names the lowest failing trial."""
-    rho_lin = rho_from_db(config.rho_db)
-    n_slots, seeds, size = _chunking(config, len(rho_lin))
+def _sweep_batch(configs) -> list:
+    """The sweeps of one batch (see ``run_sweeps``) through ``_batch_chunk``,
+    one report per config, with chunks sized for all of the batch's (alpha,
+    SNR) points.  If a chunk fails, its trials are rerun one at a time so
+    the error names the lowest failing trial."""
+    rho_lin = rho_from_db(configs[0].rho_db)
+    n_slots, seeds, size = _chunking(configs[0], len(configs) * len(rho_lin))
     chunks = []
-    for start in range(0, config.trials, size):
+    for start in range(0, configs[0].trials, size):
         chunk = seeds[start : start + size]
         try:
-            chunks.append(_sweep_chunk(config, chunk, rho_lin))
+            chunks.append(_batch_chunk(configs, chunk, rho_lin))
         except Exception:
             for idx, s in enumerate(chunk, start):
                 try:
-                    _sweep_chunk(config, [s], rho_lin)
+                    _batch_chunk(configs, [s], rho_lin)
                 except Exception as exc:  # attach the trial index for reproducibility
                     raise RuntimeError(f"trial {idx} failed: {exc}") from exc
             raise
-    return _report(config, n_slots, rho_lin, chunks)
-
-
-def _sweep_batch(configs) -> list:
-    """The sweeps of one batch (see ``run_sweeps``) through ``_batch_chunk``,
-    with chunks sized for all of the batch's (alpha, SNR) points."""
-    rho_lin = rho_from_db(configs[0].rho_db)
-    n_slots, seeds, size = _chunking(configs[0], len(configs) * len(rho_lin))
-    chunks = [
-        _batch_chunk(configs, seeds[start : start + size], rho_lin)
-        for start in range(0, configs[0].trials, size)
-    ]
     return [_report(c, n_slots, rho_lin, [ch[i] for ch in chunks]) for i, c in enumerate(configs)]
 
 
@@ -323,19 +306,19 @@ def run_sweeps(configs) -> list[RateReport]:
     """``run_sweep`` of each config, in order: one ``RateReport`` per config,
     equal to ``run_sweep(config)`` byte for byte.
 
-    Configs that share the kind, the slot states, the SNR grid, the trials
-    and the seed, each with an alpha in (0, 1], form one batch.  A batch of
-    two or more draws each chunk of trials once and builds it once per
-    alpha; the builds whose alpha-free parts (``schemes._alpha_free_parts``)
-    match share one ``accounting_bits`` call per receiver, which evaluates
-    every (alpha, SNR) point in one ``conditional_mi`` call, and a build
-    that does not match is evaluated on its own, on the same draw.  Its
-    chunks are sized for alphas x SNRs points.  Any other config, such as
+    Every sweep runs as a batch through ``_sweep_batch``.  Configs that
+    share the kind, the slot states, the SNR grid, the trials and the seed,
+    each with an alpha in (0, 1], form one batch; any other config, such as
     alpha = 0 or a ``bc-fixed`` alpha (whose slot count changes with
-    alpha), runs alone, through the path of ``run_sweep``.  If a batch
-    raises, each of its configs reruns alone, in list order, so an error
-    names the lowest failing trial of the first failing config as
-    ``run_sweep`` does."""
+    alpha), is a batch of one.  A batch draws each chunk of trials once and
+    builds it once per alpha; the builds whose alpha-free parts
+    (``schemes._alpha_free_parts``) match share one ``accounting_bits``
+    call per receiver, which evaluates every (alpha, SNR) point in one
+    ``conditional_mi`` call, and a build that does not match is evaluated
+    on its own, on the same draw.  Its chunks are sized for alphas x SNRs
+    points.  If a batch of two or more raises, each of its configs reruns
+    as a batch of one, in list order, so an error names the lowest failing
+    trial of the first failing config as ``run_sweep`` does."""
     configs = list(configs)
     batches = {}  # batch key -> config indices, in list order
     for i, c in enumerate(configs):
@@ -352,13 +335,14 @@ def run_sweeps(configs) -> list[RateReport]:
             except Exception:
                 pass  # each member reruns alone below, at its place in the list
         if reports[i] is None:
-            reports[i] = _sweep_one(config)
+            reports[i] = _sweep_batch([config])[0]
     return reports
 
 
 def run_sweep(config: SweepConfig) -> RateReport:
     """Average scheme reliability and leakage over fresh realizations, then
-    fit per-slot slopes against log2 rho: ``run_sweeps([config])[0]``.
+    fit per-slot slopes against log2 rho: ``run_sweeps([config])[0]``, a
+    batch of one.
 
     Every chunk holds as many trials as ``SWEEP_BUDGET`` allows for the
     kind's slot count; the group owners and the ledger, which depend on

@@ -150,54 +150,43 @@ def _logdet2(g: np.ndarray):
     return logdet.reshape(g.shape[:-2]) / math.log(2.0)
 
 
-_ONE_LEVEL = ((0.0, None),)  # every column at exponent 0
+def _levels(col_exp: np.ndarray, cols: np.ndarray) -> tuple:
+    """The column levels of an exponent batch ``col_exp`` (batch, ...), whose
+    trailing axes match ``cols``, the column index of each entry: each
+    distinct vector of one column's exponents across the batch, ascending,
+    as ((batch,) exponents, read-only mask of its columns).  A single level
+    has no mask, since it holds every column, and no columns make one level
+    at exponent 0.
 
-
-def _levels(col_exp: np.ndarray, cols=None) -> tuple:
-    """The distinct column exponents of ``col_exp`` (any shape), ascending,
-    each as (exponent, read-only mask of its columns); a single level has no
-    mask, since it holds every column, and no columns make one level.
-
-    Given ``cols``, the column index of each entry of ``col_exp[0]``, the
-    first axis of ``col_exp`` is an exponent batch.  A level is then each
-    distinct vector of one column's exponents across the batch, and its
-    exponent is that (batch,) vector.  Every batch entry must split the
-    columns into the same levels, in the same ascending order, or its sums
-    would not be those of its own call: a ValueError names the columns of
-    two levels that merge or swap at some entry (at alpha = 0, for example,
-    the -alpha and 0 levels merge, since -0.0 == 0.0)."""
-    if cols is None:
-        values = sorted(set(col_exp.ravel().tolist()))
-        if len(values) <= 1:
-            return ((values[0], None),) if values else _ONE_LEVEL
-        masks = [col_exp == e for e in values]
-    else:
-        vectors = col_exp.reshape(len(col_exp), -1).T  # one row per column entry
-        values = sorted(set(map(tuple, vectors.tolist())))
-        masks = [(vectors == v).all(axis=1).reshape(col_exp.shape[1:]) for v in values]
-        for i, at in enumerate(zip(*values)):
-            for j in range(len(values) - 1):
-                if not at[j] < at[j + 1]:
-                    a, b = (sorted(set(cols[mask].tolist())) for mask in masks[j : j + 2])
-                    raise ValueError(
-                        f"exponent batch entry {i} merges or reorders column levels: "
-                        f"columns {a} have exponent {at[j]} and columns {b} exponent {at[j + 1]}"
-                    )
-        values = [np.array(v) for v in values]
-        if len(values) == 1:
-            return ((values[0], None),)
-    levels = []
-    for e, mask in zip(values, masks):
+    Every batch entry must split the columns into the same levels, in the
+    same ascending order, or its sums would not be those of its own call: a
+    ValueError names the columns of two levels that merge or swap at some
+    entry (at alpha = 0, for example, the -alpha and 0 levels merge, since
+    -0.0 == 0.0)."""
+    vectors = col_exp.reshape(len(col_exp), -1).T  # one row per column entry
+    values = sorted(set(map(tuple, vectors.tolist()))) or [(0.0,) * len(col_exp)]
+    if len(values) == 1:
+        return ((np.array(values[0]), None),)
+    masks = [(vectors == v).all(axis=1).reshape(col_exp.shape[1:]) for v in values]
+    for i, at in enumerate(zip(*values)):
+        for j in range(len(values) - 1):
+            if not at[j] < at[j + 1]:
+                a, b = (sorted(set(cols[mask].tolist())) for mask in masks[j : j + 2])
+                raise ValueError(
+                    f"exponent batch entry {i} merges or reorders column levels: "
+                    f"columns {a} have exponent {at[j]} and columns {b} exponent {at[j + 1]}"
+                )
+    for mask in masks:
         mask.flags.writeable = False
-        levels.append((e, mask))
-    return tuple(levels)
+    return tuple(zip(map(np.array, values), masks))
 
 
-def _entropy_given_keys(c: np.ndarray, k: np.ndarray, row_exp=None, levels=_ONE_LEVEL, rho=None):
+def _entropy_given_keys(c: np.ndarray, k: np.ndarray, row_exp, levels, rho):
     """log2-det part of h(A s + n | K s) for s ~ CN(0, I) and unit noise,
-    where A scales entry (i, j) of the rho-free ``c`` by rho^((r_i + c_j)/2):
-    row exponents ``row_exp``, column exponents given as ``levels`` (see
-    ``_levels``).
+    where A scales entry (i, j) of the rho-free ``c`` by rho^((r_i + c_j)/2),
+    at each entry of an exponent batch: row exponents ``row_exp`` (...,
+    batch, rows), column exponents given as ``levels`` (see ``_levels``),
+    and an array of SNRs ``rho``.
 
     Conditioning on the noiseless functionals K s projects the symbol space
     onto the orthogonal complement of the key rows (the Schur complement of
@@ -208,38 +197,30 @@ def _entropy_given_keys(c: np.ndarray, k: np.ndarray, row_exp=None, levels=_ONE_
         (A P Aᴴ)_ij = Σ_e rho^((r_i + r_j)/2 + e) (Q_e)_ij,   Q_e = (C P)_e (C P)_eᴴ,
 
     where (C P)_e keeps the columns of level e.  The projection and the Gram
-    pieces are formed once, without the SNR; each SNR costs one elementwise
-    product and sum per level, and the LDLᴴ log-det of ``_logdet2``.
+    pieces are formed once for the whole batch, without the SNR; each
+    (batch entry, SNR) point costs one elementwise product and sum per
+    level, and the LDLᴴ log-det of ``_logdet2``, with the bits of its own
+    call.  At rho = 1 with zero exponents every factor is 1.0, so A = ``c``
+    bit for bit: that is the dense call.
 
-    Leading axes of ``c`` and ``k`` are batch axes and broadcast;
-    ``row_exp`` (..., rows) and the level masks (..., cols) broadcast
-    against them.  ``rho`` is None, which evaluates ``c`` as it stands (the
-    defaults: the dense call A = ``c``), or an array of SNRs, whose axes
-    follow the batch axes in the result.
-
-    Levels from ``_levels`` with an exponent batch carry (batch,) exponents;
-    ``row_exp`` is then (..., batch, rows), and the batch axis comes after
-    the batch axes of ``c`` and before the SNR axes.  The projection and the
-    Gram pieces are formed once for the whole batch, and each (batch entry,
-    SNR) point costs the elementwise sum and the log-det, with the bits of
-    its own call."""
+    Leading axes of ``c`` and ``k`` are batch axes and broadcast; ``row_exp``
+    and the level masks (..., cols) broadcast against them.  The result has
+    the batch axes of ``c``, then the exponent batch axis, then ``rho``'s
+    axes."""
     if k.shape[-2]:
         c = _project_off_keys(c, k)
     c_h = c.conj().swapaxes(-1, -2)
     r = c.shape[-2]
-    if rho is not None:
-        snr_axes = (1,) * rho.ndim
-        batch_axes = (1,) * np.ndim(levels[0][0])
-        half = (row_exp[..., :, None] + row_exp[..., None, :]) / 2.0
-        half = half.reshape(half.shape[:-2] + snr_axes + (r, r))
-        rho = rho.reshape(rho.shape + (1, 1))
+    snr_axes = (1,) * rho.ndim
+    half = (row_exp[..., :, None] + row_exp[..., None, :]) / 2.0
+    half = half.reshape(half.shape[:-2] + snr_axes + (r, r))
+    rho = rho.reshape(rho.shape + (1, 1))
     g = None
     for e, mask in levels:
         q = (c if mask is None else c * mask[..., None, :]) @ c_h
-        if rho is not None:  # the piece at every SNR: times rho^((r_i + r_j)/2 + e)
-            if batch_axes:
-                e = e.reshape(e.shape + snr_axes + (1, 1))
-            q = q.reshape(q.shape[:-2] + batch_axes + snr_axes + (r, r)) * rho ** (half + e)
+        # The piece at every (batch entry, SNR): times rho^((r_i + r_j)/2 + e).
+        e = e.reshape(e.shape + snr_axes + (1, 1))
+        q = q.reshape(q.shape[:-2] + (1,) + snr_axes + (r, r)) * rho ** (half + e)
         if g is None:
             g = q
         else:
@@ -297,42 +278,42 @@ def _stack_plan(
     support_shape: tuple,
     m: int,
     keeps: tuple,
-    exp_batch: tuple,
+    batch: int,
     row_exp: bytes,
     col_exp: bytes,
 ) -> tuple:
     """How ``_entropies_by_block`` evaluates the kept column masks ``keeps``
     on a support matrix (see ``_blocks``), both given as bool bytes;
-    ``row_exp`` and ``col_exp`` are the float64 bytes of the exponents of
-    the ``m`` observation rows and of the columns, each of shape
-    ``exp_batch`` + (rows or columns,): ``exp_batch`` is () or the
-    (batch,) of an exponent batch.
+    ``row_exp`` and ``col_exp`` are the float64 bytes of an exponent batch
+    of ``batch`` entries, (batch, m) for the ``m`` observation rows and
+    (batch, columns).
 
     Each distinct (block, kept columns) pair is evaluated once, and pairs
     of equal (rows, key rows, kept columns) shape form one stack.  Returns,
     per stack shape, the flat indices of its pairs into the (rows * cols)
     observation and (key rows * cols) key matrices, shaped (pairs, rows,
-    kept) and (pairs, key rows, kept), the (pairs, rows) row exponents and
-    the stack's column levels (see ``_levels``), with an exponent batch
-    (pairs, batch, rows) and levels keyed across it; and per mask, the
-    (stack shape, pair) of each block part.  A receiver layout repeats over chunks
-    and sweeps, and this plan costs about as much as the whole evaluation
-    of a small receiver, so it is cached; the exponents are part of the
-    key, since they change with alpha on one support.  The result is
-    immutable (tuples, read-only arrays), since every caller shares it.
+    kept) and (pairs, key rows, kept), the (pairs, batch, rows) row
+    exponents and the stack's column levels (see ``_levels``); and per
+    mask, the (stack shape, pair) of each block part.  A receiver layout
+    repeats over chunks and sweeps, and this plan costs about as much as the
+    whole evaluation of a small receiver, so it is cached; the exponents are
+    part of the key, since they change with alpha on one support.  The
+    result is immutable (tuples, read-only arrays), since every caller
+    shares it.
 
     Raises ValueError if a key row touches a column whose exponent is not 0
-    (at some batch entry): the engine's Gram pieces need the key projection
-    to commute with the column scaling."""
+    at some batch entry, naming the first such (batch entry, key row,
+    column) and that entry's exponent: the engine's Gram pieces need the
+    key projection to commute with the column scaling."""
     n = support_shape[1]
-    row_exp = np.frombuffer(row_exp).reshape(exp_batch + (m,))
-    col_exp = np.frombuffer(col_exp).reshape(exp_batch + (n,))
+    row_exp = np.frombuffer(row_exp).reshape(batch, m)
+    col_exp = np.frombuffer(col_exp).reshape(batch, n)
     support = np.frombuffer(support, dtype=bool).reshape(support_shape)
-    scaled_key = support[m:] & (col_exp != 0).reshape(-1, n).any(axis=0)
+    scaled_key = (col_exp != 0)[:, None, :] & support[m:]
     if scaled_key.any():
-        i, j = np.argwhere(scaled_key)[0].tolist()
+        b, i, j = np.argwhere(scaled_key)[0].tolist()
         raise ValueError(
-            f"key row {i} touches column {j}, whose power exponent is {col_exp[..., j]}: "
+            f"key row {i} touches column {j}, whose power exponent is {col_exp[b, j]}: "
             "keys must sit on exponent-0 columns"
         )
     blocks = _blocks(support, m)
@@ -358,31 +339,32 @@ def _stack_plan(
     for shape, stack in stacks.items():
         rows, key_rows, kept = (np.array(x) for x in zip(*stack))
         cols = kept[:, None, :]
-        exps = np.moveaxis(row_exp[:, rows], 0, -2) if exp_batch else row_exp[rows]
+        exps = np.moveaxis(row_exp[:, rows], 0, -2)
         arrays = (rows[:, :, None] * n + cols, key_rows[:, :, None] * n + cols, exps)
         for x in arrays:
             x.flags.writeable = False
-        levels = _levels(col_exp[..., kept], kept if exp_batch else None)
+        levels = _levels(col_exp[:, kept], kept)
         gathers.append((shape, *arrays, levels))
     return tuple(gathers), tuple(map(tuple, parts))
 
 
 def _entropies_by_block(coef, keys, keeps, row_exp, col_exp, rho) -> list:
     """``_entropy_given_keys`` of the observations restricted to each kept
-    column mask in ``keeps`` (the rows of a bool array), evaluated per block
-    and summed over blocks, with one call per stack of ``_stack_plan``.
+    column mask in ``keeps`` (the rows of a bool array), at each entry of
+    the exponent batch ``row_exp`` (batch, rows) and ``col_exp`` (batch,
+    cols) and each SNR of ``rho``, evaluated per block and summed over
+    blocks, with one call per stack of ``_stack_plan``.
 
     The blocks come from the nonzeros of ``coef`` and ``keys`` united over
     all batch axes.  Each stack is gathered with one take on the flattened
     matrices, a C-contiguous (..., pairs, rows, kept) array."""
     support = np.concatenate([_support(coef), _support(keys)])
-    exp_batch = col_exp.shape[:-1]
     gathers, parts = _stack_plan(
         support.tobytes(),
         support.shape,
         coef.shape[-2],
         tuple(k.tobytes() for k in keeps),
-        exp_batch,
+        len(col_exp),
         row_exp.tobytes(),
         col_exp.tobytes(),
     )
@@ -403,7 +385,7 @@ def _entropies_by_block(coef, keys, keeps, row_exp, col_exp, rho) -> list:
         )
         for shape, rows, key_rows, exps, levels in gathers
     }
-    lead = batch + exp_batch + (() if rho is None else rho.shape)
+    lead = batch + (len(col_exp),) + rho.shape
     out = []
     for part in parts:
         total = np.zeros(lead)
@@ -435,11 +417,11 @@ def conditional_mi(
     removes its columns (symbols are independent).
 
     ``row_exp`` and ``col_exp`` default to zeros, and ``rho`` to None, which
-    evaluates ``coef`` as it stands: the dense call A = ``coef``.  Given
-    ``rho``, a scalar or an array of SNRs, the result has the batch shape
-    followed by ``rho``'s shape.  The key projection and the Gram pieces
-    are formed once per trial, whatever the number of SNRs (see
-    ``_entropy_given_keys``).
+    is evaluated as rho = 1.0: every scale factor is then 1.0, so A =
+    ``coef`` bit for bit (the dense call).  Given ``rho``, a scalar or an
+    array of SNRs, the result has the batch shape followed by ``rho``'s
+    shape.  The key projection and the Gram pieces are formed once per
+    trial, whatever the number of SNRs (see ``_entropy_given_keys``).
 
     ``row_exp`` (batch, m) and ``col_exp`` (batch, k) are an exponent
     batch, such as one row per alpha of a scheme whose coefficients do not
@@ -452,6 +434,8 @@ def conditional_mi(
     across the batch, and a batch whose entries would split or order the
     levels otherwise, such as alpha = 0 (whose -alpha and 0 levels merge)
     beside an alpha > 0, is refused with a ValueError naming the columns.
+    1-D exponents are evaluated as a batch of one, whose axis is dropped on
+    return, so there is one evaluation path.
 
     ``coef`` and ``keys`` may carry leading batch axes (for example trials,
     or trials x 1 for keys shared over a second axis); the result then has
@@ -484,17 +468,21 @@ def conditional_mi(
     m, n = coef.shape[-2:]
     row_exp = np.zeros(m) if row_exp is None else np.asarray(row_exp, dtype=float)
     col_exp = np.zeros(n) if col_exp is None else np.asarray(col_exp, dtype=float)
-    rho = None if rho is None else np.asarray(rho, dtype=float)
-    if row_exp.ndim > 1 or col_exp.ndim > 1:
+    single = row_exp.ndim == col_exp.ndim == 1
+    if not single:
         if row_exp.shape[:-1] != col_exp.shape[:-1] or row_exp.ndim > 2 or rho is None:
             raise ValueError(
                 "an exponent batch is one leading axis of both exponents, and needs rho"
             )
+    rho = np.asarray(1.0 if rho is None else rho, dtype=float)
     keep1 = ~np.asarray(given, dtype=bool)
     keep1, keep2 = np.broadcast_arrays(keep1, keep1 & ~np.asarray(target, dtype=bool))
     keeps = np.stack([keep1, keep2]).reshape(-1, keep1.shape[-1])
-    h = np.stack(_entropies_by_block(coef, keys, keeps, row_exp, col_exp, rho))
+    exps = row_exp.reshape(-1, m), col_exp.reshape(-1, n)
+    h = np.stack(_entropies_by_block(coef, keys, keeps, *exps, rho))
     mi = np.maximum(h[: len(h) // 2] - h[len(h) // 2 :], 0.0)
+    if single:
+        mi = mi.squeeze(axis=-1 - rho.ndim)
     return mi[0] if keep1.ndim == 1 else mi
 
 

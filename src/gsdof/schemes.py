@@ -1390,12 +1390,12 @@ def build_scheme(kind: str, alpha: float, seed) -> LinearScheme:
     ``seed`` is one seed, or a list or tuple of seeds for a trial-batched
     scheme.  An int seed ``s`` draws from a generator equal to
     ``default_rng(s)``; a SeedSequence ``q`` is first mapped to the int
-    ``int(q.generate_state(1)[0])``.  ``run_sweep`` passes the ints of
-    ``topology.trial_seeds``: trial ``i`` gets that int of child ``i`` of
-    ``SeedSequence(seed).spawn(trials)``, computed without building it.  One
-    ``draw_channels`` call draws each trial from its own generator as a
-    one-seed build draws it, along a leading trials axis, and the builder
-    runs once for the whole batch.
+    ``int(q.generate_state(1)[0])``.  ``run_sweep`` draws its chunks
+    (``_draw_for``) from the ints of ``topology.trial_seeds``: trial ``i``
+    gets that int of child ``i`` of ``SeedSequence(seed).spawn(trials)``,
+    computed without building it.  One ``draw_channels`` call draws each
+    trial from its own generator as a one-seed build draws it, along a
+    leading trials axis, and the builder runs once for the whole batch.
     Trial ``b`` of the batched realization, slot maps, slot norms and keys
     equals the one-seed build from ``seed[b]`` bit for bit.
     """

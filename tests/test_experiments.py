@@ -169,18 +169,18 @@ def test_run_sweep_uneven_chunk_split_keeps_bytes(tmp_path, monkeypatch, kind):
     # runs them as one chunk.  Both must write the same bytes, and no build
     # runs outside the chunks.
     cfg = dict(scheme=kind, alpha=0.5, rho_db=GRID, trials=12, seed=3)
-    build = experiments.build_scheme
+    draw = experiments._draw_for
     texts = {}
     for budget, sizes in ((10**9, [12]), (_chunk_budget(kind, 0.5, 8), [8, 4])):
         counts = []
 
         def spy(kind, alpha, seqs):
             counts.append(len(seqs))
-            return build(kind, alpha, seqs)
+            return draw(kind, alpha, seqs)
 
         out = tmp_path / f"budget{budget}.csv"
         monkeypatch.setattr(experiments, "SWEEP_BUDGET", budget)
-        monkeypatch.setattr(experiments, "build_scheme", spy)
+        monkeypatch.setattr(experiments, "_draw_for", spy)
         run_sweep(SweepConfig(**cfg, out=str(out)))
         assert counts == sizes
         texts[budget] = out.read_bytes()
@@ -243,13 +243,13 @@ def test_run_sweep_chunk_schedule(monkeypatch, kind, alpha, sizes):
     # and bc-fixed's 79 slots at alpha 19/20 overrun it with one.  With the
     # module's budget each of these sweeps runs as one chunk.
     counts = []
-    build = experiments.build_scheme
+    draw = experiments._draw_for
 
     def spy(kind, alpha, seqs):
         counts.append(len(seqs))
-        return build(kind, alpha, seqs)
+        return draw(kind, alpha, seqs)
 
-    monkeypatch.setattr(experiments, "build_scheme", spy)
+    monkeypatch.setattr(experiments, "_draw_for", spy)
     cfg = SweepConfig(kind, alpha, GRID, trials=sum(sizes), seed=0)
     run_sweep(cfg)
     assert counts == [sum(sizes)]
@@ -403,35 +403,35 @@ def test_run_sweep_names_the_failing_trial(kind):
 
 
 def test_run_sweep_reports_the_lowest_failing_trial(monkeypatch):
-    # Builds fail for trials 9 and 11 of 12: the second chunk fails, and the
+    # Draws fail for trials 9 and 11 of 12: the second chunk fails, and the
     # lowest failing trial is named.
     # A trial is known by its int seed: the first state word of its child
     # of SeedSequence(4).
     seeds = np.random.SeedSequence(4).spawn(12)
     bad = {int(seeds[i].generate_state(1)[0]) for i in (9, 11)}
-    build = experiments.build_scheme
+    draw = experiments._draw_for
 
     def flaky(kind, alpha, trial_seeds):
         if any(s in bad for s in trial_seeds):
             raise ValueError("no realization")
-        return build(kind, alpha, trial_seeds)
+        return draw(kind, alpha, trial_seeds)
 
-    monkeypatch.setattr(experiments, "build_scheme", flaky)
+    monkeypatch.setattr(experiments, "_draw_for", flaky)
     with pytest.raises(RuntimeError, match=r"^trial 9 failed: no realization$"):
         run_sweep(SweepConfig("yang", 0.5, GRID, trials=12, seed=4))
 
 
-def test_run_sweep_names_trial_0_when_the_layout_probe_fails(monkeypatch):
-    # No build runs before the first chunk, so the first chunk's build is
-    # where a failing layout shows.  Its trials are then rerun one at a
-    # time and the first, trial 0, is named.
+def test_run_sweep_names_trial_0_when_the_first_chunk_fails(monkeypatch):
+    # Nothing is drawn or built before the first chunk, so the first
+    # chunk's draw is where a failing trial shows.  Its trials are then
+    # rerun one at a time and the first, trial 0, is named.
     calls = []
 
     def failing(kind, alpha, seqs):
         calls.append(len(seqs))
         raise ValueError("no realization")
 
-    monkeypatch.setattr(experiments, "build_scheme", failing)
+    monkeypatch.setattr(experiments, "_draw_for", failing)
     with pytest.raises(RuntimeError, match=r"^trial 0 failed: no realization$"):
         run_sweep(SweepConfig("yang", 0.5, GRID, trials=12, seed=4))
     assert calls == [12, 1]
@@ -463,13 +463,14 @@ def test_run_sweeps_equal_run_sweep_per_config(monkeypatch, kind):
     configs = [SweepConfig(kind, a, GRID, trials=12, seed=3) for a in alphas]
     want = [run_sweep(c) for c in configs]
     alone = []
-    sweep_one = experiments._sweep_one
+    sweep_batch = experiments._sweep_batch
 
-    def spy(config):
-        alone.append(config.alpha)
-        return sweep_one(config)
+    def spy(batch):
+        if len(batch) == 1:
+            alone.append(batch[0].alpha)
+        return sweep_batch(batch)
 
-    monkeypatch.setattr(experiments, "_sweep_one", spy)
+    monkeypatch.setattr(experiments, "_sweep_batch", spy)
     _same_reports(experiments.run_sweeps(configs), want)
     assert alone == [a for a in alphas if kind == "bc-fixed" or a == 0]
 

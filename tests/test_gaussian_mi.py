@@ -282,7 +282,12 @@ def test_conditional_mi_blocks_match_dense_evaluation():
     given = np.array([_mask(7, g) for _, g in pairs])
 
     def dense(keep):
-        return gaussian_mi._entropy_given_keys(obs[..., keep], keys[..., keep])
+        # A batch of one at rho = 1 with zero exponents, its axis dropped.
+        levels = gaussian_mi._levels(np.zeros((1, keep.sum())), np.flatnonzero(keep))
+        one = np.array(1.0)
+        return gaussian_mi._entropy_given_keys(
+            obs[..., keep], keys[..., keep], np.zeros((1, 5)), levels, one
+        )[..., 0]
 
     got = conditional_mi(obs, keys, target, given)
     for p, (t, g) in enumerate(zip(target, given)):
@@ -332,8 +337,12 @@ def test_conditional_mi_over_snrs_equals_dense_calls():
         got = conditional_mi(coef, keys, target, given, row_exp, col_exp, rhos)
         assert got.shape == (len(pairs), len(rhos))
         for j, rho in enumerate(rhos):
-            dense = conditional_mi(_scaled(coef, row_exp, col_exp, rho), keys, target, given)
+            scaled = _scaled(coef, row_exp, col_exp, rho)
+            dense = conditional_mi(scaled, keys, target, given)
             assert np.max(np.abs(got[:, j] - dense)) <= 2 * ENTROPY_GAP_PER_RHO * rho, j
+            # The dense call (rho = None) is the call at rho = 1.0, bit for bit.
+            at_one = conditional_mi(scaled, keys, target, given, rho=1.0)
+            assert dense.tobytes() == at_one.tobytes(), j
 
 
 def test_conditional_mi_refuses_a_key_on_a_scaled_column():
@@ -346,6 +355,13 @@ def test_conditional_mi_refuses_a_key_on_a_scaled_column():
     with pytest.raises(ValueError, match="key row 0 touches column 3, whose power exponent is -0.3"):
         conditional_mi(coef, planted, target, given, row_exp, col_exp, 1e6)
     assert conditional_mi(coef, keys, target, given, row_exp, col_exp, 1e6) >= 0.0
+    # In an exponent batch whose entry 0 leaves column 3 at exponent 0 and
+    # entry 1 scales it, the message gives entry 1's exponent as a scalar.
+    batch_row, batch_col = np.stack([row_exp, row_exp]), np.stack([col_exp, col_exp])
+    batch_col[0, 3] = 0.0
+    message = "key row 0 touches column 3, whose power exponent is -0.3: "
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        conditional_mi(coef, planted, target, given, batch_row, batch_col, [1e6])
 
 
 def _exponent_batch(which, alphas):
@@ -374,6 +390,11 @@ def test_conditional_mi_exponent_batch_equals_per_exponent_calls(which):
     for j in range(len(alphas)):
         one = conditional_mi(coef, keys, target, given, row_exp[j], col_exp[j], rhos)
         assert got[:, :, j].tobytes() == one.tobytes(), alphas[j]
+        # A one-entry batch keeps its axis and the bits of the 1-D call.
+        entry = row_exp[j : j + 1], col_exp[j : j + 1]
+        alone = conditional_mi(coef, keys, target, given, *entry, rhos)
+        assert alone.shape == (len(keeps), len(coef), 1, len(rhos))
+        assert alone[:, :, 0].tobytes() == one.tobytes(), alphas[j]
 
 
 def test_conditional_mi_refuses_an_exponent_batch_that_merges_levels():

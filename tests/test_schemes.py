@@ -518,9 +518,10 @@ def _dense_accounting(sch, rhos):
         st = receiver_structure(sch, receiver)
 
         def h(keep):
-            levels = gaussian_mi._levels(st.col_exp[keep])
+            # A batch of one exponent row, its axis dropped.
+            levels = gaussian_mi._levels(st.col_exp[None, keep], np.flatnonzero(keep))
             c, k = st.coef[..., keep], st.key_coef[..., keep]
-            return gaussian_mi._entropy_given_keys(c, k, st.row_exp, levels, rhos)
+            return gaussian_mi._entropy_given_keys(c, k, st.row_exp[None], levels, rhos)[..., 0, :]
 
         for out, owner, known in ((rel, receiver, other), (leak, other, receiver)):
             given = st.owner_masks[f"rx{known}"] | st.owner_masks["common"]
