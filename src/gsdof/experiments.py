@@ -228,8 +228,10 @@ def _chunking(config: SweepConfig, points: int):
 def _sweep_batch(configs) -> list:
     """The sweeps of one batch (see ``run_sweeps``) through ``_batch_chunk``,
     one report per config, with chunks sized for all of the batch's (alpha,
-    SNR) points.  If a chunk fails, its trials are rerun one at a time so
-    the error names the lowest failing trial."""
+    SNR) points.  If a chunk of a batch of one fails, its trials are rerun
+    one at a time so the error names the lowest failing trial; a larger
+    batch re-raises at once, and ``run_sweeps`` reruns each of its configs
+    as a batch of one."""
     rho_lin = rho_from_db(configs[0].rho_db)
     n_slots, seeds, size = _chunking(configs[0], len(configs) * len(rho_lin))
     chunks = []
@@ -238,6 +240,8 @@ def _sweep_batch(configs) -> list:
         try:
             chunks.append(_batch_chunk(configs, chunk, rho_lin))
         except Exception:
+            if len(configs) > 1:
+                raise
             for idx, s in enumerate(chunk, start):
                 try:
                     _batch_chunk(configs, [s], rho_lin)

@@ -16,6 +16,16 @@ ratio p/q (and a profile's time fractions) in int arithmetic, so a float
 alpha counts at its binary value and builds the same region as
 ``Fraction(alpha)``.
 
+The bound constructors' regions are interned: ``DofRegion._from_rows``
+keeps the last ``_INTERNED`` (64) regions in one ``functools.lru_cache``
+keyed by the integer rows and their scales, ``(rows, scales)`` as int
+tuples, so equal exact inputs (a float alpha and its ``Fraction`` twin
+among them) return the same region object and enumerate its vertices
+once.  A region is immutable, so sharing it changes no output.  A region
+built by ``DofRegion(constraints)`` is not interned: a float ``HalfSpace``
+equals its ``Fraction`` twin, and a shared region would hand back the other
+caller's coefficient types.
+
 ``vertices`` gives ``Fraction`` vertices, built from the ordered triples on
 first call; ``float_vertices`` rounds them for CSVs.  ``sum_max``,
 ``axis_max`` and ``wiretap_upper`` give ``Fraction``s, and ``contains`` and
@@ -31,7 +41,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key, lru_cache
 
 __all__ = [
     "HalfSpace",
@@ -79,10 +89,10 @@ def _ccw_order(points):
     in counterclockwise order from the largest-d1 point (ties: smallest d2).
 
     A collinear set (a degenerate region) is ordered along the common line,
-    by ascending (d1, d2).  Every comparison is exact.
+    by ascending (d1, d2).  Every comparison is exact.  Returns a tuple.
     """
     if all(_orient(points[0], points[1], r) == 0 for r in points[2:]):
-        return sorted(points, key=lambda p: (Fraction(p[0], p[2]), Fraction(p[1], p[2])))
+        return tuple(sorted(points, key=lambda p: (Fraction(p[0], p[2]), Fraction(p[1], p[2]))))
     start = points[0]
     for p in points[1:]:
         gain = p[0] * start[2] - start[0] * p[2]
@@ -92,7 +102,7 @@ def _ccw_order(points):
     # than a half-turn, so the orientation sign is a total order on them.
     rest = [p for p in points if p is not start]
     rest.sort(key=cmp_to_key(lambda p, q: -_orient(start, p, q)))
-    return [start] + rest
+    return (start, *rest)
 
 
 def _ratio(x):
@@ -180,21 +190,26 @@ class DofRegion:
     The bound constructors build their regions from integer rows directly
     (``_from_rows``), with no constraints stored: ``constraints`` is derived
     from the rows on first read, in ``Fraction``s.  Regions compare and hash
-    by ``constraints`` and are immutable.
+    by ``constraints`` and are immutable, and every field is a tuple, so a
+    region can be shared.  ``_from_rows`` interns its regions: an
+    ``lru_cache`` of ``_INTERNED`` (64) entries keyed by ``(rows, scales)``
+    as int tuples returns the same object for the same rows, so each
+    distinct bound is enumerated and ordered once while it stays in the
+    cache.  ``DofRegion(constraints)`` is not interned, so each such region
+    keeps its caller's coefficient types in ``constraints``.
     """
 
     def __init__(self, constraints) -> None:
         constraints = tuple(constraints)
-        rows = [_int_row(c) for c in constraints]
+        rows = tuple(_int_row(c) for c in constraints)
         self.__dict__.update(constraints=constraints, _rows=rows, _crossings=_exact_vertices(rows))
 
     @classmethod
     def _from_rows(cls, rows, scales) -> "DofRegion":
-        """The region of the integer ``rows`` (a1, a2, b), row i standing for
-        the constraint (a1, a2, b) / ``scales[i]`` with ``scales[i]`` > 0."""
-        region = cls.__new__(cls)
-        region.__dict__.update(_rows=rows, _scales=scales, _crossings=_exact_vertices(rows))
-        return region
+        """The interned region of the integer ``rows`` (a1, a2, b), row i
+        standing for the constraint (a1, a2, b) / ``scales[i]`` with
+        ``scales[i]`` > 0."""
+        return _interned(tuple(rows), tuple(scales))
 
     @cached_property
     def constraints(self) -> tuple[HalfSpace, ...]:
@@ -204,7 +219,7 @@ class DofRegion:
         )
 
     @cached_property
-    def _triples(self) -> list[tuple[int, int, int]]:
+    def _triples(self) -> tuple[tuple[int, int, int], ...]:
         return _ccw_order(self._crossings)
 
     @cached_property
@@ -224,6 +239,20 @@ class DofRegion:
 
     def __repr__(self) -> str:
         return f"DofRegion(constraints={self.constraints!r})"
+
+
+# Regions kept by _from_rows.  The two region CSVs and figures 3-8 at one
+# alpha read about 40 regions, 23 of them distinct, so 64 entries hold their
+# repeats; the reuse is within such a call, and 1024 entries would add about
+# 1 MB of peak memory.
+_INTERNED = 64
+
+
+@lru_cache(maxsize=_INTERNED)
+def _interned(rows, scales) -> DofRegion:
+    region = DofRegion.__new__(DofRegion)
+    region.__dict__.update(_rows=rows, _scales=scales, _crossings=_exact_vertices(rows))
+    return region
 
 
 def vertices(region: DofRegion) -> list[tuple[Fraction, Fraction]]:

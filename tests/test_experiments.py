@@ -482,8 +482,10 @@ def test_run_sweeps_reports_the_lowest_failing_trial(monkeypatch):
     seeds = np.random.SeedSequence(4).spawn(12)
     bad = {int(seeds[i].generate_state(1)[0]) for i in (9, 11)}
     draw = schemes._draw_for
+    draws = []
 
     def flaky(kind, alpha, trial_seeds):
+        draws.append(len(trial_seeds))
         if any(s in bad for s in trial_seeds):
             raise ValueError("no realization")
         return draw(kind, alpha, trial_seeds)
@@ -494,8 +496,12 @@ def test_run_sweeps_reports_the_lowest_failing_trial(monkeypatch):
     message = r"^trial 9 failed: no realization$"
     with pytest.raises(RuntimeError, match=message):
         run_sweep(configs[0])
+    draws.clear()
     with pytest.raises(RuntimeError, match=message):
         experiments.run_sweeps(configs)
+    # The batch's one chunk fails and re-raises without a one-trial rerun;
+    # the first config's own sweep draws its chunk, then trials 0..9 alone.
+    assert draws == [12, 12] + [1] * 10
 
 
 def test_run_sweeps_does_not_batch_a_slot_map_that_scales_with_alpha(monkeypatch):

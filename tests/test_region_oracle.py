@@ -94,12 +94,23 @@ def profiles(alpha, lambdas):
     return out + [TopologyProfile(alpha, *lambdas)]
 
 
+def check_built(build, arg, coefs):
+    """``build(arg)`` against ``coefs``, then a second build, which must be
+    the cached region, read again: the oracle sees a miss and a hit."""
+    region = build(arg)
+    check_region(region, coefs)
+    again = build(arg)
+    assert again is region
+    check_region(again, coefs)
+
+
 def check_all(alpha, lambdas):
+    regions._interned.cache_clear()
     exact_alpha = Fraction(alpha)
     for build, formulas in ALPHA_BOUNDS:
-        check_region(build(alpha), formulas(exact_alpha))
+        check_built(build, alpha, formulas(exact_alpha))
     for profile, exact in zip(profiles(alpha, lambdas), profiles(exact_alpha, lambdas)):
-        check_region(regions.bc_outer(profile), oracle_bc_outer(exact))
+        check_built(regions.bc_outer, profile, oracle_bc_outer(exact))
         got, want = regions.wiretap_upper(profile), oracle_wiretap_upper(exact)
         assert type(got) is Fraction and got == want
 

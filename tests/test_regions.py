@@ -245,6 +245,71 @@ def test_one_region_for_a_float_alpha_and_its_fraction_twin():
             assert got == wiretap_upper(TopologyProfile.named(label, Fraction(a)))
 
 
+def test_every_constructor_interns_a_float_alpha_with_its_fraction_twin():
+    # The rows of a float alpha equal those of Fraction(alpha), so each
+    # constructor hands back the one interned region for both.
+    for k in range(201):
+        a = k / 200
+        for reg, twin in zip(library_regions(a), library_regions(Fraction(a))):
+            assert reg is twin, (a, reg)
+
+
+def test_a_region_holds_only_tuples():
+    for reg in (*library_regions(Fraction(1, 3)), DofRegion([HalfSpace(1, 0, 1), HalfSpace(0, 1, 1)])):
+        vertices(reg)
+        assert type(reg._rows) is tuple and all(type(row) is tuple for row in reg._rows)
+        assert type(reg._crossings) is tuple and type(reg._triples) is tuple
+        assert type(reg.constraints) is tuple
+    assert type(prop2_inner(Fraction(1, 3))._scales) is tuple
+
+
+def test_mutating_a_returned_vertex_list_leaves_the_region_unchanged():
+    a = Fraction(2, 7)
+    reg = prop2_inner(a)
+    exact, rounded = vertices(reg), regions.float_vertices(reg)
+    for got in (vertices(reg), regions.float_vertices(reg)):
+        got.reverse()
+        got.append((5, 5))
+        got[0] = (-1, -1)
+    assert prop2_inner(a) is reg
+    assert vertices(reg) == exact and regions.float_vertices(reg) == rounded
+
+
+def test_constraint_regions_are_not_interned():
+    # A float half-space equals its Fraction twin, so the two regions are
+    # equal; each still keeps its own constraints and their number types.
+    floats = (HalfSpace(1.0, 0.5, 1.0), HalfSpace(0.25, 1.0, 0.75))
+    exact = tuple(HalfSpace(*map(Fraction, (c.a1, c.a2, c.b))) for c in floats)
+    reg, twin = DofRegion(floats), DofRegion(exact)
+    assert reg == twin and reg is not twin
+    assert reg.constraints is not twin.constraints
+    assert all(type(x) is float for c in reg.constraints for x in (c.a1, c.a2, c.b))
+    assert all(type(x) is Fraction for c in twin.constraints for x in (c.a1, c.a2, c.b))
+
+
+def test_a_region_csv_and_figures_enumerate_each_distinct_bound_once(monkeypatch):
+    # Count vertex enumerations, not time.  At a = 37/200 the two region
+    # CSVs and figures 3, 4, 6 and 7 read seven distinct bounds (six under
+    # the 1a profile, and the outer bound of sym); figure 8 over j/1000,
+    # j = 185..189, reads four bounds per alpha, and 185/1000 is 37/200.
+    from gsdof import experiments
+    from gsdof.cli import BOUND_NAMES
+
+    runs = []
+    enumerate_rows = regions._exact_vertices
+    monkeypatch.setattr(regions, "_exact_vertices", lambda rows: runs.append(rows) or enumerate_rows(rows))
+    regions._interned.cache_clear()
+    a = Fraction(37, 200)
+    experiments.region_csv(BOUND_NAMES, a, TopologyProfile.named("1a", a))
+    experiments.region_csv(BOUND_NAMES, a, TopologyProfile.named("sym", a))
+    for figure in (3, 4, 6, 7):
+        experiments.figure_data(figure, alpha=a)
+    assert len(runs) == 7
+    experiments.figure_data(8, alpha_grid=[Fraction(j, 1000) for j in range(185, 190)])
+    assert len(runs) == 7 + 16
+    assert len(set(runs)) == len(runs)
+
+
 def test_exact_queries_match_the_fraction_formulas_on_alpha_grid():
     # The queries read the integer vertex triples and rows; the oracle is
     # the Fraction formulas on vertices().  A float alpha is one more input:
@@ -372,6 +437,8 @@ def test_queries_do_not_order_the_vertices(monkeypatch):
     calls = []
     ccw_order = regions._ccw_order
     monkeypatch.setattr(regions, "_ccw_order", lambda points: calls.append(1) or ccw_order(points))
+    # An interned region may have been ordered by an earlier read: start cold.
+    regions._interned.cache_clear()
     reg = prop2_inner(Fraction(1, 2))
     sum_max(reg)
     axis_max(reg, 0)
