@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import regions
-from .gaussian_mi import SLOPE_TOL, _lemma1_draw, _lemma1_slopes_on, fit_slope, fit_window
+from .gaussian_mi import SLOPE_TOL, _lemma1_slopes, fit_slope, fit_window
 from .schemes import (
     SCHEMES,
     SECURE_SCHEMES,
@@ -136,6 +136,12 @@ class SweepConfig:
             raise ValueError(f"rho_db must hold finite dB values, got {grid}")
         if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("rho grid must be strictly increasing with >= 4 points")
+        top = SCHEMES[self.scheme].rho_db_max
+        if grid[-1] > top:
+            raise ValueError(
+                f"rho_db must not exceed {top:g} dB for {self.scheme}, "
+                f"the highest SNR it is answered at; got {grid[-1]:g} dB"
+            )
         _check_trials_and_seed(self.trials, self.seed)
 
 
@@ -423,25 +429,16 @@ def _region_checks(alpha_grid) -> list[CheckResult]:
 
 
 def _lemma1_checks(alphas, rho_db, seed) -> list[CheckResult]:
-    """Lemma 1's four inequalities per (profile, alpha), all on one draw:
-    each equals ``lemma1_slopes`` of its profile, alpha and ``seed``."""
-    out = []
-    rho = rho_from_db(rho_db)
-    realization = _lemma1_draw(seed)
-    for label in _LEMMA1_PROFILES:
-        for a in alphas:
-            at = _alpha_tag(a)
-            prof = TopologyProfile.named(label, a)
-            for ineq, (lhs, rhs) in _lemma1_slopes_on(realization, prof, a, rho).items():
-                margin = rhs - lhs
-                out.append(
-                    CheckResult(
-                        f"lemma1/{ineq}/{label}/{at}",
-                        margin >= -SLOPE_TOL,
-                        float(margin),
-                    )
-                )
-    return out
+    """Lemma 1's four inequalities per (profile, alpha), all from one draw
+    and one ``conditional_mi`` call: each equals ``lemma1_slopes`` of its
+    profile, alpha and ``seed``."""
+    cases = [(label, a) for label in _LEMMA1_PROFILES for a in alphas]
+    profiles = [(TopologyProfile.named(label, a), a) for label, a in cases]
+    return [
+        CheckResult(f"lemma1/{ineq}/{label}/{_alpha_tag(a)}", rhs - lhs >= -SLOPE_TOL, rhs - lhs)
+        for (label, a), sides in zip(cases, _lemma1_slopes(profiles, rho_from_db(rho_db), seed))
+        for ineq, (lhs, rhs) in sides.items()
+    ]
 
 
 def _scheme_checks(alphas, rho_db, trials, seed) -> list[CheckResult]:
@@ -560,7 +557,7 @@ def verify_all(
     call, so its alphas in (0, 1] share each chunk's draw and one
     ``conditional_mi`` call per receiver wherever the kind's coefficients do
     not change with alpha; the lemma-1 checks of every profile and alpha
-    share one channel draw.  ``trials``, ``seed`` and every scheme alpha,
+    share one channel draw and one ``conditional_mi`` call.  ``trials``, ``seed`` and every scheme alpha,
     against each kind's domain, are checked before any check runs.
     """
     _check_trials_and_seed(trials, seed)

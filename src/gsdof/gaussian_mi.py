@@ -1,15 +1,16 @@
 """Exact mutual information for linear-Gaussian models.
 
-``conditional_mi`` is the one MI engine: every scheme rate and leakage is
-a difference of closed-form log-determinants of covariances, with no
-estimator noise.  It takes the SNR-free coefficients, the row and column
-power exponents and the SNRs, so the key projection and the Gram pieces
-are formed once per trial and each SNR adds only elementwise work and a
-log-det.  Neither step calls LAPACK per matrix: the projection is a
-modified Gram-Schmidt of the key rows and the log-det an LDLᴴ elimination,
-both run over whole stacks in real arithmetic.  The scheme sweeps and
-checks are tested on SNR grids of 60-120 dB.  Known limits at high SNR
-(alpha = 0.5 unless stated):
+``conditional_mi`` is the one MI engine: every scheme rate and leakage,
+and every block entropy of lemma 1's entropy-order checks, is a difference
+of closed-form log-determinants of covariances, with no estimator noise.
+It takes the SNR-free coefficients, the row and column power exponents and
+the SNRs, so the key projection and the Gram pieces are formed once per
+trial and each SNR adds only elementwise work and a log-det.  Neither step
+calls LAPACK per matrix: the projection is a modified Gram-Schmidt of the
+key rows and the log-det an LDLᴴ elimination (``_logdet2``, the package's
+only log-det), both run over whole stacks in real arithmetic.  The scheme
+sweeps and checks are tested on SNR grids of 60-120 dB.  Known limits at
+high SNR (alpha = 0.5 unless stated):
 
 * precision falls as SNR grows, about as eps * rho on receivers with
   several full-power rows: against a 50-digit evaluation of the same
@@ -17,14 +18,19 @@ checks are tested on SNR grids of 60-120 dB.  Known limits at high SNR
   (``gdof`` receiver 1; 8 seeds, alphas 0.05-0.95, 100-120 dB; 2.9e-4 on
   ``yang``, 2.2e-4 on ``wiretap-lattice``).  Rounding the Gram matrix to
   floats alone puts that ``gdof`` entropy 5.0e-4 bits off, whatever
-  eliminates it;
+  eliminates it.  Lemma 1's 2x2 slots keep their precision: its block
+  entropies are within 6.8e-13 bits of a 60-digit evaluation at 60-240 dB;
 * repeating every key row, which adds no knowledge, moves no value: a
   repeated row adds no basis row (3 seeds, every keyed kind, 120 dB);
 * ``conditional_mi`` raises ``singular conditional covariance`` on some
-  realizations from 155 dB (20 seeds, in 5 dB steps to 240 dB):
-  ``gdof`` first at 155 dB (3 of 20; 5 at 160 dB),
-  ``wiretap-gaussian-a1`` at 160 dB (3; 7 at 165 dB), ``yang`` at 160 dB
-  (1; 8 at 165 dB); the other kinds pass to 240 dB.
+  realizations from about 150 dB, over every alpha k/20: the lowest
+  failing grid tops are 146 dB on ``wiretap-lattice``, 151 on ``gdof``,
+  152 on ``wiretap-gaussian`` and ``wiretap-gaussian-a1`` and 153 on
+  ``yang``.  So each kind's ``SchemeSpec.rho_db_max`` caps its sweep
+  grids at least 10 dB lower, and ``SweepConfig`` refuses a grid above it
+  before any draw: 130 dB for ``wiretap-lattice``, 140 dB for those four
+  and 240 dB for the other kinds, which did not fail up to 250 dB (see
+  ``schemes.SCHEMES``).
 
 Slopes are fitted by ordinary least squares on the top half of the SNR grid
 to suppress additive O(1) offsets.
@@ -32,7 +38,6 @@ to suppress additive O(1) offsets.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 
@@ -48,8 +53,6 @@ __all__ = [
     "lemma1_slopes",
     "LEMMA1_IDS",
 ]
-
-LOG2_PI_E = math.log2(math.pi * math.e)
 
 # Slope tolerance operationalizing the o(log rho) allowance in the
 # exponential-order inequalities and secrecy conditions.
@@ -512,83 +515,61 @@ def fit_slope(log2_rho, bits) -> tuple[float, float]:
 LEMMA1_IDS = ("4a", "4b", "4c", "4d")
 
 
-def _each(fn, x) -> np.ndarray:
-    """``fn`` of each entry of ``x`` as a Python float, in ``x``'s shape.
+def _lemma1_entropies(cases, rho, seed: int) -> np.ndarray:
+    """h(y^n), h(z^n) and h(y^n, z^n) in bits, less their n log2(pi e) per
+    receiver, of each (profile, alpha) of ``cases`` at each SNR of ``rho``
+    (a scalar or an array): a (3, cases) + ``rho``'s shape array from one
+    ``LEMMA1_SLOTS``-slot complex draw of ``seed`` and one
+    ``conditional_mi`` call.
 
-    For ``pow`` and ``math.log2``: numpy's vector kernels for them may
-    differ from the scalar C functions in the last bit, and the lemma-1
-    series keep the bits of their one-SNR evaluation."""
-    x = np.asarray(x, dtype=float)
-    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
-
-
-def _block_entropies(realization, alpha: float, rho):
-    """(h(y^n|S), h(z^n|S), h(y^n, z^n|S)) in bits for i.i.d. unit-power
-    Gaussian inputs, x_t ~ CN(0, I/2), at each SNR of ``rho`` (a scalar or
-    an array): three arrays of ``rho``'s shape.
-
-    All slots' 2x2 covariances are built as one (slots, SNRs, 2, 2) stack
-    and log-det'ed in one call, and the slots are summed in slot order, so
-    every entry has the bits of a call at its SNR alone."""
-    rho = np.asarray(rho, dtype=float)
-    exps = [state.exponents(alpha) for state in realization.states]
-    amplitude = {  # exponent -> sqrt(rho**exponent), with a trailing unit axis
-        e: np.sqrt(_each(lambda r: r**e, rho))[..., None] for e in set().union(*exps)
-    }
-    per_slot = (realization.n,) + (1,) * rho.ndim + (2,)
-    rows = [
-        np.stack([amplitude[pair[i]] for pair in exps]) * channel.reshape(per_slot)
-        for i, channel in enumerate((realization.h, realization.g))
-    ]
-    m = np.stack(rows, axis=-2)
-    cov = m @ (0.5 * np.eye(2)) @ m.conj().swapaxes(-1, -2) + np.eye(2)
-    terms = (
-        LOG2_PI_E + _each(math.log2, cov[..., 0, 0].real),
-        LOG2_PI_E + _each(math.log2, cov[..., 1, 1].real),
-        2 * LOG2_PI_E + np.linalg.slogdet(cov)[1] / math.log(2.0),
-    )
-    sums = []
-    for per_slot_terms in terms:
-        total = np.zeros(rho.shape)
-        for term in per_slot_terms:  # in slot order
-            total += term
-        sums.append(total)
-    return tuple(sums)
+    The inputs x_t ~ CN(0, I/2) are i.i.d., so these are the log-dets of a
+    keyless block: row t is sqrt(1/2) h_t and row n + t is sqrt(1/2) g_t,
+    both on slot t's two antenna columns, every column at exponent 0 and in
+    the target.  A leading coefficient axis of 3 keeps the y rows, the z
+    rows and both; each case is one entry of the exponent batch, with its
+    rows at the exponents of its profile's ``state_sequence``.  The engine
+    splits the block into its slots and sums them in slot order, so each
+    entry has the bits of its own one-case, one-SNR call."""
+    n = LEMMA1_SLOTS
+    realization = draw_channels((STATE_11,) * n, seed, mode="complex")
+    slot = np.arange(n)[:, None]
+    cols = 2 * slot + np.arange(2)
+    coef = np.zeros((3, 2 * n, 2 * n), dtype=complex)
+    coef[0, slot, cols] = math.sqrt(0.5) * realization.h
+    coef[1, n + slot, cols] = math.sqrt(0.5) * realization.g
+    coef[2] = coef[0] + coef[1]
+    exps = [[s.exponents(a) for s in state_sequence(p, n)] for p, a in cases]
+    row_exp = np.array(exps, dtype=float).swapaxes(1, 2).reshape(len(cases), 2 * n)
+    every = np.ones(2 * n, dtype=bool)
+    keys = np.zeros((0, 2 * n))
+    return conditional_mi(coef, keys, every, ~every, row_exp, np.zeros_like(row_exp), rho)
 
 
-def _lemma1_draw(seed: int):
-    """The ``LEMMA1_SLOTS``-slot complex draw of ``seed`` behind
-    ``lemma1_slopes``.  A draw depends on the seed, the mode and the slot
-    count only, so one draw serves every profile and alpha: its states are
-    set per profile by ``_lemma1_slopes_on``."""
-    return draw_channels((STATE_11,) * LEMMA1_SLOTS, seed, mode="complex")
-
-
-def _lemma1_slopes_on(realization, profile: TopologyProfile, alpha: float, rho_grid) -> dict:
-    """``lemma1_slopes`` on a ``_lemma1_draw`` realization, with the
-    profile's state sequence in place of its states."""
+def _lemma1_slopes(cases, rho_grid, seed: int) -> list:
+    """``lemma1_slopes`` of each (profile, alpha) of ``cases``, in order,
+    all from one ``_lemma1_entropies`` call."""
     rho_grid = np.asarray(rho_grid, dtype=float)
     if rho_grid.size < 3:
         raise ValueError("rho_grid must have at least 3 points")
     n = LEMMA1_SLOTS
-    realization = dataclasses.replace(realization, states=state_sequence(profile, n))
-    l1a = float(profile.lambda_1a)
-    la1 = float(profile.lambda_a1)
-    hy, hz, hyz = _block_entropies(realization, alpha, rho_grid)
-    log2_rho = _each(math.log2, rho_grid)
-    surcharge_1a = n * l1a * (1 - alpha) * log2_rho
-    surcharge_a1 = n * la1 * (1 - alpha) * log2_rho
-    sides = {
-        "4a": (hyz, 2 * hz + surcharge_1a),
-        "4b": (hyz, 2 * hy + surcharge_a1),
-        "4c": (hy, 2 * hz + surcharge_1a),
-        "4d": (hz, 2 * hy + surcharge_a1),
-    }
     x = np.log2(rho_grid)
-    return {
-        ineq: (fit_slope(x, lhs / n)[0], fit_slope(x, rhs / n)[0])
-        for ineq, (lhs, rhs) in sides.items()
-    }
+    out = []
+    for (profile, alpha), hy, hz, hyz in zip(cases, *_lemma1_entropies(cases, rho_grid, seed)):
+        surcharge_1a = n * float(profile.lambda_1a) * (1 - alpha) * x
+        surcharge_a1 = n * float(profile.lambda_a1) * (1 - alpha) * x
+        sides = {
+            "4a": (hyz, 2 * hz + surcharge_1a),
+            "4b": (hyz, 2 * hy + surcharge_a1),
+            "4c": (hy, 2 * hz + surcharge_1a),
+            "4d": (hz, 2 * hy + surcharge_a1),
+        }
+        out.append(
+            {
+                ineq: (fit_slope(x, lhs / n)[0], fit_slope(x, rhs / n)[0])
+                for ineq, (lhs, rhs) in sides.items()
+            }
+        )
+    return out
 
 
 def lemma1_slopes(
@@ -599,12 +580,13 @@ def lemma1_slopes(
 ) -> dict:
     """Per-slot fitted slopes {inequality id: (lhs, rhs)} of all four
     entropy-order inequalities, from one channel draw of ``LEMMA1_SLOTS``
-    slots and one series of block entropies over the whole grid.
+    slots and one ``conditional_mi`` call over the whole grid: a batch of
+    one of ``_lemma1_slopes``.
 
     The right-hand sides carry the topology surcharge lambda * (1 - alpha) *
     log2(rho) per slot exactly once.
     """
-    return _lemma1_slopes_on(_lemma1_draw(seed), profile, alpha, rho_grid)
+    return _lemma1_slopes([(profile, alpha)], rho_grid, seed)[0]
 
 
 def lemma1_margins(

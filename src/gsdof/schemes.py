@@ -1219,6 +1219,7 @@ class SchemeSpec:
     inner: str | None  # experiments.REGION_BUILDERS key; target is one of its vertices
     profile: str  # TopologyProfile.named label; a secure target lies in its bc_outer
     domain: Callable  # alpha -> None; raises ValueError naming the valid alphas
+    rho_db_max: float  # highest SNR in dB of a sweep grid, measured (see SCHEMES)
 
 
 def _ratio(alpha, num: int, den: int):
@@ -1272,6 +1273,16 @@ def _bc_fixed_states(alpha) -> tuple:
 
 _SYM_STATES = (STATE_1A, STATE_1A, STATE_A1, STATE_A1)
 
+# Each kind's rho_db_max is at least 10 dB below the lowest grid top at which
+# any sweep raised "singular conditional covariance": 7-point grids
+# top-60:top:10, 100 trials, every alpha k/20 in the kind's domain, seeds
+# 0-8 and 701.  First failing tops: gdof 151 dB, wiretap-gaussian and
+# wiretap-gaussian-a1 152, yang 153, wiretap-lattice 146 (wiretap-gaussian
+# and wiretap-lattice first fail at alpha 1).  bc-fixed, sym-alt, int-sym-alt
+# and the canary did not fail up to 250 dB, nor at 300 dB (20 trials,
+# seeds 0-2 and 701); they stop at 240 dB, 10 dB below the highest top run
+# on all ten seeds.
+
 SCHEMES = {
     "wiretap-gaussian": SchemeSpec(
         build=build_wiretap_gaussian,
@@ -1282,6 +1293,7 @@ SCHEMES = {
         inner="yang",
         profile="1a",
         domain=_unit_interval,
+        rho_db_max=140.0,
     ),
     "wiretap-gaussian-a1": SchemeSpec(
         build=lambda r, a: build_wiretap_gaussian(r, a, state=STATE_A1),
@@ -1292,6 +1304,7 @@ SCHEMES = {
         inner=None,
         profile="a1",
         domain=_unit_interval,
+        rho_db_max=140.0,
     ),
     "yang": SchemeSpec(
         build=build_yang_baseline,
@@ -1302,6 +1315,7 @@ SCHEMES = {
         inner="yang",
         profile="1a",
         domain=_unit_interval,
+        rho_db_max=140.0,
     ),
     "bc-fixed": SchemeSpec(
         build=lambda r, a: build_bc_fixed(smallest_t1(a), r, a),
@@ -1312,6 +1326,7 @@ SCHEMES = {
         inner="prop2",
         profile="1a",
         domain=_t1_domain,
+        rho_db_max=240.0,
     ),
     "sym-alt": SchemeSpec(
         build=build_sym_alt,
@@ -1322,6 +1337,7 @@ SCHEMES = {
         inner="sym-alt",
         profile="sym",
         domain=_unit_interval,
+        rho_db_max=240.0,
     ),
     "wiretap-lattice": SchemeSpec(
         build=lambda r, a: _lattice().build_wiretap_lattice(r, a),
@@ -1332,6 +1348,7 @@ SCHEMES = {
         inner=None,
         profile="1a",
         domain=_lattice_domain,
+        rho_db_max=130.0,
     ),
     "int-sym-alt": SchemeSpec(
         build=lambda r, a: _lattice().build_int_sym_alt(r, a),
@@ -1342,6 +1359,7 @@ SCHEMES = {
         inner="int-sym-alt",
         profile="sym",
         domain=_lattice_domain,
+        rho_db_max=240.0,
     ),
     "gdof": SchemeSpec(
         build=build_gdof_no_secrecy,
@@ -1352,6 +1370,7 @@ SCHEMES = {
         inner="gdof",
         profile="1a",
         domain=_lattice_domain,
+        rho_db_max=140.0,
     ),
     "wiretap-nonoise": SchemeSpec(
         build=build_no_noise_canary,
@@ -1362,6 +1381,7 @@ SCHEMES = {
         inner=None,
         profile="1a",
         domain=_unit_interval,
+        rho_db_max=240.0,
     ),
 }
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gsdof import cli, experiments, schemes
+from gsdof import cli, experiments, gaussian_mi, schemes
 from gsdof.experiments import (
     CheckResult,
     SweepConfig,
@@ -394,12 +394,65 @@ def test_float_geometry_csv_digest(name):
 
 
 @pytest.mark.parametrize("kind", ["wiretap-gaussian-a1", "yang"])
-def test_run_sweep_names_the_failing_trial(kind):
-    # Past about 160 dB the conditional covariance is numerically singular.
-    cfg = SweepConfig(kind, 0.5, (60, 80, 100, 120, 140, 160, 170), trials=10, seed=0)
+def test_run_sweep_names_the_failing_trial(monkeypatch, kind):
+    # Some realizations turn numerically singular past each kind's
+    # rho_db_max, and SweepConfig refuses such a grid.  So the
+    # failure is planted under the ceiling: a log-det that refuses any stack
+    # with a diagonal entry of 1e13 (130 dB) or more, with the engine's own
+    # message.  Every trial then fails at the grid's top, and trial 0 is
+    # named.
+    logdet2 = gaussian_mi._logdet2
+
+    def singular_at_the_top(g):
+        if (np.einsum("...ii->...i", g).real >= 1e13).any():
+            raise ValueError("singular conditional covariance")
+        return logdet2(g)
+
+    monkeypatch.setattr(gaussian_mi, "_logdet2", singular_at_the_top)
+    cfg = SweepConfig(kind, 0.5, (60, 80, 100, 110, 120, 130, 140), trials=10, seed=0)
     with pytest.raises(RuntimeError) as err:
         run_sweep(cfg)
     assert str(err.value) == "trial 0 failed: singular conditional covariance"
+
+
+def _ceiling_alphas(kind) -> list:
+    """The smallest alpha k/20 in the kind's domain, 0.5, 0.95 and 1, where
+    wiretap-gaussian and wiretap-lattice first failed above their ceilings."""
+    smallest = next(k / 20 for k in range(21) if _in_domain(kind, k / 20))
+    return sorted({smallest, 0.5, 0.95, 1.0})
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_each_kind_completes_at_its_ceiling(kind):
+    # A 7-point grid that ends at rho_db_max is answered at every alpha and
+    # seed checked, with finite slopes.
+    top = SCHEMES[kind].rho_db_max
+    grid = tuple(top - 10 * j for j in range(6, -1, -1))
+    configs = [
+        SweepConfig(kind, a, grid, trials=20, seed=seed)
+        for seed in (0, 1, 701)
+        for a in _ceiling_alphas(kind)
+    ]
+    for report in experiments.run_sweeps(configs):
+        assert np.isfinite([report.d1, report.d2, *report.leak_slopes.values()]).all()
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_a_grid_above_the_ceiling_is_refused_before_any_draw(monkeypatch, capsys, kind):
+    # One step above rho_db_max is a usage error from the console script's
+    # entry point: exit 2, naming the kind and its ceiling, with no draw.
+    top = SCHEMES[kind].rho_db_max
+    draws = []
+    monkeypatch.setattr(experiments, "_draw_for", lambda *args: draws.append(args))
+    argv = ["simulate", "--scheme", kind, "--rho-db", f"{top - 50:g}:{top + 10:g}:10"]
+    monkeypatch.setattr(sys, "argv", ["gsdof", *argv, "--trials", "10"])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main()
+    assert exit_.value.code == 2 and draws == []
+    assert capsys.readouterr().err == (
+        f"error: rho_db must not exceed {top:g} dB for {kind}, "
+        f"the highest SNR it is answered at; got {top + 10:g} dB\n"
+    )
 
 
 def test_run_sweep_reports_the_lowest_failing_trial(monkeypatch):
@@ -732,12 +785,38 @@ def test_verify_all_accepts_fraction_alphas():
     assert all(c.margin == 0 for c in zeroed), [(c.name, c.margin) for c in zeroed if c.margin]
 
 
+def test_lemma1_checks_make_one_engine_call(monkeypatch):
+    # verify's default lemma-1 stage: 5 profiles x 3 alphas x 4 inequalities
+    # from one conditional_mi call, and each row's margin equals
+    # lemma1_slopes of its case bit for bit.
+    alphas, seed = (0.25, 0.5, 0.75), 0
+    engine, calls = gaussian_mi.conditional_mi, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(gaussian_mi, "conditional_mi", counted)
+    checks = experiments._lemma1_checks(alphas, experiments.VERIFY_RHO_DB, seed)
+    assert len(calls) == 1 and len(checks) == 60
+    rho = rho_from_db(experiments.VERIFY_RHO_DB)
+    want = []
+    for label in experiments._LEMMA1_PROFILES:
+        for a in alphas:
+            slopes = gaussian_mi.lemma1_slopes(TopologyProfile.named(label, a), a, rho, seed)
+            for ineq, (lhs, rhs) in slopes.items():
+                want.append((f"lemma1/{ineq}/{label}/alpha={a:g}", rhs - lhs))
+    assert [c.name for c in checks] == [name for name, _ in want]
+    for c, (_, margin) in zip(checks, want):
+        assert np.float64(c.margin).tobytes() == np.float64(margin).tobytes(), c.name
+
+
 # sha256 of the default `gsdof verify` CSV (alpha grid 0:1:0.05, 20 trials)
 # at seeds 0 and 1.  Every check row is pinned: margins, details and order.
 # Generated with numpy 2.4.6 on x86-64, like SWEEP_DIGESTS.
 VERIFY_DIGESTS = {
-    0: "cd823847824b11587b6250761bf076b5a918adccd941df045adc072cf628e1e7",
-    1: "685d6dfafdff1bf5ddf30478b17b6d1b9e366ed12ecab15575c6a0a929d387c1",
+    0: "67b756f5948d7a2595820b4b12a56a9a34250d989fcd45716e80275454b28ff9",
+    1: "5d5df3f5c7b2129e2660a077b71bcfc59272f16d4cbe75859f68decb3bb36c66",
 }
 
 

@@ -8,13 +8,17 @@ import pytest
 from gsdof import gaussian_mi
 from gsdof.experiments import _LEMMA1_PROFILES, SweepConfig, rho_from_db, run_sweep
 from gsdof.gaussian_mi import (
-    LOG2_PI_E,
     SLOPE_TOL,
     conditional_mi,
     fit_slope,
     lemma1_margins,
 )
 from gsdof.topology import TopologyProfile, draw_channels, state_sequence
+
+# log2(pi e), the differential entropy in bits of a unit complex Gaussian:
+# the scalar lemma-1 oracle adds it per receiver and slot, the engine's
+# lemma-1 entropies leave it out (no slope sees it).
+LOG2_PI_E = math.log2(math.pi * math.e)
 
 
 def cofactor_det(m):
@@ -42,6 +46,7 @@ def _logdet_mi(a, keys=None):
 
 
 def test_diff_entropy_scalar_unit():
+    # The scalar lemma-1 oracle's constant per receiver and slot.
     assert abs(LOG2_PI_E - 3.0947) < 1e-3
 
 
@@ -503,8 +508,8 @@ def test_lemma1_a1_surcharge_once():
 
 
 def _scalar_block_entropies(realization, alpha, rho):
-    # One SNR at a time, in Python scalars: the reference the lemma-1 series
-    # must keep bit for bit.
+    # One SNR at a time, in Python scalars: an oracle of the lemma-1
+    # entropies that shares no code with the engine.
     hy = hz = hyz = 0.0
     for t in range(realization.n):
         a1, a2 = realization.states[t].exponents(alpha)
@@ -518,20 +523,74 @@ def _scalar_block_entropies(realization, alpha, rho):
     return hy, hz, hyz
 
 
+# Lemma-1 entropies (h(y^n), h(z^n), h(y^n, z^n) over 12 slots) against the
+# scalar oracle less its log2(pi e) terms: measured worst 2.3e-13 bits over
+# the 5 profiles x 3 alphas x 7 SNRs x seeds 0-3.
+LEMMA1_ORACLE_GAP = 1e-12
+# ... and against a 60-digit evaluation of the same channels at 60-240 dB:
+# measured worst 6.8e-13 bits (profiles 11, 1a and sym, 3 alphas, seeds 0-3).
+LEMMA1_MP_GAP = 2e-12
+
+
+def _lemma1_cases(label):
+    return [(TopologyProfile.named(label, a), a) for a in (0.25, 0.5, 0.75)]
+
+
 @pytest.mark.parametrize("label", _LEMMA1_PROFILES)
 def test_block_entropies_over_the_grid_equal_scalar_calls(label):
+    # One conditional_mi call gives every alpha's entropies over the grid:
+    # each entry equals the one-alpha, one-SNR call bit for bit, and the
+    # scalar oracle within LEMMA1_ORACLE_GAP.  The engine's draw depends on
+    # the seed and the slot count only, so the oracle redraws it with the
+    # profile's states.
     rho_grid = rho_from_db((60, 70, 80, 90, 100, 110, 120))
-    for alpha in (0.25, 0.5, 0.75):
-        prof = TopologyProfile.named(label, alpha)
+    cases = _lemma1_cases(label)
+    grid = gaussian_mi._lemma1_entropies(cases, rho_grid, 0)
+    assert grid.shape == (3, len(cases), rho_grid.size)
+    for i, (prof, alpha) in enumerate(cases):
         real = draw_channels(state_sequence(prof, 12), 0)
-        grid = gaussian_mi._block_entropies(real, alpha, rho_grid)
-        assert all(x.shape == rho_grid.shape for x in grid)
         for j, rho in enumerate(rho_grid.tolist()):
-            one = gaussian_mi._block_entropies(real, alpha, rho)
-            ref = _scalar_block_entropies(real, alpha, rho)
-            for x, y, r in zip(grid, one, ref):
-                assert np.float64(x[j]).tobytes() == np.float64(y).tobytes()
-                assert np.float64(x[j]).tobytes() == np.float64(r).tobytes(), (label, alpha, j)
+            one = gaussian_mi._lemma1_entropies([(prof, alpha)], rho, 0)
+            assert one.shape == (3, 1)
+            assert grid[:, i, j].tobytes() == one[:, 0].tobytes(), (label, alpha, j)
+            ref = np.array(_scalar_block_entropies(real, alpha, rho))
+            ref -= np.array([12, 12, 24]) * LOG2_PI_E
+            assert np.abs(grid[:, i, j] - ref).max() <= LEMMA1_ORACLE_GAP, (label, alpha, j)
+
+
+def _mp_block_entropies(mpmath, realization, alpha, rho):
+    """(h(y^n), h(z^n), h(y^n, z^n)) less their log2(pi e) terms, at 60
+    digits with the float channel entries taken as exact."""
+    with mpmath.workdps(60):
+        rho = mpmath.mpf(rho)
+        hy = hz = hyz = mpmath.mpf(0)
+        for t, state in enumerate(realization.states):
+            m = mpmath.matrix(
+                [
+                    [mpmath.sqrt(rho ** mpmath.mpf(e) / 2) * mpmath.mpc(complex(x)) for x in ch[t]]
+                    for e, ch in zip(state.exponents(alpha), (realization.h, realization.g))
+                ]
+            )
+            cov = mpmath.eye(2) + m * m.H
+            hy += mpmath.log(mpmath.re(cov[0, 0]), 2)
+            hz += mpmath.log(mpmath.re(cov[1, 1]), 2)
+            hyz += mpmath.log(mpmath.re(mpmath.det(cov)), 2)
+        return float(hy), float(hz), float(hyz)
+
+
+def test_lemma1_entropies_match_a_60_digit_evaluation():
+    mpmath = pytest.importorskip("mpmath")
+    rho_grid = rho_from_db(range(60, 241, 20))
+    for label in ("11", "1a", "sym"):
+        cases = _lemma1_cases(label)
+        for seed in range(4):
+            got = gaussian_mi._lemma1_entropies(cases, rho_grid, seed)
+            for i, (prof, alpha) in enumerate(cases):
+                real = draw_channels(state_sequence(prof, 12), seed)
+                for j, rho in enumerate(rho_grid.tolist()):
+                    want = _mp_block_entropies(mpmath, real, alpha, rho)
+                    gap = np.abs(got[:, i, j] - want).max()
+                    assert gap <= LEMMA1_MP_GAP, (label, seed, alpha, j, gap)
 
 
 def test_lemma1_rejects_short_grid():
