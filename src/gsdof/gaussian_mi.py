@@ -8,9 +8,14 @@ the SNRs, so the key projection and the Gram pieces are formed once per
 trial and each SNR adds only elementwise work and a log-det.  Neither step
 calls LAPACK per matrix: the projection is a modified Gram-Schmidt of the
 key rows and the log-det an LDLᴴ elimination (``_logdet2``, the package's
-only log-det), both run over whole stacks in real arithmetic.  The scheme
-sweeps and checks are tested on SNR grids of 60-120 dB.  Known limits at
-high SNR (alpha = 0.5 unless stated):
+only log-det), both run over whole stacks in real arithmetic.  A call takes
+one job or an iterable of jobs of one exponent width, such as every
+receiver of every build of a sweep chunk: the jobs are one engine pass, in
+which the blocks of every job that share a (rows, key rows, kept columns)
+shape are evaluated as one stack, and each job keeps the bits of a call of
+its own.
+The scheme sweeps and checks are tested on SNR grids of 60-120 dB.  Known
+limits at high SNR (alpha = 0.5 unless stated):
 
 * precision falls as SNR grows, about as eps * rho on receivers with
   several full-power rows: against a 50-digit evaluation of the same
@@ -33,7 +38,8 @@ high SNR (alpha = 0.5 unless stated):
   ``schemes.SCHEMES``).
 
 Slopes are fitted by ordinary least squares on the top half of the SNR grid
-to suppress additive O(1) offsets.
+to suppress additive O(1) offsets: ``fit_slopes`` fits a stack of series in
+one vectorized pass, each row bit for bit its one-series ``fit_slope``.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .topology import STATE_11, TopologyProfile, draw_channels, state_sequence
 __all__ = [
     "conditional_mi",
     "fit_slope",
+    "fit_slopes",
     "fit_window",
     "lemma1_margins",
     "lemma1_slopes",
@@ -69,7 +76,9 @@ def fit_window(n: int) -> int:
 KEY_DEPENDENCE_TOL = 1e-10  # relative remainder of a key row that adds no basis row
 
 _CONJ = np.array([1.0, -1.0])  # (re, im) times this: the conjugate
-_LDL_CHUNK = 2**10  # matrices per elimination pass of _logdet2
+# Matrices per elimination pass of _logdet2, and per evaluation of stacks
+# merged by _entropies_by_block.
+_LDL_CHUNK = 2**10
 
 
 def _pairs(x: np.ndarray) -> np.ndarray:
@@ -206,10 +215,11 @@ def _entropy_given_keys(c: np.ndarray, k: np.ndarray, row_exp, levels, rho):
     call.  At rho = 1 with zero exponents every factor is 1.0, so A = ``c``
     bit for bit: that is the dense call.
 
-    Leading axes of ``c`` and ``k`` are batch axes and broadcast; ``row_exp``
-    and the level masks (..., cols) broadcast against them.  The result has
-    the batch axes of ``c``, then the exponent batch axis, then ``rho``'s
-    axes."""
+    Leading axes of ``c`` and ``k`` are batch axes and broadcast; ``row_exp``,
+    the level masks (..., cols) and a level's exponents, (batch,) or, for a
+    merged stack (see ``_merged``), (..., batch), broadcast against them.
+    The result has the batch axes of ``c``, then the exponent batch axis,
+    then ``rho``'s axes."""
     if k.shape[-2]:
         c = _project_off_keys(c, k)
     c_h = c.conj().swapaxes(-1, -2)
@@ -351,16 +361,52 @@ def _stack_plan(
     return tuple(gathers), tuple(map(tuple, parts))
 
 
-def _entropies_by_block(coef, keys, keeps, row_exp, col_exp, rho) -> list:
-    """``_entropy_given_keys`` of the observations restricted to each kept
-    column mask in ``keeps`` (the rows of a bool array), at each entry of
-    the exponent batch ``row_exp`` (batch, rows) and ``col_exp`` (batch,
-    cols) and each SNR of ``rho``, evaluated per block and summed over
-    blocks, with one call per stack of ``_stack_plan``.
+def _merged(parts, batch: tuple, width: int) -> tuple:
+    """The stacks ``parts``, each (coefficients, keys, row exponents,
+    levels) of one (rows, key rows, kept columns) shape, as one stack
+    concatenated along the pair axis, each broadcast to the batch shape
+    ``batch``: coefficients, keys, (pairs, width, rows) row exponents and
+    column levels (see ``_levels``).
 
-    The blocks come from the nonzeros of ``coef`` and ``keys`` united over
-    all batch axes.  Each stack is gathered with one take on the flattened
-    matrices, a C-contiguous (..., pairs, rows, kept) array."""
+    A lone stack is returned as it is.  Otherwise level ``l`` of the merged
+    stack holds each stack's ``l``-th level, its exponents as a (pairs,
+    width) array, and a stack with fewer levels gets an empty mask there.
+    An empty level adds exact zeros to a pair's Gram sum, and each pair
+    sums its own levels in its own ascending order, so every pair keeps the
+    bits of its own stack's evaluation."""
+    if len(parts) == 1:
+        return parts[0]
+
+    def full(x):
+        return x if x.shape[:-3] == batch else np.broadcast_to(x, batch + x.shape[-3:])
+
+    c, k = (np.concatenate([full(part[i]) for part in parts], axis=-3) for i in (0, 1))
+    exps = np.concatenate([part[2] for part in parts])
+    counts = [coefs.shape[-3] for coefs, *_ in parts]
+    merged = []
+    for at in range(max(len(levels) for *_, levels in parts)):
+        empty = (np.zeros(width), False)
+        here = [levels[at] if at < len(levels) else empty for *_, levels in parts]
+        e = np.repeat([e for e, _ in here], counts, axis=0)  # (pairs, width)
+        if all(mask is None for _, mask in here):
+            merged.append((e, None))
+        else:
+            masks = [
+                np.broadcast_to(True if mask is None else mask, (n, c.shape[-1]))
+                for (_, mask), n in zip(here, counts)
+            ]
+            merged.append((e, np.concatenate(masks)))
+    return c, k, exps, tuple(merged)
+
+
+def _gathered(job) -> tuple:
+    """A job (coef, keys, keeps, row_exp, col_exp) of ``_entropies_by_block``
+    as its ``_stack_plan`` parts per mask, its stacks as (stack shape,
+    (coefficients, keys, row exponents, levels)), each gathered with one
+    take on the job's flattened matrices (a C-contiguous (..., pairs, rows,
+    kept) array), the batch shapes of ``coef`` and ``keys``, and its
+    exponent width."""
+    coef, keys, keeps, row_exp, col_exp = job
     support = np.concatenate([_support(coef), _support(keys)])
     gathers, parts = _stack_plan(
         support.tobytes(),
@@ -371,38 +417,110 @@ def _entropies_by_block(coef, keys, keeps, row_exp, col_exp, rho) -> list:
         row_exp.tobytes(),
         col_exp.tobytes(),
     )
-    batch = np.broadcast_shapes(coef.shape[:-2], keys.shape[:-2])
-    flat_coef, flat_keys = (x.reshape(x.shape[:-2] + (-1,)) for x in (coef, keys))
-    values = {
-        # The pair axis first, so that values[shape][pair] has the result's shape.
-        shape: np.moveaxis(
-            _entropy_given_keys(
-                np.take(flat_coef, rows, axis=-1),
-                np.take(flat_keys, key_rows, axis=-1),
-                exps,
-                levels,
-                rho,
-            ),
-            len(batch),
-            0,
-        )
+    batches = [coef.shape[:-2], keys.shape[:-2]]
+    coef, keys = (x.reshape(x.shape[:-2] + (-1,)) for x in (coef, keys))
+    stacks = [
+        (shape, (np.take(coef, rows, axis=-1), np.take(keys, key_rows, axis=-1), exps, levels))
         for shape, rows, key_rows, exps, levels in gathers
-    }
-    lead = batch + (len(col_exp),) + rho.shape
+    ]
+    return parts, stacks, batches, len(col_exp)
+
+
+def _entropies_by_block(jobs, rho) -> list:
+    """For each job (coef, keys, keeps, row_exp, col_exp) drawn from the
+    iterable ``jobs``, the ``_entropy_given_keys`` of the observations
+    restricted to each kept column mask in ``keeps`` (the rows of a bool
+    array), at each entry of the exponent batch ``row_exp`` (width, rows)
+    and ``col_exp`` (width, cols) and each SNR of ``rho``, evaluated per
+    block and summed over blocks: per job, a list of one array per mask.
+    Every job has the same exponent width, and batch axes that broadcast
+    together.
+
+    Each job's blocks come from the nonzeros of its ``coef`` and ``keys``
+    united over all batch axes, and its stacks from its own
+    ``_stack_plan``.  Each stack is gathered as its job is drawn
+    (``_gathered``), so a generator of jobs holds one job's matrices at a
+    time.  The jobs share one engine pass: their stacks of one (rows, key
+    rows, kept columns) shape are concatenated along the pair axis
+    (``_merged``) and evaluated together, in packs of consecutive stacks
+    that hold at most ``_LDL_CHUNK`` (batch entry, pair, exponent entry,
+    SNR) matrices, one elimination chunk.  A stack larger than that is a
+    pack of its own, as in a pass of its own job, so no evaluation is larger
+    than a lone job's.  No block-diagonal matrix is formed.  Every step of
+    the evaluation is per matrix, so neither the merge nor the packs change
+    a bit: each job gets the values of a pass of its own."""
+    stacks = {}  # stack shape -> [(job, (coefficients, keys, row exponents, levels))]
+    plans, batches, widths = [], [], set()
+    # map() passes each job on without holding it here once it is gathered.
+    for j, (parts, gathered, job_batches, width) in enumerate(map(_gathered, jobs)):
+        plans.append(parts)
+        batches += job_batches
+        widths.add(width)
+        for shape, stack in gathered:
+            stacks.setdefault(shape, []).append((j, stack))
+    if len(widths) > 1:
+        raise ValueError("the jobs of one engine pass must share their exponent width")
+    (width,) = widths
+    batch = np.broadcast_shapes(*batches)
+    values = [{} for _ in plans]  # per job: stack shape -> (pairs, ...) entropies
+    per_pair = math.prod(batch) * width * rho.size  # matrices
+    for shape, members in stacks.items():
+        packs = [[]]  # consecutive stacks of at most _LDL_CHUNK matrices, or one stack
+        for member in members:
+            pairs = sum(len(exps) for _, (_, _, exps, _) in packs[-1] + [member])
+            if packs[-1] and per_pair * pairs > _LDL_CHUNK:
+                packs.append([])
+            packs[-1].append(member)
+        for pack in packs:
+            h = _entropy_given_keys(*_merged([stack for _, stack in pack], batch, width), rho)
+            # The pair axis first, so that each job's pairs are one slice.
+            h, start = np.moveaxis(h, len(batch), 0), 0
+            for j, (_, _, exps, _) in pack:
+                values[j][shape] = h[start : start + len(exps)]
+                start += len(exps)
+    lead = batch + (width,) + rho.shape
     out = []
-    for part in parts:
-        total = np.zeros(lead)
-        for shape, pair in part:
-            total = total + values[shape][pair]
-        out.append(total)
+    for parts, job_values in zip(plans, values):
+        totals = []
+        for part in parts:
+            total = np.zeros(lead)
+            for shape, pair in part:
+                total = total + job_values[shape][pair]
+            totals.append(total)
+        out.append(totals)
+    return out
+
+
+def _conditional_mis(jobs, rho: np.ndarray) -> list:
+    """``conditional_mi`` of each (coef, keys, target, given, row_exp,
+    col_exp) job drawn from the iterable ``jobs``, whose exponents are
+    batches, at the SNR array ``rho``, from one ``_entropies_by_block``
+    call, which draws each job once."""
+    stacked = []  # per job: whether its masks are stacks, with a pair axis
+
+    def prepared():
+        for coef, keys, target, given, row_exp, col_exp in jobs:
+            m, n = coef.shape[-2:]
+            keep1 = ~np.asarray(given, dtype=bool)
+            keep1, keep2 = np.broadcast_arrays(keep1, keep1 & ~np.asarray(target, dtype=bool))
+            stacked.append(keep1.ndim > 1)
+            exps = np.asarray(row_exp, dtype=float), np.asarray(col_exp, dtype=float)
+            keeps = np.stack([keep1, keep2]).reshape(-1, n)
+            yield coef, keys, keeps, exps[0].reshape(-1, m), exps[1].reshape(-1, n)
+
+    out = []
+    for h, pairs in zip(_entropies_by_block(prepared(), rho), stacked):
+        h = np.stack(h)
+        mi = np.maximum(h[: len(h) // 2] - h[len(h) // 2 :], 0.0)
+        out.append(mi if pairs else mi[0])
     return out
 
 
 def conditional_mi(
-    coef: np.ndarray,
-    keys: np.ndarray,
-    target: np.ndarray,
-    given: np.ndarray,
+    coef,
+    keys: np.ndarray | None = None,
+    target: np.ndarray | None = None,
+    given: np.ndarray | None = None,
     row_exp=None,
     col_exp=None,
     rho=None,
@@ -467,7 +585,26 @@ def conditional_mi(
     alpha k/20), which keeps sweep CSVs independent of the chunking.  Each
     SNR of an array ``rho`` is evaluated elementwise, so an entry also
     equals the call at its SNR alone bit for bit.
+
+    ``coef`` may instead be an iterable of jobs, such as the receivers of
+    every build of a sweep chunk, each a (coef, keys, target, given,
+    row_exp, col_exp) tuple whose exponents are an exponent batch; ``rho``
+    is then needed, and the other arguments are not given.  The result is a
+    list, and entry ``j`` equals the call on job ``j`` bit for bit.  The
+    jobs must share one exponent width, and batch axes that broadcast
+    together, such as the trials of one chunk: they form one engine pass,
+    which evaluates the blocks of one (rows, key rows, kept columns) shape
+    over all of the jobs as one stack, in packs of one elimination chunk
+    (see ``_entropies_by_block``).  Each job is drawn once and its stacks
+    gathered at once, so a generator of jobs holds one job's matrices at a
+    time.  A single job is an iterable of one.
     """
+    if not isinstance(coef, np.ndarray):
+        if rho is None:
+            raise ValueError("an iterable of jobs needs rho")
+        return _conditional_mis(coef, np.asarray(rho, dtype=float))
+    if keys is None or target is None or given is None:
+        raise TypeError("conditional_mi of one job needs keys, target and given")
     m, n = coef.shape[-2:]
     row_exp = np.zeros(m) if row_exp is None else np.asarray(row_exp, dtype=float)
     col_exp = np.zeros(n) if col_exp is None else np.asarray(col_exp, dtype=float)
@@ -478,34 +615,40 @@ def conditional_mi(
                 "an exponent batch is one leading axis of both exponents, and needs rho"
             )
     rho = np.asarray(1.0 if rho is None else rho, dtype=float)
-    keep1 = ~np.asarray(given, dtype=bool)
-    keep1, keep2 = np.broadcast_arrays(keep1, keep1 & ~np.asarray(target, dtype=bool))
-    keeps = np.stack([keep1, keep2]).reshape(-1, keep1.shape[-1])
     exps = row_exp.reshape(-1, m), col_exp.reshape(-1, n)
-    h = np.stack(_entropies_by_block(coef, keys, keeps, *exps, rho))
-    mi = np.maximum(h[: len(h) // 2] - h[len(h) // 2 :], 0.0)
-    if single:
-        mi = mi.squeeze(axis=-1 - rho.ndim)
-    return mi[0] if keep1.ndim == 1 else mi
+    mi = _conditional_mis([(coef, keys, target, given, *exps)], rho)[0]
+    return mi.squeeze(axis=-1 - rho.ndim) if single else mi
 
 
-def fit_slope(log2_rho, bits) -> tuple[float, float]:
-    """OLS slope and its standard error over the grid's ``fit_window``."""
+def fit_slopes(log2_rho, series) -> tuple[np.ndarray, np.ndarray]:
+    """OLS slopes and their standard errors of each row of ``series``
+    (rows, grid points) against ``log2_rho``, over the grid's
+    ``fit_window``, as two (rows,) arrays from one vectorized pass.
+
+    Row ``i`` takes the steps of a one-series fit, each as a row-wise
+    reduction over the window, so it equals ``fit_slope(log2_rho,
+    series[i])`` bit for bit: numpy sums each row of a C-contiguous array
+    as it sums that row alone."""
     x = np.asarray(log2_rho, dtype=float)
-    y = np.asarray(bits, dtype=float)
     if x.size < 2:
         raise ValueError("need at least two grid points to fit a slope")
     k = fit_window(x.size)
-    x, y = x[-k:], y[-k:]
-    xm, ym = x.mean(), y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
-    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
-    resid = y - (ym + slope * (x - xm))
-    if k > 2:
-        stderr = math.sqrt(float(np.sum(resid**2)) / (k - 2) / sxx)
-    else:
-        stderr = 0.0
-    return slope, stderr
+    x, y = x[-k:], np.ascontiguousarray(np.asarray(series, dtype=float)[:, -k:])
+    dx = x - x.mean()
+    sxx = float(np.sum(dx**2))
+    ym = y.mean(axis=1)[:, None]
+    slope = np.sum(dx * (y - ym), axis=1) / sxx
+    if k == 2:
+        return slope, np.zeros(len(y))
+    resid = y - (ym + slope[:, None] * dx)
+    return slope, np.sqrt(np.sum(resid**2, axis=1) / (k - 2) / sxx)
+
+
+def fit_slope(log2_rho, bits) -> tuple[float, float]:
+    """OLS slope and its standard error over the grid's ``fit_window``: a
+    one-series ``fit_slopes``."""
+    slope, stderr = fit_slopes(log2_rho, [bits])
+    return float(slope[0]), float(stderr[0])
 
 
 # ---------------------------------------------------------------------------
@@ -547,29 +690,27 @@ def _lemma1_entropies(cases, rho, seed: int) -> np.ndarray:
 
 def _lemma1_slopes(cases, rho_grid, seed: int) -> list:
     """``lemma1_slopes`` of each (profile, alpha) of ``cases``, in order,
-    all from one ``_lemma1_entropies`` call."""
+    all from one ``_lemma1_entropies`` call and one ``fit_slopes`` pass over
+    every side of every inequality."""
     rho_grid = np.asarray(rho_grid, dtype=float)
     if rho_grid.size < 3:
         raise ValueError("rho_grid must have at least 3 points")
     n = LEMMA1_SLOTS
     x = np.log2(rho_grid)
-    out = []
+    series = []
     for (profile, alpha), hy, hz, hyz in zip(cases, *_lemma1_entropies(cases, rho_grid, seed)):
         surcharge_1a = n * float(profile.lambda_1a) * (1 - alpha) * x
         surcharge_a1 = n * float(profile.lambda_a1) * (1 - alpha) * x
-        sides = {
-            "4a": (hyz, 2 * hz + surcharge_1a),
-            "4b": (hyz, 2 * hy + surcharge_a1),
-            "4c": (hy, 2 * hz + surcharge_1a),
-            "4d": (hz, 2 * hy + surcharge_a1),
-        }
-        out.append(
-            {
-                ineq: (fit_slope(x, lhs / n)[0], fit_slope(x, rhs / n)[0])
-                for ineq, (lhs, rhs) in sides.items()
-            }
+        # The two sides of 4a, 4b, 4c and 4d, in LEMMA1_IDS order.
+        sides = (
+            (hyz, 2 * hz + surcharge_1a),
+            (hyz, 2 * hy + surcharge_a1),
+            (hy, 2 * hz + surcharge_1a),
+            (hz, 2 * hy + surcharge_a1),
         )
-    return out
+        series += [side / n for pair in sides for side in pair]
+    slopes = iter(fit_slopes(x, series)[0].tolist())
+    return [{ineq: (next(slopes), next(slopes)) for ineq in LEMMA1_IDS} for _ in cases]
 
 
 def lemma1_slopes(

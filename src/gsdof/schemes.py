@@ -72,6 +72,7 @@ __all__ = [
     "reliability_bits",
     "leakage_bits",
     "accounting_bits",
+    "group_accounting",
     "simulate_noiseless",
     "linear_decode",
     "noiseless_decode_check",
@@ -351,48 +352,76 @@ def _alpha_free_parts(scheme: LinearScheme) -> tuple:
     )
 
 
-def _receiver_bits(scheme: LinearScheme, rho, receiver: int, batch=()) -> tuple[dict, dict]:
-    """(own, overheard) chain-rule MI at ``receiver``: its own groups, each
-    given the other receiver's messages, and the other receiver's groups,
-    each given its own messages.  Both chains run in ``decode_order``, and
-    each step is also given the common layer, the granted keys and the
-    chain's earlier groups.
-
-    Both chains share one ``conditional_mi`` call on the receiver's rho-free
-    coefficients, keys and exponents, which splits the receiver into its
-    independent blocks and evaluates each distinct (block, kept columns)
-    pair once, such as a block that neither chain's groups touch.  The SNR
-    enters only there, so a batched scheme is projected and its Gram pieces
-    formed once per trial, not once per (trial, SNR).  A ``batch`` of
-    schemes evaluates each one's exponents on ``scheme``'s coefficients, as
-    one exponent batch (see ``accounting_bits``)."""
-    chains = (
+def _chains(scheme: LinearScheme, receiver: int) -> tuple:
+    """``receiver``'s two chain-rule chains, as (groups in decode order,
+    owner whose messages are given): its own groups, given the other
+    receiver's messages, then the other receiver's groups, given its own."""
+    return (
         (scheme.decode_order.get(receiver, ()), _own_owner(_other(receiver))),
         (scheme.decode_order.get(_other(receiver), ()), _own_owner(receiver)),
     )
-    st = receiver_structure(scheme, receiver)
-    row_exp, col_exp = st.row_exp, st.col_exp
-    if batch:
-        row_exp = np.array([[e for _, _, e in _row_plan(s, receiver)] for s in batch], dtype=float)
-        col_exp = np.array([s.col_exp for s in batch])
-    targets, givens = [], []
-    for order, known_owner in chains:
-        given = st.owner_masks[known_owner] | st.owner_masks["common"]
-        for name in order:
-            targets.append(st.masks[name])
-            givens.append(given)
-            given = given | st.masks[name]
-    bits = iter(
-        conditional_mi(
-            st.coef, st.key_coef, np.array(targets), np.array(givens), row_exp, col_exp, rho
-        )
-    )
-    return tuple({name: next(bits) for name in order} for order, _ in chains)
 
 
-def accounting_bits(scheme: LinearScheme, rho, batch=()) -> tuple[dict, dict]:
-    """(reliability, leakage) per group, from one ``conditional_mi`` call per
-    receiver (see ``_receiver_bits``).
+def group_accounting(builds, rho) -> list[tuple[dict, dict]]:
+    """(reliability, leakage) per group of each build, in order, from one
+    ``conditional_mi`` call per exponent width: a build is a (scheme,
+    batch) pair, where ``batch`` lists the schemes whose exponents are
+    evaluated on ``scheme``'s coefficients, such as builds of one
+    realization at several alphas whose ``_alpha_free_parts`` equal
+    ``scheme``'s, or ``[scheme]``.
+
+    Each receiver of each build is one job: its rho-free coefficients,
+    keys and exponent batch, and both chains (``_chains``), each step given
+    the chain's owner's messages, the common layer, the granted keys and
+    the chain's earlier groups.  The SNR enters only in the engine, so a
+    batched scheme is projected and its Gram pieces formed once per trial,
+    not once per (trial, SNR).  The jobs of the builds of one width form
+    one engine pass (see ``conditional_mi``), so the builds of one sweep
+    chunk, which hold the same trials, share their evaluations of each
+    (rows, key rows, kept columns) shape.  Each receiver is assembled as
+    the engine draws its job and dropped once its stacks are gathered, so
+    the pass holds one receiver's dense matrices at a time.  Values have
+    the trials axis, if any, then the batch axis, then the shape of
+    ``rho``; entry ``j`` of the batch axis equals
+    ``accounting_bits(batch[j], rho)`` bit for bit."""
+    widths = {}  # exponent width -> indices of its builds
+    for i, (_, batch) in enumerate(builds):
+        widths.setdefault(len(batch), []).append(i)
+    out = [None] * len(builds)
+
+    def receiver_jobs(members):
+        # One job per receiver, its structure assembled as the engine draws it.
+        for scheme, batch in (builds[i] for i in members):
+            for receiver in (1, 2):
+                st = receiver_structure(scheme, receiver)
+                plans = [_row_plan(s, receiver) for s in batch]
+                row_exp = np.array([[e for _, _, e in plan] for plan in plans], dtype=float)
+                col_exp = np.array([s.col_exp for s in batch])
+                targets, givens = [], []
+                for order, known_owner in _chains(scheme, receiver):
+                    given = st.owner_masks[known_owner] | st.owner_masks["common"]
+                    for name in order:
+                        targets.append(st.masks[name])
+                        givens.append(given)
+                        given = given | st.masks[name]
+                yield st.coef, st.key_coef, np.array(targets), np.array(givens), row_exp, col_exp
+
+    for members in widths.values():
+        bits = iter(conditional_mi(receiver_jobs(members), rho=rho))
+        for i in members:
+            rel, leak = {}, {}
+            for receiver in (1, 2):
+                steps = iter(next(bits))
+                own, overheard = _chains(builds[i][0], receiver)
+                rel.update({name: next(steps) for name in own[0]})
+                leak.update({name: next(steps) for name in overheard[0]})
+            out[i] = (rel, leak)
+    return out
+
+
+def accounting_bits(scheme: LinearScheme, rho) -> tuple[dict, dict]:
+    """(reliability, leakage) per group: ``group_accounting`` of one build,
+    the scheme's own exponents as a batch of one, whose axis is dropped.
 
     Reliability is what each receiver decodes of its own groups, in
     ``decode_order``, given the other receiver's message groups, the common
@@ -406,21 +435,10 @@ def accounting_bits(scheme: LinearScheme, rho, batch=()) -> tuple[dict, dict]:
     array of SNRs.  Values have the scheme's trials axis, if any, followed
     by the shape of ``rho``: floats for one trial at one SNR, (trials, SNRs)
     arrays for a batched scheme over an SNR grid.
-
-    ``batch``, if given, holds schemes whose ``_alpha_free_parts`` equal
-    ``scheme``'s, such as builds of one realization at several alphas in
-    (0, 1].  Each receiver's coefficients are then assembled once, from
-    ``scheme``, and one ``conditional_mi`` call evaluates every batch
-    scheme's exponents: values gain a batch axis after the trials axis and
-    before the SNR axes, and entry ``j`` equals ``accounting_bits(batch[j],
-    rho)`` bit for bit.
     """
-    rel, leak = {}, {}
-    for receiver in (1, 2):
-        own, overheard = _receiver_bits(scheme, rho, receiver, batch)
-        rel.update(own)
-        leak.update(overheard)
-    return rel, leak
+    rho = np.asarray(rho, dtype=float)
+    rel, leak = group_accounting([(scheme, [scheme])], rho)[0]
+    return tuple({k: np.take(v, 0, axis=-1 - rho.ndim) for k, v in d.items()} for d in (rel, leak))
 
 
 def reliability_bits(scheme: LinearScheme, rho) -> dict:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsdof import cli, experiments, gaussian_mi, schemes
 from gsdof.experiments import (
@@ -30,7 +32,7 @@ from gsdof.schemes import (
     noiseless_decode_check,
     smallest_t1,
 )
-from gsdof.topology import TopologyProfile
+from gsdof.topology import TopologyProfile, trial_seeds
 
 GRID = tuple(range(60, 121, 10))
 
@@ -515,17 +517,99 @@ def test_run_sweeps_equal_run_sweep_per_config(monkeypatch, kind):
     alphas = [a for a in (0, 0.05, 0.25, 0.5, 0.75, 1) if _in_domain(kind, a)]
     configs = [SweepConfig(kind, a, GRID, trials=12, seed=3) for a in alphas]
     want = [run_sweep(c) for c in configs]
-    alone = []
-    sweep_batch = experiments._sweep_batch
+    groups = []
+    sweep_group = experiments._sweep_group
 
-    def spy(batch):
-        if len(batch) == 1:
-            alone.append(batch[0].alpha)
-        return sweep_batch(batch)
+    def spy(batches):
+        groups.append([[c.alpha for c in batch] for batch in batches])
+        return sweep_group(batches)
 
-    monkeypatch.setattr(experiments, "_sweep_batch", spy)
+    monkeypatch.setattr(experiments, "_sweep_group", spy)
     _same_reports(experiments.run_sweeps(configs), want)
-    assert alone == [a for a in alphas if kind == "bc-fixed" or a == 0]
+    # One group, in which the alphas that run alone are batches of one.
+    alone = [a for a in alphas if kind == "bc-fixed" or a == 0]
+    assert len(groups) == 1
+    assert [batch for batch in groups[0] if len(batch) == 1] == [[a] for a in alone]
+    assert sorted(a for batch in groups[0] for a in batch) == alphas
+
+
+def test_run_sweeps_over_every_kind_equal_run_sweep_in_several_chunks(monkeypatch):
+    # One run_sweeps call over every kind at each alpha of {0, 0.05, 0.25,
+    # 0.5, 0.75, 1} in its domain, the canary included: one group, whose
+    # chunks hold the same trials for every batch.  A budget of five trials
+    # of the group's summed slots x (points + slots) runs 12 trials as 5 +
+    # 5 + 2, each drawn once per channel mode, and every report equals
+    # run_sweep of its config, byte for byte.
+    configs = [
+        SweepConfig(kind, a, GRID, trials=12, seed=3)
+        for kind in SCHEME_KINDS
+        for a in (0, 0.05, 0.25, 0.5, 0.75, 1)
+        if _in_domain(kind, a)
+    ]
+    want = [run_sweep(c) for c in configs]
+    batches = {}
+    for c in configs:
+        states = SCHEMES[c.scheme].states(c.alpha)
+        batches.setdefault((c.scheme, states) if c.alpha > 0 else c, []).append(c)
+    cost = sum(
+        len(states) * (len(batch) * len(GRID) + len(states))
+        for batch in batches.values()
+        for states in [SCHEMES[batch[0].scheme].states(batch[0].alpha)]
+    )
+    draws = []
+    draw = experiments._draw_for
+
+    def spy(kind, alpha, seeds):
+        draws.append((SCHEMES[kind].mode, len(seeds)))
+        return draw(kind, alpha, seeds)
+
+    monkeypatch.setattr(experiments, "SWEEP_BUDGET", 5 * cost)
+    monkeypatch.setattr(experiments, "_draw_for", spy)
+    _same_reports(experiments.run_sweeps(configs), want)
+    assert sorted(draws) == sorted((mode, n) for mode in ("complex", "integer") for n in (5, 5, 2))
+
+
+def test_report_trial_means_equal_the_trial_loop_signed_zeros_included():
+    # A report's means are summed in trial order from 0.0, as a loop over
+    # the trials adds them: planted -0.0 values, and an SNR column of -0.0
+    # in every trial, keep the loop's bits, whose sum of -0.0 is +0.0.
+    cfg = SweepConfig("yang", 0.5, GRID, trials=12, seed=3)
+    rho_lin = rho_from_db(GRID)
+    [[(groups, ledger, rel, leak)]] = experiments._group_chunk(
+        [[cfg]], trial_seeds(3, 12), rho_lin
+    )
+    rng = np.random.default_rng(2)
+    for part in (rel, leak):
+        for g, bits in part.items():
+            bits = bits.copy()
+            bits[rng.random(bits.shape) < 0.3] = -0.0
+            bits[:, 2] = -0.0
+            part[g] = bits
+    report = experiments._report(cfg, 4, rho_lin, [(groups, ledger, rel, leak)])
+    for part, means in ((rel, report.mean_mi), (leak, report.mean_leak)):
+        for g, bits in part.items():
+            total = np.zeros(len(GRID))
+            for row in bits:
+                total += row
+            got = np.array([means[(db, g)] for db in cfg.rho_db])
+            assert got.tobytes() == (total / 12).tobytes(), g
+            assert not np.signbit(got[2])
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_run_sweep_answers_any_grid_under_the_ceiling(data):
+    # A kind, an alpha k/20 in its domain and a strictly increasing grid of
+    # 4-7 points at or under the kind's rho_db_max, 10 trials: the sweep
+    # completes with finite slopes.
+    kind = data.draw(st.sampled_from(SCHEME_KINDS))
+    alpha = data.draw(st.sampled_from([k / 20 for k in range(21) if _in_domain(kind, k / 20)]))
+    top = int(SCHEMES[kind].rho_db_max)
+    points = st.lists(st.integers(0, top), min_size=4, max_size=7, unique=True)
+    grid = tuple(sorted(data.draw(points)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    report = run_sweep(SweepConfig(kind, alpha, grid, trials=10, seed=seed))
+    assert np.isfinite([report.d1, report.d2, *report.leak_slopes.values()]).all()
 
 
 def test_run_sweeps_reports_the_lowest_failing_trial(monkeypatch):
@@ -573,16 +657,17 @@ def test_run_sweeps_does_not_batch_a_slot_map_that_scales_with_alpha(monkeypatch
     monkeypatch.setitem(SCHEMES, "yang", dataclasses.replace(spec, build=planted))
     configs = [SweepConfig("yang", a, GRID, trials=12, seed=5) for a in (0.25, 0.5, 0.75)]
     batched = []
-    accounting = experiments.accounting_bits
+    accounting = experiments.group_accounting
 
-    def spy(scheme, rho, batch=()):
-        batched.append(len(batch))
-        return accounting(scheme, rho, batch)
+    def spy(builds, rho):
+        batched.append([[s.alpha for s in batch] for _, batch in builds])
+        return accounting(builds, rho)
 
     want = [run_sweep(c) for c in configs]
-    monkeypatch.setattr(experiments, "accounting_bits", spy)
+    monkeypatch.setattr(experiments, "group_accounting", spy)
     _same_reports(experiments.run_sweeps(configs), want)
-    assert batched == [1, 0, 0]
+    # One accounting call for the chunk, with each alpha a build of its own.
+    assert batched == [[[0.25], [0.5], [0.75]]]
 
 
 def test_run_sweep_monotone_receiver2_rate_in_alpha():
@@ -698,17 +783,18 @@ def test_region_checks_build_each_outer_bound_once_per_alpha(monkeypatch):
 
 
 def test_scheme_checks_build_one_scheme_per_sweep_chunk(monkeypatch):
-    # Each kind's alphas run as one batch per slot count, and each batch
-    # draws once per chunk and builds once per alpha on that draw, and
-    # nothing else: the ledger rows read the chunks' schemes.  At 10 trials
-    # every batch is one chunk; bc-fixed's three alphas have three slot
-    # counts, so 7 kinds draw once and bc-fixed three times.
+    # Every kind's alphas and the canary run as one group, and each chunk
+    # is drawn once per channel mode, at the group's largest slot count of
+    # that mode, and built once per alpha on that draw, and nothing else:
+    # the ledger rows read the chunks' schemes.  At 10 trials the group is
+    # one chunk: the complex draw takes bc-fixed's 15 slots at alpha 0.75,
+    # and the integer draw int-sym-alt's 4.
     alphas = (0.25, 0.5, 0.75)
     draws, builds = [], []
     draw = schemes.draw_channels
 
     def counting_draw(states, seed, mode):
-        draws.append(len(states))
+        draws.append((mode, len(states)))
         return draw(states, seed, mode)
 
     def counting(kind, spec):
@@ -722,10 +808,15 @@ def test_scheme_checks_build_one_scheme_per_sweep_chunk(monkeypatch):
     for kind in experiments.SCHEME_TARGETS:
         monkeypatch.setitem(SCHEMES, kind, counting(kind, SCHEMES[kind]))
     checks = experiments._scheme_checks(alphas, GRID, 10, 0)
-    kinds = experiments.SCHEME_TARGETS
-    batches = {(kind, SCHEMES[kind].states(a)) for kind in kinds for a in alphas}
-    assert len(draws) == len(batches) == len(kinds) + 2
-    assert sorted(builds) == sorted((kind, a) for kind in kinds for a in alphas)
+    kinds = [*experiments.SCHEME_TARGETS, "wiretap-nonoise"]
+    slots = {}
+    for kind in kinds:
+        for a in alphas:
+            mode = SCHEMES[kind].mode
+            slots[mode] = max(slots.get(mode, 0), len(SCHEMES[kind].states(a)))
+    assert sorted(draws) == sorted(slots.items()) == [("complex", 15), ("integer", 4)]
+    assert sorted(builds) == sorted((kind, a) for kind in kinds[:-1] for a in alphas)
+    assert checks[-1].name == "leakage/canary-no-noise"
     assert all(c.passed for c in checks)
 
 

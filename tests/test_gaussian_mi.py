@@ -11,6 +11,7 @@ from gsdof.gaussian_mi import (
     SLOPE_TOL,
     conditional_mi,
     fit_slope,
+    fit_slopes,
     lemma1_margins,
 )
 from gsdof.topology import TopologyProfile, draw_channels, state_sequence
@@ -475,6 +476,40 @@ def test_fit_slope_recovers_line():
     slope, err = fit_slope(x, y)
     assert abs(slope - 0.75) < 1e-12
     assert err < 1e-12
+
+
+def _one_series_fit(log2_rho, bits):
+    # The one-series OLS fit that fit_slopes replaced, step by step: the
+    # oracle that its rows must equal bit for bit.
+    x, y = np.asarray(log2_rho, dtype=float), np.asarray(bits, dtype=float)
+    k = gaussian_mi.fit_window(x.size)
+    x, y = x[-k:], y[-k:]
+    xm, ym = x.mean(), y.mean()
+    sxx = float(np.sum((x - xm) ** 2))
+    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
+    resid = y - (ym + slope * (x - xm))
+    stderr = math.sqrt(float(np.sum(resid**2)) / (k - 2) / sxx) if k > 2 else 0.0
+    return slope, stderr
+
+
+def test_fit_slopes_equal_one_series_fits_bit_for_bit():
+    # Every grid size from 2 to 1001 points, so fit windows from 2 to 501
+    # points, past numpy's 8-element blocks of pairwise summation: each row
+    # of one stacked fit equals fit_slope of that row, and the one-series
+    # fit it replaced, bit for bit.
+    rng = np.random.default_rng(11)
+    for n in range(2, 1002):
+        x = np.log2(rho_from_db(np.sort(rng.uniform(0.0, 240.0, n))))
+        scale = 10.0 ** rng.uniform(-3, 3, (4, 1))
+        y = rng.uniform(0, 2, (4, 1)) * x + scale * rng.standard_normal((4, n))
+        y[3] = 0.0  # a flat series, whose slope is 0
+        slopes, stderrs = fit_slopes(x, y)
+        got = np.stack([slopes, stderrs], axis=-1)
+        want = np.array([_one_series_fit(x, row) for row in y])
+        assert got.tobytes() == want.tobytes(), n
+        assert np.array([fit_slope(x, row) for row in y]).tobytes() == want.tobytes(), n
+    with pytest.raises(ValueError, match="at least two grid points"):
+        fit_slopes([1.0], [[1.0]])
 
 
 RHO_GRID = 10.0 ** (np.arange(6, 12.1, 1.0))

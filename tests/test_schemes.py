@@ -477,8 +477,9 @@ LOGDETS_PER_CHUNK = {
 
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_accounting_evaluates_each_conditioning_set_once(kind, monkeypatch):
-    # Each distinct (block, kept columns) pair is evaluated once, and each
-    # receiver makes one stacked call per distinct pair shape.
+    # Each distinct (block, kept columns) pair is evaluated once, and the
+    # two receivers make one stacked call per distinct pair shape between
+    # them: their stacks of one shape are one engine pass's call.
     calls = []
     entropy = gaussian_mi._entropy_given_keys
 
@@ -490,12 +491,14 @@ def test_accounting_evaluates_each_conditioning_set_once(kind, monkeypatch):
     batch = build_scheme(kind, 0.5, [np.random.SeedSequence(i) for i in range(3)])
     accounting_bits(batch, STACK_RHOS)
     assert _distinct_conditioning_sets(batch) == LOGDETS_PER_CHUNK[kind]
-    # (rows, key rows, kept columns, stacked pairs) of each call, receiver 1's first.
+    # (rows, key rows, kept columns, stacked pairs) of each call: each
+    # receiver's pairs of a shape, summed over both receivers.
     got = [(shape[2], keys, shape[3], shape[1]) for shape, keys, _ in calls]
-    want1, want2 = _expected_stacks(batch, 1), _expected_stacks(batch, 2)
-    assert len(got) == len(want1) + len(want2)
-    assert sorted(got[: len(want1)]) == sorted(want1)
-    assert sorted(got[len(want1) :]) == sorted(want2)
+    want = {}
+    for receiver in (1, 2):
+        for *shape, pairs in _expected_stacks(batch, receiver):
+            want[tuple(shape)] = want.get(tuple(shape), 0) + pairs
+    assert sorted(got) == sorted((*shape, pairs) for shape, pairs in want.items())
     # The rho-free stack of 3 trials, evaluated over the SNRs inside the call.
     assert all(shape[0] == 3 and rho == STACK_RHOS.shape for shape, _, rho in calls)
 

@@ -179,6 +179,42 @@ def test_batched_draw_equals_per_seed_draws(monkeypatch, mode, n):
         draw_channels((STATE_1A,) * n, seed=[], mode=mode)
 
 
+@pytest.mark.parametrize(
+    "mode, n, big", [("complex", 3, 15), ("integer", 3, 15), ("integer", 4, 5)]
+)
+def test_draw_channels_prefix_equals_the_shorter_draw(monkeypatch, mode, n, big):
+    # A draw of n slots is the first n slots of a draw of more, bit for bit:
+    # both are the first full-rank candidates of each trial's stream.  A
+    # sweep group draws each chunk once per channel mode, at its largest
+    # slot count, and each kind takes its first slots.  Integer candidates
+    # are often singular, so some of the shorter draws' trials are topped
+    # up, from the stream past the n slots that the longer draw took in one
+    # call.
+    top_ups = []
+    top_up = topology._top_up
+
+    def counting(rng, mode, m, ok):
+        top_ups.append(len(m))
+        return top_up(rng, mode, m, ok)
+
+    monkeypatch.setattr(topology, "_top_up", counting)
+    seeds = list(range(60))
+    short = draw_channels((STATE_1A,) * n, seed=seeds, mode=mode)
+    topped = len(top_ups)
+    long = draw_channels((STATE_A1,) * big, seed=seeds, mode=mode)
+    assert long.h[:, :n].tobytes() == short.h.tobytes()
+    assert long.g[:, :n].tobytes() == short.g.tobytes()
+    for s in seeds[:5]:
+        one = draw_channels((STATE_1A,) * n, seed=s, mode=mode)
+        longer = draw_channels((STATE_1A,) * big, seed=s, mode=mode)
+        assert longer.h[:n].tobytes() == one.h.tobytes()
+        assert longer.g[:n].tobytes() == one.g.tobytes()
+    if mode == "integer":
+        assert 0 < topped < len(seeds)
+    else:
+        assert topped == 0
+
+
 def test_draw_channels_gives_up_after_max_redraws(monkeypatch):
     calls = []
 
