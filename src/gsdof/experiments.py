@@ -16,7 +16,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .schemes import (
     SECURE_SCHEMES,
     _alpha_free_parts,
     _draw_for,
-    _unit_interval,
     build_scheme,
     group_accounting,
     noiseless_decode_check,
@@ -576,13 +575,13 @@ def _decode_checks(alphas, trials, seed) -> list[CheckResult]:
 
 
 def _figure8_check() -> CheckResult:
-    rows = {name: float(val) for name, _, val in _figure8_rows([0.0])}
+    rows = {name: float(val) for _, curves in _figure8_rows([0.0]) for name, val in curves}
     ok = (
         abs(rows["yang"] - 0.5) <= 1e-9
         and abs(rows["fixed-inner"] - 2.0 / 3.0) <= 1e-9
         and abs(rows["sym-alt"] - 0.75) <= 1e-9
     )
-    rows1 = {name: float(val) for name, _, val in _figure8_rows([1.0])}
+    rows1 = {name: float(val) for _, curves in _figure8_rows([1.0]) for name, val in curves}
     secure = ("yang", "fixed-inner", "sym-alt", "int-sym-alt")
     ok = ok and all(abs(rows1[name] - 1.0) <= 1e-9 for name in secure)
     ok = ok and abs(rows1["gdof"] - 4.0 / 3.0) <= 1e-9
@@ -659,24 +658,39 @@ def named_region(name: str, alpha: float, profile: TopologyProfile | None = None
 _VERTEX_HEADER = "bound_name,alpha,vertex_index,d1,d2"
 
 
-def _vertex_rows(name: str, alpha, region) -> list[str]:
-    """One vertex CSV row per vertex of ``region``, in vertex order."""
-    head = f"{name},{_f(alpha)},"
-    vertices = regions.float_vertices(region)
-    return [f"{head}{i},{d1:{_FMT}},{d2:{_FMT}}" for i, (d1, d2) in enumerate(vertices)]
+# The text of each interned region the CSV writers read, keyed by its
+# interning key (rows, scales) and bounded like the interning, so a region
+# is formatted once while it stays interned: at one alpha the two region
+# CSVs and figures 3/4/6/7 format 7 distinct bounds, not 21.
+@lru_cache(maxsize=regions._INTERNED)
+def _region_text(rows, scales) -> tuple[tuple[str, ...], str]:
+    """("d1,d2" of each vertex in vertex order, "d1_axis_max,d2_axis_max")."""
+    region = regions.DofRegion._from_rows(rows, scales)
+    points = tuple(f"{d1:{_FMT}},{d2:{_FMT}}" for d1, d2 in regions.float_vertices(region))
+    return points, f"{_f(regions.axis_max(region, 0))},{_f(regions.axis_max(region, 1))}"
+
+
+def _vertex_rows(head: str, points) -> list[str]:
+    """One vertex CSV row per vertex text, each behind ``head`` ("name,alpha,")."""
+    return [f"{head}{i},{point}" for i, point in enumerate(points)]
 
 
 def region_csv(names, alpha: float, profile: TopologyProfile | None = None) -> tuple[str, str]:
-    """(vertex CSV, summary CSV) for the named bounds at one alpha."""
+    """(vertex CSV, summary CSV) for the named bounds at one alpha.
+
+    Each region comes from its builder (``named_region``) and each sum
+    maximum from ``regions.sum_max``; the vertex rows and the axis maxima
+    are the region's text, formatted once per interned region.
+    """
     vrows = [_VERTEX_HEADER]
     srows = ["bound_name,alpha,sum_max,d1_axis_max,d2_axis_max"]
+    tag = _f(alpha)
     for name in names:
         reg = named_region(name, alpha, profile)
-        vrows += _vertex_rows(name, alpha, reg)
-        srows.append(
-            f"{name},{_f(alpha)},{_f(regions.sum_max(reg))},"
-            f"{_f(regions.axis_max(reg, 0))},{_f(regions.axis_max(reg, 1))}"
-        )
+        points, axes = _region_text(reg._rows, reg._scales)
+        head = f"{name},{tag},"
+        vrows += _vertex_rows(head, points)
+        srows.append(f"{head}{_f(regions.sum_max(reg))},{axes}")
     return "\n".join(vrows) + "\n", "\n".join(srows) + "\n"
 
 
@@ -690,32 +704,42 @@ _FIGURES = {
 
 
 def _figure8_rows(alpha_grid):
-    for a in alpha_grid:
-        _unit_interval(a)
+    """Per alpha of the grid, (alpha, the five curves' (name, sum DoF)).
+
+    The yang curve is the corner sum (1 + alpha)/2 as one correctly rounded
+    int division of alpha's exact ratio p/q, the float of
+    ``regions.yang_corner_sum``; the others are ``regions.sum_max`` of each
+    builder's region.  An alpha outside [0, 1] is refused.
+    """
     rows = []
     for a in alpha_grid:
-        rows.append(("yang", a, regions.yang_corner_sum(a)))
-        rows.append(("fixed-inner", a, regions.sum_max(regions.prop2_inner(a))))
-        rows.append(("sym-alt", a, regions.sum_max(regions.sym_alt_inner(a))))
-        rows.append(
-            ("int-sym-alt", a, regions.sum_max(regions.integer_sym_alt_inner(a)))
+        p, q = regions._alpha_ratio(a)
+        curves = (
+            ("yang", (q + p) / (2 * q)),
+            ("fixed-inner", regions.sum_max(regions.prop2_inner(a))),
+            ("sym-alt", regions.sum_max(regions.sym_alt_inner(a))),
+            ("int-sym-alt", regions.sum_max(regions.integer_sym_alt_inner(a))),
+            ("gdof", regions.sum_max(regions.gdof_fixed(a))),
         )
-        rows.append(("gdof", a, regions.sum_max(regions.gdof_fixed(a))))
+        rows.append((a, curves))
     return rows
 
 
 def figure_data(figure_id: int, alpha: float | None = None, alpha_grid=None) -> str:
     """CSV behind one of the region/sum-DoF figures.
 
-    Figures 3, 4, 6 and 7 need a single ``alpha`` and emit vertex lists;
-    figure 8 sweeps ``alpha_grid`` and emits sum-DoF curves.
+    Figures 3, 4, 6 and 7 need a single ``alpha`` and emit vertex lists,
+    each region from its builder and its vertex text formatted once per
+    interned region (``_region_text``, bounded like the interning); figure 8
+    sweeps ``alpha_grid`` and emits sum-DoF curves (``_figure8_rows``).
     """
     if figure_id == 8:
         if alpha_grid is None:
             alpha_grid = [round(0.05 * k, 10) for k in range(21)]
         lines = ["curve,alpha,sum_dof"]
-        for name, a, val in _figure8_rows(alpha_grid):
-            lines.append(f"{name},{_f(a)},{_f(val)}")
+        for a, curves in _figure8_rows(alpha_grid):
+            tag = _f(a)
+            lines += [f"{name},{tag},{_f(val)}" for name, val in curves]
         return "\n".join(lines) + "\n"
     if figure_id not in _FIGURES:
         raise ValueError(f"unknown figure id {figure_id}; choose from 3, 4, 6, 7, 8")
@@ -724,6 +748,8 @@ def figure_data(figure_id: int, alpha: float | None = None, alpha_grid=None) -> 
     label, names = _FIGURES[figure_id]
     profile = TopologyProfile.named(label, alpha)
     vrows = [_VERTEX_HEADER]
+    tag = _f(alpha)
     for name in names:
-        vrows += _vertex_rows(name, alpha, named_region(name, alpha, profile))
+        reg = named_region(name, alpha, profile)
+        vrows += _vertex_rows(f"{name},{tag},", _region_text(reg._rows, reg._scales)[0])
     return "\n".join(vrows) + "\n"

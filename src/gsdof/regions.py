@@ -27,12 +27,14 @@ equals its ``Fraction`` twin, and a shared region would hand back the other
 caller's coefficient types.
 
 ``vertices`` gives ``Fraction`` vertices, built from the ordered triples on
-first call; ``float_vertices`` rounds them for CSVs.  ``sum_max``,
+first call; ``float_vertices`` rounds the triples for CSVs.  ``sum_max``,
 ``axis_max`` and ``wiretap_upper`` give ``Fraction``s, and ``contains`` and
 ``is_subset`` decide on the integer rows with no tolerance; none of these
-orders the vertices.  Time sharing (``time_share``) picks the hull vertices
-among the input regions' vertices by exact orientation tests and returns
-the exact hull.
+orders the vertices.  The CSV writers (``gsdof.experiments``) read a
+region's ``float_vertices`` and ``axis_max`` once while it stays interned
+and its ``sum_max`` on every row.  Time sharing (``time_share``) picks the
+hull vertices among the input regions' vertices by exact orientation tests
+and returns the exact hull.
 """
 
 from __future__ import annotations
@@ -162,11 +164,18 @@ def _exact_vertices(rows):
             candidates.append((pb * q2 - qb * p2, p1 * qb - q1 * pb, p1 * q2 - p2 * q1))
     found = {}
     for n1, n2, det in candidates:
-        if not det:
-            continue
         if det < 0:
             n1, n2, det = -n1, -n2, -det
-        if _inside(rows, (n1, n2, det)):
+        elif not det:
+            continue
+        if n1 < 0 or n2 < 0:
+            continue
+        # The test of _inside, inline: a call per candidate costs more than
+        # the test on these two to six rows.
+        for a1, a2, b in rows:
+            if a1 * n1 + a2 * n2 > b * det:
+                break
+        else:
             g = math.gcd(n1, n2, det)
             found[n1 // g, n2 // g, det // g] = None
     if not found:
@@ -265,7 +274,8 @@ def vertices(region: DofRegion) -> list[tuple[Fraction, Fraction]]:
 def float_vertices(region: DofRegion) -> list[tuple[float, float]]:
     """``vertices`` as floats, in the same order, read straight off the
     triples (int true division is correctly rounded, so each equals
-    ``float`` of the ``Fraction``, and an on-axis vertex has an exact 0.0)."""
+    ``float`` of the ``Fraction``, and an on-axis vertex has an exact 0.0).
+    The CSV writers format these floats once per interned region."""
     return [(n1 / det, n2 / det) for n1, n2, det in region._triples]
 
 
@@ -299,7 +309,10 @@ def is_subset(inner: DofRegion, outer: DofRegion) -> bool:
 
 
 def sum_max(region: DofRegion) -> Fraction:
-    """Maximum of d1 + d2 over the region (attained at a vertex)."""
+    """Maximum of d1 + d2 over the region (attained at a vertex), read off
+    the unordered vertex triples by integer cross-multiplication; one
+    ``Fraction`` is built, for the result.  The CSV writers call it once per
+    summary row and per point of each figure-8 region curve."""
     best, best_det = 0, 1  # every vertex has d1 + d2 >= 0
     for n1, n2, det in region._crossings:
         if (n1 + n2) * best_det > best * det:
@@ -311,7 +324,8 @@ def axis_max(region: DofRegion, axis: int) -> Fraction:
     """Largest coordinate value on the given axis (0 -> d1, 1 -> d2) with the
     other coordinate zero; ``Fraction(0)`` if no vertex lies on that axis.
     Every vertex is an exact crossing, so an on-axis vertex has an exact
-    zero."""
+    zero.  Read off the vertex triples like ``sum_max``; the CSV writers
+    format it once per interned region."""
     if axis not in (0, 1):
         raise ValueError(f"axis must be 0 (d1) or 1 (d2), got {axis!r}")
     best, best_det = 0, 1  # every vertex has nonnegative coordinates
@@ -323,9 +337,10 @@ def axis_max(region: DofRegion, axis: int) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Bound constructors.  Each takes alpha = p/q at its exact ratio, a float at
-# its binary value, and forms its integer rows from p and q in int
-# arithmetic: every coefficient is a polynomial in alpha of degree at most
-# two, so a row is the constraint times q, q**2 or another positive int.
+# its binary value, refuses it outside [0, 1] and forms its integer rows
+# from p and q in int arithmetic: every coefficient is a polynomial in alpha
+# of degree at most two, so a row is the constraint times q, q**2 or another
+# positive int.
 # ---------------------------------------------------------------------------
 
 
@@ -336,6 +351,18 @@ def _inputs(*xs):
         return [_ratio(x) for x in xs]
     except (OverflowError, ValueError):  # inf and nan have no ratio
         raise ValueError(f"bound inputs {xs} include a non-finite value") from None
+
+
+def _alpha_ratio(alpha):
+    """alpha's exact (p, q), a float at its binary value, refused unless
+    0 <= p/q <= 1 (nan and inf are refused too)."""
+    try:
+        p, q = _ratio(alpha)
+        if 0 <= p <= q:
+            return p, q
+    except (OverflowError, ValueError):  # inf and nan have no ratio
+        pass
+    raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
 
 def _budgets(profile):
@@ -378,8 +405,8 @@ def yang_inner(alpha) -> DofRegion:
     At alpha = 0 the two constraints degenerate to parallel lines; the region
     is then built directly as its limit, the segment d2 = 0, d1 <= 2/3.
     """
-    ((p, q),) = _inputs(alpha)
-    if p <= 0:
+    p, q = _alpha_ratio(alpha)
+    if not p:
         return DofRegion._from_rows([(0, 1, 0), (3, 0, 2)], (1, 3))
     return DofRegion._from_rows([(3 * p, q, 2 * p), (p, 3 * q, 2 * p)], (q, q))
 
@@ -390,8 +417,9 @@ def yang_corner_sum(alpha):
     This is the quantity plotted on the sum-DoF comparison curves.  For
     alpha < 1/3 the region's geometric sum maximum is attained at the
     single-user corner (2/3, 0) instead, so this corner sum is tracked
-    separately from :func:`sum_max`.
+    separately from :func:`sum_max`.  The result keeps alpha's number type.
     """
+    _alpha_ratio(alpha)
     return (1 + alpha) / 2
 
 
@@ -400,7 +428,7 @@ def prop2_inner(alpha) -> DofRegion:
     and an extra low-power confidential layer, fixed (strong, weak) topology:
     3*(1 + alpha)*d1 + 2*d2 <= 2*(1 + alpha) and
     alpha*(3 - alpha)*d1 + 6*d2 <= 4*alpha."""
-    ((p, q),) = _inputs(alpha)
+    p, q = _alpha_ratio(alpha)
     rows = [(3 * (q + p), 2 * q, 2 * (q + p)), (p * (3 * q - p), 6 * q * q, 4 * p * q)]
     return DofRegion._from_rows(rows, (q, q * q))
 
@@ -410,7 +438,7 @@ def sym_alt_inner(alpha) -> DofRegion:
     injection): 6*d1 + (1 + alpha)*d2 <= 2*(1 + alpha) and
     2*(2*alpha - 1)*d1 + 3*(1 + alpha)*d2 <= (1 + alpha)**2.  The second
     constraint has a negative d1 coefficient for alpha < 1/2."""
-    ((p, q),) = _inputs(alpha)
+    p, q = _alpha_ratio(alpha)
     rows = [(6 * q, q + p, 2 * (q + p)), (2 * (2 * p - q) * q, 3 * (q + p) * q, (q + p) ** 2)]
     return DofRegion._from_rows(rows, (q, q * q))
 
@@ -419,7 +447,7 @@ def integer_sym_alt_inner(alpha) -> DofRegion:
     """Inner bound for integer channels on the symmetric alternating
     topology, achieved with structured (lattice) noise: 3*d1 + alpha*d2 and
     alpha*d1 + 3*d2 are each capped by (3 + alpha)/2."""
-    ((p, q),) = _inputs(alpha)
+    p, q = _alpha_ratio(alpha)
     half = 3 * q + p
     return DofRegion._from_rows([(6 * q, 2 * p, half), (2 * p, 6 * q, half)], (2 * q, 2 * q))
 
@@ -427,7 +455,7 @@ def integer_sym_alt_inner(alpha) -> DofRegion:
 def gdof_fixed(alpha) -> DofRegion:
     """DoF region without secrecy constraints, fixed (strong, weak) topology:
     d1 <= 1, d2 <= alpha, 2*d1 + d2 <= 2 and d1 + 2*d2 <= 1 + alpha."""
-    ((p, q),) = _inputs(alpha)
+    p, q = _alpha_ratio(alpha)
     rows = [(1, 0, 1), (0, q, p), (2, 1, 2), (q, 2 * q, q + p)]
     return DofRegion._from_rows(rows, (1, q, 1, q))
 

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import functools
 import io
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .regions import _ratio
 
 __all__ = [
     "TopologyState",
@@ -80,13 +83,28 @@ STATE_BY_LABEL = {"11": STATE_11, "1a": STATE_1A, "a1": STATE_A1, "aa": STATE_AA
 _STATE_ORDER = (STATE_11, STATE_1A, STATE_A1, STATE_AA)
 
 
+def _sum_to_one(fracs) -> bool:
+    """Whether the fractions sum to exactly 1, decided on their integer
+    ratios over one common denominator; False for a value with no ratio."""
+    try:
+        ratios = [_ratio(f) for f in fracs]
+    except (TypeError, OverflowError, ValueError):  # inf has no ratio
+        return False
+    m = math.lcm(*(d for _, d in ratios))
+    return sum(n * (m // d) for n, d in ratios) == m
+
+
 @dataclass(frozen=True)
 class TopologyProfile:
     """Time fractions of the four topology states plus the weak exponent.
 
     The four fractions must be nonnegative and sum to one (tolerance 1e-12).
-    Defaults and the named constructors use integers and ``Fraction(1, 2)``,
-    so the outer bounds keep alpha's number type.
+    A sum is first tested exactly, on the fractions' integer ratios over one
+    common denominator; only a sum that is not exactly one is added up in
+    floats and held to the tolerance.  An exact sum of nonnegative fractions
+    is within a few ulps of one in floats too, so the refusals are those of
+    the float test.  Defaults and the named constructors use integers and
+    ``Fraction(1, 2)``, so the outer bounds keep alpha's number type.
     """
 
     alpha: float
@@ -103,7 +121,7 @@ class TopologyProfile:
             raise ValueError(
                 "state fractions must be nonnegative numbers, got " + ", ".join(map(str, fracs))
             )
-        if abs(float(sum(fracs)) - 1.0) > 1e-12:
+        if not _sum_to_one(fracs) and abs(float(sum(fracs)) - 1.0) > 1e-12:
             raise ValueError(f"state fractions must sum to 1, got {float(sum(fracs))!r}")
 
     def fractions(self):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsdof import cli, experiments, gaussian_mi, schemes
+from gsdof import cli, experiments, gaussian_mi, regions, schemes
 from gsdof.experiments import (
     CheckResult,
     SweepConfig,
@@ -393,6 +393,77 @@ def _float_geometry_text(name):
 def test_float_geometry_csv_digest(name):
     text = _float_geometry_text(name)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FLOAT_GEOMETRY_DIGESTS[name]
+
+
+def _text(x):
+    """A value as the CSVs print it, through float() of the exact API value."""
+    return format(float(x), ".12g")
+
+
+def _want_vertex_rows(name, a, region):
+    return [
+        f"{name},{_text(a)},{i},{_text(d1)},{_text(d2)}"
+        for i, (d1, d2) in enumerate(regions.vertices(region))
+    ]
+
+
+GEOMETRY_ROW_ALPHAS = [Fraction(k, 200) for k in range(201)]
+GEOMETRY_ROW_ALPHAS += [round(0.05 * k, 10) for k in range(21)] + [0.3, 1 / 3, Fraction(1, 3)]
+
+
+def test_geometry_csv_rows_are_the_exact_api_values_formatted():
+    # The writers format each interned region's text once; every row must
+    # still be the exact API's value at that alpha, formatted.
+    for a in GEOMETRY_ROW_ALPHAS:
+        assert_geometry_rows(a)
+
+
+def assert_geometry_rows(a):
+    for label in ("1a", "sym"):
+        profile = TopologyProfile.named(label, a)
+        vtext, stext = region_csv(cli.BOUND_NAMES, a, profile)
+        vrows = ["bound_name,alpha,vertex_index,d1,d2"]
+        srows = ["bound_name,alpha,sum_max,d1_axis_max,d2_axis_max"]
+        for name in cli.BOUND_NAMES:
+            reg = experiments.named_region(name, a, profile)
+            vrows += _want_vertex_rows(name, a, reg)
+            maxima = (regions.sum_max(reg), regions.axis_max(reg, 0), regions.axis_max(reg, 1))
+            srows.append(f"{name},{_text(a)}," + ",".join(map(_text, maxima)))
+        assert vtext.splitlines() == vrows
+        assert stext.splitlines() == srows
+    for figure, (label, names) in experiments._FIGURES.items():
+        profile = TopologyProfile.named(label, a)
+        want = ["bound_name,alpha,vertex_index,d1,d2"]
+        for name in names:
+            want += _want_vertex_rows(name, a, experiments.named_region(name, a, profile))
+        assert figure_data(figure, alpha=a).splitlines() == want
+
+
+FIGURE8_SUMS = {
+    "yang": regions.yang_corner_sum,
+    "fixed-inner": lambda a: regions.sum_max(regions.prop2_inner(a)),
+    "sym-alt": lambda a: regions.sum_max(regions.sym_alt_inner(a)),
+    "int-sym-alt": lambda a: regions.sum_max(regions.integer_sym_alt_inner(a)),
+    "gdof": lambda a: regions.sum_max(regions.gdof_fixed(a)),
+}
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        [Fraction(j, 1000) for j in range(1001)],
+        [j / 1000 for j in range(1001)],
+        [round(0.05 * k, 10) for k in range(21)] + [0.3, 1 / 3, Fraction(1, 3), 0, 1],
+    ],
+    ids=["fraction-fine", "float-fine", "float-coarse"],
+)
+def test_geometry_figure8_rows_are_the_exact_api_values_formatted(grid):
+    # The yang curve is read off alpha's ratio, the others off sum_max.
+    want = ["curve,alpha,sum_dof"]
+    want += [
+        f"{curve},{_text(a)},{_text(value(a))}" for a in grid for curve, value in FIGURE8_SUMS.items()
+    ]
+    assert figure_data(8, alpha_grid=grid).splitlines() == want
 
 
 @pytest.mark.parametrize("kind", ["wiretap-gaussian-a1", "yang"])

@@ -128,6 +128,40 @@ def test_yang_vertex_set():
         assert same_point_sets(got, expect)
 
 
+ALPHA_BUILDERS = (
+    yang_inner,
+    prop2_inner,
+    sym_alt_inner,
+    integer_sym_alt_inner,
+    gdof_fixed,
+    regions.yang_corner_sum,
+)
+
+
+@pytest.mark.parametrize("build", ALPHA_BUILDERS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize(
+    "alpha",
+    [-1 / 3, Fraction(-1, 3), -0.5, 1.5, Fraction(3, 2), np.float64(1.5)]
+    + [math.nan, math.inf, -math.inf],
+    ids=repr,
+)
+def test_bound_constructors_refuse_alpha_outside_the_unit_interval(build, alpha):
+    # Decided on alpha's exact ratio: no segment, region, "region is empty"
+    # or corner sum for an alpha outside [0, 1]; nan and inf have no ratio.
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got "):
+        build(alpha)
+
+
+@pytest.mark.parametrize("build", ALPHA_BUILDERS, ids=lambda b: b.__name__)
+def test_bound_constructors_build_at_both_ends_of_the_unit_interval(build):
+    for alpha in (0, 1, 0.0, 1.0, Fraction(0), Fraction(1), np.float64(1.0), True):
+        got = build(alpha)
+        if build is regions.yang_corner_sum:
+            assert got == (1 + alpha) / 2 and type(got) is type((1 + alpha) / 2)
+        else:
+            assert vertices(got)
+
+
 def test_yang_alpha_zero_degenerates_to_segment():
     reg = yang_inner(0.0)
     assert contains(reg, (2 / 3, 0.0))
@@ -288,10 +322,11 @@ def test_constraint_regions_are_not_interned():
 
 
 def test_a_region_csv_and_figures_enumerate_each_distinct_bound_once(monkeypatch):
-    # Count vertex enumerations, not time.  At a = 37/200 the two region
-    # CSVs and figures 3, 4, 6 and 7 read seven distinct bounds (six under
-    # the 1a profile, and the outer bound of sym); figure 8 over j/1000,
-    # j = 185..189, reads four bounds per alpha, and 185/1000 is 37/200.
+    # Count vertex enumerations and vertex texts, not time.  At a = 37/200
+    # the two region CSVs and figures 3, 4, 6 and 7 read seven distinct
+    # bounds (six under the 1a profile, and the outer bound of sym), and
+    # format each one's text once; figure 8 over j/1000, j = 185..189,
+    # reads four bounds per alpha, and 185/1000 is 37/200.
     from gsdof import experiments
     from gsdof.cli import BOUND_NAMES
 
@@ -299,15 +334,34 @@ def test_a_region_csv_and_figures_enumerate_each_distinct_bound_once(monkeypatch
     enumerate_rows = regions._exact_vertices
     monkeypatch.setattr(regions, "_exact_vertices", lambda rows: runs.append(rows) or enumerate_rows(rows))
     regions._interned.cache_clear()
+    texts = experiments._region_text
+    texts.cache_clear()
+
+    def geometry_csvs(a):
+        experiments.region_csv(BOUND_NAMES, a, TopologyProfile.named("1a", a))
+        experiments.region_csv(BOUND_NAMES, a, TopologyProfile.named("sym", a))
+        for figure in (3, 4, 6, 7):
+            experiments.figure_data(figure, alpha=a)
+
     a = Fraction(37, 200)
-    experiments.region_csv(BOUND_NAMES, a, TopologyProfile.named("1a", a))
-    experiments.region_csv(BOUND_NAMES, a, TopologyProfile.named("sym", a))
-    for figure in (3, 4, 6, 7):
-        experiments.figure_data(figure, alpha=a)
+    geometry_csvs(a)
     assert len(runs) == 7
+    assert texts.cache_info().misses == 7 and texts.cache_info().currsize == 7
     experiments.figure_data(8, alpha_grid=[Fraction(j, 1000) for j in range(185, 190)])
     assert len(runs) == 7 + 16
     assert len(set(runs)) == len(runs)
+    assert texts.cache_info().misses == 7
+    # A float alpha and its Fraction twin share each region and its text.
+    geometry_csvs(0.3)
+    assert texts.cache_info().misses == 14
+    geometry_csvs(Fraction(0.3))
+    assert texts.cache_info().misses == 14 and len(runs) == 7 + 16 + 7
+    # The text cache is bounded like the interning: 20 more alphas format
+    # more than _INTERNED texts, and at most _INTERNED are held.
+    for k in range(20):
+        geometry_csvs(Fraction(k, 19))
+    info = texts.cache_info()
+    assert info.currsize == info.maxsize == regions._INTERNED < info.misses - 14
 
 
 def test_exact_queries_match_the_fraction_formulas_on_alpha_grid():

@@ -1,7 +1,11 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsdof import topology
 from gsdof.topology import (
@@ -25,6 +29,66 @@ def test_profile_sum_invariant_enforced():
         TopologyProfile(alpha=1.5, lambda_11=1.0)
     with pytest.raises(ValueError):
         TopologyProfile(alpha=0.5, lambda_11=1.2, lambda_1a=-0.2)
+
+
+def assert_float_sum_rule(fracs):
+    """The profile accepts ``fracs`` iff their float sum is within 1e-12 of
+    one, and otherwise refuses them with that sum in the message."""
+    total = float(sum(fracs))
+    if abs(total - 1.0) <= 1e-12:
+        assert TopologyProfile(0.5, *fracs).fractions() == tuple(fracs)
+    else:
+        message = f"state fractions must sum to 1, got {total!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TopologyProfile(0.5, *fracs)
+
+
+@pytest.mark.parametrize(
+    "fracs",
+    [
+        (0, 1, 0, 0),
+        (0, Fraction(1, 2), Fraction(1, 2), 0),
+        (0.1, 0.2, 0.7, 0),
+        (0.1, 0.2, 0.3, 0.4),
+        (1 / 3, 1 / 3, 1 / 3, 0),
+        (0.5, 0.5 + 1e-13, 0, 0),
+        (0.5, 0.5 + 2e-12, 0, 0),
+        (Fraction(1, 3), Fraction(2, 3) + Fraction(1, 10**13), 0, 0),
+        (Fraction(1, 3), Fraction(2, 3) + Fraction(1, 10**11), 0, 0),
+        (Fraction(1, 3), 2 / 3, 0, 0),
+        (0.6, 0.6, 0, 0),
+        (0, math.inf, 0, 0),
+        (np.float64(0.25),) * 4,
+        (np.int64(1), 0, 0, 0),
+        (np.float32(0.1), np.float32(0.9), 0, 0),
+        (True, 0, 0, 0),
+        (True, True, 0, 0),
+    ],
+    ids=repr,
+)
+def test_profile_sum_check_refuses_what_the_float_sum_refuses(fracs):
+    # The exact integer-ratio test only lets through a sum that is exactly
+    # one, which the float test passes too.
+    assert_float_sum_rule(fracs)
+
+
+_fraction = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    parts=st.lists(_fraction, min_size=3, max_size=3).filter(lambda p: sum(p) <= 1),
+    as_float=st.lists(st.booleans(), min_size=4, max_size=4),
+    nudge=st.sampled_from([0, Fraction(1, 10**13), -Fraction(1, 10**11)]),
+)
+def test_profile_sum_check_matches_the_float_sum(parts, as_float, nudge):
+    # Four fractions summing to one exactly, each maybe rounded to a float,
+    # the last nudged; a negative nudge that makes it negative is skipped.
+    last = 1 - sum(parts) + nudge
+    if last < 0:
+        return
+    fracs = [float(x) if f else x for x, f in zip([*parts, last], as_float)]
+    assert_float_sum_rule(fracs)
 
 
 @pytest.mark.parametrize("where", range(4))
