@@ -258,9 +258,9 @@ def _sweep_group(batches) -> list:
     ``_group_chunk``: per batch, one report per config.  Every chunk holds
     the same trials for all of the group's batches, as many as
     ``SWEEP_BUDGET`` allows for their summed slots x (points + slots).  If
-    a chunk of a group of one batch of one config fails, its trials are
-    rerun one at a time so the error names the lowest failing trial; any
-    larger group re-raises at once, and ``run_sweeps`` reruns it."""
+    a chunk fails, its trials are rerun one at a time as the whole group,
+    and the error names the group's lowest failing trial; if no trial fails
+    alone, the chunk's own error is re-raised."""
     first = batches[0][0]
     rho_lin = rho_from_db(first.rho_db)
     slots = [len(SCHEMES[batch[0].scheme].states(batch[0].alpha)) for batch in batches]
@@ -273,8 +273,6 @@ def _sweep_group(batches) -> list:
         try:
             chunks.append(_group_chunk(batches, chunk, rho_lin))
         except Exception:
-            if len(batches) > 1 or len(batches[0]) > 1:
-                raise
             for idx, s in enumerate(chunk, start):
                 try:
                     _group_chunk(batches, [s], rho_lin)
@@ -343,9 +341,9 @@ def run_sweeps(configs) -> list[RateReport]:
     equal to ``run_sweep(config)`` byte for byte.
 
     Configs that share the kind, the slot states, the SNR grid, the trials
-    and the seed, each with an alpha in (0, 1], form one batch; any other
-    config, such as alpha = 0 or a ``bc-fixed`` alpha (whose slot count
-    changes with alpha), is a batch of one.  The batches that share the SNR
+    and the seed, each with an alpha above 0, form one batch; an alpha = 0
+    config is a batch of one, and so in effect is a ``bc-fixed`` alpha,
+    whose slot states change with alpha.  The batches that share the SNR
     grid, the trials and the seed form one group, run by ``_sweep_group``:
     its chunks hold the same trials for every batch, sized by
     ``SWEEP_BUDGET`` over the group's summed slots x (points + slots).  A
@@ -357,43 +355,23 @@ def run_sweeps(configs) -> list[RateReport]:
     through one ``group_accounting`` call: one engine pass per exponent
     width.  A lone sweep is a group of one batch of one config.
 
-    If a group of two or more batches raises, each of its batches of two or
-    more reruns as a group of one; if a batch of two or more raises, each
-    of its configs reruns alone, in list order, so an error names the
-    lowest failing trial of the first failing config as ``run_sweep``
-    does."""
+    Every group runs once.  If one of its chunks raises, the chunk's trials
+    rerun one at a time as the whole group, so the error names the group's
+    lowest failing trial, as ``run_sweep`` names a lone sweep's."""
     configs = list(configs)
     batches = {}  # batch key -> config indices, in list order
     for i, c in enumerate(configs):
         key = (c.scheme, SCHEMES[c.scheme].states(c.alpha), c.rho_db, c.trials, c.seed)
-        batches.setdefault(key if 0 < c.alpha <= 1 else i, []).append(i)
+        batches.setdefault(key if c.alpha > 0 else i, []).append(i)
     groups = {}  # group key -> batches, each its config indices
     for members in batches.values():
         c = configs[members[0]]
         groups.setdefault((c.rho_db, c.trials, c.seed), []).append(members)
     reports = [None] * len(configs)
-
-    def run(group) -> None:
+    for group in groups.values():
         for members, got in zip(group, _sweep_group([[configs[i] for i in m] for m in group])):
             for i, report in zip(members, got):
                 reports[i] = report
-
-    retry = []  # batches of two or more configs of a failed group
-    for group in groups.values():
-        if len(group) > 1 or len(group[0]) > 1:
-            try:
-                run(group)
-            except Exception:
-                if len(group) > 1:
-                    retry += [members for members in group if len(members) > 1]
-    for members in retry:
-        try:
-            run([members])
-        except Exception:
-            pass  # each config reruns alone below, at its place in the list
-    for i, config in enumerate(configs):
-        if reports[i] is None:
-            reports[i] = _sweep_group([[config]])[0][0]
     return reports
 
 
@@ -533,9 +511,9 @@ def _scheme_checks(alphas, rho_db, trials, seed) -> list[CheckResult]:
 def _decode_checks(alphas, trials, seed) -> list[CheckResult]:
     """One noiseless decode check per scheme kind, at alpha 0.5 if it is in
     ``alphas`` and at ``alphas[0]`` if not, over ``trials`` realizations:
-    trial ``i`` draws its channels from ``default_rng`` of the first state
-    word of ``SeedSequence((seed, i))`` (``trial_seeds`` with ``spawned``
-    false) and its symbols from seed ``i``.
+    trial ``i`` draws its channels from ``trial_seeds(seed, trials)[i]``,
+    the seed a sweep's trial ``i`` draws from, and its symbols from seed
+    ``i``.
 
     A kind's trials are built as trial-batched schemes of at most
     ``DECODE_BUDGET`` // slots**2 trials each, and each chunk is decoded
@@ -547,7 +525,7 @@ def _decode_checks(alphas, trials, seed) -> list[CheckResult]:
     out = []
     a = 0.5 if 0.5 in alphas else alphas[0]
     at = _alpha_tag(a)
-    seeds = trial_seeds(seed, trials, spawned=False)
+    seeds = trial_seeds(seed, trials)
     for kind in SCHEME_TARGETS:
         size = max(1, DECODE_BUDGET // len(SCHEMES[kind].states(a)) ** 2)
         failures = 0

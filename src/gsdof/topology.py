@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .regions import _ratio
+from .regions import _alpha_ratio, _ratio
 
 __all__ = [
     "TopologyState",
@@ -98,6 +98,8 @@ def _sum_to_one(fracs) -> bool:
 class TopologyProfile:
     """Time fractions of the four topology states plus the weak exponent.
 
+    alpha must lie in [0, 1] at its exact value, a float at its binary
+    value, as the region constructors decide it (``regions._alpha_ratio``).
     The four fractions must be nonnegative and sum to one (tolerance 1e-12).
     A sum is first tested exactly, on the fractions' integer ratios over one
     common denominator; only a sum that is not exactly one is added up in
@@ -114,8 +116,7 @@ class TopologyProfile:
     lambda_aa: float = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= float(self.alpha) <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        _alpha_ratio(self.alpha)
         fracs = self.fractions()
         if not all(float(f) >= 0.0 for f in fracs):  # NaN fails too
             raise ValueError(
@@ -293,19 +294,17 @@ def _words(n) -> list[int]:
     return words
 
 
-def trial_seeds(seed: int, count: int, spawned: bool = True) -> list[int]:
+def trial_seeds(seed: int, count: int) -> list[int]:
     """Int seeds of ``count`` trials, from one hash pass.
 
-    Trial ``i`` gets ``int(SeedSequence(seed).spawn(count)[i].generate_state(1)[0])``,
-    or, with ``spawned`` false, ``int(SeedSequence((seed, i)).generate_state(1)[0])``:
+    Trial ``i`` gets ``int(SeedSequence(seed).spawn(count)[i].generate_state(1)[0])``:
     the same ints numpy gives, without building a SeedSequence per trial.
     A spawned child's entropy is its parent's words padded with zeros to
-    the pool size, then its index; the pair's is the words of ``seed``,
-    then the words of ``i``.  ``count`` is below 2^32, so ``i`` is one word.
+    the pool size, then its index.  ``count`` is below 2^32, so ``i`` is
+    one word.
     """
     words = _words(seed)
-    if spawned:
-        words += [0] * (_POOL_SIZE - len(words))
+    words += [0] * (_POOL_SIZE - len(words))
     entropy = np.empty((len(words) + 1, count), dtype=np.uint32)
     entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
     entropy[-1] = np.arange(count)

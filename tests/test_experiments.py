@@ -685,8 +685,8 @@ def test_run_sweep_answers_any_grid_under_the_ceiling(data):
 
 def test_run_sweeps_reports_the_lowest_failing_trial(monkeypatch):
     # Draws fail for trials 9 and 11 of 12, in the batch's draw and in each
-    # config's own: the batch falls back to one sweep per config, and the
-    # first config names its lowest failing trial, as run_sweep does.
+    # config's own: the batch names its lowest failing trial, as run_sweep
+    # does.
     seeds = np.random.SeedSequence(4).spawn(12)
     bad = {int(seeds[i].generate_state(1)[0]) for i in (9, 11)}
     draw = schemes._draw_for
@@ -707,9 +707,50 @@ def test_run_sweeps_reports_the_lowest_failing_trial(monkeypatch):
     draws.clear()
     with pytest.raises(RuntimeError, match=message):
         experiments.run_sweeps(configs)
-    # The batch's one chunk fails and re-raises without a one-trial rerun;
-    # the first config's own sweep draws its chunk, then trials 0..9 alone.
-    assert draws == [12, 12] + [1] * 10
+    # The batch draws its one chunk, then trials 0..9 alone, as the batch.
+    assert draws == [12] + [1] * 10
+
+
+def test_run_sweeps_raise_a_failure_only_a_batch_raises(monkeypatch):
+    # A planted accounting fault that only a build batching several alphas
+    # raises: the group's chunk fails, and so does its first trial alone,
+    # which still batches the three alphas.  No config reruns alone, so the
+    # failure is raised, not hidden behind three one-alpha sweeps.
+    accounting = experiments.group_accounting
+
+    def multi_alpha_fault(builds, rho):
+        if any(len(batch) > 1 for _, batch in builds):
+            raise ValueError("planted multi-alpha fault")
+        return accounting(builds, rho)
+
+    monkeypatch.setattr(experiments, "group_accounting", multi_alpha_fault)
+    configs = [SweepConfig("yang", a, GRID, trials=12, seed=4) for a in (0.25, 0.5, 0.75)]
+    for c in configs:
+        run_sweep(c)  # one alpha per build: no fault
+    with pytest.raises(RuntimeError, match=r"^trial 0 failed: planted multi-alpha fault$"):
+        experiments.run_sweeps(configs)
+
+
+def test_run_sweeps_name_the_groups_lowest_failing_trial(monkeypatch):
+    # One group of two kinds, each with its own channel mode and so its own
+    # draw: yang's draw fails at trial 9 and gdof's at trial 5.  The chunk's
+    # trials rerun one at a time as the group, and the group's lowest
+    # failing trial is named, not the first config's.
+    seeds = trial_seeds(4, 12)
+    bad = {"yang": seeds[9], "gdof": seeds[5]}
+    draw = experiments._draw_for
+
+    def flaky(kind, alpha, trial_seeds):
+        if bad[kind] in trial_seeds:
+            raise ValueError(f"no {kind} realization")
+        return draw(kind, alpha, trial_seeds)
+
+    monkeypatch.setattr(experiments, "_draw_for", flaky)
+    configs = [SweepConfig(kind, 0.5, GRID, trials=12, seed=4) for kind in ("yang", "gdof")]
+    with pytest.raises(RuntimeError, match=r"^trial 9 failed: no yang realization$"):
+        run_sweep(configs[0])
+    with pytest.raises(RuntimeError, match=r"^trial 5 failed: no gdof realization$"):
+        experiments.run_sweeps(configs)
 
 
 def test_run_sweeps_does_not_batch_a_slot_map_that_scales_with_alpha(monkeypatch):
@@ -999,12 +1040,13 @@ def test_decode_checks_count_planted_failures(monkeypatch):
     planted = {"wiretap-gaussian": {2, 5, 11}, "gdof": {4}, "yang": set()}
     draw_for = schemes._draw_for
     batch_sizes = []
-    # _decode_checks seeds trial i with the first state word of
-    # SeedSequence((0, i)); the reference loop below passes the sequence.
-    trial_of = {int(np.random.SeedSequence((0, i)).generate_state(1)[0]): i for i in range(20)}
+    # _decode_checks seeds trial i with trial_seeds(0, 20)[i], the first
+    # state word of child i of SeedSequence(0); the reference loop below
+    # passes the child.
+    trial_of = {s: i for i, s in enumerate(trial_seeds(0, 20))}
 
     def trial(s):
-        return s.entropy[1] if isinstance(s, np.random.SeedSequence) else trial_of[s]
+        return s.spawn_key[-1] if isinstance(s, np.random.SeedSequence) else trial_of[s]
 
     def planting_draw(kind, alpha, seed):
         real = draw_for(kind, alpha, seed)
@@ -1031,10 +1073,8 @@ def test_decode_checks_count_planted_failures(monkeypatch):
     for check, (kind, trials) in zip(checks, planted.items()):
         # The count a loop of one-trial builds and checks gives.
         failures = sum(
-            not noiseless_decode_check(
-                build_scheme(kind, 0.5, np.random.SeedSequence((0, i))), seed=i
-            )
-            for i in range(20)
+            not noiseless_decode_check(build_scheme(kind, 0.5, child), seed=i)
+            for i, child in enumerate(np.random.SeedSequence(0).spawn(20))
         )
         assert failures == len(trials)
         assert check.passed is (not trials)

@@ -19,14 +19,10 @@ SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 - 1, 2**128, 2**200 + 5]
 @pytest.mark.parametrize("seed", SEEDS)
 def test_trial_seeds_equal_numpy_child_words(seed):
     # Spawned children pad the parent's words to the pool size before their
-    # index; (seed, i) pairs do not.
+    # index.
     count = 40
     children = np.random.SeedSequence(seed).spawn(count)
     assert trial_seeds(seed, count) == [int(c.generate_state(1)[0]) for c in children]
-    pairs = [np.random.SeedSequence((seed, i)) for i in range(count)]
-    assert trial_seeds(seed, count, spawned=False) == [
-        int(q.generate_state(1)[0]) for q in pairs
-    ]
     assert trial_seeds(seed, 0) == []
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsdof import topology
+from gsdof import regions, topology
 from gsdof.topology import (
     STATE_11,
     STATE_1A,
@@ -29,6 +29,22 @@ def test_profile_sum_invariant_enforced():
         TopologyProfile(alpha=1.5, lambda_11=1.0)
     with pytest.raises(ValueError):
         TopologyProfile(alpha=0.5, lambda_11=1.2, lambda_1a=-0.2)
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [Fraction(10**20 + 1, 10**20), Fraction(-1, 10**400), math.nan, math.inf, -math.inf],
+    ids=repr,
+)
+def test_profile_refuses_the_alphas_the_region_constructors_refuse(alpha):
+    # Decided on alpha's exact ratio, as yang_inner decides it: the two
+    # Fractions round to 1.0 and -0.0 as floats but lie outside [0, 1], and
+    # nan and inf have no ratio.
+    message = f"^{re.escape(f'alpha must lie in [0, 1], got {alpha}')}$"
+    with pytest.raises(ValueError, match=message):
+        regions.yang_inner(alpha)
+    with pytest.raises(ValueError, match=message):
+        TopologyProfile.fixed("1a", alpha)
 
 
 def assert_float_sum_rule(fracs):
