@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -81,14 +82,16 @@ _FMT = ".12g"
 # on the constant.
 SWEEP_BUDGET = 2**18
 
-# _decode_checks builds and decodes each kind's trials in chunks of
-# max(1, DECODE_BUDGET // slots**2) trials.  A decode trial holds its
-# symbols, outputs and receiver systems, whose rows and columns both grow
-# with the slot count: 226-634 bytes per trial and slot squared over every
-# kind at alphas 0.05, 0.5 and 0.95 (tracemalloc, 400-trial batches), so a
-# chunk holds about 2.6 MB or less.  At alpha 0.5 every kind decodes at
-# least 83 trials a chunk, so a default verify decodes each kind in one
-# batch.  The output does not depend on the constant.
+# The decode checks read each kind's build of a chunk of trials (a chunk
+# of verify's sweep group, or of _decode_checks) and decode it in slices of
+# at most max(1, DECODE_BUDGET // slots**2) trials.  A slice's decode holds
+# its symbols, outputs and receiver systems, whose rows and columns both
+# grow with the slot count: 152-598 bytes per trial and slot squared over
+# every kind at alphas 0.05, 0.5 and 0.95 (tracemalloc peak of one
+# noiseless_decode_check of a full slice), so a slice peaks at 2.5 MB or
+# less on top of the chunk it reads.  At alpha 0.5 every kind decodes at
+# least 83 trials a slice, so a default verify decodes each kind's 20
+# trials in one call.  The output does not depend on the constant.
 DECODE_BUDGET = 2**12
 
 
@@ -197,46 +200,55 @@ class RateReport:
         )
 
 
-def _group_chunk(batches, seeds, rho_lin) -> list:
-    """One chunk of trials, given by their int seeds, for every batch of
-    one group (see ``run_sweeps``): per batch, per config, (groups, ledger,
-    rel, leak), the scheme's symbol groups and ledger, and rel and leak each
-    mapping group -> (trials, SNRs) bits.
+def _build_chunk(kinds, seeds) -> list:
+    """The builds of one chunk of trials, given by their int seeds, for
+    every batch of one group (see ``run_sweeps``), each given as its kind
+    and alphas: per batch, one trial-batched scheme per alpha.
 
     The chunk is drawn once per channel mode, through ``_draw_for``, for the
     first batch with the mode's largest slot count; every other batch of
     that mode takes the first n slots, which equal its own draw bit for bit,
     since ``draw_channels`` keeps the first n full-rank candidates of each
-    trial's stream.  Each batch's builder runs once per alpha on its draw.
-    The schemes of a batch whose ``_alpha_free_parts`` equal the first
-    one's are one build of ``group_accounting``, and any other is a build
-    of its own, on the same draw; one ``group_accounting`` call evaluates
-    every build of the chunk.  The schemes are dropped on return."""
-    states = [SCHEMES[batch[0].scheme].states(batch[0].alpha) for batch in batches]
+    trial's stream.  Each batch's builder runs once per alpha on its draw."""
+    states = [SCHEMES[kind].states(alphas[0]) for kind, alphas in kinds]
     drawers = {}  # channel mode -> the first batch with its largest slot count
-    for b, batch in enumerate(batches):
-        mode = SCHEMES[batch[0].scheme].mode
+    for b, (kind, _) in enumerate(kinds):
+        mode = SCHEMES[kind].mode
         if mode not in drawers or len(states[b]) > len(states[drawers[mode]]):
             drawers[mode] = b
     drawn = {
-        mode: _draw_for(batches[b][0].scheme, batches[b][0].alpha, seeds)
-        for mode, b in drawers.items()
+        mode: _draw_for(kinds[b][0], kinds[b][1][0], seeds) for mode, b in drawers.items()
     }
-    builds, places = [], []  # group_accounting builds; per batch, each config's place
-    for batch, batch_states in zip(batches, states):
-        spec = SCHEMES[batch[0].scheme]
+    built = []
+    for (kind, alphas), batch_states in zip(kinds, states):
+        spec = SCHEMES[kind]
         real = drawn[spec.mode]
         if batch_states != real.states:
             n = len(batch_states)
             h, g = (x if n == real.n else x[..., :n, :].copy() for x in (real.h, real.g))
             real = replace(real, h=h, g=g, states=batch_states)
-        built = [spec.build(real, c.alpha) for c in batch]
-        parts = built[1:] and _alpha_free_parts(built[0])
-        shared = [0] + [i for i, s in enumerate(built[1:], 1) if _alpha_free_parts(s) == parts]
+        built.append([spec.build(real, a) for a in alphas])
+    return built
+
+
+def _group_chunk(built, rho_lin) -> list:
+    """The accounting of one chunk's builds (see ``_build_chunk``): per
+    batch, per alpha, (groups, ledger, rel, leak), the scheme's symbol
+    groups and ledger, and rel and leak each mapping group -> (trials,
+    SNRs) bits.
+
+    The schemes of a batch whose ``_alpha_free_parts`` equal the first
+    one's are one build of ``group_accounting``, and any other is a build
+    of its own, on the same draw; one ``group_accounting`` call evaluates
+    every build of the chunk."""
+    builds, places = [], []  # group_accounting builds; per batch, each scheme's place
+    for batch in built:
+        parts = batch[1:] and _alpha_free_parts(batch[0])
+        shared = [0] + [i for i, s in enumerate(batch[1:], 1) if _alpha_free_parts(s) == parts]
         first = len(builds)
-        builds.append((built[0], [built[i] for i in shared]))
-        place = []  # per config: (build, batch entry, scheme)
-        for i, scheme in enumerate(built):
+        builds.append((batch[0], [batch[i] for i in shared]))
+        place = []  # per scheme: (build, batch entry, scheme)
+        for i, scheme in enumerate(batch):
             if i in shared:
                 place.append((first, shared.index(i), scheme))
             else:
@@ -253,32 +265,44 @@ def _group_chunk(batches, seeds, rho_lin) -> list:
     ]
 
 
-def _sweep_group(batches) -> list:
-    """The sweeps of one group (see ``run_sweeps``) through
-    ``_group_chunk``: per batch, one report per config.  Every chunk holds
-    the same trials for all of the group's batches, as many as
-    ``SWEEP_BUDGET`` allows for their summed slots x (points + slots).  If
-    a chunk fails, its trials are rerun one at a time as the whole group,
-    and the error names the group's lowest failing trial; if no trial fails
-    alone, the chunk's own error is re-raised."""
+def _sweep_group(batches, consume=None) -> list:
+    """The sweeps of one group (see ``run_sweeps``): per batch, one report
+    per config.  Every chunk holds the same trials for all of the group's
+    batches, as many as ``SWEEP_BUDGET`` allows for their summed slots x
+    (points + slots), and is built by ``_build_chunk`` and evaluated by
+    ``_group_chunk``.  If a chunk fails, its trials are rerun one at a time
+    as the whole group, and the error names the group's lowest failing
+    trial; if no trial fails alone, the chunk's own error is re-raised.
+
+    ``consume``, if given, is called once per chunk, after its accounting,
+    as ``consume(start, seeds, builds)``: the chunk's first trial index,
+    its int seeds and its schemes by (kind, alpha).  The chunk's schemes
+    are dropped once it returns, so what it reads stays bounded by one
+    chunk."""
     first = batches[0][0]
     rho_lin = rho_from_db(first.rho_db)
-    slots = [len(SCHEMES[batch[0].scheme].states(batch[0].alpha)) for batch in batches]
+    kinds = [(batch[0].scheme, [c.alpha for c in batch]) for batch in batches]
+    slots = [len(SCHEMES[kind].states(alphas[0])) for kind, alphas in kinds]
     cost = sum(n * (len(batch) * len(rho_lin) + n) for n, batch in zip(slots, batches))
     size = max(1, SWEEP_BUDGET // cost)
     seeds = trial_seeds(first.seed, first.trials)
+    keys = [(kind, a) for kind, alphas in kinds for a in alphas]  # each build's (kind, alpha)
     chunks = []
     for start in range(0, first.trials, size):
         chunk = seeds[start : start + size]
         try:
-            chunks.append(_group_chunk(batches, chunk, rho_lin))
+            built = _build_chunk(kinds, chunk)
+            chunks.append(_group_chunk(built, rho_lin))
         except Exception:
             for idx, s in enumerate(chunk, start):
                 try:
-                    _group_chunk(batches, [s], rho_lin)
+                    _group_chunk(_build_chunk(kinds, [s]), rho_lin)
                 except Exception as exc:  # attach the trial index for reproducibility
                     raise RuntimeError(f"trial {idx} failed: {exc}") from exc
             raise
+        if consume is not None:
+            consume(start, chunk, dict(zip(keys, itertools.chain(*built))))
+        del built  # before the next chunk is drawn
     return [
         [_report(c, n, rho_lin, [ch[b][i] for ch in chunks]) for i, c in enumerate(batch)]
         for b, (n, batch) in enumerate(zip(slots, batches))
@@ -359,6 +383,16 @@ def run_sweeps(configs) -> list[RateReport]:
     rerun one at a time as the whole group, so the error names the group's
     lowest failing trial, as ``run_sweep`` names a lone sweep's."""
     configs = list(configs)
+    reports = {}  # config index -> report
+    for group in _groups(configs):
+        got = _sweep_group([[configs[i] for i in m] for m in group])
+        reports.update(zip(itertools.chain(*group), itertools.chain(*got)))
+    return [reports[i] for i in range(len(configs))]
+
+
+def _groups(configs) -> list:
+    """The groups of ``run_sweeps``: per group, its batches, each its
+    config indices in list order."""
     batches = {}  # batch key -> config indices, in list order
     for i, c in enumerate(configs):
         key = (c.scheme, SCHEMES[c.scheme].states(c.alpha), c.rho_db, c.trials, c.seed)
@@ -367,12 +401,7 @@ def run_sweeps(configs) -> list[RateReport]:
     for members in batches.values():
         c = configs[members[0]]
         groups.setdefault((c.rho_db, c.trials, c.seed), []).append(members)
-    reports = [None] * len(configs)
-    for group in groups.values():
-        for members, got in zip(group, _sweep_group([[configs[i] for i in m] for m in group])):
-            for i, report in zip(members, got):
-                reports[i] = report
-    return reports
+    return list(groups.values())
 
 
 def run_sweep(config: SweepConfig) -> RateReport:
@@ -467,20 +496,25 @@ def _lemma1_checks(alphas, rho_db, seed) -> list[CheckResult]:
     ]
 
 
-def _scheme_checks(alphas, rho_db, trials, seed) -> list[CheckResult]:
+def _scheme_checks(alphas, rho_db, trials, seed, consume=None) -> list[CheckResult]:
     """Every kind's slope, ledger and leakage rows at each alpha, then the
-    canary's leakage row, from one ``run_sweeps`` call: every sweep shares
-    the grid, the trials and the seed, so they form one group."""
+    canary's leakage row, from one ``_sweep_group`` call: every sweep
+    shares the grid, the trials and the seed, so they form one group of
+    ``run_sweeps``.  ``consume``, if given, reads each chunk's builds (see
+    ``_sweep_group``)."""
     rho_db = tuple(rho_db)
     configs = [
         SweepConfig(kind, a, rho_db, trials=trials, seed=seed)
         for kind in SCHEME_TARGETS
         for a in alphas
     ]
-    canary = SweepConfig("wiretap-nonoise", 0.75, rho_db, trials=trials, seed=seed)
-    *reports, canary_report = run_sweeps([*configs, canary])
+    configs.append(SweepConfig("wiretap-nonoise", 0.75, rho_db, trials=trials, seed=seed))
+    (group,) = _groups(configs)
+    got = _sweep_group([[configs[i] for i in m] for m in group], consume)
+    reports = dict(zip(itertools.chain(*group), itertools.chain(*got)))
     out = []
-    for config, rep in zip(configs, reports):
+    for i, config in enumerate(configs[:-1]):
+        rep = reports[i]
         kind, a = config.scheme, config.alpha
         at = _alpha_tag(a)
         d1_t, d2_t = map(float, SCHEME_TARGETS[kind](a))
@@ -503,53 +537,84 @@ def _scheme_checks(alphas, rho_db, trials, seed) -> list[CheckResult]:
         if kind in SECURE_SCHEMES:
             worst = max(rep.leak_slopes.values())
             out.append(CheckResult(f"leakage/{kind}/{at}", worst <= SLOPE_TOL, float(worst)))
-    slope = max(canary_report.leak_slopes.values())
+    slope = max(reports[len(configs) - 1].leak_slopes.values())
     out.append(CheckResult("leakage/canary-no-noise", slope > LEAK_CANARY_MIN, float(slope)))
     return out
 
 
-def _decode_checks(alphas, trials, seed) -> list[CheckResult]:
-    """One noiseless decode check per scheme kind, at alpha 0.5 if it is in
-    ``alphas`` and at ``alphas[0]`` if not, over ``trials`` realizations:
-    trial ``i`` draws its channels from ``trial_seeds(seed, trials)[i]``,
-    the seed a sweep's trial ``i`` draws from, and its symbols from seed
-    ``i``.
+class _DecodeTally:
+    """The noiseless decode checks, one per scheme kind, at alpha 0.5 if it
+    is in ``alphas`` and at ``alphas[0]`` if not, fed one chunk of trials
+    at a time as ``tally(start, seeds, builds)``: the chunk's first trial
+    index, its int seeds (``trial_seeds``) and its trial-batched schemes by
+    (kind, alpha), such as ``_sweep_group`` hands its consumer.  Trial
+    ``i`` decodes its symbols from seed ``i``.
 
-    A kind's trials are built as trial-batched schemes of at most
-    ``DECODE_BUDGET`` // slots**2 trials each, and each chunk is decoded
-    with one ``noiseless_decode_check``.  Trial ``b`` of a chunk is the
-    one-seed build of its seed, so the chunk passes iff every trial does.
-    If it fails, or its build raises, its trials are rebuilt and checked
-    one at a time to count the failures, as ``run_sweep`` reruns a failed
-    chunk; the margin is the count over all chunks."""
-    out = []
-    a = 0.5 if 0.5 in alphas else alphas[0]
-    at = _alpha_tag(a)
-    seeds = trial_seeds(seed, trials)
-    for kind in SCHEME_TARGETS:
-        size = max(1, DECODE_BUDGET // len(SCHEMES[kind].states(a)) ** 2)
-        failures = 0
-        for start in range(0, trials, size):
-            chunk = seeds[start : start + size]
-            try:
-                ok = noiseless_decode_check(
-                    build_scheme(kind, a, chunk), seed=list(range(start, start + len(chunk)))
-                )
-            except Exception:
-                ok = False
-            if not ok:
-                for i, s in enumerate(chunk, start):
-                    if not noiseless_decode_check(build_scheme(kind, a, s), seed=i):
-                        failures += 1
-        out.append(
+    Each kind's build is decoded in slices of at most
+    ``DECODE_BUDGET // slots**2`` trials, each with one
+    ``noiseless_decode_check``.  A slice that is not the whole chunk is
+    built again from its part of the chunk's realization, never redrawn.
+    Trial ``b`` of a slice is the one-seed build of its seed, so the slice
+    passes iff every trial does.  If it fails, or raises, its trials are
+    rebuilt with ``build_scheme`` and checked one at a time to count the
+    failures, as a sweep reruns a failed chunk.  ``rows()`` gives one row
+    per kind, its margin the count over all chunks."""
+
+    def __init__(self, alphas, trials):
+        self.alpha = 0.5 if 0.5 in alphas else alphas[0]
+        self.trials = trials
+        self.failures = dict.fromkeys(SCHEME_TARGETS, 0)
+
+    def __call__(self, start, seeds, builds) -> None:
+        a = self.alpha
+        for kind in self.failures:
+            built = builds[kind, a]
+            real = built.realization
+            size = max(1, DECODE_BUDGET // real.n**2)
+            for lo in range(0, len(seeds), size):
+                part, scheme = seeds[lo : lo + size], built
+                if len(part) < len(seeds):
+                    cut = replace(real, h=real.h[lo : lo + size], g=real.g[lo : lo + size])
+                    scheme = SCHEMES[kind].build(cut, a)
+                first = start + lo
+                try:
+                    ok = noiseless_decode_check(scheme, seed=list(range(first, first + len(part))))
+                except Exception:
+                    ok = False
+                if not ok:
+                    self.failures[kind] += sum(
+                        not noiseless_decode_check(build_scheme(kind, a, s), seed=i)
+                        for i, s in enumerate(part, first)
+                    )
+
+    def rows(self) -> list[CheckResult]:
+        at = _alpha_tag(self.alpha)
+        return [
             CheckResult(
                 f"decode/{kind}/{at}",
                 failures == 0,
                 float(failures),
-                detail=f"{trials - failures}/{trials} decoded",
+                detail=f"{self.trials - failures}/{self.trials} decoded",
             )
-        )
-    return out
+            for kind, failures in self.failures.items()
+        ]
+
+
+def _decode_checks(alphas, trials, seed) -> list[CheckResult]:
+    """The decode checks of ``_DecodeTally`` on their own: each chunk of
+    ``DECODE_BUDGET // slots**2`` trials, slots the largest of any kind, is
+    drawn and built by ``_build_chunk``, the step a sweep group's chunks
+    take, with no engine pass, so trial ``i`` draws its channels from
+    ``trial_seeds(seed, trials)[i]``, as a sweep's trial ``i`` does."""
+    tally = _DecodeTally(alphas, trials)
+    a = tally.alpha
+    kinds = [(kind, [a]) for kind in SCHEME_TARGETS]
+    size = max(1, DECODE_BUDGET // max(len(SCHEMES[k].states(a)) for k, _ in kinds) ** 2)
+    seeds = trial_seeds(seed, trials)
+    for start in range(0, trials, size):
+        chunk = seeds[start : start + size]
+        tally(start, chunk, {(k, a): s for (k, _), (s,) in zip(kinds, _build_chunk(kinds, chunk))})
+    return tally.rows()
 
 
 def _figure8_check() -> CheckResult:
@@ -577,13 +642,16 @@ def verify_all(
     ``alpha_grid`` drives region checks; scheme slope, leakage and decode
     checks run at ``scheme_alphas``, and the fitted checks over the SNR grid
     ``VERIFY_RHO_DB``.  Every kind's sweeps at every scheme alpha, and the
-    canary's, are one ``run_sweeps`` call and one group: each chunk is
-    drawn once per channel mode, every kind taking the first slots of its
-    mode's draw, and every receiver of every build goes through one engine
-    pass per exponent width (a kind's alphas in (0, 1] are one exponent
-    batch wherever its coefficients do not change with alpha).  The lemma-1
-    checks of every profile and alpha share one channel draw, one
-    ``conditional_mi`` call and one ``fit_slopes`` pass.  ``trials``,
+    canary's, are one ``run_sweeps`` group: each chunk is drawn once per
+    channel mode, every kind taking the first slots of its mode's draw, and
+    every receiver of every build goes through one engine pass per exponent
+    width (a kind's alphas in (0, 1] are one exponent batch wherever its
+    coefficients do not change with alpha).  The decode checks
+    (``_DecodeTally``) read each chunk's builds at their alpha while the
+    chunk is alive, so they draw nothing, and build nothing unless a chunk
+    is decoded in slices or a slice fails.  The lemma-1 checks of every
+    profile and alpha share one channel draw, one ``conditional_mi`` call
+    and one ``fit_slopes`` pass.  ``trials``,
     ``seed`` and every scheme alpha, against each kind's domain, are
     checked before any check runs.
     """
@@ -594,8 +662,9 @@ def verify_all(
     checks = []
     checks += _region_checks(alpha_grid)
     checks += _lemma1_checks(scheme_alphas, VERIFY_RHO_DB, seed)
-    checks += _scheme_checks(scheme_alphas, VERIFY_RHO_DB, trials, seed)
-    checks += _decode_checks(scheme_alphas, trials, seed)
+    decode = _DecodeTally(scheme_alphas, trials)
+    checks += _scheme_checks(scheme_alphas, VERIFY_RHO_DB, trials, seed, decode)
+    checks += decode.rows()
     checks.append(_figure8_check())
     return checks
 

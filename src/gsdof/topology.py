@@ -328,8 +328,13 @@ def seed_generators(seeds) -> list[np.random.Generator]:
     """``np.random.default_rng(s)`` for each non-negative int ``s`` of
     ``seeds``, bit for bit: a PCG64 seeded with
     ``SeedSequence(s).generate_state(4, np.uint64)``.  The states of seeds
-    with the same entropy word count (4 below 2^128) hash in one pass."""
+    with the same entropy word count (4 below 2^128) hash in one pass; a
+    batch of one seed takes numpy's own ``default_rng``, which costs less
+    than the hash's fixed number of array calls."""
     words = [_words(s) for s in seeds]
+    if len(words) == 1:
+        (seed,) = seeds
+        return [np.random.default_rng(operator.index(seed))]
     groups: dict[int, list[int]] = {}
     for b, w in enumerate(words):
         groups.setdefault(max(len(w), _POOL_SIZE), []).append(b)

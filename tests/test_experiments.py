@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -646,9 +647,8 @@ def test_report_trial_means_equal_the_trial_loop_signed_zeros_included():
     # in every trial, keep the loop's bits, whose sum of -0.0 is +0.0.
     cfg = SweepConfig("yang", 0.5, GRID, trials=12, seed=3)
     rho_lin = rho_from_db(GRID)
-    [[(groups, ledger, rel, leak)]] = experiments._group_chunk(
-        [[cfg]], trial_seeds(3, 12), rho_lin
-    )
+    built = experiments._build_chunk([("yang", [0.5])], trial_seeds(3, 12))
+    [[(groups, ledger, rel, leak)]] = experiments._group_chunk(built, rho_lin)
     rng = np.random.default_rng(2)
     for part in (rel, leak):
         for g, bits in part.items():
@@ -1032,43 +1032,64 @@ def test_default_verify_csv_digest(tmp_path, seed):
     assert len(rows) == 308 and {len(row) for row in rows} == {4}
 
 
+def _plant(kind, h, g) -> None:
+    """Make one trial's (n, 2) channel rows undecodable for ``kind``, in
+    place: gdof's slot 3 and bc-fixed's slot 6 lose their antenna-1 path
+    to receiver 1, and any other kind's slot 2 gets g = h, which makes its
+    2x2 decode system singular."""
+    if kind == "gdof":
+        h[2, 0] = 0
+    elif kind == "bc-fixed":
+        h[5, 0] = 0
+    else:
+        g[1] = h[1]
+
+
+def _planting(kind, trials, seed, count, alpha=0.5):
+    """``kind``'s spec with a builder that plants ``_plant`` in the given
+    trials of ``trial_seeds(seed, count)`` at ``alpha``.  A trial is known
+    by the bytes of its own channel draw, so a chunk's batched build, a
+    slice of it and a one-trial rebuild all plant the same trials."""
+    spec = SCHEMES[kind]
+    seeds = trial_seeds(seed, count)
+    marks = {schemes._draw_for(kind, alpha, seeds[i]).h.tobytes() for i in trials}
+
+    def build(real, a):
+        if a == alpha and marks:
+            h, g = (x.reshape(-1, real.n, 2).copy() for x in (real.h, real.g))
+            for b in range(len(h)):
+                if h[b].tobytes() in marks:
+                    _plant(kind, h[b], g[b])
+            real = dataclasses.replace(real, h=h.reshape(real.h.shape), g=g.reshape(real.g.shape))
+        return spec.build(real, a)
+
+    return dataclasses.replace(spec, build=build)
+
+
 def test_decode_checks_count_planted_failures(monkeypatch):
     # Realizations that cannot be decoded are planted in known trials: slot 2
     # of wiretap-gaussian gets g = h (the 2x2 decode system is singular) and
-    # slot 3 of gdof loses its antenna-1 path.  Each kind's batch then fails,
-    # and the one-trial reruns count exactly the planted trials.
+    # slot 3 of gdof loses its antenna-1 path.  They are planted in each
+    # kind's builder, which the decode reads: the chunk's shared draw is
+    # built once per kind.  Each kind's batch then fails, and the one-trial
+    # reruns count exactly the planted trials.
     planted = {"wiretap-gaussian": {2, 5, 11}, "gdof": {4}, "yang": set()}
-    draw_for = schemes._draw_for
-    batch_sizes = []
-    # _decode_checks seeds trial i with trial_seeds(0, 20)[i], the first
-    # state word of child i of SeedSequence(0); the reference loop below
-    # passes the child.
-    trial_of = {s: i for i, s in enumerate(trial_seeds(0, 20))}
+    for kind, trials in planted.items():
+        monkeypatch.setitem(SCHEMES, kind, _planting(kind, trials, 0, 20))
+    draws = []
+    draw_for = experiments._draw_for
 
-    def trial(s):
-        return s.spawn_key[-1] if isinstance(s, np.random.SeedSequence) else trial_of[s]
+    def counting_draw(kind, alpha, seed):
+        draws.append((SCHEMES[kind].mode, len(seed)))
+        return draw_for(kind, alpha, seed)
 
-    def planting_draw(kind, alpha, seed):
-        real = draw_for(kind, alpha, seed)
-        seeds = seed if isinstance(seed, list) else [seed]
-        if isinstance(seed, list):
-            batch_sizes.append(len(seed))
-        h, g = real.h.reshape(-1, real.n, 2).copy(), real.g.reshape(-1, real.n, 2).copy()
-        for b, s in enumerate(seeds):
-            if trial(s) in planted[kind]:
-                if kind == "gdof":
-                    h[b, 2, 0] = 0
-                else:
-                    g[b, 1] = h[b, 1]
-        shape = real.h.shape
-        return dataclasses.replace(real, h=h.reshape(shape), g=g.reshape(shape))
-
-    monkeypatch.setattr(schemes, "_draw_for", planting_draw)
+    monkeypatch.setattr(experiments, "_draw_for", counting_draw)
     monkeypatch.setattr(
         experiments, "SCHEME_TARGETS", {kind: SCHEMES[kind].target for kind in planted}
     )
     checks = experiments._decode_checks((0.25, 0.5), 20, 0)
-    assert batch_sizes == [20, 20, 20]
+    # One draw per channel mode, each holding all 20 trials.
+    assert sorted(draws) == [("complex", 20), ("integer", 20)]
     assert [c.name for c in checks] == [f"decode/{kind}/alpha=0.5" for kind in planted]
     for check, (kind, trials) in zip(checks, planted.items()):
         # The count a loop of one-trial builds and checks gives.
@@ -1080,6 +1101,118 @@ def test_decode_checks_count_planted_failures(monkeypatch):
         assert check.passed is (not trials)
         assert check.margin == float(failures)
         assert check.detail == f"{20 - failures}/20 decoded"
+
+
+def _reference_decode_rows(alphas, trials, seed) -> list:
+    # Each kind's own trials: build_scheme over chunks of DECODE_BUDGET //
+    # slots**2 trials, one noiseless_decode_check per chunk, and a failing
+    # chunk checked again one trial at a time to count its failures.
+    a = 0.5 if 0.5 in alphas else alphas[0]
+    seeds = trial_seeds(seed, trials)
+    rows = []
+    for kind in experiments.SCHEME_TARGETS:
+        size = max(1, experiments.DECODE_BUDGET // len(SCHEMES[kind].states(a)) ** 2)
+        failures = 0
+        for start in range(0, trials, size):
+            chunk = seeds[start : start + size]
+            try:
+                ok = noiseless_decode_check(
+                    build_scheme(kind, a, chunk), seed=list(range(start, start + len(chunk)))
+                )
+            except Exception:
+                ok = False
+            if not ok:
+                for i, s in enumerate(chunk, start):
+                    failures += not noiseless_decode_check(build_scheme(kind, a, s), seed=i)
+        rows.append(
+            CheckResult(
+                f"decode/{kind}/alpha={a:g}",
+                failures == 0,
+                float(failures),
+                detail=f"{trials - failures}/{trials} decoded",
+            )
+        )
+    return rows
+
+
+@pytest.mark.parametrize(
+    "trials, seed, planted",
+    [
+        (20, 0, False),
+        (20, 1, False),
+        (250, 0, False),
+        (250, 1, False),
+        (20, 0, True),
+        (250, 1, True),
+    ],
+)
+def test_verify_decode_rows_equal_the_per_kind_reference(monkeypatch, trials, seed, planted):
+    # verify_all decodes the builds of its sweep group's chunks: 250 trials
+    # run as sweep chunks of 204 and 46, and bc-fixed (7 slots at alpha 0.5)
+    # decodes them in slices of at most 83.  Its decode rows must equal
+    # those of each kind's own trials, planted undecodable trials included:
+    # in bc-fixed's second slice and second chunk, and in two other kinds.
+    # Only the trials of a slice that holds a planted trial are rebuilt one
+    # at a time.
+    plants = {"wiretap-gaussian": {5, 230}, "bc-fixed": {12, 100, 240}, "gdof": {3}}
+    plants = {kind: {t for t in picks if t < trials} for kind, picks in plants.items()}
+    if planted:
+        for kind, picks in plants.items():
+            monkeypatch.setitem(SCHEMES, kind, _planting(kind, picks, seed, trials))
+    trial_of = {s: i for i, s in enumerate(trial_seeds(seed, trials))}
+    sizes, rebuilt = [], []
+    build_chunk, build = experiments._build_chunk, experiments.build_scheme
+
+    def spy_chunk(kinds, seeds):
+        sizes.append(len(seeds))
+        return build_chunk(kinds, seeds)
+
+    def spy_build(kind, alpha, s):
+        rebuilt.append((kind, trial_of[s]))
+        return build(kind, alpha, s)
+
+    monkeypatch.setattr(experiments, "_build_chunk", spy_chunk)
+    monkeypatch.setattr(experiments, "build_scheme", spy_build)
+    alphas = (0.25, 0.5, 0.75)
+    got = [c for c in verify_all([0.5], seed=seed, trials=trials) if c.name.startswith("decode/")]
+    assert sizes == ([20] if trials == 20 else [204, 46])
+    want = _reference_decode_rows(alphas, trials, seed)
+    assert got == want
+    failing = {c.name.split("/")[1]: c.margin for c in got if not c.passed}
+    assert failing == ({kind: len(picks) for kind, picks in plants.items()} if planted else {})
+    want_rebuilt = []
+    edges = list(itertools.accumulate(sizes, initial=0))
+    for kind, picks in plants.items() if planted else ():
+        step = experiments.DECODE_BUDGET // len(SCHEMES[kind].states(0.5)) ** 2
+        for lo, hi in zip(edges, edges[1:]):
+            for part in (range(i, min(i + step, hi)) for i in range(lo, hi, step)):
+                if picks & set(part):
+                    want_rebuilt += [(kind, i) for i in part]
+    assert sorted(rebuilt) == sorted(want_rebuilt)
+
+
+def test_default_verify_draws_once_per_mode_and_builds_nothing_to_decode(monkeypatch):
+    # A default verify_all draws channels three times: once for lemma 1 and
+    # once per channel mode for its sweep group's one chunk.  The decode
+    # checks read the group's builds: they draw and build nothing, and make
+    # one noiseless_decode_check per kind over all 20 trials.
+    calls = {"draw": 0, "build": 0, "decode": 0}
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for module in (schemes, gaussian_mi):
+        monkeypatch.setattr(module, "draw_channels", counting("draw", module.draw_channels))
+    monkeypatch.setattr(experiments, "build_scheme", counting("build", experiments.build_scheme))
+    decode = counting("decode", experiments.noiseless_decode_check)
+    monkeypatch.setattr(experiments, "noiseless_decode_check", decode)
+    checks = verify_all([k / 20 for k in range(21)])
+    assert all(c.passed for c in checks)
+    assert calls == {"draw": 3, "build": 0, "decode": len(experiments.SCHEME_TARGETS)}
 
 
 def test_decode_checks_peak_memory_does_not_grow_with_trials(monkeypatch):

@@ -41,14 +41,33 @@ def test_seed_generators_equal_default_rng(seeds):
         assert (gen.integers(0, 2**63, 4) == ref.integers(0, 2**63, 4)).all(), s
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_seed_batches_equal_their_place_in_a_hashed_batch(seed):
+    # A batch of one seed takes default_rng; a longer batch hashes.  Both
+    # must give the seed the same PCG64 state and first draws, and so must
+    # a one-seed draw_channels and its row of a batched one.
+    (one,) = seed_generators([seed])
+    hashed = seed_generators([seed, 7])[0]
+    assert one.bit_generator.state == hashed.bit_generator.state, seed
+    assert one.standard_normal(16).tobytes() == hashed.standard_normal(16).tobytes(), seed
+    assert (one.integers(0, 2**63, 4) == hashed.integers(0, 2**63, 4)).all(), seed
+    alone = draw_channels((STATE_1A,) * 3, seed=seed)
+    batch = draw_channels((STATE_1A,) * 3, seed=[seed, 7])
+    assert alone.h.tobytes() == batch.h[0].tobytes(), seed
+    assert alone.g.tobytes() == batch.g[0].tobytes(), seed
+
+
 def test_seed_generators_take_numpy_ints_and_refuse_negative_seeds():
     (gen,) = seed_generators([np.uint32(5)])
     assert gen.bit_generator.state == np.random.default_rng(5).bit_generator.state
     assert seed_generators([]) == []
     with pytest.raises(ValueError, match="^seeds must be non-negative integers, got -1$"):
         seed_generators([3, -1])
-    with pytest.raises(TypeError):
-        seed_generators([1.5])
+    with pytest.raises(ValueError, match="^seeds must be non-negative integers, got -1$"):
+        seed_generators([-1])
+    for bad in ([1.5], [2, 1.5]):
+        with pytest.raises(TypeError):
+            seed_generators(bad)
 
 
 def _reference_draw(n, seed, mode):
