@@ -26,8 +26,8 @@ from .gaussian_mi import SLOPE_TOL, _lemma1_slopes, fit_slopes, fit_window
 from .schemes import (
     SCHEMES,
     SECURE_SCHEMES,
-    _alpha_free_parts,
     _draw_for,
+    _ledger,
     build_scheme,
     group_accounting,
     noiseless_decode_check,
@@ -62,7 +62,7 @@ _FMT = ".12g"
 
 # Every sweep is a batch of one or more alphas of a run_sweeps group, the
 # batches that share the SNR grid, the trials and the seed: each chunk of
-# trials is drawn once per channel mode, built once per alpha as one
+# trials is drawn once per channel mode, built once per batch as one
 # trial-batched scheme, and evaluated over every (alpha, SNR) point.  Every
 # chunk holds max(1, SWEEP_BUDGET // sum(slots x (points + slots))) trials,
 # summed over the group's batches, where points is a batch's alphas x SNRs
@@ -155,8 +155,8 @@ class RateReport:
 
     Slopes are per slot and fitted on the top half of the SNR grid; the
     subrange used is recorded in ``fit_rho_db``.  ``ledger`` is the scheme's
-    claimed rate per group (log2(rho) multiples per block), read off the
-    sweep's chunks: it depends on alpha only.
+    claimed rate per group (log2(rho) multiples per block), its rate pairs
+    evaluated at ``alpha``.
     ``csv_text``, one row per (trial, SNR, group), is formatted on first
     read from ``_trial_bits``, the per-trial (MI, leakage) stacks of shape
     (trials, SNRs, groups), groups in ``group_owner`` order; the stacks are
@@ -203,13 +203,14 @@ class RateReport:
 def _build_chunk(kinds, seeds) -> list:
     """The builds of one chunk of trials, given by their int seeds, for
     every batch of one group (see ``run_sweeps``), each given as its kind
-    and alphas: per batch, one trial-batched scheme per alpha.
+    and alphas: per batch, the ``group_accounting`` build (scheme, alphas)
+    of one trial-batched scheme built at the batch's first alpha.
 
     The chunk is drawn once per channel mode, through ``_draw_for``, for the
     first batch with the mode's largest slot count; every other batch of
     that mode takes the first n slots, which equal its own draw bit for bit,
     since ``draw_channels`` keeps the first n full-rank candidates of each
-    trial's stream.  Each batch's builder runs once per alpha on its draw."""
+    trial's stream.  Each batch's builder runs once on its draw."""
     states = [SCHEMES[kind].states(alphas[0]) for kind, alphas in kinds]
     drawers = {}  # channel mode -> the first batch with its largest slot count
     for b, (kind, _) in enumerate(kinds):
@@ -227,41 +228,21 @@ def _build_chunk(kinds, seeds) -> list:
             n = len(batch_states)
             h, g = (x if n == real.n else x[..., :n, :].copy() for x in (real.h, real.g))
             real = replace(real, h=h, g=g, states=batch_states)
-        built.append([spec.build(real, a) for a in alphas])
+        built.append((spec.build(real, alphas[0]), alphas))
     return built
 
 
-def _group_chunk(built, rho_lin) -> list:
-    """The accounting of one chunk's builds (see ``_build_chunk``): per
-    batch, per alpha, (groups, ledger, rel, leak), the scheme's symbol
-    groups and ledger, and rel and leak each mapping group -> (trials,
-    SNRs) bits.
-
-    The schemes of a batch whose ``_alpha_free_parts`` equal the first
-    one's are one build of ``group_accounting``, and any other is a build
-    of its own, on the same draw; one ``group_accounting`` call evaluates
-    every build of the chunk."""
-    builds, places = [], []  # group_accounting builds; per batch, each scheme's place
-    for batch in built:
-        parts = batch[1:] and _alpha_free_parts(batch[0])
-        shared = [0] + [i for i, s in enumerate(batch[1:], 1) if _alpha_free_parts(s) == parts]
-        first = len(builds)
-        builds.append((batch[0], [batch[i] for i in shared]))
-        place = []  # per scheme: (build, batch entry, scheme)
-        for i, scheme in enumerate(batch):
-            if i in shared:
-                place.append((first, shared.index(i), scheme))
-            else:
-                place.append((len(builds), 0, scheme))
-                builds.append((scheme, [scheme]))
-        places.append(place)
-    bits = group_accounting(builds, rho_lin)
+def _group_chunk(builds, rho_lin) -> list:
+    """The accounting of one chunk's builds (see ``_build_chunk``) in one
+    ``group_accounting`` call: per batch, per alpha, (groups, ledger, rel,
+    leak), the scheme's symbol groups, its ledger at that alpha, and rel
+    and leak each mapping group -> (trials, SNRs) bits."""
     return [
         [
-            (s.groups, s.ledger, *({g: v[:, j] for g, v in part.items()} for part in bits[b]))
-            for b, j, s in place
+            (s.groups, _ledger(s.rates, a), *({g: v[:, j] for g, v in d.items()} for d in bits))
+            for j, a in enumerate(alphas)
         ]
-        for place in places
+        for (s, alphas), bits in zip(builds, group_accounting(builds, rho_lin))
     ]
 
 
@@ -276,9 +257,9 @@ def _sweep_group(batches, consume=None) -> list:
 
     ``consume``, if given, is called once per chunk, after its accounting,
     as ``consume(start, seeds, builds)``: the chunk's first trial index,
-    its int seeds and its schemes by (kind, alpha).  The chunk's schemes
-    are dropped once it returns, so what it reads stays bounded by one
-    chunk."""
+    its int seeds and, by (kind, alpha), the scheme of that alpha's batch,
+    built at the batch's first alpha.  The chunk's schemes are dropped once
+    it returns, so what it reads stays bounded by one chunk."""
     first = batches[0][0]
     rho_lin = rho_from_db(first.rho_db)
     kinds = [(batch[0].scheme, [c.alpha for c in batch]) for batch in batches]
@@ -286,7 +267,6 @@ def _sweep_group(batches, consume=None) -> list:
     cost = sum(n * (len(batch) * len(rho_lin) + n) for n, batch in zip(slots, batches))
     size = max(1, SWEEP_BUDGET // cost)
     seeds = trial_seeds(first.seed, first.trials)
-    keys = [(kind, a) for kind, alphas in kinds for a in alphas]  # each build's (kind, alpha)
     chunks = []
     for start in range(0, first.trials, size):
         chunk = seeds[start : start + size]
@@ -301,7 +281,8 @@ def _sweep_group(batches, consume=None) -> list:
                     raise RuntimeError(f"trial {idx} failed: {exc}") from exc
             raise
         if consume is not None:
-            consume(start, chunk, dict(zip(keys, itertools.chain(*built))))
+            by_alpha = {(k, a): s for (k, _), (s, alphas) in zip(kinds, built) for a in alphas}
+            consume(start, chunk, by_alpha)
         del built  # before the next chunk is drawn
     return [
         [_report(c, n, rho_lin, [ch[b][i] for ch in chunks]) for i, c in enumerate(batch)]
@@ -366,18 +347,20 @@ def run_sweeps(configs) -> list[RateReport]:
 
     Configs that share the kind, the slot states, the SNR grid, the trials
     and the seed, each with an alpha above 0, form one batch; an alpha = 0
-    config is a batch of one, and so in effect is a ``bc-fixed`` alpha,
-    whose slot states change with alpha.  The batches that share the SNR
-    grid, the trials and the seed form one group, run by ``_sweep_group``:
-    its chunks hold the same trials for every batch, sized by
-    ``SWEEP_BUDGET`` over the group's summed slots x (points + slots).  A
-    chunk is drawn once per channel mode, at the group's largest slot count
-    of that mode, and each batch takes its first n slots; each batch builds
-    it once per alpha.  The builds whose alpha-free parts
-    (``schemes._alpha_free_parts``) match share their coefficients as one
-    exponent batch, and every receiver of every build of the chunk goes
-    through one ``group_accounting`` call: one engine pass per exponent
-    width.  A lone sweep is a group of one batch of one config.
+    config is a batch of one, and so is a ``bc-fixed`` alpha, whose phase
+    lengths T1 and alpha*T1 lay out its slot maps.  A kind declares its
+    exponents, gains and rates as pairs p + q*alpha, so its slot maps,
+    norms and keys depend on alpha only through that layout: one build
+    serves the whole batch.  The batches that share the SNR grid, the
+    trials and the seed form one group, run by ``_sweep_group``: its chunks
+    hold the same trials for every batch, sized by ``SWEEP_BUDGET`` over
+    the group's summed slots x (points + slots).  A chunk is drawn once per
+    channel mode, at the group's largest slot count of that mode, and each
+    batch takes its first n slots and builds it once, at its first alpha.
+    Every receiver of every build of the chunk goes through one
+    ``group_accounting`` call, each build's alphas as its exponent batch:
+    one engine pass per exponent width.  A lone sweep is a group of one
+    batch of one config.
 
     Every group runs once.  If one of its chunks raises, the chunk's trials
     rerun one at a time as the whole group, so the error names the group's
@@ -396,7 +379,10 @@ def _groups(configs) -> list:
     batches = {}  # batch key -> config indices, in list order
     for i, c in enumerate(configs):
         key = (c.scheme, SCHEMES[c.scheme].states(c.alpha), c.rho_db, c.trials, c.seed)
-        batches.setdefault(key if c.alpha > 0 else i, []).append(i)
+        # Two bc-fixed alphas may share their slot states but not their
+        # layout: 0.8 (T1 = 5) and 1/6 (T1 = 6) both run 19 slots.
+        alone = c.alpha == 0 or c.scheme == "bc-fixed"
+        batches.setdefault(i if alone else key, []).append(i)
     groups = {}  # group key -> batches, each its config indices
     for members in batches.values():
         c = configs[members[0]]
@@ -550,7 +536,8 @@ class _DecodeTally:
     (kind, alpha), such as ``_sweep_group`` hands its consumer.  Trial
     ``i`` decodes its symbols from seed ``i``.
 
-    Each kind's build is decoded in slices of at most
+    Each kind's build, taken to its alpha with ``dataclasses.replace`` if
+    its batch was built at another, is decoded in slices of at most
     ``DECODE_BUDGET // slots**2`` trials, each with one
     ``noiseless_decode_check``.  A slice that is not the whole chunk is
     built again from its part of the chunk's realization, never redrawn.
@@ -569,6 +556,8 @@ class _DecodeTally:
         a = self.alpha
         for kind in self.failures:
             built = builds[kind, a]
+            if built.alpha != a:
+                built = replace(built, alpha=a)
             real = built.realization
             size = max(1, DECODE_BUDGET // real.n**2)
             for lo in range(0, len(seeds), size):
@@ -613,7 +602,8 @@ def _decode_checks(alphas, trials, seed) -> list[CheckResult]:
     seeds = trial_seeds(seed, trials)
     for start in range(0, trials, size):
         chunk = seeds[start : start + size]
-        tally(start, chunk, {(k, a): s for (k, _), (s,) in zip(kinds, _build_chunk(kinds, chunk))})
+        built = _build_chunk(kinds, chunk)
+        tally(start, chunk, {(k, a): s for (k, _), (s, _) in zip(kinds, built)})
     return tally.rows()
 
 
@@ -645,11 +635,11 @@ def verify_all(
     canary's, are one ``run_sweeps`` group: each chunk is drawn once per
     channel mode, every kind taking the first slots of its mode's draw, and
     every receiver of every build goes through one engine pass per exponent
-    width (a kind's alphas in (0, 1] are one exponent batch wherever its
-    coefficients do not change with alpha).  The decode checks
-    (``_DecodeTally``) read each chunk's builds at their alpha while the
-    chunk is alive, so they draw nothing, and build nothing unless a chunk
-    is decoded in slices or a slice fails.  The lemma-1 checks of every
+    width (a kind's alphas in (0, 1] are one build and one exponent batch,
+    bc-fixed's one each).  The decode checks (``_DecodeTally``) read each
+    chunk's builds, taken to their alpha, while the chunk is alive, so they
+    draw nothing, and build nothing unless a chunk is decoded in slices or
+    a slice fails.  The lemma-1 checks of every
     profile and alpha share one channel draw, one ``conditional_mi`` call
     and one ``fit_slopes`` pass.  ``trials``,
     ``seed`` and every scheme alpha, against each kind's domain, are

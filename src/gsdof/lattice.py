@@ -157,18 +157,16 @@ def _with_structured_noise(base: LinearScheme, name: str) -> LinearScheme:
     interference, and leaving that layer as a row of its own.  A
     trial-batched base gives a trial-batched variant.
     """
-    alpha = base.alpha
     if base.realization.mode != "integer":
         raise ValueError(f"the {name} scheme requires an integer realization")
     low = np.zeros((2, 1), dtype=np.complex128)
     low[0, 0] = 1.0
     slot_maps = ({**base.slot_maps[0], "v_low": low}, *base.slot_maps[1:])
-    groups = (SymbolGroup("v_low", 1, -alpha, "rx1"),) + tuple(
+    groups = (SymbolGroup("v_low", 1, (0, -1), "rx1"),) + tuple(
         replace(g, lattice=True) if g.owner == "noise" else g for g in base.groups
     )
-
-    ledger = {"v_low": 1.0 - alpha, **base.ledger}
-    return replace(base, groups=groups, slot_maps=slot_maps, ledger=ledger)
+    rates = {"v_low": (1, -1), **base.rates}
+    return replace(base, groups=groups, slot_maps=slot_maps, rates=rates)
 
 
 def build_wiretap_lattice(realization: ChannelRealization, alpha: float) -> LinearScheme:

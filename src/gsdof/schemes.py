@@ -6,11 +6,18 @@ a power exponent: its variance scales as rho**exponent relative to the unit
 slot budget.  Per-slot inputs are normalized by an SNR-independent constant
 so the expected transmit power never exceeds one.
 
+Every link runs at rho**1 or rho**alpha, so every power exponent,
+side-channel gain and claimed rate is p + q*alpha for small integers p and
+q.  A scheme declares each as the int pair (p, q), and ``_at`` evaluates it
+at an alpha.  A kind's slot maps, norms and keys therefore depend on alpha
+only through its slot layout: one build serves every alpha of that layout.
+
 A builder chooses only the symbol groups, slot maps, side information, keys
-and rate ledger.  ``LinearScheme`` derives the rest from them, once per
-scheme: the slot norms, each receiver's decode order (its own groups), the
-common layers that decoding is granted, and, when a group is a lattice
-group, the lattice and the SNR at which its decode clears the spacing.
+and rates.  ``LinearScheme`` derives the rest from them, once per scheme:
+the slot norms, the float exponents and ledger at its alpha, each
+receiver's decode order (its own groups), the common layers that decoding
+is granted, and, when a group is a lattice group, the lattice and the SNR
+at which its decode clears the spacing.
 
 One linear observation model per receiver (physical slot outputs plus
 digitized side channels with unit-variance quantization noise) serves both
@@ -100,17 +107,42 @@ class DecodeError(RuntimeError):
 _OWNERS = ("rx1", "rx2", "noise", "common")
 
 
+def _at(pair, alpha):
+    """``p + q * alpha`` of an exponent or rate pair ``(p, q)``.  It gives
+    the bits of the floats 1.0, alpha and -alpha for (1, 0), (0, 1) and
+    (0, -1), except that (0, -1) at alpha = 0 gives 0.0, not -0.0."""
+    p, q = pair
+    return p + q * alpha
+
+
+def _col_exp(groups, alpha) -> np.ndarray:
+    """Each column's power exponent at ``alpha``, groups in order."""
+    return np.repeat([float(_at(g.exponent, alpha)) for g in groups], [g.size for g in groups])
+
+
+def _ledger(rates: dict, alpha) -> dict:
+    """Each group's claimed rate at ``alpha``, in log2(rho) multiples per block."""
+    return {name: float(_at(rate, alpha)) for name, rate in rates.items()}
+
+
 @dataclass(frozen=True)
 class SymbolGroup:
+    """A group of symbols of one owner.  ``exponent`` is the int pair (p, q)
+    of the symbol variance rho**(p + q*alpha), which must not exceed one at
+    any alpha in [0, 1]: p <= 0 and p + q <= 0."""
+
     name: str
     size: int
-    exponent: float  # symbol variance = rho**exponent, exponent <= 0
+    exponent: tuple[int, int]
     owner: str  # "rx1" | "rx2" | "noise" | "common"
     lattice: bool = False
 
     def __post_init__(self) -> None:
-        if self.exponent > 1e-12:
-            raise ValueError("symbol power exponents must be <= 0")
+        e = self.exponent
+        if type(e) is not tuple or len(e) != 2 or {type(x) for x in e} != {int}:
+            raise ValueError(f"a power exponent is an int pair (p, q), got {e!r}")
+        if e[0] > 0 or e[0] + e[1] > 0:
+            raise ValueError(f"symbol power exponent {e} exceeds 0 on alpha in [0, 1]")
         if self.owner not in _OWNERS:
             raise ValueError(f"unknown owner {self.owner!r}")
 
@@ -122,36 +154,40 @@ class SideChannel:
 
     The content of slot ``t`` is the other receiver's noiseless slot output
     with its link gain stripped (its channel row applied to the normalized
-    slot input).  Observation model: rho**(gain_exponent/2) * content + unit
-    noise, where the unit noise stands for the bounded quantization
-    distortion.
+    slot input).  Observation model: rho**(g/2) * content + unit noise,
+    where g = p + q*alpha of the int pair ``gain_exponent`` and the unit
+    noise stands for the bounded quantization distortion.
     """
 
     receiver: int  # the receiver the side information is delivered to
     label: str
-    gain_exponent: float
+    gain_exponent: tuple[int, int]
     slots: tuple[int, ...]  # slots whose other-receiver outputs are delivered
 
 
 @dataclass(frozen=True)
 class LinearScheme:
     """A scheme as its builder chooses it: symbol groups, per-slot maps,
-    delivered side information, keys and the claimed rate ledger.
+    delivered side information, keys and the claimed ``rates``, each
+    group's rate per block as an int pair (p, q), p + q*alpha multiples of
+    log2(rho).
 
     Everything else follows from those and is derived once, in
-    ``__post_init__`` (so ``dataclasses.replace`` derives it again):
-    ``slot_norms``, the per-slot Frobenius norms of the maps;
-    ``decode_order``, each receiver's own groups in declaration order, for
-    the receivers that have any; ``granted_layers``, the common groups,
-    which decoding is given; ``lattice``, a ``LatticeConfig`` if any group
-    is a lattice group and None if not; ``decode_rho``, the SNR of the
-    noiseless decode check (``DECODE_RHO`` for a Gaussian scheme,
-    ``_lattice_decode_rho`` for a lattice one); and the column layout that
-    every receiver's observation matrix shares: ``columns``, each group's
-    column slice in declaration order; ``col_exp``, each column's power
-    exponent; ``masks``, each group's columns as a boolean mask;
-    ``owner_masks``, the columns of each owner; and ``lattice_mask``, the
-    columns of the lattice groups."""
+    ``__post_init__`` (so ``dataclasses.replace`` derives it again, as
+    ``replace(scheme, alpha=a)`` gives the scheme at another alpha of its
+    layout): ``slot_norms``, the per-slot Frobenius norms of the maps;
+    ``ledger``, the rates as floats at ``alpha``; ``decode_order``, each
+    receiver's own groups in declaration order, for the receivers that
+    have any; ``granted_layers``, the common groups, which decoding is
+    given; ``lattice``, a ``LatticeConfig`` if any group is a lattice group
+    and None if not; ``decode_rho``, the SNR of the noiseless decode check
+    (``DECODE_RHO`` for a Gaussian scheme, ``_lattice_decode_rho`` for a
+    lattice one); and the column layout that every receiver's observation
+    matrix shares: ``columns``, each group's column slice in declaration
+    order; ``col_exp``, each column's power exponent at ``alpha``;
+    ``masks``, each group's columns as a boolean mask; ``owner_masks``, the
+    columns of each owner; and ``lattice_mask``, the columns of the lattice
+    groups."""
 
     alpha: float
     realization: ChannelRealization
@@ -159,7 +195,8 @@ class LinearScheme:
     slot_maps: tuple  # per slot: dict group name -> ([trials,] 2, size) array
     side_channels: tuple[SideChannel, ...] = ()
     keys: dict = field(default_factory=dict)  # receiver -> {group: ([trials,] k, size)}
-    ledger: dict = field(default_factory=dict)  # group -> log2(rho) multiple per block
+    rates: dict = field(default_factory=dict)  # group -> (p, q) log2(rho) multiples per block
+    ledger: dict = field(init=False)  # group -> float rate at alpha
     slot_norms: tuple = field(init=False)  # per slot: a float, or a (trials,) array
     decode_order: dict = field(init=False)  # receiver -> own groups
     granted_layers: tuple = field(init=False)
@@ -175,6 +212,7 @@ class LinearScheme:
         derive = functools.partial(object.__setattr__, self)
         groups = self.groups
         derive("slot_norms", _normalize(self.slot_maps, self.realization))
+        derive("ledger", _ledger(self.rates, self.alpha))
         owned = {r: tuple(g.name for g in groups if g.owner == _own_owner(r)) for r in (1, 2)}
         derive("decode_order", {r: names for r, names in owned.items() if names})
         derive("granted_layers", tuple(g.name for g in groups if g.owner == "common"))
@@ -186,7 +224,7 @@ class LinearScheme:
         ids = np.repeat(np.arange(len(groups)), sizes)  # each column's group
         ends = itertools.accumulate(sizes)
         derive("columns", {g.name: slice(e - g.size, e) for g, e in zip(groups, ends)})
-        derive("col_exp", np.array([float(g.exponent) for g in groups])[ids])
+        derive("col_exp", _col_exp(groups, self.alpha))
 
         def mask(keep) -> np.ndarray:
             return np.array([bool(keep(g)) for g in groups])[ids]
@@ -232,19 +270,17 @@ def _one_trial(scheme: LinearScheme, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _row_plan(scheme: LinearScheme, receiver: int) -> list:
-    """``receiver``'s observation rows as (slot, channel, exponent): one per
-    own slot output (channel "h" at receiver 1, "g" at receiver 2), then one
-    per overheard slot output delivered to it as side information."""
+def _row_plan(scheme: LinearScheme, receiver: int, alpha) -> list:
+    """``receiver``'s observation rows as (slot, channel, exponent at
+    ``alpha``): one per own slot output (channel "h" at receiver 1, "g" at
+    receiver 2), then one per overheard slot output delivered to it as side
+    information."""
     real = scheme.realization
     own, other = ("h", "g") if receiver == 1 else ("g", "h")
-    plan = [
-        (t, own, state.exponents(scheme.alpha)[receiver - 1])
-        for t, state in enumerate(real.states)
-    ]
+    plan = [(t, own, state.exponents(alpha)[receiver - 1]) for t, state in enumerate(real.states)]
     for ch in scheme.side_channels:
         if ch.receiver == receiver:
-            plan += [(t, other, ch.gain_exponent) for t in ch.slots]
+            plan += [(t, other, _at(ch.gain_exponent, alpha)) for t in ch.slots]
     return plan
 
 
@@ -267,7 +303,7 @@ class _ReceiverStructure:
         self.col_exp, self.masks = scheme.col_exp, scheme.masks
         self.owner_masks = scheme.owner_masks
         self.total = pos = scheme.col_exp.size
-        self.plan = plan = _row_plan(scheme, receiver)
+        self.plan = plan = _row_plan(scheme, receiver, scheme.alpha)
         self.row_exp = np.asarray([e for _, _, e in plan], dtype=float)
 
         lead = real.h.shape[:-2]
@@ -292,7 +328,7 @@ class _ReceiverStructure:
         key_coef = np.zeros(lead + (k, pos), dtype=np.complex128)
         for name, m in key_map.items():
             exponent = scheme.group(name).exponent
-            if exponent != 0:
+            if exponent != (0, 0):
                 raise ValueError(
                     f"key on group {name!r} with power exponent {exponent}: "
                     "keys must sit on unit-power groups"
@@ -331,27 +367,6 @@ def _other(receiver: int) -> int:
     return 2 if receiver == 1 else 1
 
 
-def _alpha_free_parts(scheme: LinearScheme) -> tuple:
-    """What accounting reads off ``scheme`` besides its power exponents, as
-    values that compare with ``==`` bit for bit: the groups' names and
-    owners, ``columns``, ``slot_maps``, ``slot_norms``, ``keys`` and each
-    receiver's row plan without its exponents.  Schemes with equal parts
-    have equal receiver coefficients and keys, so one ``accounting_bits``
-    call can evaluate them all (its ``batch``)."""
-
-    def arrays(maps: dict) -> tuple:
-        return tuple((name, m.dtype.str, m.shape, m.tobytes()) for name, m in maps.items())
-
-    return (
-        tuple((g.name, g.owner) for g in scheme.groups),
-        scheme.columns,
-        tuple(arrays(maps) for maps in scheme.slot_maps),
-        tuple(np.asarray(norm).tobytes() for norm in scheme.slot_norms),
-        tuple((r, arrays(maps)) for r, maps in scheme.keys.items()),
-        tuple(tuple((t, c) for t, c, _ in _row_plan(scheme, r)) for r in (1, 2)),
-    )
-
-
 def _chains(scheme: LinearScheme, receiver: int) -> tuple:
     """``receiver``'s two chain-rule chains, as (groups in decode order,
     owner whose messages are given): its own groups, given the other
@@ -365,10 +380,9 @@ def _chains(scheme: LinearScheme, receiver: int) -> tuple:
 def group_accounting(builds, rho) -> list[tuple[dict, dict]]:
     """(reliability, leakage) per group of each build, in order, from one
     ``conditional_mi`` call per exponent width: a build is a (scheme,
-    batch) pair, where ``batch`` lists the schemes whose exponents are
-    evaluated on ``scheme``'s coefficients, such as builds of one
-    realization at several alphas whose ``_alpha_free_parts`` equal
-    ``scheme``'s, or ``[scheme]``.
+    alphas) pair, whose exponent batch is the scheme's pairs evaluated at
+    each of ``alphas`` on its coefficients, such as every alpha of the
+    scheme's slot layout, or ``[scheme.alpha]``.
 
     Each receiver of each build is one job: its rho-free coefficients,
     keys and exponent batch, and both chains (``_chains``), each step given
@@ -383,20 +397,20 @@ def group_accounting(builds, rho) -> list[tuple[dict, dict]]:
     the pass holds one receiver's dense matrices at a time.  Values have
     the trials axis, if any, then the batch axis, then the shape of
     ``rho``; entry ``j`` of the batch axis equals
-    ``accounting_bits(batch[j], rho)`` bit for bit."""
+    ``accounting_bits(replace(scheme, alpha=alphas[j]), rho)`` bit for bit."""
     widths = {}  # exponent width -> indices of its builds
-    for i, (_, batch) in enumerate(builds):
-        widths.setdefault(len(batch), []).append(i)
+    for i, (_, alphas) in enumerate(builds):
+        widths.setdefault(len(alphas), []).append(i)
     out = [None] * len(builds)
 
     def receiver_jobs(members):
         # One job per receiver, its structure assembled as the engine draws it.
-        for scheme, batch in (builds[i] for i in members):
+        for scheme, alphas in (builds[i] for i in members):
             for receiver in (1, 2):
                 st = receiver_structure(scheme, receiver)
-                plans = [_row_plan(s, receiver) for s in batch]
+                plans = [_row_plan(scheme, receiver, a) for a in alphas]
                 row_exp = np.array([[e for _, _, e in plan] for plan in plans], dtype=float)
-                col_exp = np.array([s.col_exp for s in batch])
+                col_exp = np.array([_col_exp(scheme.groups, a) for a in alphas])
                 targets, givens = [], []
                 for order, known_owner in _chains(scheme, receiver):
                     given = st.owner_masks[known_owner] | st.owner_masks["common"]
@@ -437,7 +451,7 @@ def accounting_bits(scheme: LinearScheme, rho) -> tuple[dict, dict]:
     arrays for a batched scheme over an SNR grid.
     """
     rho = np.asarray(rho, dtype=float)
-    rel, leak = group_accounting([(scheme, [scheme])], rho)[0]
+    rel, leak = group_accounting([(scheme, [scheme.alpha])], rho)[0]
     return tuple({k: np.take(v, 0, axis=-1 - rho.ndim) for k, v in d.items()} for d in (rel, leak))
 
 
@@ -466,8 +480,8 @@ def max_slot_power(scheme: LinearScheme) -> float:
         for rho in POWER_AUDIT_RHOS:
             p = 0.0
             for name, m in maps.items():
-                g = scheme.group(name)
-                p += float(np.sum(np.abs(m) ** 2)) * rho**g.exponent
+                exponent = _at(scheme.group(name).exponent, scheme.alpha)
+                p += float(np.sum(np.abs(m) ** 2)) * rho**exponent
             worst = max(worst, p / norm**2)
     return worst
 
@@ -562,8 +576,9 @@ def digitized_side_info_roundtrip(scheme: LinearScheme, rho: float, seed: int = 
     separately (the weak-side stream at ceil(alpha*log2 rho) bits per
     complex sample over its rho**alpha level, the strong-side stream at
     ceil(log2 rho) bits over its rho level), bit-serialize and XOR them.
-    Alternating schemes instead sum the two same-level signals first and
-    quantize the sum once.  Either way receiver 1 reconstructs the
+    Alternating schemes, whose strong-side gain is rho**alpha (the pair
+    (0, 1)), instead sum the two same-level signals first and quantize the
+    sum once.  Either way receiver 1 reconstructs the
     receiver-2 stream from the common message and its own operand.  Returns
     (max reconstruction error, quantizer error bound, saturation rate).
     """
@@ -574,10 +589,11 @@ def digitized_side_info_roundtrip(scheme: LinearScheme, rho: float, seed: int = 
     symbols, y, z, side = simulate_noiseless(scheme, rho, seed)
     z2 = side["z2_hat"] * rho ** (alpha / 2.0)  # weak-side stream, level rho**alpha
     strong = scheme.side_channels[1]
-    y3 = side["y3_hat"] * rho ** (strong.gain_exponent / 2.0)
+    gain = _at(strong.gain_exponent, alpha)
+    y3 = side["y3_hat"] * rho ** (gain / 2.0)
     bits_z = math.ceil(alpha * math.log2(rho))
 
-    if abs(strong.gain_exponent - alpha) < 1e-12 and len(y3) == len(z2):
+    if strong.gain_exponent == (0, 1):
         # Alternating path: quantize the analog sum, subtract the operand.
         summed = y3 + z2
         qs = quantizer_for_power(2.0 * rho**alpha, bits_z)
@@ -591,9 +607,9 @@ def digitized_side_info_roundtrip(scheme: LinearScheme, rho: float, seed: int = 
         return err, qs.max_error, saturated / len(summed)
 
     # Fixed-topology path: two streams, bit-serialized and XORed.
-    bits_y = math.ceil(strong.gain_exponent * math.log2(rho))
+    bits_y = math.ceil(gain * math.log2(rho))
     qz = quantizer_for_power(rho**alpha, bits_z)
-    qy = quantizer_for_power(rho**strong.gain_exponent, bits_y)
+    qy = quantizer_for_power(rho**gain, bits_y)
     saturated = 0
     iz, iy = [], []
     for v in z2:
@@ -671,15 +687,14 @@ def build_wiretap_gaussian(
     g2, g21 = realization.g[..., 1, :], realization.g[..., 1, 0]
 
     groups = [
-        SymbolGroup("v", 2, 0.0, "rx1"),
-        SymbolGroup("u", 2, 0.0, "noise"),
+        SymbolGroup("v", 2, (0, 0), "rx1"),
+        SymbolGroup("u", 2, (0, 0), "noise"),
     ]
     slot0 = {"u": np.eye(2, dtype=np.complex128)}
     slot1 = {"v": np.eye(2, dtype=np.complex128), "u": _antenna1(h1, 2)}
     slot2 = {"v": _antenna1(g2, 2), "u": _antenna1(g21[..., None] * h1, 2)}
     slot_maps = (slot0, slot1, slot2)
 
-    per_symbol = 1.0 if state == STATE_1A else alpha
     keys = {1: {"u": _row(h1, 2)}, 2: {"u": _row(g1, 2)}}
 
     return LinearScheme(
@@ -688,7 +703,7 @@ def build_wiretap_gaussian(
         groups=tuple(groups),
         slot_maps=slot_maps,
         keys=keys,
-        ledger={"v": 2.0 * per_symbol},
+        rates={"v": (2, 0) if state == STATE_1A else (0, 2)},
     )
 
 
@@ -702,7 +717,7 @@ def build_no_noise_canary(realization: ChannelRealization, alpha: float) -> Line
     """
     _require(realization, [STATE_1A])
 
-    groups = (SymbolGroup("v", 1, 0.0, "rx1"),)
+    groups = (SymbolGroup("v", 1, (0, 0), "rx1"),)
     one = np.zeros((2, 1), dtype=np.complex128)
     one[0, 0] = 1.0
     slot_maps = ({"v": one},)
@@ -712,7 +727,7 @@ def build_no_noise_canary(realization: ChannelRealization, alpha: float) -> Line
         realization=realization,
         groups=groups,
         slot_maps=slot_maps,
-        ledger={"v": 1.0},
+        rates={"v": (1, 0)},
     )
 
 
@@ -730,9 +745,9 @@ def build_yang_baseline(realization: ChannelRealization, alpha: float) -> Linear
     h3, h31 = realization.h[..., 2, :], realization.h[..., 2, 0]
 
     groups = (
-        SymbolGroup("v", 2, 0.0, "rx1"),
-        SymbolGroup("w", 2, 0.0, "rx2"),
-        SymbolGroup("u", 2, 0.0, "noise"),
+        SymbolGroup("v", 2, (0, 0), "rx1"),
+        SymbolGroup("w", 2, (0, 0), "rx2"),
+        SymbolGroup("u", 2, (0, 0), "noise"),
     )
     slot_maps = (
         {"u": np.eye(2, dtype=np.complex128)},
@@ -751,7 +766,7 @@ def build_yang_baseline(realization: ChannelRealization, alpha: float) -> Linear
         groups=groups,
         slot_maps=slot_maps,
         keys={1: {"u": _row(h1, 2)}, 2: {"u": _row(g1, 2)}},
-        ledger={"v": 2.0, "w": 2.0 * alpha},
+        rates={"v": (2, 0), "w": (0, 2)},
     )
 
 
@@ -808,11 +823,11 @@ def build_bc_fixed(
         raise ValueError("theta matrix dimensions do not match the phase lengths")
 
     groups = (
-        SymbolGroup("v", 2 * t1, 0.0, "rx1"),
-        SymbolGroup("w", 2 * t2, 0.0, "rx2"),
-        SymbolGroup("v_low", t1, -alpha, "rx1"),
-        SymbolGroup("u", 2 * t1, 0.0, "noise"),
-        SymbolGroup("c", t1, 0.0, "common"),
+        SymbolGroup("v", 2 * t1, (0, 0), "rx1"),
+        SymbolGroup("w", 2 * t2, (0, 0), "rx2"),
+        SymbolGroup("v_low", t1, (0, -1), "rx1"),
+        SymbolGroup("u", 2 * t1, (0, 0), "noise"),
+        SymbolGroup("c", t1, (0, 0), "common"),
     )
 
     # Phase-1 receiver observations as coefficient rows over u.
@@ -849,8 +864,8 @@ def build_bc_fixed(
     # Overheard side information: receiver 2's phase-2 outputs go to
     # receiver 1, receiver 1's phase-3 outputs go to receiver 2.
     side_channels = (
-        SideChannel(1, "z2_hat", alpha, tuple(range(t1, 2 * t1))),
-        SideChannel(2, "y3_hat", 1.0, tuple(range(2 * t1, 2 * t1 + t2))),
+        SideChannel(1, "z2_hat", (0, 1), tuple(range(t1, 2 * t1))),
+        SideChannel(2, "y3_hat", (1, 0), tuple(range(2 * t1, 2 * t1 + t2))),
     )
 
     # Per-slot decode systems must be invertible, in every trial of a batch.
@@ -871,11 +886,7 @@ def build_bc_fixed(
         slot_maps=slot_maps,
         side_channels=side_channels,
         keys={1: {"u": y1_rows}, 2: {"u": z1_rows}},
-        ledger={
-            "v": (1 + alpha) * t1,
-            "v_low": (1 - alpha) * t1,
-            "w": (1 + alpha) * t2,
-        },
+        rates={"v": (t1, t1), "v_low": (t1, -t1), "w": (t2, t2)},
     )
 
 
@@ -892,11 +903,11 @@ def build_sym_alt(realization: ChannelRealization, alpha: float) -> LinearScheme
     h1, g1 = realization.h[..., 0, :], realization.g[..., 0, :]
 
     groups = (
-        SymbolGroup("v", 2, 0.0, "rx1"),
-        SymbolGroup("w", 2, 0.0, "rx2"),
-        SymbolGroup("w_low", 1, -alpha, "rx2"),
-        SymbolGroup("u", 2, 0.0, "noise"),
-        SymbolGroup("c", 1, 0.0, "common"),
+        SymbolGroup("v", 2, (0, 0), "rx1"),
+        SymbolGroup("w", 2, (0, 0), "rx2"),
+        SymbolGroup("w_low", 1, (0, -1), "rx2"),
+        SymbolGroup("u", 2, (0, 0), "noise"),
+        SymbolGroup("c", 1, (0, 0), "common"),
     )
     one = np.ones((2, 1), dtype=np.complex128)
     one[1, 0] = 0.0
@@ -908,8 +919,8 @@ def build_sym_alt(realization: ChannelRealization, alpha: float) -> LinearScheme
     )
 
     side_channels = (
-        SideChannel(1, "z2_hat", alpha, (1,)),
-        SideChannel(2, "y3_hat", alpha, (2,)),
+        SideChannel(1, "z2_hat", (0, 1), (1,)),
+        SideChannel(2, "y3_hat", (0, 1), (2,)),
     )
 
     return LinearScheme(
@@ -919,7 +930,7 @@ def build_sym_alt(realization: ChannelRealization, alpha: float) -> LinearScheme
         slot_maps=slot_maps,
         side_channels=side_channels,
         keys={1: {"u": _row(h1, 2)}, 2: {"u": _row(g1, 2)}},
-        ledger={"v": 1.0 + alpha, "w": 1.0 + alpha, "w_low": 1.0 - alpha},
+        rates={"v": (1, 1), "w": (1, 1), "w_low": (1, -1)},
     )
 
 
@@ -939,9 +950,9 @@ def build_gdof_no_secrecy(realization: ChannelRealization, alpha: float) -> Line
     g1, h2 = realization.g[..., 0, :], realization.h[..., 1, :]
 
     groups = (
-        SymbolGroup("v", 2, 0.0, "rx1", lattice=True),
-        SymbolGroup("w", 2, 0.0, "rx2", lattice=True),
-        SymbolGroup("v_low", 3, -alpha, "rx1"),
+        SymbolGroup("v", 2, (0, 0), "rx1", lattice=True),
+        SymbolGroup("w", 2, (0, 0), "rx2", lattice=True),
+        SymbolGroup("v_low", 3, (0, -1), "rx1"),
     )
 
     def _low(col: int) -> np.ndarray:
@@ -960,7 +971,7 @@ def build_gdof_no_secrecy(realization: ChannelRealization, alpha: float) -> Line
         realization=realization,
         groups=groups,
         slot_maps=slot_maps,
-        ledger={"v": 2.0 * alpha, "v_low": 3.0 * (1 - alpha), "w": 2.0 * alpha},
+        rates={"v": (0, 2), "v_low": (3, -3), "w": (0, 2)},
     )
 
 
@@ -1033,7 +1044,8 @@ def simulate_noiseless(scheme: LinearScheme, rho: float, seed=0):
         draws = [_draw_symbols(scheme, rng) for rng in seed_generators(seed)]
         symbols = {name: np.stack([d[name] for d in draws]) for name in draws[0]}
     phys = {
-        g.name: np.asarray(symbols[g.name], dtype=np.complex128) * rho ** (g.exponent / 2.0)
+        g.name: np.asarray(symbols[g.name], dtype=np.complex128)
+        * rho ** (_at(g.exponent, scheme.alpha) / 2.0)
         for g in scheme.groups
     }
     y = np.zeros(lead + (real.n,), dtype=np.complex128)

@@ -753,11 +753,50 @@ def test_run_sweeps_name_the_groups_lowest_failing_trial(monkeypatch):
         experiments.run_sweeps(configs)
 
 
-def test_run_sweeps_does_not_batch_a_slot_map_that_scales_with_alpha(monkeypatch):
-    # A planted yang builder weighs slot 1's v map by 1 + alpha, so its
-    # coefficients change with alpha.  The run-time comparison of the
-    # alpha-free parts evaluates each alpha on its own scheme, on the shared
-    # draw, and every report still equals run_sweep's.
+def _alpha_free_builds(build, kind, alphas) -> bool:
+    """True iff ``build`` at each of ``alphas``, on one trial-batched draw
+    of 3 seeds, gives the same symbol groups, side channels, rates, slot
+    maps, slot norms and keys, and the same receiver coefficients and key
+    coefficients, bit for bit: what lets one build serve a batch of
+    ``run_sweeps``."""
+    real = schemes._draw_for(kind, alphas[0], [0, 1, 2])
+
+    def parts(s):
+        arrays = [m for maps in s.slot_maps for m in maps.values()]
+        arrays += [np.asarray(norm) for norm in s.slot_norms]
+        arrays += [m for r in sorted(s.keys) for m in s.keys[r].values()]
+        for receiver in (1, 2):
+            st = schemes.receiver_structure(s, receiver)
+            arrays += [st.coef, st.key_coef]
+        names = [list(maps) for maps in s.slot_maps], [(r, list(s.keys[r])) for r in sorted(s.keys)]
+        layout = [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+        return s.groups, s.side_channels, s.rates, names, layout
+
+    first, *rest = (parts(build(real, a)) for a in alphas)
+    return all(p == first for p in rest)
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_alpha_free_builds_within_each_slot_layout(kind):
+    # The invariant a run_sweeps batch rests on: at every alpha k/20 in the
+    # kind's domain, the builds at the alphas of one slot layout (here, one
+    # tuple of slot states; each bc-fixed alpha is one of its own) share
+    # every coefficient bit for bit, alpha = 0 included.
+    spec = SCHEMES[kind]
+    layouts = {}
+    for a in (k / 20 for k in range(21)):
+        if _in_domain(kind, a):
+            layouts.setdefault(spec.states(a), []).append(a)
+    assert layouts
+    for alphas in layouts.values():
+        assert _alpha_free_builds(spec.build, kind, alphas), alphas
+
+
+def test_run_sweeps_does_not_batch_a_slot_map_that_scales_with_alpha():
+    # run_sweeps builds each batch once, at its first alpha, so a builder
+    # whose coefficients change with alpha beyond its slot layout would be
+    # evaluated on the wrong coefficients.  The invariant check flags one:
+    # a planted yang builder that weighs slot 1's v map by 1 + alpha.
     spec = SCHEMES["yang"]
 
     def planted(realization, alpha):
@@ -766,20 +805,22 @@ def test_run_sweeps_does_not_batch_a_slot_map_that_scales_with_alpha(monkeypatch
         maps[1] = {**maps[1], "v": maps[1]["v"] * (1 + alpha)}
         return dataclasses.replace(scheme, slot_maps=tuple(maps))
 
-    monkeypatch.setitem(SCHEMES, "yang", dataclasses.replace(spec, build=planted))
-    configs = [SweepConfig("yang", a, GRID, trials=12, seed=5) for a in (0.25, 0.5, 0.75)]
-    batched = []
-    accounting = experiments.group_accounting
+    alphas = [0.25, 0.5, 0.75]
+    assert _alpha_free_builds(spec.build, "yang", alphas)
+    assert not _alpha_free_builds(planted, "yang", alphas)
 
-    def spy(builds, rho):
-        batched.append([[s.alpha for s in batch] for _, batch in builds])
-        return accounting(builds, rho)
 
-    want = [run_sweep(c) for c in configs]
-    monkeypatch.setattr(experiments, "group_accounting", spy)
-    _same_reports(experiments.run_sweeps(configs), want)
-    # One accounting call for the chunk, with each alpha a build of its own.
-    assert batched == [[[0.25], [0.5], [0.75]]]
+def test_run_sweeps_runs_bc_fixed_alphas_of_one_slot_count_apart():
+    # bc-fixed at 0.8 (T1 = 5, T2 = 4) and at 1/6 (T1 = 6, T2 = 1) both run
+    # 19 slots in state 1a, but their builds lay the phases out differently:
+    # each is a batch of its own, and each report equals run_sweep's.
+    alphas = [0.8, 1 / 6]
+    spec = SCHEMES["bc-fixed"]
+    assert spec.states(alphas[0]) == spec.states(alphas[1])
+    assert not _alpha_free_builds(spec.build, "bc-fixed", alphas)
+    configs = [SweepConfig("bc-fixed", a, GRID, trials=10, seed=6) for a in alphas]
+    assert experiments._groups(configs) == [[[0], [1]]]
+    _same_reports(experiments.run_sweeps(configs), [run_sweep(c) for c in configs])
 
 
 def test_run_sweep_monotone_receiver2_rate_in_alpha():
@@ -897,10 +938,12 @@ def test_region_checks_build_each_outer_bound_once_per_alpha(monkeypatch):
 def test_scheme_checks_build_one_scheme_per_sweep_chunk(monkeypatch):
     # Every kind's alphas and the canary run as one group, and each chunk
     # is drawn once per channel mode, at the group's largest slot count of
-    # that mode, and built once per alpha on that draw, and nothing else:
-    # the ledger rows read the chunks' schemes.  At 10 trials the group is
-    # one chunk: the complex draw takes bc-fixed's 15 slots at alpha 0.75,
-    # and the integer draw int-sym-alt's 4.
+    # that mode, and built once per batch on that draw, and nothing else:
+    # the ledger rows read the chunks' schemes.  A batch is built at its
+    # first alpha: each kind once, at 0.25, and bc-fixed once per alpha, 11
+    # builds with the canary's.  At 10 trials the group is one chunk: the
+    # complex draw takes bc-fixed's 15 slots at alpha 0.75, and the integer
+    # draw int-sym-alt's 4.
     alphas = (0.25, 0.5, 0.75)
     draws, builds = [], []
     draw = schemes.draw_channels
@@ -927,7 +970,9 @@ def test_scheme_checks_build_one_scheme_per_sweep_chunk(monkeypatch):
             mode = SCHEMES[kind].mode
             slots[mode] = max(slots.get(mode, 0), len(SCHEMES[kind].states(a)))
     assert sorted(draws) == sorted(slots.items()) == [("complex", 15), ("integer", 4)]
-    assert sorted(builds) == sorted((kind, a) for kind in kinds[:-1] for a in alphas)
+    once = [(kind, alphas[0]) for kind in kinds[:-1] if kind != "bc-fixed"]
+    assert sorted(builds) == sorted(once + [("bc-fixed", a) for a in alphas])
+    assert len(builds) + 1 == 11
     assert checks[-1].name == "leakage/canary-no-noise"
     assert all(c.passed for c in checks)
 
@@ -1047,15 +1092,18 @@ def _plant(kind, h, g) -> None:
 
 def _planting(kind, trials, seed, count, alpha=0.5):
     """``kind``'s spec with a builder that plants ``_plant`` in the given
-    trials of ``trial_seeds(seed, count)`` at ``alpha``.  A trial is known
-    by the bytes of its own channel draw, so a chunk's batched build, a
-    slice of it and a one-trial rebuild all plant the same trials."""
+    trials of ``trial_seeds(seed, count)``, known by the bytes of their
+    channel draws at ``alpha``, at whatever alpha it is called with: a
+    decode reads its batch's build, made at the batch's first alpha.  A
+    trial is known by the bytes of its own channel draw, so a chunk's
+    batched build, a slice of it and a one-trial rebuild all plant the same
+    trials."""
     spec = SCHEMES[kind]
     seeds = trial_seeds(seed, count)
     marks = {schemes._draw_for(kind, alpha, seeds[i]).h.tobytes() for i in trials}
 
     def build(real, a):
-        if a == alpha and marks:
+        if marks:
             h, g = (x.reshape(-1, real.n, 2).copy() for x in (real.h, real.g))
             for b in range(len(h)):
                 if h[b].tobytes() in marks:

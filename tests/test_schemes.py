@@ -13,6 +13,7 @@ from gsdof.schemes import (
     SCHEMES,
     SECURE_SCHEMES,
     DecodeError,
+    SymbolGroup,
     UniformQuantizer,
     accounting_bits,
     audit_causality,
@@ -582,12 +583,42 @@ def test_keys_carry_no_snr_axis():
 
 
 def test_receiver_structure_refuses_key_on_scaled_group():
-    sch = build_scheme("bc-fixed", 0.5, seed=2)
-    size = sch.group("v_low").size
-    keys = {1: {"v_low": np.ones((1, size), dtype=np.complex128)}}
-    sch = dataclasses.replace(sch, keys=keys)
-    with pytest.raises(ValueError, match="'v_low'"):
-        receiver_structure(sch, 1)
+    # bc-fixed's v_low and sym-alt's w_low sit at rho**(-alpha), the pair
+    # (0, -1): a key on either is refused, at alpha = 0 too, where the
+    # group's power is rho**0.
+    cases = [("bc-fixed", "v_low", 0.5), ("sym-alt", "w_low", 0.5), ("sym-alt", "w_low", 0)]
+    for kind, name, alpha in cases:
+        sch = build_scheme(kind, alpha, seed=2)
+        size = sch.group(name).size
+        keys = {1: {name: np.ones((1, size), dtype=np.complex128)}}
+        sch = dataclasses.replace(sch, keys=keys)
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            receiver_structure(sch, 1)
+
+
+def test_symbol_group_takes_int_pairs_at_most_zero_on_the_unit_interval():
+    for pair in [(0, 0), (0, -1), (-1, 1)]:
+        assert SymbolGroup("x", 1, pair, "rx1").exponent == pair
+    # Above 0 at alpha = 1, above 0 at alpha = 0, and not a pair of ints.
+    for pair in [(0, 1), (1, -2), (0, -0.5)]:
+        with pytest.raises(ValueError):
+            SymbolGroup("x", 1, pair, "rx1")
+
+
+@pytest.mark.parametrize("kind", [k for k in SCHEME_KINDS if SCHEMES[k].target])
+def test_rates_meet_the_target_exactly(kind):
+    # Each owner's rate pairs, evaluated at a Fraction alpha, summed and
+    # divided by the slot count, equal the kind's target as Fractions.
+    spec = SCHEMES[kind]
+    for a in [a for a in CROSS_ALPHAS if _in_domain(spec, a)]:
+        sch = build_scheme(kind, a, seed=0)
+        owner = {g.name: g.owner for g in sch.groups}
+        n = sch.realization.n
+        d = [
+            sum(schemes._at(r, a) for g, r in sch.rates.items() if owner[g] == rx) / n
+            for rx in ("rx1", "rx2")
+        ]
+        assert tuple(d) == spec.target(a), a
 
 
 def _same_bytes(x, y) -> bool:
@@ -837,7 +868,8 @@ def test_observation_model_matches_simulation(kind):
             pos = sch.realization.n
             for ch in sch.side_channels:
                 if ch.receiver == receiver:
-                    model[pos : pos + len(ch.slots)] /= rho ** (ch.gain_exponent / 2.0)
+                    gain = schemes._at(ch.gain_exponent, sch.alpha)
+                    model[pos : pos + len(ch.slots)] /= rho ** (gain / 2.0)
                     pos += len(ch.slots)
                     expected.append(side[ch.label])
             expected = np.concatenate(expected)
@@ -864,7 +896,7 @@ def test_simulation_normalizes_power():
         symbols, y, z, side = simulate_noiseless(sch, rho=1e8, seed=i)
         # reconstruct slot-2 input power
         phys = {
-            g.name: np.asarray(symbols[g.name]) * (1e8) ** (g.exponent / 2.0)
+            g.name: np.asarray(symbols[g.name]) * (1e8) ** (schemes._at(g.exponent, 0.5) / 2.0)
             for g in sch.groups
         }
         x = np.zeros(2, dtype=complex)
@@ -939,6 +971,26 @@ def test_digitized_side_info_roundtrip_bounded_over_rho():
             assert sat_rate < 1e-3
             errors.append(err)
         assert max(errors) < 20.0  # bounded distortion across three decades
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_only_the_fixed_topology_scheme_xors_its_side_information(monkeypatch, alpha):
+    # bc-fixed quantizes its two overheard streams separately and XORs them,
+    # at alpha = 1 too, where its two side channels have equal gains and
+    # lengths; sym-alt quantizes the analog sum and never XORs.
+    calls = []
+
+    def counting(i1, i2):
+        calls.append((i1, i2))
+        return xor_bits(i1, i2)
+
+    monkeypatch.setattr(schemes, "xor_bits", counting)
+    for kind, xors in (("bc-fixed", True), ("sym-alt", False)):
+        calls.clear()
+        sch = build_scheme(kind, alpha, seed=3)
+        err, bound, _ = schemes.digitized_side_info_roundtrip(sch, 1e9, seed=1)
+        assert bool(calls) is xors, kind
+        assert err <= bound + 1e-9, (kind, err, bound)
 
 
 def test_bc_fixed_rank_checks_cover_every_trial_of_a_batch():
