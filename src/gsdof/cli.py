@@ -187,9 +187,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     unknown = set(values) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    prefix = []
-    for key, value in values.items():
-        prefix.extend([f"--{key.replace('_', '-')}", value])
+    # One --key=value token each, so that a value that starts with "-",
+    # such as the dB grid -30:0:10, is not read as a flag.
+    prefix = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
     # subcommand, then config-derived defaults, then explicit flags
     # (argparse lets later occurrences win).
     pos = rest.index(command)

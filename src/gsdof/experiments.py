@@ -345,22 +345,22 @@ def run_sweeps(configs) -> list[RateReport]:
     """``run_sweep`` of each config, in order: one ``RateReport`` per config,
     equal to ``run_sweep(config)`` byte for byte.
 
-    Configs that share the kind, the slot states, the SNR grid, the trials
-    and the seed, each with an alpha above 0, form one batch; an alpha = 0
-    config is a batch of one, and so is a ``bc-fixed`` alpha, whose phase
-    lengths T1 and alpha*T1 lay out its slot maps.  A kind declares its
-    exponents, gains and rates as pairs p + q*alpha, so its slot maps,
-    norms and keys depend on alpha only through that layout: one build
-    serves the whole batch.  The batches that share the SNR grid, the
-    trials and the seed form one group, run by ``_sweep_group``: its chunks
-    hold the same trials for every batch, sized by ``SWEEP_BUDGET`` over
-    the group's summed slots x (points + slots).  A chunk is drawn once per
-    channel mode, at the group's largest slot count of that mode, and each
-    batch takes its first n slots and builds it once, at its first alpha.
-    Every receiver of every build of the chunk goes through one
-    ``group_accounting`` call, each build's alphas as its exponent batch:
-    one engine pass per exponent width.  A lone sweep is a group of one
-    batch of one config.
+    Configs that share the kind, the slot states, the SNR grid, the trials and
+    the seed form one batch, alpha = 0 included; a ``bc-fixed`` alpha is a
+    batch of one, since its phase lengths T1 and alpha*T1 lay out its slot
+    maps.  A kind declares its exponents, gains and rates as pairs p +
+    q*alpha, so its slot maps, norms and keys depend on alpha only through
+    that layout: one build serves the whole batch, and one block plan per
+    receiver serves every chunk and alpha of it.  The batches that share the
+    SNR grid, the trials and the seed form one group, run by
+    ``_sweep_group``: its chunks hold the same trials for every batch, sized
+    by ``SWEEP_BUDGET`` over the group's summed slots x (points + slots).  A
+    chunk is drawn once per channel mode, at the group's largest slot count
+    of that mode, and each batch takes its first n slots and builds it once,
+    at its first alpha.  Every receiver of every build of the chunk goes
+    through one ``group_accounting`` call, each build's exponent pairs and
+    alphas as its exponent batch: one engine pass per exponent width.  A
+    lone sweep is a group of one batch of one config.
 
     Every group runs once.  If one of its chunks raises, the chunk's trials
     rerun one at a time as the whole group, so the error names the group's
@@ -381,8 +381,7 @@ def _groups(configs) -> list:
         key = (c.scheme, SCHEMES[c.scheme].states(c.alpha), c.rho_db, c.trials, c.seed)
         # Two bc-fixed alphas may share their slot states but not their
         # layout: 0.8 (T1 = 5) and 1/6 (T1 = 6) both run 19 slots.
-        alone = c.alpha == 0 or c.scheme == "bc-fixed"
-        batches.setdefault(i if alone else key, []).append(i)
+        batches.setdefault(i if c.scheme == "bc-fixed" else key, []).append(i)
     groups = {}  # group key -> batches, each its config indices
     for members in batches.values():
         c = configs[members[0]]
@@ -635,15 +634,16 @@ def verify_all(
     canary's, are one ``run_sweeps`` group: each chunk is drawn once per
     channel mode, every kind taking the first slots of its mode's draw, and
     every receiver of every build goes through one engine pass per exponent
-    width (a kind's alphas in (0, 1] are one build and one exponent batch,
-    bc-fixed's one each).  The decode checks (``_DecodeTally``) read each
-    chunk's builds, taken to their alpha, while the chunk is alive, so they
-    draw nothing, and build nothing unless a chunk is decoded in slices or
-    a slice fails.  The lemma-1 checks of every
-    profile and alpha share one channel draw, one ``conditional_mi`` call
-    and one ``fit_slopes`` pass.  ``trials``,
-    ``seed`` and every scheme alpha, against each kind's domain, are
-    checked before any check runs.
+    width (a kind's alphas, alpha = 0 included, are one build and one
+    exponent batch, bc-fixed's one each, and each receiver's block plan is
+    formed once for them all).  The decode checks (``_DecodeTally``) read
+    each chunk's builds, taken to their alpha, while the chunk is alive, so
+    they draw nothing, and build nothing unless a chunk is decoded in slices
+    or a slice fails.  The lemma-1 checks of every profile and alpha share
+    one channel draw, one ``conditional_mi`` call and one ``fit_slopes``
+    pass, each case with its own row exponent pairs.  ``trials``, ``seed``
+    and every scheme alpha, against each kind's domain, are checked before
+    any check runs.
     """
     _check_trials_and_seed(trials, seed)
     for kind in SCHEME_TARGETS:

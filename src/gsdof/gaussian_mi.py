@@ -3,9 +3,13 @@
 ``conditional_mi`` is the one MI engine: every scheme rate and leakage,
 and every block entropy of lemma 1's entropy-order checks, is a difference
 of closed-form log-determinants of covariances, with no estimator noise.
-It takes the SNR-free coefficients, the row and column power exponents and
-the SNRs, so the key projection and the Gram pieces are formed once per
-trial and each SNR adds only elementwise work and a log-det.  Neither step
+It takes the SNR-free coefficients, the row and column power exponents as
+int pairs (p, q), the alphas at which each exponent p + q*alpha is taken,
+and the SNRs, so the key projection and the Gram pieces are formed once per
+trial and each (alpha, SNR) point adds only elementwise work and a log-det.
+Columns are split into levels by their pairs, which do not depend on alpha,
+so one block plan serves every alpha of a receiver layout, alpha = 0
+included.  Neither step
 calls LAPACK per matrix: the projection is a modified Gram-Schmidt of the
 key rows and the log-det an LDLᴴ elimination (``_logdet2``, the package's
 only log-det), both run over whole stacks in real arithmetic.  A call takes
@@ -162,43 +166,32 @@ def _logdet2(g: np.ndarray):
     return logdet.reshape(g.shape[:-2]) / math.log(2.0)
 
 
-def _levels(col_exp: np.ndarray, cols: np.ndarray) -> tuple:
-    """The column levels of an exponent batch ``col_exp`` (batch, ...), whose
-    trailing axes match ``cols``, the column index of each entry: each
-    distinct vector of one column's exponents across the batch, ascending,
-    as ((batch,) exponents, read-only mask of its columns).  A single level
-    has no mask, since it holds every column, and no columns make one level
-    at exponent 0.
+def _levels(col_exp: np.ndarray) -> tuple:
+    """The column levels of the int exponent pairs ``col_exp`` (..., 2), one
+    pair per column entry: each distinct pair (p, q), ascending, as (pair,
+    read-only mask of its columns).  A single level has no mask, since it
+    holds every column, and no columns make one level at (0, 0).
 
-    Every batch entry must split the columns into the same levels, in the
-    same ascending order, or its sums would not be those of its own call: a
-    ValueError names the columns of two levels that merge or swap at some
-    entry (at alpha = 0, for example, the -alpha and 0 levels merge, since
-    -0.0 == 0.0)."""
-    vectors = col_exp.reshape(len(col_exp), -1).T  # one row per column entry
-    values = sorted(set(map(tuple, vectors.tolist()))) or [(0.0,) * len(col_exp)]
-    if len(values) == 1:
-        return ((np.array(values[0]), None),)
-    masks = [(vectors == v).all(axis=1).reshape(col_exp.shape[1:]) for v in values]
-    for i, at in enumerate(zip(*values)):
-        for j in range(len(values) - 1):
-            if not at[j] < at[j + 1]:
-                a, b = (sorted(set(cols[mask].tolist())) for mask in masks[j : j + 2])
-                raise ValueError(
-                    f"exponent batch entry {i} merges or reorders column levels: "
-                    f"columns {a} have exponent {at[j]} and columns {b} exponent {at[j + 1]}"
-                )
+    The levels do not depend on alpha, so every alpha of an exponent batch
+    sums its Gram pieces in the same grouping and order: two levels stay
+    two pieces at an alpha where their exponents p + q*alpha meet, such as
+    (0, -1) and (0, 0) at alpha = 0."""
+    pairs = sorted(set(map(tuple, col_exp.reshape(-1, 2).tolist()))) or [(0, 0)]
+    if len(pairs) == 1:
+        return ((pairs[0], None),)
+    masks = [(col_exp == pair).all(axis=-1) for pair in pairs]
     for mask in masks:
         mask.flags.writeable = False
-    return tuple(zip(map(np.array, values), masks))
+    return tuple(zip(pairs, masks))
 
 
 def _entropy_given_keys(c: np.ndarray, k: np.ndarray, row_exp, levels, rho):
     """log2-det part of h(A s + n | K s) for s ~ CN(0, I) and unit noise,
     where A scales entry (i, j) of the rho-free ``c`` by rho^((r_i + c_j)/2),
-    at each entry of an exponent batch: row exponents ``row_exp`` (...,
-    batch, rows), column exponents given as ``levels`` (see ``_levels``),
-    and an array of SNRs ``rho``.
+    at each entry of an exponent batch: float row exponents ``row_exp``
+    (..., batch, rows), column exponents given as ``levels``, each (its
+    exponents over the batch, mask of its columns) (see ``_gathered``), and
+    an array of SNRs ``rho``.
 
     Conditioning on the noiseless functionals K s projects the symbol space
     onto the orthogonal complement of the key rows (the Schur complement of
@@ -287,47 +280,38 @@ def _blocks(support: np.ndarray, m: int) -> list:
 
 @functools.lru_cache(maxsize=128)
 def _stack_plan(
-    support: bytes,
-    support_shape: tuple,
-    m: int,
-    keeps: tuple,
-    batch: int,
-    row_exp: bytes,
-    col_exp: bytes,
+    support: bytes, support_shape: tuple, m: int, keeps: tuple, col_exp: bytes
 ) -> tuple:
     """How ``_entropies_by_block`` evaluates the kept column masks ``keeps``
-    on a support matrix (see ``_blocks``), both given as bool bytes;
-    ``row_exp`` and ``col_exp`` are the float64 bytes of an exponent batch
-    of ``batch`` entries, (batch, m) for the ``m`` observation rows and
-    (batch, columns).
+    on a support matrix (see ``_blocks``), both given as bool bytes, whose
+    first ``m`` rows are observation rows; ``col_exp`` is the int64 bytes of
+    the (columns, 2) exponent pairs.
 
     Each distinct (block, kept columns) pair is evaluated once, and pairs
     of equal (rows, key rows, kept columns) shape form one stack.  Returns,
     per stack shape, the flat indices of its pairs into the (rows * cols)
     observation and (key rows * cols) key matrices, shaped (pairs, rows,
-    kept) and (pairs, key rows, kept), the (pairs, batch, rows) row
-    exponents and the stack's column levels (see ``_levels``); and per
-    mask, the (stack shape, pair) of each block part.  A receiver layout
-    repeats over chunks and sweeps, and this plan costs about as much as the
-    whole evaluation of a small receiver, so it is cached; the exponents are
-    part of the key, since they change with alpha on one support.  The
-    result is immutable (tuples, read-only arrays), since every caller
-    shares it.
+    kept) and (pairs, key rows, kept), the (pairs, rows) row indices and
+    the stack's column levels (see ``_levels``); and per mask, the (stack
+    shape, pair) of each block part.  A receiver layout repeats over chunks,
+    sweeps and alphas, and this plan costs about as much as the whole
+    evaluation of a small receiver, so it is cached.  Nothing in it depends
+    on alpha, so one plan serves every alpha of a layout.  The result is
+    immutable (tuples, read-only arrays), since every caller shares it.
 
-    Raises ValueError if a key row touches a column whose exponent is not 0
-    at some batch entry, naming the first such (batch entry, key row,
-    column) and that entry's exponent: the engine's Gram pieces need the
-    key projection to commute with the column scaling."""
+    Raises ValueError if a key row touches a column whose pair is not (0,
+    0), naming the first such (key row, column) and the column's pair: the
+    engine's Gram pieces need the key projection to commute with the column
+    scaling at every alpha."""
     n = support_shape[1]
-    row_exp = np.frombuffer(row_exp).reshape(batch, m)
-    col_exp = np.frombuffer(col_exp).reshape(batch, n)
+    col_exp = np.frombuffer(col_exp, dtype=np.int64).reshape(n, 2)
     support = np.frombuffer(support, dtype=bool).reshape(support_shape)
-    scaled_key = (col_exp != 0)[:, None, :] & support[m:]
+    scaled_key = col_exp.any(axis=1) & support[m:]
     if scaled_key.any():
-        b, i, j = np.argwhere(scaled_key)[0].tolist()
+        i, j = np.argwhere(scaled_key)[0].tolist()
         raise ValueError(
-            f"key row {i} touches column {j}, whose power exponent is {col_exp[b, j]}: "
-            "keys must sit on exponent-0 columns"
+            f"key row {i} touches column {j}, whose exponent pair is "
+            f"{tuple(col_exp[j].tolist())}: keys must sit on (0, 0) columns"
         )
     blocks = _blocks(support, m)
     stacks = {}  # stack shape -> [(rows, key rows, kept columns) index arrays]
@@ -352,12 +336,10 @@ def _stack_plan(
     for shape, stack in stacks.items():
         rows, key_rows, kept = (np.array(x) for x in zip(*stack))
         cols = kept[:, None, :]
-        exps = np.moveaxis(row_exp[:, rows], 0, -2)
-        arrays = (rows[:, :, None] * n + cols, key_rows[:, :, None] * n + cols, exps)
+        arrays = (rows[:, :, None] * n + cols, key_rows[:, :, None] * n + cols, rows)
         for x in arrays:
             x.flags.writeable = False
-        levels = _levels(col_exp[:, kept], kept)
-        gathers.append((shape, *arrays, levels))
+        gathers.append((shape, *arrays, _levels(col_exp[kept])))
     return tuple(gathers), tuple(map(tuple, parts))
 
 
@@ -366,7 +348,7 @@ def _merged(parts, batch: tuple, width: int) -> tuple:
     levels) of one (rows, key rows, kept columns) shape, as one stack
     concatenated along the pair axis, each broadcast to the batch shape
     ``batch``: coefficients, keys, (pairs, width, rows) row exponents and
-    column levels (see ``_levels``).
+    column levels (see ``_gathered``).
 
     A lone stack is returned as it is.  Otherwise level ``l`` of the merged
     stack holds each stack's ``l``-th level, its exponents as a (pairs,
@@ -400,39 +382,46 @@ def _merged(parts, batch: tuple, width: int) -> tuple:
 
 
 def _gathered(job) -> tuple:
-    """A job (coef, keys, keeps, row_exp, col_exp) of ``_entropies_by_block``
-    as its ``_stack_plan`` parts per mask, its stacks as (stack shape,
-    (coefficients, keys, row exponents, levels)), each gathered with one
-    take on the job's flattened matrices (a C-contiguous (..., pairs, rows,
-    kept) array), the batch shapes of ``coef`` and ``keys``, and its
-    exponent width."""
-    coef, keys, keeps, row_exp, col_exp = job
+    """A job (coef, keys, keeps, row_exp, col_exp, alpha) of
+    ``_entropies_by_block`` as its ``_stack_plan`` parts per mask, its
+    stacks as (stack shape, (coefficients, keys, row exponents, levels)),
+    each gathered with one take on the job's flattened matrices (a
+    C-contiguous (..., pairs, rows, kept) array), the batch shapes of
+    ``coef`` and ``keys``, and its exponent width, the length of ``alpha``.
+
+    The exponents are formed here, once per call: each pair (p, q) is p + q
+    * alpha at each alpha of the batch, the bits of ``schemes._at``, as
+    (pairs, width, rows) row exponents and, per column level of the plan, a
+    (width,) array with the level's mask."""
+    coef, keys, keeps, row_exp, col_exp, alpha = job
     support = np.concatenate([_support(coef), _support(keys)])
     gathers, parts = _stack_plan(
         support.tobytes(),
         support.shape,
         coef.shape[-2],
         tuple(k.tobytes() for k in keeps),
-        len(col_exp),
-        row_exp.tobytes(),
         col_exp.tobytes(),
     )
+    row_exp = row_exp[..., 0] + row_exp[..., 1] * alpha[:, None]  # (width, rows)
     batches = [coef.shape[:-2], keys.shape[:-2]]
     coef, keys = (x.reshape(x.shape[:-2] + (-1,)) for x in (coef, keys))
-    stacks = [
-        (shape, (np.take(coef, rows, axis=-1), np.take(keys, key_rows, axis=-1), exps, levels))
-        for shape, rows, key_rows, exps, levels in gathers
-    ]
-    return parts, stacks, batches, len(col_exp)
+    stacks = []
+    for shape, flat, key_flat, rows, levels in gathers:
+        gathered = np.take(coef, flat, axis=-1), np.take(keys, key_flat, axis=-1)
+        levels = tuple((p + q * alpha, mask) for (p, q), mask in levels)
+        stacks.append((shape, (*gathered, np.moveaxis(row_exp[:, rows], 0, -2), levels)))
+    return parts, stacks, batches, len(alpha)
 
 
 def _entropies_by_block(jobs, rho) -> list:
-    """For each job (coef, keys, keeps, row_exp, col_exp) drawn from the
-    iterable ``jobs``, the ``_entropy_given_keys`` of the observations
+    """For each job (coef, keys, keeps, row_exp, col_exp, alpha) drawn from
+    the iterable ``jobs``, the ``_entropy_given_keys`` of the observations
     restricted to each kept column mask in ``keeps`` (the rows of a bool
-    array), at each entry of the exponent batch ``row_exp`` (width, rows)
-    and ``col_exp`` (width, cols) and each SNR of ``rho``, evaluated per
-    block and summed over blocks: per job, a list of one array per mask.
+    array), at each alpha of the (width,) float array ``alpha`` and each SNR
+    of ``rho``, evaluated per block and summed over blocks: per job, a list
+    of one array per mask.  The exponents are int64 pairs: ``col_exp``
+    (cols, 2), and ``row_exp`` (rows, 2) or, one entry per alpha, (width,
+    rows, 2).
     Every job has the same exponent width, and batch axes that broadcast
     together.
 
@@ -493,20 +482,31 @@ def _entropies_by_block(jobs, rho) -> list:
 
 def _conditional_mis(jobs, rho: np.ndarray) -> list:
     """``conditional_mi`` of each (coef, keys, target, given, row_exp,
-    col_exp) job drawn from the iterable ``jobs``, whose exponents are
-    batches, at the SNR array ``rho``, from one ``_entropies_by_block``
-    call, which draws each job once."""
+    col_exp, alpha) job drawn from the iterable ``jobs``, whose ``alpha`` is
+    a 1-D exponent batch, at the SNR array ``rho``, from one
+    ``_entropies_by_block`` call, which draws each job once."""
     stacked = []  # per job: whether its masks are stacks, with a pair axis
 
     def prepared():
-        for coef, keys, target, given, row_exp, col_exp in jobs:
+        for coef, keys, target, given, row_exp, col_exp, alpha in jobs:
             m, n = coef.shape[-2:]
+            row_exp, col_exp = np.asarray(row_exp), np.asarray(col_exp)
+            alpha = np.asarray(alpha, dtype=float)
+            if (
+                alpha.ndim != 1
+                or col_exp.shape != (n, 2)
+                or row_exp.shape not in ((m, 2), (len(alpha), m, 2))
+                or not {row_exp.dtype.kind, col_exp.dtype.kind} <= {"i", "u"}
+            ):
+                raise ValueError(
+                    "exponents are int pairs (p, q): col_exp (cols, 2), and row_exp "
+                    "(rows, 2) or one (rows, 2) entry per alpha of the batch"
+                )
             keep1 = ~np.asarray(given, dtype=bool)
             keep1, keep2 = np.broadcast_arrays(keep1, keep1 & ~np.asarray(target, dtype=bool))
             stacked.append(keep1.ndim > 1)
-            exps = np.asarray(row_exp, dtype=float), np.asarray(col_exp, dtype=float)
             keeps = np.stack([keep1, keep2]).reshape(-1, n)
-            yield coef, keys, keeps, exps[0].reshape(-1, m), exps[1].reshape(-1, n)
+            yield coef, keys, keeps, row_exp, col_exp.astype(np.int64, copy=False), alpha
 
     out = []
     for h, pairs in zip(_entropies_by_block(prepared(), rho), stacked):
@@ -524,39 +524,42 @@ def conditional_mi(
     row_exp=None,
     col_exp=None,
     rho=None,
+    alpha=None,
 ):
     """I(s_target ; obs | s_given, keys) in bits.
 
     The observations are ``obs = A s + n`` with unit receiver noise, where
     entry (i, j) of A is entry (i, j) of the (m, k) matrix ``coef``, symbol
-    variances folded into its columns, scaled by rho^((row_exp[i] +
-    col_exp[j]) / 2).  ``keys`` holds noiseless linear functionals of the
-    symbols that the receiver is deemed to know exactly; they do not scale
-    with the SNR, and a key row may touch only columns of exponent 0 (a
-    ValueError names the first column that breaks this).  ``target`` and
-    ``given`` are boolean column masks; conditioning on a symbol subset
-    removes its columns (symbols are independent).
+    variances folded into its columns, scaled by rho^((r_i + c_j) / 2).
+    The exponents are int pairs (p, q), each p + q * ``alpha``: ``row_exp``
+    (m, 2) gives r_i and ``col_exp`` (k, 2) gives c_j.  ``keys`` holds
+    noiseless linear functionals of the symbols that the receiver is deemed
+    to know exactly; they do not scale with the SNR, and a key row may touch
+    only columns of pair (0, 0) (a ValueError names the first column that
+    breaks this, and its pair).  ``target`` and ``given`` are boolean column
+    masks; conditioning on a symbol subset removes its columns (symbols are
+    independent).
 
-    ``row_exp`` and ``col_exp`` default to zeros, and ``rho`` to None, which
-    is evaluated as rho = 1.0: every scale factor is then 1.0, so A =
-    ``coef`` bit for bit (the dense call).  Given ``rho``, a scalar or an
-    array of SNRs, the result has the batch shape followed by ``rho``'s
-    shape.  The key projection and the Gram pieces are formed once per
-    trial, whatever the number of SNRs (see ``_entropy_given_keys``).
+    ``row_exp`` and ``col_exp`` default to (0, 0) pairs, and ``rho`` to
+    None, which is evaluated as rho = 1.0: every scale factor is then 1.0,
+    so A = ``coef`` bit for bit (the dense call).  Given ``rho``, a scalar
+    or an array of SNRs, the result has the batch shape followed by
+    ``rho``'s shape.  The key projection and the Gram pieces are formed once
+    per trial, whatever the number of SNRs (see ``_entropy_given_keys``).
+    Exponent pairs need ``alpha``, a float.
 
-    ``row_exp`` (batch, m) and ``col_exp`` (batch, k) are an exponent
-    batch, such as one row per alpha of a scheme whose coefficients do not
-    depend on alpha; it needs ``rho``.  The key projection, the Gram pieces,
-    the support and the block plan are then formed once for the whole
-    batch, each (batch entry, SNR) point is evaluated elementwise, and the
-    result carries the batch axis after the batch axes of ``coef`` and
-    before ``rho``'s axes.  Each entry equals the call on its own exponents
-    bit for bit: columns are split into levels by their exponent vectors
-    across the batch, and a batch whose entries would split or order the
-    levels otherwise, such as alpha = 0 (whose -alpha and 0 levels merge)
-    beside an alpha > 0, is refused with a ValueError naming the columns.
-    1-D exponents are evaluated as a batch of one, whose axis is dropped on
-    return, so there is one evaluation path.
+    ``alpha`` may instead be a 1-D exponent batch, such as every alpha of a
+    scheme's slot layout, whose coefficients do not depend on alpha.  The
+    key projection, the Gram pieces, the support and the block plan are
+    then formed once for the whole batch, each (alpha, SNR) point is
+    evaluated elementwise, and the result carries the batch axis after the
+    batch axes of ``coef`` and before ``rho``'s axes.  ``row_exp`` may then
+    give each alpha its own (m, 2) rows, as (alphas, m, 2).  Each entry
+    equals the call at its own alpha bit for bit, alpha = 0 beside any
+    other alpha included: the columns are split into levels by their pairs,
+    which do not depend on alpha, and the exponents p + q * alpha are formed
+    per call.  A float ``alpha`` is evaluated as a batch of one, whose axis
+    is dropped on return, so there is one evaluation path.
 
     ``coef`` and ``keys`` may carry leading batch axes (for example trials,
     or trials x 1 for keys shared over a second axis); the result then has
@@ -588,16 +591,16 @@ def conditional_mi(
 
     ``coef`` may instead be an iterable of jobs, such as the receivers of
     every build of a sweep chunk, each a (coef, keys, target, given,
-    row_exp, col_exp) tuple whose exponents are an exponent batch; ``rho``
-    is then needed, and the other arguments are not given.  The result is a
-    list, and entry ``j`` equals the call on job ``j`` bit for bit.  The
-    jobs must share one exponent width, and batch axes that broadcast
-    together, such as the trials of one chunk: they form one engine pass,
-    which evaluates the blocks of one (rows, key rows, kept columns) shape
-    over all of the jobs as one stack, in packs of one elimination chunk
-    (see ``_entropies_by_block``).  Each job is drawn once and its stacks
-    gathered at once, so a generator of jobs holds one job's matrices at a
-    time.  A single job is an iterable of one.
+    row_exp, col_exp, alpha) tuple whose ``alpha`` is a 1-D exponent batch;
+    ``rho`` is then needed, and the other arguments are not given.  The
+    result is a list, and entry ``j`` equals the call on job ``j`` bit for
+    bit.  The jobs must share one exponent width, and batch axes that
+    broadcast together, such as the trials of one chunk: they form one
+    engine pass, which evaluates the blocks of one (rows, key rows, kept
+    columns) shape over all of the jobs as one stack, in packs of one
+    elimination chunk (see ``_entropies_by_block``).  Each job is drawn once
+    and its stacks gathered at once, so a generator of jobs holds one job's
+    matrices at a time.  A single job is an iterable of one.
     """
     if not isinstance(coef, np.ndarray):
         if rho is None:
@@ -605,18 +608,15 @@ def conditional_mi(
         return _conditional_mis(coef, np.asarray(rho, dtype=float))
     if keys is None or target is None or given is None:
         raise TypeError("conditional_mi of one job needs keys, target and given")
+    if alpha is None and (row_exp is not None or col_exp is not None):
+        raise ValueError("exponent pairs need alpha")
     m, n = coef.shape[-2:]
-    row_exp = np.zeros(m) if row_exp is None else np.asarray(row_exp, dtype=float)
-    col_exp = np.zeros(n) if col_exp is None else np.asarray(col_exp, dtype=float)
-    single = row_exp.ndim == col_exp.ndim == 1
-    if not single:
-        if row_exp.shape[:-1] != col_exp.shape[:-1] or row_exp.ndim > 2 or rho is None:
-            raise ValueError(
-                "an exponent batch is one leading axis of both exponents, and needs rho"
-            )
+    row_exp = np.zeros((m, 2), dtype=np.int64) if row_exp is None else row_exp
+    col_exp = np.zeros((n, 2), dtype=np.int64) if col_exp is None else col_exp
+    single = np.ndim(alpha) == 0
     rho = np.asarray(1.0 if rho is None else rho, dtype=float)
-    exps = row_exp.reshape(-1, m), col_exp.reshape(-1, n)
-    mi = _conditional_mis([(coef, keys, target, given, *exps)], rho)[0]
+    alphas = np.atleast_1d(0.0 if alpha is None else alpha)
+    mi = _conditional_mis([(coef, keys, target, given, row_exp, col_exp, alphas)], rho)[0]
     return mi.squeeze(axis=-1 - rho.ndim) if single else mi
 
 
@@ -669,8 +669,8 @@ def _lemma1_entropies(cases, rho, seed: int) -> np.ndarray:
     keyless block: row t is sqrt(1/2) h_t and row n + t is sqrt(1/2) g_t,
     both on slot t's two antenna columns, every column at exponent 0 and in
     the target.  A leading coefficient axis of 3 keeps the y rows, the z
-    rows and both; each case is one entry of the exponent batch, with its
-    rows at the exponents of its profile's ``state_sequence``.  The engine
+    rows and both; each case is one alpha of the exponent batch, with its
+    own row pairs, those of its profile's ``state_sequence``.  The engine
     splits the block into its slots and sums them in slot order, so each
     entry has the bits of its own one-case, one-SNR call."""
     n = LEMMA1_SLOTS
@@ -681,11 +681,13 @@ def _lemma1_entropies(cases, rho, seed: int) -> np.ndarray:
     coef[0, slot, cols] = math.sqrt(0.5) * realization.h
     coef[1, n + slot, cols] = math.sqrt(0.5) * realization.g
     coef[2] = coef[0] + coef[1]
-    exps = [[s.exponents(a) for s in state_sequence(p, n)] for p, a in cases]
-    row_exp = np.array(exps, dtype=float).swapaxes(1, 2).reshape(len(cases), 2 * n)
+    pairs = [[s.pairs for s in state_sequence(p, n)] for p, _ in cases]
+    row_exp = np.array(pairs).swapaxes(1, 2).reshape(len(cases), 2 * n, 2)
     every = np.ones(2 * n, dtype=bool)
     keys = np.zeros((0, 2 * n))
-    return conditional_mi(coef, keys, every, ~every, row_exp, np.zeros_like(row_exp), rho)
+    col_exp = np.zeros((2 * n, 2), dtype=np.int64)
+    alphas = [a for _, a in cases]
+    return conditional_mi(coef, keys, every, ~every, row_exp, col_exp, rho, alphas)
 
 
 def _lemma1_slopes(cases, rho_grid, seed: int) -> list:

@@ -8,16 +8,17 @@ so the expected transmit power never exceeds one.
 
 Every link runs at rho**1 or rho**alpha, so every power exponent,
 side-channel gain and claimed rate is p + q*alpha for small integers p and
-q.  A scheme declares each as the int pair (p, q), and ``_at`` evaluates it
-at an alpha.  A kind's slot maps, norms and keys therefore depend on alpha
-only through its slot layout: one build serves every alpha of that layout.
+q.  A scheme declares each as the int pair (p, q), and the pairs reach the
+MI engine as pairs: a float p + q*alpha is formed only where it is used.
+A kind's slot maps, norms and keys therefore depend on alpha only through
+its slot layout: one build serves every alpha of that layout.
 
 A builder chooses only the symbol groups, slot maps, side information, keys
 and rates.  ``LinearScheme`` derives the rest from them, once per scheme:
-the slot norms, the float exponents and ledger at its alpha, each
-receiver's decode order (its own groups), the common layers that decoding
-is granted, and, when a group is a lattice group, the lattice and the SNR
-at which its decode clears the spacing.
+the slot norms, the ledger at its alpha, each receiver's decode order (its
+own groups), the common layers that decoding is granted, and, when a group
+is a lattice group, the lattice and the SNR at which its decode clears the
+spacing.
 
 One linear observation model per receiver (physical slot outputs plus
 digitized side channels with unit-variance quantization noise) serves both
@@ -115,11 +116,6 @@ def _at(pair, alpha):
     return p + q * alpha
 
 
-def _col_exp(groups, alpha) -> np.ndarray:
-    """Each column's power exponent at ``alpha``, groups in order."""
-    return np.repeat([float(_at(g.exponent, alpha)) for g in groups], [g.size for g in groups])
-
-
 def _ledger(rates: dict, alpha) -> dict:
     """Each group's claimed rate at ``alpha``, in log2(rho) multiples per block."""
     return {name: float(_at(rate, alpha)) for name, rate in rates.items()}
@@ -184,7 +180,7 @@ class LinearScheme:
     (``DECODE_RHO`` for a Gaussian scheme, ``_lattice_decode_rho`` for a
     lattice one); and the column layout that every receiver's observation
     matrix shares: ``columns``, each group's column slice in declaration
-    order; ``col_exp``, each column's power exponent at ``alpha``;
+    order; ``col_exp``, each column's exponent pair, (columns, 2) ints;
     ``masks``, each group's columns as a boolean mask; ``owner_masks``, the
     columns of each owner; and ``lattice_mask``, the columns of the lattice
     groups."""
@@ -203,7 +199,7 @@ class LinearScheme:
     lattice: object = field(init=False)  # a LatticeConfig, or None
     decode_rho: float = field(init=False)
     columns: dict = field(init=False)  # group name -> column slice
-    col_exp: np.ndarray = field(init=False)  # per column: its group's power exponent
+    col_exp: np.ndarray = field(init=False)  # per column: its group's exponent pair
     masks: dict = field(init=False)  # group name -> column mask
     owner_masks: dict = field(init=False)  # owner -> column mask
     lattice_mask: np.ndarray = field(init=False)  # columns of the lattice groups
@@ -224,7 +220,7 @@ class LinearScheme:
         ids = np.repeat(np.arange(len(groups)), sizes)  # each column's group
         ends = itertools.accumulate(sizes)
         derive("columns", {g.name: slice(e - g.size, e) for g, e in zip(groups, ends)})
-        derive("col_exp", _col_exp(groups, self.alpha))
+        derive("col_exp", np.repeat(np.array([g.exponent for g in groups]), sizes, axis=0))
 
         def mask(keep) -> np.ndarray:
             return np.array([bool(keep(g)) for g in groups])[ids]
@@ -270,17 +266,17 @@ def _one_trial(scheme: LinearScheme, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _row_plan(scheme: LinearScheme, receiver: int, alpha) -> list:
-    """``receiver``'s observation rows as (slot, channel, exponent at
-    ``alpha``): one per own slot output (channel "h" at receiver 1, "g" at
-    receiver 2), then one per overheard slot output delivered to it as side
+def _row_plan(scheme: LinearScheme, receiver: int) -> list:
+    """``receiver``'s observation rows as (slot, channel, exponent pair):
+    one per own slot output (channel "h" at receiver 1, "g" at receiver 2),
+    then one per overheard slot output delivered to it as side
     information."""
     real = scheme.realization
     own, other = ("h", "g") if receiver == 1 else ("g", "h")
-    plan = [(t, own, state.exponents(alpha)[receiver - 1]) for t, state in enumerate(real.states)]
+    plan = [(t, own, state.pairs[receiver - 1]) for t, state in enumerate(real.states)]
     for ch in scheme.side_channels:
         if ch.receiver == receiver:
-            plan += [(t, other, _at(ch.gain_exponent, alpha)) for t in ch.slots]
+            plan += [(t, other, ch.gain_exponent) for t in ch.slots]
     return plan
 
 
@@ -292,7 +288,7 @@ class _ReceiverStructure:
     ``owner_masks`` are its layout, shared, not copied.  The rows follow
     the row plan (``_row_plan``: each row's slot, its channel, the
     receiver's own or the other receiver's for a delivered side channel,
-    and its exponent).
+    and its exponent pair), and ``row_exp`` holds their (rows, 2) pairs.
     ``coef`` (rows, cols) and ``key_coef`` (keys, cols) hold the
     coefficients, with the scheme's trials axis leading for a batch; each
     (slot, group) cell is filled for all trials with one
@@ -300,11 +296,11 @@ class _ReceiverStructure:
 
     def __init__(self, scheme: LinearScheme, receiver: int):
         real, columns = scheme.realization, scheme.columns
-        self.col_exp, self.masks = scheme.col_exp, scheme.masks
+        self.alpha, self.col_exp, self.masks = scheme.alpha, scheme.col_exp, scheme.masks
         self.owner_masks = scheme.owner_masks
-        self.total = pos = scheme.col_exp.size
-        self.plan = plan = _row_plan(scheme, receiver, scheme.alpha)
-        self.row_exp = np.asarray([e for _, _, e in plan], dtype=float)
+        self.total = pos = len(scheme.col_exp)
+        self.plan = plan = _row_plan(scheme, receiver)
+        self.row_exp = np.array([e for _, _, e in plan])
 
         lead = real.h.shape[:-2]
         channels = {"h": real.h[..., None, :], "g": real.g[..., None, :]}
@@ -336,6 +332,12 @@ class _ReceiverStructure:
             key_coef[..., columns[name]] = m
         self.coef, self.key_coef = coef, key_coef
 
+    def exponents(self) -> tuple[np.ndarray, np.ndarray]:
+        """The float row and column exponents p + q*alpha at the scheme's
+        alpha, for the paths that scale by them directly."""
+        a = float(self.alpha)
+        return tuple(e[:, 0] + e[:, 1] * a for e in (self.row_exp, self.col_exp))
+
     def scaled(self, rho) -> tuple[np.ndarray, np.ndarray]:
         """Observation and key matrices at SNR ``rho``, a scalar or an array
         whose shape becomes the batch shape of the observations, after the
@@ -347,8 +349,9 @@ class _ReceiverStructure:
         which never forms it."""
         r = np.asarray(rho, dtype=float)
         lead = self.coef.shape[:-2] + (1,) * r.ndim
+        row_exp, col_exp = self.exponents()
         a = self.coef.reshape(lead + self.coef.shape[-2:]) * r[..., None, None] ** (
-            (self.row_exp[:, None] + self.col_exp[None, :]) / 2.0
+            (row_exp[:, None] + col_exp[None, :]) / 2.0
         )
         return a, self.key_coef.reshape(lead + self.key_coef.shape[-2:])
 
@@ -380,23 +383,23 @@ def _chains(scheme: LinearScheme, receiver: int) -> tuple:
 def group_accounting(builds, rho) -> list[tuple[dict, dict]]:
     """(reliability, leakage) per group of each build, in order, from one
     ``conditional_mi`` call per exponent width: a build is a (scheme,
-    alphas) pair, whose exponent batch is the scheme's pairs evaluated at
-    each of ``alphas`` on its coefficients, such as every alpha of the
-    scheme's slot layout, or ``[scheme.alpha]``.
+    alphas) pair, whose exponent batch is ``alphas`` on the scheme's
+    coefficients, such as every alpha of the scheme's slot layout, or
+    ``[scheme.alpha]``.
 
-    Each receiver of each build is one job: its rho-free coefficients,
-    keys and exponent batch, and both chains (``_chains``), each step given
-    the chain's owner's messages, the common layer, the granted keys and
-    the chain's earlier groups.  The SNR enters only in the engine, so a
-    batched scheme is projected and its Gram pieces formed once per trial,
-    not once per (trial, SNR).  The jobs of the builds of one width form
-    one engine pass (see ``conditional_mi``), so the builds of one sweep
-    chunk, which hold the same trials, share their evaluations of each
-    (rows, key rows, kept columns) shape.  Each receiver is assembled as
-    the engine draws its job and dropped once its stacks are gathered, so
-    the pass holds one receiver's dense matrices at a time.  Values have
-    the trials axis, if any, then the batch axis, then the shape of
-    ``rho``; entry ``j`` of the batch axis equals
+    Each receiver of each build is one job: its rho-free coefficients, keys, row
+    and column exponent pairs and ``alphas``, and both chains (``_chains``),
+    each step given the chain's owner's messages, the common layer, the
+    granted keys and the chain's earlier groups.  The SNR enters only in the
+    engine, so a batched scheme is projected and its Gram pieces formed once
+    per trial, not once per (trial, SNR).  The jobs of the builds of one
+    width form one engine pass (see ``conditional_mi``), so the builds of
+    one sweep chunk, which hold the same trials, share their evaluations of
+    each (rows, key rows, kept columns) shape.  Each receiver is assembled
+    as the engine draws its job and dropped once its stacks are gathered, so
+    the pass holds one receiver's dense matrices at a time.  Values have the
+    trials axis, if any, then the batch axis, then the shape of ``rho``;
+    entry ``j`` of the batch axis equals
     ``accounting_bits(replace(scheme, alpha=alphas[j]), rho)`` bit for bit."""
     widths = {}  # exponent width -> indices of its builds
     for i, (_, alphas) in enumerate(builds):
@@ -408,9 +411,6 @@ def group_accounting(builds, rho) -> list[tuple[dict, dict]]:
         for scheme, alphas in (builds[i] for i in members):
             for receiver in (1, 2):
                 st = receiver_structure(scheme, receiver)
-                plans = [_row_plan(scheme, receiver, a) for a in alphas]
-                row_exp = np.array([[e for _, _, e in plan] for plan in plans], dtype=float)
-                col_exp = np.array([_col_exp(scheme.groups, a) for a in alphas])
                 targets, givens = [], []
                 for order, known_owner in _chains(scheme, receiver):
                     given = st.owner_masks[known_owner] | st.owner_masks["common"]
@@ -418,7 +418,8 @@ def group_accounting(builds, rho) -> list[tuple[dict, dict]]:
                         targets.append(st.masks[name])
                         givens.append(given)
                         given = given | st.masks[name]
-                yield st.coef, st.key_coef, np.array(targets), np.array(givens), row_exp, col_exp
+                masks = np.array(targets), np.array(givens)
+                yield st.coef, st.key_coef, *masks, st.row_exp, st.col_exp, alphas
 
     for members in widths.values():
         bits = iter(conditional_mi(receiver_jobs(members), rho=rho))
@@ -435,7 +436,7 @@ def group_accounting(builds, rho) -> list[tuple[dict, dict]]:
 
 def accounting_bits(scheme: LinearScheme, rho) -> tuple[dict, dict]:
     """(reliability, leakage) per group: ``group_accounting`` of one build,
-    the scheme's own exponents as a batch of one, whose axis is dropped.
+    the scheme's own alpha as a batch of one, whose axis is dropped.
 
     Reliability is what each receiver decodes of its own groups, in
     ``decode_order``, given the other receiver's message groups, the common
@@ -1073,7 +1074,7 @@ def _peel_lattice_rows(scheme: LinearScheme, st, obs):
     others (the lattice step of ``linear_decode``)."""
     lat = scheme.lattice_mask
     touched = (st.coef != 0).reshape((-1,) + st.coef.shape[-2:]).any(0)
-    peel = ~(touched & (st.col_exp == 0) & ~lat).any(-1)
+    peel = ~(touched & (st.col_exp == 0).all(-1) & ~lat).any(-1)  # unit power: pair (0, 0)
     norm = np.stack([np.asarray(scheme.slot_norms[t]) for t, _, _ in st.plan], -1)[..., peel]
     part = _lattice().nearest_point(obs[..., peel] * norm, scheme.lattice) / norm
     rest = obs.copy()
@@ -1123,12 +1124,13 @@ def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
     out = {}
     for receiver, order in scheme.decode_order.items():
         st = receiver_structure(scheme, receiver)
+        row_exp, col_exp = st.exponents()
         obs = np.concatenate(
-            [np.asarray(outputs[receiver], dtype=np.complex128) / rho ** (st.row_exp[:n] / 2)]
+            [np.asarray(outputs[receiver], dtype=np.complex128) / rho ** (row_exp[:n] / 2)]
             + [side[ch.label] for ch in scheme.side_channels if ch.receiver == receiver],
             axis=-1,
         )
-        gain = rho ** (st.col_exp / 2)
+        gain = rho ** (col_exp / 2)
         own = st.owner_masks[_own_owner(receiver)]
         granted = np.zeros(st.total, dtype=bool)
         known = np.zeros(lead + (st.total,), dtype=np.complex128)

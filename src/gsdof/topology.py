@@ -37,6 +37,7 @@ __all__ = [
 
 STRONG = "strong"
 WEAK = "weak"
+_PAIRS = {STRONG: (1, 0), WEAK: (0, 1)}
 
 RANK_TOL = 1e-9
 _MAX_REDRAWS = 1000
@@ -61,11 +62,15 @@ class TopologyState:
                 raise ValueError(f"exponent label must be strong/weak, got {label!r}")
 
     def exponents(self, alpha: float) -> tuple[float, float]:
-        """Exponent values (A1, A2) at weak-link level ``alpha``."""
-        return (
-            1.0 if self.a1 == STRONG else alpha,
-            1.0 if self.a2 == STRONG else alpha,
-        )
+        """Exponent values (A1, A2) at weak-link level ``alpha``: each pair's
+        p + q*alpha (see ``pairs``)."""
+        return tuple(p + q * alpha for p, q in self.pairs)
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Exponent pairs (p, q) of (A1, A2), each exponent p + q*alpha:
+        (1, 0) for a strong link and (0, 1) for a weak one."""
+        return _PAIRS[self.a1], _PAIRS[self.a2]
 
     @property
     def label(self) -> str:

@@ -154,6 +154,19 @@ def test_config_file_defaults_and_override(tmp_path):
     assert ",0.75," in out.read_text().splitlines()[1]
 
 
+def test_config_file_takes_a_negative_db_grid(tmp_path):
+    # A config value that starts with "-" is one --key=value token, as the
+    # command line's --rho-db=-30:0:10 is, and gives that run's bytes.
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("scheme = yang\nalpha = 0.5\ntrials = 10\nrho-db = -30:0:10\n")
+    outs = tmp_path / "config.csv", tmp_path / "flag.csv"
+    assert parse_and_dispatch(["simulate", "--config", str(cfg), "--out", str(outs[0])]) == 0
+    flags = ["--scheme", "yang", "--alpha", "0.5", "--trials", "10", "--rho-db=-30:0:10"]
+    assert parse_and_dispatch(["simulate", *flags, "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert ",-30," in outs[0].read_text()
+
+
 def test_config_file_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense = 1\n")

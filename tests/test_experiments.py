@@ -583,9 +583,9 @@ def _same_reports(got, want):
 def test_run_sweeps_equal_run_sweep_per_config(monkeypatch, kind):
     # Every alpha of {0, 0.05, 0.25, 0.5, 0.75, 1} in the kind's domain, as
     # one run_sweeps call: each report equals run_sweep of its config.  The
-    # alphas in (0, 1] share one draw and one engine call per chunk, but
-    # bc-fixed's slot count changes with alpha and alpha = 0 merges column
-    # levels, so those run alone.
+    # alphas, alpha = 0 included, share one draw and one engine call per
+    # chunk, but bc-fixed's slot count changes with alpha, so its alphas run
+    # alone.
     alphas = [a for a in (0, 0.05, 0.25, 0.5, 0.75, 1) if _in_domain(kind, a)]
     configs = [SweepConfig(kind, a, GRID, trials=12, seed=3) for a in alphas]
     want = [run_sweep(c) for c in configs]
@@ -599,10 +599,32 @@ def test_run_sweeps_equal_run_sweep_per_config(monkeypatch, kind):
     monkeypatch.setattr(experiments, "_sweep_group", spy)
     _same_reports(experiments.run_sweeps(configs), want)
     # One group, in which the alphas that run alone are batches of one.
-    alone = [a for a in alphas if kind == "bc-fixed" or a == 0]
+    alone = alphas if kind == "bc-fixed" else []
     assert len(groups) == 1
     assert [batch for batch in groups[0] if len(batch) == 1] == [[a] for a in alone]
     assert sorted(a for batch in groups[0] for a in batch) == alphas
+
+
+def test_alpha_zero_joins_its_kinds_batch():
+    # sym-alt's w_low sits at the pair (0, -1), whose exponent meets the (0,
+    # 0) columns' at alpha = 0; the engine's levels follow the pairs, so
+    # alpha = 0 is one batch with the kind's other alphas, and each report
+    # keeps the bytes of its own run_sweep.
+    configs = [SweepConfig("sym-alt", a, GRID, trials=12, seed=3) for a in (0, 0.3, 0.5)]
+    assert experiments._groups(configs) == [[[0, 1, 2]]]
+    _same_reports(experiments.run_sweeps(configs), [run_sweep(c) for c in configs])
+
+
+def test_one_block_plan_per_layout_serves_every_alpha():
+    # The block plan holds no exponent value, only the pairs' levels, so
+    # sweeps of one kind at other alphas of its slot layout reuse it.
+    gaussian_mi._stack_plan.cache_clear()
+    misses = []
+    for a in (0.25, 0.5, 0.75):
+        run_sweep(SweepConfig("sym-alt", a, GRID, trials=12, seed=3))
+        misses.append(gaussian_mi._stack_plan.cache_info().misses)
+    assert misses[0] > 0
+    assert misses == [misses[0]] * 3
 
 
 def test_run_sweeps_over_every_kind_equal_run_sweep_in_several_chunks(monkeypatch):
@@ -622,7 +644,7 @@ def test_run_sweeps_over_every_kind_equal_run_sweep_in_several_chunks(monkeypatc
     batches = {}
     for c in configs:
         states = SCHEMES[c.scheme].states(c.alpha)
-        batches.setdefault((c.scheme, states) if c.alpha > 0 else c, []).append(c)
+        batches.setdefault((c.scheme, states), []).append(c)
     cost = sum(
         len(states) * (len(batch) * len(GRID) + len(states))
         for batch in batches.values()

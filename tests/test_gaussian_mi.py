@@ -288,8 +288,9 @@ def test_conditional_mi_blocks_match_dense_evaluation():
     given = np.array([_mask(7, g) for _, g in pairs])
 
     def dense(keep):
-        # A batch of one at rho = 1 with zero exponents, its axis dropped.
-        levels = gaussian_mi._levels(np.zeros((1, keep.sum())), np.flatnonzero(keep))
+        # A batch of one at rho = 1 with (0, 0) pairs, its axis dropped.
+        pairs = gaussian_mi._levels(np.zeros((keep.sum(), 2), dtype=np.int64))
+        levels = tuple((np.array([p + q * 0.0]), mask) for (p, q), mask in pairs)
         one = np.array(1.0)
         return gaussian_mi._entropy_given_keys(
             obs[..., keep], keys[..., keep], np.zeros((1, 5)), levels, one
@@ -307,26 +308,38 @@ def test_conditional_mi_blocks_match_dense_evaluation():
 ENTROPY_GAP_PER_RHO = 4e-15
 
 
-def _planted_receivers(seed, alpha=0.3):
-    """A keyed and a keyless receiver: (coef, keys, row_exp, col_exp), with
-    two rows at full power, as in the schemes whose high-SNR entropies lose
-    the most precision, and the key on the exponent-0 columns only."""
+# The alpha of the planted receivers' exponent pairs, unless a test says.
+PLANTED_ALPHA = 0.3
+
+
+def _planted_receivers(seed):
+    """A keyed and a keyless receiver: (coef, keys, row_exp, col_exp), the
+    exponents as int pairs (p, q), with two rows at full power, (1, 0), as
+    in the schemes whose high-SNR entropies lose the most precision, and the
+    key on the (0, 0) columns only."""
     rng = np.random.default_rng(seed)
 
     def cn(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
+    rows = np.array([(1, 0), (1, 0), (0, 1)])
     keyed = (
         cn(3, 4),
         np.concatenate([cn(1, 2), np.zeros((1, 2))], axis=1),
-        np.array([1.0, 1.0, alpha]),
-        np.array([0.0, 0.0, -alpha, -alpha]),
+        rows,
+        np.array([(0, 0), (0, 0), (0, -1), (0, -1)]),
     )
-    keyless = (cn(3, 3), np.zeros((0, 3)), np.array([1.0, 1.0, alpha]), np.array([0.0, -alpha, 0.0]))
+    keyless = (cn(3, 3), np.zeros((0, 3)), rows, np.array([(0, 0), (0, -1), (0, 0)]))
     return keyed, keyless
 
 
+def _floats(pairs, alpha=PLANTED_ALPHA):
+    """p + q * alpha of each int pair (..., 2)."""
+    return pairs[..., 0] + pairs[..., 1] * alpha
+
+
 def _scaled(coef, row_exp, col_exp, rho):
+    row_exp, col_exp = _floats(row_exp), _floats(col_exp)
     return coef * rho ** ((row_exp[:, None] + col_exp[None, :]) / 2.0)
 
 
@@ -340,7 +353,7 @@ def test_conditional_mi_over_snrs_equals_dense_calls():
         n = coef.shape[1]
         target = np.array([_mask(n, [j for j in t if j < n]) for t, _ in pairs])
         given = np.array([_mask(n, [j for j in g if j < n]) for _, g in pairs])
-        got = conditional_mi(coef, keys, target, given, row_exp, col_exp, rhos)
+        got = conditional_mi(coef, keys, target, given, row_exp, col_exp, rhos, PLANTED_ALPHA)
         assert got.shape == (len(pairs), len(rhos))
         for j, rho in enumerate(rhos):
             scaled = _scaled(coef, row_exp, col_exp, rho)
@@ -352,81 +365,79 @@ def test_conditional_mi_over_snrs_equals_dense_calls():
 
 
 def test_conditional_mi_refuses_a_key_on_a_scaled_column():
-    # The key projection commutes with the column scaling only on exponent-0
-    # columns, so a key row that touches another column is refused by name.
+    # The key projection commutes with the column scaling only on (0, 0)
+    # columns, so a key row that touches another column is refused, naming
+    # the column's pair.
     (coef, keys, row_exp, col_exp), _ = _planted_receivers(22)
     target, given = _mask(4, [0]), _mask(4, [])
     planted = keys.copy()
     planted[0, 3] = 0.5
-    with pytest.raises(ValueError, match="key row 0 touches column 3, whose power exponent is -0.3"):
-        conditional_mi(coef, planted, target, given, row_exp, col_exp, 1e6)
-    assert conditional_mi(coef, keys, target, given, row_exp, col_exp, 1e6) >= 0.0
-    # In an exponent batch whose entry 0 leaves column 3 at exponent 0 and
-    # entry 1 scales it, the message gives entry 1's exponent as a scalar.
-    batch_row, batch_col = np.stack([row_exp, row_exp]), np.stack([col_exp, col_exp])
-    batch_col[0, 3] = 0.0
-    message = "key row 0 touches column 3, whose power exponent is -0.3: "
+    message = "key row 0 touches column 3, whose exponent pair is (0, -1): "
     with pytest.raises(ValueError, match="^" + re.escape(message)):
-        conditional_mi(coef, planted, target, given, batch_row, batch_col, [1e6])
+        conditional_mi(coef, planted, target, given, row_exp, col_exp, 1e6, PLANTED_ALPHA)
+    assert conditional_mi(coef, keys, target, given, row_exp, col_exp, 1e6, PLANTED_ALPHA) >= 0.0
 
 
-def _exponent_batch(which, alphas):
+def _exponent_batch(which):
     """The planted receiver ``which`` (0 keyed, 1 keyless) over a batch of
     four trials, whose coefficients and keys do not depend on alpha, with
-    one row of row and column exponents per alpha."""
+    its exponent pairs."""
     trials = [_planted_receivers(seed)[which] for seed in range(30, 34)]
     coef, keys = (np.stack([t[i] for t in trials]) for i in (0, 1))
-    exps = [_planted_receivers(0, a)[which] for a in alphas]
-    return coef, keys, np.array([e[2] for e in exps]), np.array([e[3] for e in exps])
+    return coef, keys, *_planted_receivers(0)[which][2:]
 
 
 @pytest.mark.parametrize("which", [0, 1])
 def test_conditional_mi_exponent_batch_equals_per_exponent_calls(which):
-    # One call over an exponent batch gives, at each batch entry, the call
-    # on that entry's exponents bit for bit: every kept column set as pair
-    # masks, a trial batch and an SNR grid.
+    # One call over an exponent batch gives, at each alpha, the call at that
+    # alpha bit for bit: every kept column set as pair masks, a trial batch
+    # and an SNR grid.
     rhos = 10.0 ** (np.arange(60, 121, 10) / 10)
     alphas = (0.05, 0.3, 0.5, 0.75, 1.0)
-    coef, keys, row_exp, col_exp = _exponent_batch(which, alphas)
+    coef, keys, row_exp, col_exp = _exponent_batch(which)
     n = coef.shape[-1]
     keeps = np.array([m for m in itertools.product([False, True], repeat=n) if any(m)])
     target, given = keeps[:, ::-1], ~keeps
-    got = conditional_mi(coef, keys, target, given, row_exp, col_exp, rhos)
+    got = conditional_mi(coef, keys, target, given, row_exp, col_exp, rhos, alphas)
     assert got.shape == (len(keeps), len(coef), len(alphas), len(rhos))
-    for j in range(len(alphas)):
-        one = conditional_mi(coef, keys, target, given, row_exp[j], col_exp[j], rhos)
-        assert got[:, :, j].tobytes() == one.tobytes(), alphas[j]
-        # A one-entry batch keeps its axis and the bits of the 1-D call.
-        entry = row_exp[j : j + 1], col_exp[j : j + 1]
-        alone = conditional_mi(coef, keys, target, given, *entry, rhos)
+    # Row pairs given once per alpha give the same bits.
+    per_alpha = np.stack([row_exp] * len(alphas))
+    again = conditional_mi(coef, keys, target, given, per_alpha, col_exp, rhos, alphas)
+    assert again.tobytes() == got.tobytes()
+    for j, a in enumerate(alphas):
+        one = conditional_mi(coef, keys, target, given, row_exp, col_exp, rhos, a)
+        assert got[:, :, j].tobytes() == one.tobytes(), a
+        # A one-entry batch keeps its axis and the bits of the float call.
+        alone = conditional_mi(coef, keys, target, given, row_exp, col_exp, rhos, [a])
         assert alone.shape == (len(keeps), len(coef), 1, len(rhos))
-        assert alone[:, :, 0].tobytes() == one.tobytes(), alphas[j]
+        assert alone[:, :, 0].tobytes() == one.tobytes(), a
 
 
-def test_conditional_mi_refuses_an_exponent_batch_that_merges_levels():
-    # At alpha = 0 the -alpha and 0 column levels are one level (-0.0 ==
-    # 0.0), so a batch of alpha 0 and 0.3 would sum that entry's Gram pieces
-    # in another grouping than its own call: it is refused, naming the columns.
+def test_conditional_mi_exponent_batch_holds_alpha_zero():
+    # At alpha = 0 the (0, -1) and (0, 0) columns share the exponent 0, but
+    # the levels follow the pairs, so alpha = 0 beside alpha = 0.3 gives
+    # each entry the bits of its own call.
     rho = np.array([1e6, 1e8])
-    merged = {
-        0: "columns [2, 3] have exponent -0.0 and columns [0, 1]",
-        1: "columns [1] have exponent -0.0 and columns [0, 2]",
-    }
-    head = "^exponent batch entry 0 merges or reorders column levels: "
     for which in (0, 1):
-        coef, keys, row_exp, col_exp = _exponent_batch(which, (0.0, 0.3))
+        coef, keys, row_exp, col_exp = _exponent_batch(which)
         n = coef.shape[-1]
         target, given = _mask(n, [0]), _mask(n, [])
-        with pytest.raises(ValueError, match=head + re.escape(merged[which])):
-            conditional_mi(coef, keys, target, given, row_exp, col_exp, rho)
-        # Each alpha alone, and a batch of alphas in (0, 1], is evaluated.
-        conditional_mi(coef, keys, target, given, row_exp[0], col_exp[0], rho)
-        _, _, row_exp, col_exp = _exponent_batch(which, (0.3, 1.0))
+        got = conditional_mi(coef, keys, target, given, row_exp, col_exp, rho, [0.0, 0.3])
+        for j, a in enumerate((0.0, 0.3)):
+            one = conditional_mi(coef, keys, target, given, row_exp, col_exp, rho, a)
+            assert got[:, j].tobytes() == one.tobytes(), (which, a)
+    # Pairs need alpha, are ints, and rows given per alpha have one entry
+    # per alpha.
+    with pytest.raises(ValueError, match="^exponent pairs need alpha$"):
         conditional_mi(coef, keys, target, given, row_exp, col_exp, rho)
-    # Both exponents carry the batch axis, and a batch needs SNRs.
-    for bad in ((row_exp, col_exp, None), (row_exp[0], col_exp, rho), (row_exp, col_exp[0], rho)):
-        with pytest.raises(ValueError, match="^an exponent batch is one leading axis"):
-            conditional_mi(coef, keys, target, given, *bad)
+    bad = [
+        (row_exp, col_exp * 0.5, 0.3),
+        (np.stack([row_exp] * 3), col_exp, [0.0, 0.3]),
+        (row_exp, col_exp[1:], 0.3),
+    ]
+    for rows, cols, alpha in bad:
+        with pytest.raises(ValueError, match=r"^exponents are int pairs \(p, q\)"):
+            conditional_mi(coef, keys, target, given, rows, cols, rho, alpha)
 
 
 def _mp_entropy(mpmath, coef, keys, row_exp, col_exp, keep, rho):
@@ -463,10 +474,11 @@ def test_entropies_match_a_50_digit_evaluation():
     for coef, keys, row_exp, col_exp in _planted_receivers(0):
         n = coef.shape[1]
         keeps = np.array([m for m in itertools.product([False, True], repeat=n) if any(m)])
-        got = conditional_mi(coef, keys, keeps, ~keeps, row_exp, col_exp, rhos)
+        got = conditional_mi(coef, keys, keeps, ~keeps, row_exp, col_exp, rhos, PLANTED_ALPHA)
+        exps = _floats(row_exp), _floats(col_exp)
         for keep, bits in zip(keeps, got):
             for rho, value in zip(rhos, bits):
-                want = _mp_entropy(mpmath, coef, keys, row_exp, col_exp, keep, rho)
+                want = _mp_entropy(mpmath, coef, keys, *exps, keep, rho)
                 assert abs(value - want) <= ENTROPY_GAP_PER_RHO * rho, (keep, rho)
 
 

@@ -522,10 +522,14 @@ def _dense_accounting(sch, rhos):
         st = receiver_structure(sch, receiver)
 
         def h(keep):
-            # A batch of one exponent row, its axis dropped.
-            levels = gaussian_mi._levels(st.col_exp[None, keep], np.flatnonzero(keep))
+            # A batch of one alpha, its axis dropped: the scheme's exponents
+            # p + q * alpha, the columns split into levels by their pairs.
+            row_exp, _ = st.exponents()
+            a = float(sch.alpha)
+            pairs = gaussian_mi._levels(st.col_exp[keep])
+            levels = tuple((np.array([p + q * a]), mask) for (p, q), mask in pairs)
             c, k = st.coef[..., keep], st.key_coef[..., keep]
-            return gaussian_mi._entropy_given_keys(c, k, st.row_exp[None], levels, rhos)[..., 0, :]
+            return gaussian_mi._entropy_given_keys(c, k, row_exp[None], levels, rhos)[..., 0, :]
 
         for out, owner, known in ((rel, receiver, other), (leak, other, receiver)):
             given = st.owner_masks[f"rx{known}"] | st.owner_masks["common"]
