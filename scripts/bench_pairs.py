@@ -1,0 +1,181 @@
+"""Paired benchmark runs of a parent commit against this checkout.
+
+For each workload of ``BENCHMARK.json``, runs ``perfbench/run.py --trace 0``
+for the benchmark's ``run_seconds`` on the parent tree and on this tree, in
+``PAIRS`` pairs on fresh seeds (pair i uses seed ``--seed + i`` on both
+sides), alternating which side runs first.  The parent tree is the
+``git archive`` of ``--parent`` unpacked into a temporary directory, so the
+repository's own git state is not touched.  Every run uses
+``PYTHONDONTWRITEBYTECODE=1``.
+
+It writes one JSON file with:
+
+- ``runs``: each run's side, workload, pair, seed and its result and detail
+  lines as ``perfbench/run.py`` printed them;
+- ``summary``: per workload and end-to-end metric of ``BENCHMARK.json``, the
+  parent's and the change's medians and quartiles, and the pairs in which
+  the change is better;
+- two verdicts per metric.  ``claim`` holds if the change is better in at
+  least 9 of 10 pairs (``CLAIM_WIN_SHARE``) and its median beats the
+  parent's by more than the parent's interquartile range; fewer than
+  ``PAIRS`` pairs make no claim.  ``regression``
+  is "unresolved" when the parent's interquartile range exceeds the
+  metric's bound (relative to its median), unless every change run is
+  better than every parent run, "regressed" when the change's
+  median is worse than the parent's by more than the bound, and "ok"
+  otherwise.  A workload regresses also when a larger share of its calls
+  fails, or a run is not correct.
+
+Usage, from the repository root::
+
+    python scripts/bench_pairs.py --parent HEAD~1 --out BENCH_change.json --seed 5501
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import math
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+CLAIM_WIN_SHARE = 0.9
+
+
+def quartiles(values) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), inclusive method."""
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(parent, change, better: str) -> dict:
+    """Medians, quartiles and pairs won of two paired value lists; pair i is
+    (parent[i], change[i]).  ``better`` is "lower" or "higher"."""
+    sign = 1 if better == "lower" else -1
+    p1, pm, p3 = quartiles(parent)
+    c1, cm, c3 = quartiles(change)
+    return {
+        "better": better,
+        "pairs": len(parent),
+        "won": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+        "parent": {"median": pm, "q1": p1, "q3": p3, "values": list(parent)},
+        "change": {"median": cm, "q1": c1, "q3": c3, "values": list(change)},
+        # Positive when the change is better, as a share of the parent median.
+        "gain": sign * (pm - cm) / pm if pm else 0.0,
+    }
+
+
+def claim_holds(summary: dict) -> bool:
+    """The change is better in at least ``CLAIM_WIN_SHARE`` of at least
+    ``PAIRS`` pairs, and its median beats the parent's by more than the
+    parent's IQR."""
+    if summary["pairs"] < PAIRS:
+        return False
+    parent = summary["parent"]
+    sign = 1 if summary["better"] == "lower" else -1
+    gap = sign * (parent["median"] - summary["change"]["median"])
+    wins = summary["won"] >= math.ceil(CLAIM_WIN_SHARE * summary["pairs"])
+    return wins and gap > parent["q3"] - parent["q1"]
+
+
+def regression(summary: dict, bound: float) -> str:
+    """"unresolved" if the parent's IQR over its median exceeds ``bound``,
+    unless every change run is better than every parent run; "regressed" if
+    the change's median is worse than the parent's by more than ``bound``
+    of it; else "ok"."""
+    parent = summary["parent"]
+    if parent["median"] and (parent["q3"] - parent["q1"]) / abs(parent["median"]) > bound:
+        sign = 1 if summary["better"] == "lower" else -1
+        pairs = itertools.product(parent["values"], summary["change"]["values"])
+        return "ok" if all(sign * (p - c) > 0 for p, c in pairs) else "unresolved"
+    return "regressed" if -summary["gain"] > bound else "ok"
+
+
+def run_one(tree: Path, workload: str, seed: int, seconds) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    cmd += ["--seconds", str(seconds), "--trace", "0"]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        raise RuntimeError(f"{workload} seed {seed} in {tree} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return {"detail": json.loads(lines[-2])["detail"], "result": json.loads(lines[-1])}
+
+
+def verdicts(runs, metrics) -> dict:
+    """Per workload: each metric's summary with its claim and regression
+    verdicts, and the workload's correctness and failed-call shares."""
+    out = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        sides = {
+            side: sorted((r for r in runs if r["workload"] == workload and r["side"] == side), key=lambda r: r["pair"])
+            for side in ("parent", "change")
+        }
+        entry = {}
+        for m in metrics:
+            values = {s: [r["result"]["metrics"][m["name"]]["value"] for r in rs] for s, rs in sides.items()}
+            if None in values["parent"] + values["change"]:
+                entry[m["name"]] = {"regression": "unresolved", "values": values}
+                continue
+            summary = summarize(values["parent"], values["change"], m["better"])
+            summary["claim"] = claim_holds(summary)
+            summary["regression"] = regression(summary, m["bound"])
+            entry[m["name"]] = summary
+        failed = {
+            s: sum(r["result"]["failed"] for r in rs) / max(1, sum(r["result"]["attempted"] for r in rs))
+            for s, rs in sides.items()
+        }
+        entry["failed_share"] = failed
+        entry["all_correct"] = all(r["result"]["correct"] for rs in sides.values() for r in rs)
+        entry["regressed"] = (
+            failed["change"] > failed["parent"]
+            or not entry["all_correct"]
+            or any(entry[m["name"]]["regression"] == "regressed" for m in metrics)
+        )
+        out[workload] = entry
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent tree")
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--seed", type=int, default=5501, help="seed of pair 0; pair i uses seed + i")
+    args = parser.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = bench["run_seconds"]
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent = Path(tmp)
+        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
+        trees = {"parent": parent, "change": ROOT}
+        for workload in (w["name"] for w in bench["workloads"]):
+            for pair in range(PAIRS):
+                seed = args.seed + pair
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for side in order:
+                    run = run_one(trees[side], workload, seed, seconds)
+                    runs.append({"side": side, "workload": workload, "pair": pair, "seed": seed, **run})
+                    print(f"{workload} pair {pair} {side}: {run['result']['metrics']}", file=sys.stderr)
+    report = {
+        "parent": args.parent,
+        "command": f"perfbench/run.py --trace 0 --seconds {seconds}",
+        "pairs": PAIRS,
+        "seeds": [args.seed, args.seed + PAIRS - 1],
+        "summary": verdicts(runs, bench["end_to_end"]),
+        "runs": runs,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -196,9 +196,29 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     return rest[: pos + 1] + prefix + rest[pos + 1 :]
 
 
+# The options whose start:stop:step value may start with "-".
+_GRID_OPTIONS = ("--rho-db", "--alpha-grid")
+
+
+def _join_grid_values(argv: list[str]) -> list[str]:
+    """argv with each grid option, or an abbreviation of one, and a
+    start:stop:step token after it joined into one "--option=value" token,
+    so that argparse does not read a grid that starts with "-", such as
+    -30:0:10, as a flag.  For an option of one argument the two forms are
+    the same, so a join changes no other parse."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if ":" in tok and len(prev) > 2 and any(opt.startswith(prev) for opt in _GRID_OPTIONS):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def parse_and_dispatch(argv) -> int:
     parser = build_parser()
-    argv = list(argv)
+    argv = _join_grid_values(list(argv))
     try:
         argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)

@@ -701,10 +701,13 @@ _VERTEX_HEADER = "bound_name,alpha,vertex_index,d1,d2"
 # CSVs and figures 3/4/6/7 format 7 distinct bounds, not 21.
 @lru_cache(maxsize=regions._INTERNED)
 def _region_text(rows, scales) -> tuple[tuple[str, ...], str]:
-    """("d1,d2" of each vertex in vertex order, "d1_axis_max,d2_axis_max")."""
+    """The region's whole CSV text: ("d1,d2" of each vertex in vertex
+    order, "sum_max,d1_axis_max,d2_axis_max"), each value through ``_f``'s
+    format; ``regions.sum_max`` and ``axis_max`` are read once per text."""
     region = regions.DofRegion._from_rows(rows, scales)
-    points = tuple(f"{d1:{_FMT}},{d2:{_FMT}}" for d1, d2 in regions.float_vertices(region))
-    return points, f"{_f(regions.axis_max(region, 0))},{_f(regions.axis_max(region, 1))}"
+    points = tuple("%.12g,%.12g" % vertex for vertex in regions.float_vertices(region))
+    maxima = (regions.sum_max(region), regions.axis_max(region, 0), regions.axis_max(region, 1))
+    return points, ",".join(map(_f, maxima))
 
 
 def _vertex_rows(head: str, points) -> list[str]:
@@ -715,19 +718,20 @@ def _vertex_rows(head: str, points) -> list[str]:
 def region_csv(names, alpha: float, profile: TopologyProfile | None = None) -> tuple[str, str]:
     """(vertex CSV, summary CSV) for the named bounds at one alpha.
 
-    Each region comes from its builder (``named_region``) and each sum
-    maximum from ``regions.sum_max``; the vertex rows and the axis maxima
-    are the region's text, formatted once per interned region.
+    Each region comes from its builder (``named_region``); its vertex rows
+    and its summary row's sum and axis maxima are the region's text
+    (``_region_text``), formatted once per interned region, so a row reads
+    no maximum of its own.
     """
     vrows = [_VERTEX_HEADER]
     srows = ["bound_name,alpha,sum_max,d1_axis_max,d2_axis_max"]
     tag = _f(alpha)
     for name in names:
         reg = named_region(name, alpha, profile)
-        points, axes = _region_text(reg._rows, reg._scales)
+        points, maxima = _region_text(reg._rows, reg._scales)
         head = f"{name},{tag},"
         vrows += _vertex_rows(head, points)
-        srows.append(f"{head}{_f(regions.sum_max(reg))},{axes}")
+        srows.append(head + maxima)
     return "\n".join(vrows) + "\n", "\n".join(srows) + "\n"
 
 
@@ -741,25 +745,16 @@ _FIGURES = {
 
 
 def _figure8_rows(alpha_grid):
-    """Per alpha of the grid, (alpha, the five curves' (name, sum DoF)).
+    """Per alpha of the grid, (alpha, the five curves' (name, sum DoF as a
+    float)).
 
-    The yang curve is the corner sum (1 + alpha)/2 as one correctly rounded
-    int division of alpha's exact ratio p/q, the float of
-    ``regions.yang_corner_sum``; the others are ``regions.sum_max`` of each
-    builder's region.  An alpha outside [0, 1] is refused.
+    Each value is one correctly rounded int division n/d, the float of the
+    exact ``Fraction``, of the curve's ratio from ``regions.sum_dof_ratios``:
+    the yang corner sum, then each other curve's bound sum maximum read off
+    the bound's rows, with no region built or interned, since a grid's
+    alphas are distinct.  An alpha outside [0, 1] is refused.
     """
-    rows = []
-    for a in alpha_grid:
-        p, q = regions._alpha_ratio(a)
-        curves = (
-            ("yang", (q + p) / (2 * q)),
-            ("fixed-inner", regions.sum_max(regions.prop2_inner(a))),
-            ("sym-alt", regions.sum_max(regions.sym_alt_inner(a))),
-            ("int-sym-alt", regions.sum_max(regions.integer_sym_alt_inner(a))),
-            ("gdof", regions.sum_max(regions.gdof_fixed(a))),
-        )
-        rows.append((a, curves))
-    return rows
+    return [(a, [(name, n / d) for name, n, d in regions.sum_dof_ratios(a)]) for a in alpha_grid]
 
 
 def figure_data(figure_id: int, alpha: float | None = None, alpha_grid=None) -> str:
@@ -767,8 +762,10 @@ def figure_data(figure_id: int, alpha: float | None = None, alpha_grid=None) -> 
 
     Figures 3, 4, 6 and 7 need a single ``alpha`` and emit vertex lists,
     each region from its builder and its vertex text formatted once per
-    interned region (``_region_text``, bounded like the interning); figure 8
-    sweeps ``alpha_grid`` and emits sum-DoF curves (``_figure8_rows``).
+    interned region (``_region_text``, bounded like the interning); a
+    topology profile is built only for a figure that draws the outer bound.
+    Figure 8 sweeps ``alpha_grid`` and emits sum-DoF curves straight from
+    the bounds' rows (``_figure8_rows``), with no region object.
     """
     if figure_id == 8:
         if alpha_grid is None:
@@ -776,14 +773,14 @@ def figure_data(figure_id: int, alpha: float | None = None, alpha_grid=None) -> 
         lines = ["curve,alpha,sum_dof"]
         for a, curves in _figure8_rows(alpha_grid):
             tag = _f(a)
-            lines += [f"{name},{tag},{_f(val)}" for name, val in curves]
+            lines += [f"{name},{tag},{val:.12g}" for name, val in curves]
         return "\n".join(lines) + "\n"
     if figure_id not in _FIGURES:
         raise ValueError(f"unknown figure id {figure_id}; choose from 3, 4, 6, 7, 8")
     if alpha is None:
         raise ValueError("figures 3, 4, 6 and 7 need an alpha")
     label, names = _FIGURES[figure_id]
-    profile = TopologyProfile.named(label, alpha)
+    profile = TopologyProfile.named(label, alpha) if "outer" in names else None
     vrows = [_VERTEX_HEADER]
     tag = _f(alpha)
     for name in names:

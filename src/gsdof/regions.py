@@ -24,15 +24,19 @@ among them) return the same region object and enumerate its vertices
 once.  A region is immutable, so sharing it changes no output.  A region
 built by ``DofRegion(constraints)`` is not interned: a float ``HalfSpace``
 equals its ``Fraction`` twin, and a shared region would hand back the other
-caller's coefficient types.
+caller's coefficient types.  Figure 8 does not intern either: it reads one
+number per bound and alpha, at alphas that are distinct, so
+``sum_dof_ratios`` takes each bound's rows from the bound's row function
+and their sum maximum from ``_exact_vertices`` and ``_sum_max_ratio``,
+with no region.
 
 ``vertices`` gives ``Fraction`` vertices, built from the ordered triples on
 first call; ``float_vertices`` rounds the triples for CSVs.  ``sum_max``,
 ``axis_max`` and ``wiretap_upper`` give ``Fraction``s, and ``contains`` and
 ``is_subset`` decide on the integer rows with no tolerance; none of these
 orders the vertices.  The CSV writers (``gsdof.experiments``) read a
-region's ``float_vertices`` and ``axis_max`` once while it stays interned
-and its ``sum_max`` on every row.  Time sharing (``time_share``) picks the
+region's ``float_vertices``, ``sum_max`` and ``axis_max`` once while it
+stays interned, for its whole text.  Time sharing (``time_share``) picks the
 hull vertices among the input regions' vertices by exact orientation tests
 and returns the exact hull.
 """
@@ -61,6 +65,7 @@ __all__ = [
     "contains",
     "is_subset",
     "sum_max",
+    "sum_dof_ratios",
     "axis_max",
     "time_share",
 ]
@@ -140,44 +145,74 @@ def _exact_vertices(rows):
     (a1, a2, b): the distinct feasible candidates as gcd-reduced triples
     (n1, n2, det) with det > 0, the points (n1/det, n2/det), unordered.
 
-    The candidates are the origin, each row's intercepts with the d1 axis,
-    (b, 0, a1), and with the d2 axis, (0, b, a2), and each pair of rows'
-    crossing.  A candidate is feasible iff n1, n2 >= 0 and a.n <= b*det on
-    every row.  No tolerance enters.
+    The candidates are, in this order, the origin, each row's intercepts
+    with the d1 axis, (b, 0, a1), and with the d2 axis, (0, b, a2), and its
+    crossings with the later rows; the tuple keeps the order in which each
+    distinct vertex is first found.  A candidate, its sign fixed so that
+    det > 0, is feasible iff n1, n2 >= 0 and a.n <= b*det on every row; the
+    test runs inline on each candidate, since a call per candidate costs
+    more than the test on these two to six rows.  No tolerance enters.
+    ``sum_max`` and ``sum_dof_ratios`` read the triples' sum maximum
+    through ``_sum_max_ratio``.
     """
     # Bounded iff no direction r >= 0, r != 0 has a.r <= 0 on every row; the
     # candidates are the quadrant edges and each row's line directions.
     dirs = [(1, 0), (0, 1)]
     for a1, a2, _ in rows:
-        if (a1, a2) != (0, 0):
-            dirs += [r for r in ((-a2, a1), (a2, -a1)) if r[0] >= 0 and r[1] >= 0]
+        if a1 or a2:
+            if a1 >= 0 >= a2:
+                dirs.append((-a2, a1))
+            if a2 >= 0 >= a1:
+                dirs.append((a2, -a1))
     for r1, r2 in dirs:
         for a1, a2, _ in rows:
             if a1 * r1 + a2 * r2 > 0:
                 break
         else:
             raise ValueError("region is unbounded: vertex enumeration impossible")
-    candidates = [(0, 0, 1)]
-    for i, (p1, p2, pb) in enumerate(rows):
-        candidates += [(pb, 0, p1), (0, pb, p2)]
-        for q1, q2, qb in rows[i + 1 :]:
-            candidates.append((pb * q2 - qb * p2, p1 * qb - q1 * pb, p1 * q2 - p2 * q1))
     found = {}
-    for n1, n2, det in candidates:
-        if det < 0:
-            n1, n2, det = -n1, -n2, -det
-        elif not det:
-            continue
-        if n1 < 0 or n2 < 0:
-            continue
-        # The test of _inside, inline: a call per candidate costs more than
-        # the test on these two to six rows.
-        for a1, a2, b in rows:
-            if a1 * n1 + a2 * n2 > b * det:
-                break
-        else:
-            g = math.gcd(n1, n2, det)
-            found[n1 // g, n2 // g, det // g] = None
+    for _, _, b in rows:
+        if b < 0:
+            break
+    else:
+        found[0, 0, 1] = None
+    for i, (p1, p2, pb) in enumerate(rows):
+        # The d1 intercept (pb/p1, 0): a.n <= b*det reduces to a1*n <= b*det.
+        if p1:
+            n, det = (pb, p1) if p1 > 0 else (-pb, -p1)
+            if n >= 0:
+                for a1, _, b in rows:
+                    if a1 * n > b * det:
+                        break
+                else:
+                    g = math.gcd(n, det)
+                    found[n // g, 0, det // g] = None
+        # The d2 intercept (0, pb/p2).
+        if p2:
+            n, det = (pb, p2) if p2 > 0 else (-pb, -p2)
+            if n >= 0:
+                for _, a2, b in rows:
+                    if a2 * n > b * det:
+                        break
+                else:
+                    g = math.gcd(n, det)
+                    found[0, n // g, det // g] = None
+        for q1, q2, qb in rows[i + 1 :]:
+            det = p1 * q2 - p2 * q1
+            if det > 0:
+                n1, n2 = pb * q2 - qb * p2, p1 * qb - q1 * pb
+            elif det:
+                n1, n2, det = qb * p2 - pb * q2, q1 * pb - p1 * qb, -det
+            else:
+                continue
+            if n1 < 0 or n2 < 0:
+                continue
+            for a1, a2, b in rows:
+                if a1 * n1 + a2 * n2 > b * det:
+                    break
+            else:
+                g = math.gcd(n1, n2, det)
+                found[n1 // g, n2 // g, det // g] = None
     if not found:
         raise ValueError("region is empty: no feasible vertex")
     return tuple(found)
@@ -250,10 +285,10 @@ class DofRegion:
         return f"DofRegion(constraints={self.constraints!r})"
 
 
-# Regions kept by _from_rows.  The two region CSVs and figures 3-8 at one
-# alpha read about 40 regions, 23 of them distinct, so 64 entries hold their
-# repeats; the reuse is within such a call, and 1024 entries would add about
-# 1 MB of peak memory.
+# Regions kept by _from_rows.  The two region CSVs and figures 3, 4, 6 and 7
+# at one alpha read 21 regions, 7 of them distinct (figure 8 builds none),
+# so 64 entries hold their repeats; the reuse is within such a call, and
+# 1024 entries would add about 1 MB of peak memory.
 _INTERNED = 64
 
 
@@ -310,14 +345,21 @@ def is_subset(inner: DofRegion, outer: DofRegion) -> bool:
 
 def sum_max(region: DofRegion) -> Fraction:
     """Maximum of d1 + d2 over the region (attained at a vertex), read off
-    the unordered vertex triples by integer cross-multiplication; one
-    ``Fraction`` is built, for the result.  The CSV writers call it once per
-    summary row and per point of each figure-8 region curve."""
+    the unordered vertex triples by ``_sum_max_ratio``; one ``Fraction`` is
+    built, for the result.  The CSV writers call it once per interned
+    region, for its summary text; figure 8 reads ``sum_dof_ratios``, which
+    takes the same maximum of its bounds' rows and calls it not at all."""
+    return Fraction(*_sum_max_ratio(region._crossings))
+
+
+def _sum_max_ratio(triples) -> tuple[int, int]:
+    """(n, det) of the largest (n1 + n2)/det over the vertex triples, by
+    integer cross-multiplication; n/det is the sum maximum, not reduced."""
     best, best_det = 0, 1  # every vertex has d1 + d2 >= 0
-    for n1, n2, det in region._crossings:
+    for n1, n2, det in triples:
         if (n1 + n2) * best_det > best * det:
             best, best_det = n1 + n2, det
-    return Fraction(best, best_det)
+    return best, best_det
 
 
 def axis_max(region: DofRegion, axis: int) -> Fraction:
@@ -340,7 +382,10 @@ def axis_max(region: DofRegion, axis: int) -> Fraction:
 # its binary value, refuses it outside [0, 1] and forms its integer rows
 # from p and q in int arithmetic: every coefficient is a polynomial in alpha
 # of degree at most two, so a row is the constraint times q, q**2 or another
-# positive int.
+# positive int.  The bounds whose sum maxima figure 8 draws keep their
+# formula in a row function (p, q) -> (rows, scales), as int tuples: the
+# constructor interns the region of those rows, and ``sum_dof_ratios``
+# enumerates the rows with no region.
 # ---------------------------------------------------------------------------
 
 
@@ -428,9 +473,12 @@ def prop2_inner(alpha) -> DofRegion:
     and an extra low-power confidential layer, fixed (strong, weak) topology:
     3*(1 + alpha)*d1 + 2*d2 <= 2*(1 + alpha) and
     alpha*(3 - alpha)*d1 + 6*d2 <= 4*alpha."""
-    p, q = _alpha_ratio(alpha)
-    rows = [(3 * (q + p), 2 * q, 2 * (q + p)), (p * (3 * q - p), 6 * q * q, 4 * p * q)]
-    return DofRegion._from_rows(rows, (q, q * q))
+    return DofRegion._from_rows(*_prop2_rows(*_alpha_ratio(alpha)))
+
+
+def _prop2_rows(p, q):
+    rows = ((3 * (q + p), 2 * q, 2 * (q + p)), (p * (3 * q - p), 6 * q * q, 4 * p * q))
+    return rows, (q, q * q)
 
 
 def sym_alt_inner(alpha) -> DofRegion:
@@ -438,26 +486,59 @@ def sym_alt_inner(alpha) -> DofRegion:
     injection): 6*d1 + (1 + alpha)*d2 <= 2*(1 + alpha) and
     2*(2*alpha - 1)*d1 + 3*(1 + alpha)*d2 <= (1 + alpha)**2.  The second
     constraint has a negative d1 coefficient for alpha < 1/2."""
-    p, q = _alpha_ratio(alpha)
-    rows = [(6 * q, q + p, 2 * (q + p)), (2 * (2 * p - q) * q, 3 * (q + p) * q, (q + p) ** 2)]
-    return DofRegion._from_rows(rows, (q, q * q))
+    return DofRegion._from_rows(*_sym_alt_rows(*_alpha_ratio(alpha)))
+
+
+def _sym_alt_rows(p, q):
+    rows = ((6 * q, q + p, 2 * (q + p)), (2 * (2 * p - q) * q, 3 * (q + p) * q, (q + p) ** 2))
+    return rows, (q, q * q)
 
 
 def integer_sym_alt_inner(alpha) -> DofRegion:
     """Inner bound for integer channels on the symmetric alternating
     topology, achieved with structured (lattice) noise: 3*d1 + alpha*d2 and
     alpha*d1 + 3*d2 are each capped by (3 + alpha)/2."""
-    p, q = _alpha_ratio(alpha)
+    return DofRegion._from_rows(*_integer_sym_alt_rows(*_alpha_ratio(alpha)))
+
+
+def _integer_sym_alt_rows(p, q):
     half = 3 * q + p
-    return DofRegion._from_rows([(6 * q, 2 * p, half), (2 * p, 6 * q, half)], (2 * q, 2 * q))
+    return ((6 * q, 2 * p, half), (2 * p, 6 * q, half)), (2 * q, 2 * q)
 
 
 def gdof_fixed(alpha) -> DofRegion:
     """DoF region without secrecy constraints, fixed (strong, weak) topology:
     d1 <= 1, d2 <= alpha, 2*d1 + d2 <= 2 and d1 + 2*d2 <= 1 + alpha."""
+    return DofRegion._from_rows(*_gdof_rows(*_alpha_ratio(alpha)))
+
+
+def _gdof_rows(p, q):
+    return ((1, 0, 1), (0, q, p), (2, 1, 2), (q, 2 * q, q + p)), (1, q, 1, q)
+
+
+# The figure-8 curves that are a bound's sum maximum, by the bound's row
+# function.
+_SUM_MAX_CURVES = (
+    ("fixed-inner", _prop2_rows),
+    ("sym-alt", _sym_alt_rows),
+    ("int-sym-alt", _integer_sym_alt_rows),
+    ("gdof", _gdof_rows),
+)
+
+
+def sum_dof_ratios(alpha):
+    """The sum-DoF comparison curves at alpha, as ((name, n, d), ...) with
+    each value n/d exact and not reduced: the yang corner sum (1 + alpha)/2
+    of alpha's ratio p/q (``yang_corner_sum``), then the sum maximum of
+    fixed-inner, sym-alt, int-sym-alt and gdof.  Each maximum is
+    ``_sum_max_ratio`` of the ``_exact_vertices`` of the bound's rows, as
+    ``sum_max`` reads it, with no region built or interned.  An alpha
+    outside [0, 1] is refused."""
     p, q = _alpha_ratio(alpha)
-    rows = [(1, 0, 1), (0, q, p), (2, 1, 2), (q, 2 * q, q + p)]
-    return DofRegion._from_rows(rows, (1, q, 1, q))
+    curves = [("yang", q + p, 2 * q)]
+    for name, bound_rows in _SUM_MAX_CURVES:
+        curves.append((name, *_sum_max_ratio(_exact_vertices(bound_rows(p, q)[0]))))
+    return tuple(curves)
 
 
 # ---------------------------------------------------------------------------

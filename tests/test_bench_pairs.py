@@ -1,0 +1,79 @@
+"""``scripts/bench_pairs.py``'s two verdicts on synthetic paired runs."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+# Ten parent runs: median 1.0, quartiles 0.98 and 1.02 (IQR 0.04).
+PARENT = [0.96, 0.97, 0.98, 0.98, 0.99, 1.01, 1.02, 1.02, 1.03, 1.04]
+
+
+def _summary(change, better="lower"):
+    return bench_pairs.summarize(PARENT, change, better)
+
+
+def test_nine_wins_and_a_gap_wider_than_the_iqr_make_a_claim():
+    change = [p - 0.1 for p in PARENT[:9]] + [PARENT[9] + 0.1]
+    summary = _summary(change)
+    assert summary["won"] == 9
+    assert bench_pairs.claim_holds(summary)
+    assert bench_pairs.regression(summary, 0.25) == "ok"
+
+
+def test_eight_wins_make_no_claim():
+    change = [p - 0.1 for p in PARENT[:8]] + [p + 0.1 for p in PARENT[8:]]
+    summary = _summary(change)
+    assert summary["won"] == 8
+    assert not bench_pairs.claim_holds(summary)
+
+
+def test_five_wins_of_five_pairs_make_no_claim():
+    summary = bench_pairs.summarize(PARENT[:5], [p - 0.1 for p in PARENT[:5]], "lower")
+    assert summary["won"] == 5
+    assert not bench_pairs.claim_holds(summary)
+
+
+def test_a_gap_inside_the_iqr_makes_no_claim():
+    change = [p - 0.03 for p in PARENT]
+    summary = _summary(change)
+    assert summary["won"] == 10
+    assert not bench_pairs.claim_holds(summary)
+
+
+def test_higher_is_better_counts_wins_the_other_way():
+    change = [p + 0.1 for p in PARENT]
+    summary = _summary(change, better="higher")
+    assert summary["won"] == 10 and bench_pairs.claim_holds(summary)
+    assert not bench_pairs.claim_holds(_summary(change))
+
+
+def test_a_median_worse_than_its_bound_is_flagged():
+    assert bench_pairs.regression(_summary([p * 1.3 for p in PARENT]), 0.25) == "regressed"
+    assert bench_pairs.regression(_summary([p * 1.2 for p in PARENT]), 0.25) == "ok"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # IQR 0.04 over median 1.0 is 4%, past a 3% bound: unresolved, unless
+    # every change run is better than every parent run.
+    assert bench_pairs.regression(_summary([p * 1.3 for p in PARENT]), 0.03) == "unresolved"
+    assert bench_pairs.regression(_summary([p - 0.01 for p in PARENT]), 0.03) == "unresolved"
+    assert bench_pairs.regression(_summary([p - 0.1 for p in PARENT]), 0.03) == "ok"
+
+
+def test_verdicts_flag_a_larger_failed_share():
+    metrics = [{"name": "pass_s", "better": "lower", "bound": 0.25}]
+
+    def run(side, pair, value, failed):
+        result = {"correct": True, "attempted": 10, "failed": failed, "metrics": {"pass_s": {"value": value}}}
+        return {"side": side, "workload": "w", "pair": pair, "result": result}
+
+    runs = [run("parent", i, v, 0) for i, v in enumerate(PARENT)]
+    runs += [run("change", i, v, int(i == 0)) for i, v in enumerate(PARENT)]
+    entry = bench_pairs.verdicts(runs, metrics)["w"]
+    assert entry["pass_s"]["regression"] == "ok"
+    assert entry["failed_share"] == {"parent": 0.0, "change": 0.01}
+    assert entry["regressed"]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gsdof import cli, experiments
+from gsdof import cli, experiments, regions
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -59,13 +59,17 @@ def test_traced_geometry_calls_record_every_builder(monkeypatch, alpha):
         return experiments.region_csv(names, alpha), experiments.figure_data(8, alpha_grid=grid)
 
     want = run()
+    # Start cold, so that each bound's text is formatted in the traced run.
+    regions._interned.cache_clear()
+    experiments._region_text.cache_clear()
     with spans.SpanRecorder() as recorder:
         got = run()
     assert got == want
     totals = recorder.totals()
-    # figure 8 builds and sums four regions per alpha; yang's is a formula.
-    assert totals["regions.build"][0] == len(names) + 4 * len(grid)
-    assert totals["regions.sum_max"][0] == len(names) + 4 * len(grid)
+    # One build per bound name, and one sum_max per text formatted; figure 8
+    # sums its bounds' rows and builds no region.
+    assert totals["regions.build"][0] == len(names)
+    assert totals["regions.sum_max"][0] == len(names)
     assert totals["experiments.csv"][0] == 2
     roots = [i for i, parent in enumerate(recorder.parent) if parent < 0]
     assert [recorder.labels[recorder.label[i]] for i in roots] == ["experiments.csv"] * 2

@@ -167,6 +167,27 @@ def test_config_file_takes_a_negative_db_grid(tmp_path):
     assert ",-30," in outs[0].read_text()
 
 
+def test_negative_db_grid_as_two_tokens(tmp_path, capsys):
+    # argparse reads a value that starts with "-" as a flag; a grid option
+    # (or its abbreviation) and the grid after it are joined into one token
+    # before parsing.
+    outs = tmp_path / "two.csv", tmp_path / "one.csv", tmp_path / "abbrev.csv"
+    flags = ["simulate", "--scheme", "yang", "--trials", "10"]
+    assert parse_and_dispatch([*flags, "--rho-db", "-30:0:10", "--out", str(outs[0])]) == 0
+    assert parse_and_dispatch([*flags, "--rho-db=-30:0:10", "--out", str(outs[1])]) == 0
+    assert parse_and_dispatch([*flags, "--rho", "-30:0:10", "--out", str(outs[2])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    assert ",-30," in outs[0].read_text()
+    # A negative alpha grid reaches its own check and names the domain.
+    capsys.readouterr()
+    for argv in (
+        ["verify", "--alpha-grid", "-1:0:1"],
+        ["figure", "--figure", "8", "--alpha-grid", "-0.5:0.5:0.5", "--out", str(tmp_path / "f.csv")],
+    ):
+        assert parse_and_dispatch(argv) == 2
+        assert "alpha must lie in [0, 1]" in capsys.readouterr().err
+
+
 def test_config_file_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense = 1\n")

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -455,8 +456,15 @@ FIGURE8_SUMS = {
         [Fraction(j, 1000) for j in range(1001)],
         [j / 1000 for j in range(1001)],
         [round(0.05 * k, 10) for k in range(21)] + [0.3, 1 / 3, Fraction(1, 3), 0, 1],
+        # The sum maxima switch vertex at 1/5, 1/3 and 1/2: each exactly,
+        # and the floats next to it on either side.
+        [
+            a
+            for x in (Fraction(1, 5), Fraction(1, 3), Fraction(1, 2))
+            for a in (x, math.nextafter(float(x), 0), float(x), math.nextafter(float(x), 1))
+        ],
     ],
-    ids=["fraction-fine", "float-fine", "float-coarse"],
+    ids=["fraction-fine", "float-fine", "float-coarse", "switch-points"],
 )
 def test_geometry_figure8_rows_are_the_exact_api_values_formatted(grid):
     # The yang curve is read off alpha's ratio, the others off sum_max.

@@ -326,7 +326,9 @@ def test_a_region_csv_and_figures_enumerate_each_distinct_bound_once(monkeypatch
     # the two region CSVs and figures 3, 4, 6 and 7 read seven distinct
     # bounds (six under the 1a profile, and the outer bound of sym), and
     # format each one's text once; figure 8 over j/1000, j = 185..189,
-    # reads four bounds per alpha, and 185/1000 is 37/200.
+    # enumerates the rows of its four bounds per alpha once each, with no
+    # interning and no text, and 185/1000 is 37/200, so its four bounds
+    # there repeat rows of the region CSV.
     from gsdof import experiments
     from gsdof.cli import BOUND_NAMES
 
@@ -348,14 +350,14 @@ def test_a_region_csv_and_figures_enumerate_each_distinct_bound_once(monkeypatch
     assert len(runs) == 7
     assert texts.cache_info().misses == 7 and texts.cache_info().currsize == 7
     experiments.figure_data(8, alpha_grid=[Fraction(j, 1000) for j in range(185, 190)])
-    assert len(runs) == 7 + 16
-    assert len(set(runs)) == len(runs)
+    assert len(runs) == 7 + 20
+    assert len(set(runs)) == 7 + 20 - 4
     assert texts.cache_info().misses == 7
     # A float alpha and its Fraction twin share each region and its text.
     geometry_csvs(0.3)
     assert texts.cache_info().misses == 14
     geometry_csvs(Fraction(0.3))
-    assert texts.cache_info().misses == 14 and len(runs) == 7 + 16 + 7
+    assert texts.cache_info().misses == 14 and len(runs) == 7 + 20 + 7
     # The text cache is bounded like the interning: 20 more alphas format
     # more than _INTERNED texts, and at most _INTERNED are held.
     for k in range(20):
@@ -477,6 +479,9 @@ def test_enumeration_matches_all_pairs_oracle_on_random_rows(rows):
     crossings = {(Fraction(n1, det), Fraction(n2, det)) for n1, n2, det in reg._crossings}
     assert len(crossings) == len(reg._crossings)
     assert crossings == want
+    # The integer max that sum_max and figure 8 share, on the bare rows.
+    n, d = regions._sum_max_ratio(regions._exact_vertices(tuple(rows)))
+    assert Fraction(n, d) == max(x + y for x, y in want)
     verts = vertices(reg)
     assert set(verts) == want and len(verts) == len(want)
     turns = [_turn(*(verts[(i + k) % len(verts)] for k in range(3))) for i in range(len(verts))]
