@@ -167,16 +167,19 @@ def _load_config(path: str) -> dict:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Insert config-file values as defaults before explicit flags."""
-    if "--config" not in argv:
+    """Insert config-file values as defaults before explicit flags.  The
+    file is found as argparse finds --config, anywhere in ``argv``: as
+    "--config FILE", "--config=FILE" or an abbreviation such as "--conf"."""
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")
+    try:
+        found, rest = finder.parse_known_args(argv)
+    except argparse.ArgumentError as exc:
+        raise ValueError(str(exc)) from None
+    if found.config is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ValueError("--config needs a file path")
-    path = argv[idx + 1]
-    values = _load_config(path)
+    values = _load_config(found.config)
     commands = parser._subparsers._group_actions[0].choices  # type: ignore[union-attr]
-    rest = argv[:idx] + argv[idx + 2 :]
     command = next((tok for tok in rest if tok in commands), None)
     if command is None:
         raise ValueError("--config needs a subcommand")

@@ -82,16 +82,16 @@ _FMT = ".12g"
 # on the constant.
 SWEEP_BUDGET = 2**18
 
-# The decode checks read each kind's build of a chunk of trials (a chunk
-# of verify's sweep group, or of _decode_checks) and decode it in slices of
-# at most max(1, DECODE_BUDGET // slots**2) trials.  A slice's decode holds
-# its symbols, outputs and receiver systems, whose rows and columns both
-# grow with the slot count: 152-598 bytes per trial and slot squared over
-# every kind at alphas 0.05, 0.5 and 0.95 (tracemalloc peak of one
-# noiseless_decode_check of a full slice), so a slice peaks at 2.5 MB or
-# less on top of the chunk it reads.  At alpha 0.5 every kind decodes at
-# least 83 trials a slice, so a default verify decodes each kind's 20
-# trials in one call.  The output does not depend on the constant.
+# The decode checks read each kind's build of a chunk of verify's sweep
+# group and decode it in slices of at most max(1, DECODE_BUDGET //
+# slots**2) trials.  A slice's decode holds its symbols, outputs and
+# receiver systems, whose rows and columns both grow with the slot count:
+# 152-598 bytes per trial and slot squared over every kind at alphas 0.05,
+# 0.5 and 0.95 (tracemalloc peak of one noiseless_decode_check of a full
+# slice), so a slice peaks at 2.5 MB or less on top of the chunk it reads.
+# At alpha 0.5 every kind decodes at least 83 trials a slice, so a default
+# verify decodes each kind's 20 trials in one call.  The output does not
+# depend on the constant.
 DECODE_BUDGET = 2**12
 
 
@@ -586,24 +586,6 @@ class _DecodeTally:
             )
             for kind, failures in self.failures.items()
         ]
-
-
-def _decode_checks(alphas, trials, seed) -> list[CheckResult]:
-    """The decode checks of ``_DecodeTally`` on their own: each chunk of
-    ``DECODE_BUDGET // slots**2`` trials, slots the largest of any kind, is
-    drawn and built by ``_build_chunk``, the step a sweep group's chunks
-    take, with no engine pass, so trial ``i`` draws its channels from
-    ``trial_seeds(seed, trials)[i]``, as a sweep's trial ``i`` does."""
-    tally = _DecodeTally(alphas, trials)
-    a = tally.alpha
-    kinds = [(kind, [a]) for kind in SCHEME_TARGETS]
-    size = max(1, DECODE_BUDGET // max(len(SCHEMES[k].states(a)) for k, _ in kinds) ** 2)
-    seeds = trial_seeds(seed, trials)
-    for start in range(0, trials, size):
-        chunk = seeds[start : start + size]
-        built = _build_chunk(kinds, chunk)
-        tally(start, chunk, {(k, a): s for (k, _), (s, _) in zip(kinds, built)})
-    return tally.rows()
 
 
 def _figure8_check() -> CheckResult:

@@ -7,16 +7,17 @@ It takes the SNR-free coefficients, the row and column power exponents as
 int pairs (p, q), the alphas at which each exponent p + q*alpha is taken,
 and the SNRs, so the key projection and the Gram pieces are formed once per
 trial and each (alpha, SNR) point adds only elementwise work and a log-det.
-Columns are split into levels by their pairs, which do not depend on alpha,
-so one block plan serves every alpha of a receiver layout, alpha = 0
-included.  Neither step
-calls LAPACK per matrix: the projection is a modified Gram-Schmidt of the
-key rows and the log-det an LDLᴴ elimination (``_logdet2``, the package's
-only log-det), both run over whole stacks in real arithmetic.  A call takes
-one job or an iterable of jobs of one exponent width, such as every
-receiver of every build of a sweep chunk: the jobs are one engine pass, in
-which the blocks of every job that share a (rows, key rows, kept columns)
-shape are evaluated as one stack, and each job keeps the bits of a call of
+Each stack carries its columns' pairs and its alphas, and the columns are
+split into levels, one per distinct pair, where their Gram pieces are
+summed.  The pairs do not depend on alpha, so one block plan serves every
+alpha of a receiver layout, alpha = 0 included.  Neither step calls LAPACK
+per matrix: the projection is a modified Gram-Schmidt of the key rows and
+the log-det an LDLᴴ elimination (``_logdet2``, the package's only
+log-det), both run over whole stacks in real arithmetic.  A call takes one
+job or an iterable of jobs of one exponent width, such as every receiver
+of every build of a sweep chunk: the jobs are one engine pass, in which
+the blocks of every job that share a (rows, key rows, kept columns) shape
+are concatenated into one stack, and each job keeps the bits of a call of
 its own.
 The scheme sweeps and checks are tested on SNR grids of 60-120 dB.  Known
 limits at high SNR (alpha = 0.5 unless stated):
@@ -166,32 +167,13 @@ def _logdet2(g: np.ndarray):
     return logdet.reshape(g.shape[:-2]) / math.log(2.0)
 
 
-def _levels(col_exp: np.ndarray) -> tuple:
-    """The column levels of the int exponent pairs ``col_exp`` (..., 2), one
-    pair per column entry: each distinct pair (p, q), ascending, as (pair,
-    read-only mask of its columns).  A single level has no mask, since it
-    holds every column, and no columns make one level at (0, 0).
-
-    The levels do not depend on alpha, so every alpha of an exponent batch
-    sums its Gram pieces in the same grouping and order: two levels stay
-    two pieces at an alpha where their exponents p + q*alpha meet, such as
-    (0, -1) and (0, 0) at alpha = 0."""
-    pairs = sorted(set(map(tuple, col_exp.reshape(-1, 2).tolist()))) or [(0, 0)]
-    if len(pairs) == 1:
-        return ((pairs[0], None),)
-    masks = [(col_exp == pair).all(axis=-1) for pair in pairs]
-    for mask in masks:
-        mask.flags.writeable = False
-    return tuple(zip(pairs, masks))
-
-
-def _entropy_given_keys(c: np.ndarray, k: np.ndarray, row_exp, levels, rho):
+def _entropy_given_keys(c: np.ndarray, k: np.ndarray, row_exp, col_pairs, alpha, rho):
     """log2-det part of h(A s + n | K s) for s ~ CN(0, I) and unit noise,
     where A scales entry (i, j) of the rho-free ``c`` by rho^((r_i + c_j)/2),
-    at each entry of an exponent batch: float row exponents ``row_exp``
-    (..., batch, rows), column exponents given as ``levels``, each (its
-    exponents over the batch, mask of its columns) (see ``_gathered``), and
-    an array of SNRs ``rho``.
+    at each alpha of an exponent batch: float row exponents ``row_exp``
+    (..., batch, rows), the int exponent pair (p, q) of each column as
+    ``col_pairs`` (..., cols, 2), the alphas ``alpha`` (..., batch), and an
+    array of SNRs ``rho``.
 
     Conditioning on the noiseless functionals K s projects the symbol space
     onto the orthogonal complement of the key rows (the Schur complement of
@@ -201,18 +183,26 @@ def _entropy_given_keys(c: np.ndarray, k: np.ndarray, row_exp, levels, rho):
 
         (A P Aᴴ)_ij = Σ_e rho^((r_i + r_j)/2 + e) (Q_e)_ij,   Q_e = (C P)_e (C P)_eᴴ,
 
-    where (C P)_e keeps the columns of level e.  The projection and the Gram
-    pieces are formed once for the whole batch, without the SNR; each
-    (batch entry, SNR) point costs one elementwise product and sum per
-    level, and the LDLᴴ log-det of ``_logdet2``, with the bits of its own
-    call.  At rho = 1 with zero exponents every factor is 1.0, so A = ``c``
-    bit for bit: that is the dense call.
+    where (C P)_e keeps the columns of one level: one distinct pair of
+    ``col_pairs``, ascending, at e = p + q * alpha (the bits of
+    ``schemes._at``).  The levels follow the pairs, not alpha, so two
+    levels stay two pieces at an alpha where their exponents meet, such as
+    (0, -1) and (0, 0) at alpha = 0.  A lone level needs no mask, and no
+    columns make one level at (0, 0).  A matrix of a merged stack (see
+    ``_merged``) that has no column at some level adds exact zeros there,
+    which change no pivot, so it keeps the bits of its own stack's
+    evaluation.
 
-    Leading axes of ``c`` and ``k`` are batch axes and broadcast; ``row_exp``,
-    the level masks (..., cols) and a level's exponents, (batch,) or, for a
-    merged stack (see ``_merged``), (..., batch), broadcast against them.
-    The result has the batch axes of ``c``, then the exponent batch axis,
-    then ``rho``'s axes."""
+    The projection and the Gram pieces are formed once for the whole batch,
+    without the SNR; each (batch entry, SNR) point costs one elementwise
+    product and sum per level, and the LDLᴴ log-det of ``_logdet2``, with
+    the bits of its own call.  At rho = 1 with zero exponents every factor
+    is 1.0, so A = ``c`` bit for bit: that is the dense call.
+
+    Leading axes of ``c`` and ``k`` are batch axes and broadcast, and
+    ``row_exp``, ``col_pairs`` and ``alpha`` broadcast against them.  The
+    result has the batch axes of ``c``, then the exponent batch axis, then
+    ``rho``'s axes."""
     if k.shape[-2]:
         c = _project_off_keys(c, k)
     c_h = c.conj().swapaxes(-1, -2)
@@ -221,16 +211,19 @@ def _entropy_given_keys(c: np.ndarray, k: np.ndarray, row_exp, levels, rho):
     half = (row_exp[..., :, None] + row_exp[..., None, :]) / 2.0
     half = half.reshape(half.shape[:-2] + snr_axes + (r, r))
     rho = rho.reshape(rho.shape + (1, 1))
+    levels = sorted(set(map(tuple, col_pairs.reshape(-1, 2).tolist()))) or [(0, 0)]
     g = None
-    for e, mask in levels:
-        q = (c if mask is None else c * mask[..., None, :]) @ c_h
+    for p, q in levels:
+        mask = None if len(levels) == 1 else (col_pairs == (p, q)).all(axis=-1)
+        piece = (c if mask is None else c * mask[..., None, :]) @ c_h
         # The piece at every (batch entry, SNR): times rho^((r_i + r_j)/2 + e).
+        e = p + q * alpha
         e = e.reshape(e.shape + snr_axes + (1, 1))
-        q = q.reshape(q.shape[:-2] + (1,) + snr_axes + (r, r)) * rho ** (half + e)
+        piece = piece.reshape(piece.shape[:-2] + (1,) + snr_axes + (r, r)) * rho ** (half + e)
         if g is None:
-            g = q
+            g = piece
         else:
-            g += q
+            g += piece
     diagonal = np.einsum("...ii->...i", g)
     diagonal += 1.0
     return _logdet2(g)
@@ -292,12 +285,13 @@ def _stack_plan(
     per stack shape, the flat indices of its pairs into the (rows * cols)
     observation and (key rows * cols) key matrices, shaped (pairs, rows,
     kept) and (pairs, key rows, kept), the (pairs, rows) row indices and
-    the stack's column levels (see ``_levels``); and per mask, the (stack
-    shape, pair) of each block part.  A receiver layout repeats over chunks,
-    sweeps and alphas, and this plan costs about as much as the whole
-    evaluation of a small receiver, so it is cached.  Nothing in it depends
-    on alpha, so one plan serves every alpha of a layout.  The result is
-    immutable (tuples, read-only arrays), since every caller shares it.
+    the (pairs, kept, 2) exponent pairs of the kept columns; and per mask,
+    the (stack shape, pair) of each block part.  A receiver layout repeats
+    over chunks, sweeps and alphas, and this plan costs about as much as
+    the whole evaluation of a small receiver, so it is cached.  Nothing in
+    it depends on alpha, so one plan serves every alpha of a layout.  The
+    result is immutable (tuples, read-only arrays), since every caller
+    shares it.
 
     Raises ValueError if a key row touches a column whose pair is not (0,
     0), naming the first such (key row, column) and the column's pair: the
@@ -336,26 +330,23 @@ def _stack_plan(
     for shape, stack in stacks.items():
         rows, key_rows, kept = (np.array(x) for x in zip(*stack))
         cols = kept[:, None, :]
-        arrays = (rows[:, :, None] * n + cols, key_rows[:, :, None] * n + cols, rows)
+        arrays = (rows[:, :, None] * n + cols, key_rows[:, :, None] * n + cols, rows, col_exp[kept])
         for x in arrays:
             x.flags.writeable = False
-        gathers.append((shape, *arrays, _levels(col_exp[kept])))
+        gathers.append((shape, *arrays))
     return tuple(gathers), tuple(map(tuple, parts))
 
 
-def _merged(parts, batch: tuple, width: int) -> tuple:
+def _merged(parts, batch: tuple) -> tuple:
     """The stacks ``parts``, each (coefficients, keys, row exponents,
-    levels) of one (rows, key rows, kept columns) shape, as one stack
-    concatenated along the pair axis, each broadcast to the batch shape
-    ``batch``: coefficients, keys, (pairs, width, rows) row exponents and
-    column levels (see ``_gathered``).
+    column pairs, alphas) of one (rows, key rows, kept columns) shape (see
+    ``_gathered``), as one stack concatenated along the pair axis, the
+    coefficients and keys each broadcast to the batch shape ``batch``.  A
+    lone stack is returned as it is.
 
-    A lone stack is returned as it is.  Otherwise level ``l`` of the merged
-    stack holds each stack's ``l``-th level, its exponents as a (pairs,
-    width) array, and a stack with fewer levels gets an empty mask there.
-    An empty level adds exact zeros to a pair's Gram sum, and each pair
-    sums its own levels in its own ascending order, so every pair keeps the
-    bits of its own stack's evaluation."""
+    Each pair keeps its own column pairs and alphas, and
+    ``_entropy_given_keys`` forms the levels of the merged stack by value,
+    so every pair keeps the bits of its own stack's evaluation."""
     if len(parts) == 1:
         return parts[0]
 
@@ -363,36 +354,23 @@ def _merged(parts, batch: tuple, width: int) -> tuple:
         return x if x.shape[:-3] == batch else np.broadcast_to(x, batch + x.shape[-3:])
 
     c, k = (np.concatenate([full(part[i]) for part in parts], axis=-3) for i in (0, 1))
-    exps = np.concatenate([part[2] for part in parts])
-    counts = [coefs.shape[-3] for coefs, *_ in parts]
-    merged = []
-    for at in range(max(len(levels) for *_, levels in parts)):
-        empty = (np.zeros(width), False)
-        here = [levels[at] if at < len(levels) else empty for *_, levels in parts]
-        e = np.repeat([e for e, _ in here], counts, axis=0)  # (pairs, width)
-        if all(mask is None for _, mask in here):
-            merged.append((e, None))
-        else:
-            masks = [
-                np.broadcast_to(True if mask is None else mask, (n, c.shape[-1]))
-                for (_, mask), n in zip(here, counts)
-            ]
-            merged.append((e, np.concatenate(masks)))
-    return c, k, exps, tuple(merged)
+    return c, k, *(np.concatenate([part[i] for part in parts]) for i in (2, 3, 4))
 
 
 def _gathered(job) -> tuple:
     """A job (coef, keys, keeps, row_exp, col_exp, alpha) of
     ``_entropies_by_block`` as its ``_stack_plan`` parts per mask, its
-    stacks as (stack shape, (coefficients, keys, row exponents, levels)),
-    each gathered with one take on the job's flattened matrices (a
-    C-contiguous (..., pairs, rows, kept) array), the batch shapes of
-    ``coef`` and ``keys``, and its exponent width, the length of ``alpha``.
+    stacks as (stack shape, (coefficients, keys, row exponents, column
+    pairs, alphas)), each gathered with one take on the job's flattened
+    matrices (a C-contiguous (..., pairs, rows, kept) array), the batch
+    shapes of ``coef`` and ``keys``, and its exponent width, the length of
+    ``alpha``.
 
-    The exponents are formed here, once per call: each pair (p, q) is p + q
-    * alpha at each alpha of the batch, the bits of ``schemes._at``, as
-    (pairs, width, rows) row exponents and, per column level of the plan, a
-    (width,) array with the level's mask."""
+    The row exponents are formed here, once per call: each pair (p, q) is
+    p + q * alpha at each alpha of the batch, the bits of ``schemes._at``,
+    as (pairs, width, rows) floats.  The columns keep their (pairs, kept, 2)
+    int pairs from the plan, and each pair of a stack carries the job's
+    alphas as a (width,) row, so a merged stack holds every job's own."""
     coef, keys, keeps, row_exp, col_exp, alpha = job
     support = np.concatenate([_support(coef), _support(keys)])
     gathers, parts = _stack_plan(
@@ -406,10 +384,11 @@ def _gathered(job) -> tuple:
     batches = [coef.shape[:-2], keys.shape[:-2]]
     coef, keys = (x.reshape(x.shape[:-2] + (-1,)) for x in (coef, keys))
     stacks = []
-    for shape, flat, key_flat, rows, levels in gathers:
+    for shape, flat, key_flat, rows, col_pairs in gathers:
         gathered = np.take(coef, flat, axis=-1), np.take(keys, key_flat, axis=-1)
-        levels = tuple((p + q * alpha, mask) for (p, q), mask in levels)
-        stacks.append((shape, (*gathered, np.moveaxis(row_exp[:, rows], 0, -2), levels)))
+        row_exps = np.moveaxis(row_exp[:, rows], 0, -2)
+        alphas = np.broadcast_to(alpha, (len(rows), len(alpha)))
+        stacks.append((shape, (*gathered, row_exps, col_pairs, alphas)))
     return parts, stacks, batches, len(alpha)
 
 
@@ -436,9 +415,11 @@ def _entropies_by_block(jobs, rho) -> list:
     SNR) matrices, one elimination chunk.  A stack larger than that is a
     pack of its own, as in a pass of its own job, so no evaluation is larger
     than a lone job's.  No block-diagonal matrix is formed.  Every step of
-    the evaluation is per matrix, so neither the merge nor the packs change
-    a bit: each job gets the values of a pass of its own."""
-    stacks = {}  # stack shape -> [(job, (coefficients, keys, row exponents, levels))]
+    the evaluation is per matrix, and each pair of a merged stack keeps its
+    own column pairs and alphas, so neither the merge nor the packs change
+    a bit: each job gets the values of a pass of its own, whether or not
+    its stack mates sit at other column pairs or alphas."""
+    stacks = {}  # stack shape -> [(job, (coefficients, keys, exponents, pairs, alphas))]
     plans, batches, widths = [], [], set()
     # map() passes each job on without holding it here once it is gathered.
     for j, (parts, gathered, job_batches, width) in enumerate(map(_gathered, jobs)):
@@ -456,15 +437,15 @@ def _entropies_by_block(jobs, rho) -> list:
     for shape, members in stacks.items():
         packs = [[]]  # consecutive stacks of at most _LDL_CHUNK matrices, or one stack
         for member in members:
-            pairs = sum(len(exps) for _, (_, _, exps, _) in packs[-1] + [member])
+            pairs = sum(len(exps) for _, (_, _, exps, *_) in packs[-1] + [member])
             if packs[-1] and per_pair * pairs > _LDL_CHUNK:
                 packs.append([])
             packs[-1].append(member)
         for pack in packs:
-            h = _entropy_given_keys(*_merged([stack for _, stack in pack], batch, width), rho)
+            h = _entropy_given_keys(*_merged([stack for _, stack in pack], batch), rho)
             # The pair axis first, so that each job's pairs are one slice.
             h, start = np.moveaxis(h, len(batch), 0), 0
-            for j, (_, _, exps, _) in pack:
+            for j, (_, _, exps, *_) in pack:
                 values[j][shape] = h[start : start + len(exps)]
                 start += len(exps)
     lead = batch + (width,) + rho.shape
@@ -557,9 +538,9 @@ def conditional_mi(
     give each alpha its own (m, 2) rows, as (alphas, m, 2).  Each entry
     equals the call at its own alpha bit for bit, alpha = 0 beside any
     other alpha included: the columns are split into levels by their pairs,
-    which do not depend on alpha, and the exponents p + q * alpha are formed
-    per call.  A float ``alpha`` is evaluated as a batch of one, whose axis
-    is dropped on return, so there is one evaluation path.
+    which do not depend on alpha, and each exponent p + q * alpha is formed
+    where it is used.  A float ``alpha`` is evaluated as a batch of one,
+    whose axis is dropped on return, so there is one evaluation path.
 
     ``coef`` and ``keys`` may carry leading batch axes (for example trials,
     or trials x 1 for keys shared over a second axis); the result then has

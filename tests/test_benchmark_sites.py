@@ -33,13 +33,15 @@ def test_every_span_site_resolves_to_a_callable(monkeypatch):
 
 def test_traced_decode_and_lemma1_checks_run(monkeypatch):
     # The recorder tests each noiseless_decode_check result with `if not
-    # ok`, which raises on an array; a traced run of verify's decode and
-    # lemma-1 stages must record every call and no decode failure.
+    # ok`, which raises on an array; a traced verify_all must record every
+    # call of its decode stage, one per kind over its one 20-trial chunk,
+    # pass its decode and lemma-1 checks and record no decode failure.
     spans = _spans(monkeypatch)
-    alphas = (0.25, 0.5, 0.75)
     with spans.SpanRecorder() as recorder:
-        decode = experiments._decode_checks(alphas, 20, 0)
-        lemma1 = experiments._lemma1_checks(alphas, (60, 70, 80, 90, 100, 110, 120), 0)
+        checks = experiments.verify_all([0.5], seed=0, trials=20)
+    decode = [c for c in checks if c.name.startswith("decode/")]
+    lemma1 = [c for c in checks if c.name.startswith("lemma1/")]
+    assert len(decode) == len(experiments.SCHEME_TARGETS) and lemma1
     assert all(c.passed for c in decode + lemma1)
     calls = recorder.totals()["schemes.noiseless_decode_check"][0]
     assert calls == len(decode)

@@ -236,5 +236,29 @@ def test_config_flag_before_subcommand(tmp_path):
     assert out.read_text().splitlines()[1].startswith("yang,0.5,")
 
 
+def test_config_file_is_read_under_every_spelling_of_the_flag(tmp_path, capsys):
+    # argparse takes "--config=FILE" and abbreviations such as "--conf FILE"
+    # as --config: each must load the file and write the bytes of the
+    # "--config FILE" run, not run on the defaults.
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("scheme = yang\nalpha = 0.25\ntrials = 10\n")
+    spellings = {
+        "flag": ["--config", str(cfg), "simulate"],
+        "equals": [f"--config={cfg}", "simulate"],
+        "abbrev": ["--conf", str(cfg), "simulate"],
+        "abbrev-equals": [f"--co={cfg}", "simulate"],
+        "after": ["simulate", f"--config={cfg}"],
+    }
+    outs = {name: tmp_path / f"{name}.csv" for name in spellings}
+    for name, argv in spellings.items():
+        assert parse_and_dispatch([*argv, "--out", str(outs[name])]) == 0, name
+        assert outs[name].read_bytes() == outs["flag"].read_bytes(), name
+    assert outs["flag"].read_text().splitlines()[1].startswith("yang,0.25,")
+    # A spelling with no file is a usage error that names the flag.
+    capsys.readouterr()
+    assert parse_and_dispatch(["simulate", "--scheme", "yang", "--conf"]) == 2
+    assert "--config" in capsys.readouterr().err
+
+
 def test_config_without_subcommand_errors():
     assert parse_and_dispatch(["--config", "/nonexistent"]) == 2

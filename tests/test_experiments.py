@@ -1144,6 +1144,24 @@ def _planting(kind, trials, seed, count, alpha=0.5):
     return dataclasses.replace(spec, build=build)
 
 
+def _decode_checks(alphas, trials, seed) -> list:
+    # The decode checks on their own: _DecodeTally fed each chunk of
+    # DECODE_BUDGET // slots**2 trials, slots the largest of any kind, as
+    # _build_chunk draws and builds it for a sweep group, with no engine
+    # pass, so trial i draws from trial_seeds(seed, trials)[i].
+    tally = experiments._DecodeTally(alphas, trials)
+    a = tally.alpha
+    kinds = [(kind, [a]) for kind in experiments.SCHEME_TARGETS]
+    slots = max(len(SCHEMES[k].states(a)) for k, _ in kinds)
+    size = max(1, experiments.DECODE_BUDGET // slots**2)
+    seeds = trial_seeds(seed, trials)
+    for start in range(0, trials, size):
+        chunk = seeds[start : start + size]
+        built = experiments._build_chunk(kinds, chunk)
+        tally(start, chunk, {(k, a): s for (k, _), (s, _) in zip(kinds, built)})
+    return tally.rows()
+
+
 def test_decode_checks_count_planted_failures(monkeypatch):
     # Realizations that cannot be decoded are planted in known trials: slot 2
     # of wiretap-gaussian gets g = h (the 2x2 decode system is singular) and
@@ -1165,7 +1183,7 @@ def test_decode_checks_count_planted_failures(monkeypatch):
     monkeypatch.setattr(
         experiments, "SCHEME_TARGETS", {kind: SCHEMES[kind].target for kind in planted}
     )
-    checks = experiments._decode_checks((0.25, 0.5), 20, 0)
+    checks = _decode_checks((0.25, 0.5), 20, 0)
     # One draw per channel mode, each holding all 20 trials.
     assert sorted(draws) == [("complex", 20), ("integer", 20)]
     assert [c.name for c in checks] == [f"decode/{kind}/alpha=0.5" for kind in planted]
@@ -1301,12 +1319,12 @@ def test_decode_checks_peak_memory_does_not_grow_with_trials(monkeypatch):
     # peak about four times higher than 500.
     kinds = ("gdof", "bc-fixed")
     monkeypatch.setattr(experiments, "SCHEME_TARGETS", {k: SCHEMES[k].target for k in kinds})
-    experiments._decode_checks((0.5,), 20, 0)  # import and cache outside the trace
+    _decode_checks((0.5,), 20, 0)  # import and cache outside the trace
     peaks = []
     for trials in (500, 2000):
         tracemalloc.start()
         try:
-            checks = experiments._decode_checks((0.5,), trials, 0)
+            checks = _decode_checks((0.5,), trials, 0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

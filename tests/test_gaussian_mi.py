@@ -289,11 +289,10 @@ def test_conditional_mi_blocks_match_dense_evaluation():
 
     def dense(keep):
         # A batch of one at rho = 1 with (0, 0) pairs, its axis dropped.
-        pairs = gaussian_mi._levels(np.zeros((keep.sum(), 2), dtype=np.int64))
-        levels = tuple((np.array([p + q * 0.0]), mask) for (p, q), mask in pairs)
+        pairs = np.zeros((keep.sum(), 2), dtype=np.int64)
         one = np.array(1.0)
         return gaussian_mi._entropy_given_keys(
-            obs[..., keep], keys[..., keep], np.zeros((1, 5)), levels, one
+            obs[..., keep], keys[..., keep], np.zeros((1, 5)), pairs, np.zeros(1), one
         )[..., 0]
 
     got = conditional_mi(obs, keys, target, given)
@@ -438,6 +437,48 @@ def test_conditional_mi_exponent_batch_holds_alpha_zero():
     for rows, cols, alpha in bad:
         with pytest.raises(ValueError, match=r"^exponents are int pairs \(p, q\)"):
             conditional_mi(coef, keys, target, given, rows, cols, rho, alpha)
+
+
+def test_conditional_mi_mixed_level_pass_equals_one_job_calls(monkeypatch):
+    # One engine pass over jobs of one exponent width at different alphas,
+    # alpha = 0 in half of them: every other job has two columns at the pair
+    # (0, -1) and the rest have none, so the stacks of one shape, merged
+    # over the jobs, sit at different column pairs.  Each shape's stacks
+    # span two packs of one elimination chunk.  Every job gets the bits of
+    # its own one-job call.
+    rng = np.random.default_rng(21)
+    trials, rho = 8, 10.0 ** np.array([6.0, 8.0, 10.0, 12.0])
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    row_exp = np.array([(1, 0), (1, 0), (0, 1)])
+    target, given = _mask(4, [3]), _mask(4, [])
+    jobs = []
+    for j in range(24):
+        keys = np.concatenate([cn(trials, 1, 2), np.zeros((trials, 1, 2))], axis=-1)
+        col_exp = np.array([(0, 0), (0, 0), (0, -1), (0, -1)] if j % 2 else [(0, 0)] * 4)
+        alphas = [0.0, (j + 1) / 40] if j % 4 < 2 else [(j + 1) / 40, 0.5]
+        jobs.append((cn(trials, 3, 4), keys, target, given, row_exp, col_exp, alphas))
+    calls = []
+    entropy = gaussian_mi._entropy_given_keys
+
+    def spied(c, k, row_exp, col_pairs, alpha, rho):
+        calls.append(({tuple(map(tuple, p)) for p in col_pairs.tolist()}, len(col_pairs)))
+        return entropy(c, k, row_exp, col_pairs, alpha, rho)
+
+    monkeypatch.setattr(gaussian_mi, "_entropy_given_keys", spied)
+    got = conditional_mi(iter(jobs), rho=rho)
+    # Two stack shapes (all columns kept, and columns 0-2), each over two
+    # packs, and a pack holds stacks both with and without (0, -1) columns.
+    per_pack = gaussian_mi._LDL_CHUNK // (trials * 2 * rho.size)
+    assert [n for _, n in calls] == [per_pack, len(jobs) - per_pack] * 2
+    assert all(len({(0, -1) in p for p in pairs}) == 2 for pairs, _ in calls)
+    monkeypatch.undo()
+    for j, job in enumerate(jobs):
+        one = conditional_mi(*job[:6], rho, job[6])
+        assert got[j].shape == (trials, 2, rho.size)
+        assert got[j].tobytes() == one.tobytes(), j
 
 
 def _mp_entropy(mpmath, coef, keys, row_exp, col_exp, keep, rho):

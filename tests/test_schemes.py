@@ -484,9 +484,9 @@ def test_accounting_evaluates_each_conditioning_set_once(kind, monkeypatch):
     calls = []
     entropy = gaussian_mi._entropy_given_keys
 
-    def counted(c, k, row_exp, levels, rho):
+    def counted(c, k, row_exp, col_pairs, alpha, rho):
         calls.append((c.shape, k.shape[-2], rho.shape))
-        return entropy(c, k, row_exp, levels, rho)
+        return entropy(c, k, row_exp, col_pairs, alpha, rho)
 
     monkeypatch.setattr(gaussian_mi, "_entropy_given_keys", counted)
     batch = build_scheme(kind, 0.5, [np.random.SeedSequence(i) for i in range(3)])
@@ -522,14 +522,14 @@ def _dense_accounting(sch, rhos):
         st = receiver_structure(sch, receiver)
 
         def h(keep):
-            # A batch of one alpha, its axis dropped: the scheme's exponents
-            # p + q * alpha, the columns split into levels by their pairs.
+            # A batch of one alpha, its axis dropped: the scheme's row
+            # exponents p + q * alpha, and its columns' pairs.
             row_exp, _ = st.exponents()
-            a = float(sch.alpha)
-            pairs = gaussian_mi._levels(st.col_exp[keep])
-            levels = tuple((np.array([p + q * a]), mask) for (p, q), mask in pairs)
+            alpha = np.array([float(sch.alpha)])
             c, k = st.coef[..., keep], st.key_coef[..., keep]
-            return gaussian_mi._entropy_given_keys(c, k, row_exp[None], levels, rhos)[..., 0, :]
+            return gaussian_mi._entropy_given_keys(
+                c, k, row_exp[None], st.col_exp[keep], alpha, rhos
+            )[..., 0, :]
 
         for out, owner, known in ((rel, receiver, other), (leak, other, receiver)):
             given = st.owner_masks[f"rx{known}"] | st.owner_masks["common"]
