@@ -8,6 +8,7 @@ long flag; explicit flags override config values.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -266,12 +267,14 @@ def parse_and_dispatch(argv) -> int:
             return 0
 
         if args.command == "verify":
-            checks = experiments.verify_all(args.alpha_grid, seed=args.seed, trials=args.trials)
-            for c in checks:
-                status = "pass" if c.passed else "FAIL"
-                print(f"[{status}] {c.name} margin={c.margin:+.4f} {c.detail}")
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
+            # The out file is opened before any check runs, so an unwritable
+            # path is refused first, and is left as it was if a check raises.
+            with experiments.replacing(args.out) if args.out else contextlib.nullcontext() as fh:
+                checks = experiments.verify_all(args.alpha_grid, seed=args.seed, trials=args.trials)
+                for c in checks:
+                    status = "pass" if c.passed else "FAIL"
+                    print(f"[{status}] {c.name} margin={c.margin:+.4f} {c.detail}")
+                if fh is not None:
                     fh.write(experiments.checks_to_csv(checks))
             failed = [c for c in checks if not c.passed]
             print(f"verify: {len(checks) - len(failed)}/{len(checks)} checks passed")

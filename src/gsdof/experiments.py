@@ -10,14 +10,17 @@ trials are chunked for batched MI evaluation.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
 import math
 import numbers
+import os
+import stat
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,6 +85,18 @@ _FMT = ".12g"
 # on the constant.
 SWEEP_BUDGET = 2**18
 
+# Most trial x SNR points a run may hold, over the sweeps whose reports it
+# holds at once: a larger trial count is refused before trial 0.  A sweep
+# is one, verify's sweep group 25 (every kind at each of its three scheme
+# alphas, and the canary).  A report keeps its per-trial MI and leakage, 16
+# bytes per (trial, SNR, group), for csv_text, so at the cap a run keeps
+# 128 MiB or less: four groups, int-sym-alt's, are the most of any kind.
+# Measured peak RSS of one process at the cap (alpha 0.5, numpy 2.4.6,
+# x86-64): simulate int-sym-alt 239 MB on seven SNRs (299593 trials), 248
+# MB with out, and 249 MB on four (524288 trials); yang 167 MB on seven;
+# verify 126 MB (11983 trials).
+TRIAL_POINTS_MAX = 2**21
+
 # The decode checks read each kind's build of a chunk of verify's sweep
 # group and decode it in slices of at most max(1, DECODE_BUDGET //
 # slots**2) trials.  A slice's decode holds its symbols, outputs and
@@ -113,10 +128,18 @@ def rho_from_db(db) -> np.ndarray:
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
 
 
-def _check_trials_and_seed(trials, seed) -> None:
-    """Refuse a trial count or seed that would fail only inside trial 0."""
+def _check_trials_and_seed(trials, seed, snrs, sweeps=1) -> None:
+    """Refuse a trial count or seed that would fail only inside trial 0,
+    and a trial count above ``TRIAL_POINTS_MAX`` trial x SNR points over
+    ``sweeps`` sweeps held at once, each on a grid of ``snrs`` SNRs."""
     if not isinstance(trials, numbers.Integral) or trials < 10:
         raise ValueError(f"trials must be an integer of at least 10, got {trials!r}")
+    if trials * snrs * sweeps > TRIAL_POINTS_MAX:
+        each = f" in each of {sweeps} sweeps" if sweeps > 1 else ""
+        raise ValueError(
+            f"trials must be at most {TRIAL_POINTS_MAX // (snrs * sweeps)} on {snrs} SNRs{each} "
+            f"(at most {TRIAL_POINTS_MAX} trial x SNR points), got {trials}"
+        )
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
@@ -146,7 +169,7 @@ class SweepConfig:
                 f"rho_db must not exceed {top:g} dB for {self.scheme}, "
                 f"the highest SNR it is answered at; got {grid[-1]:g} dB"
             )
-        _check_trials_and_seed(self.trials, self.seed)
+        _check_trials_and_seed(self.trials, self.seed, len(grid))
 
 
 @dataclass
@@ -157,11 +180,11 @@ class RateReport:
     subrange used is recorded in ``fit_rho_db``.  ``ledger`` is the scheme's
     claimed rate per group (log2(rho) multiples per block), its rate pairs
     evaluated at ``alpha``.
-    ``csv_text``, one row per (trial, SNR, group), is formatted on first
-    read from ``_trial_bits``, the per-trial (MI, leakage) stacks of shape
-    (trials, SNRs, groups), groups in ``group_owner`` order; the stacks are
-    dropped once formatted, so a caller that keeps many reports holds each
-    sweep's bits once.
+    The report keeps ``_trial_bits``, the per-trial (MI, leakage) stacks of
+    shape (trials, SNRs, groups), groups in ``group_owner`` order, and never
+    its CSV text: ``csv_text``, one row per (trial, SNR, group), is
+    formatted from the stacks on each read, with the rows a sweep streams
+    to ``out``.
     """
 
     scheme: str
@@ -170,7 +193,7 @@ class RateReport:
     rho_db: tuple
     fit_rho_db: tuple
     group_owner: dict
-    _trial_bits: tuple | None = field(compare=False, repr=False)
+    _trial_bits: tuple = field(compare=False, repr=False)
     ledger: dict = field(default_factory=dict)
     mean_mi: dict = field(default_factory=dict)  # (rho_db, group) -> bits
     mean_leak: dict = field(default_factory=dict)
@@ -179,25 +202,73 @@ class RateReport:
     d1: float = 0.0
     d2: float = 0.0
 
-    @cached_property
+    @property
     def csv_text(self) -> str:
-        mi, leak = self._trial_bits
-        self._trial_bits = None
-        # Rows are trial-major: "scheme,alpha,rho_db,trial,group," then the
-        # two values as _f formats them ("%.12g" gives the bytes of
-        # "{:.12g}", nan and inf included).  One template holds a trial's
-        # rows, with \0 where the trial number goes, and one % formats them.
-        heads = [
-            f"{self.scheme},{_f(self.alpha)},{_f(db)},\0,{g},".replace("%", "%%")
-            for db in self.rho_db
-            for g in self.group_owner
-        ]
-        template = "".join(f"{head}%.12g,%.12g\n" for head in heads)
-        values = np.stack([mi, leak], axis=-1).reshape(len(mi), -1).tolist()
-        header = "scheme,alpha,rho_db,trial,symbol_group,mi_bits,leak_bits\n"
-        return header + "".join(
-            template.replace("\0", str(trial)) % tuple(row) for trial, row in enumerate(values)
+        return _CSV_HEADER + _csv_rows(
+            self.scheme, self.alpha, self.rho_db, self.group_owner, *self._trial_bits
         )
+
+
+_CSV_HEADER = "scheme,alpha,rho_db,trial,symbol_group,mi_bits,leak_bits\n"
+
+
+def _csv_rows(scheme, alpha, rho_db, groups, mi, leak, start=0) -> str:
+    """The CSV rows of trials ``start``, ``start + 1``, ... of one sweep,
+    from their (trials, SNRs, groups) MI and leakage stacks, groups in the
+    order of ``groups``."""
+    # Rows are trial-major: "scheme,alpha,rho_db,trial,group," then the
+    # two values as _f formats them ("%.12g" gives the bytes of
+    # "{:.12g}", nan and inf included).  One template holds a trial's
+    # rows, with \0 where the trial number goes, and one % formats them.
+    heads = [
+        f"{scheme},{_f(alpha)},{_f(db)},\0,{g},".replace("%", "%%")
+        for db in rho_db
+        for g in groups
+    ]
+    template = "".join(f"{head}%.12g,%.12g\n" for head in heads)
+    values = np.stack([mi, leak], axis=-1).reshape(len(mi), -1).tolist()
+    return "".join(
+        template.replace("\0", str(trial)) % tuple(row) for trial, row in enumerate(values, start)
+    )
+
+
+_TEMP_IDS = itertools.count()
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A text file open for writing in place of ``path``.  Where ``path``
+    is a regular file, or nothing yet, it is a new file beside the file
+    ``path`` resolves to, which replaces it (``os.replace``) when the block
+    exits cleanly and is deleted when it raises, so a failed run leaves the
+    file as it was and a symlink at ``path`` is written through.  Anything
+    else, such as a device or a pipe, is opened and written as it stands.
+    A path that cannot be written, such as one in a missing directory or a
+    directory itself, is refused here, before the block runs, by an
+    ``OSError`` that names it."""
+    if os.path.isdir(path) or not os.path.basename(path):
+        raise OSError(f"cannot write {path}: not a file path")
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:
+        regular = True  # nothing there yet, or refused by the open below
+    target = os.path.realpath(path) if regular else path
+    tmp = f"{target}.{os.getpid()}-{next(_TEMP_IDS)}.tmp" if regular else path
+    try:
+        fh = open(tmp, "x" if regular else "w", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror}") from None
+    if not regular:
+        with fh:
+            yield fh
+        return
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _build_chunk(kinds, seeds) -> list:
@@ -255,6 +326,13 @@ def _sweep_group(batches, consume=None) -> list:
     as the whole group, and the error names the group's lowest failing
     trial; if no trial fails alone, the chunk's own error is re-raised.
 
+    Each config's (trials, SNRs, groups) MI and leakage stacks are filled
+    chunk by chunk, and a config with ``out`` writes each chunk's CSV rows
+    as they are filled, to the file ``replacing(out)`` opens before the
+    first trial: so no whole-sweep text is built, a path that cannot be
+    written is refused before any trial runs, and a regular ``out`` is
+    replaced only once every report of the group is made, in config order.
+
     ``consume``, if given, is called once per chunk, after its accounting,
     as ``consume(start, seeds, builds)``: the chunk's first trial index,
     its int seeds and, by (kind, alpha), the scheme of that alpha's batch,
@@ -266,78 +344,94 @@ def _sweep_group(batches, consume=None) -> list:
     slots = [len(SCHEMES[kind].states(alphas[0])) for kind, alphas in kinds]
     cost = sum(n * (len(batch) * len(rho_lin) + n) for n, batch in zip(slots, batches))
     size = max(1, SWEEP_BUDGET // cost)
-    seeds = trial_seeds(first.seed, first.trials)
-    chunks = []
-    for start in range(0, first.trials, size):
-        chunk = seeds[start : start + size]
-        try:
-            built = _build_chunk(kinds, chunk)
-            chunks.append(_group_chunk(built, rho_lin))
-        except Exception:
-            for idx, s in enumerate(chunk, start):
-                try:
-                    _group_chunk(_build_chunk(kinds, [s]), rho_lin)
-                except Exception as exc:  # attach the trial index for reproducibility
-                    raise RuntimeError(f"trial {idx} failed: {exc}") from exc
-            raise
-        if consume is not None:
-            by_alpha = {(k, a): s for (k, _), (s, alphas) in zip(kinds, built) for a in alphas}
-            consume(start, chunk, by_alpha)
-        del built  # before the next chunk is drawn
-    return [
-        [_report(c, n, rho_lin, [ch[b][i] for ch in chunks]) for i, c in enumerate(batch)]
-        for b, (n, batch) in enumerate(zip(slots, batches))
-    ]
+    configs = [(b, i, c) for b, batch in enumerate(batches) for i, c in enumerate(batch)]
+    with contextlib.ExitStack() as files:
+        # Entered last to first, so that a clean exit replaces the paths in
+        # config order: of two configs that name one path, the later wins.
+        outs = {(b, i): files.enter_context(replacing(c.out)) for b, i, c in configs[::-1] if c.out}
+        for fh in outs.values():
+            fh.write(_CSV_HEADER)
+        seeds = trial_seeds(first.seed, first.trials)
+        kept = {}  # (b, i) -> (group owners, ledger, (MI, leakage) stacks)
+        for start in range(0, first.trials, size):
+            chunk = seeds[start : start + size]
+            try:
+                built = _build_chunk(kinds, chunk)
+                got = _group_chunk(built, rho_lin)
+            except Exception:
+                for idx, s in enumerate(chunk, start):
+                    try:
+                        _group_chunk(_build_chunk(kinds, [s]), rho_lin)
+                    except Exception as exc:  # attach the trial index for reproducibility
+                        raise RuntimeError(f"trial {idx} failed: {exc}") from exc
+                raise
+            for b, i, c in configs:
+                groups, ledger, rel, leak = got[b][i]
+                if start == 0:
+                    owners = {g.name: g.owner for g in groups}
+                    shape = (c.trials, len(rho_lin), len(rel))
+                    stacks = (np.empty(shape), np.empty(shape))
+                    kept[b, i] = {g: owners[g] for g in rel}, ledger, stacks
+                owners, _, stacks = kept[b, i]
+                part = _put(stacks, start, rel, leak)
+                if (b, i) in outs:
+                    outs[b, i].write(_csv_rows(c.scheme, c.alpha, c.rho_db, owners, *part, start))
+            if consume is not None:
+                by_alpha = {(k, a): s for (k, _), (s, alphas) in zip(kinds, built) for a in alphas}
+                consume(start, chunk, by_alpha)
+            del built, got  # before the next chunk is drawn
+        return [
+            [_report(c, n, rho_lin, *kept[b, i]) for i, c in enumerate(batch)]
+            for b, (n, batch) in enumerate(zip(slots, batches))
+        ]
 
 
-def _report(config: SweepConfig, n_slots: int, rho_lin, chunks) -> RateReport:
-    """The report of one sweep from its chunks' (groups, ledger, rel, leak),
-    in trial order; the group owners and the ledger, which depend on alpha
-    only, are read off the last chunk."""
-    groups, ledger = chunks[-1][:2]
-    rel_parts = [rel for _, _, rel, _ in chunks]
-    leak_parts = [leak for _, _, _, leak in chunks]
-    owners = {g.name: g.owner for g in groups}
-    group_names = list(rel_parts[0])
-    no_leak = np.zeros((config.trials, len(rho_lin)))
+def _put(stacks, start, rel, leak) -> tuple:
+    """Write one chunk's rel and leak, each mapping group -> (trials, SNRs)
+    bits, into a sweep's (trials, SNRs, groups) MI and leakage ``stacks``
+    from trial ``start`` on, groups in ``rel``'s order and a group with no
+    leakage as zeros; returns the chunk's views of the two stacks."""
+    stop = start + len(next(iter(rel.values())))
+    for j, (g, bits) in enumerate(rel.items()):
+        stacks[0][start:stop, :, j] = bits
+        stacks[1][start:stop, :, j] = leak.get(g, 0.0)
+    return tuple(x[start:stop] for x in stacks)
 
-    def joined(parts, g):
-        return np.concatenate([p[g] for p in parts]) if g in parts[0] else no_leak
 
-    # (trials, SNRs, groups) stacks, in CSV row order.
-    mi = np.stack([joined(rel_parts, g) for g in group_names], axis=-1)
-    leak = np.stack([joined(leak_parts, g) for g in group_names], axis=-1)
-
+def _report(
+    config: SweepConfig, n_slots: int, rho_lin, group_owner, ledger, trial_bits
+) -> RateReport:
+    """The report of one sweep from its group owners and ledger, which
+    depend on alpha only, and its filled (MI, leakage) stacks of shape
+    (trials, SNRs, groups), groups in ``group_owner`` order, which the
+    report keeps."""
     report = RateReport(
         scheme=config.scheme,
         alpha=config.alpha,
         n_slots=n_slots,
         rho_db=config.rho_db,
         fit_rho_db=config.rho_db[-fit_window(len(config.rho_db)) :],
-        group_owner={g: owners[g] for g in group_names},
-        _trial_bits=(mi, leak),
+        group_owner=group_owner,
+        _trial_bits=trial_bits,
         ledger=dict(ledger),
     )
 
     # The trial means, summed in trial order from 0.0 (signed zeros
     # included), as the (SNRs, groups) MI and leakage planes.
-    means = np.add.reduce(np.stack([mi, leak], axis=1), axis=0, initial=0.0) / config.trials
+    means = np.stack([np.add.reduce(x, axis=0, initial=0.0) for x in trial_bits]) / config.trials
     (mean_mi, mean_leak), per_slot = means.tolist(), means / n_slots
     for j, db in enumerate(config.rho_db):
-        for i, g in enumerate(group_names):
+        for i, g in enumerate(group_owner):
             report.mean_mi[(db, g)], report.mean_leak[(db, g)] = mean_mi[j][i], mean_leak[j][i]
 
     # Every group's MI series, then every group's leakage series, in one fit.
     series = per_slot.transpose(0, 2, 1).reshape(-1, len(rho_lin))
     slopes, stderrs = (v.tolist() for v in fit_slopes(np.log2(rho_lin), series))
-    for i, g in enumerate(group_names):
+    for i, g in enumerate(group_owner):
         report.slopes[g] = (slopes[i], stderrs[i])
-        report.leak_slopes[g] = slopes[len(group_names) + i]
-    report.d1 = sum(s for g, (s, _) in report.slopes.items() if owners[g] == "rx1")
-    report.d2 = sum(s for g, (s, _) in report.slopes.items() if owners[g] == "rx2")
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(report.csv_text)
+        report.leak_slopes[g] = slopes[len(group_owner) + i]
+    report.d1 = sum(s for g, (s, _) in report.slopes.items() if group_owner[g] == "rx1")
+    report.d2 = sum(s for g, (s, _) in report.slopes.items() if group_owner[g] == "rx2")
     return report
 
 
@@ -362,9 +456,13 @@ def run_sweeps(configs) -> list[RateReport]:
     alphas as its exponent batch: one engine pass per exponent width.  A
     lone sweep is a group of one batch of one config.
 
-    Every group runs once.  If one of its chunks raises, the chunk's trials
-    rerun one at a time as the whole group, so the error names the group's
-    lowest failing trial, as ``run_sweep`` names a lone sweep's."""
+    Every group runs once, and streams the CSV rows of each config with
+    ``out`` chunk by chunk (see ``_sweep_group``): ``out`` is replaced when
+    the group's reports are made, so groups write in run order, and a group
+    that raises leaves its configs' files as they were.  If one of its
+    chunks raises, the chunk's trials rerun one at a time as the whole
+    group, so the error names the group's lowest failing trial, as
+    ``run_sweep`` names a lone sweep's."""
     configs = list(configs)
     reports = {}  # config index -> report
     for group in _groups(configs):
@@ -627,7 +725,8 @@ def verify_all(
     and every scheme alpha, against each kind's domain, are checked before
     any check runs.
     """
-    _check_trials_and_seed(trials, seed)
+    sweeps = len(SCHEME_TARGETS) * len(scheme_alphas) + 1  # the canary's too
+    _check_trials_and_seed(trials, seed, len(VERIFY_RHO_DB), sweeps)
     for kind in SCHEME_TARGETS:
         for a in scheme_alphas:
             SCHEMES[kind].domain(a)

@@ -1,7 +1,11 @@
+import os
+import stat
+import threading
 from pathlib import Path
 
 import pytest
 
+from gsdof import experiments
 from gsdof.cli import GRID_POINTS_MAX, _parse_range, build_parser, parse_and_dispatch
 from gsdof.schemes import SCHEME_KINDS
 
@@ -262,3 +266,119 @@ def test_config_file_is_read_under_every_spelling_of_the_flag(tmp_path, capsys):
 
 def test_config_without_subcommand_errors():
     assert parse_and_dispatch(["--config", "/nonexistent"]) == 2
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("ran past a refusal")
+
+
+def test_unwritable_out_is_refused_before_any_trial_or_check(monkeypatch, tmp_path, capsys):
+    # A path in a missing directory, or a directory itself, exits 2 naming
+    # the path before simulate draws its trial seeds or verify runs a
+    # check, and leaves nothing behind.
+    monkeypatch.setattr(experiments, "trial_seeds", _unreachable)
+    monkeypatch.setattr(experiments, "verify_all", _unreachable)
+    for path in (tmp_path / "no" / "such" / "c.csv", tmp_path):
+        for argv in (["simulate", "--scheme", "yang", "--trials", "10"], ["verify"]):
+            capsys.readouterr()
+            assert parse_and_dispatch([*argv, "--out", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: cannot write {path}: ")
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_run_leaves_an_existing_out_untouched(monkeypatch, tmp_path, capsys):
+    # A trial that fails inside simulate's sweep, or inside verify's, exits
+    # 2 and leaves the file that was at --out byte for byte, with no
+    # temporary file beside it.
+    out = tmp_path / "c.csv"
+    out.write_bytes(b"earlier bytes\n")
+
+    def failing(kind, alpha, seeds):
+        raise ValueError("no realization")
+
+    monkeypatch.setattr(experiments, "_draw_for", failing)
+    for argv in (
+        ["simulate", "--scheme", "yang", "--trials", "10"],
+        ["verify", "--alpha-grid", "0:1:0.5", "--trials", "10"],
+    ):
+        capsys.readouterr()
+        assert parse_and_dispatch([*argv, "--out", str(out)]) == 2
+        assert "trial 0 failed: no realization" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier bytes\n"
+        assert os.listdir(tmp_path) == ["c.csv"]
+
+
+def test_trial_count_above_the_cap_is_refused_before_trial_seeds(monkeypatch, capsys):
+    # The cap is on trials x SNR points over the sweeps a run holds at once,
+    # checked by SweepConfig and verify_all before any seed is drawn:
+    # trial_seeds raises if reached.  verify holds every kind's sweep at
+    # each of its three scheme alphas and the canary's, 25 sweeps.
+    monkeypatch.setattr(experiments, "trial_seeds", _unreachable)
+    cap = experiments.TRIAL_POINTS_MAX
+    sweeps = len(experiments.SCHEME_TARGETS) * 3 + 1
+    simulate = ["simulate", "--scheme", "yang"]
+    verify = ["verify", "--alpha-grid", "0:1:0.5"]
+    for argv, snrs, where in (
+        (simulate, 7, "7 SNRs"),
+        ([*simulate, "--rho-db", "60:120:1"], 61, "61 SNRs"),
+        (verify, len(experiments.VERIFY_RHO_DB), f"7 SNRs in each of {sweeps} sweeps"),
+    ):
+        most = cap // (snrs * (sweeps if argv is verify else 1))
+        capsys.readouterr()
+        assert parse_and_dispatch([*argv, "--trials", str(most + 1)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: trials must be at most {most} on {where} "
+            f"(at most {cap} trial x SNR points), got {most + 1}\n"
+        )
+        # At the cap a run is accepted and gets as far as its trial seeds.
+        with pytest.raises(AssertionError, match="ran past a refusal"):
+            parse_and_dispatch([*argv, "--trials", str(most)])
+    # So are 40 000 trials of one sweep on seven SNRs.
+    with pytest.raises(AssertionError, match="ran past a refusal"):
+        parse_and_dispatch([*simulate, "--trials", "40000"])
+
+
+def _read_in_background(path):
+    """Start a thread that reads ``path`` to its end; returns (thread, chunks)."""
+    got = []
+
+    def read():
+        with open(path, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    return reader, got
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_out_to_a_pipe_or_through_a_symlink_is_written_in_place(tmp_path, capsys):
+    # A pipe at --out, or a symlink to one, gets the rows through it and is
+    # left a pipe; a symlink to a file is left a symlink, its file holding
+    # the rows.  Nothing is renamed over either.
+    pipe, to_pipe, csv, to_csv = (tmp_path / n for n in ("p", "to-p", "c.csv", "to-c.csv"))
+    os.mkfifo(pipe)
+    to_pipe.symlink_to(pipe)
+    to_csv.symlink_to(csv)
+    sim = ["simulate", "--scheme", "yang", "--trials", "10", "--out"]
+    ver = ["verify", "--alpha-grid", "0:1:0.5", "--trials", "10", "--out"]
+    for argv in (sim, ver):
+        for path in (pipe, to_pipe):
+            reader, got = _read_in_background(path)
+            assert parse_and_dispatch([*argv, str(path)]) == 0
+            reader.join(timeout=60)
+            assert not reader.is_alive()
+            assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+            assert to_pipe.is_symlink()
+            assert parse_and_dispatch([*argv, str(csv)]) == 0
+            assert got == [csv.read_bytes()]
+        csv.write_text("earlier text\n")
+        assert parse_and_dispatch([*argv, str(to_csv)]) == 0
+        assert to_csv.is_symlink()
+        assert csv.read_bytes() == got[0]
+        assert sorted(os.listdir(tmp_path)) == ["c.csv", "p", "to-c.csv", "to-p"]
+    capsys.readouterr()

@@ -144,10 +144,9 @@ def test_run_sweep_reproducible_bytes(tmp_path):
     assert header == "scheme,alpha,rho_db,trial,symbol_group,mi_bits,leak_bits"
 
 
-def test_rate_report_formats_its_csv_on_first_read(tmp_path):
+def test_rate_report_keeps_its_stacks_and_formats_its_csv_on_each_read(tmp_path):
     cfg = SweepConfig("yang", 0.5, GRID, trials=12, seed=7)
     rep = run_sweep(cfg)
-    assert "csv_text" not in vars(rep)
     # The per-trial stacks stay out of __eq__ (numpy would raise) and repr.
     assert rep == run_sweep(cfg)
     assert "_trial_bits" not in repr(rep)
@@ -155,9 +154,14 @@ def test_rate_report_formats_its_csv_on_first_read(tmp_path):
     assert mi.shape == leak.shape == (12, len(GRID), len(rep.group_owner))
     out = tmp_path / "a.csv"
     run_sweep(dataclasses.replace(cfg, out=str(out)))
-    assert rep.csv_text == out.read_text(encoding="utf-8")
-    assert vars(rep)["csv_text"] is rep.csv_text
-    assert rep._trial_bits is None
+    text = rep.csv_text
+    assert text == out.read_text(encoding="utf-8")
+    # Each read formats the kept stacks anew: no text is cached, and the
+    # stacks stay.
+    again = rep.csv_text
+    assert again == text and again is not text
+    assert "csv_text" not in vars(rep)
+    assert rep._trial_bits[0] is mi and rep._trial_bits[1] is leak
 
 
 def _chunk_budget(kind, alpha, trials):
@@ -189,6 +193,101 @@ def test_run_sweep_uneven_chunk_split_keeps_bytes(tmp_path, monkeypatch, kind):
         assert counts == sizes
         texts[budget] = out.read_bytes()
     assert len(set(texts.values())) == 1
+
+
+def test_streamed_csv_equals_csv_text_for_an_uneven_chunk_split(tmp_path, monkeypatch):
+    # 12 trials as 8 + 4: each chunk's rows are formatted and written as
+    # the chunk is evaluated, never the whole sweep's, and the file holds
+    # the bytes csv_text formats from the kept stacks.
+    written = []
+    rows = experiments._csv_rows
+
+    def spy(scheme, alpha, rho_db, groups, mi, leak, start=0):
+        written.append((start, len(mi)))
+        return rows(scheme, alpha, rho_db, groups, mi, leak, start)
+
+    monkeypatch.setattr(experiments, "SWEEP_BUDGET", _chunk_budget("yang", 0.5, 8))
+    monkeypatch.setattr(experiments, "_csv_rows", spy)
+    out = tmp_path / "y.csv"
+    rep = run_sweep(SweepConfig("yang", 0.5, GRID, trials=12, seed=3, out=str(out)))
+    assert written == [(0, 8), (8, 4)]
+    assert out.read_text(encoding="utf-8") == rep.csv_text
+    assert os.listdir(tmp_path) == ["y.csv"]
+
+
+def test_run_sweeps_streams_each_out_of_a_group_of_several_kinds(tmp_path, monkeypatch):
+    # One group of three kinds at two alphas each, in one-trial chunks:
+    # each config's file holds its report's csv_text, equal to its own
+    # run_sweep's.  Of two configs that name one path, the later one's
+    # bytes stay, as when each file was written once its report was made.
+    configs = [
+        SweepConfig(kind, a, GRID, trials=12, seed=3, out=str(tmp_path / f"{kind}-{a}.csv"))
+        for kind in ("yang", "bc-fixed", "sym-alt")
+        for a in (0.25, 0.5)
+    ]
+    shared = str(tmp_path / "shared.csv")
+    configs += [SweepConfig(k, 0.75, GRID, trials=12, seed=3, out=shared) for k in ("yang", "gdof")]
+    want = [run_sweep(dataclasses.replace(c, out=None)) for c in configs]
+    monkeypatch.setattr(experiments, "SWEEP_BUDGET", 0)
+    got = experiments.run_sweeps(configs)
+    _same_reports(got, want)
+    for config, rep in zip(configs[:-2], got):
+        assert Path(config.out).read_text(encoding="utf-8") == rep.csv_text
+    assert Path(shared).read_text(encoding="utf-8") == got[-1].csv_text
+    assert sorted(os.listdir(tmp_path)) == sorted({Path(c.out).name for c in configs})
+
+
+def test_a_failed_sweep_leaves_out_as_it_was(tmp_path, monkeypatch):
+    # The second chunk's draw fails after the first chunk's rows were
+    # written: a file that was there keeps its bytes, none is made where
+    # none was, and no temporary file is left beside them.
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_bytes(b"earlier bytes\n")
+    draws = []
+    draw = experiments._draw_for
+
+    def failing(kind, alpha, seeds):
+        draws.append(len(seeds))
+        if len(draws) > 1:
+            raise ValueError("no realization")
+        return draw(kind, alpha, seeds)
+
+    configs = [
+        SweepConfig("yang", a, GRID, trials=12, seed=3, out=str(path))
+        for a, path in ((0.5, old), (0.25, new))
+    ]
+    slots = len(SCHEMES["yang"].states(0.5))
+    monkeypatch.setattr(experiments, "SWEEP_BUDGET", 8 * slots * (2 * len(GRID) + slots))
+    monkeypatch.setattr(experiments, "_draw_for", failing)
+    with pytest.raises(RuntimeError, match=r"^trial 8 failed: no realization$"):
+        experiments.run_sweeps(configs)
+    assert draws == [8, 4, 1]
+    assert old.read_bytes() == b"earlier bytes\n"
+    assert os.listdir(tmp_path) == ["old.csv"]
+
+
+def test_out_adds_no_more_to_a_sweep_peak_as_trials_grow(tmp_path, monkeypatch):
+    # yang in chunks of 500 trials: the rows stream to out chunk by chunk,
+    # so what out adds to the sweep's traced peak does not grow with the
+    # trial count.  Formatting the whole sweep's text once it was done
+    # added about 6.3 MB at 4000 trials and 16.8 MB at 8000.
+    monkeypatch.setattr(experiments, "SWEEP_BUDGET", _chunk_budget("yang", 0.5, 500))
+    out = str(tmp_path / "y.csv")
+    # Import and cache outside the trace.
+    run_sweep(SweepConfig("yang", 0.5, GRID, trials=10, out=out))
+    added, peaks = [], []
+    for trials in (4000, 8000):
+        got = []
+        for path in (None, out):
+            tracemalloc.start()
+            try:
+                run_sweep(SweepConfig("yang", 0.5, GRID, trials=trials, seed=0, out=path))
+                got.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        peaks.append(got[0])
+        added.append(got[1] - got[0])
+    assert abs(added[1] - added[0]) < 0.1 * peaks[0], (added, peaks)
 
 
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
@@ -686,7 +785,10 @@ def test_report_trial_means_equal_the_trial_loop_signed_zeros_included():
             bits[rng.random(bits.shape) < 0.3] = -0.0
             bits[:, 2] = -0.0
             part[g] = bits
-    report = experiments._report(cfg, 4, rho_lin, [(groups, ledger, rel, leak)])
+    owners = {g.name: g.owner for g in groups}
+    shape = (12, len(GRID), len(rel))
+    stacks = experiments._put((np.empty(shape), np.empty(shape)), 0, rel, leak)
+    report = experiments._report(cfg, 4, rho_lin, {g: owners[g] for g in rel}, ledger, stacks)
     for part, means in ((rel, report.mean_mi), (leak, report.mean_leak)):
         for g, bits in part.items():
             total = np.zeros(len(GRID))
