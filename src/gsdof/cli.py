@@ -3,6 +3,13 @@
 A config file (one ``key = value`` per line, ``#`` comments) can preload any
 long flag; explicit flags override config values.  Exit codes: 0 success,
 1 check failure, 2 usage error.
+
+The parser checks only the form of a value.  Every rule on a value, such as
+alpha in [0, 1] or a known bound name, is the library's, checked where the
+value is used, and a value it refuses is a usage error that names it.  Each
+``--out`` is written through ``experiments.replacing``, opened before any
+work: an unwritable path is refused first, and a failed run leaves every
+file as it was.
 """
 
 from __future__ import annotations
@@ -69,20 +76,6 @@ def _parse_range(text: str) -> list[float]:
     return grid
 
 
-def _alpha(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError("alpha must lie in [0, 1]")
-    return value
-
-
-def _alpha_grid(text: str) -> list[float]:
-    grid = _parse_range(text)
-    if not all(0.0 <= value <= 1.0 for value in grid):
-        raise argparse.ArgumentTypeError("alpha must lie in [0, 1]")
-    return grid
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gsdof",
@@ -100,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit region vertex and summary CSVs",
         description=f"Bounds: {', '.join(BOUND_NAMES)}.",
     )
-    p_region.add_argument("--alpha", type=_alpha, default=0.5)
+    p_region.add_argument("--alpha", type=float, default=0.5)
     p_region.add_argument("--profile", default="1a", help=_PROFILE_HELP)
     p_region.add_argument(
         "--which",
@@ -115,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=f"Schemes: {', '.join(SCHEME_KINDS)}.",
     )
     p_sim.add_argument("--scheme", required=True, choices=SCHEME_KINDS)
-    p_sim.add_argument("--alpha", type=_alpha, default=0.5)
+    p_sim.add_argument("--alpha", type=float, default=0.5)
     p_sim.add_argument(
         "--rho-db", type=_parse_range, default="60:120:10", help="start:stop:step grid in dB"
     )
@@ -133,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_verify.add_argument(
-        "--alpha-grid", type=_alpha_grid, default="0:1:0.05", help="start:stop:step"
+        "--alpha-grid", type=_parse_range, default="0:1:0.05", help="start:stop:step"
     )
     p_verify.add_argument("--trials", type=int, default=20)
     p_verify.add_argument("--seed", type=int, default=0)
@@ -145,9 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Figures 3, 4, 6, 7 take --alpha; figure 8 takes --alpha-grid.",
     )
     p_fig.add_argument("--figure", type=int, required=True, choices=(3, 4, 6, 7, 8))
-    p_fig.add_argument("--alpha", type=_alpha, default=None)
+    p_fig.add_argument("--alpha", type=float, default=None)
     p_fig.add_argument(
-        "--alpha-grid", type=_alpha_grid, default="0:1:0.05", help="start:stop:step (figure 8)"
+        "--alpha-grid", type=_parse_range, default="0:1:0.05", help="start:stop:step (figure 8)"
     )
     p_fig.add_argument("--out", required=True)
     return parser
@@ -235,17 +228,12 @@ def parse_and_dispatch(argv) -> int:
     try:
         if args.command == "region":
             names = BOUND_NAMES if args.which == "all" else tuple(args.which.split(","))
-            bad = [n for n in names if n not in BOUND_NAMES]
-            if bad:
-                print(f"error: unknown bound names {bad}", file=sys.stderr)
-                return 2
-            profile = _parse_profile(args.profile, args.alpha)
-            vtext, stext = experiments.region_csv(names, args.alpha, profile)
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(vtext)
             summary_path = _summary_path(args.out)
-            with open(summary_path, "w", encoding="utf-8") as fh:
-                fh.write(stext)
+            with experiments.replacing(args.out) as vfh, experiments.replacing(summary_path) as sfh:
+                profile = _parse_profile(args.profile, args.alpha)
+                vtext, stext = experiments.region_csv(names, args.alpha, profile)
+                vfh.write(vtext)
+                sfh.write(stext)
             print(f"region: wrote {args.out} and {summary_path}")
             return 0
 
@@ -267,8 +255,6 @@ def parse_and_dispatch(argv) -> int:
             return 0
 
         if args.command == "verify":
-            # The out file is opened before any check runs, so an unwritable
-            # path is refused first, and is left as it was if a check raises.
             with experiments.replacing(args.out) if args.out else contextlib.nullcontext() as fh:
                 checks = experiments.verify_all(args.alpha_grid, seed=args.seed, trials=args.trials)
                 for c in checks:
@@ -281,15 +267,8 @@ def parse_and_dispatch(argv) -> int:
             return 1 if failed else 0
 
         if args.command == "figure":
-            if args.figure == 8:
-                text = experiments.figure_data(8, alpha_grid=args.alpha_grid)
-            else:
-                if args.alpha is None:
-                    print("error: figures 3, 4, 6 and 7 need --alpha", file=sys.stderr)
-                    return 2
-                text = experiments.figure_data(args.figure, alpha=args.alpha)
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with experiments.replacing(args.out) as fh:
+                fh.write(experiments.figure_data(args.figure, args.alpha, args.alpha_grid))
             print(f"figure: wrote {args.out}")
             return 0
     except (ValueError, RuntimeError, OSError) as exc:

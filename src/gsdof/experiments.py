@@ -773,9 +773,6 @@ def named_region(name: str, alpha: float, profile: TopologyProfile | None = None
     raise ValueError(f"unknown bound name {name!r}")
 
 
-_VERTEX_HEADER = "bound_name,alpha,vertex_index,d1,d2"
-
-
 # The text of each interned region the CSV writers read, keyed by its
 # interning key (rows, scales) and bounded like the interning, so a region
 # is formatted once while it stays interned: at one alpha the two region
@@ -791,27 +788,23 @@ def _region_text(rows, scales) -> tuple[tuple[str, ...], str]:
     return points, ",".join(map(_f, maxima))
 
 
-def _vertex_rows(head: str, points) -> list[str]:
-    """One vertex CSV row per vertex text, each behind ``head`` ("name,alpha,")."""
-    return [f"{head}{i},{point}" for i, point in enumerate(points)]
-
-
 def region_csv(names, alpha: float, profile: TopologyProfile | None = None) -> tuple[str, str]:
     """(vertex CSV, summary CSV) for the named bounds at one alpha.
 
     Each region comes from its builder (``named_region``); its vertex rows
     and its summary row's sum and axis maxima are the region's text
     (``_region_text``), formatted once per interned region, so a row reads
-    no maximum of its own.
+    no maximum of its own.  The vertex CSVs of figures 3, 4, 6 and 7
+    (``figure_data``) are this function's too.
     """
-    vrows = [_VERTEX_HEADER]
+    vrows = ["bound_name,alpha,vertex_index,d1,d2"]
     srows = ["bound_name,alpha,sum_max,d1_axis_max,d2_axis_max"]
     tag = _f(alpha)
     for name in names:
         reg = named_region(name, alpha, profile)
         points, maxima = _region_text(reg._rows, reg._scales)
         head = f"{name},{tag},"
-        vrows += _vertex_rows(head, points)
+        vrows += [f"{head}{i},{point}" for i, point in enumerate(points)]
         srows.append(head + maxima)
     return "\n".join(vrows) + "\n", "\n".join(srows) + "\n"
 
@@ -841,12 +834,11 @@ def _figure8_rows(alpha_grid):
 def figure_data(figure_id: int, alpha: float | None = None, alpha_grid=None) -> str:
     """CSV behind one of the region/sum-DoF figures.
 
-    Figures 3, 4, 6 and 7 need a single ``alpha`` and emit vertex lists,
-    each region from its builder and its vertex text formatted once per
-    interned region (``_region_text``, bounded like the interning); a
-    topology profile is built only for a figure that draws the outer bound.
-    Figure 8 sweeps ``alpha_grid`` and emits sum-DoF curves straight from
-    the bounds' rows (``_figure8_rows``), with no region object.
+    Figures 3, 4, 6 and 7 need a single ``alpha`` and emit the vertex CSV
+    of their bounds from ``region_csv``; a topology profile is built only
+    for a figure that draws the outer bound.  Figure 8 sweeps
+    ``alpha_grid`` and emits sum-DoF curves straight from the bounds' rows
+    (``_figure8_rows``), with no region object, and ignores ``alpha``.
     """
     if figure_id == 8:
         if alpha_grid is None:
@@ -862,9 +854,4 @@ def figure_data(figure_id: int, alpha: float | None = None, alpha_grid=None) -> 
         raise ValueError("figures 3, 4, 6 and 7 need an alpha")
     label, names = _FIGURES[figure_id]
     profile = TopologyProfile.named(label, alpha) if "outer" in names else None
-    vrows = [_VERTEX_HEADER]
-    tag = _f(alpha)
-    for name in names:
-        reg = named_region(name, alpha, profile)
-        vrows += _vertex_rows(f"{name},{tag},", _region_text(reg._rows, reg._scales)[0])
-    return "\n".join(vrows) + "\n"
+    return region_csv(names, alpha, profile)[0]

@@ -1001,14 +1001,14 @@ def _lattice_decode_rho(alpha: float, config) -> float:
 
 def _draw_symbols(scheme: LinearScheme, rng: np.random.Generator) -> dict:
     """Stripped symbol draws: truncated CN(0,1) for Gaussian groups, scaled
-    centered integers for lattice groups."""
+    centered integers (``lattice.cf_encode``) for lattice groups."""
     out = {}
     for g in scheme.groups:
         if g.lattice:
             config = scheme.lattice
             ints = rng.integers(0, config.p, size=g.size)
-            out[g.name] = config.scale * (ints - (config.p - 1) // 2).astype(float)
-            out[f"{g.name}_ints"] = (ints - (config.p - 1) // 2).astype(int)
+            out[g.name] = _lattice().cf_encode(ints, config)
+            out[f"{g.name}_ints"] = ints - config.centered_range
         else:
             vals = np.empty(g.size, dtype=np.complex128)
             for i in range(g.size):

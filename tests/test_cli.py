@@ -73,7 +73,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
         capsys.readouterr()
         assert parse_and_dispatch(argv) == 2
         assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
-    # alpha grids are checked against [0, 1] while the arguments are parsed
+    # alpha grids are checked against [0, 1] by the library, alpha by alpha
+    # where figure 8 and verify first use them, before any trial
     fig = tmp_path / "f.csv"
     for argv in (
         ["figure", "--figure", "8", "--alpha-grid", "0.5:2:0.5", "--out", str(fig)],
@@ -285,6 +286,54 @@ def test_unwritable_out_is_refused_before_any_trial_or_check(monkeypatch, tmp_pa
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith(f"error: cannot write {path}: ")
+    assert os.listdir(tmp_path) == []
+
+
+def test_region_and_figure_refuse_an_unwritable_out_before_any_region(monkeypatch, tmp_path, capsys):
+    # region and figure open their files with experiments.replacing, as
+    # simulate and verify do: a path in a missing directory exits 2 naming
+    # the path before any region is built.
+    monkeypatch.setattr(experiments, "region_csv", _unreachable)
+    monkeypatch.setattr(experiments, "figure_data", _unreachable)
+    path = tmp_path / "no" / "such" / "f.csv"
+    for argv in (["region"], ["figure", "--figure", "3", "--alpha", "0.5"], ["figure", "--figure", "8"]):
+        capsys.readouterr()
+        assert parse_and_dispatch([*argv, "--out", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+    assert os.listdir(tmp_path) == []
+
+
+def test_region_with_an_unwritable_summary_leaves_out_untouched(tmp_path, capsys):
+    # A directory where region's summary CSV goes exits 2, and the vertex
+    # CSV already at --out keeps its bytes, with no temporary file beside it.
+    out = tmp_path / "r.csv"
+    out.write_bytes(b"earlier bytes\n")
+    (tmp_path / "r_summary.csv").mkdir()
+    assert parse_and_dispatch(["region", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'r_summary.csv'}: ")
+    assert out.read_bytes() == b"earlier bytes\n"
+    assert sorted(os.listdir(tmp_path)) == ["r.csv", "r_summary.csv"]
+
+
+def test_alpha_outside_the_unit_interval_is_refused_by_the_library(monkeypatch, tmp_path, capsys):
+    # The parser takes any float alpha; the library refuses one outside
+    # [0, 1] by value, as a usage error that writes nothing.  verify refuses
+    # before lemma 1 and before any sweep trial.
+    monkeypatch.setattr(experiments, "_lemma1_checks", _unreachable)
+    monkeypatch.setattr(experiments, "_sweep_group", _unreachable)
+    out = str(tmp_path / "o.csv")
+    for argv, got in (
+        (["region", "--alpha", "2"], "got 2.0"),
+        (["figure", "--figure", "3", "--alpha", "2"], "got 2.0"),
+        (["figure", "--figure", "8", "--alpha-grid", "0.5:2:0.5"], "got 1.5"),
+        (["simulate", "--scheme", "yang", "--alpha", "2"], "got 2.0"),
+        (["verify", "--alpha-grid", "0.5:2:0.5"], "got 1.5"),
+    ):
+        capsys.readouterr()
+        assert parse_and_dispatch([*argv, "--out", out]) == 2
+        assert capsys.readouterr() == ("", f"error: alpha must lie in [0, 1], {got}\n")
     assert os.listdir(tmp_path) == []
 
 
