@@ -30,7 +30,7 @@ print(text)
 
 # The verification suite: regions, entropy inequalities, slopes, leakage,
 # decodability, endpoints.  Exit status of the CLI mirrors this.
-checks = experiments.verify_all([0.0, 0.5, 1.0], seed=0, trials=10, scheme_alphas=(0.5,))
+checks = experiments.verify_all([0.0, 0.5, 1.0], seed=0, trials=10)
 failed = [c for c in checks if not c.passed]
 print(f"verification: {len(checks) - len(failed)}/{len(checks)} checks passed")
 for c in checks[:5]:

@@ -55,11 +55,13 @@ __all__ = [
     "LEDGER_TOL",
     "LEAK_CANARY_MIN",
     "VERIFY_RHO_DB",
+    "VERIFY_SCHEME_ALPHAS",
 ]
 
 LEDGER_TOL = 0.03  # slope tolerance for scheme-rate checks
 LEAK_CANARY_MIN = 0.5
 VERIFY_RHO_DB = (60, 70, 80, 90, 100, 110, 120)  # SNR grid of verify's fitted checks
+VERIFY_SCHEME_ALPHAS = (0.25, 0.5, 0.75)  # alphas of verify's scheme and lemma-1 checks
 
 _FMT = ".12g"
 
@@ -96,18 +98,6 @@ SWEEP_BUDGET = 2**18
 # MB with out, and 249 MB on four (524288 trials); yang 167 MB on seven;
 # verify 126 MB (11983 trials).
 TRIAL_POINTS_MAX = 2**21
-
-# The decode checks read each kind's build of a chunk of verify's sweep
-# group and decode it in slices of at most max(1, DECODE_BUDGET //
-# slots**2) trials.  A slice's decode holds its symbols, outputs and
-# receiver systems, whose rows and columns both grow with the slot count:
-# 152-598 bytes per trial and slot squared over every kind at alphas 0.05,
-# 0.5 and 0.95 (tracemalloc peak of one noiseless_decode_check of a full
-# slice), so a slice peaks at 2.5 MB or less on top of the chunk it reads.
-# At alpha 0.5 every kind decodes at least 83 trials a slice, so a default
-# verify decodes each kind's 20 trials in one call.  The output does not
-# depend on the constant.
-DECODE_BUDGET = 2**12
 
 
 def _f(x) -> str:
@@ -579,19 +569,12 @@ def _lemma1_checks(alphas, rho_db, seed) -> list[CheckResult]:
     ]
 
 
-def _scheme_checks(alphas, rho_db, trials, seed, consume=None) -> list[CheckResult]:
-    """Every kind's slope, ledger and leakage rows at each alpha, then the
-    canary's leakage row, from one ``_sweep_group`` call: every sweep
-    shares the grid, the trials and the seed, so they form one group of
-    ``run_sweeps``.  ``consume``, if given, reads each chunk's builds (see
-    ``_sweep_group``)."""
-    rho_db = tuple(rho_db)
-    configs = [
-        SweepConfig(kind, a, rho_db, trials=trials, seed=seed)
-        for kind in SCHEME_TARGETS
-        for a in alphas
-    ]
-    configs.append(SweepConfig("wiretap-nonoise", 0.75, rho_db, trials=trials, seed=seed))
+def _scheme_checks(configs, consume=None) -> list[CheckResult]:
+    """Every kind's slope, ledger and leakage rows, one per config of
+    ``configs`` but the last, then the canary's leakage row from the last,
+    from one ``_sweep_group`` call: the configs share the grid, the trials
+    and the seed, so they form one group of ``run_sweeps``.  ``consume``,
+    if given, reads each chunk's builds (see ``_sweep_group``)."""
     (group,) = _groups(configs)
     got = _sweep_group([[configs[i] for i in m] for m in group], consume)
     reports = dict(zip(itertools.chain(*group), itertools.chain(*got)))
@@ -626,26 +609,25 @@ def _scheme_checks(alphas, rho_db, trials, seed, consume=None) -> list[CheckResu
 
 
 class _DecodeTally:
-    """The noiseless decode checks, one per scheme kind, at alpha 0.5 if it
-    is in ``alphas`` and at ``alphas[0]`` if not, fed one chunk of trials
-    at a time as ``tally(start, seeds, builds)``: the chunk's first trial
-    index, its int seeds (``trial_seeds``) and its trial-batched schemes by
-    (kind, alpha), such as ``_sweep_group`` hands its consumer.  Trial
-    ``i`` decodes its symbols from seed ``i``.
+    """The noiseless decode checks, one per scheme kind at alpha 0.5, fed
+    one chunk of trials at a time as ``tally(start, seeds, builds)``: the
+    chunk's first trial index, its int seeds (``trial_seeds``) and its
+    trial-batched schemes by (kind, alpha), such as ``_sweep_group`` hands
+    its consumer.  Trial ``i`` decodes its symbols from seed ``i``.
 
-    Each kind's build, taken to its alpha with ``dataclasses.replace`` if
-    its batch was built at another, is decoded in slices of at most
-    ``DECODE_BUDGET // slots**2`` trials, each with one
-    ``noiseless_decode_check``.  A slice that is not the whole chunk is
-    built again from its part of the chunk's realization, never redrawn.
-    Trial ``b`` of a slice is the one-seed build of its seed, so the slice
-    passes iff every trial does.  If it fails, or raises, its trials are
-    rebuilt with ``build_scheme`` and checked one at a time to count the
+    Each kind's build, taken to alpha 0.5 with ``dataclasses.replace`` if
+    its batch was built at another alpha, is decoded whole, with one
+    ``noiseless_decode_check``: verify's sweep chunks hold at most 204
+    trials, and bc-fixed, the largest kind at alpha 0.5, has 7 slots.
+    Trial ``b`` of the build is the one-seed build of its seed, so the
+    chunk passes iff every trial does.  If it fails, or raises, its trials
+    are rebuilt with ``build_scheme`` and checked one at a time to count the
     failures, as a sweep reruns a failed chunk.  ``rows()`` gives one row
     per kind, its margin the count over all chunks."""
 
-    def __init__(self, alphas, trials):
-        self.alpha = 0.5 if 0.5 in alphas else alphas[0]
+    alpha = 0.5
+
+    def __init__(self, trials):
         self.trials = trials
         self.failures = dict.fromkeys(SCHEME_TARGETS, 0)
 
@@ -655,23 +637,15 @@ class _DecodeTally:
             built = builds[kind, a]
             if built.alpha != a:
                 built = replace(built, alpha=a)
-            real = built.realization
-            size = max(1, DECODE_BUDGET // real.n**2)
-            for lo in range(0, len(seeds), size):
-                part, scheme = seeds[lo : lo + size], built
-                if len(part) < len(seeds):
-                    cut = replace(real, h=real.h[lo : lo + size], g=real.g[lo : lo + size])
-                    scheme = SCHEMES[kind].build(cut, a)
-                first = start + lo
-                try:
-                    ok = noiseless_decode_check(scheme, seed=list(range(first, first + len(part))))
-                except Exception:
-                    ok = False
-                if not ok:
-                    self.failures[kind] += sum(
-                        not noiseless_decode_check(build_scheme(kind, a, s), seed=i)
-                        for i, s in enumerate(part, first)
-                    )
+            try:
+                ok = noiseless_decode_check(built, seed=list(range(start, start + len(seeds))))
+            except Exception:
+                ok = False
+            if not ok:
+                self.failures[kind] += sum(
+                    not noiseless_decode_check(build_scheme(kind, a, s), seed=i)
+                    for i, s in enumerate(seeds, start)
+                )
 
     def rows(self) -> list[CheckResult]:
         at = _alpha_tag(self.alpha)
@@ -700,16 +674,12 @@ def _figure8_check() -> CheckResult:
     return CheckResult("figure8/endpoints", ok, 0.0)
 
 
-def verify_all(
-    alpha_grid,
-    seed: int = 0,
-    trials: int = 20,
-    scheme_alphas=(0.25, 0.5, 0.75),
-) -> list[CheckResult]:
+def verify_all(alpha_grid, seed: int = 0, trials: int = 20) -> list[CheckResult]:
     """Run the full cross-validation suite; every entry must pass.
 
-    ``alpha_grid`` drives region checks; scheme slope, leakage and decode
-    checks run at ``scheme_alphas``, and the fitted checks over the SNR grid
+    ``alpha_grid`` drives region checks; the lemma-1 and scheme slope,
+    ledger and leakage checks run at ``VERIFY_SCHEME_ALPHAS``, the decode
+    checks at alpha 0.5, and the fitted checks over the SNR grid
     ``VERIFY_RHO_DB``.  Every kind's sweeps at every scheme alpha, and the
     canary's, are one ``run_sweeps`` group: each chunk is drawn once per
     channel mode, every kind taking the first slots of its mode's draw, and
@@ -718,23 +688,25 @@ def verify_all(
     exponent batch, bc-fixed's one each, and each receiver's block plan is
     formed once for them all).  The decode checks (``_DecodeTally``) read
     each chunk's builds, taken to their alpha, while the chunk is alive, so
-    they draw nothing, and build nothing unless a chunk is decoded in slices
-    or a slice fails.  The lemma-1 checks of every profile and alpha share
-    one channel draw, one ``conditional_mi`` call and one ``fit_slopes``
-    pass, each case with its own row exponent pairs.  ``trials``, ``seed``
-    and every scheme alpha, against each kind's domain, are checked before
-    any check runs.
+    they draw nothing, and build nothing unless a chunk fails.  The lemma-1
+    checks of every profile and alpha share one channel draw, one
+    ``conditional_mi`` call and one ``fit_slopes`` pass, each case with its
+    own row exponent pairs.
+
+    Every input is refused before any check runs: an alpha of
+    ``alpha_grid`` outside [0, 1] first, then ``trials`` (capped over all 25
+    sweeps) and ``seed``, and the sweeps' ``SweepConfig``s are made up front.
     """
-    sweeps = len(SCHEME_TARGETS) * len(scheme_alphas) + 1  # the canary's too
-    _check_trials_and_seed(trials, seed, len(VERIFY_RHO_DB), sweeps)
-    for kind in SCHEME_TARGETS:
-        for a in scheme_alphas:
-            SCHEMES[kind].domain(a)
-    checks = []
-    checks += _region_checks(alpha_grid)
-    checks += _lemma1_checks(scheme_alphas, VERIFY_RHO_DB, seed)
-    decode = _DecodeTally(scheme_alphas, trials)
-    checks += _scheme_checks(scheme_alphas, VERIFY_RHO_DB, trials, seed, decode)
+    alpha_grid = list(alpha_grid)
+    for a in alpha_grid:
+        regions._alpha_ratio(a)
+    sweeps = [*itertools.product(SCHEME_TARGETS, VERIFY_SCHEME_ALPHAS), ("wiretap-nonoise", 0.75)]
+    _check_trials_and_seed(trials, seed, len(VERIFY_RHO_DB), len(sweeps))
+    configs = [SweepConfig(kind, a, VERIFY_RHO_DB, trials=trials, seed=seed) for kind, a in sweeps]
+    checks = _region_checks(alpha_grid)
+    checks += _lemma1_checks(VERIFY_SCHEME_ALPHAS, VERIFY_RHO_DB, seed)
+    decode = _DecodeTally(trials)
+    checks += _scheme_checks(configs, decode)
     checks += decode.rows()
     checks.append(_figure8_check())
     return checks

@@ -52,6 +52,7 @@ from typing import Callable
 import numpy as np
 
 from .gaussian_mi import conditional_mi
+from .regions import _alpha_ratio
 from .topology import (
     STATE_1A,
     STATE_A1,
@@ -1250,7 +1251,7 @@ class SchemeSpec:
     target: Callable | None  # alpha -> per-slot (d1, d2) in alpha's type; None: canary
     inner: str | None  # experiments.REGION_BUILDERS key; target is one of its vertices
     profile: str  # TopologyProfile.named label; a secure target lies in its bc_outer
-    domain: Callable  # alpha -> None; raises ValueError naming the valid alphas
+    domain: Callable  # domain(alpha) raises ValueError naming the valid alphas if alpha is not one
     rho_db_max: float  # highest SNR in dB of a sweep grid, measured (see SCHEMES)
 
 
@@ -1266,20 +1267,15 @@ def _lattice():
     return lattice
 
 
-def _unit_interval(alpha) -> None:
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-
-
 def _t1_domain(alpha) -> None:
-    _unit_interval(alpha)
+    _alpha_ratio(alpha)
     smallest_t1(alpha)
 
 
 def _lattice_domain(alpha) -> None:
     """Alphas whose lattice decode SNR is a finite float; the limit is found
     by bisecting ``_lattice_decode_rho`` itself."""
-    _unit_interval(alpha)
+    _alpha_ratio(alpha)
     config = _lattice().LatticeConfig()
 
     def finite(a) -> bool:
@@ -1324,7 +1320,7 @@ SCHEMES = {
         target=lambda a: (_ratio(a, 2, 3), 0 * a),
         inner="yang",
         profile="1a",
-        domain=_unit_interval,
+        domain=_alpha_ratio,
         rho_db_max=140.0,
     ),
     "wiretap-gaussian-a1": SchemeSpec(
@@ -1335,7 +1331,7 @@ SCHEMES = {
         target=lambda a: (2 * a / 3, 0 * a),
         inner=None,
         profile="a1",
-        domain=_unit_interval,
+        domain=_alpha_ratio,
         rho_db_max=140.0,
     ),
     "yang": SchemeSpec(
@@ -1346,7 +1342,7 @@ SCHEMES = {
         target=lambda a: (_ratio(a, 1, 2), a / 2),
         inner="yang",
         profile="1a",
-        domain=_unit_interval,
+        domain=_alpha_ratio,
         rho_db_max=140.0,
     ),
     "bc-fixed": SchemeSpec(
@@ -1368,7 +1364,7 @@ SCHEMES = {
         target=lambda a: ((1 + a) / 4, _ratio(a, 1, 2)),
         inner="sym-alt",
         profile="sym",
-        domain=_unit_interval,
+        domain=_alpha_ratio,
         rho_db_max=240.0,
     ),
     "wiretap-lattice": SchemeSpec(
@@ -1412,7 +1408,7 @@ SCHEMES = {
         target=None,
         inner=None,
         profile="1a",
-        domain=_unit_interval,
+        domain=_alpha_ratio,
         rho_db_max=240.0,
     ),
 }

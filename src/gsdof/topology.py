@@ -262,14 +262,12 @@ def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _pool(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence pools (4, seeds) of the entropy words (words, seeds)."""
+    """SeedSequence pools (4, seeds) of the entropy words (words, seeds),
+    four or more words, as ``trial_seeds`` and ``seed_generators`` pad
+    them."""
     extra = max(len(entropy) - _POOL_SIZE, 0)
     xor, mult = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE**2 + _POOL_SIZE * extra)
-    head = entropy[:_POOL_SIZE]
-    if len(head) < _POOL_SIZE:  # missing words hash as zeros
-        pad = np.zeros((_POOL_SIZE - len(head), entropy.shape[1]), dtype=np.uint32)
-        head = np.concatenate([head, pad])
-    pool = _hashed(head, xor[:_POOL_SIZE], mult[:_POOL_SIZE])
+    pool = _hashed(entropy[:_POOL_SIZE], xor[:_POOL_SIZE], mult[:_POOL_SIZE])
     k = _POOL_SIZE
     for src, dst in enumerate(_OTHERS):
         hashed = _hashed(pool[src], xor[k : k + len(dst)], mult[k : k + len(dst)])

@@ -266,7 +266,7 @@ def test_criterion_7_figure8_endpoints():
 
 
 def test_criterion_8_reproducibility(tmp_path):
-    args = dict(alpha_grid=[0.0, 0.5, 1.0], seed=5, trials=10, scheme_alphas=(0.5,))
+    args = dict(alpha_grid=[0.0, 0.5, 1.0], seed=5, trials=10)
     text1 = experiments.checks_to_csv(experiments.verify_all(**args))
     text2 = experiments.checks_to_csv(experiments.verify_all(**args))
     ok = text1.encode() == text2.encode()

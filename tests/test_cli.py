@@ -337,6 +337,16 @@ def test_alpha_outside_the_unit_interval_is_refused_by_the_library(monkeypatch, 
     assert os.listdir(tmp_path) == []
 
 
+def test_verify_refuses_an_alpha_grid_before_any_region_check(monkeypatch, tmp_path, capsys):
+    # verify refuses every alpha of its grid up front: 1.5 is refused before
+    # the region checks at 0.5 and 1.0 run.
+    monkeypatch.setattr(experiments, "_region_checks", _unreachable)
+    out = tmp_path / "v.csv"
+    assert parse_and_dispatch(["verify", "--alpha-grid", "0.5:2:0.5", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: alpha must lie in [0, 1], got 1.5\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_failed_run_leaves_an_existing_out_untouched(monkeypatch, tmp_path, capsys):
     # A trial that fails inside simulate's sweep, or inside verify's, exits
     # 2 and leaves the file that was at --out byte for byte, with no

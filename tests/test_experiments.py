@@ -88,20 +88,6 @@ def test_verify_all_checks_trials_and_seed_before_any_check(monkeypatch):
             verify_all([0.5], **kwargs)
 
 
-def test_verify_all_checks_scheme_alphas_before_any_check(monkeypatch):
-    # 0.37 is in every kind's domain but bc-fixed's (no T1 <= 20), and the
-    # refusal is bc-fixed's own.
-    ran = []
-    monkeypatch.setattr(experiments, "_region_checks", lambda alpha_grid: ran.append("regions"))
-    monkeypatch.setattr(experiments, "run_sweep", lambda config: ran.append(config.scheme))
-    with pytest.raises(ValueError) as own:
-        SCHEMES["bc-fixed"].domain(0.37)
-    with pytest.raises(ValueError) as refused:
-        verify_all([0.5], trials=10, scheme_alphas=(0.37,))
-    assert str(refused.value) == str(own.value)
-    assert ran == []
-
-
 def test_sweep_config_refuses_alphas_it_cannot_build():
     # Every alpha SweepConfig accepts builds; it refuses only the alphas with
     # no T1 <= 20 for the four-phase scheme and the lattice schemes' alphas
@@ -863,6 +849,41 @@ def test_run_sweeps_raise_a_failure_only_a_batch_raises(monkeypatch):
         experiments.run_sweeps(configs)
 
 
+def test_run_sweep_reraises_a_fault_only_a_chunk_of_several_trials_raises(monkeypatch):
+    # A planted fault that only a chunk of two or more trials raises: the
+    # chunk fails and every trial then passes alone, so the chunk's own
+    # error is re-raised unchanged, not reported as a failing trial.
+    build_chunk, raised = experiments._build_chunk, []
+
+    def batch_fault(kinds, seeds):
+        if len(seeds) > 1:
+            raised.append(ValueError("planted batch fault"))
+            raise raised[-1]
+        return build_chunk(kinds, seeds)
+
+    monkeypatch.setattr(experiments, "_build_chunk", batch_fault)
+    with pytest.raises(ValueError) as got:
+        run_sweep(SweepConfig("yang", 0.5, GRID, trials=12, seed=4))
+    assert len(raised) == 1 and got.value is raised[0]
+
+
+def test_run_sweeps_at_fraction_alphas_equal_the_float_run():
+    # verify's scheme alphas as exact Fractions: every kind's reports equal
+    # those of the float alphas byte for byte (csv_text, d1, d2, slopes).
+    exact = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+    assert tuple(map(float, exact)) == experiments.VERIFY_SCHEME_ALPHAS
+    cases = [(kind, a) for kind in SCHEME_KINDS for a in exact]
+    got = experiments.run_sweeps([SweepConfig(k, a, GRID, trials=10) for k, a in cases])
+    want = experiments.run_sweeps([SweepConfig(k, float(a), GRID, trials=10) for k, a in cases])
+    _same_reports(got, want)
+
+    def bits(reports):  # == takes 0.0 for -0.0: compare the floats' bytes too
+        floats = ([r.d1, r.d2, *itertools.chain(*r.slopes.values())] for r in reports)
+        return [np.array(x).tobytes() for x in floats]
+
+    assert bits(got) == bits(want)
+
+
 def test_run_sweeps_name_the_groups_lowest_failing_trial(monkeypatch):
     # One group of two kinds, each with its own channel mode and so its own
     # draw: yang's draw fails at trial 9 and gdof's at trial 5.  The chunk's
@@ -1094,8 +1115,9 @@ def test_scheme_checks_build_one_scheme_per_sweep_chunk(monkeypatch):
     monkeypatch.setattr(schemes, "draw_channels", counting_draw)
     for kind in experiments.SCHEME_TARGETS:
         monkeypatch.setitem(SCHEMES, kind, counting(kind, SCHEMES[kind]))
-    checks = experiments._scheme_checks(alphas, GRID, 10, 0)
     kinds = [*experiments.SCHEME_TARGETS, "wiretap-nonoise"]
+    cases = [(kind, a) for kind in kinds[:-1] for a in alphas] + [("wiretap-nonoise", 0.75)]
+    checks = experiments._scheme_checks([SweepConfig(k, a, GRID, trials=10) for k, a in cases])
     slots = {}
     for kind in kinds:
         for a in alphas:
@@ -1131,12 +1153,7 @@ def test_checks_to_csv_shape():
 
 
 def test_verify_all_small_grid_passes():
-    checks = verify_all(
-        [0.0, 0.5, 1.0],
-        seed=0,
-        trials=10,
-        scheme_alphas=(0.5,),
-    )
+    checks = verify_all([0.0, 0.5, 1.0], seed=0, trials=10)
     failed = [c for c in checks if not c.passed]
     assert not failed, failed
     names = {c.name for c in checks}
@@ -1153,7 +1170,7 @@ def test_verify_all_accepts_fraction_alphas():
     grid = [k / 20 for k in range(21)]
     exact = [Fraction(k, 20) for k in range(21)]
     want = verify_all(grid)
-    got = verify_all(exact, scheme_alphas=(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)))
+    got = verify_all(exact)
     assert all(c.passed for c in got)
     assert [(c.name, c.passed, c.detail) for c in got] == [
         (c.name, c.passed, c.detail) for c in want
@@ -1228,8 +1245,7 @@ def _planting(kind, trials, seed, count, alpha=0.5):
     channel draws at ``alpha``, at whatever alpha it is called with: a
     decode reads its batch's build, made at the batch's first alpha.  A
     trial is known by the bytes of its own channel draw, so a chunk's
-    batched build, a slice of it and a one-trial rebuild all plant the same
-    trials."""
+    batched build and a one-trial rebuild plant the same trials."""
     spec = SCHEMES[kind]
     seeds = trial_seeds(seed, count)
     marks = {schemes._draw_for(kind, alpha, seeds[i]).h.tobytes() for i in trials}
@@ -1246,19 +1262,22 @@ def _planting(kind, trials, seed, count, alpha=0.5):
     return dataclasses.replace(spec, build=build)
 
 
-def _decode_checks(alphas, trials, seed) -> list:
+# Trials per chunk of verify's sweep group at its 7 SNRs, which
+# test_verify_decode_rows_equal_the_per_kind_reference reads off verify_all.
+VERIFY_CHUNK = 204
+
+
+def _decode_checks(trials, seed) -> list:
     # The decode checks on their own: _DecodeTally fed each chunk of
-    # DECODE_BUDGET // slots**2 trials, slots the largest of any kind, as
-    # _build_chunk draws and builds it for a sweep group, with no engine
-    # pass, so trial i draws from trial_seeds(seed, trials)[i].
-    tally = experiments._DecodeTally(alphas, trials)
+    # VERIFY_CHUNK trials as _build_chunk draws and builds it for a sweep
+    # group, with no engine pass, so trial i draws from
+    # trial_seeds(seed, trials)[i].
+    tally = experiments._DecodeTally(trials)
     a = tally.alpha
     kinds = [(kind, [a]) for kind in experiments.SCHEME_TARGETS]
-    slots = max(len(SCHEMES[k].states(a)) for k, _ in kinds)
-    size = max(1, experiments.DECODE_BUDGET // slots**2)
     seeds = trial_seeds(seed, trials)
-    for start in range(0, trials, size):
-        chunk = seeds[start : start + size]
+    for start in range(0, trials, VERIFY_CHUNK):
+        chunk = seeds[start : start + VERIFY_CHUNK]
         built = experiments._build_chunk(kinds, chunk)
         tally(start, chunk, {(k, a): s for (k, _), (s, _) in zip(kinds, built)})
     return tally.rows()
@@ -1285,7 +1304,7 @@ def test_decode_checks_count_planted_failures(monkeypatch):
     monkeypatch.setattr(
         experiments, "SCHEME_TARGETS", {kind: SCHEMES[kind].target for kind in planted}
     )
-    checks = _decode_checks((0.25, 0.5), 20, 0)
+    checks = _decode_checks(20, 0)
     # One draw per channel mode, each holding all 20 trials.
     assert sorted(draws) == [("complex", 20), ("integer", 20)]
     assert [c.name for c in checks] == [f"decode/{kind}/alpha=0.5" for kind in planted]
@@ -1301,18 +1320,17 @@ def test_decode_checks_count_planted_failures(monkeypatch):
         assert check.detail == f"{20 - failures}/20 decoded"
 
 
-def _reference_decode_rows(alphas, trials, seed) -> list:
-    # Each kind's own trials: build_scheme over chunks of DECODE_BUDGET //
-    # slots**2 trials, one noiseless_decode_check per chunk, and a failing
-    # chunk checked again one trial at a time to count its failures.
-    a = 0.5 if 0.5 in alphas else alphas[0]
+def _reference_decode_rows(trials, seed) -> list:
+    # Each kind's own trials: build_scheme over chunks of VERIFY_CHUNK
+    # trials, one noiseless_decode_check per chunk, and a failing chunk
+    # checked again one trial at a time to count its failures.
+    a = 0.5
     seeds = trial_seeds(seed, trials)
     rows = []
     for kind in experiments.SCHEME_TARGETS:
-        size = max(1, experiments.DECODE_BUDGET // len(SCHEMES[kind].states(a)) ** 2)
         failures = 0
-        for start in range(0, trials, size):
-            chunk = seeds[start : start + size]
+        for start in range(0, trials, VERIFY_CHUNK):
+            chunk = seeds[start : start + VERIFY_CHUNK]
             try:
                 ok = noiseless_decode_check(
                     build_scheme(kind, a, chunk), seed=list(range(start, start + len(chunk)))
@@ -1345,13 +1363,12 @@ def _reference_decode_rows(alphas, trials, seed) -> list:
     ],
 )
 def test_verify_decode_rows_equal_the_per_kind_reference(monkeypatch, trials, seed, planted):
-    # verify_all decodes the builds of its sweep group's chunks: 250 trials
-    # run as sweep chunks of 204 and 46, and bc-fixed (7 slots at alpha 0.5)
-    # decodes them in slices of at most 83.  Its decode rows must equal
-    # those of each kind's own trials, planted undecodable trials included:
-    # in bc-fixed's second slice and second chunk, and in two other kinds.
-    # Only the trials of a slice that holds a planted trial are rebuilt one
-    # at a time.
+    # verify_all decodes the builds of its sweep group's chunks, each whole:
+    # 250 trials run as sweep chunks of 204 and 46.  Its decode rows must
+    # equal those of each kind's own trials, planted undecodable trials
+    # included: in both of bc-fixed's chunks, and in two other kinds.  Only
+    # the trials of a chunk that holds a planted trial are rebuilt one at a
+    # time.
     plants = {"wiretap-gaussian": {5, 230}, "bc-fixed": {12, 100, 240}, "gdof": {3}}
     plants = {kind: {t for t in picks if t < trials} for kind, picks in plants.items()}
     if planted:
@@ -1371,21 +1388,18 @@ def test_verify_decode_rows_equal_the_per_kind_reference(monkeypatch, trials, se
 
     monkeypatch.setattr(experiments, "_build_chunk", spy_chunk)
     monkeypatch.setattr(experiments, "build_scheme", spy_build)
-    alphas = (0.25, 0.5, 0.75)
     got = [c for c in verify_all([0.5], seed=seed, trials=trials) if c.name.startswith("decode/")]
-    assert sizes == ([20] if trials == 20 else [204, 46])
-    want = _reference_decode_rows(alphas, trials, seed)
+    assert sizes == ([20] if trials == 20 else [VERIFY_CHUNK, 46])
+    want = _reference_decode_rows(trials, seed)
     assert got == want
     failing = {c.name.split("/")[1]: c.margin for c in got if not c.passed}
     assert failing == ({kind: len(picks) for kind, picks in plants.items()} if planted else {})
     want_rebuilt = []
     edges = list(itertools.accumulate(sizes, initial=0))
     for kind, picks in plants.items() if planted else ():
-        step = experiments.DECODE_BUDGET // len(SCHEMES[kind].states(0.5)) ** 2
         for lo, hi in zip(edges, edges[1:]):
-            for part in (range(i, min(i + step, hi)) for i in range(lo, hi, step)):
-                if picks & set(part):
-                    want_rebuilt += [(kind, i) for i in part]
+            if picks & set(range(lo, hi)):
+                want_rebuilt += [(kind, i) for i in range(lo, hi)]
     assert sorted(rebuilt) == sorted(want_rebuilt)
 
 
@@ -1414,19 +1428,19 @@ def test_default_verify_draws_once_per_mode_and_builds_nothing_to_decode(monkeyp
 
 
 def test_decode_checks_peak_memory_does_not_grow_with_trials(monkeypatch):
-    # Trials are built and decoded in chunks sized from the slot count, so
-    # 2000 trials peak no higher than 500.  gdof holds the most bytes per
-    # trial and slot squared and runs 455-trial chunks at alpha 0.5; bc-fixed
-    # (7 slots) runs 83-trial chunks.  As one batch, 2000 gdof trials would
-    # peak about four times higher than 500.
+    # Trials are built and decoded one sweep chunk at a time, so 2000
+    # trials peak no higher than 500.  gdof holds the most bytes per trial
+    # and slot squared, and bc-fixed has the most slots at alpha 0.5 (7).
+    # As one batch, 2000 gdof trials would peak about four times higher
+    # than 500.
     kinds = ("gdof", "bc-fixed")
     monkeypatch.setattr(experiments, "SCHEME_TARGETS", {k: SCHEMES[k].target for k in kinds})
-    _decode_checks((0.5,), 20, 0)  # import and cache outside the trace
+    _decode_checks(20, 0)  # import and cache outside the trace
     peaks = []
     for trials in (500, 2000):
         tracemalloc.start()
         try:
-            checks = _decode_checks((0.5,), trials, 0)
+            checks = _decode_checks(trials, 0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -158,6 +158,65 @@ def test_decode_refuses_a_planted_undecodable_scheme(kind, plant):
         _decode_once(broken, seed=0)
 
 
+def _corrupting_decode(monkeypatch, corrupt) -> None:
+    """Make ``noiseless_decode_check`` read ``linear_decode``'s symbols
+    after ``corrupt(scheme, name, symbols)`` edits each group's in place."""
+    decode = schemes.linear_decode
+
+    def corrupted(scheme, *args):
+        recovered = {name: np.array(rec) for name, rec in decode(scheme, *args).items()}
+        for name, rec in recovered.items():
+            corrupt(scheme, name, rec)
+        return recovered
+
+    monkeypatch.setattr(schemes, "linear_decode", corrupted)
+
+
+@pytest.mark.parametrize("rel, passes", [(0.5, True), (2.0, False)])
+def test_decode_check_refuses_a_gaussian_symbol_off_by_more_than_the_tolerance(
+    monkeypatch, rel, passes
+):
+    # One Gaussian symbol of each group moved by rel x DECODE_REL_TOL of the
+    # group's largest symbol: half the tolerance still decodes, twice fails.
+    sch = build_scheme("wiretap-gaussian", 0.5, seed=0)
+    assert not any(g.lattice for g in sch.groups)
+
+    def nudge(scheme, name, rec):
+        rec[..., 0] += rel * schemes.DECODE_REL_TOL * np.abs(rec).max(-1)
+
+    _corrupting_decode(monkeypatch, nudge)
+    assert noiseless_decode_check(sch, seed=0) is passes
+
+
+def test_decode_check_refuses_a_lattice_integer_mismatch(monkeypatch):
+    # Lattice symbols must match exactly: one integer of each of gdof's
+    # lattice groups off by one fails, its Gaussian group left intact.
+    sch = build_scheme("gdof", 0.5, seed=0)
+    assert noiseless_decode_check(sch, seed=0)
+
+    def off_by_one(scheme, name, rec):
+        if scheme.group(name).lattice:
+            rec[..., 0] += 1
+
+    _corrupting_decode(monkeypatch, off_by_one)
+    assert noiseless_decode_check(sch, seed=0) is False
+
+
+@pytest.mark.parametrize("kind, lattice", [("wiretap-gaussian", False), ("gdof", True)])
+def test_decode_check_of_a_batch_fails_on_one_bad_trial(monkeypatch, kind, lattice):
+    # A trial-batched check is True iff every trial decodes: one wrong
+    # symbol in trial 1 of 3, Gaussian or lattice, fails the batch.
+    sch = build_scheme(kind, 0.5, seed=[3, 4, 5])
+    assert noiseless_decode_check(sch, seed=[0, 1, 2])
+
+    def spoil_trial_1(scheme, name, rec):
+        if scheme.group(name).lattice == lattice:
+            rec[1, 0] += 1 if lattice else np.abs(rec[1]).max()
+
+    _corrupting_decode(monkeypatch, spoil_trial_1)
+    assert noiseless_decode_check(sch, seed=[0, 1, 2]) is False
+
+
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_causality_audit(kind):
     assert audit_causality(kind, 0.5, seed=1)
