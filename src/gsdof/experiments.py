@@ -74,17 +74,19 @@ _FMT = ".12g"
 # and slots the block length of its kind's states at alpha, known before
 # any build.
 # Larger chunks amortise the per-call overhead of the draw, the builders
-# and the linear-algebra kernels.  conditional_mi forms no (trials, SNRs,
-# rows, cols) stack, only Gram weights per independent block, so a trial
-# holds 46-152 bytes per (SNR, slot) over every kind at every alpha k/20
-# (tracemalloc), where per entry of the larger receiver's rows x cols it
-# spreads 150-fold.  What a trial holds at any SNR count (its draw, slot
-# maps and dense coefficients) grows about as slots squared, from 1 KB at
-# one slot to 425 KB at 79, so it counts as slots more SNRs.  Measured
-# chunks peak at 38 MB or less on 1001 SNRs and at 41 MB or less on 4,
-# except the one-slot canary's 52428-trial chunks (54 MB).  At seven SNRs
-# every kind runs at least 38 trials a chunk.  The output does not depend
-# on the constant.
+# and the linear-algebra kernels.  conditional_mi forms its Gram matrices
+# one elimination chunk at a time, so what a trial holds per (SNR, slot),
+# its results and its share of the engine's stacks, is 0-27 bytes over
+# every kind at every alpha k/10 but the one-slot canary's 64
+# (tracemalloc, 7 against 70 SNRs; 17-158 bytes when each stack's Gram
+# matrices were formed whole).  What a trial holds at any SNR count (its
+# draw, slot maps and dense coefficients) grows about as slots squared,
+# from 0.6 KB at one slot to 425 KB at 79, so it counts as 2-20 times
+# (median 5) slots more SNRs, and chunks on few SNRs peak highest.
+# Measured chunks of every kind at every alpha k/20 peak at 18 MiB or less
+# on 1001 SNRs and at 32 MiB or less on 4, except the one-slot canary's
+# 52428-trial chunks on 4 (54 MiB).  At seven SNRs every kind runs at
+# least 38 trials a chunk.  The output does not depend on the constant.
 SWEEP_BUDGET = 2**18
 
 # Most trial x SNR points a run may hold, over the sweeps whose reports it
@@ -760,6 +762,22 @@ def _region_text(rows, scales) -> tuple[tuple[str, ...], str]:
     return points, ",".join(map(_f, maxima))
 
 
+def _region_texts(names, alpha: float, profile: TopologyProfile | None) -> list:
+    """Per named bound at one alpha, its rows' "name,alpha," head and its
+    region's text (``_region_text``): (head, vertex texts, summary text)."""
+    tag = _f(alpha)
+    regs = [(name, named_region(name, alpha, profile)) for name in names]
+    return [(f"{name},{tag},", *_region_text(reg._rows, reg._scales)) for name, reg in regs]
+
+
+def _vertex_csv(texts) -> str:
+    """The vertex CSV of ``_region_texts``' ``texts``."""
+    rows = ["bound_name,alpha,vertex_index,d1,d2"]
+    for head, points, _ in texts:
+        rows += [f"{head}{i},{point}" for i, point in enumerate(points)]
+    return "\n".join(rows) + "\n"
+
+
 def region_csv(names, alpha: float, profile: TopologyProfile | None = None) -> tuple[str, str]:
     """(vertex CSV, summary CSV) for the named bounds at one alpha.
 
@@ -767,18 +785,12 @@ def region_csv(names, alpha: float, profile: TopologyProfile | None = None) -> t
     and its summary row's sum and axis maxima are the region's text
     (``_region_text``), formatted once per interned region, so a row reads
     no maximum of its own.  The vertex CSVs of figures 3, 4, 6 and 7
-    (``figure_data``) are this function's too.
+    (``figure_data``) are built the same way, with no summary.
     """
-    vrows = ["bound_name,alpha,vertex_index,d1,d2"]
-    srows = ["bound_name,alpha,sum_max,d1_axis_max,d2_axis_max"]
-    tag = _f(alpha)
-    for name in names:
-        reg = named_region(name, alpha, profile)
-        points, maxima = _region_text(reg._rows, reg._scales)
-        head = f"{name},{tag},"
-        vrows += [f"{head}{i},{point}" for i, point in enumerate(points)]
-        srows.append(head + maxima)
-    return "\n".join(vrows) + "\n", "\n".join(srows) + "\n"
+    texts = _region_texts(names, alpha, profile)
+    summary = ["bound_name,alpha,sum_max,d1_axis_max,d2_axis_max"]
+    summary += [head + maxima for head, _, maxima in texts]
+    return _vertex_csv(texts), "\n".join(summary) + "\n"
 
 
 # Figure id -> (topology profile label of its outer bound, bound names).
@@ -807,10 +819,11 @@ def figure_data(figure_id: int, alpha: float | None = None, alpha_grid=None) -> 
     """CSV behind one of the region/sum-DoF figures.
 
     Figures 3, 4, 6 and 7 need a single ``alpha`` and emit the vertex CSV
-    of their bounds from ``region_csv``; a topology profile is built only
-    for a figure that draws the outer bound.  Figure 8 sweeps
-    ``alpha_grid`` and emits sum-DoF curves straight from the bounds' rows
-    (``_figure8_rows``), with no region object, and ignores ``alpha``.
+    of their bounds, as ``region_csv`` does but with no summary rows; a
+    topology profile is built only for a figure that draws the outer bound.
+    Figure 8 sweeps ``alpha_grid`` and emits sum-DoF curves straight from
+    the bounds' rows (``_figure8_rows``), with no region object, and
+    ignores ``alpha``.
     """
     if figure_id == 8:
         if alpha_grid is None:
@@ -826,4 +839,4 @@ def figure_data(figure_id: int, alpha: float | None = None, alpha_grid=None) -> 
         raise ValueError("figures 3, 4, 6 and 7 need an alpha")
     label, names = _FIGURES[figure_id]
     profile = TopologyProfile.named(label, alpha) if "outer" in names else None
-    return region_csv(names, alpha, profile)[0]
+    return _vertex_csv(_region_texts(names, alpha, profile))

@@ -7,18 +7,21 @@ It takes the SNR-free coefficients, the row and column power exponents as
 int pairs (p, q), the alphas at which each exponent p + q*alpha is taken,
 and the SNRs, so the key projection and the Gram pieces are formed once per
 trial and each (alpha, SNR) point adds only elementwise work and a log-det.
-Each stack carries its columns' pairs and its alphas, and the columns are
-split into levels, one per distinct pair, where their Gram pieces are
-summed.  The pairs do not depend on alpha, so one block plan serves every
-alpha of a receiver layout, alpha = 0 included.  Neither step calls LAPACK
-per matrix: the projection is a modified Gram-Schmidt of the key rows and
-the log-det an LDLᴴ elimination (``_logdet2``, the package's only
-log-det), both run over whole stacks in real arithmetic.  A call takes one
-job or an iterable of jobs of one exponent width, such as every receiver
-of every build of a sweep chunk: the jobs are one engine pass, in which
-the blocks of every job that share a (rows, key rows, kept columns) shape
-are concatenated into one stack, and each job keeps the bits of a call of
-its own.
+The Gram matrices are formed one elimination chunk of at most
+``_LDL_CHUNK`` matrices at a time, so those held at once do not grow with
+the trials, the alphas or the SNRs.  Each stack carries its columns' pairs
+and its alphas, and the columns are split into levels, one per distinct
+pair, where their Gram pieces are summed.  The pairs do not depend on
+alpha, so one block plan serves every alpha of a receiver layout, alpha = 0
+included.  Neither step calls LAPACK per matrix: the projection is a
+modified Gram-Schmidt of the key rows, run over whole stacks, and the
+log-det an LDLᴴ elimination (``_logdet2``, the package's only log-det), run
+over whole chunks, both in real arithmetic.  A call takes one job or an
+iterable of jobs of one exponent width, such as every receiver of every
+build of a sweep chunk: the jobs are one engine pass, in which the blocks
+of every job that share a (rows, key rows, kept columns) shape are
+concatenated into one stack, and each job keeps the bits of a call of its
+own.
 The scheme sweeps and checks are tested on SNR grids of 60-120 dB.  Known
 limits at high SNR (alpha = 0.5 unless stated):
 
@@ -50,6 +53,7 @@ one vectorized pass, each row bit for bit its one-series ``fit_slope``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -81,8 +85,7 @@ def fit_window(n: int) -> int:
 KEY_DEPENDENCE_TOL = 1e-10  # relative remainder of a key row that adds no basis row
 
 _CONJ = np.array([1.0, -1.0])  # (re, im) times this: the conjugate
-# Matrices per elimination pass of _logdet2, and per evaluation of stacks
-# merged by _entropies_by_block.
+# Most matrices _entropy_given_keys forms and _logdet2 eliminates at once.
 _LDL_CHUNK = 2**10
 
 
@@ -136,44 +139,50 @@ def _project_off_keys(c: np.ndarray, k: np.ndarray) -> np.ndarray:
 def _logdet2(g: np.ndarray):
     """log2 det of each Hermitian positive-definite matrix of the stack
     ``g`` (..., r, r), as the sum of the pivots' logs of LDLᴴ elimination
-    without pivoting.
+    without pivoting: one elimination chunk, which the engine keeps to at
+    most ``_LDL_CHUNK`` matrices (see ``_entropy_given_keys``).
 
-    ``_LDL_CHUNK`` matrices at a time are copied into (r, r, re/im, chunk)
-    float64 planes, so that every step runs over the whole chunk: each
-    pivot's rank-one update of the trailing block is real arithmetic, in
-    place on the planes.  The chunks bound the temporaries, and every step
-    is elementwise, so neither the chunks nor the batch shape change the
-    bits.  A pivot that is not positive raises ``singular conditional
-    covariance``."""
+    The stack is copied into (r, r, re/im, matrices) float64 planes, so
+    that every step runs over the whole stack: each pivot's rank-one update
+    of the trailing block is real arithmetic, in place on the planes, and
+    the pivots' logs are summed in pivot order.  Every step is elementwise,
+    so neither the stack's size nor its shape changes the bits.  A pivot
+    that is not positive raises ``singular conditional covariance``."""
     r = g.shape[-1]
-    flat = _pairs(g).reshape((-1, r, r, 2))
-    logdet = np.empty(len(flat))
-    for start in range(0, len(flat), _LDL_CHUNK):
-        part = np.moveaxis(flat[start : start + _LDL_CHUNK], 0, -1).copy()
-        for j in range(r):
-            d = part[j, j, 0]
-            if not (d > 0).all():
-                raise ValueError("singular conditional covariance")
-            if j + 1 < r:
-                # Trailing block -= w vᴴ, with v the pivot's column below it
-                # and w = v / d: entry (i, k) is wr_i conj(v_k) + wi_i (i
-                # conj(v_k)), where conj(v) = (vr, -vi) and i conj(v) = (vi, vr).
-                v = part[j + 1 :, j]
-                w = v / d
-                trailing = part[j + 1 :, j + 1 :]
-                trailing -= w[:, None, 0:1] * (v * _CONJ[:, None])
-                trailing -= w[:, None, 1:2] * v[:, ::-1]
-        logdet[start : start + _LDL_CHUNK] = np.log(part[range(r), range(r), 0]).sum(axis=0)
+    part = _pairs(g).reshape((-1, r, r, 2)).transpose(1, 2, 3, 0).copy()
+    for j in range(r):
+        d = part[j, j, 0]
+        if not (d > 0).all():
+            raise ValueError("singular conditional covariance")
+        if j + 1 < r:
+            # Trailing block -= w vᴴ, with v the pivot's column below it
+            # and w = v / d: entry (i, k) is wr_i conj(v_k) + wi_i (i
+            # conj(v_k)), where conj(v) = (vr, -vi) and i conj(v) = (vi, vr).
+            v = part[j + 1 :, j]
+            w = v / d
+            trailing = part[j + 1 :, j + 1 :]
+            trailing -= w[:, None, 0:1] * (v * _CONJ[:, None])
+            trailing -= w[:, None, 1:2] * v[:, ::-1]
+    # The logs are added in pivot order: a sum over the pivot axis would
+    # add a lone matrix's pairwise.
+    logs = np.log(part[range(r), range(r), 0])
+    logdet = logs[0]
+    for j in range(1, r):
+        logdet = logdet + logs[j]
     return logdet.reshape(g.shape[:-2]) / math.log(2.0)
 
 
 def _entropy_given_keys(c: np.ndarray, k: np.ndarray, row_exp, col_pairs, alpha, rho):
     """log2-det part of h(A s + n | K s) for s ~ CN(0, I) and unit noise,
     where A scales entry (i, j) of the rho-free ``c`` by rho^((r_i + c_j)/2),
-    at each alpha of an exponent batch: float row exponents ``row_exp``
-    (..., batch, rows), the int exponent pair (p, q) of each column as
-    ``col_pairs`` (..., cols, 2), the alphas ``alpha`` (..., batch), and an
-    array of SNRs ``rho``.
+    at each alpha of an exponent batch, for a stack of pairs: ``c`` (...,
+    pairs, rows, cols) and ``k`` (..., pairs, key rows, cols), whose leading
+    batch axes broadcast, the float row exponents ``row_exp`` (pairs, width,
+    rows), the int exponent pair (p, q) of each column as ``col_pairs``
+    (pairs, cols, 2), the alphas ``alpha`` (pairs, width), and an array of
+    SNRs ``rho``.  The last axis of ``c`` before its matrices is the pair
+    axis; the exponents may leave theirs out, or give it size 1, to share
+    one row over every pair.
 
     Conditioning on the noiseless functionals K s projects the symbol space
     onto the orthogonal complement of the key rows (the Schur complement of
@@ -193,40 +202,78 @@ def _entropy_given_keys(c: np.ndarray, k: np.ndarray, row_exp, col_pairs, alpha,
     which change no pivot, so it keeps the bits of its own stack's
     evaluation.
 
-    The projection and the Gram pieces are formed once for the whole batch,
-    without the SNR; each (batch entry, SNR) point costs one elementwise
-    product and sum per level, and the LDLᴴ log-det of ``_logdet2``, with
-    the bits of its own call.  At rho = 1 with zero exponents every factor
-    is 1.0, so A = ``c`` bit for bit: that is the dense call.
+    The projection, which has no SNR axis, is taken once for the whole
+    stack.  The Gram matrices are formed one elimination chunk of at most
+    ``_LDL_CHUNK`` (batch entry, pair, exponent entry, SNR) matrices at a
+    time: a tile of the (pair, exponent entry, SNR) points, as long as it
+    can be along the SNRs, then the exponent entries, then the pairs, for as
+    many batch entries as fit.  Each tile forms its factors rho^((r_i +
+    r_j)/2 + e) once, which have no batch axis; each chunk forms its Gram
+    pieces, scales them by its tile's factors, adds the identity and is
+    eliminated by ``_logdet2``.  So the matrices held at once are one
+    chunk's, whatever the numbers of batch entries, alphas and SNRs, and
+    the Gram pieces cost one product per (batch entry, pair) unless a
+    pair's points span several tiles.  Every step is per matrix, so the
+    chunks change no bit.  At rho = 1 with zero exponents every factor is
+    1.0, so A = ``c`` bit for bit: that is the dense call.
 
-    Leading axes of ``c`` and ``k`` are batch axes and broadcast, and
-    ``row_exp``, ``col_pairs`` and ``alpha`` broadcast against them.  The
-    result has the batch axes of ``c``, then the exponent batch axis, then
-    ``rho``'s axes."""
+    The result has the batch axes of ``c`` (after the projection's
+    broadcast), the pair axis, then the exponent batch axis, then ``rho``'s
+    axes."""
     if k.shape[-2]:
         c = _project_off_keys(c, k)
-    c_h = c.conj().swapaxes(-1, -2)
-    r = c.shape[-2]
-    snr_axes = (1,) * rho.ndim
+    lead = c.shape[:-2]  # the batch axes, then the pair axis
+    pairs, (r, n), width = math.prod(lead[-1:]), c.shape[-2:], alpha.shape[-1]
+    c = c.reshape((math.prod(lead[:-1]), pairs, r, n))
     half = (row_exp[..., :, None] + row_exp[..., None, :]) / 2.0
-    half = half.reshape(half.shape[:-2] + snr_axes + (r, r))
-    rho = rho.reshape(rho.shape + (1, 1))
+    half = _broadcast(half, (pairs, width, r, r))[:, :, None]  # an SNR axis of 1
     levels = sorted(set(map(tuple, col_pairs.reshape(-1, 2).tolist()))) or [(0, 0)]
-    g = None
+    masks, exps = [], []  # per level: its columns, and its (pairs, width) exponents e
     for p, q in levels:
         mask = None if len(levels) == 1 else (col_pairs == (p, q)).all(axis=-1)
-        piece = (c if mask is None else c * mask[..., None, :]) @ c_h
-        # The piece at every (batch entry, SNR): times rho^((r_i + r_j)/2 + e).
-        e = p + q * alpha
-        e = e.reshape(e.shape + snr_axes + (1, 1))
-        piece = piece.reshape(piece.shape[:-2] + (1,) + snr_axes + (r, r)) * rho ** (half + e)
-        if g is None:
-            g = piece
-        else:
-            g += piece
-    diagonal = np.einsum("...ii->...i", g)
-    diagonal += 1.0
-    return _logdet2(g)
+        masks.append(None if mask is None else _broadcast(mask, (pairs, n)))
+        exps.append(_broadcast(p + q * alpha, (pairs, width))[..., None, None, None])
+    snrs = rho.reshape(-1)
+    out = np.empty((len(c), pairs, width, snrs.size))
+    snr_step = min(snrs.size, _LDL_CHUNK) or 1
+    width_step = min(width, _LDL_CHUNK // snr_step) or 1
+    pair_step = min(pairs, _LDL_CHUNK // (snr_step * width_step))
+    tiles = itertools.product(
+        range(0, pairs, pair_step), range(0, width, width_step), range(0, snrs.size, snr_step)
+    )
+    for p0, w0, s0 in tiles:
+        tile = np.s_[p0 : p0 + pair_step, w0 : w0 + width_step, s0 : s0 + snr_step]
+        x, r_s = half[tile[:2]], snrs[tile[2], None, None]
+        shape = x.shape[:2] + (len(r_s), r, r)
+        # Per level, the tile's factors rho^((r_i + r_j)/2 + e), from a base
+        # and exponents written out in full: where an operand repeats along
+        # numpy's inner loop, its power may take a faster path (a square
+        # root for the exponent 0.5, say) whose last bit differs, so a
+        # value's bits would depend on the tile's shape.
+        base = np.empty(shape)
+        base[...] = r_s
+        factors = [base ** np.add(x, e[tile[:2]], out=np.empty(shape)) for e in exps]
+        entries = _LDL_CHUNK // math.prod(shape[:3])
+        for u0 in range(0, len(c), entries):
+            part = c[u0 : u0 + entries, tile[0]]
+            part_h = part.conj().swapaxes(-1, -2)
+            g = None
+            for mask, factor in zip(masks, factors):
+                piece = (part if mask is None else part * mask[tile[0], None, :]) @ part_h
+                piece = piece[:, :, None, None] * factor
+                if g is None:
+                    g = piece
+                else:
+                    g += piece
+            diagonal = np.einsum("...ii->...i", g)
+            diagonal += 1.0
+            out[(slice(u0, u0 + entries),) + tile] = _logdet2(g)
+    return out.reshape(lead + (width,) + rho.shape)
+
+
+def _broadcast(x: np.ndarray, shape: tuple) -> np.ndarray:
+    """``x`` broadcast to ``shape``: itself if it has that shape."""
+    return x if x.shape == shape else np.broadcast_to(x, shape)
 
 
 def _support(x: np.ndarray) -> np.ndarray:
@@ -351,7 +398,7 @@ def _merged(parts, batch: tuple) -> tuple:
         return parts[0]
 
     def full(x):
-        return x if x.shape[:-3] == batch else np.broadcast_to(x, batch + x.shape[-3:])
+        return _broadcast(x, batch + x.shape[-3:])
 
     c, k = (np.concatenate([full(part[i]) for part in parts], axis=-3) for i in (0, 1))
     return c, k, *(np.concatenate([part[i] for part in parts]) for i in (2, 3, 4))
@@ -412,13 +459,15 @@ def _entropies_by_block(jobs, rho) -> list:
     rows, kept columns) shape are concatenated along the pair axis
     (``_merged``) and evaluated together, in packs of consecutive stacks
     that hold at most ``_LDL_CHUNK`` (batch entry, pair, exponent entry,
-    SNR) matrices, one elimination chunk.  A stack larger than that is a
-    pack of its own, as in a pass of its own job, so no evaluation is larger
-    than a lone job's.  No block-diagonal matrix is formed.  Every step of
-    the evaluation is per matrix, and each pair of a merged stack keeps its
-    own column pairs and alphas, so neither the merge nor the packs change
-    a bit: each job gets the values of a pass of its own, whether or not
-    its stack mates sit at other column pairs or alphas."""
+    SNR) matrices, one elimination chunk, so that a merged copy is never
+    larger than a chunk's.  A stack larger than that is a pack of its own,
+    as in a pass of its own job, which ``_entropy_given_keys`` evaluates
+    one elimination chunk at a time.  Each pack is let go once evaluated.
+    No block-diagonal matrix is formed.  Every step of the evaluation is
+    per matrix, and each pair of a merged stack keeps its own column pairs
+    and alphas, so neither the merge nor the packs change a bit: each job
+    gets the values of a pass of its own, whether or not its stack mates
+    sit at other column pairs or alphas."""
     stacks = {}  # stack shape -> [(job, (coefficients, keys, exponents, pairs, alphas))]
     plans, batches, widths = [], [], set()
     # map() passes each job on without holding it here once it is gathered.
@@ -434,14 +483,17 @@ def _entropies_by_block(jobs, rho) -> list:
     batch = np.broadcast_shapes(*batches)
     values = [{} for _ in plans]  # per job: stack shape -> (pairs, ...) entropies
     per_pair = math.prod(batch) * width * rho.size  # matrices
-    for shape, members in stacks.items():
+    # Each shape's stacks, and each pack once evaluated, are popped, so that
+    # nothing holds them after their evaluation.
+    for shape in list(stacks):
         packs = [[]]  # consecutive stacks of at most _LDL_CHUNK matrices, or one stack
-        for member in members:
+        for member in stacks.pop(shape):
             pairs = sum(len(exps) for _, (_, _, exps, *_) in packs[-1] + [member])
             if packs[-1] and per_pair * pairs > _LDL_CHUNK:
                 packs.append([])
             packs[-1].append(member)
-        for pack in packs:
+        while packs:
+            pack = packs.pop(0)
             h = _entropy_given_keys(*_merged([stack for _, stack in pack], batch), rho)
             # The pair axis first, so that each job's pairs are one slice.
             h, start = np.moveaxis(h, len(batch), 0), 0
@@ -468,29 +520,31 @@ def _conditional_mis(jobs, rho: np.ndarray) -> list:
     ``_entropies_by_block`` call, which draws each job once."""
     stacked = []  # per job: whether its masks are stacks, with a pair axis
 
-    def prepared():
-        for coef, keys, target, given, row_exp, col_exp, alpha in jobs:
-            m, n = coef.shape[-2:]
-            row_exp, col_exp = np.asarray(row_exp), np.asarray(col_exp)
-            alpha = np.asarray(alpha, dtype=float)
-            if (
-                alpha.ndim != 1
-                or col_exp.shape != (n, 2)
-                or row_exp.shape not in ((m, 2), (len(alpha), m, 2))
-                or not {row_exp.dtype.kind, col_exp.dtype.kind} <= {"i", "u"}
-            ):
-                raise ValueError(
-                    "exponents are int pairs (p, q): col_exp (cols, 2), and row_exp "
-                    "(rows, 2) or one (rows, 2) entry per alpha of the batch"
-                )
-            keep1 = ~np.asarray(given, dtype=bool)
-            keep1, keep2 = np.broadcast_arrays(keep1, keep1 & ~np.asarray(target, dtype=bool))
-            stacked.append(keep1.ndim > 1)
-            keeps = np.stack([keep1, keep2]).reshape(-1, n)
-            yield coef, keys, keeps, row_exp, col_exp.astype(np.int64, copy=False), alpha
+    def prepared(job):
+        coef, keys, target, given, row_exp, col_exp, alpha = job
+        m, n = coef.shape[-2:]
+        row_exp, col_exp = np.asarray(row_exp), np.asarray(col_exp)
+        alpha = np.asarray(alpha, dtype=float)
+        if (
+            alpha.ndim != 1
+            or col_exp.shape != (n, 2)
+            or row_exp.shape not in ((m, 2), (len(alpha), m, 2))
+            or not {row_exp.dtype.kind, col_exp.dtype.kind} <= {"i", "u"}
+        ):
+            raise ValueError(
+                "exponents are int pairs (p, q): col_exp (cols, 2), and row_exp "
+                "(rows, 2) or one (rows, 2) entry per alpha of the batch"
+            )
+        keep1 = ~np.asarray(given, dtype=bool)
+        keep1, keep2 = np.broadcast_arrays(keep1, keep1 & ~np.asarray(target, dtype=bool))
+        stacked.append(keep1.ndim > 1)
+        keeps = np.stack([keep1, keep2]).reshape(-1, n)
+        return coef, keys, keeps, row_exp, col_exp.astype(np.int64, copy=False), alpha
 
     out = []
-    for h, pairs in zip(_entropies_by_block(prepared(), rho), stacked):
+    # map() holds no job between draws: each job is let go before the next
+    # is drawn, as a generator's loop variables would not be.
+    for h, pairs in zip(_entropies_by_block(map(prepared, jobs), rho), stacked):
         h = np.stack(h)
         mi = np.maximum(h[: len(h) // 2] - h[len(h) // 2 :], 0.0)
         out.append(mi if pairs else mi[0])
@@ -578,10 +632,11 @@ def conditional_mi(
     bit.  The jobs must share one exponent width, and batch axes that
     broadcast together, such as the trials of one chunk: they form one
     engine pass, which evaluates the blocks of one (rows, key rows, kept
-    columns) shape over all of the jobs as one stack, in packs of one
-    elimination chunk (see ``_entropies_by_block``).  Each job is drawn once
-    and its stacks gathered at once, so a generator of jobs holds one job's
-    matrices at a time.  A single job is an iterable of one.
+    columns) shape over all of the jobs as one stack, one elimination chunk
+    at a time (see ``_entropies_by_block``).  Each job is drawn once and its
+    stacks gathered at once, and nothing holds a job once it is gathered,
+    so a generator of jobs holds one job's matrices at a time.  A single
+    job is an iterable of one.
     """
     if not isinstance(coef, np.ndarray):
         if rho is None:

@@ -397,33 +397,36 @@ def group_accounting(builds, rho) -> list[tuple[dict, dict]]:
     width form one engine pass (see ``conditional_mi``), so the builds of
     one sweep chunk, which hold the same trials, share their evaluations of
     each (rows, key rows, kept columns) shape.  Each receiver is assembled
-    as the engine draws its job and dropped once its stacks are gathered, so
-    the pass holds one receiver's dense matrices at a time.  Values have the
-    trials axis, if any, then the batch axis, then the shape of ``rho``;
-    entry ``j`` of the batch axis equals
+    as the engine draws its job, and no frame keeps its structure or its
+    job once the engine has gathered its stacks, so each receiver's dense
+    matrices are released before the next receiver is assembled, and the
+    pass holds one receiver's at a time.  Values have the trials axis, if
+    any, then the batch axis, then the shape of ``rho``; entry ``j`` of the
+    batch axis equals
     ``accounting_bits(replace(scheme, alpha=alphas[j]), rho)`` bit for bit."""
     widths = {}  # exponent width -> indices of its builds
     for i, (_, alphas) in enumerate(builds):
         widths.setdefault(len(alphas), []).append(i)
     out = [None] * len(builds)
 
-    def receiver_jobs(members):
-        # One job per receiver, its structure assembled as the engine draws it.
-        for scheme, alphas in (builds[i] for i in members):
-            for receiver in (1, 2):
-                st = receiver_structure(scheme, receiver)
-                targets, givens = [], []
-                for order, known_owner in _chains(scheme, receiver):
-                    given = st.owner_masks[known_owner] | st.owner_masks["common"]
-                    for name in order:
-                        targets.append(st.masks[name])
-                        givens.append(given)
-                        given = given | st.masks[name]
-                masks = np.array(targets), np.array(givens)
-                yield st.coef, st.key_coef, *masks, st.row_exp, st.col_exp, alphas
+    def receiver_job(scheme, receiver, alphas):
+        # A function, not a generator, so that no suspended frame keeps the
+        # structure while the next receiver is assembled.
+        st = receiver_structure(scheme, receiver)
+        targets, givens = [], []
+        for order, known_owner in _chains(scheme, receiver):
+            given = st.owner_masks[known_owner] | st.owner_masks["common"]
+            for name in order:
+                targets.append(st.masks[name])
+                givens.append(given)
+                given = given | st.masks[name]
+        masks = np.array(targets), np.array(givens)
+        return st.coef, st.key_coef, *masks, st.row_exp, st.col_exp, alphas
 
     for members in widths.values():
-        bits = iter(conditional_mi(receiver_jobs(members), rho=rho))
+        # One job per receiver, assembled as the engine draws it.
+        jobs = (receiver_job(builds[i][0], r, builds[i][1]) for i in members for r in (1, 2))
+        bits = iter(conditional_mi(jobs, rho=rho))
         for i in members:
             rel, leak = {}, {}
             for receiver in (1, 2):

@@ -481,6 +481,28 @@ def test_conditional_mi_mixed_level_pass_equals_one_job_calls(monkeypatch):
         assert got[j].tobytes() == one.tobytes(), j
 
 
+def test_conditional_mi_one_by_one_pass_equals_one_job_calls():
+    # Four keyless 1x1 receivers whose row is at rho^(alpha) with alpha =
+    # 0.5, so every factor is rho^0.5, on a grid whose SNRs are not even
+    # powers of ten.  numpy's power takes a square root where one exponent
+    # repeats along its inner loop, and that root differs in the last bit
+    # from the power it takes otherwise at some of these SNRs, so factors
+    # formed from broadcast operands gave a job merged with three others
+    # other bits than its own call.
+    rng = np.random.default_rng(5)
+    rho = 10.0 ** (np.arange(60, 121, 7.5) / 10)
+    row_exp, col_exp = np.array([(0, 1)]), np.array([(0, 0)])
+    jobs = [
+        (rng.standard_normal((3, 1, 1)) + 1j * rng.standard_normal((3, 1, 1)), np.zeros((3, 0, 1)))
+        for _ in range(4)
+    ]
+    jobs = [(coef, keys, [True], [False], row_exp, col_exp, [0.5]) for coef, keys in jobs]
+    got = conditional_mi(iter(jobs), rho=rho)
+    for j, job in enumerate(jobs):
+        one = conditional_mi(*job[:6], rho, job[6])
+        assert got[j].tobytes() == one.tobytes(), j
+
+
 def _mp_entropy(mpmath, coef, keys, row_exp, col_exp, keep, rho):
     """log2 det(I + A Aᴴ - A Kᴴ (K Kᴴ)⁻¹ K Aᴴ) on the kept columns, at 50
     digits with the float entries taken as exact: the conditional covariance
