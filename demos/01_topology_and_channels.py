@@ -10,13 +10,8 @@ fractions exactly, which keeps every downstream slope fit reproducible.
 
 import numpy as np
 
-from gsdof.topology import (
-    TopologyProfile,
-    draw_channels,
-    realization_to_csv,
-    receive,
-    state_sequence,
-)
+from gsdof.schemes import build_scheme, simulate_noiseless
+from gsdof.topology import TopologyProfile, draw_channels, state_sequence
 
 # A profile where receiver 1 is strong 30% of the time and both links are
 # weak otherwise.
@@ -41,12 +36,11 @@ int_real = draw_channels(state_sequence(TopologyProfile.fixed("1a", 0.5), 3),
                          seed=7, mode="integer")
 print("integer rows:", np.real(int_real.h).astype(int).tolist())
 
-# One use of the channel law: a unit-power input, explicit noise.
-y, z = receive(
-    np.array([1.0, 0.0]), real.states[0], real.h[0], real.g[0],
-    rho=1e4, alpha=0.5, noise=np.zeros(2),
-)
-print(f"received pair at rho=1e4: y={y:.2f}, z={z:.2f}")
-
-# Realizations serialize to CSV for audit.
-print(realization_to_csv(int_real, alpha=0.5))
+# One use of the channel law, as a built scheme applies it: in slot t,
+# receiver 1 hears y_t = sqrt(rho^A1) h_t.x_t and receiver 2 hears
+# z_t = sqrt(rho^A2) g_t.x_t, with x_t the slot's normalized input (noise
+# zeroed).  sym-alt's four slots visit (1, alpha) twice, then (alpha, 1).
+scheme = build_scheme("sym-alt", 0.5, seed=7)
+_, y, z, _ = simulate_noiseless(scheme, rho=1e4, seed=0)
+for t, state in enumerate(scheme.realization.states):
+    print(f"slot {t} state {state.label}: |y|={abs(y[t]):.2f}, |z|={abs(z[t]):.2f}")

@@ -12,34 +12,27 @@ between the inner and outer bounds.
 import numpy as np
 
 from gsdof.gaussian_mi import fit_slope
-from gsdof.lattice import (
-    LatticeConfig,
-    cf_decode,
-    cf_encode,
-    computation_rate,
-)
+from gsdof.lattice import LatticeConfig, cf_encode, nearest_point
 from gsdof.schemes import build_scheme, noiseless_decode_check, reliability_bits
 
 config = LatticeConfig()
 print(f"lattice: p={config.p}, scale={config.scale:.4f}")
 
-# Encode two mod-p symbols, form an integer combination, decode it exactly.
+# Encode two mod-p symbols, form an integer combination, and recover it
+# exactly: the nearest lattice point is the combination's integer, and
+# undoing the encoder's centering gives its mod-p class.
 rng = np.random.default_rng(0)
 u = rng.integers(0, config.p, size=2)
 coeffs = np.array([2, -3])
 received = float(coeffs @ cf_encode(u, config))
-decoded, residual = cf_decode(received, config, coeffs)
+point = nearest_point(received, config)
+decoded = (round(point / config.scale) + int(coeffs.sum()) * config.centered_range) % config.p
 print(f"symbols {u.tolist()}, combination {coeffs.tolist()} -> "
-      f"{decoded} (truth {int(coeffs @ u) % config.p}, residual {residual:.1e})")
+      f"{decoded} (truth {int(coeffs @ u) % config.p}, "
+      f"residual {abs(received - point) / config.scale:.1e})")
 
-# The decodable-combination rate grows like alpha * log2(rho) when the weak
-# receiver targets its own channel row.
 alpha = 0.5
 rhos = 10.0 ** np.arange(6, 12.1, 1.0)
-g = np.array([2.0, -1.0])
-rates = [computation_rate(g, g, float(r**alpha)) for r in rhos]
-print("combination-rate slope:", round(fit_slope(np.log2(rhos), np.array(rates))[0], 3),
-      f"(target {alpha})")
 
 # The integer wiretap scheme meets the converse: 1 - alpha/3.
 scheme = build_scheme("wiretap-lattice", alpha, seed=2)

@@ -538,22 +538,25 @@ def _region_checks(alpha_grid) -> list[CheckResult]:
         for name, small, big in pairs:
             ok = regions.is_subset(small, big)
             out.append(CheckResult(f"region/{name}/{at}", ok, 0.0))
-        sum_gap = regions.sum_max(inner["prop2"]) - regions.yang_corner_sum(a)
-        want_strict = a < 1.0 - 1e-12
-        ok = sum_gap > 1e-12 if want_strict else abs(sum_gap) <= 1e-9
-        out.append(CheckResult(f"region/sum-gain/{at}", ok, float(sum_gap)))
+        # Exact verdicts; the margins keep the floats that the verify digests pin.
+        p, q = regions._alpha_ratio(a)
+        prop2_sum = regions.sum_max(inner["prop2"])
+        gain = prop2_sum - Fraction(q + p, 2 * q)
+        ok = gain > 0 if p < q else gain == 0
+        margin = float(prop2_sum - regions.yang_corner_sum(a))
+        out.append(CheckResult(f"region/sum-gain/{at}", ok, margin))
         int_sum = regions.sum_max(inner["int-sym-alt"])
         outer_sum = regions.sum_max(outer["sym"])
-        ok = abs(int_sum - 1.0) <= 1e-9 and abs(outer_sum - 1.0) <= 1e-9
+        ok = int_sum == outer_sum == 1
         out.append(
             CheckResult(
                 f"region/int-sum-meets-outer/{at}", ok, float(int_sum - outer_sum)
             )
         )
         wt = regions.wiretap_upper(TopologyProfile.fixed("1a", a))
-        gap = float(wt - (1 - a / 3))
-        gap2 = float(wt - regions.axis_max(outer["1a"], 0))
-        ok = abs(gap) <= 1e-9 and abs(gap2) <= 1e-9
+        d1_max = regions.axis_max(outer["1a"], 0)
+        ok = wt == Fraction(3 * q - p, 3 * q) == d1_max
+        gap, gap2 = float(wt - (1 - a / 3)), float(wt - d1_max)
         out.append(CheckResult(f"region/wiretap-upper/{at}", ok, max(abs(gap), abs(gap2))))
     return out
 
@@ -663,16 +666,13 @@ class _DecodeTally:
 
 
 def _figure8_check() -> CheckResult:
-    rows = {name: float(val) for _, curves in _figure8_rows([0.0]) for name, val in curves}
-    ok = (
-        abs(rows["yang"] - 0.5) <= 1e-9
-        and abs(rows["fixed-inner"] - 2.0 / 3.0) <= 1e-9
-        and abs(rows["sym-alt"] - 0.75) <= 1e-9
-    )
-    rows1 = {name: float(val) for _, curves in _figure8_rows([1.0]) for name, val in curves}
-    secure = ("yang", "fixed-inner", "sym-alt", "int-sym-alt")
-    ok = ok and all(abs(rows1[name] - 1.0) <= 1e-9 for name in secure)
-    ok = ok and abs(rows1["gdof"] - 4.0 / 3.0) <= 1e-9
+    """Figure 8's curves at alpha 0 and 1 against their exact endpoints."""
+    want = {
+        0: {"yang": Fraction(1, 2), "fixed-inner": Fraction(2, 3), "sym-alt": Fraction(3, 4)},
+        1: {"yang": 1, "fixed-inner": 1, "sym-alt": 1, "int-sym-alt": 1, "gdof": Fraction(4, 3)},
+    }
+    got = {a: {name: Fraction(n, d) for name, n, d in regions.sum_dof_ratios(a)} for a in want}
+    ok = all(got[a][name] == v for a, curves in want.items() for name, v in curves.items())
     return CheckResult("figure8/endpoints", ok, 0.0)
 
 

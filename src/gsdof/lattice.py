@@ -7,6 +7,10 @@ each receiver can recover its own combination of the noise codewords
 exactly by nearest-point rounding, which is what makes the learned "secret
 key" functionals exact on integer channels.  Shaping is deliberately
 omitted: it does not affect DoF slopes.
+
+The module holds the lattice, its symbol encoder (``cf_encode``) and its
+nearest-point decoder (``nearest_point``), which ``schemes`` applies to
+every lattice group, and the two integer-channel builders.
 """
 
 from __future__ import annotations
@@ -21,10 +25,7 @@ from .topology import ChannelRealization
 
 __all__ = [
     "LatticeConfig",
-    "computation_rate",
-    "wiretap_computation_rate",
     "cf_encode",
-    "cf_decode",
     "nearest_point",
     "build_wiretap_lattice",
     "build_int_sym_alt",
@@ -64,47 +65,6 @@ class LatticeConfig:
         return (self.p - 1) // 2
 
 
-def computation_rate(
-    channel_row,
-    a,
-    rho_eff: float,
-    interference_power: float = 0.0,
-) -> float:
-    """Decodable-combination rate in bits for coefficient vector ``a``.
-
-    Evaluates log2+ of the inverse MMSE-style term
-    ``(|a|^2 + interference_power - rho_eff*|row.a|^2 / (1 + rho_eff*|row|^2))^-1``.
-    ``interference_power`` carries the receiver-1 variant's rho**(1-alpha)
-    self-interference term; pass 0 for the plain variant.
-    """
-    a = np.asarray(a, dtype=float)
-    row = np.asarray(channel_row, dtype=np.complex128)
-    if not np.any(a != 0):
-        raise ValueError("coefficient vector must be nonzero")
-    norm_a = float(np.sum(a**2))
-    norm_row = float(np.sum(np.abs(row) ** 2))
-    cross = abs(complex(row @ a)) ** 2
-    inner = norm_a + interference_power - rho_eff * cross / (1.0 + rho_eff * norm_row)
-    if inner <= 0:
-        raise ValueError("degenerate rate expression: nonpositive effective noise")
-    return max(math.log2(1.0 / inner), 0.0)
-
-
-def wiretap_computation_rate(h_row, g_row, rho: float, alpha: float) -> float:
-    """Minimum of the two receivers' decodable-combination rates when each
-    receiver targets its own channel row as coefficient vector."""
-    h_row = np.asarray(h_row, dtype=np.complex128)
-    r1 = computation_rate(
-        h_row,
-        np.real(h_row),
-        rho_eff=rho,
-        interference_power=rho ** (1.0 - alpha) * abs(h_row[0]) ** 2,
-    )
-    g_row = np.asarray(g_row, dtype=np.complex128)
-    r2 = computation_rate(g_row, np.real(g_row), rho_eff=rho**alpha)
-    return min(r1, r2)
-
-
 def cf_encode(symbols, config: LatticeConfig) -> np.ndarray:
     """Map mod-p symbols to scaled centered-integer lattice amplitudes."""
     symbols = np.asarray(symbols, dtype=int)
@@ -117,27 +77,6 @@ def nearest_point(value, config: LatticeConfig):
     """Nearest scaled-integer lattice point to the real part of ``value``,
     elementwise for an array (ties round to even, as ``round`` does)."""
     return config.scale * np.round(np.real(value) / config.scale)
-
-
-def cf_decode(received: complex, config: LatticeConfig, integer_coeffs) -> tuple[int, float]:
-    """Recover an integer combination of codewords mod p from a noisy sum.
-
-    Returns ``(combination mod p, residual)`` where the residual is the
-    distance to the nearest lattice point in units of the lattice spacing
-    (0.5 is the failure boundary).  Correctness requires the total noise to
-    stay below half the spacing; the residual reports how close the decode
-    came to that boundary rather than failing silently.
-    """
-    coeffs = np.asarray(integer_coeffs)
-    if np.any(np.mod(coeffs, 1) != 0):
-        raise ValueError("combination coefficients must be integers")
-    coeffs = coeffs.astype(int)
-    scaled = float(np.real(received)) / config.scale
-    nearest = round(scaled)
-    residual = abs(scaled - nearest)
-    # The encoder centers symbols at -(p-1)/2; shift the combination back.
-    shift = int(np.sum(coeffs)) * config.centered_range
-    return (nearest + shift) % config.p, residual
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""Two-state link topology model: state sequences, channel draws, channel law.
+"""Two-state link topology model: state sequences and channel draws.
 
 The transmitter has two antennas; each single-antenna receiver sees its link
 at one of two power exponents, strong (1) or weak (``alpha``).  A topology
 profile fixes the fraction of time spent in each of the four joint states.
+The channel law, y_t = sqrt(rho^A1) h_t.x_t and z_t = sqrt(rho^A2) g_t.x_t
+on the slot's normalized input x_t, is applied by
+``schemes.simulate_noiseless``.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import math
 import operator
 from dataclasses import dataclass
@@ -31,8 +33,6 @@ __all__ = [
     "trial_seeds",
     "seed_generators",
     "draw_channels",
-    "receive",
-    "realization_to_csv",
 ]
 
 STRONG = "strong"
@@ -188,10 +188,6 @@ class ChannelRealization:
     def n(self) -> int:
         """Slot count of the block."""
         return len(self.states)
-
-    def state_matrix(self, t: int) -> np.ndarray:
-        """Stacked 2x2 channel matrix [h_t; g_t], per trial for a batch."""
-        return np.stack([self.h[..., t, :], self.g[..., t, :]], axis=-2)
 
     def min_abs_det(self) -> float:
         """Smallest |det [h_t; g_t]| over the slots (and trials)."""
@@ -430,44 +426,3 @@ def draw_channels(states, seed, mode: str = "complex") -> ChannelRealization:
     h, g = m[..., 0, :].copy(), m[..., 1, :].copy()
     return ChannelRealization(h=h, g=g, states=states, mode=mode)
 
-
-def receive(
-    x_t: np.ndarray,
-    state: TopologyState,
-    h_t: np.ndarray,
-    g_t: np.ndarray,
-    rho: float,
-    alpha: float,
-    noise: np.ndarray,
-) -> tuple[complex, complex]:
-    """One use of the channel law for a normalized input vector.
-
-    Returns (y_t, z_t) with y_t = sqrt(rho^A1) h_t.x_t + noise[0] and
-    z_t = sqrt(rho^A2) g_t.x_t + noise[1].  Rejects inputs whose squared
-    norm exceeds the unit power budget (tolerance 1e-9).
-    """
-    x_t = np.asarray(x_t, dtype=np.complex128)
-    power = float(np.real(np.vdot(x_t, x_t)))
-    if power > 1.0 + 1e-9:
-        raise ValueError(f"input power {power} exceeds unit constraint")
-    a1, a2 = state.exponents(alpha)
-    y = np.sqrt(rho**a1) * (h_t @ x_t) + noise[0]
-    z = np.sqrt(rho**a2) * (g_t @ x_t) + noise[1]
-    return complex(y), complex(z)
-
-
-def realization_to_csv(realization: ChannelRealization, alpha: float) -> str:
-    """Serialize a realization for audit: one row per slot.
-
-    Columns: t, A1, A2, then Re/Im of h1, h2, g1, g2.
-    """
-    buf = io.StringIO()
-    buf.write("t,A1,A2,h1_re,h1_im,h2_re,h2_im,g1_re,g1_im,g2_re,g2_im\n")
-    for t in range(realization.n):
-        a1, a2 = realization.states[t].exponents(alpha)
-        row = [t, a1, a2]
-        for coeff in (*realization.h[t], *realization.g[t]):
-            row.extend([coeff.real, coeff.imag])
-        buf.write(",".join(format(v, ".12g") if not isinstance(v, int) else str(v) for v in row))
-        buf.write("\n")
-    return buf.getvalue()

@@ -13,7 +13,7 @@ import pytest
 
 from gsdof import experiments, regions
 from gsdof.gaussian_mi import lemma1_margins
-from gsdof.lattice import LatticeConfig, cf_decode, cf_encode
+from gsdof.lattice import LatticeConfig, cf_encode, nearest_point
 from gsdof.schemes import (
     SECURE_SCHEMES,
     build_scheme,
@@ -224,7 +224,9 @@ def test_criterion_6_noiseless_decodability():
     for _ in range(500):
         u = rng.integers(0, cfg.p, size=2)
         coeffs = rng.choice([-3, -2, -1, 1, 2, 3], size=2)
-        got, _ = cf_decode(float(coeffs @ cf_encode(u, cfg)), cfg, coeffs)
+        point = nearest_point(float(coeffs @ cf_encode(u, cfg)), cfg)
+        # The point's integer, shifted back by the encoder's centering.
+        got = (round(point / cfg.scale) + int(coeffs.sum()) * cfg.centered_range) % cfg.p
         errors += int(got != int(coeffs @ u) % cfg.p)
     ok &= errors == 0
     _report(

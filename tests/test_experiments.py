@@ -1088,6 +1088,29 @@ def test_region_checks_build_each_outer_bound_once_per_alpha(monkeypatch):
     assert all(c.passed for c in checks)
 
 
+def test_int_sum_meets_outer_is_decided_exactly(monkeypatch):
+    # A planted int-sym-alt bound whose sum maximum is 1 + 10^-10: its float
+    # lies within 1e-9 of the outer bound's 1, but it is not 1, so the row
+    # fails.  Its margin is still the float of the exact gap.
+    excess = Fraction(1, 10**10)
+    planted = regions.DofRegion([regions.HalfSpace(1, 1, 1 + excess)])
+    assert regions.sum_max(planted) == 1 + excess
+    named = experiments.named_region
+
+    def planting(name, alpha):
+        return planted if name == "int-sym-alt" else named(name, alpha)
+
+    monkeypatch.setattr(experiments, "named_region", planting)
+    (row,) = [
+        c for c in experiments._region_checks([0.5]) if c.name.startswith("region/int-sum-meets")
+    ]
+    assert (row.name, row.passed, row.margin) == (
+        "region/int-sum-meets-outer/alpha=0.5",
+        False,
+        float(excess),
+    )
+
+
 def test_scheme_checks_build_one_scheme_per_sweep_chunk(monkeypatch):
     # Every kind's alphas and the canary run as one group, and each chunk
     # is drawn once per channel mode, at the group's largest slot count of

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsdof import regions, topology
+from gsdof.schemes import build_scheme, simulate_noiseless
 from gsdof.topology import (
     STATE_11,
     STATE_1A,
@@ -16,9 +18,8 @@ from gsdof.topology import (
     ChannelRealization,
     TopologyProfile,
     draw_channels,
-    realization_to_csv,
-    receive,
     state_sequence,
+    trial_seeds,
 )
 
 
@@ -319,7 +320,8 @@ def test_realization_channel_shapes_are_checked():
     states = (STATE_1A,) * 3
     stacked = np.ones((4, 3, 2), dtype=np.complex128)
     batch = ChannelRealization(h=stacked, g=stacked, states=states)
-    assert batch.state_matrix(1).shape == (4, 2, 2) and batch.min_abs_det() == 0.0
+    slot = np.stack([batch.h[..., 1, :], batch.g[..., 1, :]], axis=-2)
+    assert slot.shape == (4, 2, 2) and batch.min_abs_det() == 0.0
     for h, g in (
         (ok, np.ones((4, 3, 2))),  # one trial of h, a batch of g
         (np.ones((4, 3, 2)), np.ones((5, 3, 2))),  # batches of different sizes
@@ -339,7 +341,7 @@ def test_draw_channels_integer_exhaustive_scan():
     vals = np.real(coeffs).astype(int)
     assert np.all((vals >= -3) & (vals <= 3))
     for t in range(100):
-        assert abs(np.linalg.det(real.state_matrix(t))) >= 1.0 - 1e-9
+        assert abs(np.linalg.det(np.stack([real.h[t], real.g[t]]))) >= 1.0 - 1e-9
 
 
 def test_draw_channels_complex_moment():
@@ -354,74 +356,90 @@ def test_draw_channels_rank_invariant():
         assert real.min_abs_det() > 1e-9
 
 
-def test_receive_zero_input_returns_noise():
-    noise = np.array([0.3 + 0.1j, -0.2j])
-    y, z = receive(
-        np.zeros(2), STATE_1A, np.array([1.0, 2.0]), np.array([3.0, 4.0]),
-        rho=100.0, alpha=0.5, noise=noise,
-    )
-    assert y == noise[0] and z == noise[1]
+def _slot_input(scheme, symbols, rho, t, b=None):
+    """Trial ``b``'s normalized input x_t in slot ``t``, in scalar
+    arithmetic: each group's stripped symbols at amplitude
+    sqrt(rho^(p + q*alpha)) through the slot's map, over the slot norm.  A
+    batched scheme's maps and norms carry the trials axis or broadcast."""
+    x = [0j, 0j]
+    for g in scheme.groups:
+        if g.name not in scheme.slot_maps[t]:
+            continue
+        m = np.asarray(scheme.slot_maps[t][g.name])
+        s = np.asarray(symbols[g.name])
+        m, s = (m[b] if m.ndim == 3 else m), (s if b is None else s[b])
+        amp = math.sqrt(rho ** (g.exponent[0] + g.exponent[1] * scheme.alpha))
+        for k in range(2):
+            for j in range(g.size):
+                x[k] += complex(m[k, j]) * complex(s[j]) * amp
+    norm = np.asarray(scheme.slot_norms[t])
+    norm = float(norm if norm.ndim == 0 else norm[b])
+    return [v / norm for v in x]
+
+
+def _received(scheme, rho, symbol_seed, trials=None):
+    """``simulate_noiseless``'s outputs next to the scalar channel law:
+    per (trial, slot), y_t and z_t, then sqrt(rho^A1) h_t.x_t and
+    sqrt(rho^A2) g_t.x_t, and x_t (``trials`` None for a one-trial scheme)."""
+    symbols, y, z, _ = simulate_noiseless(scheme, rho, symbol_seed)
+    real, alpha = scheme.realization, scheme.alpha
+    out = []
+    for b in [None] if trials is None else range(trials):
+        at = (lambda a: a) if b is None else (lambda a: a[b])
+        h, g = at(real.h), at(real.g)
+        for t, state in enumerate(real.states):
+            x = _slot_input(scheme, symbols, rho, t, b)
+            a1 = 1.0 if state.a1 == "strong" else alpha
+            a2 = 1.0 if state.a2 == "strong" else alpha
+            ey = math.sqrt(rho**a1) * (h[t, 0] * x[0] + h[t, 1] * x[1])
+            ez = math.sqrt(rho**a2) * (g[t, 0] * x[0] + g[t, 1] * x[1])
+            out.append((at(y)[t], at(z)[t], ey, ez, x))
+    return out
 
 
 def test_receive_orthogonal_channels():
-    y, z = receive(
-        np.array([1.0, 0.0]), STATE_1A,
-        np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-        rho=100.0, alpha=0.5, noise=np.zeros(2),
-    )
-    assert abs(y - 10.0) < 1e-12
-    assert abs(z) < 1e-12
+    # With h_t = (1, 0) and g_t = (0, 1), each receiver hears only its own
+    # antenna: y_t = 10 x_t[0] at rho = 100 in the (1, alpha) state, and
+    # z_t = sqrt(10) x_t[1] at alpha = 0.5.
+    base = build_scheme("wiretap-gaussian", 0.5, seed=0)
+    rows = np.tile(np.eye(2, dtype=np.complex128), (3, 1, 1))
+    real = ChannelRealization(h=rows[:, 0], g=rows[:, 1], states=base.realization.states)
+    scheme = dataclasses.replace(base, realization=real)
+    for y, z, _, _, x in _received(scheme, 100.0, 0):
+        assert abs(y - 10.0 * x[0]) < 1e-12
+        assert abs(z - math.sqrt(10.0) * x[1]) < 1e-12
 
 
 def test_receive_matches_scalar_oracle():
-    rng = np.random.default_rng(3)
+    # Independent scalar re-evaluation of the channel law that
+    # simulate_noiseless applies in every slot, for one trial and a batch
+    # of 25: sym-alt's last two slots are in the (alpha, 1) state.  A
+    # batched scheme takes one symbol seed per trial.
     rho, alpha = 250.0, 0.4
-    for _ in range(25):
-        h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        g = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        x = x / np.linalg.norm(x)
-        noise = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        y, z = receive(x, STATE_A1, h, g, rho, alpha, noise)
-        # Independent scalar re-evaluation of the channel law.
-        ey = math.sqrt(rho**alpha) * (h[0] * x[0] + h[1] * x[1]) + noise[0]
-        ez = math.sqrt(rho**1.0) * (g[0] * x[0] + g[1] * x[1]) + noise[1]
-        assert abs(y - ey) < 1e-12
-        assert abs(z - ez) < 1e-12
-
-
-def test_receive_rejects_overpowered_input():
-    with pytest.raises(ValueError):
-        receive(
-            np.array([1.0, 1.0]), STATE_11, np.ones(2), np.ones(2),
-            rho=10.0, alpha=0.5, noise=np.zeros(2),
-        )
+    for seed, trials in ((3, None), (list(range(25)), 25)):
+        scheme = build_scheme("sym-alt", alpha, seed)
+        assert STATE_A1 in scheme.realization.states
+        symbol_seed = 0 if trials is None else list(range(100, 100 + trials))
+        rows = _received(scheme, rho, symbol_seed, trials)
+        assert len(rows) == 4 * (trials or 1)
+        for y, z, ey, ez, _ in rows:
+            assert abs(y - ey) < 1e-12
+            assert abs(z - ez) < 1e-12
 
 
 def test_average_received_snr():
-    # Monte-Carlo check of the per-slot received power with unit inputs.
-    rng = np.random.default_rng(11)
-    rho, alpha = 16.0, 0.5
+    # Monte-Carlo check of the per-slot received power.  CSIT is delayed, so
+    # wiretap-gaussian's slot-0 input is independent of h_0, and over CN(0, 1)
+    # draws of h_0, |y_0|^2 / |x_0|^2 averages rho^A1 = rho in the (1, alpha)
+    # state.
+    rho, alpha, draws = 16.0, 0.5, 10_000
+    scheme = build_scheme("wiretap-gaussian", alpha, trial_seeds(11, draws))
+    symbols, y, _, _ = simulate_noiseless(scheme, rho, list(range(draws)))
     total = 0.0
-    draws = 10_000
-    for _ in range(draws):
-        h = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / math.sqrt(2)
-        x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        x = x / np.linalg.norm(x)
-        y, _ = receive(x, STATE_1A, h, np.ones(2), rho, alpha, np.zeros(2))
-        total += abs(y) ** 2
+    for b in range(draws):
+        x = _slot_input(scheme, symbols, rho, 0, b)
+        total += abs(y[b, 0]) ** 2 / (abs(x[0]) ** 2 + abs(x[1]) ** 2)
     assert abs(total / draws - rho) / rho < 0.03
-
-
-def test_realization_csv_round_shape():
-    real = draw_channels((STATE_1A, STATE_1A, STATE_A1, STATE_AA), seed=2)
-    text = realization_to_csv(real, alpha=0.5)
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("t,A1,A2,h1_re")
-    assert len(lines) == 5
-    # slot 2 is in the (alpha, 1) state
-    fields = lines[3].split(",")
-    assert float(fields[1]) == 0.5 and float(fields[2]) == 1.0
 
 
 def test_realization_validation():
