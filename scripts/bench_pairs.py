@@ -15,10 +15,13 @@ It writes one JSON file with:
 - ``summary``: per workload and end-to-end metric of ``BENCHMARK.json``, the
   parent's and the change's medians and quartiles, and the pairs in which
   the change is better;
-- two verdicts per metric.  ``claim`` holds if the change is better in at
-  least 9 of 10 pairs (``CLAIM_WIN_SHARE``) and its median beats the
-  parent's by more than the parent's interquartile range; fewer than
-  ``PAIRS`` pairs make no claim.  ``regression``
+- two verdicts per metric.  ``claim`` is read only for the one (workload,
+  metric) pairing that ``--claim WORKLOAD:METRIC`` names up front; every
+  other metric's ``claim`` is "not claimed", so a stray win on a metric
+  nobody claimed is not read as evidence.  The named claim holds if the
+  change is better in at least 9 of 10 pairs (``CLAIM_WIN_SHARE``) and its
+  median beats the parent's by more than the parent's interquartile range;
+  fewer than ``PAIRS`` pairs make no claim.  ``regression``
   is "unresolved" when the parent's interquartile range exceeds the
   metric's bound (relative to its median), unless every change run is
   better than every parent run, "regressed" when the change's
@@ -28,7 +31,8 @@ It writes one JSON file with:
 
 Usage, from the repository root::
 
-    python scripts/bench_pairs.py --parent HEAD~1 --out BENCH_change.json --seed 5501
+    python scripts/bench_pairs.py --parent HEAD~1 --out BENCH_change.json --seed 5501 \
+        --claim sweep-accept:pass_s
 """
 
 from __future__ import annotations
@@ -109,9 +113,11 @@ def run_one(tree: Path, workload: str, seed: int, seconds) -> dict:
     return {"detail": json.loads(lines[-2])["detail"], "result": json.loads(lines[-1])}
 
 
-def verdicts(runs, metrics) -> dict:
+def verdicts(runs, metrics, claim=None) -> dict:
     """Per workload: each metric's summary with its claim and regression
-    verdicts, and the workload's correctness and failed-call shares."""
+    verdicts, and the workload's correctness and failed-call shares.  Only
+    the (workload, metric name) pair ``claim`` gets a claim verdict; every
+    other metric's reads "not claimed"."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         sides = {
@@ -125,7 +131,8 @@ def verdicts(runs, metrics) -> dict:
                 entry[m["name"]] = {"regression": "unresolved", "values": values}
                 continue
             summary = summarize(values["parent"], values["change"], m["better"])
-            summary["claim"] = claim_holds(summary)
+            named = (workload, m["name"]) == claim
+            summary["claim"] = claim_holds(summary) if named else "not claimed"
             summary["regression"] = regression(summary, m["bound"])
             entry[m["name"]] = summary
         failed = {
@@ -148,8 +155,19 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent tree")
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--seed", type=int, default=5501, help="seed of pair 0; pair i uses seed + i")
+    parser.add_argument(
+        "--claim",
+        metavar="WORKLOAD:METRIC",
+        help="the one end-to-end metric of one workload that the change claims to improve",
+    )
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    claim = None
+    if args.claim is not None:
+        claim = tuple(args.claim.split(":", 1))
+        names = {w["name"] for w in bench["workloads"]}, {m["name"] for m in bench["end_to_end"]}
+        if len(claim) != 2 or claim[0] not in names[0] or claim[1] not in names[1]:
+            parser.error(f"--claim must be WORKLOAD:METRIC of BENCHMARK.json, got {args.claim!r}")
     seconds = bench["run_seconds"]
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -170,7 +188,8 @@ def main(argv=None) -> int:
         "command": f"perfbench/run.py --trace 0 --seconds {seconds}",
         "pairs": PAIRS,
         "seeds": [args.seed, args.seed + PAIRS - 1],
-        "summary": verdicts(runs, bench["end_to_end"]),
+        "claim": args.claim,
+        "summary": verdicts(runs, bench["end_to_end"], claim),
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

@@ -457,17 +457,14 @@ def _entropies_by_block(jobs, rho) -> list:
     (``_gathered``), so a generator of jobs holds one job's matrices at a
     time.  The jobs share one engine pass: their stacks of one (rows, key
     rows, kept columns) shape are concatenated along the pair axis
-    (``_merged``) and evaluated together, in packs of consecutive stacks
-    that hold at most ``_LDL_CHUNK`` (batch entry, pair, exponent entry,
-    SNR) matrices, one elimination chunk, so that a merged copy is never
-    larger than a chunk's.  A stack larger than that is a pack of its own,
-    as in a pass of its own job, which ``_entropy_given_keys`` evaluates
-    one elimination chunk at a time.  Each pack is let go once evaluated.
-    No block-diagonal matrix is formed.  Every step of the evaluation is
-    per matrix, and each pair of a merged stack keeps its own column pairs
-    and alphas, so neither the merge nor the packs change a bit: each job
-    gets the values of a pass of its own, whether or not its stack mates
-    sit at other column pairs or alphas."""
+    (``_merged``) and evaluated in one ``_entropy_given_keys`` call, which
+    forms the Gram matrices one elimination chunk at a time; the merged
+    copy holds coefficients and keys only, with no SNR or alpha axis.
+    Each shape's stacks are let go once evaluated.  No block-diagonal
+    matrix is formed.  Every step of the evaluation is per matrix, and each
+    pair of a merged stack keeps its own column pairs and alphas, so the
+    merge changes no bit: each job gets the values of a pass of its own,
+    whether or not its stack mates sit at other column pairs or alphas."""
     stacks = {}  # stack shape -> [(job, (coefficients, keys, exponents, pairs, alphas))]
     plans, batches, widths = [], [], set()
     # map() passes each job on without holding it here once it is gathered.
@@ -482,24 +479,16 @@ def _entropies_by_block(jobs, rho) -> list:
     (width,) = widths
     batch = np.broadcast_shapes(*batches)
     values = [{} for _ in plans]  # per job: stack shape -> (pairs, ...) entropies
-    per_pair = math.prod(batch) * width * rho.size  # matrices
-    # Each shape's stacks, and each pack once evaluated, are popped, so that
-    # nothing holds them after their evaluation.
+    # Each shape's stacks are popped, so that nothing holds them after their
+    # evaluation.
     for shape in list(stacks):
-        packs = [[]]  # consecutive stacks of at most _LDL_CHUNK matrices, or one stack
-        for member in stacks.pop(shape):
-            pairs = sum(len(exps) for _, (_, _, exps, *_) in packs[-1] + [member])
-            if packs[-1] and per_pair * pairs > _LDL_CHUNK:
-                packs.append([])
-            packs[-1].append(member)
-        while packs:
-            pack = packs.pop(0)
-            h = _entropy_given_keys(*_merged([stack for _, stack in pack], batch), rho)
-            # The pair axis first, so that each job's pairs are one slice.
-            h, start = np.moveaxis(h, len(batch), 0), 0
-            for j, (_, _, exps, *_) in pack:
-                values[j][shape] = h[start : start + len(exps)]
-                start += len(exps)
+        members = stacks.pop(shape)
+        h = _entropy_given_keys(*_merged([stack for _, stack in members], batch), rho)
+        # The pair axis first, so that each job's pairs are one slice.
+        h, start = np.moveaxis(h, len(batch), 0), 0
+        for j, (_, _, exps, *_) in members:
+            values[j][shape] = h[start : start + len(exps)]
+            start += len(exps)
     lead = batch + (width,) + rho.shape
     out = []
     for parts, job_values in zip(plans, values):

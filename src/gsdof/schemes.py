@@ -17,8 +17,8 @@ A builder chooses only the symbol groups, slot maps, side information, keys
 and rates.  ``LinearScheme`` derives the rest from them, once per scheme:
 the slot norms, the ledger at its alpha, each receiver's decode order (its
 own groups), the common layers that decoding is granted, and, when a group
-is a lattice group, the lattice and the SNR at which its decode clears the
-spacing.
+is a lattice group, the lattice.  The decode check takes its SNR when it
+decodes (``noiseless_decode_check``).
 
 One linear observation model per receiver (physical slot outputs plus
 digitized side channels with unit-variance quantization noise) serves both
@@ -46,6 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -177,9 +178,7 @@ class LinearScheme:
     receiver's own groups in declaration order, for the receivers that
     have any; ``granted_layers``, the common groups, which decoding is
     given; ``lattice``, a ``LatticeConfig`` if any group is a lattice group
-    and None if not; ``decode_rho``, the SNR of the noiseless decode check
-    (``DECODE_RHO`` for a Gaussian scheme, ``_lattice_decode_rho`` for a
-    lattice one); and the column layout that every receiver's observation
+    and None if not; and the column layout that every receiver's observation
     matrix shares: ``columns``, each group's column slice in declaration
     order; ``col_exp``, each column's exponent pair, (columns, 2) ints;
     ``masks``, each group's columns as a boolean mask; ``owner_masks``, the
@@ -198,7 +197,6 @@ class LinearScheme:
     decode_order: dict = field(init=False)  # receiver -> own groups
     granted_layers: tuple = field(init=False)
     lattice: object = field(init=False)  # a LatticeConfig, or None
-    decode_rho: float = field(init=False)
     columns: dict = field(init=False)  # group name -> column slice
     col_exp: np.ndarray = field(init=False)  # per column: its group's exponent pair
     masks: dict = field(init=False)  # group name -> column mask
@@ -213,10 +211,7 @@ class LinearScheme:
         owned = {r: tuple(g.name for g in groups if g.owner == _own_owner(r)) for r in (1, 2)}
         derive("decode_order", {r: names for r, names in owned.items() if names})
         derive("granted_layers", tuple(g.name for g in groups if g.owner == "common"))
-        config = _lattice().LatticeConfig() if any(g.lattice for g in groups) else None
-        derive("lattice", config)
-        rho = DECODE_RHO if config is None else _lattice_decode_rho(self.alpha, config)
-        derive("decode_rho", float(rho))
+        derive("lattice", _lattice().LatticeConfig() if any(g.lattice for g in groups) else None)
         sizes = [g.size for g in groups]
         ids = np.repeat(np.arange(len(groups)), sizes)  # each column's group
         ends = itertools.accumulate(sizes)
@@ -990,12 +985,21 @@ def _check_lattice_margin(offset_amplitude: float, config) -> None:
         )
 
 
-def _lattice_decode_rho(alpha: float, config) -> float:
-    """SNR at which every low-power layer sits safely below half the spacing,
-    and at least ``DECODE_RHO``."""
+def _lattice_decode_rho(alpha, config) -> float:
+    """SNR of a lattice scheme's decode check: 10 * worst**(2 / alpha), at
+    which every low-power layer sits safely below half the spacing, and at
+    least ``DECODE_RHO``.
+
+    That SNR is a finite float only for alpha above 2 ln(worst) / ln(float
+    max / 10), about 0.01626 for the default lattice; at or below that
+    limit this raises a ValueError that names it."""
     worst = 2.0 * 3.0 * GAUSS_CLIP / config.scale
-    need = worst ** (2.0 / max(alpha, 1e-9))
-    return max(10.0 * need, DECODE_RHO)
+    limit = 2.0 * math.log(worst) / math.log(sys.float_info.max / 10.0)
+    if not alpha > limit:
+        raise ValueError(
+            f"alpha must exceed {limit:.4g} for a finite lattice decode SNR, got {alpha}"
+        )
+    return max(10.0 * worst ** (2.0 / alpha), DECODE_RHO)
 
 
 # ---------------------------------------------------------------------------
@@ -1167,16 +1171,20 @@ def noiseless_decode_check(scheme: LinearScheme, seed=0) -> bool:
     """Decode a noiseless simulated block with exact side information; True
     iff every intended symbol is recovered.
 
-    ``linear_decode`` decodes every kind, the lattice schemes included, at
-    ``scheme.decode_rho``, given the ``granted_layers``.  Gaussian symbols
+    ``linear_decode`` decodes every kind, the lattice schemes included,
+    given the ``granted_layers``, at the SNR ``DECODE_RHO`` for a Gaussian
+    scheme and ``_lattice_decode_rho`` for a lattice one.  Gaussian symbols
     must match to ``DECODE_REL_TOL`` relative error; lattice symbols must
-    match exactly.
+    match exactly.  A lattice scheme at an alpha whose decode SNR overflows
+    a float (alpha at or below about 0.01626) is refused with a ValueError
+    that names the limit; its sweeps still run.
 
     A trial-batched scheme takes one symbol seed per trial (see
     ``simulate_noiseless``) and is decoded in one ``linear_decode`` call;
     the result is still one bool, True iff every trial decoded.
     """
-    rho = scheme.decode_rho
+    config = scheme.lattice
+    rho = DECODE_RHO if config is None else _lattice_decode_rho(scheme.alpha, config)
     symbols, y, z, side = simulate_noiseless(scheme, rho, seed)
     layers = {}
     for name in scheme.granted_layers:
@@ -1275,28 +1283,6 @@ def _t1_domain(alpha) -> None:
     smallest_t1(alpha)
 
 
-def _lattice_domain(alpha) -> None:
-    """Alphas whose lattice decode SNR is a finite float; the limit is found
-    by bisecting ``_lattice_decode_rho`` itself."""
-    _alpha_ratio(alpha)
-    config = _lattice().LatticeConfig()
-
-    def finite(a) -> bool:
-        try:
-            return math.isfinite(_lattice_decode_rho(a, config))
-        except OverflowError:
-            return False
-
-    if not finite(alpha):
-        lo, hi = 0.0, 1.0
-        for _ in range(50):
-            mid = (lo + hi) / 2
-            lo, hi = (lo, mid) if finite(mid) else (mid, hi)
-        raise ValueError(
-            f"alpha must exceed {lo:.4g} for a finite lattice decode SNR, got {alpha}"
-        )
-
-
 def _bc_fixed_states(alpha) -> tuple:
     t1 = smallest_t1(alpha)
     return (STATE_1A,) * (3 * t1 + int(round(alpha * t1)))
@@ -1378,7 +1364,7 @@ SCHEMES = {
         target=lambda a: (1 - a / 3, 0 * a),
         inner=None,
         profile="1a",
-        domain=_lattice_domain,
+        domain=_alpha_ratio,
         rho_db_max=130.0,
     ),
     "int-sym-alt": SchemeSpec(
@@ -1389,7 +1375,7 @@ SCHEMES = {
         target=lambda a: (_ratio(a, 1, 2), _ratio(a, 1, 2)),
         inner="int-sym-alt",
         profile="sym",
-        domain=_lattice_domain,
+        domain=_alpha_ratio,
         rho_db_max=240.0,
     ),
     "gdof": SchemeSpec(
@@ -1400,7 +1386,7 @@ SCHEMES = {
         target=lambda a: (1 - a / 3, 2 * a / 3),
         inner="gdof",
         profile="1a",
-        domain=_lattice_domain,
+        domain=_alpha_ratio,
         rho_db_max=140.0,
     ),
     "wiretap-nonoise": SchemeSpec(

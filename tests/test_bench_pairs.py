@@ -77,3 +77,23 @@ def test_verdicts_flag_a_larger_failed_share():
     assert entry["pass_s"]["regression"] == "ok"
     assert entry["failed_share"] == {"parent": 0.0, "change": 0.01}
     assert entry["regressed"]
+
+
+def test_only_the_named_metric_claims():
+    # pass_s and setup_s each win 10 of 10 pairs with a gap wider than the
+    # parent's IQR: only the pairing --claim names reads a claim verdict.
+    metrics = [{"name": name, "better": "lower", "bound": 0.25} for name in ("pass_s", "setup_s")]
+
+    def run(side, pair, value):
+        values = {"pass_s": {"value": value}, "setup_s": {"value": value}}
+        result = {"correct": True, "attempted": 10, "failed": 0, "metrics": values}
+        return {"side": side, "workload": "w", "pair": pair, "result": result}
+
+    runs = [run("parent", i, v) for i, v in enumerate(PARENT)]
+    runs += [run("change", i, v - 0.1) for i, v in enumerate(PARENT)]
+    entry = bench_pairs.verdicts(runs, metrics, claim=("w", "pass_s"))["w"]
+    assert entry["setup_s"]["won"] == 10 and bench_pairs.claim_holds(entry["setup_s"])
+    assert entry["pass_s"]["claim"] is True
+    assert entry["setup_s"]["claim"] == "not claimed"
+    unnamed = bench_pairs.verdicts(runs, metrics)["w"]
+    assert [unnamed[m["name"]]["claim"] for m in metrics] == ["not claimed"] * 2

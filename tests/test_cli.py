@@ -110,19 +110,23 @@ def test_grid_point_cap_is_a_usage_error(capsys):
     assert len(_parse_range(f"0:1:{1 / (GRID_POINTS_MAX - 1)}")) == GRID_POINTS_MAX
 
 
-@pytest.mark.parametrize(
-    "kind, alpha, domain",
-    [
-        ("gdof", "0", "exceed 0.01"),
-        ("bc-fixed", "0.37", "alpha*T1"),
-        ("wiretap-lattice", "0.01", "exceed 0.01"),
-    ],
-)
+@pytest.mark.parametrize("kind, alpha, domain", [("bc-fixed", "0.37", "alpha*T1")])
 def test_simulate_refuses_alpha_outside_the_scheme_domain(kind, alpha, domain, capsys):
     rc = parse_and_dispatch(["simulate", "--scheme", kind, "--alpha", alpha, "--trials", "10"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: alpha must ") and domain in err
+
+
+@pytest.mark.parametrize("kind, alpha", [("gdof", "0"), ("wiretap-lattice", "0.01"), ("gdof", "0.01")])
+def test_simulate_answers_the_lattice_kinds_below_the_decode_limit(kind, alpha, tmp_path):
+    # A sweep never decodes, so the lattice decode check's limit (about
+    # 0.01626) does not reach it.
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--scheme", kind, "--alpha", alpha, "--trials", "10", "--out", str(out)]
+    assert parse_and_dispatch(argv) == 0
+    header, first = out.read_text().splitlines()[:2]
+    assert header.startswith("scheme,alpha,") and first.startswith(f"{kind},{alpha},")
 
 
 def test_simulate_non_integral_t1_is_clear_error(capsys):

@@ -90,8 +90,9 @@ def test_verify_all_checks_trials_and_seed_before_any_check(monkeypatch):
 
 def test_sweep_config_refuses_alphas_it_cannot_build():
     # Every alpha SweepConfig accepts builds; it refuses only the alphas with
-    # no T1 <= 20 for the four-phase scheme and the lattice schemes' alphas
-    # below about 0.0163, where the decode SNR overflows.
+    # no T1 <= 20 for the four-phase scheme.  The lattice schemes take every
+    # alpha in [0, 1]: a sweep never decodes, so the decode check's limit
+    # (about 0.01626, where its SNR overflows) is the check's alone.
     refused = set()
     for kind in SCHEME_KINDS:
         for k in range(101):
@@ -101,8 +102,7 @@ def test_sweep_config_refuses_alphas_it_cannot_build():
                 refused.add((kind, k))
                 continue
             build_scheme(kind, k / 100, np.random.SeedSequence(k))
-    lattice = {(kind, k) for kind in ("wiretap-lattice", "int-sym-alt", "gdof") for k in (0, 1)}
-    assert {r for r in refused if r[0] != "bc-fixed"} == lattice
+    assert {r for r in refused if r[0] != "bc-fixed"} == set()
     for k in range(101):
         try:
             smallest_t1(k / 100)
@@ -110,6 +110,44 @@ def test_sweep_config_refuses_alphas_it_cannot_build():
             assert ("bc-fixed", k) in refused
         else:
             assert ("bc-fixed", k) not in refused
+
+
+def test_lattice_kinds_meet_their_targets_below_the_decode_limit():
+    # The three lattice kinds at alphas where their decode check refuses
+    # (its SNR overflows a float below about 0.01626), on verify's grid at
+    # 100 trials, seed 0: every fitted (d1, d2) is within LEDGER_TOL of its
+    # target, and the secure kinds leak at slope at most SLOPE_TOL.  Their
+    # largest gap is 0.0044 (gdof at alpha = 0.016).
+    kinds, alphas = ("wiretap-lattice", "int-sym-alt", "gdof"), (0.0, 0.001, 0.01, 0.016)
+    configs = [
+        SweepConfig(kind, a, experiments.VERIFY_RHO_DB, trials=100, seed=0)
+        for kind in kinds
+        for a in alphas
+    ]
+    for config, rep in zip(configs, experiments.run_sweeps(configs)):
+        d1, d2 = map(float, experiments.SCHEME_TARGETS[config.scheme](config.alpha))
+        gap = max(abs(rep.d1 - d1), abs(rep.d2 - d2))
+        assert gap <= experiments.LEDGER_TOL, (config.scheme, config.alpha, gap)
+        if SCHEMES[config.scheme].secure:
+            leak = max(rep.leak_slopes.values())
+            assert leak <= gaussian_mi.SLOPE_TOL, (config.scheme, config.alpha, leak)
+
+
+def test_fit_bias_falls_as_the_grid_top_rises():
+    # A fitted DoF's gap to its exact target is the fit's finite-SNR bias,
+    # not trial noise: on 7-point grids top-60:top:10, 20 trials, seed 0, it
+    # falls strictly as the grid top rises.  Measured at alpha = 0.1:
+    # sym-alt 0.0140, 0.0118, 0.0098, 0.0047, 0.0026 and bc-fixed 0.0157,
+    # 0.0131, 0.0107, 0.0052, 0.0030 at tops 100, 120, 140, 200, 240 dB.
+    tops = (100, 120, 140, 200, 240)
+    for kind in ("sym-alt", "bc-fixed"):
+        d1, d2 = map(float, experiments.SCHEME_TARGETS[kind](0.1))
+        gaps = []
+        for top in tops:
+            grid = tuple(range(top - 60, top + 1, 10))
+            rep = run_sweep(SweepConfig(kind, 0.1, grid, trials=20, seed=0))
+            gaps.append(max(abs(rep.d1 - d1), abs(rep.d2 - d2)))
+        assert all(a > b for a, b in zip(gaps, gaps[1:])), (kind, gaps)
 
 
 def test_run_sweep_wiretap_example():

@@ -443,9 +443,9 @@ def test_conditional_mi_mixed_level_pass_equals_one_job_calls(monkeypatch):
     # One engine pass over jobs of one exponent width at different alphas,
     # alpha = 0 in half of them: every other job has two columns at the pair
     # (0, -1) and the rest have none, so the stacks of one shape, merged
-    # over the jobs, sit at different column pairs.  Each shape's stacks
-    # span two packs of one elimination chunk.  Every job gets the bits of
-    # its own one-job call.
+    # over the jobs, sit at different column pairs.  Each shape's stacks are
+    # one call, whose pairs span two elimination chunks.  Every job gets the
+    # bits of its own one-job call.
     rng = np.random.default_rng(21)
     trials, rho = 8, 10.0 ** np.array([6.0, 8.0, 10.0, 12.0])
 
@@ -469,10 +469,11 @@ def test_conditional_mi_mixed_level_pass_equals_one_job_calls(monkeypatch):
 
     monkeypatch.setattr(gaussian_mi, "_entropy_given_keys", spied)
     got = conditional_mi(iter(jobs), rho=rho)
-    # Two stack shapes (all columns kept, and columns 0-2), each over two
-    # packs, and a pack holds stacks both with and without (0, -1) columns.
-    per_pack = gaussian_mi._LDL_CHUNK // (trials * 2 * rho.size)
-    assert [n for _, n in calls] == [per_pack, len(jobs) - per_pack] * 2
+    # Two stack shapes (all columns kept, and columns 0-2), one call each,
+    # each over more matrices than one elimination chunk, and a call holds
+    # stacks both with and without (0, -1) columns.
+    assert [n for _, n in calls] == [len(jobs)] * 2
+    assert trials * len(jobs) * 2 * rho.size > gaussian_mi._LDL_CHUNK
     assert all(len({(0, -1) in p for p in pairs}) == 2 for pairs, _ in calls)
     monkeypatch.undo()
     for j, job in enumerate(jobs):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -103,10 +104,17 @@ def test_decode_fails_on_engineered_rank_deficiency():
     assert not noiseless_decode_check(sch, seed=1)
 
 
+# The alpha at or below which a lattice scheme's decode SNR, 10 * 315**(2 /
+# alpha), overflows a float: about 0.01626.
+LATTICE_DECODE_LIMIT = 2 * math.log(315) / math.log(sys.float_info.max / 10)
+LATTICE_REFUSAL = "^alpha must exceed 0.01626 for a finite lattice decode SNR"
+
+
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_noiseless_decode_at_every_alpha_of_the_domain(kind):
     # bc-fixed's T1 = 20 layouts (alpha = 0.05, 0.15, ...) are decoded here
-    # and nowhere else.
+    # and nowhere else.  A lattice scheme at alpha = 0 builds, and its decode
+    # check refuses it by name.
     spec = SCHEMES[kind]
     alphas = []
     for k in range(21):
@@ -119,7 +127,30 @@ def test_noiseless_decode_at_every_alpha_of_the_domain(kind):
     for alpha in alphas:
         for seed in range(3):
             sch = build_scheme(kind, alpha, seed=seed)
-            assert noiseless_decode_check(sch, seed=seed), (kind, alpha, seed)
+            if sch.lattice is not None and alpha <= LATTICE_DECODE_LIMIT:
+                with pytest.raises(ValueError, match=LATTICE_REFUSAL):
+                    noiseless_decode_check(sch, seed=seed)
+            else:
+                assert noiseless_decode_check(sch, seed=seed), (kind, alpha, seed)
+
+
+@pytest.mark.parametrize("kind", ["wiretap-lattice", "int-sym-alt", "gdof"])
+def test_lattice_decode_check_refuses_alphas_at_or_below_its_limit(kind):
+    # The limit is where 10 * 315**(2 / alpha) overflows a float.  Below it
+    # the kind's domain takes the alpha and the scheme builds, but the decode
+    # check refuses it with a ValueError that names the limit; from the next
+    # float up it decodes, at a finite SNR.
+    config = lattice.LatticeConfig()
+    assert round(LATTICE_DECODE_LIMIT, 5) == 0.01626
+    for alpha in (0.0, 5e-324, 0.001, 0.01, 0.016, LATTICE_DECODE_LIMIT, Fraction(1, 100)):
+        SCHEMES[kind].domain(alpha)
+        sch = build_scheme(kind, alpha, seed=0)
+        with pytest.raises(ValueError, match=LATTICE_REFUSAL + f", got {alpha}$"):
+            noiseless_decode_check(sch, seed=0)
+    above = math.nextafter(LATTICE_DECODE_LIMIT, 1.0)
+    assert math.isfinite(schemes._lattice_decode_rho(above, config))
+    assert schemes._lattice_decode_rho(1.0, config) == schemes.DECODE_RHO
+    assert noiseless_decode_check(build_scheme(kind, above, seed=0), seed=0)
 
 
 def _without_slot(slot):
@@ -289,7 +320,7 @@ def test_causality_audit_over_the_alpha_grid():
             for seed in range(3):
                 assert audit_causality(kind, k / 20, seed=seed), (kind, k, seed)
                 cases += 1
-    assert cases == 555
+    assert cases == 564
 
 
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
@@ -333,20 +364,16 @@ DECLARED_DECODE = {
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_derived_decode_settings_match_the_declared_ones(kind):
     # Every in-domain alpha = k/20, seeds 0-2, one-seed and batched builds.
-    # A lattice scheme decodes at the SNR where its low-power layers clear
-    # half the spacing, every other one at 1e8.
     order, granted, is_lattice = DECLARED_DECODE[kind]
     config = lattice.LatticeConfig() if is_lattice else None
     alphas = [k / 20 for k in range(21) if _in_domain(SCHEMES[kind], k / 20)]
     assert alphas
     for alpha in alphas:
-        rho = schemes._lattice_decode_rho(alpha, config) if is_lattice else 1e8
         for seed in (0, 1, 2, [0, 1, 2]):
             sch = build_scheme(kind, alpha, seed)
             assert list(sch.decode_order.items()) == list(order.items()), (alpha, seed)
             assert sch.granted_layers == granted
             assert sch.lattice == config
-            assert sch.decode_rho == rho and type(sch.decode_rho) is float
 
 
 @pytest.mark.parametrize("kind", SECURE_SCHEMES)
@@ -843,17 +870,21 @@ def test_one_trial_functions_refuse_a_batched_scheme():
 
 def _decode_once(sch, seed):
     # noiseless_decode_check's steps, returning the symbols and the decoded
-    # groups instead of the verdict.
-    symbols, y, z, side = simulate_noiseless(sch, sch.decode_rho, seed)
+    # groups instead of the verdict: a lattice scheme decodes at the SNR
+    # where its low-power layers clear half the spacing, every other one at
+    # 1e8.
+    rho = 1e8 if sch.lattice is None else schemes._lattice_decode_rho(sch.alpha, sch.lattice)
+    symbols, y, z, side = simulate_noiseless(sch, rho, seed)
     layers = {name: symbols[name] for name in sch.granted_layers}
-    return symbols, linear_decode(sch, y, z, side, layers, sch.decode_rho)
+    return symbols, linear_decode(sch, y, z, side, layers, rho)
 
 
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_batched_decode_equals_one_trial_decodes(kind):
     # A batch of seeds [0, 1, 2] draws each trial's symbols as the one-trial
     # call on its seed does, decodes each trial to the one-trial decode, and
-    # passes iff all three one-trial checks pass.
+    # passes iff all three one-trial checks pass.  Below the lattice decode
+    # limit (alpha = 0 here), the batch and each one-trial check are refused.
     spec = SCHEMES[kind]
     alphas = [k / 20 for k in range(21) if _in_domain(spec, k / 20)]
     assert alphas
@@ -861,6 +892,11 @@ def test_batched_decode_equals_one_trial_decodes(kind):
     for alpha in alphas:
         batch = build_scheme(kind, alpha, seeds)
         singles = [build_scheme(kind, alpha, s) for s in seeds]
+        if batch.lattice is not None and alpha <= LATTICE_DECODE_LIMIT:
+            for sch, s in [(batch, seeds), *zip(singles, seeds)]:
+                with pytest.raises(ValueError, match=LATTICE_REFUSAL):
+                    noiseless_decode_check(sch, seed=s)
+            continue
         verdicts = [noiseless_decode_check(sch, seed=s) for sch, s in zip(singles, seeds)]
         assert noiseless_decode_check(batch, seed=seeds) is all(verdicts), (kind, alpha)
         symbols, decoded = _decode_once(batch, seeds)
