@@ -6,10 +6,14 @@ for the benchmark's ``run_seconds`` on the parent tree and on this tree, in
 sides), alternating which side runs first.  The parent tree is the
 ``git archive`` of ``--parent`` unpacked into a temporary directory, so the
 repository's own git state is not touched.  Every run uses
-``PYTHONDONTWRITEBYTECODE=1``.
+``PYTHONDONTWRITEBYTECODE=1``.  ``--parent HEAD`` on a clean checkout is an
+A/A run, which shows how far one tree reads from itself: its ``commits``
+name one commit on both sides.
 
 It writes one JSON file with:
 
+- ``commits``: the commit ``--parent`` resolves to, and this checkout's
+  ``HEAD`` if ``git status --porcelain`` is empty (else null);
 - ``runs``: each run's side, workload, pair, seed and its result and detail
   lines as ``perfbench/run.py`` printed them;
 - ``summary``: per workload and end-to-end metric of ``BENCHMARK.json``, the
@@ -21,7 +25,11 @@ It writes one JSON file with:
   nobody claimed is not read as evidence.  The named claim holds if the
   change is better in at least 9 of 10 pairs (``CLAIM_WIN_SHARE``) and its
   median beats the parent's by more than the parent's interquartile range;
-  fewer than ``PAIRS`` pairs make no claim.  ``regression``
+  fewer than ``PAIRS`` pairs make no claim.  The claim's relative gain must
+  also exceed the |gain| of the same workload and metric in the committed
+  A/A run, the one ``BENCH_AA_*.json`` at the repository root; a claim is
+  refused up front if that file is missing, is no A/A run or lacks the
+  pairing.  ``regression``
   is "unresolved" when the parent's interquartile range exceeds the
   metric's bound (relative to its median), unless every change run is
   better than every parent run, "regressed" when the change's
@@ -31,6 +39,7 @@ It writes one JSON file with:
 
 Usage, from the repository root::
 
+    python scripts/bench_pairs.py --parent HEAD --out BENCH_AA_5601.json --seed 5601
     python scripts/bench_pairs.py --parent HEAD~1 --out BENCH_change.json --seed 5501 \
         --claim sweep-accept:pass_s
 """
@@ -76,17 +85,33 @@ def summarize(parent, change, better: str) -> dict:
     }
 
 
-def claim_holds(summary: dict) -> bool:
+def claim_holds(summary: dict, aa_gain: float = 0.0) -> bool:
     """The change is better in at least ``CLAIM_WIN_SHARE`` of at least
-    ``PAIRS`` pairs, and its median beats the parent's by more than the
-    parent's IQR."""
+    ``PAIRS`` pairs, its median beats the parent's by more than the parent's
+    IQR, and its relative gain exceeds ``aa_gain``, the A/A run's |gain|."""
     if summary["pairs"] < PAIRS:
         return False
     parent = summary["parent"]
     sign = 1 if summary["better"] == "lower" else -1
     gap = sign * (parent["median"] - summary["change"]["median"])
     wins = summary["won"] >= math.ceil(CLAIM_WIN_SHARE * summary["pairs"])
-    return wins and gap > parent["q3"] - parent["q1"]
+    return wins and gap > parent["q3"] - parent["q1"] and summary["gain"] > aa_gain
+
+
+def committed_aa(claim) -> tuple[str, float]:
+    """The committed A/A run's file name and |gain| for ``claim``, a
+    (workload, metric) pair.  Raises ``ValueError`` unless exactly one
+    ``BENCH_AA_*.json`` sits at ``ROOT``, its ``commits`` name one commit on
+    both sides, and it reads the pairing."""
+    files = sorted(ROOT.glob("BENCH_AA_*.json"))
+    if len(files) != 1:
+        raise ValueError(f"a claim needs one committed BENCH_AA_*.json, found {[f.name for f in files]}")
+    report = json.loads(files[0].read_text(encoding="utf-8"))
+    commits = report.get("commits") or {}
+    summary = report.get("summary", {}).get(claim[0], {}).get(claim[1], {})
+    if commits.get("parent") is None or commits.get("parent") != commits.get("change") or "gain" not in summary:
+        raise ValueError(f"{files[0].name} is no A/A run that reads {claim[0]}:{claim[1]}")
+    return files[0].name, abs(summary["gain"])
 
 
 def regression(summary: dict, bound: float) -> str:
@@ -113,11 +138,12 @@ def run_one(tree: Path, workload: str, seed: int, seconds) -> dict:
     return {"detail": json.loads(lines[-2])["detail"], "result": json.loads(lines[-1])}
 
 
-def verdicts(runs, metrics, claim=None) -> dict:
+def verdicts(runs, metrics, claim=None, aa_gain: float = 0.0) -> dict:
     """Per workload: each metric's summary with its claim and regression
     verdicts, and the workload's correctness and failed-call shares.  Only
-    the (workload, metric name) pair ``claim`` gets a claim verdict; every
-    other metric's reads "not claimed"."""
+    the (workload, metric name) pair ``claim`` gets a claim verdict, which
+    also needs a relative gain above ``aa_gain``; every other metric's reads
+    "not claimed"."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         sides = {
@@ -132,7 +158,7 @@ def verdicts(runs, metrics, claim=None) -> dict:
                 continue
             summary = summarize(values["parent"], values["change"], m["better"])
             named = (workload, m["name"]) == claim
-            summary["claim"] = claim_holds(summary) if named else "not claimed"
+            summary["claim"] = claim_holds(summary, aa_gain) if named else "not claimed"
             summary["regression"] = regression(summary, m["bound"])
             entry[m["name"]] = summary
         failed = {
@@ -162,12 +188,22 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    claim = None
+    claim = aa = None
     if args.claim is not None:
         claim = tuple(args.claim.split(":", 1))
         names = {w["name"] for w in bench["workloads"]}, {m["name"] for m in bench["end_to_end"]}
         if len(claim) != 2 or claim[0] not in names[0] or claim[1] not in names[1]:
             parser.error(f"--claim must be WORKLOAD:METRIC of BENCHMARK.json, got {args.claim!r}")
+        try:
+            aa = committed_aa(claim)
+        except ValueError as exc:
+            parser.error(str(exc))
+
+    def git(*cmd) -> str:
+        return subprocess.run(["git", *cmd], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+
+    commits = {"parent": git("rev-parse", "--verify", f"{args.parent}^{{commit}}")}
+    commits["change"] = None if git("status", "--porcelain") else git("rev-parse", "HEAD")
     seconds = bench["run_seconds"]
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -185,11 +221,13 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {pair} {side}: {run['result']['metrics']}", file=sys.stderr)
     report = {
         "parent": args.parent,
+        "commits": commits,
         "command": f"perfbench/run.py --trace 0 --seconds {seconds}",
         "pairs": PAIRS,
         "seeds": [args.seed, args.seed + PAIRS - 1],
         "claim": args.claim,
-        "summary": verdicts(runs, bench["end_to_end"], claim),
+        "aa": aa and {"file": aa[0], "gain": aa[1]},
+        "summary": verdicts(runs, bench["end_to_end"], claim, aa[1] if aa else 0.0),
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

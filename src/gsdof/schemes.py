@@ -1007,25 +1007,32 @@ def _lattice_decode_rho(alpha, config) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _draw_symbols(scheme: LinearScheme, rng: np.random.Generator) -> dict:
-    """Stripped symbol draws: truncated CN(0,1) for Gaussian groups, scaled
-    centered integers (``lattice.cf_encode``) for lattice groups."""
+def _gaussian_symbol(rng: np.random.Generator) -> complex:
+    """One truncated CN(0,1) symbol: a (re, im) pair of standard normals
+    over sqrt(2), redrawn while its magnitude exceeds ``GAUSS_CLIP``."""
+    while True:
+        s = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2)
+        if abs(s) <= GAUSS_CLIP:
+            return s
+
+
+def _draw_symbols(scheme: LinearScheme, rngs) -> dict:
+    """Stripped symbol draws of every trial, one generator per trial, each
+    group stacked as (trials, size): truncated CN(0,1) symbols
+    (``_gaussian_symbol``) for Gaussian groups, scaled centered integers
+    (one ``lattice.cf_encode`` per group) for lattice groups.  Groups are
+    the outer loop, so each generator reads its own trial's groups in
+    order."""
     out = {}
     for g in scheme.groups:
         if g.lattice:
             config = scheme.lattice
-            ints = rng.integers(0, config.p, size=g.size)
+            ints = np.array([rng.integers(0, config.p, size=g.size) for rng in rngs])
             out[g.name] = _lattice().cf_encode(ints, config)
             out[f"{g.name}_ints"] = ints - config.centered_range
         else:
-            vals = np.empty(g.size, dtype=np.complex128)
-            for i in range(g.size):
-                while True:
-                    s = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2)
-                    if abs(s) <= GAUSS_CLIP:
-                        vals[i] = s
-                        break
-            out[g.name] = vals
+            draws = [[_gaussian_symbol(rng) for _ in range(g.size)] for rng in rngs]
+            out[g.name] = np.array(draws, dtype=np.complex128)
     return out
 
 
@@ -1035,23 +1042,22 @@ def simulate_noiseless(scheme: LinearScheme, rho: float, seed=0):
     Returns (symbols, y, z, side_values) where side_values holds the exact
     (unquantized) side-information content per channel label: the other
     receiver's normalized outputs in the channel's slots.  A trial-batched
-    scheme takes one non-negative int symbol seed per trial: trial ``b``'s
-    symbols are drawn from a generator equal to ``default_rng(seed[b])``
-    (``seed_generators`` derives them in one pass), exactly as a one-trial
-    scheme draws them, and every returned array has the trials axis first.
+    scheme takes one non-negative int symbol seed per trial, a one-trial
+    scheme one such seed.  Trial ``b``'s symbols are drawn from a generator
+    equal to ``default_rng(seed[b])``, as ``seed_generators`` derives them;
+    a one-trial scheme draws as a batch of one and drops the trials axis,
+    and every array of a batch has the trials axis first.
     """
     real = scheme.realization
     lead = real.h.shape[:-2]
-    if not lead:
-        symbols = _draw_symbols(scheme, np.random.default_rng(seed))
-    elif np.ndim(seed) != 1 or len(seed) != lead[0]:
+    if lead and (np.ndim(seed) != 1 or len(seed) != lead[0]):
         raise ValueError(
             f"a scheme with a trials axis of {lead[0]} trials takes one symbol "
             f"seed per trial, got {seed!r}"
         )
-    else:
-        draws = [_draw_symbols(scheme, rng) for rng in seed_generators(seed)]
-        symbols = {name: np.stack([d[name] for d in draws]) for name in draws[0]}
+    symbols = _draw_symbols(scheme, seed_generators(seed if lead else [seed]))
+    if not lead:
+        symbols = {name: s[0] for name, s in symbols.items()}
     phys = {
         g.name: np.asarray(symbols[g.name], dtype=np.complex128)
         * rho ** (_at(g.exponent, scheme.alpha) / 2.0)

@@ -328,12 +328,8 @@ def seed_generators(seeds) -> list[np.random.Generator]:
     ``seeds``, bit for bit: a PCG64 seeded with
     ``SeedSequence(s).generate_state(4, np.uint64)``.  The states of seeds
     with the same entropy word count (4 below 2^128) hash in one pass; a
-    batch of one seed takes numpy's own ``default_rng``, which costs less
-    than the hash's fixed number of array calls."""
+    lone seed is a batch of one and hashes the same way."""
     words = [_words(s) for s in seeds]
-    if len(words) == 1:
-        (seed,) = seeds
-        return [np.random.default_rng(operator.index(seed))]
     groups: dict[int, list[int]] = {}
     for b, w in enumerate(words):
         groups.setdefault(max(len(w), _POOL_SIZE), []).append(b)
@@ -404,12 +400,12 @@ def draw_channels(states, seed, mode: str = "complex") -> ChannelRealization:
 
     ``seed`` is one non-negative int, or a list or tuple of them for a
     batch of trials.  Seed ``s`` draws from a generator equal to
-    ``np.random.default_rng(s)`` bit for bit; the generators of a batch are
-    derived in one hash pass (see :func:`seed_generators`).  Each trial
-    gets its own one-call draw, the complex transform and the rank test run
-    once on the stack, and only the trials with a failing slot are topped
-    up.  ``h`` and ``g`` are then (trials, n, 2), and trial ``b`` equals the
-    one-seed draw from ``seed[b]`` bit for bit.
+    ``np.random.default_rng(s)`` bit for bit; the generators, a lone seed's
+    too, are derived in one hash pass (see :func:`seed_generators`).  Each
+    trial gets its own one-call draw, the complex transform and the rank
+    test run once on the stack, and only the trials with a failing slot
+    are topped up.  ``h`` and ``g`` are then (trials, n, 2), and trial ``b``
+    equals the one-seed draw from ``seed[b]`` bit for bit.
     """
     states = tuple(states)
     n = len(states)

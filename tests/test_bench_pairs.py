@@ -1,7 +1,10 @@
 """``scripts/bench_pairs.py``'s two verdicts on synthetic paired runs."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
@@ -97,3 +100,74 @@ def test_only_the_named_metric_claims():
     assert entry["setup_s"]["claim"] == "not claimed"
     unnamed = bench_pairs.verdicts(runs, metrics)["w"]
     assert [unnamed[m["name"]]["claim"] for m in metrics] == ["not claimed"] * 2
+
+
+def _commit_aa(root, change, commits=("c0", "c0"), name="BENCH_AA_1.json"):
+    # An A/A file at ``root`` whose w:pass_s reads ``change`` against PARENT.
+    report = {"commits": dict(zip(("parent", "change"), commits)), "summary": {"w": {"pass_s": _summary(change)}}}
+    (root / name).write_text(json.dumps(report), encoding="utf-8")
+
+
+def _pass_s_runs(change):
+    def run(side, pair, value):
+        result = {"correct": True, "attempted": 10, "failed": 0, "metrics": {"pass_s": {"value": value}}}
+        return {"side": side, "workload": "w", "pair": pair, "result": result}
+
+    return [run("parent", i, v) for i, v in enumerate(PARENT)] + [run("change", i, v) for i, v in enumerate(change)]
+
+
+PASS_S = [{"name": "pass_s", "better": "lower", "bound": 0.25}]
+
+
+def test_an_aa_gap_wider_than_the_change_gap_blocks_a_ten_of_ten_claim(tmp_path, monkeypatch):
+    # A 10% gain over ten of ten pairs clears the parent's 0.04 IQR, but not
+    # the 12% that one tree read against itself.
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    _commit_aa(tmp_path, [p - 0.12 for p in PARENT])
+    name, aa_gain = bench_pairs.committed_aa(("w", "pass_s"))
+    assert name == "BENCH_AA_1.json" and aa_gain == pytest.approx(0.12)
+    runs = _pass_s_runs([p - 0.1 for p in PARENT])
+    assert bench_pairs.verdicts(runs, PASS_S, ("w", "pass_s"))["w"]["pass_s"]["claim"] is True
+    blocked = bench_pairs.verdicts(runs, PASS_S, ("w", "pass_s"), aa_gain)["w"]["pass_s"]
+    assert blocked["won"] == 10 and blocked["claim"] is False and blocked["regression"] == "ok"
+
+
+def test_a_gap_wider_than_the_aa_gap_and_the_iqr_makes_a_claim(tmp_path, monkeypatch):
+    # The A/A gain counts by its size: a tree that read 6% worse against
+    # itself blocks as much as one that read 6% better.
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    _commit_aa(tmp_path, [p + 0.06 for p in PARENT])
+    _, aa_gain = bench_pairs.committed_aa(("w", "pass_s"))
+    assert aa_gain == pytest.approx(0.06)
+    claimed = bench_pairs.verdicts(_pass_s_runs([p - 0.1 for p in PARENT]), PASS_S, ("w", "pass_s"), aa_gain)
+    assert claimed["w"]["pass_s"]["claim"] is True
+    assert not bench_pairs.claim_holds(_summary([p - 0.05 for p in PARENT]), aa_gain)
+
+
+def test_a_claim_without_a_committed_aa_run_of_its_pairing_is_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+    argv = ["--parent", "HEAD", "--out", str(tmp_path / "out.json"), "--claim", "verify-cli:pass_s"]
+    change = [p - 0.1 for p in PARENT]
+
+    def refused(message):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(argv)
+        assert exc.value.code == 2 and message in capsys.readouterr().err
+
+    refused("a claim needs one committed BENCH_AA_*.json, found []")
+    _commit_aa(tmp_path, change, commits=("c0", None))  # a change run from a dirty tree
+    refused("BENCH_AA_1.json is no A/A run that reads verify-cli:pass_s")
+    _commit_aa(tmp_path, change)  # an A/A run of workload w only
+    refused("BENCH_AA_1.json is no A/A run that reads verify-cli:pass_s")
+    _commit_aa(tmp_path, change, name="BENCH_AA_2.json")
+    refused("found ['BENCH_AA_1.json', 'BENCH_AA_2.json']")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_the_committed_aa_run_reads_every_pairing():
+    bench = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for workload in bench["workloads"]:
+        for metric in bench["end_to_end"]:
+            name, aa_gain = bench_pairs.committed_aa((workload["name"], metric["name"]))
+            assert name.startswith("BENCH_AA_") and aa_gain >= 0

@@ -940,6 +940,48 @@ def test_batched_simulation_takes_one_symbol_seed_per_trial():
             simulate_noiseless(batch, 1e8, seed=seed)
 
 
+def _pair_by_pair_symbols(sch, seed):
+    # default_rng(seed), one group after another: a lattice group's ints in
+    # one call, each Gaussian symbol from (re, im) pairs over sqrt(2),
+    # redrawn while its magnitude exceeds GAUSS_CLIP.
+    rng = np.random.default_rng(seed)
+    out = {}
+    for g in sch.groups:
+        if g.lattice:
+            ints = rng.integers(0, sch.lattice.p, size=g.size)
+            out[g.name] = lattice.cf_encode(ints, sch.lattice)
+            out[f"{g.name}_ints"] = ints - sch.lattice.centered_range
+            continue
+        vals = np.empty(g.size, dtype=np.complex128)
+        for i in range(g.size):
+            while True:
+                s = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2)
+                if abs(s) <= schemes.GAUSS_CLIP:
+                    vals[i] = s
+                    break
+        out[g.name] = vals
+    return out
+
+
+@pytest.mark.parametrize("clip", [3.5, 0.9, 0.3])
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_symbol_stream_equals_the_pair_by_pair_reference(kind, clip, monkeypatch):
+    # Every group of every trial, batched and alone, holds the reference's
+    # bits and dtype.  A clip of 0.9 or 0.3 rejects most pairs (at 3.5 about
+    # 5e-6 of them), so a draw that keeps a clipped pair shows here.
+    monkeypatch.setattr(schemes, "GAUSS_CLIP", clip)
+    for seeds in ([0], [5], list(range(20)), [2**64 + 3, 7, 2**130]):
+        batch = simulate_noiseless(build_scheme(kind, 0.5, seeds), 1e8, seeds)[0]
+        for b, seed in enumerate(seeds):
+            sch = build_scheme(kind, 0.5, seed)
+            alone = simulate_noiseless(sch, 1e8, seed)[0]
+            ref = _pair_by_pair_symbols(sch, seed)
+            assert list(batch) == list(alone) == list(ref)
+            for name, want in ref.items():
+                assert _same_bytes(batch[name][b], want), (kind, clip, seed, name)
+                assert _same_bytes(alone[name], want), (kind, clip, seed, name)
+
+
 def test_common_layer_rate_certified():
     # The digitized common layer must itself be decodable at alpha bits per
     # symbol per log2(rho) at both receivers before it is granted.

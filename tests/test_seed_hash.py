@@ -43,9 +43,9 @@ def test_seed_generators_equal_default_rng(seeds):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_one_seed_batches_equal_their_place_in_a_hashed_batch(seed):
-    # A batch of one seed takes default_rng; a longer batch hashes.  Both
-    # must give the seed the same PCG64 state and first draws, and so must
-    # a one-seed draw_channels and its row of a batched one.
+    # A batch of one seed and a longer batch both hash.  They must give the
+    # seed the same PCG64 state and first draws, and so must a one-seed
+    # draw_channels and its row of a batched one.
     (one,) = seed_generators([seed])
     hashed = seed_generators([seed, 7])[0]
     assert one.bit_generator.state == hashed.bit_generator.state, seed
