@@ -12,24 +12,23 @@ between the inner and outer bounds.
 import numpy as np
 
 from gsdof.gaussian_mi import fit_slope
-from gsdof.lattice import LatticeConfig, cf_encode, nearest_point
+from gsdof.lattice import CENTER, P, SCALE, cf_encode, nearest_point
 from gsdof.schemes import build_scheme, noiseless_decode_check, reliability_bits
 
-config = LatticeConfig()
-print(f"lattice: p={config.p}, scale={config.scale:.4f}")
+print(f"lattice: P={P}, SCALE={SCALE:.4f}")
 
 # Encode two mod-p symbols, form an integer combination, and recover it
 # exactly: the nearest lattice point is the combination's integer, and
 # undoing the encoder's centering gives its mod-p class.
 rng = np.random.default_rng(0)
-u = rng.integers(0, config.p, size=2)
+u = rng.integers(0, P, size=2)
 coeffs = np.array([2, -3])
-received = float(coeffs @ cf_encode(u, config))
-point = nearest_point(received, config)
-decoded = (round(point / config.scale) + int(coeffs.sum()) * config.centered_range) % config.p
+received = float(coeffs @ cf_encode(u))
+point = nearest_point(received)
+decoded = (round(point / SCALE) + int(coeffs.sum()) * CENTER) % P
 print(f"symbols {u.tolist()}, combination {coeffs.tolist()} -> "
-      f"{decoded} (truth {int(coeffs @ u) % config.p}, "
-      f"residual {abs(received - point) / config.scale:.1e})")
+      f"{decoded} (truth {int(coeffs @ u) % P}, "
+      f"residual {abs(received - point) / SCALE:.1e})")
 
 alpha = 0.5
 rhos = 10.0 ** np.arange(6, 12.1, 1.0)

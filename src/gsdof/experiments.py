@@ -148,7 +148,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        SCHEMES[self.scheme].domain(self.alpha)
+        regions._alpha_ratio(self.alpha)
+        SCHEMES[self.scheme].states(self.alpha)
         grid = tuple(float(x) for x in self.rho_db)
         object.__setattr__(self, "rho_db", grid)
         if not all(math.isfinite(x) for x in grid):

@@ -8,15 +8,15 @@ exactly by nearest-point rounding, which is what makes the learned "secret
 key" functionals exact on integer channels.  Shaping is deliberately
 omitted: it does not affect DoF slopes.
 
-The module holds the lattice, its symbol encoder (``cf_encode``) and its
-nearest-point decoder (``nearest_point``), which ``schemes`` applies to
-every lattice group, and the two integer-channel builders.
+The module holds the one lattice, as the constants ``P``, ``SCALE`` and
+``CENTER``, its symbol encoder (``cf_encode``) and its nearest-point
+decoder (``nearest_point``), which ``schemes`` applies to every lattice
+group, and the two integer-channel builders.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,59 +24,36 @@ from .schemes import LinearScheme, SymbolGroup, build_sym_alt, build_wiretap_gau
 from .topology import ChannelRealization
 
 __all__ = [
-    "LatticeConfig",
+    "P",
+    "SCALE",
+    "CENTER",
     "cf_encode",
     "nearest_point",
     "build_wiretap_lattice",
     "build_int_sym_alt",
 ]
 
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for d in range(2, int(math.isqrt(p)) + 1):
-        if p % d == 0:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class LatticeConfig:
-    """Scaled integer lattice with a mod-p message space.
-
-    ``scale`` maps codeword integers to transmit amplitudes and must keep
-    the codeword power at or below one; the default p = 31 keeps integer
-    combinations with coefficients in -3..3 unambiguous over the default
-    channel range.
-    """
-
-    p: int = 31
-    scale: float = 2.0 / 30.0
-
-    def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise ValueError(f"codebook size must be prime, got {self.p}")
-        if self.scale * (self.p - 1) / 2.0 > 1.0 + 1e-12:
-            raise ValueError("scale too large: codeword power would exceed 1")
-
-    @property
-    def centered_range(self) -> int:
-        return (self.p - 1) // 2
+# The lattice: P, a prime, keeps integer combinations with coefficients in
+# -3..3 unambiguous over the integer channel draw; SCALE maps codeword
+# integers to transmit amplitudes, so the largest codeword amplitude,
+# CENTER * SCALE, is one.
+P = 31  # size of the mod-P message space
+SCALE = 2.0 / 30.0  # lattice spacing
+CENTER = (P - 1) // 2  # encoder offset: symbol s is sent as s - CENTER
 
 
-def cf_encode(symbols, config: LatticeConfig) -> np.ndarray:
-    """Map mod-p symbols to scaled centered-integer lattice amplitudes."""
+def cf_encode(symbols) -> np.ndarray:
+    """Map mod-P symbols to scaled centered-integer lattice amplitudes."""
     symbols = np.asarray(symbols, dtype=int)
-    if np.any(symbols < 0) or np.any(symbols >= config.p):
+    if np.any(symbols < 0) or np.any(symbols >= P):
         raise ValueError("symbols must lie in 0..p-1")
-    return config.scale * (symbols - config.centered_range).astype(float)
+    return SCALE * (symbols - CENTER).astype(float)
 
 
-def nearest_point(value, config: LatticeConfig):
+def nearest_point(value):
     """Nearest scaled-integer lattice point to the real part of ``value``,
     elementwise for an array (ties round to even, as ``round`` does)."""
-    return config.scale * np.round(np.real(value) / config.scale)
+    return SCALE * np.round(np.real(value) / SCALE)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ its slot layout: one build serves every alpha of that layout.
 A builder chooses only the symbol groups, slot maps, side information, keys
 and rates.  ``LinearScheme`` derives the rest from them, once per scheme:
 the slot norms, the ledger at its alpha, each receiver's decode order (its
-own groups), the common layers that decoding is granted, and, when a group
-is a lattice group, the lattice.  The decode check takes its SNR when it
-decodes (``noiseless_decode_check``).
+own groups), the common layers that decoding is granted, and the columns
+of its lattice groups.  The lattice is ``lattice.P``, ``lattice.SCALE`` and
+``lattice.CENTER``.  The decode check takes its SNR when it decodes
+(``noiseless_decode_check``).
 
 One linear observation model per receiver (physical slot outputs plus
 digitized side channels with unit-variance quantization noise) serves both
@@ -52,13 +53,14 @@ from typing import Callable
 
 import numpy as np
 
+from . import topology
 from .gaussian_mi import conditional_mi
-from .regions import _alpha_ratio
 from .topology import (
     STATE_1A,
     STATE_A1,
     ChannelRealization,
     TopologyState,
+    _full_rank,
     draw_channels,
     seed_generators,
 )
@@ -177,13 +179,12 @@ class LinearScheme:
     ``ledger``, the rates as floats at ``alpha``; ``decode_order``, each
     receiver's own groups in declaration order, for the receivers that
     have any; ``granted_layers``, the common groups, which decoding is
-    given; ``lattice``, a ``LatticeConfig`` if any group is a lattice group
-    and None if not; and the column layout that every receiver's observation
+    given; and the column layout that every receiver's observation
     matrix shares: ``columns``, each group's column slice in declaration
     order; ``col_exp``, each column's exponent pair, (columns, 2) ints;
     ``masks``, each group's columns as a boolean mask; ``owner_masks``, the
     columns of each owner; and ``lattice_mask``, the columns of the lattice
-    groups."""
+    groups, none in a Gaussian scheme."""
 
     alpha: float
     realization: ChannelRealization
@@ -196,7 +197,6 @@ class LinearScheme:
     slot_norms: tuple = field(init=False)  # per slot: a float, or a (trials,) array
     decode_order: dict = field(init=False)  # receiver -> own groups
     granted_layers: tuple = field(init=False)
-    lattice: object = field(init=False)  # a LatticeConfig, or None
     columns: dict = field(init=False)  # group name -> column slice
     col_exp: np.ndarray = field(init=False)  # per column: its group's exponent pair
     masks: dict = field(init=False)  # group name -> column mask
@@ -211,7 +211,6 @@ class LinearScheme:
         owned = {r: tuple(g.name for g in groups if g.owner == _own_owner(r)) for r in (1, 2)}
         derive("decode_order", {r: names for r, names in owned.items() if names})
         derive("granted_layers", tuple(g.name for g in groups if g.owner == "common"))
-        derive("lattice", _lattice().LatticeConfig() if any(g.lattice for g in groups) else None)
         sizes = [g.size for g in groups]
         ids = np.repeat(np.arange(len(groups)), sizes)  # each column's group
         ends = itertools.accumulate(sizes)
@@ -782,13 +781,14 @@ def smallest_t1(alpha: float) -> int:
     )
 
 
-def build_bc_fixed(
-    t1: int,
-    realization: ChannelRealization,
-    alpha: float,
-    theta1: np.ndarray | None = None,
-    theta2: np.ndarray | None = None,
-) -> LinearScheme:
+def _bc_fixed_lengths(alpha) -> tuple[int, int]:
+    """bc-fixed's phase lengths (T1, T2): T1 = ``smallest_t1(alpha)`` and
+    T2 = alpha*T1, an integer."""
+    t1 = smallest_t1(alpha)
+    return t1, int(round(alpha * t1))
+
+
+def build_bc_fixed(realization: ChannelRealization, alpha: float) -> LinearScheme:
     """Four-phase broadcast scheme on the fixed (strong, weak) topology.
 
     Phase 1 (T1 slots): artificial noise.  Phase 2 (T1 slots): receiver-1
@@ -798,29 +798,15 @@ def build_bc_fixed(
     carrying the XOR of the two quantized overheard side-information
     streams, with a fresh receiver-1 layer at power offset rho**(-alpha).
 
-    The mixing matrices theta1 (2*T1, T1) and theta2 (2*T2, T1) are known
-    at all nodes; identity-padded defaults are used when not supplied, and
-    decode rank is validated at build time.
+    T1 is ``smallest_t1(alpha)``, which refuses an alpha with no T1.  The
+    mixing matrices, known at all nodes, are identity-padded: theta1
+    (2*T1, T1) has a one at (2t, t), so slot t of phase 2 puts phase-1
+    observation t on antenna 1, and theta2 (2*T2, T1) is its first 2*T2
+    rows.  Each phase-2 and phase-3 slot's decode system must pass the
+    draw's rank test (``topology._full_rank``) in every trial.
     """
-    t2f = alpha * t1
-    t2 = int(round(t2f))
-    if t2 < 1 or abs(t2f - t2) > 1e-9:
-        raise ValueError(f"alpha*T1 must be a positive integer, got {t2f}")
-    n = 3 * t1 + t2
-    _require(realization, [STATE_1A] * n)
-
-    if theta1 is None:
-        theta1 = np.zeros((2 * t1, t1), dtype=np.complex128)
-        for t in range(t1):
-            theta1[2 * t, t] = 1.0
-    if theta2 is None:
-        theta2 = np.zeros((2 * t2, t1), dtype=np.complex128)
-        for t in range(t2):
-            theta2[2 * t, t] = 1.0
-    theta1 = np.asarray(theta1, dtype=np.complex128)
-    theta2 = np.asarray(theta2, dtype=np.complex128)
-    if theta1.shape != (2 * t1, t1) or theta2.shape != (2 * t2, t1):
-        raise ValueError("theta matrix dimensions do not match the phase lengths")
+    t1, t2 = _bc_fixed_lengths(alpha)
+    _require(realization, [STATE_1A] * (3 * t1 + t2))
 
     groups = (
         SymbolGroup("v", 2 * t1, (0, 0), "rx1"),
@@ -843,12 +829,14 @@ def build_bc_fixed(
         m = np.zeros((2, 2 * t1), dtype=np.complex128)
         m[:, 2 * t : 2 * t + 2] = np.eye(2)
         slot_maps.append({"u": m})
+    theta1 = np.zeros((2 * t1, t1), dtype=np.complex128)
+    theta1[2 * np.arange(t1), np.arange(t1)] = 1.0
     theta1_y1 = theta1 @ y1_rows  # (2*T1, 2*T1) over u
     for t in range(t1):  # phase 2
         mv = np.zeros((2, 2 * t1), dtype=np.complex128)
         mv[:, 2 * t : 2 * t + 2] = np.eye(2)
         slot_maps.append({"v": mv, "u": theta1_y1[..., 2 * t : 2 * t + 2, :]})
-    theta2_z1 = theta2 @ z1_rows  # (2*T2, 2*T1) over u
+    theta2_z1 = theta1[: 2 * t2] @ z1_rows  # (2*T2, 2*T1) over u
     for t in range(t2):  # phase 3
         mw = np.zeros((2, 2 * t2), dtype=np.complex128)
         mw[:, 2 * t : 2 * t + 2] = np.eye(2)
@@ -868,16 +856,13 @@ def build_bc_fixed(
         SideChannel(2, "y3_hat", (1, 0), tuple(range(2 * t1, 2 * t1 + t2))),
     )
 
-    # Per-slot decode systems must be invertible, in every trial of a batch.
+    # Per-slot decode systems of phases 2 and 3 must be invertible, in every
+    # trial of a batch (the order of the rows does not change |det|).
     h, g = realization.h, realization.g
-    for t in range(t1):
-        m = np.stack([h[..., t1 + t, :], g[..., t1 + t, :]], axis=-2)
-        if (np.abs(np.linalg.det(m)) < 1e-9).any():
-            raise ValueError(f"phase-2 slot {t}: decode matrix is singular")
-    for t in range(t2):
-        m = np.stack([g[..., 2 * t1 + t, :], h[..., 2 * t1 + t, :]], axis=-2)
-        if (np.abs(np.linalg.det(m)) < 1e-9).any():
-            raise ValueError(f"phase-3 slot {t}: decode matrix is singular")
+    for s in range(t1, 2 * t1 + t2):
+        if not _full_rank(np.stack([h[..., s, :], g[..., s, :]], axis=-2)).all():
+            phase, t = (2, s - t1) if s < 2 * t1 else (3, s - 2 * t1)
+            raise ValueError(f"phase-{phase} slot {t}: decode matrix is singular")
 
     return LinearScheme(
         alpha=alpha,
@@ -975,25 +960,33 @@ def build_gdof_no_secrecy(realization: ChannelRealization, alpha: float) -> Line
     )
 
 
-def _check_lattice_margin(offset_amplitude: float, config) -> None:
+def _channel_bound() -> float:
+    """The largest |coefficient| of an integer channel draw, read from
+    ``topology._INTEGER_VALUES`` at call time."""
+    return float(np.abs(topology._INTEGER_VALUES).max())
+
+
+def _check_lattice_margin(offset_amplitude: float) -> None:
     """Low-power layers must stay below half the lattice spacing."""
-    margin = 3.0 * GAUSS_CLIP * offset_amplitude  # |channel coefficient| <= 3
-    if margin >= config.scale / 2.0:
+    margin = _channel_bound() * GAUSS_CLIP * offset_amplitude
+    half = _lattice().SCALE / 2.0
+    if margin >= half:
         raise DecodeError(
             f"residual layer amplitude {margin:.3g} exceeds half the lattice "
-            f"spacing {config.scale / 2.0:.3g}; increase rho"
+            f"spacing {half:.3g}; increase rho"
         )
 
 
-def _lattice_decode_rho(alpha, config) -> float:
+def _lattice_decode_rho(alpha) -> float:
     """SNR of a lattice scheme's decode check: 10 * worst**(2 / alpha), at
     which every low-power layer sits safely below half the spacing, and at
     least ``DECODE_RHO``.
 
     That SNR is a finite float only for alpha above 2 ln(worst) / ln(float
-    max / 10), about 0.01626 for the default lattice; at or below that
-    limit this raises a ValueError that names it."""
-    worst = 2.0 * 3.0 * GAUSS_CLIP / config.scale
+    max / 10), about 0.01626 for the lattice and the channel values -3..3
+    (worst = 315); at or below that limit this raises a ValueError that
+    names it."""
+    worst = 2.0 * _channel_bound() * GAUSS_CLIP / _lattice().SCALE
     limit = 2.0 * math.log(worst) / math.log(sys.float_info.max / 10.0)
     if not alpha > limit:
         raise ValueError(
@@ -1026,10 +1019,10 @@ def _draw_symbols(scheme: LinearScheme, rngs) -> dict:
     out = {}
     for g in scheme.groups:
         if g.lattice:
-            config = scheme.lattice
-            ints = np.array([rng.integers(0, config.p, size=g.size) for rng in rngs])
-            out[g.name] = _lattice().cf_encode(ints, config)
-            out[f"{g.name}_ints"] = ints - config.centered_range
+            lattice = _lattice()
+            ints = np.array([rng.integers(0, lattice.P, size=g.size) for rng in rngs])
+            out[g.name] = lattice.cf_encode(ints)
+            out[f"{g.name}_ints"] = ints - lattice.CENTER
         else:
             draws = [[_gaussian_symbol(rng) for _ in range(g.size)] for rng in rngs]
             out[g.name] = np.array(draws, dtype=np.complex128)
@@ -1039,7 +1032,10 @@ def _draw_symbols(scheme: LinearScheme, rngs) -> dict:
 def simulate_noiseless(scheme: LinearScheme, rho: float, seed=0):
     """Draw symbols and run the block through the channel with noise zeroed.
 
-    Returns (symbols, y, z, side_values) where side_values holds the exact
+    Returns (symbols, y, z, side_values).  ``symbols`` holds each group's
+    stripped symbols by name and, for each lattice group, its centered
+    integers as ``<name>_ints``, which ``noiseless_decode_check`` compares
+    the decoded integers with.  ``side_values`` holds the exact
     (unquantized) side-information content per channel label: the other
     receiver's normalized outputs in the channel's slots.  A trial-batched
     scheme takes one non-negative int symbol seed per trial, a one-trial
@@ -1090,7 +1086,7 @@ def _peel_lattice_rows(scheme: LinearScheme, st, obs):
     touched = (st.coef != 0).reshape((-1,) + st.coef.shape[-2:]).any(0)
     peel = ~(touched & (st.col_exp == 0).all(-1) & ~lat).any(-1)  # unit power: pair (0, 0)
     norm = np.stack([np.asarray(scheme.slot_norms[t]) for t, _, _ in st.plan], -1)[..., peel]
-    part = _lattice().nearest_point(obs[..., peel] * norm, scheme.lattice) / norm
+    part = _lattice().nearest_point(obs[..., peel] * norm) / norm
     rest = obs.copy()
     rest[..., peel] -= part
     coef = np.concatenate(
@@ -1115,15 +1111,16 @@ def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
     columns at or below ``DECODE_RANK_TOL`` times the largest raises
     ``DecodeError``.
 
-    A lattice scheme (``scheme.lattice`` set) first checks that its low-power
-    layers stay below half the lattice spacing at ``rho``.  Before the
-    projection, each receiver peels every row whose unit-power columns all
-    belong to lattice groups: the row times its slot norm is a lattice
-    point plus those layers, so ``nearest_point`` of it, divided by the norm
-    again, is the row's lattice part exactly.  The row is split into that
-    part on the lattice columns and the remainder on the other columns, and
-    the projection, rank test and solve run on the split rows.  Lattice
-    groups come back as the integers ``round(real(x) / scale)``.
+    A lattice scheme (one with a ``lattice_mask`` column) first checks that
+    its low-power layers stay below half the lattice spacing at ``rho``.
+    Before the projection, each receiver peels every row whose unit-power
+    columns all belong to lattice groups: the row times its slot norm is a
+    lattice point plus those layers, so ``nearest_point`` of it, divided by
+    the norm again, is the row's lattice part exactly.  The row is split
+    into that part on the lattice columns and the remainder on the other
+    columns, and the projection, rank test and solve run on the split rows.
+    Lattice groups come back as the integers ``round(real(x) /
+    lattice.SCALE)``.
 
     A trial-batched scheme's arrays carry its trials axis first.  Its SVDs
     run on the stacked (trials, rows, cols) coefficients, nuisance
@@ -1132,9 +1129,9 @@ def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
     outputs = {1: y, 2: z}
     lead = scheme.realization.h.shape[:-2]
     n = scheme.realization.n
-    config = scheme.lattice
-    if config is not None:
-        _check_lattice_margin(rho ** (-scheme.alpha / 2), config)
+    is_lattice = scheme.lattice_mask.any()
+    if is_lattice:
+        _check_lattice_margin(rho ** (-scheme.alpha / 2))
     out = {}
     for receiver, order in scheme.decode_order.items():
         st = receiver_structure(scheme, receiver)
@@ -1153,7 +1150,7 @@ def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
             known[..., st.masks[name]] = values
         obs = obs - (st.coef @ (known * gain)[..., None])[..., 0]
         coef = st.coef
-        if config is not None:
+        if is_lattice:
             coef, obs = _peel_lattice_rows(scheme, st, obs)
         q, s, _ = np.linalg.svd(coef[..., ~(own | granted)], full_matrices=False)
         q = q * (s > DECODE_RANK_TOL * s.max(-1, initial=0.0, keepdims=True))[..., None, :]
@@ -1169,7 +1166,7 @@ def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
         for name in order:
             out[name] = solved[..., st.masks[name]]
             if scheme.group(name).lattice:
-                out[name] = np.round(np.real(out[name]) / config.scale).astype(int)
+                out[name] = np.round(np.real(out[name]) / _lattice().SCALE).astype(int)
     return out
 
 
@@ -1189,8 +1186,7 @@ def noiseless_decode_check(scheme: LinearScheme, seed=0) -> bool:
     ``simulate_noiseless``) and is decoded in one ``linear_decode`` call;
     the result is still one bool, True iff every trial decoded.
     """
-    config = scheme.lattice
-    rho = DECODE_RHO if config is None else _lattice_decode_rho(scheme.alpha, config)
+    rho = _lattice_decode_rho(scheme.alpha) if scheme.lattice_mask.any() else DECODE_RHO
     symbols, y, z, side = simulate_noiseless(scheme, rho, seed)
     layers = {}
     for name in scheme.granted_layers:
@@ -1259,16 +1255,17 @@ def audit_causality(kind: str, alpha: float, seed: int = 0) -> bool:
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Everything the package knows about one scheme kind."""
+    """Everything the package knows about one scheme kind.  A kind takes
+    every alpha that ``regions._alpha_ratio`` takes and ``states`` does not
+    refuse."""
 
     build: Callable  # (realization, alpha) -> LinearScheme
-    states: Callable  # alpha -> per-slot TopologyState tuple
+    states: Callable  # alpha -> per-slot TopologyState tuple; ValueError if none
     mode: str  # channel draw mode, "complex" or "integer"
     secure: bool  # confidential symbols must not leak
     target: Callable | None  # alpha -> per-slot (d1, d2) in alpha's type; None: canary
     inner: str | None  # experiments.REGION_BUILDERS key; target is one of its vertices
     profile: str  # TopologyProfile.named label; a secure target lies in its bc_outer
-    domain: Callable  # domain(alpha) raises ValueError naming the valid alphas if alpha is not one
     rho_db_max: float  # highest SNR in dB of a sweep grid, measured (see SCHEMES)
 
 
@@ -1284,14 +1281,9 @@ def _lattice():
     return lattice
 
 
-def _t1_domain(alpha) -> None:
-    _alpha_ratio(alpha)
-    smallest_t1(alpha)
-
-
 def _bc_fixed_states(alpha) -> tuple:
-    t1 = smallest_t1(alpha)
-    return (STATE_1A,) * (3 * t1 + int(round(alpha * t1)))
+    t1, t2 = _bc_fixed_lengths(alpha)
+    return (STATE_1A,) * (3 * t1 + t2)
 
 
 _SYM_STATES = (STATE_1A, STATE_1A, STATE_A1, STATE_A1)
@@ -1315,7 +1307,6 @@ SCHEMES = {
         target=lambda a: (_ratio(a, 2, 3), 0 * a),
         inner="yang",
         profile="1a",
-        domain=_alpha_ratio,
         rho_db_max=140.0,
     ),
     "wiretap-gaussian-a1": SchemeSpec(
@@ -1326,7 +1317,6 @@ SCHEMES = {
         target=lambda a: (2 * a / 3, 0 * a),
         inner=None,
         profile="a1",
-        domain=_alpha_ratio,
         rho_db_max=140.0,
     ),
     "yang": SchemeSpec(
@@ -1337,18 +1327,16 @@ SCHEMES = {
         target=lambda a: (_ratio(a, 1, 2), a / 2),
         inner="yang",
         profile="1a",
-        domain=_alpha_ratio,
         rho_db_max=140.0,
     ),
     "bc-fixed": SchemeSpec(
-        build=lambda r, a: build_bc_fixed(smallest_t1(a), r, a),
+        build=build_bc_fixed,
         states=_bc_fixed_states,
         mode="complex",
         secure=True,
         target=lambda a: (2 / (3 + a), a * (1 + a) / (3 + a)),
         inner="prop2",
         profile="1a",
-        domain=_t1_domain,
         rho_db_max=240.0,
     ),
     "sym-alt": SchemeSpec(
@@ -1359,7 +1347,6 @@ SCHEMES = {
         target=lambda a: ((1 + a) / 4, _ratio(a, 1, 2)),
         inner="sym-alt",
         profile="sym",
-        domain=_alpha_ratio,
         rho_db_max=240.0,
     ),
     "wiretap-lattice": SchemeSpec(
@@ -1370,7 +1357,6 @@ SCHEMES = {
         target=lambda a: (1 - a / 3, 0 * a),
         inner=None,
         profile="1a",
-        domain=_alpha_ratio,
         rho_db_max=130.0,
     ),
     "int-sym-alt": SchemeSpec(
@@ -1381,7 +1367,6 @@ SCHEMES = {
         target=lambda a: (_ratio(a, 1, 2), _ratio(a, 1, 2)),
         inner="int-sym-alt",
         profile="sym",
-        domain=_alpha_ratio,
         rho_db_max=240.0,
     ),
     "gdof": SchemeSpec(
@@ -1392,7 +1377,6 @@ SCHEMES = {
         target=lambda a: (1 - a / 3, 2 * a / 3),
         inner="gdof",
         profile="1a",
-        domain=_alpha_ratio,
         rho_db_max=140.0,
     ),
     "wiretap-nonoise": SchemeSpec(
@@ -1403,7 +1387,6 @@ SCHEMES = {
         target=None,
         inner=None,
         profile="1a",
-        domain=_alpha_ratio,
         rho_db_max=240.0,
     ),
 }

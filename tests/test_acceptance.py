@@ -13,7 +13,7 @@ import pytest
 
 from gsdof import experiments, regions
 from gsdof.gaussian_mi import lemma1_margins
-from gsdof.lattice import LatticeConfig, cf_encode, nearest_point
+from gsdof.lattice import CENTER, P, SCALE, cf_encode, nearest_point
 from gsdof.schemes import (
     SECURE_SCHEMES,
     build_scheme,
@@ -218,16 +218,15 @@ def test_criterion_6_noiseless_decodability():
             scheme = build_scheme(kind, 0.5, seed=10_000 + i)
             success += int(noiseless_decode_check(scheme, seed=i))
         ok &= success == 100
-    cfg = LatticeConfig()
     rng = np.random.default_rng(6)
     errors = 0
     for _ in range(500):
-        u = rng.integers(0, cfg.p, size=2)
+        u = rng.integers(0, P, size=2)
         coeffs = rng.choice([-3, -2, -1, 1, 2, 3], size=2)
-        point = nearest_point(float(coeffs @ cf_encode(u, cfg)), cfg)
+        point = nearest_point(float(coeffs @ cf_encode(u)))
         # The point's integer, shifted back by the encoder's centering.
-        got = (round(point / cfg.scale) + int(coeffs.sum()) * cfg.centered_range) % cfg.p
-        errors += int(got != int(coeffs @ u) % cfg.p)
+        got = (round(point / SCALE) + int(coeffs.sum()) * CENTER) % P
+        errors += int(got != int(coeffs @ u) % P)
     ok &= errors == 0
     _report(
         "criterion 6: 100% noiseless decode, exact lattice decode over 500 trials",

@@ -92,14 +92,24 @@ def test_sweep_config_refuses_alphas_it_cannot_build():
     # Every alpha SweepConfig accepts builds; it refuses only the alphas with
     # no T1 <= 20 for the four-phase scheme.  The lattice schemes take every
     # alpha in [0, 1]: a sweep never decodes, so the decode check's limit
-    # (about 0.01626, where its SNR overflows) is the check's alone.
+    # (about 0.01626, where its SNR overflows) is the check's alone.  An
+    # alpha outside [0, 1] is refused by _alpha_ratio's message for every
+    # kind, bc-fixed included; bc-fixed's own refusal is smallest_t1's.
+    for kind in SCHEME_KINDS:
+        for alpha in (-0.1, 1.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"^alpha must lie in \[0, 1\], got {alpha}$"):
+                SweepConfig(kind, alpha, GRID)
     refused = set()
     for kind in SCHEME_KINDS:
         for k in range(101):
             try:
                 SweepConfig(kind, k / 100, GRID)
-            except ValueError:
+            except ValueError as e:
                 refused.add((kind, k))
+                assert str(e) == (
+                    "alpha must be k/T1 for integers k >= 1 and T1 <= 20, so that alpha*T1 "
+                    f"is a positive integer; got alpha={k / 100}"
+                ), (kind, k)
                 continue
             build_scheme(kind, k / 100, np.random.SeedSequence(k))
     assert {r for r in refused if r[0] != "bc-fixed"} == set()
@@ -696,8 +706,10 @@ def test_run_sweep_names_trial_0_when_the_first_chunk_fails(monkeypatch):
 
 
 def _in_domain(kind, alpha) -> bool:
+    # The alphas SweepConfig takes for the kind: in [0, 1], with a layout.
     try:
-        SCHEMES[kind].domain(alpha)
+        regions._alpha_ratio(alpha)
+        SCHEMES[kind].states(alpha)
     except ValueError:
         return False
     return True

@@ -5,7 +5,9 @@ import pytest
 
 from gsdof.gaussian_mi import fit_slope
 from gsdof.lattice import (
-    LatticeConfig,
+    CENTER,
+    P,
+    SCALE,
     build_int_sym_alt,
     build_wiretap_lattice,
     cf_encode,
@@ -21,83 +23,77 @@ from gsdof.schemes import (
 from gsdof.topology import STATE_1A, STATE_A1, draw_channels
 
 
-def test_lattice_config_validation():
-    with pytest.raises(ValueError):
-        LatticeConfig(p=30)
-    with pytest.raises(ValueError):
-        LatticeConfig(p=31, scale=0.2)
-    cfg = LatticeConfig()
-    assert cfg.p == 31 and cfg.centered_range == 15
+def test_lattice_constants_are_a_prime_codebook_within_unit_power():
+    # The codebook size is prime and the largest codeword amplitude,
+    # (P - 1) / 2 * SCALE, is at most one.
+    assert P == 31 and CENTER == 15
+    assert all(P % d for d in range(2, math.isqrt(P) + 1))
+    assert (P - 1) / 2 * SCALE <= 1.0 + 1e-12
 
 
-def _combination(received, cfg, coeffs):
+def _combination(received, coeffs):
     """(combination mod p, residual) that ``nearest_point`` recovers from a
     noiseless or noisy sum of codewords with integer ``coeffs`` (along the
     last axis for arrays): the nearest lattice point's integer, shifted back
     by the encoder's centering, and the distance to that point in lattice
     spacings (0.5 is the failure boundary)."""
-    point = nearest_point(received, cfg)
-    ints = np.rint(point / cfg.scale).astype(int)
-    shift = np.sum(coeffs, axis=-1) * cfg.centered_range
-    return (ints + shift) % cfg.p, np.abs(received - point) / cfg.scale
+    point = nearest_point(received)
+    ints = np.rint(point / SCALE).astype(int)
+    shift = np.sum(coeffs, axis=-1) * CENTER
+    return (ints + shift) % P, np.abs(received - point) / SCALE
 
 
 def test_cf_noiseless_round_trip_500_trials():
-    cfg = LatticeConfig()
     rng = np.random.default_rng(3)
     for _ in range(500):
-        u = rng.integers(0, cfg.p, size=2)
+        u = rng.integers(0, P, size=2)
         coeffs = rng.choice([-3, -2, -1, 1, 2, 3], size=2)
-        received = float(coeffs @ cf_encode(u, cfg))
-        got, residual = _combination(received, cfg, coeffs)
+        received = float(coeffs @ cf_encode(u))
+        got, residual = _combination(received, coeffs)
         assert residual < 1e-9
-        assert got == int(coeffs @ u) % cfg.p
+        assert got == int(coeffs @ u) % P
 
 
 def test_cf_both_receivers_recover_keys():
     # On every trial each receiver decodes its own integer combination of
     # the same noise codewords exactly (the shared-key requirement).
-    cfg = LatticeConfig()
     rng = np.random.default_rng(4)
     for _ in range(200):
-        u = rng.integers(0, cfg.p, size=2)
-        amp = cf_encode(u, cfg)
+        u = rng.integers(0, P, size=2)
+        amp = cf_encode(u)
         h = rng.choice([-3, -2, -1, 1, 2, 3], size=2)
         g = rng.choice([-3, -2, -1, 1, 2, 3], size=2)
-        key1, r1 = _combination(float(h @ amp), cfg, h)
-        key2, r2 = _combination(float(g @ amp), cfg, g)
-        assert key1 == int(h @ u) % cfg.p and r1 < 1e-9
-        assert key2 == int(g @ u) % cfg.p and r2 < 1e-9
+        key1, r1 = _combination(float(h @ amp), h)
+        key2, r2 = _combination(float(g @ amp), g)
+        assert key1 == int(h @ u) % P and r1 < 1e-9
+        assert key2 == int(g @ u) % P and r2 < 1e-9
 
 
 def test_cf_zero_symbols_zero_combination():
-    cfg = LatticeConfig()
-    amp = cf_encode(np.zeros(2, dtype=int), cfg)
-    got, _ = _combination(float(np.array([2, -1]) @ amp), cfg, np.array([2, -1]))
+    amp = cf_encode(np.zeros(2, dtype=int))
+    got, _ = _combination(float(np.array([2, -1]) @ amp), np.array([2, -1]))
     assert got == 0
 
 
 def test_nearest_point_failure_probability_decreases():
     # One nearest_point call per SNR decodes all 10 000 noisy sums.
-    cfg = LatticeConfig()
     rng = np.random.default_rng(5)
     failures = []
     coeffs = np.array([1, 1])
     for rho in (1e3, 1e6, 1e9):
         trials = 10_000
-        u = rng.integers(0, cfg.p, size=(trials, 2))
-        clean = cf_encode(u, cfg) @ coeffs
+        u = rng.integers(0, P, size=(trials, 2))
+        clean = cf_encode(u) @ coeffs
         noisy = clean + rng.standard_normal(trials) / math.sqrt(rho)
-        got, _ = _combination(noisy, cfg, coeffs)
-        failures.append(float(np.mean(got != (u @ coeffs) % cfg.p)))
+        got, _ = _combination(noisy, coeffs)
+        failures.append(float(np.mean(got != (u @ coeffs) % P)))
     assert failures[0] >= failures[1] >= failures[2]
     assert failures[2] == 0.0
 
 
 def test_nearest_point():
-    cfg = LatticeConfig()
-    assert nearest_point(5.02 * cfg.scale, cfg) == pytest.approx(5 * cfg.scale)
-    assert nearest_point(-0.49 * cfg.scale, cfg) == pytest.approx(0.0)
+    assert nearest_point(5.02 * SCALE) == pytest.approx(5 * SCALE)
+    assert nearest_point(-0.49 * SCALE) == pytest.approx(0.0)
 
 
 def test_wiretap_lattice_ledger_meets_upper_bound():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gsdof import gaussian_mi, lattice, regions, schemes
+from gsdof import gaussian_mi, lattice, regions, schemes, topology
 from gsdof.experiments import REGION_BUILDERS, SCHEME_TARGETS
 from gsdof.gaussian_mi import conditional_mi, fit_slope
 from gsdof.schemes import (
@@ -116,18 +116,12 @@ def test_noiseless_decode_at_every_alpha_of_the_domain(kind):
     # and nowhere else.  A lattice scheme at alpha = 0 builds, and its decode
     # check refuses it by name.
     spec = SCHEMES[kind]
-    alphas = []
-    for k in range(21):
-        try:
-            spec.domain(k / 20)
-        except ValueError:
-            continue
-        alphas.append(k / 20)
+    alphas = [k / 20 for k in range(21) if _in_domain(spec, k / 20)]
     assert alphas
     for alpha in alphas:
         for seed in range(3):
             sch = build_scheme(kind, alpha, seed=seed)
-            if sch.lattice is not None and alpha <= LATTICE_DECODE_LIMIT:
+            if sch.lattice_mask.any() and alpha <= LATTICE_DECODE_LIMIT:
                 with pytest.raises(ValueError, match=LATTICE_REFUSAL):
                     noiseless_decode_check(sch, seed=seed)
             else:
@@ -140,17 +134,38 @@ def test_lattice_decode_check_refuses_alphas_at_or_below_its_limit(kind):
     # the kind's domain takes the alpha and the scheme builds, but the decode
     # check refuses it with a ValueError that names the limit; from the next
     # float up it decodes, at a finite SNR.
-    config = lattice.LatticeConfig()
     assert round(LATTICE_DECODE_LIMIT, 5) == 0.01626
     for alpha in (0.0, 5e-324, 0.001, 0.01, 0.016, LATTICE_DECODE_LIMIT, Fraction(1, 100)):
-        SCHEMES[kind].domain(alpha)
+        assert _in_domain(SCHEMES[kind], alpha)
         sch = build_scheme(kind, alpha, seed=0)
         with pytest.raises(ValueError, match=LATTICE_REFUSAL + f", got {alpha}$"):
             noiseless_decode_check(sch, seed=0)
     above = math.nextafter(LATTICE_DECODE_LIMIT, 1.0)
-    assert math.isfinite(schemes._lattice_decode_rho(above, config))
-    assert schemes._lattice_decode_rho(1.0, config) == schemes.DECODE_RHO
+    assert math.isfinite(schemes._lattice_decode_rho(above))
+    assert schemes._lattice_decode_rho(1.0) == schemes.DECODE_RHO
     assert noiseless_decode_check(build_scheme(kind, above, seed=0), seed=0)
+
+
+def test_lattice_margin_and_decode_limit_follow_the_integer_channel_values(monkeypatch):
+    # The lattice margin reads its channel bound from the draw's values at
+    # call time: with values -4..4 the margin refuses an offset that passes
+    # with -3..3, and the decode limit rises from about 0.01626
+    # (worst = 315) to about 0.01708 (worst = 420).
+    half = lattice.SCALE / 2
+    offset = 0.99 * half / (3 * schemes.GAUSS_CLIP)
+    schemes._check_lattice_margin(offset)
+    between = 0.0167
+    assert math.isfinite(schemes._lattice_decode_rho(between))
+    values = np.array([-4, -3, -2, -1, 1, 2, 3, 4], dtype=np.complex128)
+    monkeypatch.setattr(topology, "_INTEGER_VALUES", values)
+    with pytest.raises(DecodeError, match="exceeds half the lattice spacing"):
+        schemes._check_lattice_margin(offset)
+    schemes._check_lattice_margin(0.99 * half / (4 * schemes.GAUSS_CLIP))
+    limit = 2 * math.log(420) / math.log(sys.float_info.max / 10)
+    assert round(limit, 5) == 0.01708
+    with pytest.raises(ValueError, match="^alpha must exceed 0.01708 for a finite"):
+        schemes._lattice_decode_rho(between)
+    assert math.isfinite(schemes._lattice_decode_rho(math.nextafter(limit, 1.0)))
 
 
 def _without_slot(slot):
@@ -313,9 +328,7 @@ def test_causality_audit_over_the_alpha_grid():
     cases = 0
     for kind, spec in SCHEMES.items():
         for k in range(21):
-            try:
-                spec.domain(k / 20)
-            except ValueError:
+            if not _in_domain(spec, k / 20):
                 continue
             for seed in range(3):
                 assert audit_causality(kind, k / 20, seed=seed), (kind, k, seed)
@@ -365,7 +378,6 @@ DECLARED_DECODE = {
 def test_derived_decode_settings_match_the_declared_ones(kind):
     # Every in-domain alpha = k/20, seeds 0-2, one-seed and batched builds.
     order, granted, is_lattice = DECLARED_DECODE[kind]
-    config = lattice.LatticeConfig() if is_lattice else None
     alphas = [k / 20 for k in range(21) if _in_domain(SCHEMES[kind], k / 20)]
     assert alphas
     for alpha in alphas:
@@ -373,7 +385,7 @@ def test_derived_decode_settings_match_the_declared_ones(kind):
             sch = build_scheme(kind, alpha, seed)
             assert list(sch.decode_order.items()) == list(order.items()), (alpha, seed)
             assert sch.granted_layers == granted
-            assert sch.lattice == config
+            assert sch.lattice_mask.any() == is_lattice
 
 
 @pytest.mark.parametrize("kind", SECURE_SCHEMES)
@@ -594,8 +606,10 @@ def test_accounting_evaluates_each_conditioning_set_once(kind, monkeypatch):
 
 
 def _in_domain(spec, alpha) -> bool:
+    # The alphas SweepConfig takes for the kind: in [0, 1], with a layout.
     try:
-        spec.domain(alpha)
+        regions._alpha_ratio(alpha)
+        spec.states(alpha)
     except ValueError:
         return False
     return True
@@ -873,7 +887,7 @@ def _decode_once(sch, seed):
     # groups instead of the verdict: a lattice scheme decodes at the SNR
     # where its low-power layers clear half the spacing, every other one at
     # 1e8.
-    rho = 1e8 if sch.lattice is None else schemes._lattice_decode_rho(sch.alpha, sch.lattice)
+    rho = schemes._lattice_decode_rho(sch.alpha) if sch.lattice_mask.any() else 1e8
     symbols, y, z, side = simulate_noiseless(sch, rho, seed)
     layers = {name: symbols[name] for name in sch.granted_layers}
     return symbols, linear_decode(sch, y, z, side, layers, rho)
@@ -892,7 +906,7 @@ def test_batched_decode_equals_one_trial_decodes(kind):
     for alpha in alphas:
         batch = build_scheme(kind, alpha, seeds)
         singles = [build_scheme(kind, alpha, s) for s in seeds]
-        if batch.lattice is not None and alpha <= LATTICE_DECODE_LIMIT:
+        if batch.lattice_mask.any() and alpha <= LATTICE_DECODE_LIMIT:
             for sch, s in [(batch, seeds), *zip(singles, seeds)]:
                 with pytest.raises(ValueError, match=LATTICE_REFUSAL):
                     noiseless_decode_check(sch, seed=s)
@@ -948,9 +962,9 @@ def _pair_by_pair_symbols(sch, seed):
     out = {}
     for g in sch.groups:
         if g.lattice:
-            ints = rng.integers(0, sch.lattice.p, size=g.size)
-            out[g.name] = lattice.cf_encode(ints, sch.lattice)
-            out[f"{g.name}_ints"] = ints - sch.lattice.centered_range
+            ints = rng.integers(0, lattice.P, size=g.size)
+            out[g.name] = lattice.cf_encode(ints)
+            out[f"{g.name}_ints"] = ints - lattice.CENTER
             continue
         vals = np.empty(g.size, dtype=np.complex128)
         for i in range(g.size):
@@ -1009,9 +1023,11 @@ def test_smallest_t1():
 
 
 def test_bc_fixed_rejects_non_integral_t2():
+    # No T1 <= 20 makes 0.123 * T1 an integer: the builder refuses it with
+    # smallest_t1's message before it reads the realization.
     real = draw_channels((STATE_1A,) * 7, seed=0)
-    with pytest.raises(ValueError):
-        schemes.build_bc_fixed(2, real, 0.3)
+    with pytest.raises(ValueError, match=r"^alpha must be k/T1 .* got alpha=0\.123$"):
+        schemes.build_bc_fixed(real, 0.123)
 
 
 def test_scheme_table_slot_counts():
@@ -1200,31 +1216,17 @@ def test_only_the_fixed_topology_scheme_xors_its_side_information(monkeypatch, a
 
 
 def test_bc_fixed_rank_checks_cover_every_trial_of_a_batch():
+    # The builder's rank test is the draw's: a |det| of exactly RANK_TOL is
+    # refused as a singular one is.
     real = build_scheme("bc-fixed", 0.5, [0, 1, 2]).realization
     g = real.g.copy()
     g[2, 2] = real.h[2, 2]  # trial 2, first phase-2 slot (T1 = 2)
     with pytest.raises(ValueError, match="^phase-2 slot 0: decode matrix is singular$"):
-        schemes.build_bc_fixed(2, dataclasses.replace(real, g=g), 0.5)
-
-
-def test_bc_fixed_accepts_mixing_matrix_overrides():
-    # custom full-rank mixing matrices are accepted, validated, and leave
-    # the scheme decodable with the same claimed ledger
-    rng = np.random.default_rng(9)
-    t1, alpha = 2, 0.5
-    t2 = 1
-    real = draw_channels((STATE_1A,) * 7, seed=4)
-    theta1 = rng.standard_normal((2 * t1, t1)) + 1j * rng.standard_normal((2 * t1, t1))
-    theta2 = rng.standard_normal((2 * t2, t1)) + 1j * rng.standard_normal((2 * t2, t1))
-    sch = schemes.build_bc_fixed(t1, real, alpha, theta1=theta1, theta2=theta2)
-    assert noiseless_decode_check(sch, seed=2)
-    rel1 = reliability_bits(sch, 1e9)
-    rel2 = reliability_bits(sch, 1e12)
-    for g, claim in sch.ledger.items():
-        slope = (rel2[g] - rel1[g]) / (np.log2(1e12) - np.log2(1e9))
-        assert abs(slope - claim) < 0.21  # per-block claim, coarse two-point fit
-    with pytest.raises(ValueError):
-        schemes.build_bc_fixed(t1, real, alpha, theta1=np.zeros((3, 3)))
+        schemes.build_bc_fixed(dataclasses.replace(real, g=g), 0.5)
+    h, g = real.h.copy(), real.g.copy()
+    h[1, 4], g[1, 4] = (topology.RANK_TOL, 0), (0, 1)  # trial 1, the phase-3 slot
+    with pytest.raises(ValueError, match="^phase-3 slot 0: decode matrix is singular$"):
+        schemes.build_bc_fixed(dataclasses.replace(real, h=h, g=g), 0.5)
 
 
 def test_noise_key_conditioning_drives_weak_side_rate():
