@@ -16,12 +16,12 @@ alpha, so one block plan serves every alpha of a receiver layout, alpha = 0
 included.  Neither step calls LAPACK per matrix: the projection is a
 modified Gram-Schmidt of the key rows, run over whole stacks, and the
 log-det an LDLᴴ elimination (``_logdet2``, the package's only log-det), run
-over whole chunks, both in real arithmetic.  A call takes one job or an
-iterable of jobs of one exponent width, such as every receiver of every
-build of a sweep chunk: the jobs are one engine pass, in which the blocks
-of every job that share a (rows, key rows, kept columns) shape are
-concatenated into one stack, and each job keeps the bits of a call of its
-own.
+over whole chunks, both in real arithmetic.  A call takes an iterable of
+jobs of one exponent width, such as every receiver of every build of a
+sweep chunk, each with a (steps, columns) stack of chain-rule masks: the
+jobs are one engine pass, in which the blocks of every job that share a
+(rows, key rows, kept columns) shape are concatenated into one stack, and
+each job keeps the bits of a pass of its own.
 The scheme sweeps and checks are tested on SNR grids of 60-120 dB.  Known
 limits at high SNR (alpha = 0.5 unless stated):
 
@@ -215,7 +215,7 @@ def _entropy_given_keys(c: np.ndarray, k: np.ndarray, row_exp, col_pairs, alpha,
     the Gram pieces cost one product per (batch entry, pair) unless a
     pair's points span several tiles.  Every step is per matrix, so the
     chunks change no bit.  At rho = 1 with zero exponents every factor is
-    1.0, so A = ``c`` bit for bit: that is the dense call.
+    1.0, so A = ``c`` bit for bit.
 
     The result has the batch axes of ``c`` (after the projection's
     broadcast), the pair axis, then the exponent batch axis, then ``rho``'s
@@ -443,13 +443,13 @@ def _entropies_by_block(jobs, rho) -> list:
     """For each job (coef, keys, keeps, row_exp, col_exp, alpha) drawn from
     the iterable ``jobs``, the ``_entropy_given_keys`` of the observations
     restricted to each kept column mask in ``keeps`` (the rows of a bool
-    array), at each alpha of the (width,) float array ``alpha`` and each SNR
-    of ``rho``, evaluated per block and summed over blocks: per job, a list
-    of one array per mask.  The exponents are int64 pairs: ``col_exp``
-    (cols, 2), and ``row_exp`` (rows, 2) or, one entry per alpha, (width,
-    rows, 2).
-    Every job has the same exponent width, and batch axes that broadcast
-    together.
+    array; ``conditional_mi`` passes each step's columns not given, then
+    those neither given nor in the target), at each alpha of the (width,)
+    float array ``alpha`` and each SNR of ``rho``, evaluated per block and
+    summed over blocks: per job, a list of one array per mask.  The
+    exponents are int64 pairs: ``col_exp`` (cols, 2), and ``row_exp`` (rows,
+    2) or, one entry per alpha, (width, rows, 2).  Every job has the same
+    exponent width, and batch axes that broadcast together.
 
     Each job's blocks come from the nonzeros of its ``coef`` and ``keys``
     united over all batch axes, and its stacks from its own
@@ -502,12 +502,69 @@ def _entropies_by_block(jobs, rho) -> list:
     return out
 
 
-def _conditional_mis(jobs, rho: np.ndarray) -> list:
-    """``conditional_mi`` of each (coef, keys, target, given, row_exp,
-    col_exp, alpha) job drawn from the iterable ``jobs``, whose ``alpha`` is
-    a 1-D exponent batch, at the SNR array ``rho``, from one
-    ``_entropies_by_block`` call, which draws each job once."""
-    stacked = []  # per job: whether its masks are stacks, with a pair axis
+def conditional_mi(jobs, rho) -> list:
+    """I(s_target ; obs | s_given, keys) in bits, of each job drawn from the
+    iterable ``jobs``, at each SNR of ``rho``: a list with one array per
+    job.
+
+    A job is a (coef, keys, target, given, row_exp, col_exp, alpha) tuple.
+    Its observations are ``obs = A s + n`` with unit receiver noise, where
+    entry (i, j) of A is entry (i, j) of the (m, k) matrix ``coef``, symbol
+    variances folded into its columns, scaled by rho^((r_i + c_j) / 2).
+    ``alpha`` is a 1-D exponent batch, such as every alpha of a scheme's
+    slot layout, whose coefficients do not depend on alpha.  The exponents
+    are int pairs (p, q), each p + q * alpha at each alpha of the batch:
+    ``col_exp`` (k, 2) gives c_j, and ``row_exp`` (m, 2) gives r_i, or
+    (alphas, m, 2) one row set per alpha.  ``keys`` (..., key rows, k) holds
+    noiseless linear functionals of the symbols that the receiver is deemed
+    to know exactly; they do not scale with the SNR, and a key row may touch
+    only columns of pair (0, 0) (a ValueError names the first column that
+    breaks this, and its pair).  ``target`` and ``given`` are (steps, k)
+    boolean column masks of one shape, one chain-rule step per row;
+    conditioning on a symbol subset removes its columns (symbols are
+    independent).  A ValueError names the shapes of masks or keys of
+    another width, and exponents that are not int pairs of these shapes.
+
+    ``coef`` and ``keys`` may carry leading batch axes (for example trials,
+    or trials x 1 for keys shared over a second axis).  A job's result has
+    the step axis, the broadcast batch shape, the exponent batch axis, then
+    ``rho``'s axes; entry ``p`` of the step axis is the MI of ``target[p]``
+    given ``given[p]``.  The key projection, the Gram pieces, the support
+    and the block plan are formed once for the whole exponent batch and
+    every SNR (see ``_entropy_given_keys``), and each (alpha, SNR) point is
+    evaluated elementwise.  Each entry equals the job evaluated at its own
+    alpha and SNR alone bit for bit, alpha = 0 beside any other alpha
+    included: the columns are split into levels by their pairs, which do
+    not depend on alpha, and each exponent p + q * alpha is formed where it
+    is used.  At rho = 1 with (0, 0) pairs every factor is 1.0, so A =
+    ``coef`` bit for bit.
+
+    The symbols and the noise are independent, so the log-det splits over
+    the independent blocks of the observations (see ``_blocks``).  Each
+    distinct (block, kept columns) pair is evaluated once, on its block's
+    rows and kept columns, and all pairs of one (rows, key rows, kept
+    columns) shape share one stacked log-det call.  A receiver whose support
+    is one block with no all-zero row gets exactly the bits of
+    ``_entropy_given_keys`` on the whole masked matrix; other receivers
+    differ from it by rounding only (about 1e-12 bits on the scheme sweeps).
+
+    The blocks come from the nonzeros of the whole batch, so an entry of a
+    batched job equals the job on its slice bit for bit only if that slice
+    has the batch's nonzero pattern.  Every trial of a scheme chunk has its
+    chunk's pattern (a tier-1 test checks each kind at every alpha k/20),
+    which keeps sweep CSVs independent of the chunking.
+
+    The jobs, such as the receivers of every build of a sweep chunk, must
+    share one exponent width, and batch axes that broadcast together, such
+    as the trials of one chunk: they form one engine pass, which evaluates
+    the blocks of one (rows, key rows, kept columns) shape over all of the
+    jobs as one stack, one elimination chunk at a time (see
+    ``_entropies_by_block``), and entry ``j`` of the result equals a pass
+    of job ``j`` alone bit for bit.  Each job is drawn once and its stacks
+    gathered at once, and nothing holds a job once it is gathered, so a
+    generator of jobs holds one job's matrices at a time.
+    """
+    rho = np.asarray(rho, dtype=float)
 
     def prepared(job):
         coef, keys, target, given, row_exp, col_exp, alpha = job
@@ -524,125 +581,23 @@ def _conditional_mis(jobs, rho: np.ndarray) -> list:
                 "exponents are int pairs (p, q): col_exp (cols, 2), and row_exp "
                 "(rows, 2) or one (rows, 2) entry per alpha of the batch"
             )
-        keep1 = ~np.asarray(given, dtype=bool)
-        keep1, keep2 = np.broadcast_arrays(keep1, keep1 & ~np.asarray(target, dtype=bool))
-        stacked.append(keep1.ndim > 1)
-        keeps = np.stack([keep1, keep2]).reshape(-1, n)
+        target, given = np.asarray(target, dtype=bool), np.asarray(given, dtype=bool)
+        if target.shape != given.shape or target.shape[1:] != (n,) or keys.shape[-1:] != (n,):
+            raise ValueError(
+                f"target and given are (steps, {n}) masks of one shape and keys "
+                f"(..., key rows, {n}): got target {target.shape}, given "
+                f"{given.shape} and keys {keys.shape}"
+            )
+        keeps = np.concatenate([~given, ~given & ~target])
         return coef, keys, keeps, row_exp, col_exp.astype(np.int64, copy=False), alpha
 
     out = []
     # map() holds no job between draws: each job is let go before the next
     # is drawn, as a generator's loop variables would not be.
-    for h, pairs in zip(_entropies_by_block(map(prepared, jobs), rho), stacked):
+    for h in _entropies_by_block(map(prepared, jobs), rho):
         h = np.stack(h)
-        mi = np.maximum(h[: len(h) // 2] - h[len(h) // 2 :], 0.0)
-        out.append(mi if pairs else mi[0])
+        out.append(np.maximum(h[: len(h) // 2] - h[len(h) // 2 :], 0.0))
     return out
-
-
-def conditional_mi(
-    coef,
-    keys: np.ndarray | None = None,
-    target: np.ndarray | None = None,
-    given: np.ndarray | None = None,
-    row_exp=None,
-    col_exp=None,
-    rho=None,
-    alpha=None,
-):
-    """I(s_target ; obs | s_given, keys) in bits.
-
-    The observations are ``obs = A s + n`` with unit receiver noise, where
-    entry (i, j) of A is entry (i, j) of the (m, k) matrix ``coef``, symbol
-    variances folded into its columns, scaled by rho^((r_i + c_j) / 2).
-    The exponents are int pairs (p, q), each p + q * ``alpha``: ``row_exp``
-    (m, 2) gives r_i and ``col_exp`` (k, 2) gives c_j.  ``keys`` holds
-    noiseless linear functionals of the symbols that the receiver is deemed
-    to know exactly; they do not scale with the SNR, and a key row may touch
-    only columns of pair (0, 0) (a ValueError names the first column that
-    breaks this, and its pair).  ``target`` and ``given`` are boolean column
-    masks; conditioning on a symbol subset removes its columns (symbols are
-    independent).
-
-    ``row_exp`` and ``col_exp`` default to (0, 0) pairs, and ``rho`` to
-    None, which is evaluated as rho = 1.0: every scale factor is then 1.0,
-    so A = ``coef`` bit for bit (the dense call).  Given ``rho``, a scalar
-    or an array of SNRs, the result has the batch shape followed by
-    ``rho``'s shape.  The key projection and the Gram pieces are formed once
-    per trial, whatever the number of SNRs (see ``_entropy_given_keys``).
-    Exponent pairs need ``alpha``, a float.
-
-    ``alpha`` may instead be a 1-D exponent batch, such as every alpha of a
-    scheme's slot layout, whose coefficients do not depend on alpha.  The
-    key projection, the Gram pieces, the support and the block plan are
-    then formed once for the whole batch, each (alpha, SNR) point is
-    evaluated elementwise, and the result carries the batch axis after the
-    batch axes of ``coef`` and before ``rho``'s axes.  ``row_exp`` may then
-    give each alpha its own (m, 2) rows, as (alphas, m, 2).  Each entry
-    equals the call at its own alpha bit for bit, alpha = 0 beside any
-    other alpha included: the columns are split into levels by their pairs,
-    which do not depend on alpha, and each exponent p + q * alpha is formed
-    where it is used.  A float ``alpha`` is evaluated as a batch of one,
-    whose axis is dropped on return, so there is one evaluation path.
-
-    ``coef`` and ``keys`` may carry leading batch axes (for example trials,
-    or trials x 1 for keys shared over a second axis); the result then has
-    the broadcast batch shape.
-
-    ``target`` and ``given`` may also be (pairs, k) stacks of masks, as
-    for every chain-rule step one receiver needs.  The result then has a
-    leading pair axis, and entry ``p`` equals the call on ``target[p]`` and
-    ``given[p]`` bit for bit.
-
-    The symbols and the noise are independent, so the log-det splits over
-    the independent blocks of the observations (see ``_blocks``).  Each
-    distinct (block, kept columns) pair is evaluated once, on its block's
-    rows and kept columns, and all pairs of one (rows, key rows, kept
-    columns) shape share one stacked log-det call: a call makes one log-det
-    call per distinct pair shape, whatever the number of conditioning sets.
-    A receiver whose support is one block with no all-zero row gets exactly
-    the bits of ``_entropy_given_keys`` on the whole masked matrix; other
-    receivers differ from it by rounding only (about 1e-12 bits on the
-    scheme sweeps).
-
-    The blocks come from the nonzeros of the whole batch, so an entry of a
-    batched call equals the unbatched call on its slice bit for bit only if
-    that slice has the batch's nonzero pattern.  Every trial of a scheme
-    chunk has its chunk's pattern (a tier-1 test checks each kind at every
-    alpha k/20), which keeps sweep CSVs independent of the chunking.  Each
-    SNR of an array ``rho`` is evaluated elementwise, so an entry also
-    equals the call at its SNR alone bit for bit.
-
-    ``coef`` may instead be an iterable of jobs, such as the receivers of
-    every build of a sweep chunk, each a (coef, keys, target, given,
-    row_exp, col_exp, alpha) tuple whose ``alpha`` is a 1-D exponent batch;
-    ``rho`` is then needed, and the other arguments are not given.  The
-    result is a list, and entry ``j`` equals the call on job ``j`` bit for
-    bit.  The jobs must share one exponent width, and batch axes that
-    broadcast together, such as the trials of one chunk: they form one
-    engine pass, which evaluates the blocks of one (rows, key rows, kept
-    columns) shape over all of the jobs as one stack, one elimination chunk
-    at a time (see ``_entropies_by_block``).  Each job is drawn once and its
-    stacks gathered at once, and nothing holds a job once it is gathered,
-    so a generator of jobs holds one job's matrices at a time.  A single
-    job is an iterable of one.
-    """
-    if not isinstance(coef, np.ndarray):
-        if rho is None:
-            raise ValueError("an iterable of jobs needs rho")
-        return _conditional_mis(coef, np.asarray(rho, dtype=float))
-    if keys is None or target is None or given is None:
-        raise TypeError("conditional_mi of one job needs keys, target and given")
-    if alpha is None and (row_exp is not None or col_exp is not None):
-        raise ValueError("exponent pairs need alpha")
-    m, n = coef.shape[-2:]
-    row_exp = np.zeros((m, 2), dtype=np.int64) if row_exp is None else row_exp
-    col_exp = np.zeros((n, 2), dtype=np.int64) if col_exp is None else col_exp
-    single = np.ndim(alpha) == 0
-    rho = np.asarray(1.0 if rho is None else rho, dtype=float)
-    alphas = np.atleast_1d(0.0 if alpha is None else alpha)
-    mi = _conditional_mis([(coef, keys, target, given, row_exp, col_exp, alphas)], rho)[0]
-    return mi.squeeze(axis=-1 - rho.ndim) if single else mi
 
 
 def fit_slopes(log2_rho, series) -> tuple[np.ndarray, np.ndarray]:
@@ -693,9 +648,10 @@ def _lemma1_entropies(cases, rho, seed: int) -> np.ndarray:
     The inputs x_t ~ CN(0, I/2) are i.i.d., so these are the log-dets of a
     keyless block: row t is sqrt(1/2) h_t and row n + t is sqrt(1/2) g_t,
     both on slot t's two antenna columns, every column at exponent 0 and in
-    the target.  A leading coefficient axis of 3 keeps the y rows, the z
-    rows and both; each case is one alpha of the exponent batch, with its
-    own row pairs, those of its profile's ``state_sequence``.  The engine
+    the target of the job's one step.  A leading coefficient axis of 3
+    keeps the y rows, the z rows and both; each case is one alpha of the
+    exponent batch, with its own row pairs, those of its profile's
+    ``state_sequence``.  The engine
     splits the block into its slots and sums them in slot order, so each
     entry has the bits of its own one-case, one-SNR call."""
     n = LEMMA1_SLOTS
@@ -708,11 +664,11 @@ def _lemma1_entropies(cases, rho, seed: int) -> np.ndarray:
     coef[2] = coef[0] + coef[1]
     pairs = [[s.pairs for s in state_sequence(p, n)] for p, _ in cases]
     row_exp = np.array(pairs).swapaxes(1, 2).reshape(len(cases), 2 * n, 2)
-    every = np.ones(2 * n, dtype=bool)
+    every = np.ones((1, 2 * n), dtype=bool)
     keys = np.zeros((0, 2 * n))
     col_exp = np.zeros((2 * n, 2), dtype=np.int64)
     alphas = [a for _, a in cases]
-    return conditional_mi(coef, keys, every, ~every, row_exp, col_exp, rho, alphas)
+    return conditional_mi([(coef, keys, every, ~every, row_exp, col_exp, alphas)], rho)[0][0]
 
 
 def _lemma1_slopes(cases, rho_grid, seed: int) -> list:

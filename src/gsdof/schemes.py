@@ -54,7 +54,7 @@ from typing import Callable
 import numpy as np
 
 from . import topology
-from .gaussian_mi import conditional_mi
+from .gaussian_mi import _support, conditional_mi
 from .topology import (
     STATE_1A,
     STATE_A1,
@@ -184,7 +184,12 @@ class LinearScheme:
     order; ``col_exp``, each column's exponent pair, (columns, 2) ints;
     ``masks``, each group's columns as a boolean mask; ``owner_masks``, the
     columns of each owner; and ``lattice_mask``, the columns of the lattice
-    groups, none in a Gaussian scheme."""
+    groups, none in a Gaussian scheme.  Receiver structures, accounting and
+    decoding read this layout off the scheme.
+
+    A key may sit only on a unit-power group, of exponent pair (0, 0):
+    ``__post_init__`` refuses any other with a ValueError that names the
+    group, so a scheme is refused when it is made or ``replace``d."""
 
     alpha: float
     realization: ChannelRealization
@@ -223,6 +228,16 @@ class LinearScheme:
         derive("masks", {g.name: ids == i for i, g in enumerate(groups)})
         derive("owner_masks", {o: mask(lambda g: g.owner == o) for o in _OWNERS})
         derive("lattice_mask", mask(lambda g: g.lattice))
+        # Keys must not depend on the SNR, so they may only sit on unit-power
+        # groups: conditional_mi needs the key projection to commute with the
+        # column scaling.
+        for name in itertools.chain(*self.keys.values()):
+            exponent = self.group(name).exponent
+            if exponent != (0, 0):
+                raise ValueError(
+                    f"key on group {name!r} with power exponent {exponent}: "
+                    "keys must sit on unit-power groups"
+                )
 
     def group(self, name: str) -> SymbolGroup:
         for g in self.groups:
@@ -277,23 +292,21 @@ def _row_plan(scheme: LinearScheme, receiver: int) -> list:
 
 class _ReceiverStructure:
     """Stripped coefficients of one receiver's observations for one scheme,
-    of one trial or trial-batched.
+    of one trial or trial-batched: only its rows, since the columns and
+    their layout (``col_exp``, ``masks``, ``owner_masks``) are the
+    scheme's.
 
-    The columns are the scheme's: ``total``, ``col_exp``, ``masks`` and
-    ``owner_masks`` are its layout, shared, not copied.  The rows follow
-    the row plan (``_row_plan``: each row's slot, its channel, the
-    receiver's own or the other receiver's for a delivered side channel,
-    and its exponent pair), and ``row_exp`` holds their (rows, 2) pairs.
-    ``coef`` (rows, cols) and ``key_coef`` (keys, cols) hold the
+    The rows follow the row plan ``plan`` (``_row_plan``: each row's slot,
+    its channel, the receiver's own or the other receiver's for a delivered
+    side channel, and its exponent pair), and ``row_exp`` holds their (rows,
+    2) pairs.  ``coef`` (rows, cols) and ``key_coef`` (keys, cols) hold the
     coefficients, with the scheme's trials axis leading for a batch; each
     (slot, group) cell is filled for all trials with one
     ``(..., 1, 2) @ (..., 2, size)`` matmul per row."""
 
     def __init__(self, scheme: LinearScheme, receiver: int):
         real, columns = scheme.realization, scheme.columns
-        self.alpha, self.col_exp, self.masks = scheme.alpha, scheme.col_exp, scheme.masks
-        self.owner_masks = scheme.owner_masks
-        self.total = pos = len(scheme.col_exp)
+        pos = len(scheme.col_exp)
         self.plan = plan = _row_plan(scheme, receiver)
         self.row_exp = np.array([e for _, _, e in plan])
 
@@ -311,44 +324,12 @@ class _ReceiverStructure:
                 for i, vec in rows:
                     coef[..., i : i + 1, columns[name]] = (vec @ m) / norm
 
-        # Keys must not depend on the SNR, so they may only sit on unit-power
-        # groups: conditional_mi needs the key projection to commute with the
-        # column scaling, and scaled() needs no SNR axis for them.
         key_map = scheme.keys.get(receiver, {})
         k = next(iter(key_map.values())).shape[-2] if key_map else 0
         key_coef = np.zeros(lead + (k, pos), dtype=np.complex128)
         for name, m in key_map.items():
-            exponent = scheme.group(name).exponent
-            if exponent != (0, 0):
-                raise ValueError(
-                    f"key on group {name!r} with power exponent {exponent}: "
-                    "keys must sit on unit-power groups"
-                )
             key_coef[..., columns[name]] = m
         self.coef, self.key_coef = coef, key_coef
-
-    def exponents(self) -> tuple[np.ndarray, np.ndarray]:
-        """The float row and column exponents p + q*alpha at the scheme's
-        alpha, for the paths that scale by them directly."""
-        a = float(self.alpha)
-        return tuple(e[:, 0] + e[:, 1] * a for e in (self.row_exp, self.col_exp))
-
-    def scaled(self, rho) -> tuple[np.ndarray, np.ndarray]:
-        """Observation and key matrices at SNR ``rho``, a scalar or an array
-        whose shape becomes the batch shape of the observations, after the
-        trials axis if there is one.  The keys do not depend on the SNR: they
-        get one size-1 axis per SNR axis, which broadcasts.
-
-        This is the dense form, a reference for tests; accounting passes
-        ``coef``, ``key_coef`` and the exponents to ``conditional_mi``,
-        which never forms it."""
-        r = np.asarray(rho, dtype=float)
-        lead = self.coef.shape[:-2] + (1,) * r.ndim
-        row_exp, col_exp = self.exponents()
-        a = self.coef.reshape(lead + self.coef.shape[-2:]) * r[..., None, None] ** (
-            (row_exp[:, None] + col_exp[None, :]) / 2.0
-        )
-        return a, self.key_coef.reshape(lead + self.key_coef.shape[-2:])
 
 
 def receiver_structure(scheme: LinearScheme, receiver: int) -> _ReceiverStructure:
@@ -382,21 +363,23 @@ def group_accounting(builds, rho) -> list[tuple[dict, dict]]:
     coefficients, such as every alpha of the scheme's slot layout, or
     ``[scheme.alpha]``.
 
-    Each receiver of each build is one job: its rho-free coefficients, keys, row
-    and column exponent pairs and ``alphas``, and both chains (``_chains``),
-    each step given the chain's owner's messages, the common layer, the
-    granted keys and the chain's earlier groups.  The SNR enters only in the
-    engine, so a batched scheme is projected and its Gram pieces formed once
-    per trial, not once per (trial, SNR).  The jobs of the builds of one
-    width form one engine pass (see ``conditional_mi``), so the builds of
-    one sweep chunk, which hold the same trials, share their evaluations of
-    each (rows, key rows, kept columns) shape.  Each receiver is assembled
-    as the engine draws its job, and no frame keeps its structure or its
-    job once the engine has gathered its stacks, so each receiver's dense
-    matrices are released before the next receiver is assembled, and the
-    pass holds one receiver's at a time.  Values have the trials axis, if
-    any, then the batch axis, then the shape of ``rho``; entry ``j`` of the
-    batch axis equals
+    Each receiver of each build is one job: its structure's rho-free
+    coefficients, keys and row exponent pairs, the scheme's column pairs,
+    ``alphas``, and the (steps, columns) target and given masks of both
+    chains (``_chains``), read off the scheme's ``masks`` and
+    ``owner_masks``, each step given the chain's owner's messages, the
+    common layer, the granted keys and the chain's earlier groups.  The SNR
+    enters only in the engine, so a batched scheme is projected and its Gram
+    pieces formed once per trial, not once per (trial, SNR).  The jobs of
+    the builds of one width form one engine pass (see ``conditional_mi``),
+    so the builds of one sweep chunk, which hold the same trials, share
+    their evaluations of each (rows, key rows, kept columns) shape.  Each
+    receiver is assembled as the engine draws its job, and no frame keeps
+    its structure or its job once the engine has gathered its stacks, so
+    each receiver's dense matrices are released before the next receiver is
+    assembled, and the pass holds one receiver's at a time.  Values have the
+    trials axis, if any, then the batch axis, then the shape of ``rho``;
+    entry ``j`` of the batch axis equals
     ``accounting_bits(replace(scheme, alpha=alphas[j]), rho)`` bit for bit."""
     widths = {}  # exponent width -> indices of its builds
     for i, (_, alphas) in enumerate(builds):
@@ -409,18 +392,18 @@ def group_accounting(builds, rho) -> list[tuple[dict, dict]]:
         st = receiver_structure(scheme, receiver)
         targets, givens = [], []
         for order, known_owner in _chains(scheme, receiver):
-            given = st.owner_masks[known_owner] | st.owner_masks["common"]
+            given = scheme.owner_masks[known_owner] | scheme.owner_masks["common"]
             for name in order:
-                targets.append(st.masks[name])
+                targets.append(scheme.masks[name])
                 givens.append(given)
-                given = given | st.masks[name]
+                given = given | scheme.masks[name]
         masks = np.array(targets), np.array(givens)
-        return st.coef, st.key_coef, *masks, st.row_exp, st.col_exp, alphas
+        return st.coef, st.key_coef, *masks, st.row_exp, scheme.col_exp, alphas
 
     for members in widths.values():
         # One job per receiver, assembled as the engine draws it.
         jobs = (receiver_job(builds[i][0], r, builds[i][1]) for i in members for r in (1, 2))
-        bits = iter(conditional_mi(jobs, rho=rho))
+        bits = iter(conditional_mi(jobs, rho))
         for i in members:
             rel, leak = {}, {}
             for receiver in (1, 2):
@@ -1083,8 +1066,9 @@ def _peel_lattice_rows(scheme: LinearScheme, st, obs):
     row's lattice part on the lattice columns and the remainder on the
     others (the lattice step of ``linear_decode``)."""
     lat = scheme.lattice_mask
-    touched = (st.coef != 0).reshape((-1,) + st.coef.shape[-2:]).any(0)
-    peel = ~(touched & (st.col_exp == 0).all(-1) & ~lat).any(-1)  # unit power: pair (0, 0)
+    # The rows whose unit-power columns, those of pair (0, 0), are all
+    # lattice columns; the support is the engine's (``gaussian_mi._support``).
+    peel = ~(_support(st.coef) & (scheme.col_exp == 0).all(-1) & ~lat).any(-1)
     norm = np.stack([np.asarray(scheme.slot_norms[t]) for t, _, _ in st.plan], -1)[..., peel]
     part = _lattice().nearest_point(obs[..., peel] * norm) / norm
     rest = obs.copy()
@@ -1097,9 +1081,11 @@ def _peel_lattice_rows(scheme: LinearScheme, st, obs):
 
 def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
     """Decode every receiver in ``decode_order`` from its observation model
-    (``receiver_structure``), given ``simulate_noiseless``'s outputs ``y``,
-    ``z`` and ``side`` and the granted ``layers``; returns the decoded
-    groups' symbols by name.
+    (``receiver_structure``'s rows on the scheme's column layout), given
+    ``simulate_noiseless``'s outputs ``y``, ``z`` and ``side`` and the
+    granted ``layers``; returns the decoded groups' symbols by name.
+    Received powers scale by the exponents p + q*alpha at the scheme's
+    alpha, formed here from the rows' and columns' pairs.
 
     A receiver stacks its slot outputs, stripped of their link gains, over
     its delivered side information (``_row_plan`` order) and subtracts the
@@ -1133,21 +1119,22 @@ def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
     if is_lattice:
         _check_lattice_margin(rho ** (-scheme.alpha / 2))
     out = {}
+    alpha, total = float(scheme.alpha), len(scheme.col_exp)
+    gain = rho ** ((scheme.col_exp[:, 0] + scheme.col_exp[:, 1] * alpha) / 2)
     for receiver, order in scheme.decode_order.items():
         st = receiver_structure(scheme, receiver)
-        row_exp, col_exp = st.exponents()
+        row_exp = st.row_exp[:, 0] + st.row_exp[:, 1] * alpha
         obs = np.concatenate(
             [np.asarray(outputs[receiver], dtype=np.complex128) / rho ** (row_exp[:n] / 2)]
             + [side[ch.label] for ch in scheme.side_channels if ch.receiver == receiver],
             axis=-1,
         )
-        gain = rho ** (col_exp / 2)
-        own = st.owner_masks[_own_owner(receiver)]
-        granted = np.zeros(st.total, dtype=bool)
-        known = np.zeros(lead + (st.total,), dtype=np.complex128)
+        own = scheme.owner_masks[_own_owner(receiver)]
+        granted = np.zeros(total, dtype=bool)
+        known = np.zeros(lead + (total,), dtype=np.complex128)
         for name, values in layers.items():
-            granted |= st.masks[name]
-            known[..., st.masks[name]] = values
+            granted |= scheme.masks[name]
+            known[..., scheme.masks[name]] = values
         obs = obs - (st.coef @ (known * gain)[..., None])[..., 0]
         coef = st.coef
         if is_lattice:
@@ -1161,10 +1148,10 @@ def linear_decode(scheme: LinearScheme, y, z, side, layers, rho: float) -> dict:
         if not s.shape[-1] or (s.min(-1) <= DECODE_RANK_TOL * s.max(-1)).any():
             raise DecodeError(f"receiver {receiver} cannot separate its groups {order}")
         x = vh.conj().swapaxes(-1, -2) @ ((u.conj().swapaxes(-1, -2) @ b) / s[..., None])
-        solved = np.zeros(lead + (st.total,), dtype=np.complex128)
+        solved = np.zeros(lead + (total,), dtype=np.complex128)
         solved[..., own] = x[..., 0] / gain[own]
         for name in order:
-            out[name] = solved[..., st.masks[name]]
+            out[name] = solved[..., scheme.masks[name]]
             if scheme.group(name).lattice:
                 out[name] = np.round(np.real(out[name]) / _lattice().SCALE).astype(int)
     return out

@@ -4,8 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from _reference import dense_mi, dense_steps
 
-from gsdof import gaussian_mi
+from gsdof import gaussian_mi, schemes
 from gsdof.experiments import _LEMMA1_PROFILES, SweepConfig, rho_from_db, run_sweep
 from gsdof.gaussian_mi import (
     SLOPE_TOL,
@@ -43,7 +44,7 @@ def _logdet_mi(a, keys=None):
     A P Aᴴ) that the engine runs, with P the projection off the key rows."""
     cols = a.shape[1]
     keys = _no_keys(cols) if keys is None else keys
-    return conditional_mi(a, keys, _mask(cols, range(cols)), _mask(cols, []))
+    return dense_mi(a, keys, _mask(cols, range(cols)), _mask(cols, []))
 
 
 def test_diff_entropy_scalar_unit():
@@ -97,14 +98,14 @@ def _mask(cols, on):
 
 
 def test_mutual_info_awgn():
-    got = conditional_mi(np.array([[math.sqrt(1e6)]]), _no_keys(1), _mask(1, [0]), _mask(1, []))
+    got = dense_mi(np.array([[math.sqrt(1e6)]]), _no_keys(1), _mask(1, [0]), _mask(1, []))
     assert abs(got - math.log2(1 + 1e6)) < 1e-9
     assert abs(got - 19.93) < 0.01
 
 
 def test_mutual_info_zero_map_secret():
     obs = np.zeros((2, 1))
-    assert conditional_mi(obs, _no_keys(1), _mask(1, [0]), _mask(1, [])) == 0.0
+    assert dense_mi(obs, _no_keys(1), _mask(1, [0]), _mask(1, [])) == 0.0
 
 
 # Columns 3 and 4 are artificial noise: neither target nor known.
@@ -134,7 +135,7 @@ def _mi(obs, secrets, given=()):
     # Other messages are always conditioned away, as known to the receiver.
     cols = obs.shape[1]
     known = _mask(cols, [*OTHERS, *given])
-    return conditional_mi(obs, _no_keys(cols), _mask(cols, secrets), known)
+    return dense_mi(obs, _no_keys(cols), _mask(cols, secrets), known)
 
 
 def test_mutual_info_chain_rule():
@@ -186,7 +187,7 @@ def test_mutual_info_matches_monte_carlo_knn():
     k_u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     keys = np.concatenate([np.zeros(2), k_u])[None, :]
     target = np.array([True, True, False, False])
-    closed = conditional_mi(obs, keys, target, np.zeros(4, dtype=bool))
+    closed = dense_mi(obs, keys, target, np.zeros(4, dtype=bool))
     n = 100_000
     v = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) / math.sqrt(2)
     u = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) / math.sqrt(2)
@@ -209,9 +210,9 @@ def test_conditional_mi_keys_remove_known_content():
     keys = np.array([[1.0, 0.0]])
     target = np.array([True, False])
     given = np.array([False, False])
-    assert conditional_mi(obs, keys, target, given) < 1e-9
+    assert dense_mi(obs, keys, target, given) < 1e-9
     no_keys = np.zeros((0, 2))
-    assert conditional_mi(obs, no_keys, target, given) > 6.0
+    assert dense_mi(obs, no_keys, target, given) > 6.0
 
 
 def test_conditional_mi_batch_equals_slices():
@@ -225,18 +226,19 @@ def test_conditional_mi_batch_equals_slices():
     target = _mask(6, [0, 1])
     given = _mask(6, [5])
     for keys in (np.zeros((*shape, 0, 6)), deficient):
-        batched = conditional_mi(obs, keys, target, given)
+        batched = dense_mi(obs, keys, target, given)
         assert batched.shape == shape
         for idx in np.ndindex(*shape):
-            assert batched[idx] == conditional_mi(obs[idx], keys[idx], target, given)
-    assert conditional_mi(obs, deficient, target, given) == pytest.approx(
-        conditional_mi(obs, row, target, given), abs=1e-9
+            assert batched[idx] == dense_mi(obs[idx], keys[idx], target, given)
+    assert dense_mi(obs, deficient, target, given) == pytest.approx(
+        dense_mi(obs, row, target, given), abs=1e-9
     )
 
 
 def test_conditional_mi_pairs_equal_one_dimensional_calls():
-    # A leading pair axis on the masks gives, per pair, exactly the 1-D call,
-    # with a repeated pair, empty and rank-deficient keys, and batch axes.
+    # A stack of steps gives, per step, exactly the one-step call on 1-D
+    # masks, with a repeated step, empty and rank-deficient keys, and batch
+    # axes.
     rng = np.random.default_rng(12)
     shape = (2, 3)
     obs = rng.standard_normal((*shape, 4, 6)) + 1j * rng.standard_normal((*shape, 4, 6))
@@ -246,15 +248,36 @@ def test_conditional_mi_pairs_equal_one_dimensional_calls():
     target = np.array([_mask(6, t) for t, _ in pairs])
     given = np.array([_mask(6, g) for _, g in pairs])
     for keys in (np.zeros((*shape, 0, 6)), deficient):
-        stacked = conditional_mi(obs, keys, target, given)
+        stacked = dense_steps(obs, keys, target, given)
         assert stacked.shape == (len(pairs), *shape)
         for p in range(len(pairs)):
-            assert np.array_equal(stacked[p], conditional_mi(obs, keys, target[p], given[p]))
+            assert np.array_equal(stacked[p], dense_mi(obs, keys, target[p], given[p]))
         assert np.array_equal(stacked[0], stacked[2])
         assert not stacked[4].any()
-    one = conditional_mi(obs[0, 0], deficient[0, 0], target, given)
+    one = dense_steps(obs[0, 0], deficient[0, 0], target, given)
     assert one.shape == (len(pairs),)
-    assert list(one) == [conditional_mi(obs[0, 0], deficient[0, 0], t, g) for t, g in zip(target, given)]
+    assert list(one) == [dense_mi(obs[0, 0], deficient[0, 0], t, g) for t, g in zip(target, given)]
+
+
+def test_conditional_mi_refuses_masks_and_keys_of_another_width():
+    # A mask must have a column per column of coef, and target and given
+    # one shape: a width-1 mask would broadcast over every column, and the
+    # message names the shapes it got.
+    obs, keys = np.arange(1.0, 13.0).reshape(3, 4), np.zeros((0, 4))
+    pairs = np.zeros((3, 2), dtype=np.int64), np.zeros((4, 2), dtype=np.int64)
+    on, off = np.ones((1, 4), dtype=bool), np.zeros((1, 4), dtype=bool)
+    bad = [
+        (keys, on[:, :1], off, "target (1, 1), given (1, 4) and keys (0, 4)"),
+        (keys, on[:, :3], off[:, :3], "target (1, 3), given (1, 3) and keys (0, 4)"),
+        (keys, on[0], off[0], "target (4,), given (4,) and keys (0, 4)"),
+        (keys, np.ones((2, 4), dtype=bool), off, "target (2, 4), given (1, 4) and keys (0, 4)"),
+        (np.zeros((1, 3)), on, off, "target (1, 4), given (1, 4) and keys (1, 3)"),
+    ]
+    head = "target and given are (steps, 4) masks of one shape and keys (..., key rows, 4): got "
+    for k, target, given, shapes in bad:
+        with pytest.raises(ValueError, match="^" + re.escape(head + shapes) + "$"):
+            conditional_mi([(obs, k, target, given, *pairs, [0.0])], 1e6)
+    assert conditional_mi([(obs, keys, on, off, *pairs, [0.0])], 1e6)[0].shape == (1, 1)
 
 
 def test_conditional_mi_blocks_match_dense_evaluation():
@@ -295,7 +318,7 @@ def test_conditional_mi_blocks_match_dense_evaluation():
             obs[..., keep], keys[..., keep], np.zeros((1, 5)), pairs, np.zeros(1), one
         )[..., 0]
 
-    got = conditional_mi(obs, keys, target, given)
+    got = dense_steps(obs, keys, target, given)
     for p, (t, g) in enumerate(zip(target, given)):
         want = np.maximum(dense(~g) - dense(~g & ~t), 0.0)
         assert np.max(np.abs(got[p] - want)) <= 1e-9, p
@@ -352,15 +375,12 @@ def test_conditional_mi_over_snrs_equals_dense_calls():
         n = coef.shape[1]
         target = np.array([_mask(n, [j for j in t if j < n]) for t, _ in pairs])
         given = np.array([_mask(n, [j for j in g if j < n]) for _, g in pairs])
-        got = conditional_mi(coef, keys, target, given, row_exp, col_exp, rhos, PLANTED_ALPHA)
+        job = (coef, keys, target, given, row_exp, col_exp, [PLANTED_ALPHA])
+        got = conditional_mi([job], rhos)[0][:, 0]
         assert got.shape == (len(pairs), len(rhos))
         for j, rho in enumerate(rhos):
-            scaled = _scaled(coef, row_exp, col_exp, rho)
-            dense = conditional_mi(scaled, keys, target, given)
+            dense = dense_steps(_scaled(coef, row_exp, col_exp, rho), keys, target, given)
             assert np.max(np.abs(got[:, j] - dense)) <= 2 * ENTROPY_GAP_PER_RHO * rho, j
-            # The dense call (rho = None) is the call at rho = 1.0, bit for bit.
-            at_one = conditional_mi(scaled, keys, target, given, rho=1.0)
-            assert dense.tobytes() == at_one.tobytes(), j
 
 
 def test_conditional_mi_refuses_a_key_on_a_scaled_column():
@@ -368,13 +388,17 @@ def test_conditional_mi_refuses_a_key_on_a_scaled_column():
     # columns, so a key row that touches another column is refused, naming
     # the column's pair.
     (coef, keys, row_exp, col_exp), _ = _planted_receivers(22)
-    target, given = _mask(4, [0]), _mask(4, [])
+    target, given = _mask(4, [0])[None], _mask(4, [])[None]
     planted = keys.copy()
     planted[0, 3] = 0.5
     message = "key row 0 touches column 3, whose exponent pair is (0, -1): "
+
+    def job(k):
+        return (coef, k, target, given, row_exp, col_exp, [PLANTED_ALPHA])
+
     with pytest.raises(ValueError, match="^" + re.escape(message)):
-        conditional_mi(coef, planted, target, given, row_exp, col_exp, 1e6, PLANTED_ALPHA)
-    assert conditional_mi(coef, keys, target, given, row_exp, col_exp, 1e6, PLANTED_ALPHA) >= 0.0
+        conditional_mi([job(planted)], 1e6)
+    assert conditional_mi([job(keys)], 1e6)[0] >= 0.0
 
 
 def _exponent_batch(which):
@@ -397,19 +421,18 @@ def test_conditional_mi_exponent_batch_equals_per_exponent_calls(which):
     n = coef.shape[-1]
     keeps = np.array([m for m in itertools.product([False, True], repeat=n) if any(m)])
     target, given = keeps[:, ::-1], ~keeps
-    got = conditional_mi(coef, keys, target, given, row_exp, col_exp, rhos, alphas)
+
+    def mi(rows, alphas):
+        return conditional_mi([(coef, keys, target, given, rows, col_exp, alphas)], rhos)[0]
+
+    got = mi(row_exp, alphas)
     assert got.shape == (len(keeps), len(coef), len(alphas), len(rhos))
     # Row pairs given once per alpha give the same bits.
-    per_alpha = np.stack([row_exp] * len(alphas))
-    again = conditional_mi(coef, keys, target, given, per_alpha, col_exp, rhos, alphas)
-    assert again.tobytes() == got.tobytes()
+    assert mi(np.stack([row_exp] * len(alphas)), alphas).tobytes() == got.tobytes()
     for j, a in enumerate(alphas):
-        one = conditional_mi(coef, keys, target, given, row_exp, col_exp, rhos, a)
-        assert got[:, :, j].tobytes() == one.tobytes(), a
-        # A one-entry batch keeps its axis and the bits of the float call.
-        alone = conditional_mi(coef, keys, target, given, row_exp, col_exp, rhos, [a])
-        assert alone.shape == (len(keeps), len(coef), 1, len(rhos))
-        assert alone[:, :, 0].tobytes() == one.tobytes(), a
+        one = mi(row_exp, [a])
+        assert one.shape == (len(keeps), len(coef), 1, len(rhos))
+        assert got[:, :, j].tobytes() == one[:, :, 0].tobytes(), a
 
 
 def test_conditional_mi_exponent_batch_holds_alpha_zero():
@@ -420,23 +443,26 @@ def test_conditional_mi_exponent_batch_holds_alpha_zero():
     for which in (0, 1):
         coef, keys, row_exp, col_exp = _exponent_batch(which)
         n = coef.shape[-1]
-        target, given = _mask(n, [0]), _mask(n, [])
-        got = conditional_mi(coef, keys, target, given, row_exp, col_exp, rho, [0.0, 0.3])
+        target, given = _mask(n, [0])[None], _mask(n, [])[None]
+
+        def mi(rows, cols, alphas):
+            return conditional_mi([(coef, keys, target, given, rows, cols, alphas)], rho)[0]
+
+        got = mi(row_exp, col_exp, [0.0, 0.3])
         for j, a in enumerate((0.0, 0.3)):
-            one = conditional_mi(coef, keys, target, given, row_exp, col_exp, rho, a)
-            assert got[:, j].tobytes() == one.tobytes(), (which, a)
-    # Pairs need alpha, are ints, and rows given per alpha have one entry
-    # per alpha.
-    with pytest.raises(ValueError, match="^exponent pairs need alpha$"):
-        conditional_mi(coef, keys, target, given, row_exp, col_exp, rho)
+            one = mi(row_exp, col_exp, [a])
+            assert got[:, :, j].tobytes() == one[:, :, 0].tobytes(), (which, a)
+    # Pairs are ints, rows given per alpha have one entry per alpha, and
+    # the alphas are a 1-D batch.
     bad = [
-        (row_exp, col_exp * 0.5, 0.3),
+        (row_exp, col_exp * 0.5, [0.3]),
         (np.stack([row_exp] * 3), col_exp, [0.0, 0.3]),
-        (row_exp, col_exp[1:], 0.3),
+        (row_exp, col_exp[1:], [0.3]),
+        (row_exp, col_exp, 0.3),
     ]
-    for rows, cols, alpha in bad:
+    for rows, cols, alphas in bad:
         with pytest.raises(ValueError, match=r"^exponents are int pairs \(p, q\)"):
-            conditional_mi(coef, keys, target, given, rows, cols, rho, alpha)
+            mi(rows, cols, alphas)
 
 
 def test_conditional_mi_mixed_level_pass_equals_one_job_calls(monkeypatch):
@@ -453,7 +479,7 @@ def test_conditional_mi_mixed_level_pass_equals_one_job_calls(monkeypatch):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     row_exp = np.array([(1, 0), (1, 0), (0, 1)])
-    target, given = _mask(4, [3]), _mask(4, [])
+    target, given = _mask(4, [3])[None], _mask(4, [])[None]
     jobs = []
     for j in range(24):
         keys = np.concatenate([cn(trials, 1, 2), np.zeros((trials, 1, 2))], axis=-1)
@@ -468,7 +494,7 @@ def test_conditional_mi_mixed_level_pass_equals_one_job_calls(monkeypatch):
         return entropy(c, k, row_exp, col_pairs, alpha, rho)
 
     monkeypatch.setattr(gaussian_mi, "_entropy_given_keys", spied)
-    got = conditional_mi(iter(jobs), rho=rho)
+    got = conditional_mi(iter(jobs), rho)
     # Two stack shapes (all columns kept, and columns 0-2), one call each,
     # each over more matrices than one elimination chunk, and a call holds
     # stacks both with and without (0, -1) columns.
@@ -477,9 +503,8 @@ def test_conditional_mi_mixed_level_pass_equals_one_job_calls(monkeypatch):
     assert all(len({(0, -1) in p for p in pairs}) == 2 for pairs, _ in calls)
     monkeypatch.undo()
     for j, job in enumerate(jobs):
-        one = conditional_mi(*job[:6], rho, job[6])
-        assert got[j].shape == (trials, 2, rho.size)
-        assert got[j].tobytes() == one.tobytes(), j
+        assert got[j].shape == (1, trials, 2, rho.size)
+        assert got[j].tobytes() == conditional_mi([job], rho)[0].tobytes(), j
 
 
 def test_conditional_mi_one_by_one_pass_equals_one_job_calls():
@@ -497,11 +522,10 @@ def test_conditional_mi_one_by_one_pass_equals_one_job_calls():
         (rng.standard_normal((3, 1, 1)) + 1j * rng.standard_normal((3, 1, 1)), np.zeros((3, 0, 1)))
         for _ in range(4)
     ]
-    jobs = [(coef, keys, [True], [False], row_exp, col_exp, [0.5]) for coef, keys in jobs]
-    got = conditional_mi(iter(jobs), rho=rho)
+    jobs = [(coef, keys, [[True]], [[False]], row_exp, col_exp, [0.5]) for coef, keys in jobs]
+    got = conditional_mi(iter(jobs), rho)
     for j, job in enumerate(jobs):
-        one = conditional_mi(*job[:6], rho, job[6])
-        assert got[j].tobytes() == one.tobytes(), j
+        assert got[j].tobytes() == conditional_mi([job], rho)[0].tobytes(), j
 
 
 def _mp_entropy(mpmath, coef, keys, row_exp, col_exp, keep, rho):
@@ -530,16 +554,41 @@ def _mp_entropy(mpmath, coef, keys, row_exp, col_exp, keep, rho):
         return float(mpmath.log(mpmath.re(mpmath.det(cov)), 2))
 
 
+def _chain_keeps(sch, receiver):
+    """The kept column sets of ``receiver``'s chain steps in
+    ``group_accounting``, each once: per step, the columns not given, and
+    those neither given nor in the step's group, if any."""
+    keeps = []
+    for order, known in schemes._chains(sch, receiver):
+        given = sch.owner_masks[known] | sch.owner_masks["common"]
+        for name in order:
+            keeps += [~given, ~(given | sch.masks[name])]
+            given = given | sch.masks[name]
+    return np.unique([keep for keep in keeps if keep.any()], axis=0)
+
+
 def test_entropies_match_a_50_digit_evaluation():
     # Every kept column set's entropy, read as conditional_mi of the kept
-    # columns given the others, against mpmath at 60-120 dB.
+    # columns given the others, against mpmath at 60-120 dB: every set of
+    # the planted receivers, and every chain step's sets of both receivers
+    # of every kind at alpha 0.5, seed 0.  Measured worst gaps per unit of
+    # SNR: 6.6e-16 on gdof, 1.7e-16 on wiretap-gaussian-a1.
     mpmath = pytest.importorskip("mpmath")
     rhos = 10.0 ** (np.arange(60, 121, 10) / 10)
+    cases = []
     for coef, keys, row_exp, col_exp in _planted_receivers(0):
-        n = coef.shape[1]
-        keeps = np.array([m for m in itertools.product([False, True], repeat=n) if any(m)])
-        got = conditional_mi(coef, keys, keeps, ~keeps, row_exp, col_exp, rhos, PLANTED_ALPHA)
-        exps = _floats(row_exp), _floats(col_exp)
+        every = [m for m in itertools.product([False, True], repeat=coef.shape[1]) if any(m)]
+        cases.append((coef, keys, row_exp, col_exp, PLANTED_ALPHA, np.array(every)))
+    for kind in schemes.SCHEME_KINDS:
+        sch = schemes.build_scheme(kind, 0.5, seed=0)
+        for receiver in (1, 2):
+            st = schemes.receiver_structure(sch, receiver)
+            keeps = _chain_keeps(sch, receiver)
+            cases.append((st.coef, st.key_coef, st.row_exp, sch.col_exp, 0.5, keeps))
+    for coef, keys, row_exp, col_exp, alpha, keeps in cases:
+        job = (coef, keys, keeps, ~keeps, row_exp, col_exp, [alpha])
+        got = conditional_mi([job], rhos)[0][:, 0]
+        exps = _floats(row_exp, alpha), _floats(col_exp, alpha)
         for keep, bits in zip(keeps, got):
             for rho, value in zip(rhos, bits):
                 want = _mp_entropy(mpmath, coef, keys, *exps, keep, rho)
