@@ -19,11 +19,14 @@ import contextlib
 import math
 import sys
 
-from . import experiments
+from . import experiments, regions
 from .schemes import SCHEME_KINDS
 from .topology import STATE_BY_LABEL, TopologyProfile
 
-BOUND_NAMES = ("outer", *experiments.REGION_BUILDERS)
+# Every bound ``region --which`` takes: the outer bound, then the inner
+# bounds of regions.BOUNDS.  The benchmark's span recorder and workloads
+# (perfbench/) read this name.
+BOUND_NAMES = ("outer", *regions.BOUNDS)
 
 _PROFILE_HELP = (
     "named state profile (11, 1a, a1, aa, sym) or four comma-separated "
@@ -88,10 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Each inner bound with the profile of the outer bound it answers to,
+    # and a bound without secrecy constraints marked.
+    bounds = regions.BOUNDS.items()
+    inner = [f"{n} ({b.profile}{'' if b.secure else ', not secure'})" for n, b in bounds]
     p_region = sub.add_parser(
         "region",
         help="emit region vertex and summary CSVs",
-        description=f"Bounds: {', '.join(BOUND_NAMES)}.",
+        description=f"Bounds: outer, under --profile; inner, with its profile: {', '.join(inner)}.",
     )
     p_region.add_argument("--alpha", type=float, default=0.5)
     p_region.add_argument("--profile", default="1a", help=_PROFILE_HELP)

@@ -513,30 +513,21 @@ SCHEME_TARGETS = {kind: spec.target for kind, spec in SCHEMES.items() if spec.ta
 _LEMMA1_PROFILES = ("11", "1a", "a1", "aa", "sym")
 
 
-# (inner bound, outer-bound profile) of each secure scheme that declares an
-# inner bound, in table order without repeats: verify checks each inclusion.
-_REGION_PAIRS = tuple(
-    dict.fromkeys(
-        (spec.inner, spec.profile) for spec in SCHEMES.values() if spec.secure and spec.inner
-    )
-)
-
-
-# Outer-bound profiles and inner bounds that _region_checks builds once per
-# alpha and shares between the inclusion, sum and wiretap rows.
-_OUTER_LABELS = tuple(dict.fromkeys(("1a", "sym", *(label for _, label in _REGION_PAIRS))))
-_INNER_NAMES = tuple(dict.fromkeys(("prop2", "int-sym-alt", *(n for n, _ in _REGION_PAIRS))))
-
-
 def _region_checks(alpha_grid) -> list[CheckResult]:
+    # (inner bound, outer-bound profile) of each secure entry of
+    # regions.BOUNDS, in table order: verify checks each inclusion.  The
+    # outer bounds and inner bounds are built once per alpha and shared
+    # between the inclusion, sum and wiretap rows.
+    pairs = [(name, bound.profile) for name, bound in regions.BOUNDS.items() if bound.secure]
+    labels = dict.fromkeys(("1a", "sym", *(label for _, label in pairs)))
     out = []
     for a in alpha_grid:
         at = _alpha_tag(a)
-        outer = {lab: regions.bc_outer(TopologyProfile.named(lab, a)) for lab in _OUTER_LABELS}
-        inner = {name: named_region(name, a) for name in _INNER_NAMES}
-        pairs = [(f"{n}-in-outer", inner[n], outer[lab]) for n, lab in _REGION_PAIRS]
-        pairs.append(("prop2-in-gdof", inner["prop2"], regions.gdof_fixed(a)))
-        for name, small, big in pairs:
+        outer = {lab: regions.bc_outer(TopologyProfile.named(lab, a)) for lab in labels}
+        inner = {name: named_region(name, a) for name, _ in pairs}
+        inclusions = [(f"{n}-in-outer", inner[n], outer[lab]) for n, lab in pairs]
+        inclusions.append(("prop2-in-gdof", inner["prop2"], regions.gdof_fixed(a)))
+        for name, small, big in inclusions:
             ok = regions.is_subset(small, big)
             out.append(CheckResult(f"region/{name}/{at}", ok, 0.0))
         # Exact verdicts; the margins keep the floats that the verify digests pin.
@@ -549,11 +540,7 @@ def _region_checks(alpha_grid) -> list[CheckResult]:
         int_sum = regions.sum_max(inner["int-sym-alt"])
         outer_sum = regions.sum_max(outer["sym"])
         ok = int_sum == outer_sum == 1
-        out.append(
-            CheckResult(
-                f"region/int-sum-meets-outer/{at}", ok, float(int_sum - outer_sum)
-            )
-        )
+        out.append(CheckResult(f"region/int-sum-meets-outer/{at}", ok, float(int_sum - outer_sum)))
         wt = regions.wiretap_upper(TopologyProfile.fixed("1a", a))
         d1_max = regions.axis_max(outer["1a"], 0)
         ok = wt == Fraction(3 * q - p, 3 * q) == d1_max
@@ -729,13 +716,10 @@ def checks_to_csv(checks) -> str:
 # Figure data.
 # ---------------------------------------------------------------------------
 
-REGION_BUILDERS = {
-    "yang": regions.yang_inner,
-    "prop2": regions.prop2_inner,
-    "sym-alt": regions.sym_alt_inner,
-    "int-sym-alt": regions.integer_sym_alt_inner,
-    "gdof": regions.gdof_fixed,
-}
+# Each inner bound's constructor, read off regions.BOUNDS at import and
+# looked up here by named_region at call time, because the benchmark's span
+# recorder (perfbench/spans.py) rebinds these entries.
+REGION_BUILDERS = {name: bound.build for name, bound in regions.BOUNDS.items()}
 
 
 def named_region(name: str, alpha: float, profile: TopologyProfile | None = None):
@@ -745,7 +729,8 @@ def named_region(name: str, alpha: float, profile: TopologyProfile | None = None
         return regions.bc_outer(profile)
     if name in REGION_BUILDERS:
         return REGION_BUILDERS[name](alpha)
-    raise ValueError(f"unknown bound name {name!r}")
+    choices = ", ".join(("outer", *REGION_BUILDERS))
+    raise ValueError(f"unknown bound name {name!r}; choose from {choices}")
 
 
 # The text of each interned region the CSV writers read, keyed by its
@@ -794,12 +779,13 @@ def region_csv(names, alpha: float, profile: TopologyProfile | None = None) -> t
     return _vertex_csv(texts), "\n".join(summary) + "\n"
 
 
-# Figure id -> (topology profile label of its outer bound, bound names).
+# Figure id -> its bound names.  The outer bound is drawn under the profile
+# its inner bounds answer to (their regions.BOUNDS entries' profile).
 _FIGURES = {
-    3: ("1a", ("outer", "yang", "prop2")),
-    4: ("sym", ("outer", "sym-alt")),
-    6: ("sym", ("outer", "int-sym-alt")),
-    7: ("1a", ("gdof", "prop2")),
+    3: ("outer", "yang", "prop2"),
+    4: ("outer", "sym-alt"),
+    6: ("outer", "int-sym-alt"),
+    7: ("gdof", "prop2"),
 }
 
 
@@ -838,6 +824,7 @@ def figure_data(figure_id: int, alpha: float | None = None, alpha_grid=None) -> 
         raise ValueError(f"unknown figure id {figure_id}; choose from 3, 4, 6, 7, 8")
     if alpha is None:
         raise ValueError("figures 3, 4, 6 and 7 need an alpha")
-    label, names = _FIGURES[figure_id]
+    names = _FIGURES[figure_id]
+    label = regions.BOUNDS[names[-1]].profile
     profile = TopologyProfile.named(label, alpha) if "outer" in names else None
     return _vertex_csv(_region_texts(names, alpha, profile))

@@ -26,9 +26,15 @@ built by ``DofRegion(constraints)`` is not interned: a float ``HalfSpace``
 equals its ``Fraction`` twin, and a shared region would hand back the other
 caller's coefficient types.  Figure 8 does not intern either: it reads one
 number per bound and alpha, at alphas that are distinct, so
-``sum_dof_ratios`` takes each bound's rows from the bound's row function
-and their sum maximum from ``_exact_vertices`` and ``_sum_max_ratio``,
-with no region.
+``sum_dof_ratios`` takes each bound's rows from the row function of its
+``BOUNDS`` entry and their sum maximum from ``_exact_vertices`` and
+``_sum_max_ratio``, with no region.
+
+``BOUNDS`` is the one list of inner bounds: each entry holds the bound's
+constructor, the profile of the outer bound it answers to, whether it is
+secure, and its figure-8 curve label and row function, if it has a curve.
+The region CSVs, verify's region checks, figure 8 and the command line read
+it.
 
 ``vertices`` gives ``Fraction`` vertices, built from the ordered triples on
 first call; ``float_vertices`` rounds the triples for CSVs.  ``sum_max``,
@@ -48,6 +54,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
+from typing import Callable
 
 __all__ = [
     "HalfSpace",
@@ -60,6 +67,7 @@ __all__ = [
     "sym_alt_inner",
     "integer_sym_alt_inner",
     "gdof_fixed",
+    "BOUNDS",
     "vertices",
     "float_vertices",
     "contains",
@@ -385,7 +393,7 @@ def axis_max(region: DofRegion, axis: int) -> Fraction:
 # positive int.  The bounds whose sum maxima figure 8 draws keep their
 # formula in a row function (p, q) -> (rows, scales), as int tuples: the
 # constructor interns the region of those rows, and ``sum_dof_ratios``
-# enumerates the rows with no region.
+# enumerates the rows, read off the bound's ``BOUNDS`` entry, with no region.
 # ---------------------------------------------------------------------------
 
 
@@ -516,28 +524,47 @@ def _gdof_rows(p, q):
     return ((1, 0, 1), (0, q, p), (2, 1, 2), (q, 2 * q, q + p)), (1, q, 1, q)
 
 
-# The figure-8 curves that are a bound's sum maximum, by the bound's row
-# function.
-_SUM_MAX_CURVES = (
-    ("fixed-inner", _prop2_rows),
-    ("sym-alt", _sym_alt_rows),
-    ("int-sym-alt", _integer_sym_alt_rows),
-    ("gdof", _gdof_rows),
-)
+# ---------------------------------------------------------------------------
+# The bound registry.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One inner bound: what ``BOUNDS`` records of it."""
+
+    build: Callable  # alpha -> DofRegion, the public constructor
+    profile: str  # TopologyProfile.named label of the outer bound it answers to
+    secure: bool  # False for a bound without secrecy constraints
+    curve: str | None = None  # figure-8 label of its sum maximum; None: not drawn
+    rows: Callable | None = None  # (p, q) -> (rows, scales) of the curve's bound
+
+
+# Every inner bound, by name, in the order the region CSVs, verify's
+# inclusion rows and figure 8's curves list them.  The outer bound
+# (``bc_outer``) takes a profile, not alpha, and is not listed.
+BOUNDS = {
+    "yang": Bound(yang_inner, "1a", True),
+    "prop2": Bound(prop2_inner, "1a", True, "fixed-inner", _prop2_rows),
+    "sym-alt": Bound(sym_alt_inner, "sym", True, "sym-alt", _sym_alt_rows),
+    "int-sym-alt": Bound(integer_sym_alt_inner, "sym", True, "int-sym-alt", _integer_sym_alt_rows),
+    "gdof": Bound(gdof_fixed, "1a", False, "gdof", _gdof_rows),
+}
 
 
 def sum_dof_ratios(alpha):
     """The sum-DoF comparison curves at alpha, as ((name, n, d), ...) with
     each value n/d exact and not reduced: the yang corner sum (1 + alpha)/2
-    of alpha's ratio p/q (``yang_corner_sum``), then the sum maximum of
-    fixed-inner, sym-alt, int-sym-alt and gdof.  Each maximum is
-    ``_sum_max_ratio`` of the ``_exact_vertices`` of the bound's rows, as
-    ``sum_max`` reads it, with no region built or interned.  An alpha
-    outside [0, 1] is refused."""
+    of alpha's ratio p/q (``yang_corner_sum``), then the sum maximum of each
+    ``BOUNDS`` entry that has a curve label, under that label, in table
+    order.  Each maximum is ``_sum_max_ratio`` of the ``_exact_vertices`` of
+    the entry's rows, as ``sum_max`` reads it, with no region built or
+    interned.  An alpha outside [0, 1] is refused."""
     p, q = _alpha_ratio(alpha)
     curves = [("yang", q + p, 2 * q)]
-    for name, bound_rows in _SUM_MAX_CURVES:
-        curves.append((name, *_sum_max_ratio(_exact_vertices(bound_rows(p, q)[0]))))
+    for bound in BOUNDS.values():
+        if bound.curve:
+            curves.append((bound.curve, *_sum_max_ratio(_exact_vertices(bound.rows(p, q)[0]))))
     return tuple(curves)
 
 

@@ -1251,7 +1251,7 @@ class SchemeSpec:
     mode: str  # channel draw mode, "complex" or "integer"
     secure: bool  # confidential symbols must not leak
     target: Callable | None  # alpha -> per-slot (d1, d2) in alpha's type; None: canary
-    inner: str | None  # experiments.REGION_BUILDERS key; target is one of its vertices
+    inner: str | None  # regions.BOUNDS key; target is one of its bound's vertices
     profile: str  # TopologyProfile.named label; a secure target lies in its bc_outer
     rho_db_max: float  # highest SNR in dB of a sweep grid, measured (see SCHEMES)
 

@@ -6,7 +6,13 @@ from pathlib import Path
 import pytest
 
 from gsdof import experiments
-from gsdof.cli import GRID_POINTS_MAX, _parse_range, build_parser, parse_and_dispatch
+from gsdof.cli import (
+    BOUND_NAMES,
+    GRID_POINTS_MAX,
+    _parse_range,
+    build_parser,
+    parse_and_dispatch,
+)
 from gsdof.schemes import SCHEME_KINDS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -54,6 +60,16 @@ def test_region_rejects_unknown_bound(tmp_path):
         ["region", "--which", "outer,bogus", "--out", str(tmp_path / "r.csv")]
     )
     assert rc == 2
+
+
+def test_bound_registry_refusal_names_every_bound(tmp_path, capsys):
+    # A misspelt bound is a usage error that lists every valid name, and
+    # neither the vertex CSV nor its summary is written.
+    rc = parse_and_dispatch(["region", "--which", "outer,yng", "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unknown bound name 'yng'; choose from {', '.join(BOUND_NAMES)}\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_usage_error_exit_code(tmp_path, capsys):

@@ -566,8 +566,8 @@ def assert_geometry_rows(a):
             srows.append(f"{name},{_text(a)}," + ",".join(map(_text, maxima)))
         assert vtext.splitlines() == vrows
         assert stext.splitlines() == srows
-    for figure, (label, names) in experiments._FIGURES.items():
-        profile = TopologyProfile.named(label, a)
+    for figure, names in experiments._FIGURES.items():
+        profile = TopologyProfile.named(regions.BOUNDS[names[-1]].profile, a)
         want = ["bound_name,alpha,vertex_index,d1,d2"]
         for name in names:
             want += _want_vertex_rows(name, a, experiments.named_region(name, a, profile))
@@ -1136,6 +1136,42 @@ def test_region_checks_build_each_outer_bound_once_per_alpha(monkeypatch):
     checks = experiments._region_checks(grid)
     assert len(calls) == 2 * len(grid)
     assert all(c.passed for c in checks)
+
+
+def test_bound_registry_entry_reaches_region_csvs_verify_and_figure8(monkeypatch, tmp_path):
+    # A bound planted in regions.BOUNDS, and in the two views of it read at
+    # import (the benchmark's span recorder rebinds them), reaches
+    # `region --which all`, verify's inclusion rows and figure 8's curves,
+    # with no other edit.  The bound is the square d1, d2 <= alpha.
+    def rows(p, q):
+        return ((q, 0, p), (0, q, p)), (q, q)
+
+    def build(alpha):
+        return regions.DofRegion._from_rows(*rows(*regions._alpha_ratio(alpha)))
+
+    planted = regions.Bound(build, "1a", True, "planted-curve", rows)
+    bounds = {**regions.BOUNDS, "planted": planted}
+    monkeypatch.setattr(regions, "BOUNDS", bounds)
+    monkeypatch.setattr(experiments, "REGION_BUILDERS", {n: b.build for n, b in bounds.items()})
+    monkeypatch.setattr(cli, "BOUND_NAMES", ("outer", *bounds))
+    out = tmp_path / "r.csv"
+    assert cli.parse_and_dispatch(["region", "--alpha", "0.25", "--out", str(out)]) == 0
+    vertex_rows = [r for r in out.read_text().splitlines() if r.startswith("planted,")]
+    assert vertex_rows == [
+        "planted,0.25,0,0.25,0",
+        "planted,0.25,1,0.25,0.25",
+        "planted,0.25,2,0,0.25",
+        "planted,0.25,3,0,0",
+    ]
+    summary = (tmp_path / "r_summary.csv").read_text().splitlines()
+    assert summary[-1] == "planted,0.25,0.5,0.25,0.25"
+    # The 1a outer bound caps 3*d1 + d2 by 3 - alpha and d1 + 3*d2 by
+    # 1 + alpha: at 1/4 the square's corner gives 1 against 11/4 and 5/4.
+    checks = {c.name: c.passed for c in experiments._region_checks([0.25])}
+    assert checks["region/planted-in-outer/alpha=0.25"]
+    assert "region/gdof-in-outer/alpha=0.25" not in checks
+    curves = figure_data(8, alpha_grid=[0.25]).splitlines()
+    assert curves[-1] == "planted-curve,0.25,0.5"
 
 
 def test_int_sum_meets_outer_is_decided_exactly(monkeypatch):

@@ -823,3 +823,16 @@ def test_negative_coefficient_constraint_supported():
     reg = sym_alt_inner(0.25)
     assert any(float(c.a1) < 0 for c in reg.constraints)
     assert contains(reg, ((1 + 0.25) / 4, 0.5))
+
+
+@pytest.mark.parametrize("name", list(regions.BOUNDS))
+def test_bound_registry_entry_is_consistent(name):
+    # An entry's profile is a TopologyProfile.named label, and a curve's
+    # rows, which figure 8 reads, build the constructor's region.
+    bound = regions.BOUNDS[name]
+    assert (bound.curve is None) == (bound.rows is None)
+    for a in [Fraction(k, 20) for k in range(21)] + [0.3, 1 / 3]:
+        TopologyProfile.named(bound.profile, a)
+        if bound.rows is not None:
+            rows = bound.rows(*regions._alpha_ratio(a))
+            assert bound.build(a) is regions.DofRegion._from_rows(*rows)

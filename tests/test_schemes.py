@@ -10,7 +10,7 @@ import pytest
 from _reference import dense_mi, scaled
 
 from gsdof import gaussian_mi, lattice, regions, schemes, topology
-from gsdof.experiments import REGION_BUILDERS, SCHEME_TARGETS
+from gsdof.experiments import SCHEME_TARGETS
 from gsdof.gaussian_mi import fit_slope
 from gsdof.schemes import (
     SCHEME_KINDS,
@@ -1038,6 +1038,15 @@ def test_scheme_table_slot_counts():
 CROSS_ALPHAS = [Fraction(k, d) for k, d in ((1, 10), (1, 4), (1, 2), (3, 4), (9, 10), (1, 1))]
 
 
+def test_bound_registry_holds_every_scheme_inner_bound():
+    # A scheme's inner bound is a regions.BOUNDS entry that answers to the
+    # scheme's profile and has the scheme's secrecy.
+    for kind, spec in SCHEMES.items():
+        if spec.inner is not None:
+            bound = regions.BOUNDS[spec.inner]
+            assert (bound.profile, bound.secure) == (spec.profile, spec.secure), kind
+
+
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_scheme_target_meets_its_bounds(kind):
     # Exact rational check of the table: each target is a vertex of its
@@ -1055,7 +1064,7 @@ def test_scheme_target_meets_its_bounds(kind):
         assert type(d1) is Fraction and type(d2) is Fraction
         assert all(type(x) is float for x in spec.target(float(a)))
         if spec.inner:
-            assert (d1, d2) in regions.vertices(REGION_BUILDERS[spec.inner](a)), a
+            assert (d1, d2) in regions.vertices(regions.BOUNDS[spec.inner].build(a)), a
         outer = regions.bc_outer(profile)
         inside = min(d1, d2) >= 0 and all(c.violation(d1, d2) <= 0 for c in outer.constraints)
         if spec.secure:
