@@ -55,7 +55,13 @@ GRID_POINTS_MAX = 1001
 
 
 def _parse_range(text: str) -> list[float]:
-    """start:stop:step inclusive grid of at most ``GRID_POINTS_MAX`` points."""
+    """start:stop:step inclusive grid of at most ``GRID_POINTS_MAX`` points.
+
+    The points are ``round(start + k * step, 12)`` for k = 0, 1, ..., up to
+    the last one not past ``stop`` (with 1e-12 of slack).  The cap is tested
+    on that count, after a rounded count that overshoots ``stop`` has lost
+    its last point, so ``0:1000.6:1`` holds 1001 points and is allowed.
+    """
     try:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
@@ -68,15 +74,14 @@ def _parse_range(text: str) -> list[float]:
             f"too many grid points: (stop - start) / step overflows in {text!r}"
         )
     count = int(round(points))
+    if round(start + count * step, 12) > stop + 1e-12:
+        count -= 1  # the rounded count overshoots stop
     if count + 1 > GRID_POINTS_MAX:
         raise argparse.ArgumentTypeError(
-            f"too many grid points: {text!r} gives about {points + 1:.3g}; "
+            f"too many grid points: {text!r} gives {count + 1}; "
             f"at most {GRID_POINTS_MAX} are allowed"
         )
-    grid = [round(start + k * step, 12) for k in range(count + 1)]
-    if grid[-1] > stop + 1e-12:
-        grid.pop()
-    return grid
+    return [round(start + k * step, 12) for k in range(count + 1)]
 
 
 def build_parser() -> argparse.ArgumentParser:

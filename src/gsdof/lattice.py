@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .schemes import LinearScheme, SymbolGroup, build_sym_alt, build_wiretap_gaussian
+from .schemes import LinearScheme, SymbolGroup, _antenna1, build_sym_alt, build_wiretap_gaussian
 from .topology import ChannelRealization
 
 __all__ = [
@@ -75,9 +75,7 @@ def _with_structured_noise(base: LinearScheme, name: str) -> LinearScheme:
     """
     if base.realization.mode != "integer":
         raise ValueError(f"the {name} scheme requires an integer realization")
-    low = np.zeros((2, 1), dtype=np.complex128)
-    low[0, 0] = 1.0
-    slot_maps = ({**base.slot_maps[0], "v_low": low}, *base.slot_maps[1:])
+    slot_maps = ({**base.slot_maps[0], "v_low": _antenna1(np.ones(1), 1)}, *base.slot_maps[1:])
     groups = (SymbolGroup("v_low", 1, (0, -1), "rx1"),) + tuple(
         replace(g, lattice=True) if g.owner == "noise" else g for g in base.groups
     )

@@ -644,10 +644,19 @@ def _row(vec, size: int, offset: int = 0) -> np.ndarray:
 
 
 def _antenna1(vec, size: int, offset: int = 0) -> np.ndarray:
-    """(..., 2, size) map sending ``vec @ symbols`` on antenna 1 only."""
+    """(..., 2, size) map sending ``vec @ symbols`` on antenna 1 only, with
+    ``vec`` (..., k) placed at columns ``offset`` to ``offset + k - 1``: a
+    channel row resent on antenna 1, or with ``np.ones(1)`` symbol
+    ``offset`` alone on antenna 1."""
     out = np.zeros(vec.shape[:-1] + (2, size), dtype=np.complex128)
     out[..., 0, offset : offset + vec.shape[-1]] = vec
     return out
+
+
+def _pair(size: int, offset: int = 0) -> np.ndarray:
+    """(2, size) map sending symbols ``offset`` and ``offset + 1`` on
+    antennas 1 and 2."""
+    return np.eye(2, size, offset, dtype=np.complex128)
 
 
 def build_wiretap_gaussian(
@@ -672,8 +681,8 @@ def build_wiretap_gaussian(
         SymbolGroup("v", 2, (0, 0), "rx1"),
         SymbolGroup("u", 2, (0, 0), "noise"),
     ]
-    slot0 = {"u": np.eye(2, dtype=np.complex128)}
-    slot1 = {"v": np.eye(2, dtype=np.complex128), "u": _antenna1(h1, 2)}
+    slot0 = {"u": _pair(2)}
+    slot1 = {"v": _pair(2), "u": _antenna1(h1, 2)}
     slot2 = {"v": _antenna1(g2, 2), "u": _antenna1(g21[..., None] * h1, 2)}
     slot_maps = (slot0, slot1, slot2)
 
@@ -700,9 +709,7 @@ def build_no_noise_canary(realization: ChannelRealization, alpha: float) -> Line
     _require(realization, [STATE_1A])
 
     groups = (SymbolGroup("v", 1, (0, 0), "rx1"),)
-    one = np.zeros((2, 1), dtype=np.complex128)
-    one[0, 0] = 1.0
-    slot_maps = ({"v": one},)
+    slot_maps = ({"v": _antenna1(np.ones(1), 1)},)
 
     return LinearScheme(
         alpha=alpha,
@@ -732,9 +739,9 @@ def build_yang_baseline(realization: ChannelRealization, alpha: float) -> Linear
         SymbolGroup("u", 2, (0, 0), "noise"),
     )
     slot_maps = (
-        {"u": np.eye(2, dtype=np.complex128)},
-        {"v": np.eye(2, dtype=np.complex128), "u": _antenna1(h1, 2)},
-        {"w": np.eye(2, dtype=np.complex128), "u": _antenna1(g1, 2)},
+        {"u": _pair(2)},
+        {"v": _pair(2), "u": _antenna1(h1, 2)},
+        {"w": _pair(2), "u": _antenna1(g1, 2)},
         {
             "v": _antenna1(g2, 2),
             "w": _antenna1(h3, 2),
@@ -783,10 +790,14 @@ def build_bc_fixed(realization: ChannelRealization, alpha: float) -> LinearSchem
 
     T1 is ``smallest_t1(alpha)``, which refuses an alpha with no T1.  The
     mixing matrices, known at all nodes, are identity-padded: theta1
-    (2*T1, T1) has a one at (2t, t), so slot t of phase 2 puts phase-1
-    observation t on antenna 1, and theta2 (2*T2, T1) is its first 2*T2
-    rows.  Each phase-2 and phase-3 slot's decode system must pass the
-    draw's rank test (``topology._full_rank``) in every trial.
+    (2*T1, T1) has a one at (2t, t), and theta2 (2*T2, T1) is its first
+    2*T2 rows.  Slot t of phase 2 sends rows 2t and 2t+1 of theta1 @ y1,
+    and slot t of phase 3 those of theta2 @ z1, where y1 and z1 are the
+    phase-1 observations as rows over u (the receivers' keys).  Those rows
+    are phase-1 observation t on antenna 1 and nothing on antenna 2, so the
+    maps place it there directly (``_antenna1``) and form no product.  Each
+    phase-2 and phase-3 slot's decode system must pass the draw's rank test
+    (``topology._full_rank``) in every trial.
     """
     t1, t2 = _bc_fixed_lengths(alpha)
     _require(realization, [STATE_1A] * (3 * t1 + t2))
@@ -799,37 +810,18 @@ def build_bc_fixed(realization: ChannelRealization, alpha: float) -> LinearSchem
         SymbolGroup("c", t1, (0, 0), "common"),
     )
 
-    # Phase-1 receiver observations as coefficient rows over u.
-    lead = realization.h.shape[:-2]
-    y1_rows = np.zeros(lead + (t1, 2 * t1), dtype=np.complex128)
-    z1_rows = np.zeros(lead + (t1, 2 * t1), dtype=np.complex128)
-    for t in range(t1):
-        y1_rows[..., t, 2 * t : 2 * t + 2] = realization.h[..., t, :]
-        z1_rows[..., t, 2 * t : 2 * t + 2] = realization.g[..., t, :]
+    # Phase-1 receiver observations as coefficient rows over u: the keys.
+    h, g = realization.h, realization.g
+    y1_rows = np.concatenate([_row(h[..., t, :], 2 * t1, 2 * t) for t in range(t1)], axis=-2)
+    z1_rows = np.concatenate([_row(g[..., t, :], 2 * t1, 2 * t) for t in range(t1)], axis=-2)
 
-    slot_maps = []
-    for t in range(t1):  # phase 1
-        m = np.zeros((2, 2 * t1), dtype=np.complex128)
-        m[:, 2 * t : 2 * t + 2] = np.eye(2)
-        slot_maps.append({"u": m})
-    theta1 = np.zeros((2 * t1, t1), dtype=np.complex128)
-    theta1[2 * np.arange(t1), np.arange(t1)] = 1.0
-    theta1_y1 = theta1 @ y1_rows  # (2*T1, 2*T1) over u
-    for t in range(t1):  # phase 2
-        mv = np.zeros((2, 2 * t1), dtype=np.complex128)
-        mv[:, 2 * t : 2 * t + 2] = np.eye(2)
-        slot_maps.append({"v": mv, "u": theta1_y1[..., 2 * t : 2 * t + 2, :]})
-    theta2_z1 = theta1[: 2 * t2] @ z1_rows  # (2*T2, 2*T1) over u
-    for t in range(t2):  # phase 3
-        mw = np.zeros((2, 2 * t2), dtype=np.complex128)
-        mw[:, 2 * t : 2 * t + 2] = np.eye(2)
-        slot_maps.append({"w": mw, "u": theta2_z1[..., 2 * t : 2 * t + 2, :]})
+    slot_maps = [{"u": _pair(2 * t1, 2 * t)} for t in range(t1)]  # phase 1
+    for t in range(t1):  # phase 2: phase-1 observation t on antenna 1
+        slot_maps.append({"v": _pair(2 * t1, 2 * t), "u": _antenna1(h[..., t, :], 2 * t1, 2 * t)})
+    for t in range(t2):  # phase 3: phase-1 observation t on antenna 1
+        slot_maps.append({"w": _pair(2 * t2, 2 * t), "u": _antenna1(g[..., t, :], 2 * t1, 2 * t)})
     for t in range(t1):  # phase 4
-        mc = np.zeros((2, t1), dtype=np.complex128)
-        mc[0, t] = 1.0
-        ml = np.zeros((2, t1), dtype=np.complex128)
-        ml[0, t] = 1.0
-        slot_maps.append({"c": mc, "v_low": ml})
+        slot_maps.append({"c": _antenna1(np.ones(1), t1, t), "v_low": _antenna1(np.ones(1), t1, t)})
     slot_maps = tuple(slot_maps)
 
     # Overheard side information: receiver 2's phase-2 outputs go to
@@ -841,7 +833,6 @@ def build_bc_fixed(realization: ChannelRealization, alpha: float) -> LinearSchem
 
     # Per-slot decode systems of phases 2 and 3 must be invertible, in every
     # trial of a batch (the order of the rows does not change |det|).
-    h, g = realization.h, realization.g
     for s in range(t1, 2 * t1 + t2):
         if not _full_rank(np.stack([h[..., s, :], g[..., s, :]], axis=-2)).all():
             phase, t = (2, s - t1) if s < 2 * t1 else (3, s - 2 * t1)
@@ -877,13 +868,11 @@ def build_sym_alt(realization: ChannelRealization, alpha: float) -> LinearScheme
         SymbolGroup("u", 2, (0, 0), "noise"),
         SymbolGroup("c", 1, (0, 0), "common"),
     )
-    one = np.ones((2, 1), dtype=np.complex128)
-    one[1, 0] = 0.0
     slot_maps = (
-        {"u": np.eye(2, dtype=np.complex128)},
-        {"v": np.eye(2, dtype=np.complex128), "u": _antenna1(h1, 2)},
-        {"w": np.eye(2, dtype=np.complex128), "u": _antenna1(g1, 2)},
-        {"c": one.copy(), "w_low": one.copy()},
+        {"u": _pair(2)},
+        {"v": _pair(2), "u": _antenna1(h1, 2)},
+        {"w": _pair(2), "u": _antenna1(g1, 2)},
+        {"c": _antenna1(np.ones(1), 1), "w_low": _antenna1(np.ones(1), 1)},
     )
 
     side_channels = (
@@ -923,15 +912,10 @@ def build_gdof_no_secrecy(realization: ChannelRealization, alpha: float) -> Line
         SymbolGroup("v_low", 3, (0, -1), "rx1"),
     )
 
-    def _low(col: int) -> np.ndarray:
-        m = np.zeros((2, 3), dtype=np.complex128)
-        m[0, col] = 1.0
-        return m
-
     slot_maps = (
-        {"v": np.eye(2, dtype=np.complex128), "v_low": _low(0)},
-        {"w": np.eye(2, dtype=np.complex128), "v_low": _low(1)},
-        {"v": _antenna1(g1, 2), "w": _antenna1(h2, 2), "v_low": _low(2)},
+        {"v": _pair(2), "v_low": _antenna1(np.ones(1), 3, 0)},
+        {"w": _pair(2), "v_low": _antenna1(np.ones(1), 3, 1)},
+        {"v": _antenna1(g1, 2), "w": _antenna1(h2, 2), "v_low": _antenna1(np.ones(1), 3, 2)},
     )
 
     return LinearScheme(

@@ -23,12 +23,15 @@ def _sub_help(name: str) -> str:
     return parser._subparsers._group_actions[0].choices[name].format_help()
 
 
-def test_help_golden_main():
+def test_help_golden_main(monkeypatch):
+    # argparse wraps at $COLUMNS; the goldens are 80 columns wide.
+    monkeypatch.setenv("COLUMNS", "80")
     assert build_parser().format_help() == (GOLDEN / "help_main.txt").read_text()
 
 
 @pytest.mark.parametrize("name", ["region", "simulate", "verify", "figure"])
-def test_help_golden_subcommands(name):
+def test_help_golden_subcommands(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     assert _sub_help(name) == (GOLDEN / f"help_{name}.txt").read_text()
 
 
@@ -124,6 +127,9 @@ def test_grid_point_cap_is_a_usage_error(capsys):
         assert f"too many grid points: {argv[-1]!r}" in err
         assert f"at most {GRID_POINTS_MAX} are allowed" in err
     assert len(_parse_range(f"0:1:{1 / (GRID_POINTS_MAX - 1)}")) == GRID_POINTS_MAX
+    # the cap counts the points the grid holds, not the rounded span: the
+    # point past 1000.6 is dropped before the cap is tested
+    assert len(_parse_range("0:1000.6:1")) == GRID_POINTS_MAX
 
 
 @pytest.mark.parametrize("kind, alpha, domain", [("bc-fixed", "0.37", "alpha*T1")])

@@ -1038,6 +1038,22 @@ def test_scheme_table_slot_counts():
 CROSS_ALPHAS = [Fraction(k, d) for k, d in ((1, 10), (1, 4), (1, 2), (3, 4), (9, 10), (1, 1))]
 
 
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_scheme_states_follow_the_profile(kind):
+    # A kind's slot states spend exactly the time fractions of its profile,
+    # at every alpha = k/20 of its domain.
+    spec = SCHEMES[kind]
+    alphas = [Fraction(k, 20) for k in range(21) if _in_domain(spec, Fraction(k, 20))]
+    assert alphas
+    for a in alphas:
+        states = spec.states(a)
+        shares = tuple(
+            Fraction(sum(s == state for s in states), len(states))
+            for state in topology._STATE_ORDER
+        )
+        assert shares == TopologyProfile.named(spec.profile, a).fractions(), (kind, a)
+
+
 def test_bound_registry_holds_every_scheme_inner_bound():
     # A scheme's inner bound is a regions.BOUNDS entry that answers to the
     # scheme's profile and has the scheme's secrecy.
@@ -1218,6 +1234,34 @@ def test_only_the_fixed_topology_scheme_xors_its_side_information(monkeypatch, a
         err, bound, _ = schemes.digitized_side_info_roundtrip(sch, 1e9, seed=1)
         assert bool(calls) is xors, kind
         assert err <= bound + 1e-9, (kind, err, bound)
+
+
+@pytest.mark.parametrize("alpha", [k / 20 for k in range(1, 21)])
+def test_bc_fixed_maps_equal_the_theta_products(alpha):
+    # Phase-2 slot t sends rows 2t and 2t+1 of theta1 @ y1 and phase-3 slot t
+    # those of theta2 @ z1, where y1 and z1 are the phase-1 observations as
+    # rows over u; the keys are y1 and z1 themselves.  Every alpha bc-fixed
+    # takes on the k/20 grid, 6/20 = 0.3 (T1 = 10) among them.
+    sch = build_scheme("bc-fixed", alpha, [0, 1, 2])
+    t1, t2 = schemes._bc_fixed_lengths(alpha)
+    h, g = sch.realization.h, sch.realization.g
+    y1 = np.zeros((3, t1, 2 * t1), dtype=np.complex128)
+    z1 = np.zeros((3, t1, 2 * t1), dtype=np.complex128)
+    for t in range(t1):
+        y1[:, t, 2 * t : 2 * t + 2] = h[:, t, :]
+        z1[:, t, 2 * t : 2 * t + 2] = g[:, t, :]
+    # The builder's docstring math: theta1 is (2*T1, T1) with a one at
+    # (2t, t), and theta2 is theta1's first 2*T2 rows.
+    theta1 = np.zeros((2 * t1, t1), dtype=np.complex128)
+    theta1[2 * np.arange(t1), np.arange(t1)] = 1.0
+    theta2 = theta1[: 2 * t2]
+    for phase_start, count, product in ((t1, t1, theta1 @ y1), (2 * t1, t2, theta2 @ z1)):
+        for t in range(count):
+            np.testing.assert_array_equal(
+                sch.slot_maps[phase_start + t]["u"], product[:, 2 * t : 2 * t + 2, :]
+            )
+    np.testing.assert_array_equal(sch.keys[1]["u"], y1)
+    np.testing.assert_array_equal(sch.keys[2]["u"], z1)
 
 
 def test_bc_fixed_rank_checks_cover_every_trial_of_a_batch():
