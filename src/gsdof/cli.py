@@ -38,8 +38,8 @@ def _parse_profile(text: str, alpha: float) -> TopologyProfile:
     text = text.strip()
     if text == "sym" or text in STATE_BY_LABEL:
         return TopologyProfile.named(text, alpha)
-    parts = [p for p in text.split(",") if p]
-    if len(parts) != 4:
+    parts = text.split(",")
+    if len(parts) != 4 or not all(p.strip() for p in parts):
         raise ValueError(f"cannot parse profile {text!r}: {_PROFILE_HELP}")
     vals = [float(p) for p in parts]
     return TopologyProfile(alpha, *vals)

@@ -111,9 +111,10 @@ def _f(x) -> str:
 
 
 def _alpha_tag(alpha) -> str:
-    """The "alpha=..." part of a check name; a Fraction alpha gives the
-    name its float gives."""
-    return f"alpha={float(alpha):g}"
+    """The "alpha=..." part of a check name, in the ``.12g`` format of
+    every CSV number (``_f``), so two alphas of a grid that differ get
+    different names; a Fraction alpha gives the name its float gives."""
+    return f"alpha={_f(alpha)}"
 
 
 def rho_from_db(db) -> np.ndarray:

@@ -20,8 +20,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .schemes import LinearScheme, SymbolGroup, _antenna1, build_sym_alt, build_wiretap_gaussian
-from .topology import ChannelRealization
+from .schemes import LinearScheme, SymbolGroup, _antenna1, _require
+from .schemes import build_sym_alt, build_wiretap_gaussian
+from .topology import STATE_1A, ChannelRealization
 
 __all__ = [
     "P",
@@ -85,7 +86,8 @@ def _with_structured_noise(base: LinearScheme, name: str) -> LinearScheme:
 
 def build_wiretap_lattice(realization: ChannelRealization, alpha: float) -> LinearScheme:
     """Three-slot integer-channel confidential scheme meeting the upper bound:
-    ``wiretap-gaussian`` with structured noise."""
+    ``wiretap-gaussian`` with structured noise, in state 1a only."""
+    _require(realization, [STATE_1A] * 3)
     return _with_structured_noise(build_wiretap_gaussian(realization, alpha), "wiretap-lattice")
 
 

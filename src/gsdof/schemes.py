@@ -8,8 +8,10 @@ so the expected transmit power never exceeds one.
 
 Every link runs at rho**1 or rho**alpha, so every power exponent,
 side-channel gain and claimed rate is p + q*alpha for small integers p and
-q.  A scheme declares each as the int pair (p, q), and the pairs reach the
-MI engine as pairs: a float p + q*alpha is formed only where it is used.
+q.  A scheme declares each exponent and rate as the int pair (p, q), and a
+side channel's gain is a link pair of its slot state (``SideChannel``).
+The pairs reach the MI engine as pairs: a float p + q*alpha is formed only
+where it is used.
 A kind's slot maps, norms and keys therefore depend on alpha only through
 its slot layout: one build serves every alpha of that layout.
 
@@ -59,7 +61,6 @@ from .topology import (
     STATE_1A,
     STATE_A1,
     ChannelRealization,
-    TopologyState,
     _full_rank,
     draw_channels,
     seed_generators,
@@ -155,13 +156,14 @@ class SideChannel:
     The content of slot ``t`` is the other receiver's noiseless slot output
     with its link gain stripped (its channel row applied to the normalized
     slot input).  Observation model: rho**(g/2) * content + unit noise,
-    where g = p + q*alpha of the int pair ``gain_exponent`` and the unit
-    noise stands for the bounded quantization distortion.
+    where g = p + q*alpha of the overhearing receiver's link pair in slot
+    ``t``, ``realization.states[t].pairs[2 - receiver]``, so the content is
+    digitized at the level it was heard at, and the unit noise stands for
+    the bounded quantization distortion.
     """
 
     receiver: int  # the receiver the side information is delivered to
     label: str
-    gain_exponent: tuple[int, int]
     slots: tuple[int, ...]  # slots whose other-receiver outputs are delivered
 
 
@@ -279,14 +281,16 @@ def _one_trial(scheme: LinearScheme, what: str) -> None:
 def _row_plan(scheme: LinearScheme, receiver: int) -> list:
     """``receiver``'s observation rows as (slot, channel, exponent pair):
     one per own slot output (channel "h" at receiver 1, "g" at receiver 2),
-    then one per overheard slot output delivered to it as side
-    information."""
-    real = scheme.realization
+    at its link pair in that slot, then one per overheard slot output
+    delivered to it as side information, at the link pair of the receiver
+    that overheard it, in that slot: the side-row model, noise 1 plus the
+    content at that level."""
+    states = scheme.realization.states
     own, other = ("h", "g") if receiver == 1 else ("g", "h")
-    plan = [(t, own, state.pairs[receiver - 1]) for t, state in enumerate(real.states)]
+    plan = [(t, own, state.pairs[receiver - 1]) for t, state in enumerate(states)]
     for ch in scheme.side_channels:
         if ch.receiver == receiver:
-            plan += [(t, other, ch.gain_exponent) for t in ch.slots]
+            plan += [(t, other, states[t].pairs[2 - receiver]) for t in ch.slots]
     return plan
 
 
@@ -554,15 +558,17 @@ def _deserialize(packed: int, bits_each: int, count: int) -> list[int]:
 def digitized_side_info_roundtrip(scheme: LinearScheme, rho: float, seed: int = 0):
     """Run the real digitization path of the common multicast on a scheme.
 
-    Fixed-topology four-phase schemes quantize the two overheard streams
-    separately (the weak-side stream at ceil(alpha*log2 rho) bits per
-    complex sample over its rho**alpha level, the strong-side stream at
-    ceil(log2 rho) bits over its rho level), bit-serialize and XOR them.
-    Alternating schemes, whose strong-side gain is rho**alpha (the pair
-    (0, 1)), instead sum the two same-level signals first and quantize the
-    sum once.  Either way receiver 1 reconstructs the
-    receiver-2 stream from the common message and its own operand.  Returns
-    (max reconstruction error, quantizer error bound, saturation rate).
+    Each stream is heard at the link pair of the receiver that overheard
+    it (``SideChannel``).  Fixed-topology four-phase schemes quantize the
+    two overheard streams separately (the weak-side stream at
+    ceil(alpha*log2 rho) bits per complex sample over its rho**alpha level,
+    the strong-side stream at ceil(log2 rho) bits over its rho level),
+    bit-serialize and XOR them.  Alternating schemes, whose second stream
+    receiver 1 overhears at rho**alpha (state a1, the pair (0, 1)), instead
+    sum the two same-level signals first and quantize the sum once.  Either
+    way receiver 1 reconstructs the receiver-2 stream from the common
+    message and its own operand.  Returns (max reconstruction error,
+    quantizer error bound, saturation rate).
     """
     _one_trial(scheme, "digitized_side_info_roundtrip")
     if not scheme.side_channels:
@@ -571,11 +577,12 @@ def digitized_side_info_roundtrip(scheme: LinearScheme, rho: float, seed: int = 
     symbols, y, z, side = simulate_noiseless(scheme, rho, seed)
     z2 = side["z2_hat"] * rho ** (alpha / 2.0)  # weak-side stream, level rho**alpha
     strong = scheme.side_channels[1]
-    gain = _at(strong.gain_exponent, alpha)
+    pair = scheme.realization.states[strong.slots[0]].pairs[2 - strong.receiver]
+    gain = _at(pair, alpha)
     y3 = side["y3_hat"] * rho ** (gain / 2.0)
     bits_z = math.ceil(alpha * math.log2(rho))
 
-    if strong.gain_exponent == (0, 1):
+    if pair == (0, 1):
         # Alternating path: quantize the analog sum, subtract the operand.
         summed = y3 + z2
         qs = quantizer_for_power(2.0 * rho**alpha, bits_z)
@@ -659,42 +666,57 @@ def _pair(size: int, offset: int = 0) -> np.ndarray:
     return np.eye(2, size, offset, dtype=np.complex128)
 
 
-def build_wiretap_gaussian(
-    realization: ChannelRealization,
-    alpha: float,
-    state: TopologyState = STATE_1A,
-) -> LinearScheme:
-    """Three-slot confidential scheme for receiver 1 on a fixed topology.
+def _noise_phases(realization: ChannelRealization, t1: int, t2: int) -> tuple[list, dict]:
+    """The delayed-CSIT noise-injection phases on the first 2*t1 + t2
+    slots, as (their slot maps as a list, the keys they give).
 
-    Slot 1 injects artificial noise from both antennas; slot 2 sends the two
-    confidential symbols with the learned receiver-1 noise observation
-    repeated on antenna 1; slot 3 retransmits the receiver-2 side
-    information.  With ``state=STATE_A1`` the same construction runs on the
-    weak-legitimate-link topology, where each symbol carries alpha bits per
-    log2(rho).
+    Phase 1 (t1 slots) sends the artificial noise ``u``, 2*t1 symbols, a
+    pair per slot.  Phase 2 (t1 slots) sends receiver 1's symbols ``v``,
+    2*t1 of them, a pair per slot, with receiver 1's phase-1 observation t
+    on antenna 1 of slot t.  Phase 3 (t2 slots) does the same for receiver
+    2's symbols ``w``, 2*t2 of them, and its phase-1 observations.  Those
+    observations, as rows over ``u``, are the keys: y1 for receiver 1, z1
+    for receiver 2.  A builder appends its own slots after these."""
+    h, g = realization.h, realization.g
+    y1_rows = np.concatenate([_row(h[..., t, :], 2 * t1, 2 * t) for t in range(t1)], axis=-2)
+    z1_rows = np.concatenate([_row(g[..., t, :], 2 * t1, 2 * t) for t in range(t1)], axis=-2)
+    slot_maps = [{"u": _pair(2 * t1, 2 * t)} for t in range(t1)]  # phase 1
+    for t in range(t1):  # phase 2: phase-1 observation t on antenna 1
+        slot_maps.append({"v": _pair(2 * t1, 2 * t), "u": _antenna1(h[..., t, :], 2 * t1, 2 * t)})
+    for t in range(t2):  # phase 3: phase-1 observation t on antenna 1
+        slot_maps.append({"w": _pair(2 * t2, 2 * t), "u": _antenna1(g[..., t, :], 2 * t1, 2 * t)})
+    return slot_maps, {1: {"u": y1_rows}, 2: {"u": z1_rows}}
+
+
+def build_wiretap_gaussian(realization: ChannelRealization, alpha: float) -> LinearScheme:
+    """Three-slot confidential scheme for receiver 1 on a fixed topology:
+    the state of slot 0, 1a or a1, in every slot.
+
+    Slots 1 and 2 are the noise-injection phases with T1 = 1 and no phase 3
+    (``_noise_phases``): noise from both antennas, then the two
+    confidential symbols with the learned receiver-1 noise observation on
+    antenna 1.  Slot 3 retransmits the receiver-2 side information.  Each
+    symbol carries receiver 1's link level, so the rate of ``v`` is twice
+    receiver 1's link pair: 2 in state 1a, 2*alpha in a1.  A realization
+    in any other state raises a ValueError that names both.
     """
+    state = realization.states[0]
+    if state not in (STATE_1A, STATE_A1):
+        raise ValueError(f"the wiretap scheme needs state 1a or a1, got {state.label}")
     _require(realization, [state] * 3)
-    h1, g1 = realization.h[..., 0, :], realization.g[..., 0, :]
-    g2, g21 = realization.g[..., 1, :], realization.g[..., 1, 0]
+    h1, g2, g21 = realization.h[..., 0, :], realization.g[..., 1, :], realization.g[..., 1, 0]
 
-    groups = [
-        SymbolGroup("v", 2, (0, 0), "rx1"),
-        SymbolGroup("u", 2, (0, 0), "noise"),
-    ]
-    slot0 = {"u": _pair(2)}
-    slot1 = {"v": _pair(2), "u": _antenna1(h1, 2)}
-    slot2 = {"v": _antenna1(g2, 2), "u": _antenna1(g21[..., None] * h1, 2)}
-    slot_maps = (slot0, slot1, slot2)
-
-    keys = {1: {"u": _row(h1, 2)}, 2: {"u": _row(g1, 2)}}
+    groups = (SymbolGroup("v", 2, (0, 0), "rx1"), SymbolGroup("u", 2, (0, 0), "noise"))
+    slot_maps, keys = _noise_phases(realization, 1, 0)
+    slot_maps.append({"v": _antenna1(g2, 2), "u": _antenna1(g21[..., None] * h1, 2)})
 
     return LinearScheme(
         alpha=alpha,
         realization=realization,
-        groups=tuple(groups),
-        slot_maps=slot_maps,
+        groups=groups,
+        slot_maps=tuple(slot_maps),
         keys=keys,
-        rates={"v": (2, 0) if state == STATE_1A else (0, 2)},
+        rates={"v": tuple(2 * x for x in state.pairs[0])},
     )
 
 
@@ -723,10 +745,11 @@ def build_no_noise_canary(realization: ChannelRealization, alpha: float) -> Line
 def build_yang_baseline(realization: ChannelRealization, alpha: float) -> LinearScheme:
     """Four-slot baseline sending two confidential symbols to each receiver.
 
-    Slot 1: noise; slot 2: receiver-1 symbols plus the learned receiver-1
-    noise combination; slot 3: receiver-2 symbols plus the learned
-    receiver-2 noise combination; slot 4: the sum of the two overheard
-    side-information forms, retransmitted on antenna 1.
+    Slots 1-3 are the noise-injection phases with T1 = T2 = 1
+    (``_noise_phases``): noise, then receiver-1 symbols plus the learned
+    receiver-1 noise combination, then receiver-2 symbols plus the learned
+    receiver-2 noise combination.  Slot 4 sends the sum of the two
+    overheard side-information forms, retransmitted on antenna 1.
     """
     _require(realization, [STATE_1A] * 4)
     h1, g1 = realization.h[..., 0, :], realization.g[..., 0, :]
@@ -738,23 +761,21 @@ def build_yang_baseline(realization: ChannelRealization, alpha: float) -> Linear
         SymbolGroup("w", 2, (0, 0), "rx2"),
         SymbolGroup("u", 2, (0, 0), "noise"),
     )
-    slot_maps = (
-        {"u": _pair(2)},
-        {"v": _pair(2), "u": _antenna1(h1, 2)},
-        {"w": _pair(2), "u": _antenna1(g1, 2)},
+    slot_maps, keys = _noise_phases(realization, 1, 1)
+    slot_maps.append(
         {
             "v": _antenna1(g2, 2),
             "w": _antenna1(h3, 2),
             "u": _antenna1(h31[..., None] * g1 + g21[..., None] * h1, 2),
-        },
+        }
     )
 
     return LinearScheme(
         alpha=alpha,
         realization=realization,
         groups=groups,
-        slot_maps=slot_maps,
-        keys={1: {"u": _row(h1, 2)}, 2: {"u": _row(g1, 2)}},
+        slot_maps=tuple(slot_maps),
+        keys=keys,
         rates={"v": (2, 0), "w": (0, 2)},
     )
 
@@ -781,12 +802,13 @@ def _bc_fixed_lengths(alpha) -> tuple[int, int]:
 def build_bc_fixed(realization: ChannelRealization, alpha: float) -> LinearScheme:
     """Four-phase broadcast scheme on the fixed (strong, weak) topology.
 
-    Phase 1 (T1 slots): artificial noise.  Phase 2 (T1 slots): receiver-1
-    symbols plus a known mixing of the phase-1 receiver-1 observations.
-    Phase 3 (T2 = alpha*T1 slots): receiver-2 symbols plus a mixing of the
-    phase-1 receiver-2 observations.  Phase 4 (T1 slots): common symbols
-    carrying the XOR of the two quantized overheard side-information
-    streams, with a fresh receiver-1 layer at power offset rho**(-alpha).
+    Phases 1-3 are the noise-injection phases (``_noise_phases``).  Phase 1
+    (T1 slots): artificial noise.  Phase 2 (T1 slots): receiver-1 symbols
+    plus a known mixing of the phase-1 receiver-1 observations.  Phase 3
+    (T2 = alpha*T1 slots): receiver-2 symbols plus a mixing of the phase-1
+    receiver-2 observations.  Phase 4 (T1 slots): common symbols carrying
+    the XOR of the two quantized overheard side-information streams, with a
+    fresh receiver-1 layer at power offset rho**(-alpha).
 
     T1 is ``smallest_t1(alpha)``, which refuses an alpha with no T1.  The
     mixing matrices, known at all nodes, are identity-padded: theta1
@@ -809,30 +831,20 @@ def build_bc_fixed(realization: ChannelRealization, alpha: float) -> LinearSchem
         SymbolGroup("u", 2 * t1, (0, 0), "noise"),
         SymbolGroup("c", t1, (0, 0), "common"),
     )
-
-    # Phase-1 receiver observations as coefficient rows over u: the keys.
-    h, g = realization.h, realization.g
-    y1_rows = np.concatenate([_row(h[..., t, :], 2 * t1, 2 * t) for t in range(t1)], axis=-2)
-    z1_rows = np.concatenate([_row(g[..., t, :], 2 * t1, 2 * t) for t in range(t1)], axis=-2)
-
-    slot_maps = [{"u": _pair(2 * t1, 2 * t)} for t in range(t1)]  # phase 1
-    for t in range(t1):  # phase 2: phase-1 observation t on antenna 1
-        slot_maps.append({"v": _pair(2 * t1, 2 * t), "u": _antenna1(h[..., t, :], 2 * t1, 2 * t)})
-    for t in range(t2):  # phase 3: phase-1 observation t on antenna 1
-        slot_maps.append({"w": _pair(2 * t2, 2 * t), "u": _antenna1(g[..., t, :], 2 * t1, 2 * t)})
+    slot_maps, keys = _noise_phases(realization, t1, t2)
     for t in range(t1):  # phase 4
         slot_maps.append({"c": _antenna1(np.ones(1), t1, t), "v_low": _antenna1(np.ones(1), t1, t)})
-    slot_maps = tuple(slot_maps)
 
     # Overheard side information: receiver 2's phase-2 outputs go to
     # receiver 1, receiver 1's phase-3 outputs go to receiver 2.
     side_channels = (
-        SideChannel(1, "z2_hat", (0, 1), tuple(range(t1, 2 * t1))),
-        SideChannel(2, "y3_hat", (1, 0), tuple(range(2 * t1, 2 * t1 + t2))),
+        SideChannel(1, "z2_hat", tuple(range(t1, 2 * t1))),
+        SideChannel(2, "y3_hat", tuple(range(2 * t1, 2 * t1 + t2))),
     )
 
     # Per-slot decode systems of phases 2 and 3 must be invertible, in every
     # trial of a batch (the order of the rows does not change |det|).
+    h, g = realization.h, realization.g
     for s in range(t1, 2 * t1 + t2):
         if not _full_rank(np.stack([h[..., s, :], g[..., s, :]], axis=-2)).all():
             phase, t = (2, s - t1) if s < 2 * t1 else (3, s - 2 * t1)
@@ -842,9 +854,9 @@ def build_bc_fixed(realization: ChannelRealization, alpha: float) -> LinearSchem
         alpha=alpha,
         realization=realization,
         groups=groups,
-        slot_maps=slot_maps,
+        slot_maps=tuple(slot_maps),
         side_channels=side_channels,
-        keys={1: {"u": y1_rows}, 2: {"u": z1_rows}},
+        keys=keys,
         rates={"v": (t1, t1), "v_low": (t1, -t1), "w": (t2, t2)},
     )
 
@@ -852,14 +864,14 @@ def build_bc_fixed(realization: ChannelRealization, alpha: float) -> LinearSchem
 def build_sym_alt(realization: ChannelRealization, alpha: float) -> LinearScheme:
     """Four-slot scheme alternating (1, alpha) then (alpha, 1).
 
-    Slots 1-2 run the noise-injection phases for receiver 1; slot 3 sends
-    receiver-2 symbols over the now-strong receiver-2 link with the learned
-    receiver-2 noise observation on antenna 1; slot 4 multicasts the
-    quantized sum of the two overheard side-information signals together
-    with a fresh receiver-2 layer at power offset rho**(-alpha).
+    Slots 1-3 are the noise-injection phases with T1 = T2 = 1
+    (``_noise_phases``): slot 3 sends receiver-2 symbols over the
+    now-strong receiver-2 link with the learned receiver-2 noise
+    observation on antenna 1.  Slot 4 multicasts the quantized sum of the
+    two overheard side-information signals together with a fresh
+    receiver-2 layer at power offset rho**(-alpha).
     """
     _require(realization, [STATE_1A, STATE_1A, STATE_A1, STATE_A1])
-    h1, g1 = realization.h[..., 0, :], realization.g[..., 0, :]
 
     groups = (
         SymbolGroup("v", 2, (0, 0), "rx1"),
@@ -868,25 +880,18 @@ def build_sym_alt(realization: ChannelRealization, alpha: float) -> LinearScheme
         SymbolGroup("u", 2, (0, 0), "noise"),
         SymbolGroup("c", 1, (0, 0), "common"),
     )
-    slot_maps = (
-        {"u": _pair(2)},
-        {"v": _pair(2), "u": _antenna1(h1, 2)},
-        {"w": _pair(2), "u": _antenna1(g1, 2)},
-        {"c": _antenna1(np.ones(1), 1), "w_low": _antenna1(np.ones(1), 1)},
-    )
+    slot_maps, keys = _noise_phases(realization, 1, 1)
+    slot_maps.append({"c": _antenna1(np.ones(1), 1), "w_low": _antenna1(np.ones(1), 1)})
 
-    side_channels = (
-        SideChannel(1, "z2_hat", (0, 1), (1,)),
-        SideChannel(2, "y3_hat", (0, 1), (2,)),
-    )
+    side_channels = (SideChannel(1, "z2_hat", (1,)), SideChannel(2, "y3_hat", (2,)))
 
     return LinearScheme(
         alpha=alpha,
         realization=realization,
         groups=groups,
-        slot_maps=slot_maps,
+        slot_maps=tuple(slot_maps),
         side_channels=side_channels,
-        keys={1: {"u": _row(h1, 2)}, 2: {"u": _row(g1, 2)}},
+        keys=keys,
         rates={"v": (1, 1), "w": (1, 1), "w_low": (1, -1)},
     )
 
@@ -1281,7 +1286,7 @@ SCHEMES = {
         rho_db_max=140.0,
     ),
     "wiretap-gaussian-a1": SchemeSpec(
-        build=lambda r, a: build_wiretap_gaussian(r, a, state=STATE_A1),
+        build=build_wiretap_gaussian,
         states=lambda a: (STATE_A1,) * 3,
         mode="complex",
         secure=True,

@@ -85,6 +85,13 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert parse_and_dispatch(["region", "--profile", "nan,0,1,0", "--out", out]) == 2
     err = capsys.readouterr().err
     assert err == "error: state fractions must be nonnegative numbers, got nan, 0.0, 1.0, 0.0\n"
+    # A profile is four comma-separated fields, none empty: an empty field
+    # is refused, not dropped, and neither CSV is written.
+    for text in ("0,,1,0,0", ",0,1,0,0", "0,1,0,0,"):
+        assert parse_and_dispatch(["region", "--profile", text, "--out", out]) == 2
+        assert "cannot parse profile" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    assert parse_and_dispatch(["region", "--profile", "0, 1, 0, 0", "--out", out]) == 0
     assert parse_and_dispatch(["simulate", "--scheme", "yang", "--rho-db", "abc"]) == 2
     assert parse_and_dispatch(["verify", "--alpha-grid", "0:inf:1"]) == 2
     # seeds are checked before the first trial (and before any verify check)
@@ -245,6 +252,18 @@ def test_verify_exit_code_and_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "check,passed,margin,detail"
     assert all(line.split(",")[1] == "1" for line in lines[1:])
+
+
+def test_verify_check_names_are_distinct_on_a_fine_grid(tmp_path):
+    # The grid's six alphas agree to six significant digits; each check
+    # name carries its alpha in the .12g format of every CSV number, so no
+    # name is written twice.
+    out = tmp_path / "checks.csv"
+    argv = ["verify", "--alpha-grid", "0.1:0.1000005:0.0000001", "--trials", "10"]
+    assert parse_and_dispatch(argv + ["--out", str(out)]) == 0
+    names = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert "region/yang-in-outer/alpha=0.1000005" in names
+    assert len(names) == len(set(names))
 
 
 def test_verify_failure_exit_code(monkeypatch, tmp_path):

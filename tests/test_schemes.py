@@ -1111,9 +1111,12 @@ def test_observation_model_matches_simulation(kind):
             pos = sch.realization.n
             for ch in sch.side_channels:
                 if ch.receiver == receiver:
-                    gain = schemes._at(ch.gain_exponent, sch.alpha)
-                    model[pos : pos + len(ch.slots)] /= rho ** (gain / 2.0)
-                    pos += len(ch.slots)
+                    # Each side row is heard at the overhearing receiver's
+                    # link pair in its slot.
+                    for t in ch.slots:
+                        pair = sch.realization.states[t].pairs[2 - receiver]
+                        model[pos] /= rho ** (schemes._at(pair, sch.alpha) / 2.0)
+                        pos += 1
                     expected.append(side[ch.label])
             expected = np.concatenate(expected)
             assert model.shape == expected.shape  # every row accounted for
@@ -1262,6 +1265,71 @@ def test_bc_fixed_maps_equal_the_theta_products(alpha):
             )
     np.testing.assert_array_equal(sch.keys[1]["u"], y1)
     np.testing.assert_array_equal(sch.keys[2]["u"], z1)
+
+
+def test_noise_phases_are_bc_fixed_at_one_slot_each():
+    # yang and sym-alt open with bc-fixed's phases 1-3 at T1 = T2 = 1 (its
+    # alpha = 1 build), and both wiretap kinds with its phases 1-2: the same
+    # slot maps and keys, bit for bit, on the same draws.
+    ref = build_scheme("bc-fixed", 1.0, [0, 1, 2])
+    cases = [(kind, a, 3) for kind in ("yang", "sym-alt") for a in (0.25, 0.5, 1.0)]
+    cases += [("wiretap-gaussian", 0.5, 2), ("wiretap-gaussian-a1", 0.5, 2)]
+    for kind, a, slots in cases:
+        _assert_same_maps_and_keys(build_scheme(kind, a, [0, 1, 2]), ref, slots)
+
+
+def _assert_same_maps_and_keys(sch, ref, slots):
+    # The first ``slots`` slot maps and the keys, bit for bit.
+    for t in range(slots):
+        assert list(sch.slot_maps[t]) == list(ref.slot_maps[t]), t
+        for name, m in ref.slot_maps[t].items():
+            np.testing.assert_array_equal(sch.slot_maps[t][name], m)
+    assert sch.keys.keys() == ref.keys.keys()
+    for r, keys in ref.keys.items():
+        assert list(sch.keys[r]) == list(keys)
+        np.testing.assert_array_equal(sch.keys[r]["u"], keys["u"])
+
+
+@pytest.mark.parametrize(
+    "kind, pairs",
+    [("bc-fixed", {1: (0, 1), 2: (1, 0)}), ("sym-alt", {1: (0, 1), 2: (0, 1)}),
+     ("int-sym-alt", {1: (0, 1), 2: (0, 1)})],
+)
+def test_side_rows_carry_the_digitized_pairs(kind, pairs):
+    # Each side row is heard at the level the paper digitizes it at: the
+    # overhearing receiver's link pair in its slot.
+    spec = SCHEMES[kind]
+    alphas = [k / 20 for k in range(21) if _in_domain(spec, k / 20)]
+    assert alphas
+    for a in alphas:
+        sch = build_scheme(kind, a, 0)
+        for r, pair in pairs.items():
+            side_rows = receiver_structure(sch, r).plan[sch.realization.n :]
+            assert side_rows, (a, r)
+            assert all(e == pair and type(e[0]) is int for _, _, e in side_rows), (a, r)
+
+
+def test_wiretap_state_comes_from_the_realization():
+    # One builder serves both wiretap kinds: the state is slot 0's, and v's
+    # rate is twice receiver 1's link pair.
+    real = draw_channels((topology.STATE_A1,) * 3, seed=[0, 1, 2])
+    sch = build_wiretap_gaussian(real, 0.5)
+    ref = build_scheme("wiretap-gaussian-a1", 0.5, [0, 1, 2])
+    assert sch.rates == ref.rates == {"v": (0, 2)}
+    _assert_same_maps_and_keys(sch, ref, 3)
+    np.testing.assert_array_equal(np.array(sch.slot_norms), np.array(ref.slot_norms))
+    assert build_scheme("wiretap-gaussian", 0.5, 0).rates == {"v": (2, 0)}
+    for states, match in (
+        ((topology.STATE_11,) * 3, "state 1a or a1, got 11"),
+        ((topology.STATE_AA,) * 3, "state 1a or a1, got aa"),
+        ((STATE_1A, topology.STATE_A1, STATE_1A), "slot 1 must be in state 1a"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            build_wiretap_gaussian(draw_channels(states, seed=0), 0.5)
+    # The lattice kind still runs in state 1a only.
+    real = draw_channels((topology.STATE_A1,) * 3, seed=0, mode="integer")
+    with pytest.raises(ValueError, match="^slot 0 must be in state 1a$"):
+        lattice.build_wiretap_lattice(real, 0.5)
 
 
 def test_bc_fixed_rank_checks_cover_every_trial_of_a_batch():
